@@ -14,9 +14,8 @@
 //! gate was enforced either way.
 
 use polyddg::DdgProfiler;
-use polyfold::adaptive;
-use polyfold::pipeline::{fold_pipelined, fold_pipelined_pruned, PipelineConfig};
-use polyfold::{FoldOptions, FoldingSink};
+use polyfold::pipeline::{fold_pipelined_supervised, PipelineConfig, ResilienceConfig};
+use polyfold::FoldingSink;
 use polyprof_bench::trace::{big_backprop, Recorder};
 use polyprof_bench::{smoke, JsonObj};
 use polytrace::{Collector, Counter, MetricsLevel};
@@ -39,12 +38,6 @@ fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
 
 const SPEEDUP_FLOOR: f64 = 1.3;
 const GATE_THREADS: usize = 4;
-
-/// Unconditional floor for the adaptive executor vs serial: "never lose".
-/// When the calibration picks the inline executor it runs the *identical*
-/// code as the serial reference, so anything below 1.0x is pure timer
-/// noise; the 5% allowance covers exactly that and nothing else.
-const ADAPTIVE_FLOOR: f64 = 0.95;
 
 fn main() {
     let (layers, reps) = if smoke() { (48, 2) } else { (96, 3) };
@@ -81,6 +74,7 @@ fn main() {
         n_events as f64 / serial_s / 1e6
     );
 
+    let res = ResilienceConfig::default();
     let ks = [1usize, 2, 4, 8];
     let mut speedups = Vec::with_capacity(ks.len());
     for &k in &ks {
@@ -91,7 +85,9 @@ fn main() {
         };
         let mut piped_ops = 0u64;
         let t = best_of(reps, || {
-            let (ddg, _interner) = fold_pipelined(&prog, &structure, &cfg);
+            let (ddg, ..) =
+                fold_pipelined_supervised(&prog, &structure, &cfg, None, None, None, None, &res)
+                    .expect("fault-free pipelined fold");
             piped_ops = ddg.total_ops;
             black_box(ddg);
         });
@@ -104,64 +100,6 @@ fn main() {
         println!(
             "  {k} shard(s)     {t:>9.4}s   {:.1} Mev/s   speedup {speedup:.2}x",
             n_events as f64 / t / 1e6
-        );
-    }
-
-    // Adaptive executor: let the calibration pick inline vs pipelined at
-    // each requested K and time whatever it chose. The decision must never
-    // lose to serial — that is the whole point of deciding by measurement —
-    // so this gate is enforced on every machine, 1 CPU included. The serial
-    // reference is re-timed *interleaved* with each adaptive measurement:
-    // comparing against a serial time taken minutes earlier would gate on
-    // machine-load drift, not on the executor.
-    println!("  --- adaptive executor (calibrated decision) ---");
-    let run_serial = |ops: &mut u64| {
-        let mut prof = DdgProfiler::new(&prog, &structure, FoldingSink::new());
-        Vm::new(&prog).run(&[], &mut prof).expect("pass 2");
-        let (sink, interner) = prof.finish();
-        let ddg = sink.finalize(&prog, &interner);
-        *ops = ddg.total_ops;
-        black_box(ddg);
-    };
-    let mut adaptive_results = Vec::with_capacity(ks.len());
-    for &k in &ks {
-        let d = adaptive::decide(k, 4096, FoldOptions::default());
-        let run_adaptive = |ops: &mut u64| {
-            if d.fold_threads <= 1 {
-                run_serial(ops);
-            } else {
-                let cfg = PipelineConfig {
-                    fold_threads: d.fold_threads,
-                    chunk_events: 4096,
-                    ..Default::default()
-                };
-                let (ddg, _interner) = fold_pipelined(&prog, &structure, &cfg);
-                *ops = ddg.total_ops;
-                black_box(ddg);
-            }
-        };
-        let mut ops = 0u64;
-        run_adaptive(&mut ops); // warm-up
-        let mut ser_best = f64::INFINITY;
-        let mut ada_best = f64::INFINITY;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            run_serial(&mut ops);
-            ser_best = ser_best.min(t0.elapsed().as_secs_f64());
-            let t0 = Instant::now();
-            run_adaptive(&mut ops);
-            ada_best = ada_best.min(t0.elapsed().as_secs_f64());
-        }
-        assert_eq!(
-            ops, serial_ops,
-            "adaptive run folded a different trace at requested K={k}"
-        );
-        let speedup = ser_best / ada_best;
-        adaptive_results.push((k, d.fold_threads, ada_best, speedup));
-        println!(
-            "  adaptive K={k}   {ada_best:>9.4}s   {:.1} Mev/s   chose {} shard(s)   speedup {speedup:.2}x",
-            n_events as f64 / ada_best / 1e6,
-            d.fold_threads,
         );
     }
 
@@ -187,30 +125,11 @@ fn main() {
                 .num_field("speedup", s);
         });
     }
-    for &(k, chosen, t, s) in &adaptive_results {
-        j.obj_field(&format!("adaptive_{k}"), |o| {
-            o.int_field("chosen_threads", chosen as u64)
-                .num_field("seconds", t)
-                .num_field("events_per_sec", n_events as f64 / t)
-                .num_field("speedup", s);
-        });
-    }
     j.obj_field("gate", |o| {
         o.num_field("floor", SPEEDUP_FLOOR)
             .int_field("at_threads", GATE_THREADS as u64)
             .str_field("enforced", if enforced { "true" } else { "false" })
             .num_field("measured", gate_speedup);
-    });
-    j.obj_field("adaptive_gate", |o| {
-        o.num_field("floor", ADAPTIVE_FLOOR)
-            .str_field("enforced", "true")
-            .num_field(
-                "worst",
-                adaptive_results
-                    .iter()
-                    .map(|&(_, _, _, s)| s)
-                    .fold(f64::INFINITY, f64::min),
-            );
     });
 
     // One instrumented run at the gate shard count: channel stall time and
@@ -226,8 +145,17 @@ fn main() {
     // artifact records the PrunedEvents counter alongside the stall clocks.
     let mask = polystatic::dataflow::StaticSummary::analyze(&prog).prune_mask();
     let t0 = Instant::now();
-    let (ddg, _interner, _pruned) =
-        fold_pipelined_pruned(&prog, &structure, &cfg, Some(&col), Some(mask), None);
+    let (ddg, ..) = fold_pipelined_supervised(
+        &prog,
+        &structure,
+        &cfg,
+        Some(&col),
+        Some(mask),
+        None,
+        None,
+        &res,
+    )
+    .expect("fault-free pipelined fold");
     black_box(ddg);
     let m = col.snapshot(t0.elapsed().as_nanos() as u64);
     let metrics_json = m.to_json();
@@ -248,36 +176,16 @@ fn main() {
     std::fs::write(path, j.render() + "\n").expect("write BENCH_fold_scaling.json");
     println!("  wrote {path} and {mpath}");
 
-    // Unconditional: the adaptive executor never loses to serial, whatever
-    // the hardware — on 1 CPU it must have picked the inline path.
-    for &(k, chosen, _, s) in &adaptive_results {
-        assert!(
-            s >= ADAPTIVE_FLOOR,
-            "adaptive executor lost to serial at requested K={k} \
-             (chose {chosen} shard(s)): {s:.2}x < {ADAPTIVE_FLOOR}x"
-        );
-    }
     if enforced {
         assert!(
             gate_speedup >= SPEEDUP_FLOOR,
             "fold pipeline must be ≥{SPEEDUP_FLOOR}x serial at {GATE_THREADS} threads, \
              measured {gate_speedup:.2}x"
         );
-        let adaptive_at_gate = adaptive_results
-            .iter()
-            .find(|(k, ..)| *k == GATE_THREADS)
-            .map(|&(_, _, _, s)| s)
-            .expect("gate thread count measured");
-        assert!(
-            adaptive_at_gate >= SPEEDUP_FLOOR,
-            "adaptive executor must be ≥{SPEEDUP_FLOOR}x serial at K={GATE_THREADS} \
-             on a ≥{GATE_THREADS}-CPU machine, measured {adaptive_at_gate:.2}x"
-        );
     } else {
         println!(
             "  gate skipped: {cpus} cpu(s) < {GATE_THREADS} — scaling is not measurable here \
-             (pipeline threads time-slice one core); CI enforces the {SPEEDUP_FLOOR}x floor \
-             (adaptive ≥ serial was still enforced above)"
+             (pipeline threads time-slice one core); CI enforces the {SPEEDUP_FLOOR}x floor"
         );
     }
 }

@@ -222,14 +222,6 @@ pub struct ProfileConfig {
     /// Failed supervised-pipeline attempts to retry before falling back to
     /// the serial path.
     pub max_retries: u32,
-    /// Let the run *measure* its way to an executor instead of trusting
-    /// `fold_threads`: a one-shot calibration (`polyfold::adaptive`)
-    /// compares per-chunk fold cost against channel handoff cost and picks
-    /// inline folding or K-shard pipelining. `fold_threads` then acts as
-    /// the shard count to use *if* pipelining wins (`<= 1` = auto-size from
-    /// the CPU count). The folded DDG is byte-identical either way; the
-    /// chosen shard count lands in the `adaptive_shards` counter.
-    pub adaptive: bool,
     /// Verify already-fitted affine candidates with overflow-checked `i64`
     /// dot products instead of exact rationals (falling back to the exact
     /// path on overflow or a non-integral fit). On — the default — is
@@ -286,7 +278,6 @@ impl Default for ProfileConfig {
             deadline: None,
             fault_plan: None,
             max_retries: 2,
-            adaptive: false,
             fast_fit: true,
             record_to: None,
             replay_from: None,
@@ -358,13 +349,6 @@ impl ProfileConfig {
     /// Set the supervised-pipeline retry bound.
     pub fn with_max_retries(mut self, n: u32) -> Self {
         self.max_retries = n;
-        self
-    }
-
-    /// Let a calibration pass choose between inline folding and K-shard
-    /// pipelining at runtime (see [`ProfileConfig::adaptive`]).
-    pub fn with_adaptive(mut self, on: bool) -> Self {
-        self.adaptive = on;
         self
     }
 
@@ -531,139 +515,73 @@ pub fn try_profile_with(prog: &Program, cfg: &ProfileConfig) -> Result<Report, P
         _ => None,
     };
 
-    // Folding options shared by every executor this run may pick.
-    let fold_options = polyfold::FoldOptions {
-        fast_fit: cfg.fast_fit,
+    // Pass 2: pick a source (the VM, or a `.ptrace` recording) and an
+    // executor for it — the serial driver, or the supervised staged pipeline
+    // when more than one folding thread (or a fault plan, whose injection
+    // sites live in the pipeline stages) is requested. Every arm hands back
+    // the same four things; counters are harvested by the executor from the
+    // attempt that produced them.
+    let tr = trace.as_ref().map(|(c, _)| c);
+    let pcfg = polyfold::pipeline::PipelineConfig {
+        fold_threads: cfg.fold_threads,
+        chunk_events: cfg.chunk_events,
+        options: polyfold::FoldOptions {
+            fast_fit: cfg.fast_fit,
+            ..Default::default()
+        },
         ..Default::default()
     };
-
-    // Adaptive executor: calibrate fold cost against chunk handoff cost and
-    // resolve the effective shard count *before* the run — the output is
-    // byte-identical either way, so the decision only trades wall-clock.
-    let fold_threads = if cfg.adaptive {
-        let d = polyfold::adaptive::decide(cfg.fold_threads, cfg.chunk_events, fold_options);
-        if let Some((c, _)) = &trace {
-            c.add(Counter::AdaptiveShards, d.fold_threads as u64);
-        }
-        d.fold_threads
+    let record = cfg.record_to.as_deref();
+    let profile_span = || tr.map(|c| c.span(Stage::Profile));
+    let (mut ddg, interner, pruned_events, degradation) = if let Some(path) = &cfg.replay_from {
+        let _span = profile_span();
+        let (ddg, interner) =
+            polyfold::replay::fold_recording(path, prog, pcfg.fold_threads, pcfg.options, tr)?;
+        (
+            ddg,
+            interner,
+            PrunedEvents::default(),
+            RunDegradation::default(),
+        )
+    } else if cfg.fold_threads <= 1 && fault_plan.is_none() {
+        let run = {
+            let _span = profile_span();
+            polyfold::fold_serial(
+                prog,
+                &structure,
+                &pcfg,
+                tr,
+                prune.clone(),
+                synth.as_ref(),
+                record,
+                budget.as_ref(),
+            )?
+        };
+        let mut deg = RunDegradation::default();
+        let (ddg, interner, pruned_events) = {
+            let _span = tr.map(|c| c.span(Stage::Finalize));
+            run.finalize(prog, &mut deg)
+        };
+        polyfold::pass2::close_degradation(&mut deg, budget.as_ref(), None, tr);
+        (ddg, interner, pruned_events, deg)
     } else {
-        cfg.fold_threads
-    };
-
-    // Pass 2: DDG streaming into the folding sink — a replayed recording
-    // (no VM), serial in-line (optionally tapped by a recorder), or the
-    // supervised staged pipeline when more than one folding thread (or a
-    // fault plan, whose injection sites live in the pipeline stages) is
-    // requested.
-    let mut degradation = RunDegradation::default();
-    let (mut ddg, interner, pruned_events) = if let Some(path) = &cfg.replay_from {
-        let _span = trace.as_ref().map(|(c, _)| c.span(Stage::Profile));
-        let (ddg, interner) = polyfold::replay::fold_recording(
-            path,
-            prog,
-            fold_threads,
-            fold_options,
-            trace.as_ref().map(|(c, _)| c),
-        )?;
-        (ddg, interner, PrunedEvents::default())
-    } else if fold_threads <= 1 && fault_plan.is_none() {
-        let chunk_events = cfg.chunk_events.max(1);
-        let (sink, interner, pruned_events) = {
-            let _span = trace.as_ref().map(|(c, _)| c.span(Stage::Profile));
-            let mut out = polyfold::FoldingSink::with_options(fold_options);
-            if let Some(b) = &budget {
-                out.set_budget(Arc::clone(b));
-            }
-            match &cfg.record_to {
-                Some(path) => {
-                    let writer = polyrec::TraceWriter::create(path, prog, chunk_events)?;
-                    let tap = polyrec::Recorder::new(writer, chunk_events, out);
-                    let (tap, interner, pruned_events) = serial_pass2(
-                        prog,
-                        &structure,
-                        tap,
-                        &prune,
-                        &synth,
-                        &budget,
-                        trace.as_ref().map(|(c, _)| c),
-                        &mut degradation,
-                    )?;
-                    let (sink, wstats) = tap.finish(&interner)?;
-                    if let Some((c, _)) = &trace {
-                        c.add(Counter::RecFramesWritten, wstats.frames);
-                        c.add(Counter::RecBytesWritten, wstats.bytes);
-                    }
-                    (sink, interner, pruned_events)
-                }
-                None => serial_pass2(
-                    prog,
-                    &structure,
-                    out,
-                    &prune,
-                    &synth,
-                    &budget,
-                    trace.as_ref().map(|(c, _)| c),
-                    &mut degradation,
-                )?,
-            }
-        };
-        if let Some((c, _)) = &trace {
-            let (hits, misses) = interner.cache_stats();
-            c.add(Counter::CtxCacheHit, hits);
-            c.add(Counter::CtxCacheMiss, misses);
-            let fs = sink.fold_stats();
-            c.add(Counter::EventsFolded, fs.events_folded);
-            c.add(Counter::DepsFolded, fs.deps_folded);
-            c.add(Counter::ChunksFolded, fs.chunks_folded);
-        }
-        degradation.budget_overapprox_stmts = sink.fold_stats().budget_degraded;
-        if let Some(b) = &budget {
-            degradation.budget_pressure = b.under_pressure();
-            degradation.peak_tracked_bytes = b.peak_bytes();
-            if b.deadline_was_hit() {
-                degradation.deadline_hit = true;
-            }
-            if let Some((c, _)) = &trace {
-                c.add(
-                    Counter::BudgetOverapprox,
-                    degradation.budget_overapprox_stmts,
-                );
-                if degradation.deadline_hit {
-                    c.add(Counter::DeadlineHits, 1);
-                }
-            }
-        }
-        let ddg = {
-            let _span = trace.as_ref().map(|(c, _)| c.span(Stage::Finalize));
-            sink.finalize(prog, &interner)
-        };
-        (ddg, interner, pruned_events)
-    } else {
-        let _span = trace.as_ref().map(|(c, _)| c.span(Stage::Profile));
-        let pcfg = polyfold::pipeline::PipelineConfig {
-            fold_threads,
-            chunk_events: cfg.chunk_events,
-            options: fold_options,
-            ..Default::default()
-        };
+        let _span = profile_span();
         let rcfg = polyfold::pipeline::ResilienceConfig {
-            faults: fault_plan.clone(),
-            budget: budget.clone(),
+            faults: fault_plan,
+            budget,
             max_retries: cfg.max_retries,
             ..Default::default()
         };
-        let (ddg, interner, pruned_events, deg) = polyfold::pipeline::fold_pipelined_supervised(
+        polyfold::pipeline::fold_pipelined_supervised(
             prog,
             &structure,
             &pcfg,
-            trace.as_ref().map(|(c, _)| c),
+            tr,
             prune.clone(),
-            synth.clone(),
-            cfg.record_to.as_deref(),
+            synth,
+            record,
             &rcfg,
-        )?;
-        degradation = deg;
-        (ddg, interner, pruned_events)
+        )?
     };
 
     // Post-fold, pre-removal: count pruned statements and lint the DDG
@@ -885,78 +803,6 @@ impl Sampler {
         let _ = self.handle.join();
         self.rx.try_iter().collect()
     }
-}
-
-/// The serial pass-2 body, generic over the folding sink so the recording
-/// tap ([`polyrec::Recorder`] around a [`polyfold::FoldingSink`]) reuses the
-/// exact VM-drive/harvest sequence of the plain path. Returns the sink, the
-/// interner, and the pruned-event count.
-#[allow(clippy::too_many_arguments)]
-fn serial_pass2<S: polyddg::FoldSink>(
-    prog: &Program,
-    structure: &polycfg::StaticStructure,
-    sink: S,
-    prune: &Option<Arc<polyddg::prune::PruneMask>>,
-    synth: &Option<Arc<dyn polyddg::MemSynth>>,
-    budget: &Option<Arc<ResourceBudget>>,
-    trace: Option<&Arc<Collector>>,
-    degradation: &mut RunDegradation,
-) -> Result<(S, polyiiv::context::ContextInterner, PrunedEvents), PolyProfError> {
-    let mut prof = polyddg::DdgProfiler::new(prog, structure, sink);
-    if let Some(m) = prune {
-        prof.set_prune_mask(Arc::clone(m));
-    }
-    if let Some(b) = budget {
-        prof.set_budget(Arc::clone(b));
-    }
-    let mut vm = polyvm::Vm::new(prog);
-    if let Some(c) = trace {
-        // Opcode telemetry is plain-u64 counting at `Timing`, plus sampled
-        // dispatch timing at `Trace`; `Off`/`Counters` never arm it.
-        if c.timing() {
-            vm.enable_opcode_telemetry(c.tracing());
-        }
-    }
-    match vm.run(&[], &mut prof) {
-        Ok(_) => {}
-        // The budget watchdog asked for a graceful stop: finalize the
-        // partial-but-valid folded state observed so far.
-        Err(polyvm::VmError::Aborted) => degradation.deadline_hit = true,
-        Err(e) => {
-            return Err(PolyProfError::Vm {
-                stage: "pass-2",
-                msg: e.to_string(),
-            })
-        }
-    }
-    if let Some(c) = trace {
-        if let Some(t) = vm.take_opcode_telemetry() {
-            t.harvest(c);
-        }
-        c.add(Counter::DynOps, prof.dyn_ops);
-        c.add(Counter::MemEvents, prof.mem_events);
-        c.add(Counter::PrunedEvents, prof.pruned_events);
-        c.add(Counter::PrunedMemEvents, prof.pruned_mem_events);
-        let (hits, misses) = prof.shadow_mru_stats();
-        c.add(Counter::ShadowMruHit, hits);
-        c.add(Counter::ShadowMruMiss, misses);
-        c.add(Counter::ShadowPages, prof.resident_shadow_pages() as u64);
-        c.add(Counter::ArenaBytes, prof.arena_bytes() as u64);
-    }
-    let pruned_events = PrunedEvents {
-        reg: prof.pruned_events,
-        mem: prof.pruned_mem_events,
-    };
-    let (mut sink, interner) = prof.finish();
-    // Re-synthesize access-level-pruned memory streams. A deadline-aborted
-    // run skips this: the dynamic run may not have reached the pruned
-    // iterations, and synthesizing full streams would invent events.
-    if let Some(sy) = synth {
-        if !degradation.deadline_hit {
-            sy.synthesize(&interner, &polyddg::DdgConfig::default(), &mut sink);
-        }
-    }
-    Ok((sink, interner, pruned_events))
 }
 
 /// Run [`profile`] over a whole suite, fanning the workloads across threads.

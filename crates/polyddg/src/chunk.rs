@@ -340,6 +340,19 @@ impl EventChunk {
     /// reach a folding shard — that is a stage-routing bug, not a data
     /// condition.
     pub fn replay_into<F: FoldSink>(&self, sink: &mut F) {
+        self.replay_resolving(sink, |_, _, _, _, _| {
+            unreachable!("unresolved memory event reached a folding shard")
+        });
+    }
+
+    /// Replay the chunk into `sink` in order, handing each unresolved
+    /// [`EventRef::MemPre`] record `(stmt, coords, addr, is_write)` to
+    /// `resolve` together with the sink.
+    pub fn replay_resolving<F: FoldSink>(
+        &self,
+        sink: &mut F,
+        mut resolve: impl FnMut(StmtId, &[i64], u64, bool, &mut F),
+    ) {
         for ev in self.events() {
             match ev {
                 EventRef::Point {
@@ -360,9 +373,12 @@ impl EventChunk {
                     dst,
                     dst_coords,
                 } => sink.dependence(kind, src, src_coords, dst, dst_coords),
-                EventRef::MemPre { .. } => {
-                    unreachable!("unresolved memory event reached a folding shard")
-                }
+                EventRef::MemPre {
+                    stmt,
+                    coords,
+                    addr,
+                    is_write,
+                } => resolve(stmt, coords, addr, is_write, sink),
             }
         }
     }

@@ -161,6 +161,66 @@ impl CoordSnap {
     }
 }
 
+/// A [`CoordArena`] plus the snapshot of the *current* coordinate vector,
+/// captured on first use after a change; every writer record created
+/// between two changes shares the one snapshot. The front end sees loop
+/// events and calls [`invalidate`](Self::invalidate) when they move the
+/// coordinates; the staged resolver cannot, and calls [`sync`](Self::sync)
+/// with each event's coordinates instead.
+#[derive(Debug, Default)]
+pub struct SnapCache {
+    arena: CoordArena,
+    cur: Option<CoordSnap>,
+    /// The vector last passed to [`sync`](Self::sync).
+    synced: Vec<i64>,
+}
+
+impl SnapCache {
+    /// The coordinates changed: the next [`get`](Self::get) captures anew.
+    /// Earlier snapshots stay valid for the records that hold them.
+    #[inline]
+    pub fn invalidate(&mut self) {
+        self.cur = None;
+    }
+
+    /// Invalidate if `coords` differs from the last synced vector.
+    /// Coordinates only change on loop boundaries, so the compare almost
+    /// always hits and the arena sees the same one-capture-per-change
+    /// traffic as under [`invalidate`](Self::invalidate).
+    #[inline]
+    pub fn sync(&mut self, coords: &[i64]) {
+        if self.synced != coords {
+            self.synced.clear();
+            self.synced.extend_from_slice(coords);
+            self.cur = None;
+        }
+    }
+
+    /// The shared snapshot of `coords` (which must be the current vector).
+    #[inline]
+    pub fn get(&mut self, coords: &[i64]) -> CoordSnap {
+        match self.cur {
+            Some(s) => s,
+            None => {
+                let s = CoordSnap::capture(coords, &mut self.arena);
+                self.cur = Some(s);
+                s
+            }
+        }
+    }
+
+    /// The arena every snapshot handed out by [`get`](Self::get) resolves in.
+    #[inline]
+    pub fn arena(&self) -> &CoordArena {
+        &self.arena
+    }
+
+    /// Charge spilled coordinate vectors against `budget`.
+    pub fn set_budget(&mut self, budget: std::sync::Arc<polyresist::ResourceBudget>) {
+        self.arena.set_budget(budget);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

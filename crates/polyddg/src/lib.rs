@@ -41,15 +41,19 @@
 //! The pre-optimization implementation is retained in [`baseline`] for
 //! differential tests and benchmark comparison.
 //!
-//! ## Pipeline decomposition
+//! ## One front end, two memory routes
 //!
-//! For intra-trace parallelism the profiler also exists in a staged form:
-//! [`pipeline::PreProfiler`] (sequential IIV/interning/register prefix,
-//! emitting unresolved memory events via [`PreSink`]),
-//! [`shadow::ShadowResolver`] (shadow resolution on its own thread), and
-//! [`pipeline::ShardRouter`] (key-partitioned fan-out to folding workers),
-//! exchanging [`chunk::EventChunk`] batches over bounded channels. The
-//! orchestration lives in `polyfold::pipeline`.
+//! [`FrontEnd`] is the crate's only [`EventSink`] outside [`baseline`]. It
+//! is generic over where a memory touch goes ([`MemRoute`]):
+//!
+//! * **in line** ([`DdgProfiler`], route = [`shadow::ShadowMemory`]):
+//!   resolved on the VM thread against an owned shadow memory;
+//! * **staged** (route = [`Staged`]): emitted unresolved as
+//!   [`PreSink::mem_pre`], resolved on a thread of its own and fanned out by
+//!   key ([`pipeline::ShardRouter`]) to folding workers, in
+//!   [`chunk::EventChunk`] batches over bounded channels (`polyfold::pipeline`).
+//!
+//! Both resolve through one routine, [`shadow::ShadowMemory::resolve`].
 
 pub mod baseline;
 pub mod chunk;
@@ -58,11 +62,12 @@ pub mod pipeline;
 pub mod prune;
 pub mod shadow;
 
-use coords::{CoordArena, CoordSnap};
+use coords::SnapCache;
 use polycfg::{LoopEventGen, StaticStructure};
 use polyiiv::context::{ContextInterner, CtxPathId, StmtId};
 use polyiiv::IivTracker;
 use polyir::{BlockRef, FuncId, InstrRef, Program, Value};
+use polyresist::{FaultPlan, FaultSite, ResourceBudget};
 use polyvm::EventSink;
 use prune::{PruneMask, PRUNED_STMT};
 use shadow::{ShadowMemory, Writer};
@@ -145,27 +150,92 @@ impl Default for DdgConfig {
     }
 }
 
-/// The stage-2 profiler: an [`EventSink`] that drives loop-event generation
-/// (Alg. 1/2), the dynamic IIV (Alg. 3), shadow memory and register
-/// tracking, and streams the folding interface to `F`.
-pub struct DdgProfiler<'p, F: FoldSink> {
+/// Where the front end sends a memory touch — the one point at which the
+/// in-line and the staged profiler differ. Everything else goes to `F`.
+pub trait MemRoute<F: FoldSink> {
+    /// A memory touch by `stmt` at `coords` on word `addr`. Records stored
+    /// here take their snapshots from `snaps`, the front end's own cache,
+    /// and so share one arena with the register writers.
+    #[allow(clippy::too_many_arguments)]
+    fn mem_touch(
+        &mut self,
+        out: &mut F,
+        cfg: &DdgConfig,
+        snaps: &mut SnapCache,
+        stmt: StmtId,
+        coords: &[i64],
+        addr: u64,
+        is_write: bool,
+    );
+
+    /// Charge whatever state this route retains against `budget`.
+    fn charge_to(&mut self, _budget: &Arc<ResourceBudget>) {}
+}
+
+/// In-line route: the touch is resolved on the spot against this shadow
+/// memory, and the resolved events go straight to `out`.
+impl<F: FoldSink> MemRoute<F> for ShadowMemory {
+    #[inline]
+    fn mem_touch(
+        &mut self,
+        out: &mut F,
+        cfg: &DdgConfig,
+        snaps: &mut SnapCache,
+        stmt: StmtId,
+        coords: &[i64],
+        addr: u64,
+        is_write: bool,
+    ) {
+        self.resolve(cfg, snaps, stmt, coords, addr, is_write, out);
+    }
+
+    fn charge_to(&mut self, budget: &Arc<ResourceBudget>) {
+        self.set_budget(Arc::clone(budget));
+    }
+}
+
+/// Staged route: the touch leaves unresolved, as a
+/// [`mem_pre`](PreSink::mem_pre) record for a downstream resolver stage.
+pub struct Staged;
+
+impl<S: PreSink> MemRoute<S> for Staged {
+    #[inline]
+    fn mem_touch(
+        &mut self,
+        out: &mut S,
+        _cfg: &DdgConfig,
+        _snaps: &mut SnapCache,
+        stmt: StmtId,
+        coords: &[i64],
+        addr: u64,
+        is_write: bool,
+    ) {
+        out.mem_pre(stmt, coords, addr, is_write);
+    }
+}
+
+/// The stage-2 front end: the one [`EventSink`] of pass 2. It drives
+/// loop-event generation (Alg. 1/2), the dynamic IIV (Alg. 3), context and
+/// statement interning and register tracking, streams instruction points
+/// and register dependences to `out`, and hands every memory touch to its
+/// [`MemRoute`].
+pub struct FrontEnd<'p, F: FoldSink, R: MemRoute<F>> {
     prog: &'p Program,
     gen: LoopEventGen<'p>,
     iiv: IivTracker,
     /// Context/statement interner, exposed after the run for reporting.
     pub interner: ContextInterner,
-    shadow: ShadowMemory,
-    arena: CoordArena,
+    /// Shared snapshot of `coords`, captured lazily after each change.
+    snaps: SnapCache,
     reg_frames: Vec<Vec<Option<Writer>>>,
     /// Retired register frames, recycled on the next call (steady-state
     /// call/ret does not allocate).
     frame_pool: Vec<Vec<Option<Writer>>>,
     out: F,
+    route: R,
     cfg: DdgConfig,
     /// Current coordinate vector, refreshed copy-on-change.
     coords: Vec<i64>,
-    /// Shared snapshot of `coords`, captured lazily after each change.
-    cur_snap: Option<CoordSnap>,
     /// Set when loop events changed the IIV since `coords` was refreshed.
     coords_dirty: bool,
     loop_buf: Vec<polycfg::LoopEvent>,
@@ -182,26 +252,33 @@ pub struct DdgProfiler<'p, F: FoldSink> {
     /// Dynamic memory events whose shadow tracking was skipped by the
     /// access-level mask (their streams are synthesized statically).
     pub pruned_mem_events: u64,
-    /// Optional resource budget: shadow pages and spilled coordinates are
-    /// charged against its byte limit, and its deadline is polled through
-    /// the VM's throttled [`EventSink::poll_abort`] hook.
-    budget: Option<Arc<polyresist::ResourceBudget>>,
+    /// Optional deterministic fault plan probed per memory event
+    /// ([`FaultSite::PanicPre`]).
+    faults: Option<Arc<FaultPlan>>,
+    /// Optional resource budget: retained state is charged against its byte
+    /// limit, and its deadline is polled through the VM's throttled
+    /// [`EventSink::poll_abort`] hook.
+    budget: Option<Arc<ResourceBudget>>,
 }
+
+/// The in-line profiler: the [`FrontEnd`] resolving every memory touch on
+/// the VM thread and streaming the whole folding interface to `F`.
+pub type DdgProfiler<'p, F> = FrontEnd<'p, F, ShadowMemory>;
 
 /// Direct-mapped statement-cache size; must be a power of two. Multi-block
 /// loop bodies alternate between a handful of instructions per context, so a
 /// small cache captures virtually all lookups.
-pub(crate) const STMT_CACHE_SLOTS: usize = 64;
+const STMT_CACHE_SLOTS: usize = 64;
 
 #[inline]
-pub(crate) fn stmt_cache_slot(instr: InstrRef) -> usize {
+fn stmt_cache_slot(instr: InstrRef) -> usize {
     (instr.idx as usize
         ^ ((instr.block.block.0 as usize) << 2)
         ^ ((instr.block.func.0 as usize) << 5))
         & (STMT_CACHE_SLOTS - 1)
 }
 
-impl<'p, F: FoldSink> DdgProfiler<'p, F> {
+impl<'p, F: FoldSink> FrontEnd<'p, F, ShadowMemory> {
     /// Build a profiler over a program and its stage-1 structure; `out`
     /// receives the folding streams.
     pub fn new(prog: &'p Program, structure: &'p StaticStructure, out: F) -> Self {
@@ -215,25 +292,48 @@ impl<'p, F: FoldSink> DdgProfiler<'p, F> {
         out: F,
         cfg: DdgConfig,
     ) -> Self {
+        Self::with_route(prog, structure, out, ShadowMemory::new(), cfg)
+    }
+
+    /// Shadow-memory MRU page-cache `(hits, misses)` so far.
+    pub fn shadow_mru_stats(&self) -> (u64, u64) {
+        self.route.mru_stats()
+    }
+
+    /// Resident shadow pages (overhead statistics for benchmarks).
+    pub fn resident_shadow_pages(&self) -> usize {
+        self.route.resident_pages()
+    }
+}
+
+impl<'p, F: FoldSink, R: MemRoute<F>> FrontEnd<'p, F, R> {
+    /// Build a front end whose memory touches take `route`: [`Staged`] for
+    /// the pipeline's stage 1 ([`DdgProfiler::new`] builds the in-line one).
+    pub fn with_route(
+        prog: &'p Program,
+        structure: &'p StaticStructure,
+        out: F,
+        route: R,
+        cfg: DdgConfig,
+    ) -> Self {
         let entry_fn = prog.entry.expect("program must have an entry");
         let entry = BlockRef {
             func: entry_fn,
             block: prog.func(entry_fn).entry(),
         };
         let n_regs = prog.func(entry_fn).n_regs as usize;
-        DdgProfiler {
+        FrontEnd {
             prog,
             gen: LoopEventGen::new(structure),
             iiv: IivTracker::new(entry),
             interner: ContextInterner::new(),
-            shadow: ShadowMemory::new(),
-            arena: CoordArena::new(),
+            snaps: SnapCache::default(),
             reg_frames: vec![vec![None; n_regs]],
             frame_pool: Vec::new(),
             out,
+            route,
             cfg,
             coords: Vec::with_capacity(8),
-            cur_snap: None,
             coords_dirty: true,
             loop_buf: Vec::with_capacity(8),
             stmt_cache: [None; STMT_CACHE_SLOTS],
@@ -242,24 +342,31 @@ impl<'p, F: FoldSink> DdgProfiler<'p, F> {
             prune: None,
             pruned_events: 0,
             pruned_mem_events: 0,
+            faults: None,
             budget: None,
         }
     }
 
     /// Enable static instrumentation pruning: instructions in `mask` skip
     /// register-dependence tracking, and access-level entries additionally
-    /// skip shadow tracking. Sound only for masks whose every entry
+    /// skip the memory route. Sound only for masks whose every entry
     /// satisfies the [`prune`] module contract.
     pub fn set_prune_mask(&mut self, mask: Arc<PruneMask>) {
         self.prune = Some(mask);
     }
 
-    /// Attach a resource budget: shadow pages and spilled coordinate
-    /// vectors are charged against the byte limit, and the deadline is
-    /// polled by the VM watchdog ([`EventSink::poll_abort`]).
-    pub fn set_budget(&mut self, budget: Arc<polyresist::ResourceBudget>) {
-        self.shadow.set_budget(Arc::clone(&budget));
-        self.arena.set_budget(Arc::clone(&budget));
+    /// Arm a deterministic fault plan ([`FaultSite::PanicPre`] fires as a
+    /// panic on the probed memory event). Zero-cost when never called.
+    pub fn set_faults(&mut self, plan: Arc<FaultPlan>) {
+        self.faults = Some(plan);
+    }
+
+    /// Attach a resource budget: shadow pages (in-line route) and spilled
+    /// coordinate vectors are charged against the byte limit, and the
+    /// deadline is polled by the VM watchdog ([`EventSink::poll_abort`]).
+    pub fn set_budget(&mut self, budget: Arc<ResourceBudget>) {
+        self.route.charge_to(&budget);
+        self.snaps.set_budget(Arc::clone(&budget));
         self.budget = Some(budget);
     }
 
@@ -268,25 +375,15 @@ impl<'p, F: FoldSink> DdgProfiler<'p, F> {
         (self.out, self.interner)
     }
 
-    /// Shadow-memory MRU page-cache `(hits, misses)` so far.
-    pub fn shadow_mru_stats(&self) -> (u64, u64) {
-        self.shadow.mru_stats()
-    }
-
     /// Immutable access to the fold sink mid-run.
     pub fn sink(&self) -> &F {
         &self.out
     }
 
-    /// Resident shadow pages (overhead statistics for benchmarks).
-    pub fn resident_shadow_pages(&self) -> usize {
-        self.shadow.resident_pages()
-    }
-
     /// Heap footprint of spilled (> [`coords::INLINE_DIMS`]-dim) coordinate
     /// snapshots in bytes.
     pub fn arena_bytes(&self) -> usize {
-        self.arena.bytes()
+        self.snaps.arena().bytes()
     }
 
     fn drain_loop_events(&mut self) {
@@ -305,22 +402,8 @@ impl<'p, F: FoldSink> DdgProfiler<'p, F> {
     fn refresh_coords(&mut self) {
         if self.coords_dirty {
             self.iiv.coords_into(&mut self.coords);
-            self.cur_snap = None;
+            self.snaps.invalidate();
             self.coords_dirty = false;
-        }
-    }
-
-    /// The shared snapshot of the current coordinates, captured on first
-    /// use after a change.
-    #[inline]
-    fn snapshot(&mut self) -> CoordSnap {
-        match self.cur_snap {
-            Some(s) => s,
-            None => {
-                let s = CoordSnap::capture(&self.coords, &mut self.arena);
-                self.cur_snap = Some(s);
-                s
-            }
         }
     }
 
@@ -352,7 +435,7 @@ impl<'p, F: FoldSink> DdgProfiler<'p, F> {
     }
 }
 
-impl<'p, F: FoldSink> EventSink for DdgProfiler<'p, F> {
+impl<'p, F: FoldSink, R: MemRoute<F>> EventSink for FrontEnd<'p, F, R> {
     fn local_jump(&mut self, from: BlockRef, to: BlockRef) {
         self.gen.on_jump(from, to, &mut self.loop_buf);
         self.drain_loop_events();
@@ -389,7 +472,7 @@ impl<'p, F: FoldSink> EventSink for DdgProfiler<'p, F> {
                 // Disjoint field borrows: the writer records are `Copy`, so no
                 // clone is needed to emit across the sink call.
                 let frame = self.reg_frames.last().expect("live frame");
-                let arena = &self.arena;
+                let arena = self.snaps.arena();
                 let coords = &self.coords;
                 let out = &mut self.out;
                 ins.for_each_use(|r| {
@@ -408,7 +491,7 @@ impl<'p, F: FoldSink> EventSink for DdgProfiler<'p, F> {
             }
         }
         if let Some(d) = ins.def() {
-            let snap = self.snapshot();
+            let snap = self.snaps.get(&self.coords);
             let frame = self.reg_frames.last_mut().expect("live frame");
             let stmt = if pruned { PRUNED_STMT } else { stmt };
             frame[d.0 as usize] = Some(Writer { stmt, coords: snap });
@@ -423,68 +506,35 @@ impl<'p, F: FoldSink> EventSink for DdgProfiler<'p, F> {
 
     fn mem(&mut self, instr: InstrRef, addr: u64, is_write: bool) {
         self.mem_events += 1;
+        if let Some(plan) = &self.faults {
+            if plan.should_fire(FaultSite::PanicPre) {
+                panic!(
+                    "injected fault: pre-profiler panic (memory event {})",
+                    self.mem_events
+                );
+            }
+        }
         if let Some(m) = &self.prune {
             if m.contains_mem(instr) {
-                // Access-level prune: the whole shadow interaction of this
-                // site is skipped and later synthesized from the static
-                // dependence relation (see `MemSynth`).
+                // Access-level prune: the site never reaches the memory
+                // route — no shadow interaction, no `mem_pre` — and its
+                // streams are synthesized from the static dependence
+                // relation after the run (see `MemSynth`).
                 self.pruned_mem_events += 1;
                 return;
             }
         }
         let stmt = self.current_stmt(instr);
         self.refresh_coords();
-        // Resolve the shadow cell once; prior records are copied out so the
-        // update and the dependence emission don't contend for borrows.
-        let (prev_write, prev_read) = if is_write {
-            let snap = self.snapshot();
-            let cell = self.shadow.cell_mut(addr);
-            let prev = (cell.write, cell.read);
-            cell.write = Some(Writer { stmt, coords: snap });
-            cell.read = None;
-            prev
-        } else if self.cfg.track_anti {
-            let snap = self.snapshot();
-            let cell = self.shadow.cell_mut(addr);
-            let prev = (cell.write, None);
-            cell.read = Some(Writer { stmt, coords: snap });
-            prev
-        } else {
-            (self.shadow.last_write(addr).copied(), None)
-        };
-        if is_write {
-            if self.cfg.track_output {
-                if let Some(w) = prev_write {
-                    self.out.dependence(
-                        DepKind::Output,
-                        w.stmt,
-                        w.coords.resolve(&self.arena),
-                        stmt,
-                        &self.coords,
-                    );
-                }
-            }
-            if self.cfg.track_anti {
-                if let Some(r) = prev_read {
-                    self.out.dependence(
-                        DepKind::Anti,
-                        r.stmt,
-                        r.coords.resolve(&self.arena),
-                        stmt,
-                        &self.coords,
-                    );
-                }
-            }
-        } else if let Some(w) = prev_write {
-            self.out.dependence(
-                DepKind::Flow,
-                w.stmt,
-                w.coords.resolve(&self.arena),
-                stmt,
-                &self.coords,
-            );
-        }
-        self.out.mem_access(stmt, &self.coords, addr, is_write);
+        self.route.mem_touch(
+            &mut self.out,
+            &self.cfg,
+            &mut self.snaps,
+            stmt,
+            &self.coords,
+            addr,
+            is_write,
+        );
     }
 
     fn poll_abort(&mut self) -> bool {

@@ -1,22 +1,25 @@
-//! Stage split of the DDG profiler for intra-trace pipeline parallelism.
+//! Stage split of pass 2 for intra-trace pipeline parallelism.
 //!
 //! [`DdgProfiler`](crate::DdgProfiler) does everything on the VM thread:
 //! loop events, IIV maintenance, statement interning, register tracking,
 //! shadow-memory resolution, and the sink calls. For one large trace that
-//! serializes the whole run. This module splits it:
+//! serializes the whole run. The staged form splits it:
 //!
-//! 1. **[`PreProfiler`]** (this file) stays on the VM thread and keeps only
-//!    the inherently sequential work — loop events, the dynamic IIV,
+//! 1. **The same [`FrontEnd`](crate::FrontEnd)**, instantiated over a
+//!    [`PreSink`](crate::PreSink), stays on the VM thread and keeps only the
+//!    inherently sequential work — loop events, the dynamic IIV,
 //!    context/statement interning, and register-flow tracking (frame-local
 //!    state). Memory events are *not* resolved; they leave as
-//!    [`PreSink::mem_pre`] records carrying `(stmt, coords, addr, is_write)`.
-//! 2. **[`ShadowResolver`](crate::shadow::ShadowResolver)** owns the shadow
-//!    memory on its own thread and turns `mem_pre` records into
-//!    flow/anti/output dependences plus `mem_access` events.
-//! 3. **[`ShardRouter`]** partitions the resolved stream over K folding
-//!    workers by statement id (dependences by *consumer* id — the folding
-//!    key contains the consumer, so every dependence stream lives wholly in
-//!    one shard).
+//!    [`PreSink::mem_pre`](crate::PreSink::mem_pre) records carrying
+//!    `(stmt, coords, addr, is_write)`.
+//! 2. **A resolver stage** (`polyfold::pipeline`) owns a
+//!    [`ShadowMemory`](crate::shadow::ShadowMemory) on its own thread and
+//!    turns `mem_pre` records into flow/anti/output dependences plus
+//!    `mem_access` events through the in-line route's own routine.
+//! 3. **[`ShardRouter`]** (this file) partitions the resolved stream over K
+//!    folding workers by statement id (dependences by *consumer* id — the
+//!    folding key contains the consumer, so every dependence stream lives
+//!    wholly in one shard).
 //!
 //! The stages exchange [`EventChunk`](crate::chunk::EventChunk)s over
 //! bounded channels; orchestration lives in `polyfold::pipeline`, which
@@ -30,286 +33,11 @@
 //! state.
 
 use crate::chunk::ChunkWriter;
-use crate::coords::{CoordArena, CoordSnap};
-use crate::prune::{PruneMask, PRUNED_STMT};
-use crate::shadow::Writer;
-use crate::{stmt_cache_slot, DdgConfig, DepKind, FoldSink, PreSink, STMT_CACHE_SLOTS};
-use polycfg::{LoopEventGen, StaticStructure};
-use polyiiv::context::{ContextInterner, CtxPathId, StmtId};
-use polyiiv::IivTracker;
-use polyir::{BlockRef, FuncId, InstrRef, Program, Value};
-use polyresist::{FaultPlan, FaultSite, ResourceBudget};
+use crate::{DepKind, FoldSink};
+use polyiiv::context::StmtId;
+use polyresist::FaultPlan;
 use polytrace::Collector;
-use polyvm::EventSink;
 use std::sync::Arc;
-
-/// Stage-1 profiler: the sequential prefix of [`DdgProfiler`]
-/// (loop events, IIV, interning, register deps) emitting unresolved memory
-/// events into a [`PreSink`]. See the module docs for the stage contract.
-///
-/// [`DdgProfiler`]: crate::DdgProfiler
-pub struct PreProfiler<'p, S: PreSink> {
-    prog: &'p Program,
-    gen: LoopEventGen<'p>,
-    iiv: IivTracker,
-    /// Context/statement interner, exposed after the run for reporting.
-    pub interner: ContextInterner,
-    arena: CoordArena,
-    reg_frames: Vec<Vec<Option<Writer>>>,
-    frame_pool: Vec<Vec<Option<Writer>>>,
-    out: S,
-    cfg: DdgConfig,
-    coords: Vec<i64>,
-    cur_snap: Option<CoordSnap>,
-    coords_dirty: bool,
-    loop_buf: Vec<polycfg::LoopEvent>,
-    stmt_cache: [Option<(CtxPathId, InstrRef, StmtId)>; STMT_CACHE_SLOTS],
-    /// Dynamic instruction count (all ops).
-    pub dyn_ops: u64,
-    /// Dynamic memory events (loads + stores) seen.
-    pub mem_events: u64,
-    /// Statically-proven-SCEV instructions whose register tracking is
-    /// skipped (see [`crate::prune`]); `None` disables pruning.
-    prune: Option<Arc<PruneMask>>,
-    /// Dynamic executions whose register tracking was skipped by the mask.
-    pub pruned_events: u64,
-    /// Dynamic memory events whose shadow tracking was skipped by the
-    /// access-level mask (their streams are synthesized statically).
-    pub pruned_mem_events: u64,
-    /// Optional deterministic fault plan probed per memory event
-    /// ([`FaultSite::PanicPre`]).
-    faults: Option<Arc<FaultPlan>>,
-    /// Optional deadline budget polled by the VM watchdog hook.
-    budget: Option<Arc<ResourceBudget>>,
-}
-
-impl<'p, S: PreSink> PreProfiler<'p, S> {
-    /// Build a stage-1 profiler over a program and its stage-1 structure.
-    pub fn new(prog: &'p Program, structure: &'p StaticStructure, out: S) -> Self {
-        Self::with_config(prog, structure, out, DdgConfig::default())
-    }
-
-    /// As [`PreProfiler::new`] with explicit configuration.
-    pub fn with_config(
-        prog: &'p Program,
-        structure: &'p StaticStructure,
-        out: S,
-        cfg: DdgConfig,
-    ) -> Self {
-        let entry_fn = prog.entry.expect("program must have an entry");
-        let entry = BlockRef {
-            func: entry_fn,
-            block: prog.func(entry_fn).entry(),
-        };
-        let n_regs = prog.func(entry_fn).n_regs as usize;
-        PreProfiler {
-            prog,
-            gen: LoopEventGen::new(structure),
-            iiv: IivTracker::new(entry),
-            interner: ContextInterner::new(),
-            arena: CoordArena::new(),
-            reg_frames: vec![vec![None; n_regs]],
-            frame_pool: Vec::new(),
-            out,
-            cfg,
-            coords: Vec::with_capacity(8),
-            cur_snap: None,
-            coords_dirty: true,
-            loop_buf: Vec::with_capacity(8),
-            stmt_cache: [None; STMT_CACHE_SLOTS],
-            dyn_ops: 0,
-            mem_events: 0,
-            prune: None,
-            pruned_events: 0,
-            pruned_mem_events: 0,
-            faults: None,
-            budget: None,
-        }
-    }
-
-    /// Arm a deterministic fault plan ([`FaultSite::PanicPre`] fires as a
-    /// panic on the probed memory event). Zero-cost when never called.
-    pub fn set_faults(&mut self, plan: Arc<FaultPlan>) {
-        self.faults = Some(plan);
-    }
-
-    /// Attach a resource budget: the deadline is polled through the VM's
-    /// throttled [`EventSink::poll_abort`] hook, and spilled coordinate
-    /// vectors are charged against the byte limit.
-    pub fn set_budget(&mut self, budget: Arc<ResourceBudget>) {
-        self.arena.set_budget(Arc::clone(&budget));
-        self.budget = Some(budget);
-    }
-
-    /// Enable static instrumentation pruning: instructions in `mask` skip
-    /// register-dependence tracking. Sound only for masks whose every entry
-    /// is dynamically `is_scev` (the [`crate::prune`] module contract).
-    pub fn set_prune_mask(&mut self, mask: Arc<PruneMask>) {
-        self.prune = Some(mask);
-    }
-
-    /// Consume the profiler, returning the sink and interner.
-    pub fn finish(self) -> (S, ContextInterner) {
-        (self.out, self.interner)
-    }
-
-    fn drain_loop_events(&mut self) {
-        if self.loop_buf.is_empty() {
-            return;
-        }
-        for ev in self.loop_buf.drain(..) {
-            self.iiv.apply(&ev);
-        }
-        self.coords_dirty = true;
-    }
-
-    #[inline]
-    fn refresh_coords(&mut self) {
-        if self.coords_dirty {
-            self.iiv.coords_into(&mut self.coords);
-            self.cur_snap = None;
-            self.coords_dirty = false;
-        }
-    }
-
-    #[inline]
-    fn snapshot(&mut self) -> CoordSnap {
-        match self.cur_snap {
-            Some(s) => s,
-            None => {
-                let s = CoordSnap::capture(&self.coords, &mut self.arena);
-                self.cur_snap = Some(s);
-                s
-            }
-        }
-    }
-
-    #[inline]
-    fn current_stmt(&mut self, instr: InstrRef) -> StmtId {
-        let path = self.interner.current_path(&self.iiv);
-        let slot = stmt_cache_slot(instr);
-        if let Some((p, i, s)) = self.stmt_cache[slot] {
-            if p == path && i == instr {
-                return s;
-            }
-        }
-        let s = self.interner.stmt(path, instr);
-        self.stmt_cache[slot] = Some((path, instr, s));
-        s
-    }
-
-    fn push_frame(&mut self, n_regs: usize) {
-        let mut f = self.frame_pool.pop().unwrap_or_default();
-        f.clear();
-        f.resize(n_regs, None);
-        self.reg_frames.push(f);
-    }
-
-    fn pop_frame(&mut self) {
-        if let Some(f) = self.reg_frames.pop() {
-            self.frame_pool.push(f);
-        }
-    }
-}
-
-impl<'p, S: PreSink> EventSink for PreProfiler<'p, S> {
-    fn local_jump(&mut self, from: BlockRef, to: BlockRef) {
-        self.gen.on_jump(from, to, &mut self.loop_buf);
-        self.drain_loop_events();
-    }
-
-    fn call(&mut self, callsite: BlockRef, callee: FuncId, entry: BlockRef) {
-        self.gen
-            .on_call(callsite, callee, entry, &mut self.loop_buf);
-        self.drain_loop_events();
-        let n_regs = self.prog.func(callee).n_regs as usize;
-        self.push_frame(n_regs);
-    }
-
-    fn ret(&mut self, from: FuncId, to: Option<BlockRef>) {
-        self.gen.on_ret(from, to, &mut self.loop_buf);
-        self.drain_loop_events();
-        self.pop_frame();
-    }
-
-    fn exec(&mut self, instr: InstrRef, value: Option<Value>) {
-        self.dyn_ops += 1;
-        let stmt = self.current_stmt(instr);
-        self.refresh_coords();
-        let ins = self.prog.instr(instr);
-
-        let pruned = match &self.prune {
-            Some(m) => m.contains(instr),
-            None => false,
-        };
-        if self.cfg.track_reg {
-            if pruned {
-                self.pruned_events += 1;
-            } else {
-                let frame = self.reg_frames.last().expect("live frame");
-                let arena = &self.arena;
-                let coords = &self.coords;
-                let out = &mut self.out;
-                ins.for_each_use(|r| {
-                    if let Some(w) = frame[r.0 as usize] {
-                        if w.stmt != PRUNED_STMT {
-                            out.dependence(
-                                DepKind::Reg,
-                                w.stmt,
-                                w.coords.resolve(arena),
-                                stmt,
-                                coords,
-                            );
-                        }
-                    }
-                });
-            }
-        }
-        if let Some(d) = ins.def() {
-            let snap = self.snapshot();
-            let frame = self.reg_frames.last_mut().expect("live frame");
-            let stmt = if pruned { PRUNED_STMT } else { stmt };
-            frame[d.0 as usize] = Some(Writer { stmt, coords: snap });
-        }
-
-        let label = match value {
-            Some(Value::I64(v)) => Some(v),
-            _ => None,
-        };
-        self.out.instr_point(stmt, &self.coords, label);
-    }
-
-    fn mem(&mut self, instr: InstrRef, addr: u64, is_write: bool) {
-        self.mem_events += 1;
-        if let Some(plan) = &self.faults {
-            if plan.should_fire(FaultSite::PanicPre) {
-                panic!(
-                    "injected fault: pre-profiler panic (memory event {})",
-                    self.mem_events
-                );
-            }
-        }
-        if let Some(m) = &self.prune {
-            if m.contains_mem(instr) {
-                // Access-level prune: no `mem_pre` leaves the VM thread —
-                // the resolver never sees this site; its streams are
-                // synthesized from the static relation after the run.
-                self.pruned_mem_events += 1;
-                return;
-            }
-        }
-        let stmt = self.current_stmt(instr);
-        self.refresh_coords();
-        self.out.mem_pre(stmt, &self.coords, addr, is_write);
-    }
-
-    fn poll_abort(&mut self) -> bool {
-        match &self.budget {
-            Some(b) => b.poll_deadline(),
-            None => false,
-        }
-    }
-}
 
 /// Routes a resolved fold stream across K [`ChunkWriter`] shards.
 ///

@@ -14,7 +14,7 @@
 //!   overwhelmingly common same-page access streams of dense kernels into
 //!   a compare + index, no hashing at all.
 
-use crate::coords::{CoordArena, CoordSnap};
+use crate::coords::{CoordSnap, SnapCache};
 use crate::{DdgConfig, DepKind, FoldSink};
 use polyiiv::context::StmtId;
 use polyresist::{FaultPlan, FaultSite, ResourceBudget};
@@ -215,169 +215,70 @@ impl ShadowMemory {
     pub fn mru_stats(&self) -> (u64, u64) {
         (self.mru_hits, self.mru_misses)
     }
-}
 
-/// Stage-2 shadow resolution for the profiling pipeline: owns a
-/// [`ShadowMemory`] (plus its own [`CoordArena`] for writer snapshots) on a
-/// thread of its own, and turns unresolved
-/// [`mem_pre`](crate::PreSink::mem_pre) records into the same
-/// flow/anti/output dependences and `mem_access` events the in-line
-/// [`DdgProfiler`](crate::DdgProfiler) memory path emits, in the same order.
-///
-/// The resolver cannot see loop events, so it recovers the profiler's
-/// "capture one snapshot per coordinate change" behaviour by comparing each
-/// event's coordinate slice against the last one seen: coordinates only
-/// change on loop boundaries, so the compare almost always hits and the
-/// arena sees the same one-capture-per-change traffic as the serial path.
-#[derive(Debug)]
-pub struct ShadowResolver {
-    shadow: ShadowMemory,
-    arena: CoordArena,
-    cur_coords: Vec<i64>,
-    cur_snap: Option<CoordSnap>,
-    track_anti: bool,
-    track_output: bool,
-    /// Memory events whose dependences could not be resolved because the
-    /// fault plan refused a shadow page.
-    unresolved: u64,
-}
-
-impl ShadowResolver {
-    /// Resolver honouring the profiler's anti/output tracking switches.
-    pub fn new(cfg: DdgConfig) -> Self {
-        ShadowResolver {
-            shadow: ShadowMemory::new(),
-            arena: CoordArena::new(),
-            cur_coords: Vec::with_capacity(8),
-            cur_snap: None,
-            track_anti: cfg.track_anti,
-            track_output: cfg.track_output,
-            unresolved: 0,
-        }
-    }
-
-    /// Arm a deterministic fault plan on the owned shadow memory.
-    pub fn set_faults(&mut self, plan: Arc<FaultPlan>) {
-        self.shadow.set_faults(plan);
-    }
-
-    /// Track shadow-page and coordinate-arena bytes against `budget`.
-    pub fn set_budget(&mut self, budget: Arc<ResourceBudget>) {
-        self.shadow.set_budget(Arc::clone(&budget));
-        self.arena.set_budget(budget);
-    }
-
-    /// Events whose dependences were skipped due to refused shadow pages.
-    pub fn unresolved(&self) -> u64 {
-        self.unresolved
-    }
-
-    /// Page allocations refused by the armed fault plan.
-    pub fn alloc_failures(&self) -> u64 {
-        self.shadow.alloc_failures()
-    }
-
+    /// Resolve one memory touch by `stmt` at `coords` on word `addr`: read
+    /// and update the shadow cell, emit the flow / output / anti dependences
+    /// `cfg` tracks, then the `mem_access` event. The one shadow-resolution
+    /// routine: the in-line profiler and the staged resolver stage both come
+    /// through here, so they emit the same events in the same order. `snaps`
+    /// supplies the writer snapshot of `coords` (taken only when a record is
+    /// stored) and the arena earlier records resolve in.
+    ///
+    /// When an armed fault plan refuses the shadow page, the access is still
+    /// emitted but its dependences are unknowable: every count in
+    /// [`alloc_failures`](Self::alloc_failures) is one such unresolved access.
+    #[allow(clippy::too_many_arguments)]
     #[inline]
-    fn snapshot(&mut self, coords: &[i64]) -> CoordSnap {
-        match self.cur_snap {
-            Some(s) if self.cur_coords == coords => s,
-            _ => {
-                self.cur_coords.clear();
-                self.cur_coords.extend_from_slice(coords);
-                let s = CoordSnap::capture(coords, &mut self.arena);
-                self.cur_snap = Some(s);
-                s
-            }
-        }
-    }
-
-    /// Resolve one memory touch, emitting its dependences and the access
-    /// event into `out` (mirrors `DdgProfiler::mem` exactly).
     pub fn resolve<F: FoldSink>(
         &mut self,
+        cfg: &DdgConfig,
+        snaps: &mut SnapCache,
         stmt: StmtId,
         coords: &[i64],
         addr: u64,
         is_write: bool,
         out: &mut F,
     ) {
-        let (prev_write, prev_read) = if is_write {
-            let snap = self.snapshot(coords);
-            match self.shadow.try_cell_mut(addr) {
-                Some(cell) => {
+        // The cell is resolved once; prior records are copied out so the
+        // update and the dependence emission don't contend for borrows.
+        let prev = if is_write || cfg.track_anti {
+            let me = Writer {
+                stmt,
+                coords: snaps.get(coords),
+            };
+            self.try_cell_mut(addr).map(|cell| {
+                if is_write {
                     let prev = (cell.write, cell.read);
-                    cell.write = Some(Writer { stmt, coords: snap });
+                    cell.write = Some(me);
                     cell.read = None;
                     prev
+                } else {
+                    cell.read = Some(me);
+                    (cell.write, None)
                 }
-                None => {
-                    // Shadow page refused: the access itself is still a
-                    // valid event, but its dependences are unknowable.
-                    self.unresolved += 1;
-                    out.mem_access(stmt, coords, addr, is_write);
-                    return;
-                }
-            }
-        } else if self.track_anti {
-            let snap = self.snapshot(coords);
-            match self.shadow.try_cell_mut(addr) {
-                Some(cell) => {
-                    let prev = (cell.write, None);
-                    cell.read = Some(Writer { stmt, coords: snap });
-                    prev
-                }
-                None => {
-                    self.unresolved += 1;
-                    out.mem_access(stmt, coords, addr, is_write);
-                    return;
-                }
-            }
+            })
         } else {
-            (self.shadow.last_write(addr).copied(), None)
+            Some((self.last_write(addr).copied(), None))
+        };
+        let Some((prev_write, prev_read)) = prev else {
+            out.mem_access(stmt, coords, addr, is_write);
+            return;
+        };
+        let arena = snaps.arena();
+        let mut dep = |kind, w: Writer| {
+            out.dependence(kind, w.stmt, w.coords.resolve(arena), stmt, coords);
         };
         if is_write {
-            if self.track_output {
-                if let Some(w) = prev_write {
-                    out.dependence(
-                        DepKind::Output,
-                        w.stmt,
-                        w.coords.resolve(&self.arena),
-                        stmt,
-                        coords,
-                    );
-                }
+            if let Some(w) = prev_write.filter(|_| cfg.track_output) {
+                dep(DepKind::Output, w);
             }
-            if self.track_anti {
-                if let Some(r) = prev_read {
-                    out.dependence(
-                        DepKind::Anti,
-                        r.stmt,
-                        r.coords.resolve(&self.arena),
-                        stmt,
-                        coords,
-                    );
-                }
+            if let Some(r) = prev_read.filter(|_| cfg.track_anti) {
+                dep(DepKind::Anti, r);
             }
         } else if let Some(w) = prev_write {
-            out.dependence(
-                DepKind::Flow,
-                w.stmt,
-                w.coords.resolve(&self.arena),
-                stmt,
-                coords,
-            );
+            dep(DepKind::Flow, w);
         }
         out.mem_access(stmt, coords, addr, is_write);
-    }
-
-    /// Resident shadow pages (overhead statistics).
-    pub fn resident_pages(&self) -> usize {
-        self.shadow.resident_pages()
-    }
-
-    /// MRU page-cache `(hits, misses)` of the owned shadow memory.
-    pub fn mru_stats(&self) -> (u64, u64) {
-        self.shadow.mru_stats()
     }
 }
 

@@ -15,19 +15,20 @@
 //! * the Table 1 / Table 2 textual rendering of dependence streams and
 //!   folded dependence relations.
 
-pub mod adaptive;
 pub mod fitter;
+pub mod pass2;
 pub mod pipeline;
 pub mod replay;
 pub mod stream;
 
 pub use fitter::{FitResult, OnlineAffineFitter, RatAffine};
+pub use pass2::{fold_serial, SerialRun};
 pub use stream::{FoldedDomain, FoldedStream, LabelFold, StreamFolder};
 
 use polyddg::{DepKind, FoldSink};
 use polyiiv::context::{ContextInterner, StmtId};
 use polyir::{Instr, Program};
-use polyresist::{PolyProfError, ResourceBudget};
+use polyresist::{PolyProfError, ResourceBudget, RunDegradation};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -806,15 +807,9 @@ pub fn try_fold_program(
             msg: e.to_string(),
         })?;
     let structure = polycfg::StaticStructure::analyze(prog, rec);
-    let mut prof = polyddg::DdgProfiler::new(prog, &structure, FoldingSink::new());
-    polyvm::Vm::new(prog)
-        .run(&[], &mut prof)
-        .map_err(|e| PolyProfError::Vm {
-            stage: "pass-2",
-            msg: e.to_string(),
-        })?;
-    let (sink, interner) = prof.finish();
-    let ddg = sink.finalize(prog, &interner);
+    let cfg = pipeline::PipelineConfig::default();
+    let run = fold_serial(prog, &structure, &cfg, None, None, None, None, None)?;
+    let (ddg, interner, _) = run.finalize(prog, &mut RunDegradation::default());
     Ok((ddg, interner, structure))
 }
 

@@ -1,12 +1,13 @@
 //! Intra-trace pipeline parallelism: one profiling run, many threads.
 //!
-//! The serial pass 2 does everything on the VM thread. [`fold_pipelined`]
-//! splits that run into three stages connected by bounded channels:
+//! The serial pass 2 ([`fold_serial`]) does everything on the VM thread.
+//! [`fold_pipelined_supervised`] — the one staged entry point — splits that
+//! run into three stages connected by bounded channels:
 //!
 //! ```text
 //!  VM thread            resolver thread          K folding workers
 //! ┌───────────────┐    ┌──────────────────┐     ┌─────────────────┐
-//! │ PreProfiler   │    │ ShadowResolver   │  ┌─▶│ FoldingSink #0  │
+//! │ FrontEnd      │    │ ResolveStage     │  ┌─▶│ FoldingSink #0  │
 //! │  loop events  │ ch │  shadow memory   │ ch  ├─────────────────┤
 //! │  IIV/interning├───▶│  dep resolution  ├──┼─▶│       ...       │
 //! │  register deps│    │  ShardRouter     │  └─▶│ FoldingSink #K-1│
@@ -14,16 +15,20 @@
 //!         unresolved events        resolved events, sharded by key
 //! ```
 //!
-//! * Stage 1 is inherently sequential (the IIV and the interner follow the
-//!   single control-flow trace); it batches events into
+//! * Stage 1 is the same `polyddg::FrontEnd` the serial driver runs, with
+//!   its memory touches routed into a [`ChunkWriter`] instead of an in-line
+//!   shadow memory. It is inherently sequential (the IIV and the interner
+//!   follow the single control-flow trace) and batches events into
 //!   [`EventChunk`]s.
-//! * Stage 2 owns the shadow memory and emits resolved dependences.
+//! * Stage 2 owns the shadow memory and emits resolved dependences — through
+//!   the same `ShadowMemory::resolve` as the in-line route.
 //! * Stage 3 shards by folding key — statement id for points/accesses,
 //!   *consumer* statement id for dependences — so each key's whole stream
 //!   lands in exactly one [`FoldingSink`] partition, in serial order
 //!   (single producer, FIFO channels). Per-shard folding state is therefore
 //!   identical to the serial run, and [`FoldedDdg::merge_parts`] produces
-//!   byte-identical output.
+//!   byte-identical output. The worker loop (`fold_worker`) is shared with
+//!   the K > 1 replay of recordings (`crate::replay`).
 //!
 //! All channels are bounded (`sync_channel`): a slow consumer backpressures
 //! the VM instead of letting chunks pile up. Consumed chunks are recycled
@@ -39,7 +44,7 @@
 //! (counted as dropped chunks by [`ChunkWriter`]), and a dead producer makes
 //! `recv` disconnect — no fault can deadlock the pipeline.
 //!
-//! [`fold_pipelined_supervised`] layers policy on top:
+//! The supervisor layers policy on top:
 //!
 //! * a dead *folding worker* only loses its shard — the surviving shards are
 //!   merged with [`FoldedDdg::merge_parts_tolerant`] and the lost shard ids
@@ -48,38 +53,43 @@
 //!   attempt, which is retried with linear backoff. [`FaultPlan`] occurrence
 //!   counters keep counting across attempts, so a one-shot injected fault
 //!   does not re-fire on retry;
-//! * after `max_retries` failed attempts the run falls back to the retained
-//!   serial `DdgProfiler` path (no fault hooks — the trusted baseline),
-//!   still honoring the resource budget.
+//! * after `max_retries` failed attempts the run falls back to
+//!   [`fold_serial`] (no fault hooks — the trusted baseline), still honoring
+//!   the resource budget and the recording request.
 //!
-//! With no fault plan and no budget armed, every hook is a skipped `None`
-//! branch and the supervised path is event-for-event identical to
-//! [`fold_pipelined`].
+//! Stages only *tally*; the counters of an attempt reach the collector once
+//! it has succeeded, so failed attempts leave no counts behind. With no
+//! fault plan and no budget armed, every hook is a skipped `None` branch.
 
+use crate::pass2::{
+    close_degradation, fold_serial, harvest_fold, harvest_recording, run_front_end, FrontTallies,
+};
 use crate::{ChunkScratch, FoldOptions, FoldedDdg, FoldingSink};
 use polycfg::StaticStructure;
-use polyddg::chunk::{ChunkStats, ChunkWriter, EventChunk, EventRef};
-use polyddg::pipeline::{PreProfiler, ShardRouter};
+use polyddg::chunk::{ChunkStats, ChunkWriter, EventChunk};
+use polyddg::coords::SnapCache;
+use polyddg::pipeline::ShardRouter;
 use polyddg::prune::{PruneMask, PrunedEvents};
-use polyddg::shadow::ShadowResolver;
-use polyddg::{DdgConfig, DdgProfiler, FoldSink, MemSynth};
+use polyddg::shadow::ShadowMemory;
+use polyddg::{DdgConfig, FoldSink, FrontEnd, MemSynth, Staged};
 use polyiiv::context::ContextInterner;
 use polyir::Program;
-use polyrec::{Recorder, TraceWriter};
+use polyrec::{Recorder, TraceWriter, WriteStats};
 use polyresist::{panic_msg, FaultPlan, FaultSite, PolyProfError, ResourceBudget, RunDegradation};
 use polytrace::{
-    tid_shard, Collector, Counter, HistKind, Histogram, Journal, PipeStage, Stage, TID_DRIVER,
-    TID_RESOLVE,
+    tid_shard, Collector, Counter, HistKind, Histogram, PipeStage, Stage, TID_DRIVER, TID_RESOLVE,
 };
 use std::fs::File;
 use std::io::BufWriter;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Knobs of one pipelined profiling run.
+/// Knobs of one pass-2 run. The staged pipeline reads all of them; the
+/// serial driver ([`fold_serial`]) reads `options`, `ddg` and — for the
+/// recorder's frame size — `chunk_events`.
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineConfig {
     /// Folding worker count K (≥ 1). With the two stage threads this puts
@@ -112,8 +122,7 @@ impl Default for PipelineConfig {
 
 /// Supervision policy and resilience hooks for one profiling run.
 ///
-/// The default is fully disarmed: no fault plan, no budget, and the
-/// supervised path behaves exactly like the plain pipelined one (panics are
+/// The default is fully disarmed: no fault plan, no budget (panics are
 /// still caught and retried — genuine transient failures recover too).
 #[derive(Debug, Clone)]
 pub struct ResilienceConfig {
@@ -138,390 +147,350 @@ impl Default for ResilienceConfig {
     }
 }
 
-/// Run pass 2 as a parallel pipeline over an already-analyzed structure.
-///
-/// Semantically identical to the serial
-/// `DdgProfiler<FoldingSink>` → `finalize` path (proven byte-identical by
-/// the sharded differential suite); the work is spread over
-/// `2 + fold_threads` threads.
-pub fn fold_pipelined(
-    prog: &Program,
-    structure: &StaticStructure,
-    cfg: &PipelineConfig,
-) -> (FoldedDdg, ContextInterner) {
-    fold_pipelined_traced(prog, structure, cfg, None)
-}
-
-/// One timed (or plain) bounded-channel receive; `None` on disconnect.
-/// With a histogram attached, each individual stall also lands in it
-/// (feeding the p50/p99 recv-stall distribution; the sum feeds the counter).
+/// One bounded-channel receive, timed when `timing` is on; `None` on
+/// disconnect. Each individual stall lands in `hist` (feeding the p50/p99
+/// recv-stall distribution) and in the `stall_ns` sum.
 #[inline]
 fn recv_timed(
     rx: &Receiver<EventChunk>,
     timing: bool,
     stall_ns: &mut u64,
-    hist: Option<&mut Histogram>,
+    hist: &mut Histogram,
 ) -> Option<EventChunk> {
     if timing {
         let t0 = Instant::now();
         let r = rx.recv().ok();
         let dt = t0.elapsed().as_nanos() as u64;
         *stall_ns += dt;
-        if let Some(h) = hist {
-            h.record(dt);
-        }
+        hist.record(dt);
         r
     } else {
         rx.recv().ok()
     }
 }
 
-/// As [`fold_pipelined`], optionally recording into a `polytrace`
-/// [`Collector`]: per-stage-thread spans, per-shard fold counts, chunk-pool
-/// and channel gauges, and the hot-path tallies (harvested once per stage —
-/// the per-event path stays atomic-free).
-pub fn fold_pipelined_traced(
-    prog: &Program,
-    structure: &StaticStructure,
-    cfg: &PipelineConfig,
-    trace: Option<&Arc<Collector>>,
-) -> (FoldedDdg, ContextInterner) {
-    let (ddg, interner, _) = fold_pipelined_pruned(prog, structure, cfg, trace, None, None);
-    (ddg, interner)
+/// Each worker's `(chunks in, recycled chunks back)` channel ends.
+type ShardEnds = Vec<(Receiver<EventChunk>, SyncSender<EventChunk>)>;
+
+/// One stage-2 → stage-3 edge per shard: the writers a [`ShardRouter`] fans
+/// out over, and the matching worker-side channel ends.
+pub(crate) fn shard_edges(
+    k: usize,
+    chunk_events: usize,
+    queue: usize,
+) -> (Vec<ChunkWriter>, ShardEnds) {
+    (0..k)
+        .map(|_| {
+            let (tx, rx) = sync_channel::<EventChunk>(queue);
+            let (pool_tx, pool_rx) = sync_channel::<EventChunk>(queue + 2);
+            (ChunkWriter::new(chunk_events, tx, pool_rx), (rx, pool_tx))
+        })
+        .unzip()
 }
 
-/// As [`fold_pipelined_traced`], with an optional static prune mask
-/// installed on the stage-1 profiler (see `polyddg::prune`). When the mask
-/// carries access-level bits, `synth` must re-emit the pruned memory
-/// streams (see [`MemSynth`]); the synthesized events are appended on the
-/// producer after the VM finishes, flowing through the same chunk channels
-/// so sharded folding stays byte-identical. The third return value counts
-/// the events the mask skipped — zero when `prune` is `None`.
-pub fn fold_pipelined_pruned(
-    prog: &Program,
-    structure: &StaticStructure,
-    cfg: &PipelineConfig,
+/// What one folding worker hands back: its shard's sink and its tallies.
+pub(crate) struct WorkerOut {
+    pub(crate) sink: FoldingSink,
+    malformed: u64,
+    recv_stall: u64,
+    fold_hist: Histogram,
+    stall_hist: Histogram,
+}
+
+/// The stage-3 worker loop: fold every chunk arriving on `rx` into one
+/// shard's [`FoldingSink`], recycling consumed chunks through `pool_tx`
+/// (never blocks: a full pool just drops the chunk), until the sender hangs
+/// up. `trace`, `faults` and `budget` are the live pipeline's hooks.
+pub(crate) fn fold_worker(
+    shard: usize,
+    rx: &Receiver<EventChunk>,
+    pool_tx: &SyncSender<EventChunk>,
+    options: FoldOptions,
     trace: Option<&Arc<Collector>>,
-    prune: Option<Arc<PruneMask>>,
-    synth: Option<Arc<dyn MemSynth>>,
-) -> (FoldedDdg, ContextInterner, PrunedEvents) {
-    match fold_attempt(prog, structure, cfg, trace, prune, synth, None, None, None) {
-        Ok(ok) => {
-            let (ddg, missing) = {
-                let _span = trace.map(|c| c.pipe_span(PipeStage::Merge));
-                finalize_shards_tolerant(ok.shards, prog, &ok.interner)
-            };
-            debug_assert!(missing.is_empty(), "fault-free run lost shards {missing:?}");
-            (ddg, ok.interner, ok.pruned_events)
+    faults: Option<&Arc<FaultPlan>>,
+    budget: Option<&Arc<ResourceBudget>>,
+) -> WorkerOut {
+    let _span = trace.map(|c| c.shard_span(shard));
+    let timing = trace.is_some_and(|c| c.timing());
+    let mut journal = trace.and_then(|c| c.new_journal(tid_shard(shard)));
+    let mut out = WorkerOut {
+        sink: FoldingSink::with_options(options),
+        malformed: 0,
+        recv_stall: 0,
+        fold_hist: Histogram::new(),
+        stall_hist: Histogram::new(),
+    };
+    if let Some(b) = budget {
+        out.sink.set_budget(Arc::clone(b));
+    }
+    let mut seq = 0u64;
+    let mut scratch = ChunkScratch::default();
+    while let Some(mut chunk) = recv_timed(rx, timing, &mut out.recv_stall, &mut out.stall_hist) {
+        if let Some(c) = trace {
+            c.queue_recv(1 + shard);
         }
-        Err(e) => panic!("{e}"),
+        if let Some(p) = faults {
+            if p.should_fire(FaultSite::PanicFold) {
+                panic!("injected fault: folding worker panic (shard {shard})");
+            }
+            // Validation runs only under an armed plan: production chunks
+            // come from our own writer and the check would tax the hot path.
+            if chunk.validate().is_err() {
+                out.malformed += 1;
+                chunk.clear();
+                let _ = pool_tx.try_send(chunk);
+                continue;
+            }
+        }
+        let opened = journal
+            .as_mut()
+            .is_some_and(|j| j.begin("fold-chunk", shard as u64, seq));
+        let t0 = timing.then(Instant::now);
+        out.sink.fold_chunk(&chunk, &mut scratch);
+        if let Some(t0) = t0 {
+            out.fold_hist.record(t0.elapsed().as_nanos() as u64);
+        }
+        if let Some(j) = journal.as_mut() {
+            j.end(opened, "fold-chunk", shard as u64, seq);
+        }
+        seq += 1;
+        chunk.clear();
+        let _ = pool_tx.try_send(chunk);
+    }
+    if let (Some(c), Some(j)) = (trace, journal) {
+        c.submit_journal(j);
+    }
+    out
+}
+
+/// The resolver stage: resolves the `MemPre` records of stage-1 chunks
+/// against the owned shadow memory and forwards everything else. Its thread
+/// hands the struct back; [`AttemptOk::harvest`] reads the tallies.
+#[derive(Default)]
+struct ResolveStage<'a> {
+    trace: Option<&'a Arc<Collector>>,
+    faults: Option<&'a Arc<FaultPlan>>,
+    ddg: DdgConfig,
+    shadow: ShadowMemory,
+    /// Writer snapshots: this stage cannot see loop events, so it `sync`s
+    /// the cache with each event's coordinates instead.
+    snaps: SnapCache,
+    resolved: u64,
+    recv_stall: u64,
+    stall_hist: Histogram,
+    route_stats: ChunkStats,
+    rec_writer: Option<TraceWriter<BufWriter<File>>>,
+}
+
+impl ResolveStage<'_> {
+    /// The chunk loop, generic over the resolved-event sink so the recording
+    /// tap composes without touching the non-recording hot path (a plain
+    /// [`ShardRouter`] run monomorphizes on its own).
+    fn run<S: FoldSink>(
+        &mut self,
+        pre_rx: &Receiver<EventChunk>,
+        pre_pool_tx: &SyncSender<EventChunk>,
+        sink: &mut S,
+    ) {
+        let timing = self.trace.is_some_and(|c| c.timing());
+        let mut journal = self.trace.and_then(|c| c.new_journal(TID_RESOLVE));
+        let mut seq = 0u64;
+        while let Some(mut chunk) =
+            recv_timed(pre_rx, timing, &mut self.recv_stall, &mut self.stall_hist)
+        {
+            let opened = journal
+                .as_mut()
+                .is_some_and(|j| j.begin("resolve-chunk", 0, seq));
+            if let Some(c) = self.trace {
+                c.queue_recv(0);
+            }
+            if let Some(p) = self.faults {
+                if p.should_fire(FaultSite::PanicResolve) {
+                    panic!("injected fault: shadow-resolver panic");
+                }
+            }
+            chunk.replay_resolving(sink, |stmt, coords, addr, is_write, sink| {
+                self.resolved += 1;
+                self.snaps.sync(coords);
+                let (ddg, snaps) = (&self.ddg, &mut self.snaps);
+                self.shadow
+                    .resolve(ddg, snaps, stmt, coords, addr, is_write, sink);
+            });
+            chunk.clear();
+            // Recycling never blocks: a full pool just drops the chunk.
+            let _ = pre_pool_tx.try_send(chunk);
+            if let Some(j) = journal.as_mut() {
+                j.end(opened, "resolve-chunk", 0, seq);
+            }
+            seq += 1;
+        }
+        if let (Some(c), Some(j)) = (self.trace, journal) {
+            c.submit_journal(j);
+        }
     }
 }
 
 /// Everything a successful pipeline attempt produced, before shard
-/// finalization: the (possibly gap-ridden) shard sinks plus the loss
-/// accounting the supervisor folds into the [`RunDegradation`].
-struct AttemptOk {
-    shards: Vec<Option<FoldingSink>>,
+/// finalization: the (possibly gap-ridden) shard sinks, the loss accounting
+/// the supervisor folds into the [`RunDegradation`], and the stage tallies
+/// [`harvest`](AttemptOk::harvest) adds to the collector.
+struct AttemptOk<'a> {
+    /// One slot per shard; `Err` where the worker died.
+    workers: Vec<Result<WorkerOut, PolyProfError>>,
     interner: ContextInterner,
-    pruned_events: PrunedEvents,
-    dropped_chunks: u64,
-    malformed_chunks: u64,
-    unresolved: u64,
-    alloc_failures: u64,
-    deadline_hit: bool,
-    /// `(shard, error)` for workers that died without emitting a sink.
-    lost_workers: Vec<(usize, String)>,
+    front: FrontTallies,
+    pre_stats: ChunkStats,
+    resolver: ResolveStage<'a>,
+    recording: Option<WriteStats>,
 }
 
-/// The resolver's chunk loop, generic over the resolved-event sink so the
-/// recording tap composes without touching the non-recording hot path (a
-/// plain [`ShardRouter`] run monomorphizes exactly as before). Returns
-/// `(resolved mem events, recv-stall ns)`.
-#[allow(clippy::too_many_arguments)]
-fn resolve_loop<S: FoldSink>(
-    pre_rx: &Receiver<EventChunk>,
-    pre_pool_tx: &SyncSender<EventChunk>,
-    trace: Option<&Arc<Collector>>,
-    faults: Option<&Arc<FaultPlan>>,
-    timing: bool,
-    mut stall_hist: Option<&mut Histogram>,
-    mut journal: Option<&mut Journal>,
-    shadow: &mut polyddg::shadow::ShadowResolver,
-    sink: &mut S,
-) -> (u64, u64) {
-    let mut resolved = 0u64;
-    let mut recv_stall = 0u64;
-    let mut seq = 0u64;
-    while let Some(mut chunk) =
-        recv_timed(pre_rx, timing, &mut recv_stall, stall_hist.as_deref_mut())
-    {
-        let opened = journal
-            .as_deref_mut()
-            .is_some_and(|j| j.begin("resolve-chunk", 0, seq));
-        if let Some(c) = trace {
-            c.queue_recv(0);
+impl AttemptOk<'_> {
+    /// Add this attempt's stage tallies to the run's collector. Called once,
+    /// on the attempt whose result the run keeps.
+    fn harvest(&self, c: &Collector) {
+        let stalled = |ns: u64, hist: &Histogram| {
+            c.add(Counter::RecvStallNs, ns);
+            c.add(Counter::RecvStallThreads, 1);
+            c.merge_hist(HistKind::RecvStallNs, hist);
+        };
+        self.front.harvest(c);
+        ChunkWriter::harvest(&self.pre_stats, c, Counter::EventsEmitted);
+        let r = &self.resolver;
+        c.add(Counter::EventsResolved, r.resolved);
+        stalled(r.recv_stall, &r.stall_hist);
+        ChunkWriter::harvest(&r.route_stats, c, Counter::EventsRouted);
+        let (hits, misses) = r.shadow.mru_stats();
+        c.add(Counter::ShadowMruHit, hits);
+        c.add(Counter::ShadowMruMiss, misses);
+        c.add(Counter::ShadowPages, r.shadow.resident_pages() as u64);
+        for (shard, w) in self.workers.iter().enumerate() {
+            let Ok(w) = w else { continue };
+            let fs = w.sink.fold_stats();
+            // Registers the shard slot even at zero events, so shard balance
+            // sees every configured shard.
+            c.record_shard_events(shard, fs.events_folded);
+            harvest_fold(c, &fs);
+            stalled(w.recv_stall, &w.stall_hist);
+            c.merge_hist(HistKind::FoldChunkNs, &w.fold_hist);
         }
-        if let Some(p) = faults {
-            if p.should_fire(FaultSite::PanicResolve) {
-                panic!("injected fault: shadow-resolver panic");
-            }
+        if let Some(rec) = &self.recording {
+            harvest_recording(c, rec);
         }
-        for ev in chunk.events() {
-            match ev {
-                EventRef::Point {
-                    stmt,
-                    coords,
-                    value,
-                } => sink.instr_point(stmt, coords, value),
-                EventRef::Dep {
-                    kind,
-                    src,
-                    src_coords,
-                    dst,
-                    dst_coords,
-                } => sink.dependence(kind, src, src_coords, dst, dst_coords),
-                EventRef::Access {
-                    stmt,
-                    coords,
-                    addr,
-                    is_write,
-                } => sink.mem_access(stmt, coords, addr, is_write),
-                EventRef::MemPre {
-                    stmt,
-                    coords,
-                    addr,
-                    is_write,
-                } => {
-                    resolved += 1;
-                    shadow.resolve(stmt, coords, addr, is_write, sink);
-                }
-            }
-        }
-        chunk.clear();
-        // Recycling never blocks: a full pool just drops the chunk.
-        let _ = pre_pool_tx.try_send(chunk);
-        if let Some(j) = journal.as_deref_mut() {
-            j.end(opened, "resolve-chunk", 0, seq);
-        }
-        seq += 1;
     }
-    (resolved, recv_stall)
 }
 
-/// One supervised pipeline attempt. Stage threads never poison the scope:
-/// each body runs under `catch_unwind` and surfaces panics as
-/// [`PolyProfError::StagePanic`]. A producer/resolver error — or the loss of
-/// every folding worker — fails the attempt; losing *some* workers only
-/// punches holes in `shards`.
+/// Run a stage body under `catch_unwind`, surfacing a panic as
+/// [`PolyProfError::StagePanic`] so a stage thread never poisons the scope.
+fn catch_stage<T>(
+    stage: &'static str,
+    body: impl FnOnce() -> Result<T, PolyProfError>,
+) -> Result<T, PolyProfError> {
+    catch_unwind(AssertUnwindSafe(body)).unwrap_or_else(|p| {
+        Err(PolyProfError::StagePanic {
+            stage,
+            msg: panic_msg(&*p),
+        })
+    })
+}
+
+/// One supervised pipeline attempt. A producer/resolver error — or the loss
+/// of every folding worker — fails the attempt; losing *some* workers only
+/// punches holes in `workers`.
 ///
 /// With `record` set, the resolver taps its resolved stream through a
 /// [`Recorder`] into a `.ptrace` file; the footer (which needs the
 /// producer's interner) is written after the stage threads join, so a failed
 /// attempt leaves a detectably unfinished recording behind.
 #[allow(clippy::too_many_arguments)]
-fn fold_attempt(
+fn fold_attempt<'a>(
     prog: &Program,
     structure: &StaticStructure,
     cfg: &PipelineConfig,
-    trace: Option<&Arc<Collector>>,
+    trace: Option<&'a Arc<Collector>>,
     prune: Option<Arc<PruneMask>>,
     synth: Option<Arc<dyn MemSynth>>,
-    faults: Option<&Arc<FaultPlan>>,
+    faults: Option<&'a Arc<FaultPlan>>,
     budget: Option<&Arc<ResourceBudget>>,
     record: Option<&Path>,
-) -> Result<AttemptOk, PolyProfError> {
+) -> Result<AttemptOk<'a>, PolyProfError> {
     let k = cfg.fold_threads.max(1);
     let chunk_events = cfg.chunk_events.max(1);
     let queue = cfg.queue_chunks.max(1);
-    let ddg_cfg = cfg.ddg;
-    let options = cfg.options;
 
-    let (prod, res, work) = std::thread::scope(|s| {
-        // Stage 1 → stage 2 edge.
+    let (prod, res, workers) = std::thread::scope(|s| {
+        // Stage 1 → stage 2 edge, then one stage 2 → stage 3 edge per shard.
         let (pre_tx, pre_rx) = sync_channel::<EventChunk>(queue);
         let (pre_pool_tx, pre_pool_rx) = sync_channel::<EventChunk>(queue + 2);
+        let (shard_writers, shard_ends) = shard_edges(k, chunk_events, queue);
 
-        // Stage 2 → stage 3 edges, one pair per shard.
-        let mut shard_writers = Vec::with_capacity(k);
-        let mut shard_ends = Vec::with_capacity(k);
-        for _ in 0..k {
-            let (tx, rx) = sync_channel::<EventChunk>(queue);
-            let (pool_tx, pool_rx) = sync_channel::<EventChunk>(queue + 2);
-            shard_writers.push(ChunkWriter::new(chunk_events, tx, pool_rx));
-            shard_ends.push((rx, pool_tx));
-        }
-
-        let trace_pre = trace.cloned();
-        let faults_pre = faults.cloned();
-        let budget_pre = budget.cloned();
         let producer = s.spawn(move || {
-            let body =
-                move || -> Result<(ContextInterner, PrunedEvents, ChunkStats, bool), PolyProfError> {
-                    let _span = trace_pre
-                        .as_ref()
-                        .map(|c| c.pipe_span(PipeStage::PreProfile));
-                    let mut writer = ChunkWriter::new(chunk_events, pre_tx, pre_pool_rx);
-                    if let Some(c) = &trace_pre {
-                        writer.set_trace(Arc::clone(c), 0);
-                    }
-                    let mut prof = PreProfiler::with_config(prog, structure, writer, ddg_cfg);
-                    if let Some(m) = prune {
-                        prof.set_prune_mask(m);
-                    }
-                    if let Some(p) = faults_pre {
-                        prof.set_faults(p);
-                    }
-                    if let Some(b) = budget_pre {
-                        prof.set_budget(b);
-                    }
-                    let mut vm = polyvm::Vm::new(prog);
-                    if let Some(c) = &trace_pre {
-                        if c.timing() {
-                            vm.enable_opcode_telemetry(c.tracing());
-                        }
-                    }
-                    let deadline_hit = match vm.run(&[], &mut prof) {
-                        Ok(_) => false,
-                        // The budget watchdog asked for a graceful stop: flush
-                        // what we have — downstream finalizes partial results.
-                        Err(polyvm::VmError::Aborted) => true,
-                        Err(e) => {
-                            return Err(PolyProfError::Vm {
-                                stage: "pass-2",
-                                msg: e.to_string(),
-                            })
-                        }
-                    };
-                    if let Some(c) = &trace_pre {
-                        if let Some(t) = vm.take_opcode_telemetry() {
-                            t.harvest(c);
-                        }
-                        c.add(Counter::DynOps, prof.dyn_ops);
-                        c.add(Counter::MemEvents, prof.mem_events);
-                        c.add(Counter::PrunedEvents, prof.pruned_events);
-                        c.add(Counter::PrunedMemEvents, prof.pruned_mem_events);
-                        let (hits, misses) = prof.interner.cache_stats();
-                        c.add(Counter::CtxCacheHit, hits);
-                        c.add(Counter::CtxCacheMiss, misses);
-                    }
-                    let pruned_events = PrunedEvents {
-                        reg: prof.pruned_events,
-                        mem: prof.pruned_mem_events,
-                    };
-                    let (mut writer, interner) = prof.finish();
-                    // Re-emit the pruned memory streams into the same chunk
-                    // flow. The pruned statements' access/dep keys never
-                    // appear dynamically, so appending after the trace keeps
-                    // every per-key stream in serial order (byte-identical
-                    // merge). A deadline-aborted trace is partial — skip:
-                    // synthesizing full streams would invent events the
-                    // dynamic run never reached.
-                    if let Some(sy) = &synth {
-                        if !deadline_hit {
-                            sy.synthesize(&interner, &ddg_cfg, &mut writer);
-                        }
-                    }
-                    let stats = writer.finish();
-                    if let Some(c) = &trace_pre {
-                        ChunkWriter::harvest(&stats, c, Counter::EventsEmitted);
-                    }
-                    Ok((interner, pruned_events, stats, deadline_hit))
-                };
-            catch_unwind(AssertUnwindSafe(body)).unwrap_or_else(|p| {
-                Err(PolyProfError::StagePanic {
-                    stage: "pre",
-                    msg: panic_msg(&*p),
-                })
+            catch_stage("pre", move || {
+                let _span = trace.map(|c| c.pipe_span(PipeStage::PreProfile));
+                let mut writer = ChunkWriter::new(chunk_events, pre_tx, pre_pool_rx);
+                if let Some(c) = trace {
+                    writer.set_trace(Arc::clone(c), 0);
+                }
+                let mut prof = FrontEnd::with_route(prog, structure, writer, Staged, cfg.ddg);
+                if let Some(m) = prune {
+                    prof.set_prune_mask(m);
+                }
+                if let Some(p) = faults {
+                    prof.set_faults(Arc::clone(p));
+                }
+                if let Some(b) = budget {
+                    prof.set_budget(Arc::clone(b));
+                }
+                let front = run_front_end(prog, &mut prof, trace)?;
+                let (mut writer, interner) = prof.finish();
+                // Re-emit the pruned memory streams into the same chunk
+                // flow. The pruned statements' access/dep keys never appear
+                // dynamically, so appending after the trace keeps every
+                // per-key stream in serial order (byte-identical merge). A
+                // deadline-aborted trace is partial — skip: synthesizing
+                // full streams would invent events the run never reached.
+                if let Some(sy) = synth.filter(|_| !front.deadline_hit) {
+                    sy.synthesize(&interner, &cfg.ddg, &mut writer);
+                }
+                Ok((interner, front, writer.finish()))
             })
         });
 
-        let trace_res = trace.cloned();
-        let faults_res = faults.cloned();
-        let budget_res = budget.cloned();
-        let record_path: Option<PathBuf> = record.map(Path::to_path_buf);
-        type ResolverOut = (ChunkStats, u64, u64, Option<TraceWriter<BufWriter<File>>>);
         let resolver = s.spawn(move || {
-            let body = move || -> Result<ResolverOut, PolyProfError> {
-                let _span = trace_res
-                    .as_ref()
-                    .map(|c| c.pipe_span(PipeStage::ShadowResolve));
-                let timing = trace_res.as_ref().is_some_and(|c| c.timing());
-                let mut stall_hist = Histogram::new();
-                let mut journal = trace_res.as_ref().and_then(|c| c.new_journal(TID_RESOLVE));
-                let mut shadow = ShadowResolver::new(ddg_cfg);
-                if let Some(p) = &faults_res {
-                    shadow.set_faults(Arc::clone(p));
-                }
-                if let Some(b) = &budget_res {
-                    shadow.set_budget(Arc::clone(b));
-                }
+            catch_stage("resolve", move || {
+                let _span = trace.map(|c| c.pipe_span(PipeStage::ShadowResolve));
+                let mut stage = ResolveStage {
+                    trace,
+                    faults,
+                    ddg: cfg.ddg,
+                    ..Default::default()
+                };
                 let mut router = ShardRouter::new(shard_writers);
-                if let Some(c) = &trace_res {
+                if let Some(c) = trace {
                     router.set_trace(c);
                 }
-                if let Some(p) = &faults_res {
+                if let Some(p) = faults {
+                    stage.shadow.set_faults(Arc::clone(p));
                     router.set_faults(p);
                 }
-                let (stats, resolved, recv_stall, rec_writer) = match &record_path {
+                if let Some(b) = budget {
+                    stage.shadow.set_budget(Arc::clone(b));
+                    stage.snaps.set_budget(Arc::clone(b));
+                }
+                let router = match record {
                     Some(path) => {
-                        let writer = TraceWriter::create(path, prog, chunk_events)?;
-                        let mut tap = Recorder::new(writer, chunk_events, router);
-                        let (resolved, recv_stall) = resolve_loop(
-                            &pre_rx,
-                            &pre_pool_tx,
-                            trace_res.as_ref(),
-                            faults_res.as_ref(),
-                            timing,
-                            Some(&mut stall_hist),
-                            journal.as_mut(),
-                            &mut shadow,
-                            &mut tap,
-                        );
+                        let mut tap = Recorder::to_file(path, prog, chunk_events, router)?;
+                        stage.run(&pre_rx, &pre_pool_tx, &mut tap);
                         let (router, writer) = tap.into_writer()?;
-                        (router.finish(), resolved, recv_stall, Some(writer))
+                        stage.rec_writer = Some(writer);
+                        router
                     }
                     None => {
-                        let (resolved, recv_stall) = resolve_loop(
-                            &pre_rx,
-                            &pre_pool_tx,
-                            trace_res.as_ref(),
-                            faults_res.as_ref(),
-                            timing,
-                            Some(&mut stall_hist),
-                            journal.as_mut(),
-                            &mut shadow,
-                            &mut router,
-                        );
-                        (router.finish(), resolved, recv_stall, None)
+                        stage.run(&pre_rx, &pre_pool_tx, &mut router);
+                        router
                     }
                 };
-                if let Some(c) = &trace_res {
-                    c.add(Counter::EventsResolved, resolved);
-                    c.add(Counter::RecvStallNs, recv_stall);
-                    c.add(Counter::RecvStallThreads, 1);
-                    ChunkWriter::harvest(&stats, c, Counter::EventsRouted);
-                    let (hits, misses) = shadow.mru_stats();
-                    c.add(Counter::ShadowMruHit, hits);
-                    c.add(Counter::ShadowMruMiss, misses);
-                    c.add(Counter::ShadowPages, shadow.resident_pages() as u64);
-                    c.merge_hist(HistKind::RecvStallNs, &stall_hist);
-                    if let Some(j) = journal {
-                        c.submit_journal(j);
-                    }
-                }
-                Ok((
-                    stats,
-                    shadow.unresolved(),
-                    shadow.alloc_failures(),
-                    rec_writer,
-                ))
-            };
-            catch_unwind(AssertUnwindSafe(body)).unwrap_or_else(|p| {
-                Err(PolyProfError::StagePanic {
-                    stage: "resolve",
-                    msg: panic_msg(&*p),
-                })
+                stage.route_stats = router.finish();
+                Ok(stage)
             })
         });
 
@@ -529,84 +498,17 @@ fn fold_attempt(
             .into_iter()
             .enumerate()
             .map(|(shard, (rx, pool_tx))| {
-                let trace_w = trace.cloned();
-                let faults_w = faults.cloned();
-                let budget_w = budget.cloned();
                 s.spawn(move || {
-                    let body = move || -> Result<(FoldingSink, u64), PolyProfError> {
-                        let _span = trace_w.as_ref().map(|c| c.shard_span(shard));
-                        let timing = trace_w.as_ref().is_some_and(|c| c.timing());
-                        let mut fold_hist = Histogram::new();
-                        let mut stall_hist = Histogram::new();
-                        let mut journal = trace_w
-                            .as_ref()
-                            .and_then(|c| c.new_journal(tid_shard(shard)));
-                        let mut seq = 0u64;
-                        let mut sink = FoldingSink::with_options(options);
-                        if let Some(b) = &budget_w {
-                            sink.set_budget(Arc::clone(b));
-                        }
-                        let mut malformed = 0u64;
-                        let mut recv_stall = 0u64;
-                        let mut scratch = ChunkScratch::default();
-                        while let Some(mut chunk) =
-                            recv_timed(&rx, timing, &mut recv_stall, Some(&mut stall_hist))
-                        {
-                            if let Some(c) = &trace_w {
-                                c.queue_recv(1 + shard);
-                            }
-                            if let Some(p) = &faults_w {
-                                if p.should_fire(FaultSite::PanicFold) {
-                                    panic!("injected fault: folding worker panic (shard {shard})");
-                                }
-                                // Validation runs only under an armed plan:
-                                // production chunks come from our own writer
-                                // and the check would tax the hot path.
-                                if chunk.validate().is_err() {
-                                    malformed += 1;
-                                    chunk.clear();
-                                    let _ = pool_tx.try_send(chunk);
-                                    continue;
-                                }
-                            }
-                            let opened = journal
-                                .as_mut()
-                                .is_some_and(|j| j.begin("fold-chunk", shard as u64, seq));
-                            let t0 = timing.then(Instant::now);
-                            sink.fold_chunk(&chunk, &mut scratch);
-                            if let Some(t0) = t0 {
-                                fold_hist.record(t0.elapsed().as_nanos() as u64);
-                            }
-                            if let Some(j) = journal.as_mut() {
-                                j.end(opened, "fold-chunk", shard as u64, seq);
-                            }
-                            seq += 1;
-                            chunk.clear();
-                            let _ = pool_tx.try_send(chunk);
-                        }
-                        if let Some(c) = &trace_w {
-                            let fs = sink.fold_stats();
-                            // Registers the shard slot even at zero events, so
-                            // shard balance sees every configured shard.
-                            c.record_shard_events(shard, fs.events_folded);
-                            c.add(Counter::EventsFolded, fs.events_folded);
-                            c.add(Counter::DepsFolded, fs.deps_folded);
-                            c.add(Counter::ChunksFolded, fs.chunks_folded);
-                            c.add(Counter::RecvStallNs, recv_stall);
-                            c.add(Counter::RecvStallThreads, 1);
-                            c.merge_hist(HistKind::FoldChunkNs, &fold_hist);
-                            c.merge_hist(HistKind::RecvStallNs, &stall_hist);
-                            if let Some(j) = journal {
-                                c.submit_journal(j);
-                            }
-                        }
-                        Ok((sink, malformed))
-                    };
-                    catch_unwind(AssertUnwindSafe(body)).unwrap_or_else(|p| {
-                        Err(PolyProfError::StagePanic {
-                            stage: "fold",
-                            msg: panic_msg(&*p),
-                        })
+                    catch_stage("fold", move || {
+                        Ok(fold_worker(
+                            shard,
+                            &rx,
+                            &pool_tx,
+                            cfg.options,
+                            trace,
+                            faults,
+                            budget,
+                        ))
                     })
                 })
             })
@@ -623,62 +525,44 @@ fn fold_attempt(
 
     // Producer/resolver failures are unrecoverable within the attempt: the
     // event stream itself is incomplete in a way no shard merge can repair.
-    let (interner, pruned_events, pre_stats, deadline_hit) = prod?;
-    let (route_stats, unresolved, alloc_failures, rec_writer) = res?;
+    let (interner, front, pre_stats) = prod?;
+    let mut resolver = res?;
 
     // The recording's footer needs the interner (statement table), which
     // only exists once the producer has joined — write it now. A failure
     // here fails the attempt: a footer-less recording is useless.
-    if let Some(writer) = rec_writer {
-        let stats = writer.finish(&interner)?;
-        if let Some(c) = trace {
-            c.add(Counter::RecFramesWritten, stats.frames);
-            c.add(Counter::RecBytesWritten, stats.bytes);
-        }
-    }
+    let rec_writer = resolver.rec_writer.take();
+    let recording = rec_writer.map(|w| w.finish(&interner)).transpose()?;
 
-    let mut shards: Vec<Option<FoldingSink>> = Vec::with_capacity(k);
-    let mut lost_workers = Vec::new();
-    let mut malformed_chunks = 0u64;
-    for (shard, r) in work.into_iter().enumerate() {
-        match r {
-            Ok((sink, malformed)) => {
-                malformed_chunks += malformed;
-                shards.push(Some(sink));
-            }
-            Err(e) => {
-                lost_workers.push((shard, e.to_string()));
-                shards.push(None);
-            }
-        }
-    }
-    if shards.iter().all(Option::is_none) {
-        let (_, msg) = lost_workers.pop().expect("k >= 1");
+    if workers.iter().all(Result::is_err) {
+        let last = workers.last().and_then(|w| w.as_ref().err());
+        let msg = last.expect("k >= 1").to_string();
         return Err(PolyProfError::StagePanic { stage: "fold", msg });
     }
 
     Ok(AttemptOk {
-        shards,
+        workers,
         interner,
-        pruned_events,
-        dropped_chunks: pre_stats.dropped_chunks + route_stats.dropped_chunks,
-        malformed_chunks,
-        unresolved,
-        alloc_failures,
-        deadline_hit,
-        lost_workers,
+        front,
+        pre_stats,
+        resolver,
+        recording,
     })
 }
 
-/// Supervised sibling of [`fold_pipelined_pruned`]: same stages, plus fault
-/// hooks, bounded retry, serial fallback, and a [`RunDegradation`] record of
-/// everything the run lost. Returns `Err` only when even the serial
-/// fallback cannot complete (a deterministic VM failure).
+/// Pass 2 as a supervised staged pipeline — the one pipelined entry point:
+/// the three stages of the module docs over `2 + fold_threads` threads, plus
+/// fault hooks, bounded retry, serial fallback, and a [`RunDegradation`]
+/// record of everything the run lost. Byte-identical to [`fold_serial`] →
+/// `finalize` (the sharded differential suite). `Err` only when even the
+/// serial fallback cannot complete (a deterministic VM failure).
 ///
-/// With `record` set, each attempt streams its resolved events into a
-/// `.ptrace` recording at that path (a retried attempt recreates the file).
-/// The serial fallback does not record — the loss is noted in the
-/// degradation report instead of failing the run.
+/// `prune` installs a static prune mask on the front end; when it carries
+/// access-level bits, `synth` must re-emit the pruned memory streams (see
+/// [`MemSynth`]). The third return value counts the events it skipped.
+/// `record` streams each attempt's resolved events into a `.ptrace` file
+/// (a retry, and the serial fallback, recreate it). `trace` gets spans,
+/// gauges and journals live, and the winning attempt's counters once.
 #[allow(clippy::too_many_arguments)]
 pub fn fold_pipelined_supervised(
     prog: &Program,
@@ -738,120 +622,61 @@ pub fn fold_pipelined_supervised(
 
     let (ddg, interner, pruned_events) = match outcome {
         Some(ok) => {
-            deg.dropped_chunks = ok.dropped_chunks;
-            deg.malformed_chunks = ok.malformed_chunks;
-            deg.unresolved_accesses = ok.unresolved;
-            deg.shadow_alloc_failures = ok.alloc_failures;
-            deg.deadline_hit = ok.deadline_hit;
-            for (shard, msg) in &ok.lost_workers {
-                deg.note(
-                    "fold",
-                    format!("shard {shard} lost ({msg}); output is partial"),
-                );
+            if let Some(c) = trace {
+                ok.harvest(c);
             }
-            deg.budget_overapprox_stmts = ok
-                .shards
-                .iter()
-                .flatten()
-                .map(|s| s.fold_stats().budget_degraded)
-                .sum();
+            deg.dropped_chunks =
+                ok.pre_stats.dropped_chunks + ok.resolver.route_stats.dropped_chunks;
+            // Every refused shadow page leaves exactly one access unresolved.
+            deg.shadow_alloc_failures = ok.resolver.shadow.alloc_failures();
+            deg.unresolved_accesses = deg.shadow_alloc_failures;
+            deg.deadline_hit = ok.front.deadline_hit;
+            let mut shards = Vec::with_capacity(ok.workers.len());
+            for (shard, w) in ok.workers.into_iter().enumerate() {
+                match &w {
+                    Ok(w) => {
+                        deg.malformed_chunks += w.malformed;
+                        deg.budget_overapprox_stmts += w.sink.fold_stats().budget_degraded;
+                    }
+                    Err(e) => deg.note(
+                        "fold",
+                        format!("shard {shard} lost ({e}); output is partial"),
+                    ),
+                }
+                shards.push(w.ok().map(|w| w.sink));
+            }
             let (ddg, missing) = {
                 let _span = trace.map(|c| c.pipe_span(PipeStage::Merge));
-                finalize_shards_tolerant(ok.shards, prog, &ok.interner)
+                finalize_shards_tolerant(shards, prog, &ok.interner)
             };
             deg.missing_shards = missing;
-            (ddg, ok.interner, ok.pruned_events)
+            (ddg, ok.interner, ok.front.pruned)
         }
         None => {
-            // Serial fallback: the trusted single-thread path, fault hooks
-            // off, budget still honored so degradation semantics survive.
+            // Serial fallback: the trusted single-thread driver, fault hooks
+            // off, budget and recording still honored.
             deg.fell_back_serial = true;
-            if let Some(path) = record {
-                deg.note(
-                    "record",
-                    format!("serial fallback skipped recording to {}", path.display()),
-                );
-            }
             if let Some(c) = trace {
                 c.add(Counter::SerialFallbacks, 1);
                 c.timeline_instant("serial-fallback", TID_DRIVER, attempt_no as u64, 0);
             }
             let _span = trace.map(|c| c.span(Stage::Recovery));
-            let mut sink = FoldingSink::with_options(cfg.options);
-            if let Some(b) = &res.budget {
-                sink.set_budget(Arc::clone(b));
-            }
-            let mut prof = DdgProfiler::with_config(prog, structure, sink, cfg.ddg);
-            if let Some(m) = prune {
-                prof.set_prune_mask(m);
-            }
-            if let Some(b) = &res.budget {
-                prof.set_budget(Arc::clone(b));
-            }
-            let mut vm = polyvm::Vm::new(prog);
-            if let Some(c) = trace {
-                if c.timing() {
-                    vm.enable_opcode_telemetry(c.tracing());
-                }
-            }
-            match vm.run(&[], &mut prof) {
-                Ok(_) => {}
-                Err(polyvm::VmError::Aborted) => deg.deadline_hit = true,
-                Err(e) => {
-                    return Err(PolyProfError::Vm {
-                        stage: "pass-2",
-                        msg: e.to_string(),
-                    })
-                }
-            }
-            if let (Some(c), Some(t)) = (trace, vm.take_opcode_telemetry()) {
-                t.harvest(c);
-            }
-            let pruned_events = PrunedEvents {
-                reg: prof.pruned_events,
-                mem: prof.pruned_mem_events,
-            };
-            let (mut sink, interner) = prof.finish();
-            // Same contract as the pipelined producer: re-emit pruned memory
-            // streams, unless the trace is deadline-partial.
-            if let Some(sy) = &synth {
-                if !deg.deadline_hit {
-                    sy.synthesize(&interner, &cfg.ddg, &mut sink);
-                }
-            }
-            deg.budget_overapprox_stmts = sink.fold_stats().budget_degraded;
-            let ddg = sink.finalize(prog, &interner);
-            (ddg, interner, pruned_events)
+            let budget = res.budget.as_ref();
+            fold_serial(
+                prog,
+                structure,
+                cfg,
+                trace,
+                prune,
+                synth.as_ref(),
+                record,
+                budget,
+            )?
+            .finalize(prog, &mut deg)
         }
     };
 
-    if let Some(b) = &res.budget {
-        deg.budget_pressure = b.under_pressure();
-        deg.peak_tracked_bytes = b.peak_bytes();
-        if b.deadline_was_hit() {
-            deg.deadline_hit = true;
-        }
-    }
-    if let Some(p) = &res.faults {
-        let alloc_seen = deg.shadow_alloc_failures;
-        deg.absorb_plan(p);
-        // `absorb_plan` reports plan-fired allocation faults; keep whichever
-        // count is larger in case a retried attempt saw real failures too.
-        deg.shadow_alloc_failures = deg.shadow_alloc_failures.max(alloc_seen);
-    }
-    if let Some(c) = trace {
-        c.add(Counter::FaultsInjected, deg.faults_injected);
-        c.add(Counter::UnresolvedAccesses, deg.unresolved_accesses);
-        c.add(Counter::BudgetOverapprox, deg.budget_overapprox_stmts);
-        if deg.deadline_hit {
-            c.add(Counter::DeadlineHits, 1);
-            c.timeline_instant("deadline-hit", TID_DRIVER, 0, 0);
-        }
-        if deg.budget_pressure {
-            c.timeline_instant("budget-pressure", TID_DRIVER, deg.peak_tracked_bytes, 0);
-        }
-    }
-
+    close_degradation(&mut deg, res.budget.as_ref(), res.faults.as_ref(), trace);
     Ok((ddg, interner, pruned_events, deg))
 }
 
@@ -876,21 +701,6 @@ fn finalize_shards_tolerant(
             }
         });
     FoldedDdg::merge_parts_tolerant(parts)
-}
-
-/// Pipelined sibling of [`fold_program`](crate::fold_program): pass 1
-/// (structure) then the staged pass 2.
-pub fn fold_program_pipelined(
-    prog: &Program,
-    cfg: &PipelineConfig,
-) -> (FoldedDdg, ContextInterner, StaticStructure) {
-    let mut rec = polycfg::StructureRecorder::new();
-    polyvm::Vm::new(prog)
-        .run(&[], &mut rec)
-        .expect("pass-1 execution failed");
-    let structure = StaticStructure::analyze(prog, rec);
-    let (ddg, interner) = fold_pipelined(prog, &structure, cfg);
-    (ddg, interner, structure)
 }
 
 #[cfg(test)]
@@ -948,7 +758,7 @@ mod tests {
         let (serial, _, _) = fold_program(&p);
         for k in [1usize, 3] {
             let cfg = tiny_cfg(k);
-            let (piped, _, _) = fold_program_pipelined(&p, &cfg);
+            let (piped, _) = supervised(&p, &cfg, &ResilienceConfig::default());
             assert_eq!(piped.total_ops, serial.total_ops, "k={k}");
             assert_eq!(piped.n_stmts(), serial.n_stmts(), "k={k}");
             assert_eq!(piped.deps.len(), serial.deps.len(), "k={k}");
@@ -970,7 +780,7 @@ mod tests {
                 ..Default::default()
             };
             // Sanity: a valid run inside catch_unwind works.
-            let _ = fold_program_pipelined(&p, &cfg);
+            let _ = supervised(&p, &cfg, &ResilienceConfig::default());
             panic!("deliberate: payload must survive");
         });
         let payload = res.expect_err("panic expected");
@@ -979,7 +789,7 @@ mod tests {
     }
 
     /// With no faults and no budget, the supervised path must reproduce the
-    /// plain pipeline exactly — the hooks are zero-cost `None` branches.
+    /// serial fold exactly — the hooks are zero-cost `None` branches.
     #[test]
     fn supervised_fault_free_matches_plain() {
         let p = stencil_prog();

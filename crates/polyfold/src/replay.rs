@@ -3,14 +3,16 @@
 //! A recording holds the fully-resolved folding-interface stream, so replay
 //! needs neither the VM nor the shadow resolver: [`fold_recording`] decodes
 //! frames back into recycled [`EventChunk`]s and folds them — serially for
-//! K ≤ 1, or through the same [`ShardRouter`] → K-worker shape as the live
-//! pipeline for K > 1. Sharding is by folding key with per-key serial order
+//! K ≤ 1, or through the same [`ShardRouter`] → K-worker shape (and the same
+//! worker loop) as the live pipeline for K > 1. Sharding is by folding key with per-key serial order
 //! preserved, so the replayed [`FoldedDdg`] is byte-identical (see
 //! [`FoldedDdg::canonical_text`]) to the live fold at *every* K — the
 //! invariant the CI replay gate enforces.
 
+use crate::pass2::harvest_fold;
+use crate::pipeline::{fold_worker, shard_edges};
 use crate::{ChunkScratch, FoldOptions, FoldedDdg, FoldingSink};
-use polyddg::chunk::{ChunkWriter, EventChunk};
+use polyddg::chunk::EventChunk;
 use polyddg::pipeline::ShardRouter;
 use polyiiv::context::ContextInterner;
 use polyir::Program;
@@ -18,7 +20,6 @@ use polyrec::{program_hash, ReadStats, TraceReader};
 use polyresist::PolyProfError;
 use polytrace::{Collector, Counter};
 use std::path::Path;
-use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 
 /// Fold a recording at `path` into a [`FoldedDdg`] using `fold_threads`
@@ -64,10 +65,7 @@ pub fn fold_recording(
         c.add(Counter::RecFramesRead, stats.frames);
         c.add(Counter::RecBytesRead, stats.bytes);
         for sink in &sinks {
-            let fs = sink.fold_stats();
-            c.add(Counter::EventsFolded, fs.events_folded);
-            c.add(Counter::DepsFolded, fs.deps_folded);
-            c.add(Counter::ChunksFolded, fs.chunks_folded);
+            harvest_fold(c, &sink.fold_stats());
         }
     }
     let parts = sinks
@@ -90,14 +88,7 @@ fn fold_replay_sharded<R: std::io::Read + Send>(
     let queue = 4;
 
     std::thread::scope(|s| {
-        let mut shard_writers = Vec::with_capacity(k);
-        let mut shard_ends = Vec::with_capacity(k);
-        for _ in 0..k {
-            let (tx, rx) = sync_channel::<EventChunk>(queue);
-            let (pool_tx, pool_rx) = sync_channel::<EventChunk>(queue + 2);
-            shard_writers.push(ChunkWriter::new(chunk_events, tx, pool_rx));
-            shard_ends.push((rx, pool_tx));
-        }
+        let (shard_writers, shard_ends) = shard_edges(k, chunk_events, queue);
 
         let feeder = s.spawn(
             move || -> Result<(ContextInterner, ReadStats), PolyProfError> {
@@ -115,17 +106,9 @@ fn fold_replay_sharded<R: std::io::Read + Send>(
 
         let workers: Vec<_> = shard_ends
             .into_iter()
-            .map(|(rx, pool_tx)| {
-                s.spawn(move || {
-                    let mut sink = FoldingSink::with_options(options);
-                    let mut scratch = ChunkScratch::default();
-                    while let Ok(mut chunk) = rx.recv() {
-                        sink.fold_chunk(&chunk, &mut scratch);
-                        chunk.clear();
-                        let _ = pool_tx.try_send(chunk);
-                    }
-                    sink
-                })
+            .enumerate()
+            .map(|(shard, (rx, pool_tx))| {
+                s.spawn(move || fold_worker(shard, &rx, &pool_tx, options, None, None, None).sink)
             })
             .collect();
 

@@ -138,9 +138,9 @@ pub fn panic_msg(payload: &(dyn std::any::Any + Send)) -> String {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum FaultSite {
-    /// Panic inside the producer (`PreProfiler`) event path.
+    /// Panic inside the producer (staged `FrontEnd`) event path.
     PanicPre = 0,
-    /// Panic inside the `ShadowResolver` stage thread.
+    /// Panic inside the shadow-resolver stage thread.
     PanicResolve = 1,
     /// Panic inside a folding worker while replaying a chunk.
     PanicFold = 2,

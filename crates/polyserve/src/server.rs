@@ -109,10 +109,34 @@ struct Job {
     done: Arc<(Mutex<bool>, Condvar)>,
 }
 
-/// Per-tenant token bucket.
+/// Per-tenant token bucket. Time is an argument, never read here, so the
+/// burst and hint arithmetic is testable with synthetic instants.
 struct Bucket {
     tokens: f64,
     last: Instant,
+}
+
+impl Bucket {
+    /// A full bucket as of `now`.
+    fn full(capacity: f64, now: Instant) -> Self {
+        Bucket {
+            tokens: capacity,
+            last: now,
+        }
+    }
+
+    /// Credit the tokens earned since the last call, as of `now`. `Err`
+    /// carries the backoff hint — milliseconds until one whole token is
+    /// available — when the bucket cannot pay for a request.
+    fn refill(&mut self, now: Instant, capacity: f64, per_sec: f64) -> Result<(), u64> {
+        let dt = now.duration_since(self.last).as_secs_f64();
+        self.tokens = (self.tokens + dt * per_sec).min(capacity);
+        self.last = now;
+        if self.tokens >= 1.0 {
+            return Ok(());
+        }
+        Err((((1.0 - self.tokens) / per_sec) * 1000.0).ceil().max(1.0) as u64)
+    }
 }
 
 /// The run queue: per-tenant FIFOs drained in round-robin tenant order.
@@ -410,18 +434,12 @@ fn handle_submit(
     let job = {
         let mut sched = lock(&inner.sched);
         let now = Instant::now();
-        let bucket = sched.buckets.entry(tenant.clone()).or_insert(Bucket {
-            tokens: inner.cfg.bucket_capacity,
-            last: now,
-        });
-        let dt = now.duration_since(bucket.last).as_secs_f64();
-        bucket.tokens =
-            (bucket.tokens + dt * inner.cfg.refill_per_sec).min(inner.cfg.bucket_capacity);
-        bucket.last = now;
-        if bucket.tokens < 1.0 {
-            let wait_ms = (((1.0 - bucket.tokens) / inner.cfg.refill_per_sec) * 1000.0)
-                .ceil()
-                .max(1.0) as u64;
+        let capacity = inner.cfg.bucket_capacity;
+        let bucket = sched
+            .buckets
+            .entry(tenant.clone())
+            .or_insert_with(|| Bucket::full(capacity, now));
+        if let Err(wait_ms) = bucket.refill(now, capacity, inner.cfg.refill_per_sec) {
             drop(sched);
             inner.stats.add(ServiceCounter::RejectedRateLimited, 1);
             let body = format!(
@@ -429,7 +447,6 @@ fn handle_submit(
             );
             return write_json(stream, &body);
         }
-        let bucket_tokens = bucket.tokens;
         if sched.queued >= inner.cfg.queue_cap {
             let wait_ms =
                 ((sched.queued as u64 * 20) / inner.cfg.workers.max(1) as u64).clamp(10, 500);
@@ -441,7 +458,7 @@ fn handle_submit(
             return write_json(stream, &body);
         }
         if let Some(b) = sched.buckets.get_mut(&tenant) {
-            b.tokens = bucket_tokens - 1.0;
+            b.tokens -= 1.0;
         }
         // Reserve the queue slot now (the cap check above covered it), but
         // enqueue only after the `accepted` frame is on the wire — the
@@ -810,6 +827,51 @@ fn watchdog_loop(inner: &Arc<Inner>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Admission's use of the bucket: refill as of `now`, take a token if
+    /// one is there, else report the hint.
+    fn admit(b: &mut Bucket, now: Instant, capacity: f64, per_sec: f64) -> Result<(), u64> {
+        b.refill(now, capacity, per_sec)?;
+        b.tokens -= 1.0;
+        Ok(())
+    }
+
+    #[test]
+    fn bucket_sheds_a_burst_past_capacity_and_hints_the_wait() {
+        let t0 = Instant::now();
+        let (cap, rate) = (2.0, 20.0);
+        let mut b = Bucket::full(cap, t0);
+        // A burst at one instant: capacity requests pass, the next is shed
+        // with the time one token takes to accrue (1/20 s).
+        assert_eq!(admit(&mut b, t0, cap, rate), Ok(()));
+        assert_eq!(admit(&mut b, t0, cap, rate), Ok(()));
+        assert_eq!(admit(&mut b, t0, cap, rate), Err(50));
+        // Too early by 10 ms: still shed, hint shrinks to what is left.
+        let t1 = t0 + Duration::from_millis(40);
+        assert_eq!(admit(&mut b, t1, cap, rate), Err(10));
+        // Honoring the hint lands exactly one request.
+        let t2 = t1 + Duration::from_millis(10);
+        assert_eq!(admit(&mut b, t2, cap, rate), Ok(()));
+        assert!(admit(&mut b, t2, cap, rate).is_err());
+    }
+
+    #[test]
+    fn bucket_refill_saturates_at_capacity_and_hint_is_at_least_1ms() {
+        let t0 = Instant::now();
+        let (cap, rate) = (2.0, 20.0);
+        let mut b = Bucket::full(cap, t0);
+        // An hour idle earns no more than the burst capacity.
+        let later = t0 + Duration::from_secs(3600);
+        assert_eq!(admit(&mut b, later, cap, rate), Ok(()));
+        assert_eq!(admit(&mut b, later, cap, rate), Ok(()));
+        assert!(admit(&mut b, later, cap, rate).is_err());
+        // A sliver short of a token still hints a whole millisecond.
+        let mut b = Bucket {
+            tokens: 0.999_999,
+            last: t0,
+        };
+        assert_eq!(b.refill(t0, cap, rate), Err(1));
+    }
 
     #[test]
     fn round_robin_is_fair_across_tenants() {

@@ -499,8 +499,6 @@ pub enum Counter {
     ShadowPages,
     /// Whole event chunks folded through the batched per-shard path.
     ChunksFolded,
-    /// Fold shards the adaptive executor settled on (0 = inline/serial).
-    AdaptiveShards,
     /// Event chunks obtained from the recycling pool.
     ChunkRecycled,
     /// Event chunks freshly allocated (pool momentarily dry).
@@ -572,7 +570,7 @@ pub enum Counter {
 }
 
 /// Number of [`Counter`] slots.
-pub const N_COUNTERS: usize = 44;
+pub const N_COUNTERS: usize = 43;
 
 impl Counter {
     /// All counters, in report order.
@@ -590,7 +588,6 @@ impl Counter {
         Counter::ShadowMruMiss,
         Counter::ShadowPages,
         Counter::ChunksFolded,
-        Counter::AdaptiveShards,
         Counter::ChunkRecycled,
         Counter::ChunkFresh,
         Counter::SendStallNs,
@@ -639,7 +636,6 @@ impl Counter {
             Counter::ShadowMruMiss => "shadow_mru_miss",
             Counter::ShadowPages => "shadow_pages",
             Counter::ChunksFolded => "chunks_folded",
-            Counter::AdaptiveShards => "adaptive_shards",
             Counter::ChunkRecycled => "chunks_recycled",
             Counter::ChunkFresh => "chunks_fresh",
             Counter::SendStallNs => "send_stall_ns",

@@ -11,7 +11,11 @@
 //! re-evaluating rationally. So no sample can be classified differently —
 //! these tests pin that argument against regressions.
 
+mod common;
+
+use common::stencil;
 use polyprof_core::polyfold::{FitResult, OnlineAffineFitter};
+use polyprof_core::{profile_with, ProfileConfig};
 use proptest::prelude::*;
 
 /// Feed the identical stream to both fitters and return both verdicts.
@@ -108,4 +112,16 @@ proptest! {
         let (fast, slow) = run_both(2, &samples);
         prop_assert_eq!(fast, slow);
     }
+}
+
+/// The fast-path knob is also output-neutral end-to-end: a rational-only
+/// run is byte-identical to the default fast-path run.
+#[test]
+fn fast_fit_off_matches_default() {
+    let prog = stencil(10, 3);
+    let fast = profile_with(&prog, &ProfileConfig::new());
+    let slow = profile_with(&prog, &ProfileConfig::new().with_fast_fit(false));
+    assert_eq!(fast.folded_stats, slow.folded_stats);
+    assert_eq!(fast.scev_removed, slow.scev_removed);
+    assert_eq!(fast.annotated_ast, slow.annotated_ast);
 }

@@ -28,7 +28,9 @@ fn run(fold_threads: usize, level: MetricsLevel) -> RunMetrics {
 /// serial path, so the one-shard case drives the pipeline directly.)
 #[test]
 fn routed_events_equal_folded_events_at_every_k() {
-    use polyprof_core::polyfold::pipeline::{fold_pipelined_traced, PipelineConfig};
+    use polyprof_core::polyfold::pipeline::{
+        fold_pipelined_supervised, PipelineConfig, ResilienceConfig,
+    };
     use polyprof_core::polytrace::Collector;
     use std::sync::Arc;
 
@@ -45,7 +47,9 @@ fn routed_events_equal_folded_events_at_every_k() {
             chunk_events: 64,
             ..Default::default()
         };
-        let _ = fold_pipelined_traced(&prog, &structure, &pcfg, Some(&col));
+        let res = ResilienceConfig::default();
+        let _ =
+            fold_pipelined_supervised(&prog, &structure, &pcfg, Some(&col), None, None, None, &res);
         col.snapshot(0)
     };
     for (k, m) in [

@@ -18,13 +18,14 @@ use polyprof_core::polyfold::pipeline::{
 };
 use polyprof_core::polyfold::{self, replay::fold_recording, FoldOptions, FoldedDdg};
 use polyprof_core::polyrec::{FORMAT_VERSION, HDR_EVENTS_OFF, HDR_VERSION_OFF, MAGIC};
-use polyprof_core::polyresist::PolyProfError;
+use polyprof_core::polyresist::{FaultPlan, FaultSite, PolyProfError};
 use polyprof_core::{polycfg, polyir::Program, polyvm};
 use polyprof_core::{profile_with, try_profile_with, ProfileConfig};
 use proptest::prelude::*;
 use rodinia::paper_examples::fig6_kernel;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Unique scratch path per (process, test) so parallel test threads never
 /// collide; callers clean up with `fs::remove_file` at the end.
@@ -126,27 +127,51 @@ fn serial_recording_matches_pipelined_recording() {
 }
 
 /// `replay_from` through the public driver: the replayed report reproduces
-/// the live report's folded statistics and annotated AST without a pass-2
-/// VM run.
+/// the live report's folded statistics, annotated AST and canonical DDG
+/// without a pass-2 VM run — whether the recording was taken by the serial
+/// executor outright, or by the serial driver as the supervisor's fallback
+/// after a persistent stage panic defeated every pipeline attempt.
 #[test]
 fn profile_replay_from_matches_live_report() {
     let prog = fig6_kernel(8, 4);
-    let path = scratch("profile_replay");
-    let live =
-        try_profile_with(&prog, &ProfileConfig::new().with_record_to(&path)).expect("record run");
-    for k in [1usize, 8] {
-        let replayed = try_profile_with(
-            &prog,
-            &ProfileConfig::new()
-                .with_fold_threads(k)
-                .with_replay_from(&path),
-        )
-        .expect("replay run");
-        assert_eq!(live.folded_stats, replayed.folded_stats);
-        assert_eq!(live.scev_removed, replayed.scev_removed);
-        assert_eq!(live.annotated_ast, replayed.annotated_ast);
+    let persistent_panic = Arc::new(FaultPlan::always(FaultSite::PanicResolve));
+    let recorders = [
+        ("serial", ProfileConfig::new()),
+        (
+            "fallback",
+            ProfileConfig::new()
+                .with_fold_threads(2)
+                .with_chunk_events(64)
+                .with_max_retries(1)
+                .with_fault_plan(persistent_panic),
+        ),
+    ];
+    for (how, recorder) in recorders {
+        let path = scratch(&format!("profile_replay_{how}"));
+        let live = try_profile_with(&prog, &recorder.with_canonical(true).with_record_to(&path))
+            .expect("record run");
+        assert_eq!(
+            live.degradation.fell_back_serial,
+            how == "fallback",
+            "{how}: {:?}",
+            live.degradation
+        );
+        for k in [1usize, 8] {
+            let replayed = try_profile_with(
+                &prog,
+                &ProfileConfig::new()
+                    .with_fold_threads(k)
+                    .with_canonical(true)
+                    .with_replay_from(&path),
+            )
+            .expect("replay run");
+            assert_eq!(live.folded_stats, replayed.folded_stats, "{how} K={k}");
+            assert_eq!(live.scev_removed, replayed.scev_removed, "{how} K={k}");
+            assert_eq!(live.annotated_ast, replayed.annotated_ast, "{how} K={k}");
+            assert_eq!(live.canonical_ddg, replayed.canonical_ddg, "{how} K={k}");
+        }
+        fs::remove_file(&path).ok();
     }
-    fs::remove_file(&path).ok();
 }
 
 /// Replaying against a different program is a structured error naming the

@@ -13,7 +13,7 @@ mod common;
 
 use common::{canon, stencil};
 use polyprof_core::polyfold::pipeline::{
-    fold_pipelined_supervised, fold_program_pipelined, PipelineConfig, ResilienceConfig,
+    fold_pipelined_supervised, PipelineConfig, ResilienceConfig,
 };
 use polyprof_core::polyfold::{self, FoldedDdg, FoldingSink};
 use polyprof_core::polyresist::{FaultPlan, FaultSite, ResourceBudget, RunDegradation};
@@ -93,14 +93,7 @@ fn every_fault_class_completes_with_degradation() {
 #[test]
 fn stalled_send_is_lossless() {
     let prog = stencil(9, 2);
-    let clean = {
-        let cfg = PipelineConfig {
-            fold_threads: 2,
-            chunk_events: 64,
-            ..Default::default()
-        };
-        fold_program_pipelined(&prog, &cfg).0
-    };
+    let clean = supervised_fold(&prog, 2, &ResilienceConfig::default()).0;
     let res = ResilienceConfig {
         faults: Some(Arc::new(
             FaultPlan::parse("stall:send@2;stall_ms=5").unwrap(),
@@ -117,14 +110,7 @@ fn stalled_send_is_lossless() {
 #[test]
 fn armed_but_unfired_plan_is_byte_identical() {
     let prog = stencil(10, 3);
-    let clean = {
-        let cfg = PipelineConfig {
-            fold_threads: 3,
-            chunk_events: 64,
-            ..Default::default()
-        };
-        fold_program_pipelined(&prog, &cfg).0
-    };
+    let clean = supervised_fold(&prog, 3, &ResilienceConfig::default()).0;
     let res = ResilienceConfig {
         faults: Some(Arc::new(
             FaultPlan::parse("panic:fold@999999999;drop:send@999999999").unwrap(),
@@ -265,4 +251,52 @@ fn degradation_json_reflects_the_run() {
     let j = r.degradation_json();
     assert!(j.contains("\"faults_injected\":1"), "{j}");
     assert!(j.contains("\"dropped_chunks\":1"), "{j}");
+}
+
+/// Counters are facts about the run's *result*, not about how many attempts
+/// it took: a run retried once, and a run that fell back to the serial
+/// driver, report the same trace tallies as a clean run — harvested once,
+/// from the attempt that produced the result — while the supervision
+/// counters still record the trouble.
+#[test]
+fn counters_do_not_drift_after_retry_or_fallback() {
+    use polyprof_core::polytrace::Counter;
+    use polyprof_core::MetricsLevel;
+
+    let prog = stencil(10, 3);
+    let base = ProfileConfig::new()
+        .with_fold_threads(2)
+        .with_chunk_events(64)
+        .with_metrics(MetricsLevel::Counters);
+    let clean = profile_with(&prog, &base).metrics.expect("counters on");
+
+    let retried = base
+        .clone()
+        .with_fault_plan(Arc::new(FaultPlan::single(FaultSite::PanicResolve, 1)));
+    let fell_back = base
+        .clone()
+        .with_max_retries(1)
+        .with_fault_plan(Arc::new(FaultPlan::always(FaultSite::PanicResolve)));
+    for (what, cfg, retries, fallbacks) in [("retry", retried, 1, 0), ("fallback", fell_back, 1, 1)]
+    {
+        let m = profile_with(&prog, &cfg).metrics.expect("counters on");
+        for c in [
+            Counter::DynOps,
+            Counter::MemEvents,
+            Counter::CtxCacheHit,
+            Counter::EventsFolded,
+            Counter::DepsFolded,
+            Counter::ShadowPages,
+        ] {
+            assert_eq!(
+                m.counter(c),
+                clean.counter(c),
+                "{what}: {} drifted from the clean run",
+                c.name()
+            );
+        }
+        assert_eq!(m.counter(Counter::StageRetries), retries, "{what}");
+        assert_eq!(m.counter(Counter::SerialFallbacks), fallbacks, "{what}");
+        assert!(m.counter(Counter::FaultsInjected) >= 1, "{what}");
+    }
 }

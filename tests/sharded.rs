@@ -14,7 +14,10 @@ mod common;
 
 use common::{canon, deep_nest, elementwise, stencil};
 use polyir::Program;
-use polyprof_core::polyfold::pipeline::{fold_program_pipelined, PipelineConfig};
+use polyprof_core::polycfg::{StaticStructure, StructureRecorder};
+use polyprof_core::polyfold::pipeline::{
+    fold_pipelined_supervised, PipelineConfig, ResilienceConfig,
+};
 use polyprof_core::polyfold::{self, FoldedDdg};
 use polyprof_core::{profile_with, ProfileConfig};
 use proptest::prelude::*;
@@ -23,13 +26,26 @@ fn fold_serial(prog: &Program) -> FoldedDdg {
     polyfold::fold_program(prog).0
 }
 
+/// Pass 1, then a fault-free staged pass 2 under `cfg`.
+fn fold_pipelined(prog: &Program, cfg: &PipelineConfig) -> FoldedDdg {
+    let mut rec = StructureRecorder::new();
+    polyprof_core::polyvm::Vm::new(prog)
+        .run(&[], &mut rec)
+        .expect("pass 1");
+    let structure = StaticStructure::analyze(prog, rec);
+    let res = ResilienceConfig::default();
+    fold_pipelined_supervised(prog, &structure, cfg, None, None, None, None, &res)
+        .expect("fault-free pipelined fold")
+        .0
+}
+
 fn fold_sharded(prog: &Program, k: usize, chunk_events: usize) -> FoldedDdg {
     let cfg = PipelineConfig {
         fold_threads: k,
         chunk_events,
         ..Default::default()
     };
-    fold_program_pipelined(prog, &cfg).0
+    fold_pipelined(prog, &cfg)
 }
 
 /// Canonical renderings must match byte-for-byte at K ∈ {1, 2, 8}. Chunks
@@ -127,6 +143,6 @@ fn sharded_parity_without_class_split() {
         options,
         ..Default::default()
     };
-    let (sharded, _, _) = fold_program_pipelined(&prog, &cfg);
+    let sharded = fold_pipelined(&prog, &cfg);
     assert_eq!(canon(&serial), canon(&sharded));
 }

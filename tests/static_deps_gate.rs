@@ -18,7 +18,9 @@
 mod common;
 
 use polyprof_core::polyddg::prune::PruneMask;
-use polyprof_core::polyfold::pipeline::{fold_pipelined_pruned, PipelineConfig};
+use polyprof_core::polyfold::pipeline::{
+    fold_pipelined_supervised, PipelineConfig, ResilienceConfig,
+};
 use polyprof_core::polystatic::dataflow::StaticSummary;
 use polyprof_core::polystatic::deps::StaticDeps;
 use polyprof_core::{profile_with, MetricsLevel, ProfileConfig};
@@ -64,15 +66,21 @@ fn access_prune_byte_identity_at_k1_and_k4() {
                 chunk_events: 64,
                 ..Default::default()
             };
-            let (base, _, _) = fold_pipelined_pruned(p, &structure, &cfg, None, None, None);
-            let (pruned, _, ev) = fold_pipelined_pruned(
+            let res = ResilienceConfig::default();
+            let (base, _, _, _) =
+                fold_pipelined_supervised(p, &structure, &cfg, None, None, None, None, &res)
+                    .expect("unpruned fold");
+            let (pruned, _, ev, _) = fold_pipelined_supervised(
                 p,
                 &structure,
                 &cfg,
                 None,
                 Some(Arc::clone(&mask)),
                 Some(Arc::clone(&deps) as _),
-            );
+                None,
+                &res,
+            )
+            .expect("pruned fold");
             assert!(ev.mem > 0, "{name} @K={k}: no memory events were pruned");
             assert_eq!(
                 base.canonical_text(),

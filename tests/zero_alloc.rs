@@ -13,10 +13,23 @@ use polyir::Program;
 use polyprof_core::{polycfg, polyddg, polyfold, polyvm};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// `ALLOCS` is process-global and the pipelined test allocates from several
+/// threads, so the two tests must not overlap: each holds this lock for its
+/// whole body, or one's allocations land in the other's window.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn exclusive() -> std::sync::MutexGuard<'static, ()> {
+    // A failed assertion in the other test poisons the lock, not the counter.
+    ONE_AT_A_TIME
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, l: Layout) -> *mut u8 {
@@ -68,6 +81,7 @@ fn profile_counting(prog: &Program) -> (u64, u64) {
 
 #[test]
 fn steady_state_profiling_does_not_allocate_per_event() {
+    let _alone = exclusive();
     let short_n = 500i64;
     let long_n = 5000i64;
     // Warm caches/allocator so one-time lazy init doesn't skew the counts.
@@ -90,7 +104,9 @@ fn steady_state_profiling_does_not_allocate_per_event() {
 /// whole staged pass 2 — all threads share the one global allocator, so the
 /// count covers every stage and shard.
 fn profile_counting_pipelined(prog: &Program) -> (u64, u64) {
-    use polyprof_core::polyfold::pipeline::{fold_pipelined, PipelineConfig};
+    use polyprof_core::polyfold::pipeline::{
+        fold_pipelined_supervised, PipelineConfig, ResilienceConfig,
+    };
     let mut rec = polycfg::StructureRecorder::new();
     polyvm::Vm::new(prog).run(&[], &mut rec).expect("pass 1");
     let structure = polycfg::StaticStructure::analyze(prog, rec);
@@ -99,8 +115,10 @@ fn profile_counting_pipelined(prog: &Program) -> (u64, u64) {
         chunk_events: 1024,
         ..Default::default()
     };
+    let res = ResilienceConfig::default();
     let before = ALLOCS.load(Ordering::Relaxed);
-    let (ddg, _interner) = fold_pipelined(prog, &structure, &cfg);
+    let (ddg, ..) = fold_pipelined_supervised(prog, &structure, &cfg, None, None, None, None, &res)
+        .expect("fault-free pipelined fold");
     let after = ALLOCS.load(Ordering::Relaxed);
     (ddg.total_ops, after - before)
 }
@@ -114,6 +132,7 @@ fn profile_counting_pipelined(prog: &Program) -> (u64, u64) {
 /// magnitude below that while absorbing scheduler-dependent pool misses.
 #[test]
 fn pipelined_folding_allocation_bounded_by_chunks_not_events() {
+    let _alone = exclusive();
     let short_n = 500i64;
     let long_n = 5000i64;
     let _ = profile_counting_pipelined(&kernel(short_n));
