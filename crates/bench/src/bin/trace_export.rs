@@ -14,13 +14,17 @@
 //!   `chunk-send` instants must equal `chunk_recycled + chunk_fresh` —
 //!   the timeline and the counters are two views of one run and may not
 //!   disagree;
+//! * every event sits in a lane of the two-stage lane set — driver, the
+//!   producer (whose lane also carries the `chunk-send` instants of all K
+//!   channel edges), or fold shard `k < K`; a serial run uses the driver
+//!   lane alone;
 //! * a journal overflow (`trace_dropped > 0`) fails the gate outright:
 //!   these fixture-sized runs must fit their journals.
 //!
 //! Defaults: the `backprop` Rodinia fixture at K ∈ {1, 4}.
 
 use polyprof_bench::sentinel::validate_json;
-use polyprof_core::polytrace::{Counter, TraceEventKind};
+use polyprof_core::polytrace::{tid_shard, Counter, TraceEventKind, TID_DRIVER, TID_PRE};
 use polyprof_core::{profile_with, MetricsLevel, ProfileConfig};
 use std::collections::BTreeMap;
 use std::process::exit;
@@ -115,6 +119,17 @@ fn main() {
             }
             if k == 1 && (fold_ends != 0 || sends != 0) {
                 eprintln!("trace_export: {path}: serial run must have no chunk events");
+                ok = false;
+            }
+            let lane_ok = |tid: u32| {
+                tid == TID_DRIVER
+                    || (k > 1 && (tid == TID_PRE || (tid_shard(0)..tid_shard(k)).contains(&tid)))
+            };
+            if let Some(ev) = m.timeline.iter().find(|ev| !lane_ok(ev.tid)) {
+                eprintln!(
+                    "trace_export: {path}: event {:?} in lane {} outside the K={k} lane set",
+                    ev.name, ev.tid
+                );
                 ok = false;
             }
 

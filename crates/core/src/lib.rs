@@ -181,11 +181,11 @@ impl Report {
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct ProfileConfig {
-    /// Folding worker threads. `1` (the default) keeps the fully serial
-    /// single-thread path — retained verbatim and bit-compared against the
-    /// pipeline by the sharded differential suite. Any larger value runs
-    /// pass 2 as a staged pipeline with this many folding shards (plus the
-    /// event-generation and shadow-resolution threads).
+    /// Folding worker threads. `1` (the default) folds on the calling
+    /// thread, in line with the VM. Any larger value moves folding onto this
+    /// many worker threads, sharded by folding key, while the calling thread
+    /// keeps producing events; the sharded differential suite bit-compares
+    /// the two.
     pub fold_threads: usize,
     /// Events per pipeline chunk (batching granularity; ignored on the
     /// serial path).
@@ -517,8 +517,8 @@ pub fn try_profile_with(prog: &Program, cfg: &ProfileConfig) -> Result<Report, P
 
     // Pass 2: pick a source (the VM, or a `.ptrace` recording) and an
     // executor for it — the serial driver, or the supervised staged pipeline
-    // when more than one folding thread (or a fault plan, whose injection
-    // sites live in the pipeline stages) is requested. Every arm hands back
+    // when more than one folding thread (or a fault plan, which only the
+    // supervisor arms) is requested. Every arm hands back
     // the same four things; counters are harvested by the executor from the
     // attempt that produced them.
     let tr = trace.as_ref().map(|(c, _)| c);
@@ -762,11 +762,7 @@ fn spawn_sampler(
     let handle = std::thread::spawn(move || {
         let mut prev_t = 0u64;
         let mut prev_folded = 0u64;
-        while !stop_t.load(Ordering::Relaxed) {
-            std::thread::park_timeout(interval);
-            if stop_t.load(Ordering::Relaxed) {
-                break;
-            }
+        let mut sample = || {
             let t_ns = col.now_ns();
             let mut snap = col.progress(t_ns);
             let dt = t_ns.saturating_sub(prev_t);
@@ -790,15 +786,28 @@ fn spawn_sampler(
             // Bounded: when the consumer lags PROGRESS_CAP samples behind,
             // drop the newest instead of blocking the sampler.
             let _ = tx.try_send(snap);
+        };
+        // Acquire pairs with the Release store in `Sampler::finish`: the
+        // closing sample sees every counter the run harvested before it.
+        while !stop_t.load(Ordering::Acquire) {
+            std::thread::park_timeout(interval);
+            if !stop_t.load(Ordering::Acquire) {
+                sample();
+            }
         }
+        // One closing sample of the finished run: a run shorter than one
+        // interval (or than this thread's first scheduling) still reports
+        // where it ended.
+        sample();
     });
     Sampler { stop, handle, rx }
 }
 
 impl Sampler {
-    /// Stop the watcher thread and drain every snapshot it took.
+    /// Stop the watcher thread — which takes one closing snapshot on its
+    /// way out — and drain every snapshot it took.
     fn finish(self) -> Vec<polytrace::ProgressSnapshot> {
-        self.stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        self.stop.store(true, std::sync::atomic::Ordering::Release);
         self.handle.thread().unpark();
         let _ = self.handle.join();
         self.rx.try_iter().collect()

@@ -1,5 +1,6 @@
-//! Fixed-size event chunks — the unit of transfer between the pipeline
-//! stages of an intra-trace parallel profiling run.
+//! Fixed-size event chunks — the unit of transfer between the producer and
+//! the folding workers of an intra-trace parallel profiling run, and the
+//! frame of a `.ptrace` recording.
 //!
 //! A [`EventChunk`] is a flat, reusable buffer of folding-interface events:
 //! per-event records live in one `Vec`, all coordinate vectors in a shared
@@ -7,19 +8,13 @@
 //! channels, so a steady-state pipeline moves events between threads with
 //! **zero allocation per event** — the only per-chunk work is a `memcpy`
 //! into the flat buffers and one channel send per `chunk_events` events.
-//!
-//! Two event alphabets share the container:
-//!
-//! * the *resolved* alphabet ([`FoldSink`]: points, accesses, dependences)
-//!   flowing from the shadow-resolution stage to the folding shards;
-//! * the *pre-resolution* alphabet (points, register dependences, and
-//!   [`EventRef::MemPre`] unresolved memory touches) flowing from the
-//!   sequential event-generation stage to the shadow resolver.
+//! A chunk holds exactly the [`FoldSink`] alphabet: points, accesses,
+//! dependences.
 
-use crate::{DepKind, FoldSink, PreSink};
+use crate::{DepKind, FoldSink};
 use polyiiv::context::StmtId;
 use polyresist::{FaultPlan, FaultSite};
-use polytrace::{Collector, Counter, HistKind, Histogram, Journal, TID_PRE, TID_RESOLVE};
+use polytrace::{Collector, Counter, HistKind, Histogram, Journal, TID_PRE};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::Instant;
@@ -54,13 +49,6 @@ enum Rec {
         src_coords: Span,
         dst: StmtId,
         dst_coords: Span,
-    },
-    /// An *unresolved* memory touch: shadow resolution still pending.
-    MemPre {
-        stmt: StmtId,
-        coords: Span,
-        addr: u64,
-        is_write: bool,
     },
 }
 
@@ -99,17 +87,6 @@ pub enum EventRef<'a> {
         dst: StmtId,
         /// Consumer coordinates.
         dst_coords: &'a [i64],
-    },
-    /// An unresolved memory touch (pre-resolution alphabet only).
-    MemPre {
-        /// Statement.
-        stmt: StmtId,
-        /// IIV coordinates.
-        coords: &'a [i64],
-        /// Word address.
-        addr: u64,
-        /// True for stores.
-        is_write: bool,
     },
 }
 
@@ -205,28 +182,9 @@ impl EventChunk {
         });
     }
 
-    /// Append an unresolved memory touch.
-    #[inline]
-    pub fn push_mem_pre(&mut self, stmt: StmtId, coords: &[i64], addr: u64, is_write: bool) {
-        let coords = self.span(coords);
-        self.recs.push(Rec::MemPre {
-            stmt,
-            coords,
-            addr,
-            is_write,
-        });
-    }
-
     /// Iterate the buffered events in push order.
     pub fn events(&self) -> impl Iterator<Item = EventRef<'_>> {
-        (0..self.recs.len()).map(move |i| self.event_at(i))
-    }
-
-    /// Borrow one buffered event by index — the batched folding path groups
-    /// record indices by folding key and revisits them out of push order.
-    #[inline]
-    pub fn event_at(&self, i: usize) -> EventRef<'_> {
-        match self.recs[i] {
+        self.recs.iter().map(move |rec| match *rec {
             Rec::Point {
                 stmt,
                 coords,
@@ -260,18 +218,7 @@ impl EventChunk {
                 dst,
                 dst_coords: self.slice(dst_coords),
             },
-            Rec::MemPre {
-                stmt,
-                coords,
-                addr,
-                is_write,
-            } => EventRef::MemPre {
-                stmt,
-                coords: self.slice(coords),
-                addr,
-                is_write,
-            },
-        }
+        })
     }
 
     /// Structural integrity check: every record's coordinate spans must lie
@@ -293,9 +240,7 @@ impl EventChunk {
         };
         for r in &self.recs {
             match *r {
-                Rec::Point { coords, .. }
-                | Rec::Access { coords, .. }
-                | Rec::MemPre { coords, .. } => check(coords)?,
+                Rec::Point { coords, .. } | Rec::Access { coords, .. } => check(coords)?,
                 Rec::Dep {
                     src_coords,
                     dst_coords,
@@ -316,7 +261,6 @@ impl EventChunk {
         match self.recs.first_mut() {
             Some(Rec::Point { coords, .. })
             | Some(Rec::Access { coords, .. })
-            | Some(Rec::MemPre { coords, .. })
             | Some(Rec::Dep {
                 src_coords: coords, ..
             }) => coords.len = coords.len.wrapping_add(1 << 20),
@@ -334,25 +278,8 @@ impl EventChunk {
         }
     }
 
-    /// Replay a fully-resolved chunk into a [`FoldSink`], in order.
-    ///
-    /// Panics on a [`EventRef::MemPre`] record: unresolved events must never
-    /// reach a folding shard — that is a stage-routing bug, not a data
-    /// condition.
+    /// Replay the chunk into a [`FoldSink`], in push order.
     pub fn replay_into<F: FoldSink>(&self, sink: &mut F) {
-        self.replay_resolving(sink, |_, _, _, _, _| {
-            unreachable!("unresolved memory event reached a folding shard")
-        });
-    }
-
-    /// Replay the chunk into `sink` in order, handing each unresolved
-    /// [`EventRef::MemPre`] record `(stmt, coords, addr, is_write)` to
-    /// `resolve` together with the sink.
-    pub fn replay_resolving<F: FoldSink>(
-        &self,
-        sink: &mut F,
-        mut resolve: impl FnMut(StmtId, &[i64], u64, bool, &mut F),
-    ) {
         for ev in self.events() {
             match ev {
                 EventRef::Point {
@@ -373,12 +300,6 @@ impl EventChunk {
                     dst,
                     dst_coords,
                 } => sink.dependence(kind, src, src_coords, dst, dst_coords),
-                EventRef::MemPre {
-                    stmt,
-                    coords,
-                    addr,
-                    is_write,
-                } => resolve(stmt, coords, addr, is_write, sink),
             }
         }
     }
@@ -431,7 +352,7 @@ struct WriterTelemetry {
     journal: Option<Journal>,
 }
 
-/// A [`FoldSink`]/[`PreSink`] that batches events into [`EventChunk`]s and
+/// A [`FoldSink`] that batches events into [`EventChunk`]s and
 /// ships full chunks over a bounded channel (backpressure: `send` blocks
 /// when the consumer lags). Consumed chunks come back through the `recycled`
 /// channel, so a warmed-up pipeline allocates nothing per chunk.
@@ -480,15 +401,13 @@ impl ChunkWriter {
     }
 
     /// Attach a telemetry collector; `edge` names this writer's channel edge
-    /// in the collector's queue gauges (0 = pre → resolver, `1 + k` =
-    /// resolver → shard `k`).
+    /// in the collector's queue gauges (edge `k` = producer → shard `k`).
+    /// Every writer lives on the producer thread, so its journal goes in
+    /// that lane.
     pub fn set_trace(&mut self, collector: Arc<Collector>, edge: usize) {
         if collector.timing() {
-            // Edge 0 is the pre-profile → resolver channel; 1 + k the
-            // resolver → shard-k channels — label the journal lane to match.
-            let tid = if edge == 0 { TID_PRE } else { TID_RESOLVE };
             self.telemetry = Some(Box::new(WriterTelemetry {
-                journal: collector.new_journal(tid),
+                journal: collector.new_journal(TID_PRE),
                 ..WriterTelemetry::default()
             }));
         }
@@ -595,9 +514,9 @@ impl ChunkWriter {
     }
 
     /// Merge a tally into a collector's named counters (the owning stage
-    /// calls this once, after its writer finishes).
-    pub fn harvest(stats: &ChunkStats, col: &Collector, events_counter: Counter) {
-        col.add(events_counter, stats.events);
+    /// calls this once, after its writers finish).
+    pub fn harvest(stats: &ChunkStats, col: &Collector) {
+        col.add(Counter::EventsRouted, stats.events);
         col.add(Counter::ChunkRecycled, stats.chunks_recycled);
         col.add(Counter::ChunkFresh, stats.chunks_fresh);
         col.add(Counter::SendStallNs, stats.send_stall_ns);
@@ -636,14 +555,6 @@ impl FoldSink for ChunkWriter {
     }
 }
 
-impl PreSink for ChunkWriter {
-    #[inline]
-    fn mem_pre(&mut self, stmt: StmtId, coords: &[i64], addr: u64, is_write: bool) {
-        self.cur.push_mem_pre(stmt, coords, addr, is_write);
-        self.after_push();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -676,28 +587,6 @@ mod tests {
         assert!(c.is_empty());
         assert_eq!(c.recs.capacity(), rec_cap);
         assert_eq!(c.coords.capacity(), coord_cap);
-    }
-
-    #[test]
-    fn mem_pre_surfaces_through_events() {
-        let mut c = EventChunk::with_capacity(4);
-        c.push_mem_pre(StmtId(3), &[2], 42, false);
-        let evs: Vec<_> = c.events().collect();
-        assert_eq!(evs.len(), 1);
-        match evs[0] {
-            EventRef::MemPre {
-                stmt,
-                coords,
-                addr,
-                is_write,
-            } => {
-                assert_eq!(stmt, StmtId(3));
-                assert_eq!(coords, &[2]);
-                assert_eq!(addr, 42);
-                assert!(!is_write);
-            }
-            _ => panic!("expected MemPre"),
-        }
     }
 
     #[test]

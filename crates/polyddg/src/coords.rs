@@ -163,16 +163,13 @@ impl CoordSnap {
 
 /// A [`CoordArena`] plus the snapshot of the *current* coordinate vector,
 /// captured on first use after a change; every writer record created
-/// between two changes shares the one snapshot. The front end sees loop
+/// between two changes shares the one snapshot. The profiler sees loop
 /// events and calls [`invalidate`](Self::invalidate) when they move the
-/// coordinates; the staged resolver cannot, and calls [`sync`](Self::sync)
-/// with each event's coordinates instead.
+/// coordinates.
 #[derive(Debug, Default)]
 pub struct SnapCache {
     arena: CoordArena,
     cur: Option<CoordSnap>,
-    /// The vector last passed to [`sync`](Self::sync).
-    synced: Vec<i64>,
 }
 
 impl SnapCache {
@@ -181,19 +178,6 @@ impl SnapCache {
     #[inline]
     pub fn invalidate(&mut self) {
         self.cur = None;
-    }
-
-    /// Invalidate if `coords` differs from the last synced vector.
-    /// Coordinates only change on loop boundaries, so the compare almost
-    /// always hits and the arena sees the same one-capture-per-change
-    /// traffic as under [`invalidate`](Self::invalidate).
-    #[inline]
-    pub fn sync(&mut self, coords: &[i64]) {
-        if self.synced != coords {
-            self.synced.clear();
-            self.synced.extend_from_slice(coords);
-            self.cur = None;
-        }
     }
 
     /// The shared snapshot of `coords` (which must be the current vector).

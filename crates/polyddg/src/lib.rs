@@ -41,19 +41,15 @@
 //! The pre-optimization implementation is retained in [`baseline`] for
 //! differential tests and benchmark comparison.
 //!
-//! ## One front end, two memory routes
+//! ## One front end
 //!
-//! [`FrontEnd`] is the crate's only [`EventSink`] outside [`baseline`]. It
-//! is generic over where a memory touch goes ([`MemRoute`]):
-//!
-//! * **in line** ([`DdgProfiler`], route = [`shadow::ShadowMemory`]):
-//!   resolved on the VM thread against an owned shadow memory;
-//! * **staged** (route = [`Staged`]): emitted unresolved as
-//!   [`PreSink::mem_pre`], resolved on a thread of its own and fanned out by
-//!   key ([`pipeline::ShardRouter`]) to folding workers, in
-//!   [`chunk::EventChunk`] batches over bounded channels (`polyfold::pipeline`).
-//!
-//! Both resolve through one routine, [`shadow::ShadowMemory::resolve`].
+//! [`DdgProfiler`] is the crate's only [`EventSink`] outside [`baseline`]:
+//! it owns its [`shadow::ShadowMemory`] and resolves every memory touch on
+//! the VM thread, through [`shadow::ShadowMemory::resolve`], so the sink it
+//! writes to sees only the resolved folding interface. What that sink is
+//! decides the executor: a folding sink directly (serial), or a
+//! [`pipeline::ShardRouter`] fanning the same stream out by key to folding
+//! workers in [`chunk::EventChunk`] batches (`polyfold::pipeline`).
 
 pub mod baseline;
 pub mod chunk;
@@ -104,14 +100,6 @@ pub trait FoldSink {
     );
 }
 
-/// Consumer of the *pre-resolution* stage-1 stream: the [`FoldSink`]
-/// alphabet minus resolved memory events, plus [`mem_pre`](PreSink::mem_pre)
-/// records that still need shadow-memory resolution downstream.
-pub trait PreSink: FoldSink {
-    /// An unresolved memory touch at `coords` on word `addr`.
-    fn mem_pre(&mut self, stmt: StmtId, coords: &[i64], addr: u64, is_write: bool);
-}
-
 /// Re-emitter for access-level-pruned memory streams.
 ///
 /// When a [`PruneMask`] carries access-level entries
@@ -150,76 +138,11 @@ impl Default for DdgConfig {
     }
 }
 
-/// Where the front end sends a memory touch — the one point at which the
-/// in-line and the staged profiler differ. Everything else goes to `F`.
-pub trait MemRoute<F: FoldSink> {
-    /// A memory touch by `stmt` at `coords` on word `addr`. Records stored
-    /// here take their snapshots from `snaps`, the front end's own cache,
-    /// and so share one arena with the register writers.
-    #[allow(clippy::too_many_arguments)]
-    fn mem_touch(
-        &mut self,
-        out: &mut F,
-        cfg: &DdgConfig,
-        snaps: &mut SnapCache,
-        stmt: StmtId,
-        coords: &[i64],
-        addr: u64,
-        is_write: bool,
-    );
-
-    /// Charge whatever state this route retains against `budget`.
-    fn charge_to(&mut self, _budget: &Arc<ResourceBudget>) {}
-}
-
-/// In-line route: the touch is resolved on the spot against this shadow
-/// memory, and the resolved events go straight to `out`.
-impl<F: FoldSink> MemRoute<F> for ShadowMemory {
-    #[inline]
-    fn mem_touch(
-        &mut self,
-        out: &mut F,
-        cfg: &DdgConfig,
-        snaps: &mut SnapCache,
-        stmt: StmtId,
-        coords: &[i64],
-        addr: u64,
-        is_write: bool,
-    ) {
-        self.resolve(cfg, snaps, stmt, coords, addr, is_write, out);
-    }
-
-    fn charge_to(&mut self, budget: &Arc<ResourceBudget>) {
-        self.set_budget(Arc::clone(budget));
-    }
-}
-
-/// Staged route: the touch leaves unresolved, as a
-/// [`mem_pre`](PreSink::mem_pre) record for a downstream resolver stage.
-pub struct Staged;
-
-impl<S: PreSink> MemRoute<S> for Staged {
-    #[inline]
-    fn mem_touch(
-        &mut self,
-        out: &mut S,
-        _cfg: &DdgConfig,
-        _snaps: &mut SnapCache,
-        stmt: StmtId,
-        coords: &[i64],
-        addr: u64,
-        is_write: bool,
-    ) {
-        out.mem_pre(stmt, coords, addr, is_write);
-    }
-}
-
-/// The stage-2 front end: the one [`EventSink`] of pass 2. It drives
+/// The stage-2 profiler: the one [`EventSink`] of pass 2. It drives
 /// loop-event generation (Alg. 1/2), the dynamic IIV (Alg. 3), context and
-/// statement interning and register tracking, streams instruction points
-/// and register dependences to `out`, and hands every memory touch to its
-/// [`MemRoute`].
-pub struct FrontEnd<'p, F: FoldSink, R: MemRoute<F>> {
+/// statement interning, register tracking and shadow-memory resolution, and
+/// streams the whole folding interface to `F`.
+pub struct DdgProfiler<'p, F: FoldSink> {
     prog: &'p Program,
     gen: LoopEventGen<'p>,
     iiv: IivTracker,
@@ -232,7 +155,7 @@ pub struct FrontEnd<'p, F: FoldSink, R: MemRoute<F>> {
     /// call/ret does not allocate).
     frame_pool: Vec<Vec<Option<Writer>>>,
     out: F,
-    route: R,
+    shadow: ShadowMemory,
     cfg: DdgConfig,
     /// Current coordinate vector, refreshed copy-on-change.
     coords: Vec<i64>,
@@ -253,17 +176,13 @@ pub struct FrontEnd<'p, F: FoldSink, R: MemRoute<F>> {
     /// access-level mask (their streams are synthesized statically).
     pub pruned_mem_events: u64,
     /// Optional deterministic fault plan probed per memory event
-    /// ([`FaultSite::PanicPre`]).
+    /// ([`FaultSite::PanicPre`]; the shadow memory probes its own site).
     faults: Option<Arc<FaultPlan>>,
     /// Optional resource budget: retained state is charged against its byte
     /// limit, and its deadline is polled through the VM's throttled
     /// [`EventSink::poll_abort`] hook.
     budget: Option<Arc<ResourceBudget>>,
 }
-
-/// The in-line profiler: the [`FrontEnd`] resolving every memory touch on
-/// the VM thread and streaming the whole folding interface to `F`.
-pub type DdgProfiler<'p, F> = FrontEnd<'p, F, ShadowMemory>;
 
 /// Direct-mapped statement-cache size; must be a power of two. Multi-block
 /// loop bodies alternate between a handful of instructions per context, so a
@@ -278,7 +197,7 @@ fn stmt_cache_slot(instr: InstrRef) -> usize {
         & (STMT_CACHE_SLOTS - 1)
 }
 
-impl<'p, F: FoldSink> FrontEnd<'p, F, ShadowMemory> {
+impl<'p, F: FoldSink> DdgProfiler<'p, F> {
     /// Build a profiler over a program and its stage-1 structure; `out`
     /// receives the folding streams.
     pub fn new(prog: &'p Program, structure: &'p StaticStructure, out: F) -> Self {
@@ -292,37 +211,13 @@ impl<'p, F: FoldSink> FrontEnd<'p, F, ShadowMemory> {
         out: F,
         cfg: DdgConfig,
     ) -> Self {
-        Self::with_route(prog, structure, out, ShadowMemory::new(), cfg)
-    }
-
-    /// Shadow-memory MRU page-cache `(hits, misses)` so far.
-    pub fn shadow_mru_stats(&self) -> (u64, u64) {
-        self.route.mru_stats()
-    }
-
-    /// Resident shadow pages (overhead statistics for benchmarks).
-    pub fn resident_shadow_pages(&self) -> usize {
-        self.route.resident_pages()
-    }
-}
-
-impl<'p, F: FoldSink, R: MemRoute<F>> FrontEnd<'p, F, R> {
-    /// Build a front end whose memory touches take `route`: [`Staged`] for
-    /// the pipeline's stage 1 ([`DdgProfiler::new`] builds the in-line one).
-    pub fn with_route(
-        prog: &'p Program,
-        structure: &'p StaticStructure,
-        out: F,
-        route: R,
-        cfg: DdgConfig,
-    ) -> Self {
         let entry_fn = prog.entry.expect("program must have an entry");
         let entry = BlockRef {
             func: entry_fn,
             block: prog.func(entry_fn).entry(),
         };
         let n_regs = prog.func(entry_fn).n_regs as usize;
-        FrontEnd {
+        DdgProfiler {
             prog,
             gen: LoopEventGen::new(structure),
             iiv: IivTracker::new(entry),
@@ -331,7 +226,7 @@ impl<'p, F: FoldSink, R: MemRoute<F>> FrontEnd<'p, F, R> {
             reg_frames: vec![vec![None; n_regs]],
             frame_pool: Vec::new(),
             out,
-            route,
+            shadow: ShadowMemory::new(),
             cfg,
             coords: Vec::with_capacity(8),
             coords_dirty: true,
@@ -349,23 +244,25 @@ impl<'p, F: FoldSink, R: MemRoute<F>> FrontEnd<'p, F, R> {
 
     /// Enable static instrumentation pruning: instructions in `mask` skip
     /// register-dependence tracking, and access-level entries additionally
-    /// skip the memory route. Sound only for masks whose every entry
+    /// skip shadow tracking. Sound only for masks whose every entry
     /// satisfies the [`prune`] module contract.
     pub fn set_prune_mask(&mut self, mask: Arc<PruneMask>) {
         self.prune = Some(mask);
     }
 
-    /// Arm a deterministic fault plan ([`FaultSite::PanicPre`] fires as a
-    /// panic on the probed memory event). Zero-cost when never called.
+    /// Arm a deterministic fault plan: [`FaultSite::PanicPre`] fires as a
+    /// panic on the probed memory event, [`FaultSite::AllocShadow`] refuses
+    /// a shadow page. Zero-cost when never called.
     pub fn set_faults(&mut self, plan: Arc<FaultPlan>) {
+        self.shadow.set_faults(Arc::clone(&plan));
         self.faults = Some(plan);
     }
 
-    /// Attach a resource budget: shadow pages (in-line route) and spilled
-    /// coordinate vectors are charged against the byte limit, and the
-    /// deadline is polled by the VM watchdog ([`EventSink::poll_abort`]).
+    /// Attach a resource budget: shadow pages and spilled coordinate
+    /// vectors are charged against the byte limit, and the deadline is
+    /// polled by the VM watchdog ([`EventSink::poll_abort`]).
     pub fn set_budget(&mut self, budget: Arc<ResourceBudget>) {
-        self.route.charge_to(&budget);
+        self.shadow.set_budget(Arc::clone(&budget));
         self.snaps.set_budget(Arc::clone(&budget));
         self.budget = Some(budget);
     }
@@ -378,6 +275,22 @@ impl<'p, F: FoldSink, R: MemRoute<F>> FrontEnd<'p, F, R> {
     /// Immutable access to the fold sink mid-run.
     pub fn sink(&self) -> &F {
         &self.out
+    }
+
+    /// Shadow-memory MRU page-cache `(hits, misses)` so far.
+    pub fn shadow_mru_stats(&self) -> (u64, u64) {
+        self.shadow.mru_stats()
+    }
+
+    /// Resident shadow pages (overhead statistics for benchmarks).
+    pub fn resident_shadow_pages(&self) -> usize {
+        self.shadow.resident_pages()
+    }
+
+    /// Shadow-page allocations an armed fault plan refused: each left one
+    /// access without its dependences.
+    pub fn shadow_alloc_failures(&self) -> u64 {
+        self.shadow.alloc_failures()
     }
 
     /// Heap footprint of spilled (> [`coords::INLINE_DIMS`]-dim) coordinate
@@ -435,7 +348,7 @@ impl<'p, F: FoldSink, R: MemRoute<F>> FrontEnd<'p, F, R> {
     }
 }
 
-impl<'p, F: FoldSink, R: MemRoute<F>> EventSink for FrontEnd<'p, F, R> {
+impl<'p, F: FoldSink> EventSink for DdgProfiler<'p, F> {
     fn local_jump(&mut self, from: BlockRef, to: BlockRef) {
         self.gen.on_jump(from, to, &mut self.loop_buf);
         self.drain_loop_events();
@@ -516,8 +429,7 @@ impl<'p, F: FoldSink, R: MemRoute<F>> EventSink for FrontEnd<'p, F, R> {
         }
         if let Some(m) = &self.prune {
             if m.contains_mem(instr) {
-                // Access-level prune: the site never reaches the memory
-                // route — no shadow interaction, no `mem_pre` — and its
+                // Access-level prune: no shadow interaction; the site's
                 // streams are synthesized from the static dependence
                 // relation after the run (see `MemSynth`).
                 self.pruned_mem_events += 1;
@@ -526,14 +438,14 @@ impl<'p, F: FoldSink, R: MemRoute<F>> EventSink for FrontEnd<'p, F, R> {
         }
         let stmt = self.current_stmt(instr);
         self.refresh_coords();
-        self.route.mem_touch(
-            &mut self.out,
+        self.shadow.resolve(
             &self.cfg,
             &mut self.snaps,
             stmt,
             &self.coords,
             addr,
             is_write,
+            &mut self.out,
         );
     }
 

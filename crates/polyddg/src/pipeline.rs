@@ -1,36 +1,25 @@
-//! Stage split of pass 2 for intra-trace pipeline parallelism.
+//! Key-sharded fan-out of the resolved stream, for intra-trace parallel
+//! folding.
 //!
-//! [`DdgProfiler`](crate::DdgProfiler) does everything on the VM thread:
-//! loop events, IIV maintenance, statement interning, register tracking,
-//! shadow-memory resolution, and the sink calls. For one large trace that
-//! serializes the whole run. The staged form splits it:
+//! [`DdgProfiler`](crate::DdgProfiler) does everything but folding on the VM
+//! thread — loop events, IIV maintenance, statement interning, register
+//! tracking, shadow-memory resolution — because all of it follows the one
+//! control-flow trace. Folding does not: each folding key's stream is
+//! independent of every other key's. [`ShardRouter`] is the
+//! [`FoldSink`] that exploits that: handed to the profiler in place of a
+//! folding sink, it partitions the resolved stream over K folding workers
+//! by statement id (dependences by *consumer* id — the folding key contains
+//! the consumer, so every dependence stream lives wholly in one shard) and
+//! ships it in [`EventChunk`](crate::chunk::EventChunk)s over bounded
+//! channels. Orchestration lives in `polyfold::pipeline`, which owns the
+//! folding side.
 //!
-//! 1. **The same [`FrontEnd`](crate::FrontEnd)**, instantiated over a
-//!    [`PreSink`](crate::PreSink), stays on the VM thread and keeps only the
-//!    inherently sequential work — loop events, the dynamic IIV,
-//!    context/statement interning, and register-flow tracking (frame-local
-//!    state). Memory events are *not* resolved; they leave as
-//!    [`PreSink::mem_pre`](crate::PreSink::mem_pre) records carrying
-//!    `(stmt, coords, addr, is_write)`.
-//! 2. **A resolver stage** (`polyfold::pipeline`) owns a
-//!    [`ShadowMemory`](crate::shadow::ShadowMemory) on its own thread and
-//!    turns `mem_pre` records into flow/anti/output dependences plus
-//!    `mem_access` events through the in-line route's own routine.
-//! 3. **[`ShardRouter`]** (this file) partitions the resolved stream over K
-//!    folding workers by statement id (dependences by *consumer* id — the
-//!    folding key contains the consumer, so every dependence stream lives
-//!    wholly in one shard).
-//!
-//! The stages exchange [`EventChunk`](crate::chunk::EventChunk)s over
-//! bounded channels; orchestration lives in `polyfold::pipeline`, which
-//! owns the folding side.
-//!
-//! Event order is preserved *per folding key*: each stage is single-threaded
-//! and the channels are FIFO, so the subsequence of events a given shard
-//! sees for one key is exactly the serial profiler's subsequence. That is
-//! the invariant `StreamFolder` needs (lexicographically non-decreasing
-//! coordinates per key) and the reason the sharded run folds byte-identical
-//! state.
+//! Event order is preserved *per folding key*: the producer is
+//! single-threaded and the channels are FIFO, so the subsequence of events a
+//! given shard sees for one key is exactly the serial profiler's
+//! subsequence. That is the invariant `StreamFolder` needs
+//! (lexicographically non-decreasing coordinates per key) and the reason the
+//! sharded run folds byte-identical state.
 
 use crate::chunk::ChunkWriter;
 use crate::{DepKind, FoldSink};
@@ -74,10 +63,10 @@ impl ShardRouter {
     }
 
     /// Attach a telemetry collector to every shard writer; shard `k` reports
-    /// on channel edge `1 + k` (edge 0 is the pre → resolver edge).
+    /// on channel edge `k`.
     pub fn set_trace(&mut self, collector: &Arc<Collector>) {
         for (k, w) in self.shards.iter_mut().enumerate() {
-            w.set_trace(Arc::clone(collector), 1 + k);
+            w.set_trace(Arc::clone(collector), k);
         }
     }
 

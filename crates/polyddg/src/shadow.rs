@@ -218,11 +218,9 @@ impl ShadowMemory {
 
     /// Resolve one memory touch by `stmt` at `coords` on word `addr`: read
     /// and update the shadow cell, emit the flow / output / anti dependences
-    /// `cfg` tracks, then the `mem_access` event. The one shadow-resolution
-    /// routine: the in-line profiler and the staged resolver stage both come
-    /// through here, so they emit the same events in the same order. `snaps`
-    /// supplies the writer snapshot of `coords` (taken only when a record is
-    /// stored) and the arena earlier records resolve in.
+    /// `cfg` tracks, then the `mem_access` event. `snaps` supplies the
+    /// writer snapshot of `coords` (taken only when a record is stored) and
+    /// the arena earlier records resolve in.
     ///
     /// When an armed fault plan refuses the shadow page, the access is still
     /// emitted but its dependences are unknowable: every count in

@@ -118,13 +118,9 @@ pub fn self_flamegraph_svg(m: &polytrace::RunMetrics, title: &str) -> String {
             }
         }
     } else {
-        let pre = m.counter(Counter::EventsEmitted);
-        if pre > 0 {
-            tree.add_path(&[profile, StageNode::Pipe(PipeStage::PreProfile)], pre);
-        }
-        let res = m.counter(Counter::EventsResolved);
-        if res > 0 {
-            tree.add_path(&[profile, StageNode::Pipe(PipeStage::ShadowResolve)], res);
+        let routed = m.counter(Counter::EventsRouted);
+        if routed > 0 {
+            tree.add_path(&[profile, StageNode::Pipe(PipeStage::PreProfile)], routed);
         }
         for (k, &ev) in m.shard_events.iter().enumerate() {
             if ev > 0 {

@@ -288,8 +288,8 @@ pub struct FoldOptions {
     /// Verify fixed affine candidates with overflow-checked `i64`
     /// arithmetic, falling back to exact rationals on overflow. Disabling it
     /// forces the pure-rational verification path everywhere — the
-    /// pre-optimization reference the differential tests and the
-    /// with-folding benchmark baseline use.
+    /// reference `tests/fitter_differential.rs` pins the fast path against
+    /// and `bench_pipeline` uses as its with-folding baseline.
     pub fast_fit: bool,
 }
 
@@ -341,8 +341,6 @@ pub struct FoldStats {
     pub events_folded: u64,
     /// Dependence events consumed (subset of `events_folded`).
     pub deps_folded: u64,
-    /// Whole event chunks folded through the batched path.
-    pub chunks_folded: u64,
     /// Folders switched to coarse (box + count) folding under budget
     /// pressure.
     pub budget_degraded: u64,
@@ -353,7 +351,6 @@ impl FoldStats {
     pub fn merge(&mut self, other: &FoldStats) {
         self.events_folded += other.events_folded;
         self.deps_folded += other.deps_folded;
-        self.chunks_folded += other.chunks_folded;
         self.budget_degraded += other.budget_degraded;
     }
 }
@@ -523,174 +520,6 @@ impl FoldingSink {
             v.resize_with(idx + 1, || None);
         }
         &mut v[idx]
-    }
-}
-
-/// Reusable scratch buffers for [`FoldingSink::fold_chunk`] — one per
-/// folding worker, so the per-chunk grouping never allocates in steady
-/// state.
-#[derive(Debug, Default)]
-pub struct ChunkScratch {
-    /// `(group key, record index)` pairs, sorted stably per chunk.
-    keys: Vec<(u64, u32)>,
-}
-
-/// Group-key tags: the low 2 bits of a key select the folder family, the
-/// high bits carry the statement (or consumer) id.
-const TAG_POINT: u64 = 0;
-const TAG_ACCESS: u64 = 1;
-const TAG_DEP: u64 = 2;
-
-impl FoldingSink {
-    /// Fold a whole fully-resolved chunk, batched: records are grouped by
-    /// folding key (statement for points/accesses, consumer for
-    /// dependences) with a stable sort, so folder state is located and
-    /// borrowed once per (key, chunk) instead of once per event. Within a
-    /// key the original event order is preserved, and keys never share
-    /// folder state, so the folded result is byte-identical to
-    /// [`EventChunk::replay_into`](polyddg::chunk::EventChunk::replay_into).
-    ///
-    /// Budgeted sinks fall back to in-order replay: budget degradation
-    /// latches per *event-arrival* order, which grouping would perturb.
-    pub fn fold_chunk(&mut self, chunk: &polyddg::chunk::EventChunk, scratch: &mut ChunkScratch) {
-        use polyddg::chunk::EventRef;
-        if self.budget.is_some() {
-            chunk.replay_into(self);
-            return;
-        }
-        self.stats.chunks_folded += 1;
-        let keys = &mut scratch.keys;
-        keys.clear();
-        keys.reserve(chunk.len());
-        for (i, ev) in chunk.events().enumerate() {
-            let key = match ev {
-                EventRef::Point { stmt, .. } => ((stmt.0 as u64) << 2) | TAG_POINT,
-                EventRef::Access { stmt, .. } => ((stmt.0 as u64) << 2) | TAG_ACCESS,
-                EventRef::Dep { dst, .. } => ((dst.0 as u64) << 2) | TAG_DEP,
-                EventRef::MemPre { .. } => {
-                    unreachable!("unresolved memory event reached a folding shard")
-                }
-            };
-            keys.push((key, i as u32));
-        }
-        // Stable: events of one key keep their serial order.
-        keys.sort_by_key(|&(k, _)| k);
-        let fast_fit = self.options.fast_fit;
-        let mut pos = 0;
-        while pos < keys.len() {
-            let key = keys[pos].0;
-            let end = pos + keys[pos..].iter().take_while(|e| e.0 == key).count();
-            let group = &keys[pos..end];
-            match key & 3 {
-                TAG_POINT => {
-                    let stmt = StmtId((key >> 2) as u32);
-                    let EventRef::Point { coords, .. } = chunk.event_at(group[0].1 as usize) else {
-                        unreachable!()
-                    };
-                    let dim = coords.len();
-                    let folder = Self::stmt_slot(&mut self.stmts, stmt)
-                        .get_or_insert_with(|| StreamFolder::with_fast_fit(dim, fast_fit));
-                    self.total_ops += group.len() as u64;
-                    self.stats.events_folded += group.len() as u64;
-                    for &(_, i) in group {
-                        let EventRef::Point { coords, value, .. } = chunk.event_at(i as usize)
-                        else {
-                            unreachable!()
-                        };
-                        match value {
-                            Some(v) => folder.push(coords, Some(&[v])),
-                            None => folder.push(coords, None),
-                        }
-                    }
-                }
-                TAG_ACCESS => {
-                    let stmt = StmtId((key >> 2) as u32);
-                    let EventRef::Access {
-                        coords, is_write, ..
-                    } = chunk.event_at(group[0].1 as usize)
-                    else {
-                        unreachable!()
-                    };
-                    let dim = coords.len();
-                    let (folder, _) =
-                        Self::stmt_slot(&mut self.accesses, stmt).get_or_insert_with(|| {
-                            (StreamFolder::with_fast_fit(dim, fast_fit), is_write)
-                        });
-                    self.stats.events_folded += group.len() as u64;
-                    for &(_, i) in group {
-                        let EventRef::Access { coords, addr, .. } = chunk.event_at(i as usize)
-                        else {
-                            unreachable!()
-                        };
-                        folder.push(coords, Some(&[addr as i64]));
-                    }
-                }
-                _ => {
-                    let dst = StmtId((key >> 2) as u32);
-                    let idx = dst.0 as usize;
-                    if idx >= self.dep_slots.len() {
-                        self.dep_slots.resize_with(idx + 1, Vec::new);
-                    }
-                    self.stats.events_folded += group.len() as u64;
-                    self.stats.deps_folded += group.len() as u64;
-                    // Group-local MRU: consecutive events of one consumer
-                    // overwhelmingly repeat the same (kind, src, class).
-                    let mut last: Option<(DepKind, StmtId, u8, u32)> = None;
-                    for &(_, i) in group {
-                        let EventRef::Dep {
-                            kind,
-                            src,
-                            src_coords,
-                            dst_coords,
-                            ..
-                        } = chunk.event_at(i as usize)
-                        else {
-                            unreachable!()
-                        };
-                        let common = src_coords.len().min(dst_coords.len());
-                        let class = if self.options.split_classes {
-                            (0..common)
-                                .find(|&i| src_coords[i] != dst_coords[i])
-                                .map(|i| i as u8)
-                                .unwrap_or(CLASS_NONE)
-                        } else {
-                            0
-                        };
-                        let slot = match last {
-                            Some((k2, s2, c2, sl)) if k2 == kind && s2 == src && c2 == class => sl,
-                            _ => {
-                                let table = &mut self.dep_slots[idx];
-                                match table
-                                    .iter()
-                                    .find(|e| e.0 == kind && e.1 == src && e.2 == class)
-                                {
-                                    Some(e) => e.3,
-                                    None => {
-                                        let slot = self.deps.len() as u32;
-                                        self.deps.push((
-                                            (kind, src, dst, class),
-                                            StreamFolder::with_fast_fit(dst_coords.len(), fast_fit),
-                                            vec![(i64::MAX, i64::MIN); common],
-                                        ));
-                                        self.dep_slots[idx].push((kind, src, class, slot));
-                                        slot
-                                    }
-                                }
-                            }
-                        };
-                        last = Some((kind, src, class, slot));
-                        let (_, folder, delta) = &mut self.deps[slot as usize];
-                        for (d, k) in delta.iter_mut().zip(0..common) {
-                            let v = dst_coords[k] - src_coords[k];
-                            d.0 = d.0.min(v);
-                            d.1 = d.1.max(v);
-                        }
-                        folder.push(dst_coords, Some(src_coords));
-                    }
-                }
-            }
-            pos = end;
-        }
     }
 }
 

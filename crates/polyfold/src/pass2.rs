@@ -1,22 +1,25 @@
 //! Pass 2, the serial way, plus what every executor of it shares.
 //!
-//! * `run_front_end` drives the VM over a `polyddg::FrontEnd` — the only
-//!   pass-2 `Vm::run` in the workspace (serial driver: in-line profiler;
-//!   staged producer: chunk-writing one).
-//! * [`fold_serial`], the serial driver: front end → in-line shadow
-//!   resolution → optional [`Recorder`] tap → [`FoldingSink`] → [`MemSynth`].
-//!   [`try_fold_program`](crate::try_fold_program), the driver's default
-//!   arm and the supervised pipeline's fallback all run it.
+//! * `drive_serial` is the producer of every live executor: VM →
+//!   [`DdgProfiler`] (IIV, interning, register and shadow tracking, all in
+//!   line) → optional [`Recorder`] tap → a [`FoldSink`] → [`MemSynth`]. It
+//!   holds the only pass-2 `Vm::run` and the only `Recorder::to_file` in the
+//!   crate, so prune mask, budget, deadline and recording behave the same
+//!   whatever the sink is.
+//! * [`fold_serial`] hands it a [`FoldingSink`]: everything on the calling
+//!   thread. [`try_fold_program`](crate::try_fold_program), the driver's
+//!   default arm and the supervised pipeline's fallback all run it. The
+//!   pipeline (`crate::pipeline`) hands it a `ShardRouter` instead.
 //! * [`close_degradation`] finishes a run's loss accounting.
 //!
-//! Stages only tally; counters reach the collector from the attempt that
+//! Executors only tally; counters reach the collector from the attempt that
 //! produced the result, so a failed attempt leaves no counts behind.
 
 use crate::pipeline::PipelineConfig;
 use crate::{FoldStats, FoldedDdg, FoldingSink};
 use polycfg::StaticStructure;
 use polyddg::prune::{PruneMask, PrunedEvents};
-use polyddg::{DdgProfiler, FoldSink, FrontEnd, MemRoute, MemSynth};
+use polyddg::{DdgProfiler, FoldSink, MemSynth};
 use polyiiv::context::ContextInterner;
 use polyir::Program;
 use polyrec::{Recorder, WriteStats};
@@ -25,15 +28,22 @@ use polytrace::{Collector, Counter, TID_DRIVER};
 use std::path::Path;
 use std::sync::Arc;
 
-/// What the front end tallied over one VM run.
+/// What the producer tallied over one VM run.
 pub(crate) struct FrontTallies {
     dyn_ops: u64,
     mem_events: u64,
     pub(crate) pruned: PrunedEvents,
     ctx_cache: (u64, u64),
+    shadow_mru: (u64, u64),
+    shadow_pages: u64,
+    /// Shadow pages an armed fault plan refused; each left exactly one
+    /// access without its dependences.
+    shadow_alloc_failures: u64,
+    arena_bytes: u64,
     opcodes: Option<Box<polyvm::OpcodeTelemetry>>,
     /// The budget watchdog stopped the VM: the stream is a valid prefix.
-    pub(crate) deadline_hit: bool,
+    deadline_hit: bool,
+    recording: Option<WriteStats>,
 }
 
 impl FrontTallies {
@@ -47,6 +57,21 @@ impl FrontTallies {
         c.add(Counter::PrunedMemEvents, self.pruned.mem);
         c.add(Counter::CtxCacheHit, self.ctx_cache.0);
         c.add(Counter::CtxCacheMiss, self.ctx_cache.1);
+        c.add(Counter::ShadowMruHit, self.shadow_mru.0);
+        c.add(Counter::ShadowMruMiss, self.shadow_mru.1);
+        c.add(Counter::ShadowPages, self.shadow_pages);
+        c.add(Counter::ArenaBytes, self.arena_bytes);
+        if let Some(rec) = &self.recording {
+            c.add(Counter::RecFramesWritten, rec.frames);
+            c.add(Counter::RecBytesWritten, rec.bytes);
+        }
+    }
+
+    /// Note what the producer lost in `deg`.
+    pub(crate) fn note_losses(&self, deg: &mut RunDegradation) {
+        deg.deadline_hit |= self.deadline_hit;
+        deg.shadow_alloc_failures = self.shadow_alloc_failures;
+        deg.unresolved_accesses = self.shadow_alloc_failures;
     }
 }
 
@@ -54,42 +79,6 @@ impl FrontTallies {
 pub(crate) fn harvest_fold(c: &Collector, fs: &FoldStats) {
     c.add(Counter::EventsFolded, fs.events_folded);
     c.add(Counter::DepsFolded, fs.deps_folded);
-    c.add(Counter::ChunksFolded, fs.chunks_folded);
-}
-
-/// Run pass 2 of `prog` through `prof`. `trace` only decides whether the VM
-/// counts opcodes (plain-u64 counting at `Timing`, plus sampled dispatch
-/// timing at `Trace`; `Off`/`Counters` never arm it).
-pub(crate) fn run_front_end<F: FoldSink, R: MemRoute<F>>(
-    prog: &Program,
-    prof: &mut FrontEnd<'_, F, R>,
-    trace: Option<&Arc<Collector>>,
-) -> Result<FrontTallies, PolyProfError> {
-    let mut vm = polyvm::Vm::new(prog);
-    if let Some(c) = trace.filter(|c| c.timing()) {
-        vm.enable_opcode_telemetry(c.tracing());
-    }
-    let deadline_hit = match vm.run(&[], prof) {
-        Ok(_) => false,
-        Err(polyvm::VmError::Aborted) => true,
-        Err(e) => {
-            return Err(PolyProfError::Vm {
-                stage: "pass-2",
-                msg: e.to_string(),
-            })
-        }
-    };
-    Ok(FrontTallies {
-        dyn_ops: prof.dyn_ops,
-        mem_events: prof.mem_events,
-        pruned: PrunedEvents {
-            reg: prof.pruned_events,
-            mem: prof.pruned_mem_events,
-        },
-        ctx_cache: prof.interner.cache_stats(),
-        opcodes: vm.take_opcode_telemetry(),
-        deadline_hit,
-    })
 }
 
 /// A finished serial pass 2, folded but not yet finalized (so the caller
@@ -107,7 +96,7 @@ impl SerialRun {
         prog: &Program,
         deg: &mut RunDegradation,
     ) -> (FoldedDdg, ContextInterner, PrunedEvents) {
-        deg.deadline_hit |= self.front.deadline_hit;
+        self.front.note_losses(deg);
         deg.budget_overapprox_stmts = self.sink.fold_stats().budget_degraded;
         let ddg = self.sink.finalize(prog, &self.interner);
         (ddg, self.interner, self.front.pruned)
@@ -117,8 +106,8 @@ impl SerialRun {
 /// The serial pass-2 driver: everything on the calling thread, no fault
 /// hooks — the trusted path. Of `cfg` it reads `options`, `ddg` and (for
 /// the recorder's frame size) `chunk_events`. `record` also writes the
-/// resolved stream to a `.ptrace` file; `budget` is charged for retained
-/// state and its deadline stops the VM gracefully.
+/// event stream to a `.ptrace` file; `budget` is charged for retained state
+/// and its deadline stops the VM gracefully.
 #[allow(clippy::too_many_arguments)]
 pub fn fold_serial(
     prog: &Program,
@@ -134,23 +123,12 @@ pub fn fold_serial(
     if let Some(b) = budget {
         sink.set_budget(Arc::clone(b));
     }
-    let mut recording = None;
-    let (sink, interner, front) = match record {
-        Some(path) => {
-            let tap = Recorder::to_file(path, prog, cfg.chunk_events.max(1), sink)?;
-            let (tap, interner, front) =
-                drive_serial(prog, structure, cfg, trace, prune, synth, budget, tap)?;
-            let (sink, stats) = tap.finish(&interner)?;
-            recording = Some(stats);
-            (sink, interner, front)
-        }
-        None => drive_serial(prog, structure, cfg, trace, prune, synth, budget, sink)?,
-    };
+    let (sink, interner, front) = drive_serial(
+        prog, structure, cfg, trace, prune, synth, record, budget, None, sink,
+    )?;
     if let Some(c) = trace {
+        front.harvest(c);
         harvest_fold(c, &sink.fold_stats());
-        if let Some(rec) = &recording {
-            harvest_recording(c, rec);
-        }
     }
     Ok(SerialRun {
         sink,
@@ -159,16 +137,46 @@ pub fn fold_serial(
     })
 }
 
-/// Add a finished recording's size to the run's counters.
-pub(crate) fn harvest_recording(c: &Collector, rec: &WriteStats) {
-    c.add(Counter::RecFramesWritten, rec.frames);
-    c.add(Counter::RecBytesWritten, rec.bytes);
+/// Run pass 2 of `prog` into `out`, through the recording tap when `record`
+/// names a file. Generic over the sink so the tap composes without touching
+/// the plain hot path, and so the pipeline's producer is this same function
+/// over a `ShardRouter`. `faults` arms the producer-side fault sites
+/// (`panic:pre`, `alloc:shadow`); the serial driver passes `None`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn drive_serial<S: FoldSink>(
+    prog: &Program,
+    structure: &StaticStructure,
+    cfg: &PipelineConfig,
+    trace: Option<&Arc<Collector>>,
+    prune: Option<Arc<PruneMask>>,
+    synth: Option<&Arc<dyn MemSynth>>,
+    record: Option<&Path>,
+    budget: Option<&Arc<ResourceBudget>>,
+    faults: Option<&Arc<FaultPlan>>,
+    out: S,
+) -> Result<(S, ContextInterner, FrontTallies), PolyProfError> {
+    let Some(path) = record else {
+        return run_profiler(
+            prog, structure, cfg, trace, prune, synth, budget, faults, out,
+        );
+    };
+    let tap = Recorder::to_file(path, prog, cfg.chunk_events.max(1), out)?;
+    let (tap, interner, mut front) = run_profiler(
+        prog, structure, cfg, trace, prune, synth, budget, faults, tap,
+    )?;
+    // The footer needs the interner's statement table. A failure here fails
+    // the run: a footer-less recording is useless.
+    let (out, stats) = tap.finish(&interner)?;
+    front.recording = Some(stats);
+    Ok((out, interner, front))
 }
 
-/// The body of [`fold_serial`], generic over the resolved-event sink so the
-/// recording tap composes without touching the plain hot path.
+/// The body of [`drive_serial`]: VM → profiler → `out`, then the
+/// synthesized streams of access-level-pruned sites. `trace` only decides
+/// whether the VM counts opcodes (plain-u64 counting at `Timing`, plus
+/// sampled dispatch timing at `Trace`; `Off`/`Counters` never arm it).
 #[allow(clippy::too_many_arguments)]
-fn drive_serial<S: FoldSink>(
+fn run_profiler<S: FoldSink>(
     prog: &Program,
     structure: &StaticStructure,
     cfg: &PipelineConfig,
@@ -176,29 +184,56 @@ fn drive_serial<S: FoldSink>(
     prune: Option<Arc<PruneMask>>,
     synth: Option<&Arc<dyn MemSynth>>,
     budget: Option<&Arc<ResourceBudget>>,
+    faults: Option<&Arc<FaultPlan>>,
     out: S,
 ) -> Result<(S, ContextInterner, FrontTallies), PolyProfError> {
     let mut prof = DdgProfiler::with_config(prog, structure, out, cfg.ddg);
     if let Some(m) = prune {
         prof.set_prune_mask(m);
     }
+    if let Some(p) = faults {
+        prof.set_faults(Arc::clone(p));
+    }
     if let Some(b) = budget {
         prof.set_budget(Arc::clone(b));
     }
-    let front = run_front_end(prog, &mut prof, trace)?;
-    if let Some(c) = trace {
-        front.harvest(c);
-        let (hits, misses) = prof.shadow_mru_stats();
-        c.add(Counter::ShadowMruHit, hits);
-        c.add(Counter::ShadowMruMiss, misses);
-        c.add(Counter::ShadowPages, prof.resident_shadow_pages() as u64);
-        c.add(Counter::ArenaBytes, prof.arena_bytes() as u64);
+    let mut vm = polyvm::Vm::new(prog);
+    if let Some(c) = trace.filter(|c| c.timing()) {
+        vm.enable_opcode_telemetry(c.tracing());
     }
+    let deadline_hit = match vm.run(&[], &mut prof) {
+        Ok(_) => false,
+        Err(polyvm::VmError::Aborted) => true,
+        Err(e) => {
+            return Err(PolyProfError::Vm {
+                stage: "pass-2",
+                msg: e.to_string(),
+            })
+        }
+    };
+    let front = FrontTallies {
+        dyn_ops: prof.dyn_ops,
+        mem_events: prof.mem_events,
+        pruned: PrunedEvents {
+            reg: prof.pruned_events,
+            mem: prof.pruned_mem_events,
+        },
+        ctx_cache: prof.interner.cache_stats(),
+        shadow_mru: prof.shadow_mru_stats(),
+        shadow_pages: prof.resident_shadow_pages() as u64,
+        shadow_alloc_failures: prof.shadow_alloc_failures(),
+        arena_bytes: prof.arena_bytes() as u64,
+        opcodes: vm.take_opcode_telemetry(),
+        deadline_hit,
+        recording: None,
+    };
     let (mut out, interner) = prof.finish();
-    // Re-emit the access-level-pruned memory streams. A deadline-aborted
-    // trace is partial — skip: synthesizing full streams would invent
-    // events the dynamic run never reached.
-    if let Some(sy) = synth.filter(|_| !front.deadline_hit) {
+    // Re-emit the access-level-pruned memory streams into the same sink. The
+    // pruned statements' access/dep keys never appear dynamically, so
+    // appending after the trace keeps every per-key stream in serial order.
+    // A deadline-aborted trace is partial — skip: synthesizing full streams
+    // would invent events the dynamic run never reached.
+    if let Some(sy) = synth.filter(|_| !deadline_hit) {
         sy.synthesize(&interner, &cfg.ddg, &mut out);
     }
     Ok((out, interner, front))

@@ -1,46 +1,46 @@
 //! Intra-trace pipeline parallelism: one profiling run, many threads.
 //!
-//! The serial pass 2 ([`fold_serial`]) does everything on the VM thread.
-//! [`fold_pipelined_supervised`] — the one staged entry point — splits that
-//! run into three stages connected by bounded channels:
+//! The serial pass 2 ([`fold_serial`]) does everything on the calling
+//! thread. [`fold_pipelined_supervised`] — the one staged entry point —
+//! keeps the producer there and moves only the folding onto K worker
+//! threads, behind bounded channels:
 //!
 //! ```text
-//!  VM thread            resolver thread          K folding workers
-//! ┌───────────────┐    ┌──────────────────┐     ┌─────────────────┐
-//! │ FrontEnd      │    │ ResolveStage     │  ┌─▶│ FoldingSink #0  │
-//! │  loop events  │ ch │  shadow memory   │ ch  ├─────────────────┤
-//! │  IIV/interning├───▶│  dep resolution  ├──┼─▶│       ...       │
-//! │  register deps│    │  ShardRouter     │  └─▶│ FoldingSink #K-1│
-//! └───────────────┘    └──────────────────┘     └─────────────────┘
-//!         unresolved events        resolved events, sharded by key
+//!  calling thread                              K folding workers
+//! ┌──────────────────────────────────────┐     ┌─────────────────┐
+//! │ drive_serial                         │  ┌─▶│ FoldingSink #0  │
+//! │  VM → DdgProfiler (IIV, interning,   │ ch  ├─────────────────┤
+//! │  register deps, shadow resolution)   ├──┼─▶│       ...       │
+//! │  → [Recorder tap] → ShardRouter      │  └─▶│ FoldingSink #K-1│
+//! └──────────────────────────────────────┘     └─────────────────┘
+//!                        resolved events, sharded by key
 //! ```
 //!
-//! * Stage 1 is the same `polyddg::FrontEnd` the serial driver runs, with
-//!   its memory touches routed into a [`ChunkWriter`] instead of an in-line
-//!   shadow memory. It is inherently sequential (the IIV and the interner
-//!   follow the single control-flow trace) and batches events into
-//!   [`EventChunk`]s.
-//! * Stage 2 owns the shadow memory and emits resolved dependences — through
-//!   the same `ShadowMemory::resolve` as the in-line route.
-//! * Stage 3 shards by folding key — statement id for points/accesses,
+//! * The producer is `pass2::drive_serial`, the serial driver's own body,
+//!   writing into a [`ShardRouter`] where the serial driver writes into a
+//!   [`FoldingSink`]. It is inherently sequential — the IIV, the interner
+//!   and the shadow memory all follow the single control-flow trace — and
+//!   shadow resolution is its thinnest part, so it has no stage of its own.
+//! * The router shards by folding key — statement id for points/accesses,
 //!   *consumer* statement id for dependences — so each key's whole stream
 //!   lands in exactly one [`FoldingSink`] partition, in serial order
 //!   (single producer, FIFO channels). Per-shard folding state is therefore
 //!   identical to the serial run, and [`FoldedDdg::merge_parts`] produces
-//!   byte-identical output. The worker loop (`fold_worker`) is shared with
-//!   the K > 1 replay of recordings (`crate::replay`).
+//!   byte-identical output. The scaffold (`with_fold_workers`) is shared
+//!   with the K > 1 replay of recordings (`crate::replay`), whose producer
+//!   is a trace reader instead of the VM.
 //!
-//! All channels are bounded (`sync_channel`): a slow consumer backpressures
+//! All channels are bounded (`sync_channel`): a slow worker backpressures
 //! the VM instead of letting chunks pile up. Consumed chunks are recycled
 //! through never-blocking return channels, preserving the zero-allocation
-//! steady state inside every stage.
+//! steady state on both sides.
 //!
 //! ## Supervision
 //!
-//! Every stage thread runs its body under `catch_unwind`, so a panic in any
-//! stage is converted into a structured [`PolyProfError`] instead of
+//! The producer and every worker run under `catch_unwind`, so a panic in
+//! either is converted into a structured [`PolyProfError`] instead of
 //! poisoning the scope. Unwinding drops the stage's channel endpoints, which
-//! unblocks its peers: a dead consumer makes the producer's sends error out
+//! unblocks its peers: a dead worker makes the producer's sends error out
 //! (counted as dropped chunks by [`ChunkWriter`]), and a dead producer makes
 //! `recv` disconnect — no fault can deadlock the pipeline.
 //!
@@ -49,10 +49,10 @@
 //! * a dead *folding worker* only loses its shard — the surviving shards are
 //!   merged with [`FoldedDdg::merge_parts_tolerant`] and the lost shard ids
 //!   are recorded in the [`RunDegradation`];
-//! * a dead *producer or resolver* (or the loss of every shard) fails the
-//!   attempt, which is retried with linear backoff. [`FaultPlan`] occurrence
-//!   counters keep counting across attempts, so a one-shot injected fault
-//!   does not re-fire on retry;
+//! * a dead *producer* (or the loss of every shard) fails the attempt, which
+//!   is retried with linear backoff. [`FaultPlan`] occurrence counters keep
+//!   counting across attempts, so a one-shot injected fault does not re-fire
+//!   on retry;
 //! * after `max_retries` failed attempts the run falls back to
 //!   [`fold_serial`] (no fault hooks — the trusted baseline), still honoring
 //!   the resource budget and the recording request.
@@ -61,26 +61,17 @@
 //! it has succeeded, so failed attempts leave no counts behind. With no
 //! fault plan and no budget armed, every hook is a skipped `None` branch.
 
-use crate::pass2::{
-    close_degradation, fold_serial, harvest_fold, harvest_recording, run_front_end, FrontTallies,
-};
-use crate::{ChunkScratch, FoldOptions, FoldedDdg, FoldingSink};
+use crate::pass2::{close_degradation, drive_serial, fold_serial, harvest_fold, FrontTallies};
+use crate::{FoldOptions, FoldedDdg, FoldingSink};
 use polycfg::StaticStructure;
 use polyddg::chunk::{ChunkStats, ChunkWriter, EventChunk};
-use polyddg::coords::SnapCache;
 use polyddg::pipeline::ShardRouter;
 use polyddg::prune::{PruneMask, PrunedEvents};
-use polyddg::shadow::ShadowMemory;
-use polyddg::{DdgConfig, FoldSink, FrontEnd, MemSynth, Staged};
+use polyddg::{DdgConfig, MemSynth};
 use polyiiv::context::ContextInterner;
 use polyir::Program;
-use polyrec::{Recorder, TraceWriter, WriteStats};
 use polyresist::{panic_msg, FaultPlan, FaultSite, PolyProfError, ResourceBudget, RunDegradation};
-use polytrace::{
-    tid_shard, Collector, Counter, HistKind, Histogram, PipeStage, Stage, TID_DRIVER, TID_RESOLVE,
-};
-use std::fs::File;
-use std::io::BufWriter;
+use polytrace::{tid_shard, Collector, Counter, HistKind, Histogram, PipeStage, Stage, TID_DRIVER};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -92,13 +83,11 @@ use std::time::{Duration, Instant};
 /// recorder's frame size — `chunk_events`.
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineConfig {
-    /// Folding worker count K (≥ 1). With the two stage threads this puts
-    /// K + 2 threads on one trace.
+    /// Folding worker count K (≥ 1): K threads beside the calling one.
     pub fold_threads: usize,
-    /// Events per chunk — the batching granularity between stages.
+    /// Events per chunk — the batching granularity between the producer and
+    /// the workers.
     pub chunk_events: usize,
-    /// Bounded-channel depth, in chunks, per edge (backpressure window).
-    pub queue_chunks: usize,
     /// Folding options for every shard.
     pub options: FoldOptions,
     /// DDG tracking switches (must match the serial config being compared).
@@ -108,17 +97,17 @@ pub struct PipelineConfig {
 impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
-            fold_threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8),
+            fold_threads: 1,
             chunk_events: 4096,
-            queue_chunks: 4,
             options: FoldOptions::default(),
             ddg: DdgConfig::default(),
         }
     }
 }
+
+/// Bounded-channel depth, in chunks, of every producer → worker edge: the
+/// backpressure window, live and on replay.
+const QUEUE_CHUNKS: usize = 4;
 
 /// Supervision policy and resilience hooks for one profiling run.
 ///
@@ -169,39 +158,21 @@ fn recv_timed(
     }
 }
 
-/// Each worker's `(chunks in, recycled chunks back)` channel ends.
-type ShardEnds = Vec<(Receiver<EventChunk>, SyncSender<EventChunk>)>;
-
-/// One stage-2 → stage-3 edge per shard: the writers a [`ShardRouter`] fans
-/// out over, and the matching worker-side channel ends.
-pub(crate) fn shard_edges(
-    k: usize,
-    chunk_events: usize,
-    queue: usize,
-) -> (Vec<ChunkWriter>, ShardEnds) {
-    (0..k)
-        .map(|_| {
-            let (tx, rx) = sync_channel::<EventChunk>(queue);
-            let (pool_tx, pool_rx) = sync_channel::<EventChunk>(queue + 2);
-            (ChunkWriter::new(chunk_events, tx, pool_rx), (rx, pool_tx))
-        })
-        .unzip()
-}
-
 /// What one folding worker hands back: its shard's sink and its tallies.
 pub(crate) struct WorkerOut {
     pub(crate) sink: FoldingSink,
+    /// Chunks folded (one `fold-chunk` span each at `Trace`).
+    pub(crate) chunks: u64,
     malformed: u64,
     recv_stall: u64,
     fold_hist: Histogram,
     stall_hist: Histogram,
 }
 
-/// The stage-3 worker loop: fold every chunk arriving on `rx` into one
-/// shard's [`FoldingSink`], recycling consumed chunks through `pool_tx`
-/// (never blocks: a full pool just drops the chunk), until the sender hangs
-/// up. `trace`, `faults` and `budget` are the live pipeline's hooks.
-pub(crate) fn fold_worker(
+/// The worker loop: fold every chunk arriving on `rx` into one shard's
+/// [`FoldingSink`], recycling consumed chunks through `pool_tx` (never
+/// blocks: a full pool just drops the chunk), until the sender hangs up.
+fn fold_worker(
     shard: usize,
     rx: &Receiver<EventChunk>,
     pool_tx: &SyncSender<EventChunk>,
@@ -215,6 +186,7 @@ pub(crate) fn fold_worker(
     let mut journal = trace.and_then(|c| c.new_journal(tid_shard(shard)));
     let mut out = WorkerOut {
         sink: FoldingSink::with_options(options),
+        chunks: 0,
         malformed: 0,
         recv_stall: 0,
         fold_hist: Histogram::new(),
@@ -223,11 +195,9 @@ pub(crate) fn fold_worker(
     if let Some(b) = budget {
         out.sink.set_budget(Arc::clone(b));
     }
-    let mut seq = 0u64;
-    let mut scratch = ChunkScratch::default();
     while let Some(mut chunk) = recv_timed(rx, timing, &mut out.recv_stall, &mut out.stall_hist) {
         if let Some(c) = trace {
-            c.queue_recv(1 + shard);
+            c.queue_recv(shard);
         }
         if let Some(p) = faults {
             if p.should_fire(FaultSite::PanicFold) {
@@ -242,18 +212,19 @@ pub(crate) fn fold_worker(
                 continue;
             }
         }
+        let seq = out.chunks;
         let opened = journal
             .as_mut()
             .is_some_and(|j| j.begin("fold-chunk", shard as u64, seq));
         let t0 = timing.then(Instant::now);
-        out.sink.fold_chunk(&chunk, &mut scratch);
+        chunk.replay_into(&mut out.sink);
         if let Some(t0) = t0 {
             out.fold_hist.record(t0.elapsed().as_nanos() as u64);
         }
         if let Some(j) = journal.as_mut() {
             j.end(opened, "fold-chunk", shard as u64, seq);
         }
-        seq += 1;
+        out.chunks += 1;
         chunk.clear();
         let _ = pool_tx.try_send(chunk);
     }
@@ -263,124 +234,8 @@ pub(crate) fn fold_worker(
     out
 }
 
-/// The resolver stage: resolves the `MemPre` records of stage-1 chunks
-/// against the owned shadow memory and forwards everything else. Its thread
-/// hands the struct back; [`AttemptOk::harvest`] reads the tallies.
-#[derive(Default)]
-struct ResolveStage<'a> {
-    trace: Option<&'a Arc<Collector>>,
-    faults: Option<&'a Arc<FaultPlan>>,
-    ddg: DdgConfig,
-    shadow: ShadowMemory,
-    /// Writer snapshots: this stage cannot see loop events, so it `sync`s
-    /// the cache with each event's coordinates instead.
-    snaps: SnapCache,
-    resolved: u64,
-    recv_stall: u64,
-    stall_hist: Histogram,
-    route_stats: ChunkStats,
-    rec_writer: Option<TraceWriter<BufWriter<File>>>,
-}
-
-impl ResolveStage<'_> {
-    /// The chunk loop, generic over the resolved-event sink so the recording
-    /// tap composes without touching the non-recording hot path (a plain
-    /// [`ShardRouter`] run monomorphizes on its own).
-    fn run<S: FoldSink>(
-        &mut self,
-        pre_rx: &Receiver<EventChunk>,
-        pre_pool_tx: &SyncSender<EventChunk>,
-        sink: &mut S,
-    ) {
-        let timing = self.trace.is_some_and(|c| c.timing());
-        let mut journal = self.trace.and_then(|c| c.new_journal(TID_RESOLVE));
-        let mut seq = 0u64;
-        while let Some(mut chunk) =
-            recv_timed(pre_rx, timing, &mut self.recv_stall, &mut self.stall_hist)
-        {
-            let opened = journal
-                .as_mut()
-                .is_some_and(|j| j.begin("resolve-chunk", 0, seq));
-            if let Some(c) = self.trace {
-                c.queue_recv(0);
-            }
-            if let Some(p) = self.faults {
-                if p.should_fire(FaultSite::PanicResolve) {
-                    panic!("injected fault: shadow-resolver panic");
-                }
-            }
-            chunk.replay_resolving(sink, |stmt, coords, addr, is_write, sink| {
-                self.resolved += 1;
-                self.snaps.sync(coords);
-                let (ddg, snaps) = (&self.ddg, &mut self.snaps);
-                self.shadow
-                    .resolve(ddg, snaps, stmt, coords, addr, is_write, sink);
-            });
-            chunk.clear();
-            // Recycling never blocks: a full pool just drops the chunk.
-            let _ = pre_pool_tx.try_send(chunk);
-            if let Some(j) = journal.as_mut() {
-                j.end(opened, "resolve-chunk", 0, seq);
-            }
-            seq += 1;
-        }
-        if let (Some(c), Some(j)) = (self.trace, journal) {
-            c.submit_journal(j);
-        }
-    }
-}
-
-/// Everything a successful pipeline attempt produced, before shard
-/// finalization: the (possibly gap-ridden) shard sinks, the loss accounting
-/// the supervisor folds into the [`RunDegradation`], and the stage tallies
-/// [`harvest`](AttemptOk::harvest) adds to the collector.
-struct AttemptOk<'a> {
-    /// One slot per shard; `Err` where the worker died.
-    workers: Vec<Result<WorkerOut, PolyProfError>>,
-    interner: ContextInterner,
-    front: FrontTallies,
-    pre_stats: ChunkStats,
-    resolver: ResolveStage<'a>,
-    recording: Option<WriteStats>,
-}
-
-impl AttemptOk<'_> {
-    /// Add this attempt's stage tallies to the run's collector. Called once,
-    /// on the attempt whose result the run keeps.
-    fn harvest(&self, c: &Collector) {
-        let stalled = |ns: u64, hist: &Histogram| {
-            c.add(Counter::RecvStallNs, ns);
-            c.add(Counter::RecvStallThreads, 1);
-            c.merge_hist(HistKind::RecvStallNs, hist);
-        };
-        self.front.harvest(c);
-        ChunkWriter::harvest(&self.pre_stats, c, Counter::EventsEmitted);
-        let r = &self.resolver;
-        c.add(Counter::EventsResolved, r.resolved);
-        stalled(r.recv_stall, &r.stall_hist);
-        ChunkWriter::harvest(&r.route_stats, c, Counter::EventsRouted);
-        let (hits, misses) = r.shadow.mru_stats();
-        c.add(Counter::ShadowMruHit, hits);
-        c.add(Counter::ShadowMruMiss, misses);
-        c.add(Counter::ShadowPages, r.shadow.resident_pages() as u64);
-        for (shard, w) in self.workers.iter().enumerate() {
-            let Ok(w) = w else { continue };
-            let fs = w.sink.fold_stats();
-            // Registers the shard slot even at zero events, so shard balance
-            // sees every configured shard.
-            c.record_shard_events(shard, fs.events_folded);
-            harvest_fold(c, &fs);
-            stalled(w.recv_stall, &w.stall_hist);
-            c.merge_hist(HistKind::FoldChunkNs, &w.fold_hist);
-        }
-        if let Some(rec) = &self.recording {
-            harvest_recording(c, rec);
-        }
-    }
-}
-
 /// Run a stage body under `catch_unwind`, surfacing a panic as
-/// [`PolyProfError::StagePanic`] so a stage thread never poisons the scope.
+/// [`PolyProfError::StagePanic`] so a stage never poisons the scope.
 fn catch_stage<T>(
     stage: &'static str,
     body: impl FnOnce() -> Result<T, PolyProfError>,
@@ -393,174 +248,150 @@ fn catch_stage<T>(
     })
 }
 
-/// One supervised pipeline attempt. A producer/resolver error — or the loss
-/// of every folding worker — fails the attempt; losing *some* workers only
-/// punches holes in `workers`.
-///
-/// With `record` set, the resolver taps its resolved stream through a
-/// [`Recorder`] into a `.ptrace` file; the footer (which needs the
-/// producer's interner) is written after the stage threads join, so a failed
-/// attempt leaves a detectably unfinished recording behind.
-#[allow(clippy::too_many_arguments)]
-fn fold_attempt<'a>(
-    prog: &Program,
-    structure: &StaticStructure,
-    cfg: &PipelineConfig,
-    trace: Option<&'a Arc<Collector>>,
-    prune: Option<Arc<PruneMask>>,
-    synth: Option<Arc<dyn MemSynth>>,
-    faults: Option<&'a Arc<FaultPlan>>,
+/// The scaffold of every sharded fold, live or replayed: spawn `k` folding
+/// workers, run `feed` on the calling thread over the [`ShardRouter`] that
+/// fans out to them, join. `feed` owns the router, so returning from it — or
+/// unwinding out of it — hangs up every channel and lets the workers drain
+/// and finish. Returns what `feed` returned and one slot per shard, `Err`
+/// where the stage panicked. `trace`, `faults` and `budget` are the live
+/// pipeline's hooks; replay passes `None`.
+pub(crate) fn with_fold_workers<T>(
+    k: usize,
+    chunk_events: usize,
+    options: FoldOptions,
+    trace: Option<&Arc<Collector>>,
+    faults: Option<&Arc<FaultPlan>>,
     budget: Option<&Arc<ResourceBudget>>,
-    record: Option<&Path>,
-) -> Result<AttemptOk<'a>, PolyProfError> {
-    let k = cfg.fold_threads.max(1);
-    let chunk_events = cfg.chunk_events.max(1);
-    let queue = cfg.queue_chunks.max(1);
-
-    let (prod, res, workers) = std::thread::scope(|s| {
-        // Stage 1 → stage 2 edge, then one stage 2 → stage 3 edge per shard.
-        let (pre_tx, pre_rx) = sync_channel::<EventChunk>(queue);
-        let (pre_pool_tx, pre_pool_rx) = sync_channel::<EventChunk>(queue + 2);
-        let (shard_writers, shard_ends) = shard_edges(k, chunk_events, queue);
-
-        let producer = s.spawn(move || {
-            catch_stage("pre", move || {
-                let _span = trace.map(|c| c.pipe_span(PipeStage::PreProfile));
-                let mut writer = ChunkWriter::new(chunk_events, pre_tx, pre_pool_rx);
-                if let Some(c) = trace {
-                    writer.set_trace(Arc::clone(c), 0);
-                }
-                let mut prof = FrontEnd::with_route(prog, structure, writer, Staged, cfg.ddg);
-                if let Some(m) = prune {
-                    prof.set_prune_mask(m);
-                }
-                if let Some(p) = faults {
-                    prof.set_faults(Arc::clone(p));
-                }
-                if let Some(b) = budget {
-                    prof.set_budget(Arc::clone(b));
-                }
-                let front = run_front_end(prog, &mut prof, trace)?;
-                let (mut writer, interner) = prof.finish();
-                // Re-emit the pruned memory streams into the same chunk
-                // flow. The pruned statements' access/dep keys never appear
-                // dynamically, so appending after the trace keeps every
-                // per-key stream in serial order (byte-identical merge). A
-                // deadline-aborted trace is partial — skip: synthesizing
-                // full streams would invent events the run never reached.
-                if let Some(sy) = synth.filter(|_| !front.deadline_hit) {
-                    sy.synthesize(&interner, &cfg.ddg, &mut writer);
-                }
-                Ok((interner, front, writer.finish()))
-            })
-        });
-
-        let resolver = s.spawn(move || {
-            catch_stage("resolve", move || {
-                let _span = trace.map(|c| c.pipe_span(PipeStage::ShadowResolve));
-                let mut stage = ResolveStage {
-                    trace,
-                    faults,
-                    ddg: cfg.ddg,
-                    ..Default::default()
-                };
-                let mut router = ShardRouter::new(shard_writers);
-                if let Some(c) = trace {
-                    router.set_trace(c);
-                }
-                if let Some(p) = faults {
-                    stage.shadow.set_faults(Arc::clone(p));
-                    router.set_faults(p);
-                }
-                if let Some(b) = budget {
-                    stage.shadow.set_budget(Arc::clone(b));
-                    stage.snaps.set_budget(Arc::clone(b));
-                }
-                let router = match record {
-                    Some(path) => {
-                        let mut tap = Recorder::to_file(path, prog, chunk_events, router)?;
-                        stage.run(&pre_rx, &pre_pool_tx, &mut tap);
-                        let (router, writer) = tap.into_writer()?;
-                        stage.rec_writer = Some(writer);
-                        router
-                    }
-                    None => {
-                        stage.run(&pre_rx, &pre_pool_tx, &mut router);
-                        router
-                    }
-                };
-                stage.route_stats = router.finish();
-                Ok(stage)
-            })
-        });
-
-        let workers: Vec<_> = shard_ends
-            .into_iter()
-            .enumerate()
-            .map(|(shard, (rx, pool_tx))| {
-                s.spawn(move || {
-                    catch_stage("fold", move || {
-                        Ok(fold_worker(
-                            shard,
-                            &rx,
-                            &pool_tx,
-                            cfg.options,
-                            trace,
-                            faults,
-                            budget,
-                        ))
-                    })
+    feed: impl FnOnce(ShardRouter) -> Result<T, PolyProfError>,
+) -> (
+    Result<T, PolyProfError>,
+    Vec<Result<WorkerOut, PolyProfError>>,
+) {
+    std::thread::scope(|s| {
+        let mut writers = Vec::with_capacity(k);
+        let mut workers = Vec::with_capacity(k);
+        for shard in 0..k {
+            let (tx, rx) = sync_channel::<EventChunk>(QUEUE_CHUNKS);
+            let (pool_tx, pool_rx) = sync_channel::<EventChunk>(QUEUE_CHUNKS + 2);
+            writers.push(ChunkWriter::new(chunk_events, tx, pool_rx));
+            workers.push(s.spawn(move || {
+                catch_stage("fold", || {
+                    Ok(fold_worker(
+                        shard, &rx, &pool_tx, options, trace, faults, budget,
+                    ))
                 })
-            })
-            .collect();
-
-        let prod = producer.join().expect("supervised stage never panics");
-        let res = resolver.join().expect("supervised stage never panics");
-        let work: Vec<_> = workers
+            }));
+        }
+        let mut router = ShardRouter::new(writers);
+        if let Some(c) = trace {
+            router.set_trace(c);
+        }
+        if let Some(p) = faults {
+            router.set_faults(p);
+        }
+        let fed = catch_stage("pre", || feed(router));
+        let workers = workers
             .into_iter()
             .map(|h| h.join().expect("supervised stage never panics"))
             .collect();
-        (prod, res, work)
-    });
+        (fed, workers)
+    })
+}
 
-    // Producer/resolver failures are unrecoverable within the attempt: the
-    // event stream itself is incomplete in a way no shard merge can repair.
-    let (interner, front, pre_stats) = prod?;
-    let mut resolver = res?;
+/// Everything a successful pipeline attempt produced, before shard
+/// finalization: the (possibly gap-ridden) shard sinks, the loss accounting
+/// the supervisor folds into the [`RunDegradation`], and the stage tallies
+/// [`harvest`](AttemptOk::harvest) adds to the collector.
+struct AttemptOk {
+    /// One slot per shard; `Err` where the worker died.
+    workers: Vec<Result<WorkerOut, PolyProfError>>,
+    interner: ContextInterner,
+    front: FrontTallies,
+    route_stats: ChunkStats,
+}
 
-    // The recording's footer needs the interner (statement table), which
-    // only exists once the producer has joined — write it now. A failure
-    // here fails the attempt: a footer-less recording is useless.
-    let rec_writer = resolver.rec_writer.take();
-    let recording = rec_writer.map(|w| w.finish(&interner)).transpose()?;
+impl AttemptOk {
+    /// Add this attempt's stage tallies to the run's collector. Called once,
+    /// on the attempt whose result the run keeps.
+    fn harvest(&self, c: &Collector) {
+        self.front.harvest(c);
+        ChunkWriter::harvest(&self.route_stats, c);
+        for (shard, w) in self.workers.iter().enumerate() {
+            let Ok(w) = w else { continue };
+            let fs = w.sink.fold_stats();
+            // Registers the shard slot even at zero events, so shard balance
+            // sees every configured shard.
+            c.record_shard_events(shard, fs.events_folded);
+            harvest_fold(c, &fs);
+            c.add(Counter::ChunksFolded, w.chunks);
+            c.add(Counter::RecvStallNs, w.recv_stall);
+            c.add(Counter::RecvStallThreads, 1);
+            c.merge_hist(HistKind::RecvStallNs, &w.stall_hist);
+            c.merge_hist(HistKind::FoldChunkNs, &w.fold_hist);
+        }
+    }
+}
 
+/// One supervised pipeline attempt. A producer error — or the loss of every
+/// folding worker — fails the attempt; losing *some* workers only punches
+/// holes in `workers`. With `record` set the producer taps its stream into a
+/// `.ptrace` file, so a failed attempt leaves a detectably unfinished
+/// recording behind.
+#[allow(clippy::too_many_arguments)]
+fn fold_attempt(
+    prog: &Program,
+    structure: &StaticStructure,
+    cfg: &PipelineConfig,
+    trace: Option<&Arc<Collector>>,
+    prune: Option<Arc<PruneMask>>,
+    synth: Option<&Arc<dyn MemSynth>>,
+    faults: Option<&Arc<FaultPlan>>,
+    budget: Option<&Arc<ResourceBudget>>,
+    record: Option<&Path>,
+) -> Result<AttemptOk, PolyProfError> {
+    let (fed, workers) = with_fold_workers(
+        cfg.fold_threads.max(1),
+        cfg.chunk_events.max(1),
+        cfg.options,
+        trace,
+        faults,
+        budget,
+        |router| {
+            let _span = trace.map(|c| c.pipe_span(PipeStage::PreProfile));
+            let (router, interner, front) = drive_serial(
+                prog, structure, cfg, trace, prune, synth, record, budget, faults, router,
+            )?;
+            Ok((interner, front, router.finish()))
+        },
+    );
+    // A producer failure is unrecoverable within the attempt: the event
+    // stream itself is incomplete in a way no shard merge can repair.
+    let (interner, front, route_stats) = fed?;
     if workers.iter().all(Result::is_err) {
         let last = workers.last().and_then(|w| w.as_ref().err());
         let msg = last.expect("k >= 1").to_string();
         return Err(PolyProfError::StagePanic { stage: "fold", msg });
     }
-
     Ok(AttemptOk {
         workers,
         interner,
         front,
-        pre_stats,
-        resolver,
-        recording,
+        route_stats,
     })
 }
 
 /// Pass 2 as a supervised staged pipeline — the one pipelined entry point:
-/// the three stages of the module docs over `2 + fold_threads` threads, plus
-/// fault hooks, bounded retry, serial fallback, and a [`RunDegradation`]
-/// record of everything the run lost. Byte-identical to [`fold_serial`] →
-/// `finalize` (the sharded differential suite). `Err` only when even the
-/// serial fallback cannot complete (a deterministic VM failure).
+/// the producer of the module docs on the calling thread and `fold_threads`
+/// worker threads, plus fault hooks, bounded retry, serial fallback, and a
+/// [`RunDegradation`] record of everything the run lost. Byte-identical to
+/// [`fold_serial`] → `finalize` (the sharded differential suite). `Err` only
+/// when even the serial fallback cannot complete (a deterministic VM
+/// failure).
 ///
-/// `prune` installs a static prune mask on the front end; when it carries
+/// `prune` installs a static prune mask on the profiler; when it carries
 /// access-level bits, `synth` must re-emit the pruned memory streams (see
 /// [`MemSynth`]). The third return value counts the events it skipped.
-/// `record` streams each attempt's resolved events into a `.ptrace` file
+/// `record` streams each attempt's events into a `.ptrace` file
 /// (a retry, and the serial fallback, recreate it). `trace` gets spans,
 /// gauges and journals live, and the winning attempt's counters once.
 #[allow(clippy::too_many_arguments)]
@@ -584,7 +415,7 @@ pub fn fold_pipelined_supervised(
             cfg,
             trace,
             prune.clone(),
-            synth.clone(),
+            synth.as_ref(),
             res.faults.as_ref(),
             res.budget.as_ref(),
             record,
@@ -625,12 +456,8 @@ pub fn fold_pipelined_supervised(
             if let Some(c) = trace {
                 ok.harvest(c);
             }
-            deg.dropped_chunks =
-                ok.pre_stats.dropped_chunks + ok.resolver.route_stats.dropped_chunks;
-            // Every refused shadow page leaves exactly one access unresolved.
-            deg.shadow_alloc_failures = ok.resolver.shadow.alloc_failures();
-            deg.unresolved_accesses = deg.shadow_alloc_failures;
-            deg.deadline_hit = ok.front.deadline_hit;
+            deg.dropped_chunks = ok.route_stats.dropped_chunks;
+            ok.front.note_losses(&mut deg);
             let mut shards = Vec::with_capacity(ok.workers.len());
             for (shard, w) in ok.workers.into_iter().enumerate() {
                 match &w {
@@ -802,14 +629,14 @@ mod tests {
         assert_eq!(ddg.accesses.len(), serial.accesses.len());
     }
 
-    /// A one-shot resolver panic fails the first attempt; the retry probes
+    /// A one-shot producer panic fails the first attempt; the retry probes
     /// past the armed occurrence and completes with full-fidelity output.
     #[test]
-    fn one_shot_resolve_panic_retries_to_full_result() {
+    fn one_shot_producer_panic_retries_to_full_result() {
         let p = stencil_prog();
         let (serial, _, _) = fold_program(&p);
         let res = ResilienceConfig {
-            faults: Some(Arc::new(FaultPlan::single(FaultSite::PanicResolve, 1))),
+            faults: Some(Arc::new(FaultPlan::single(FaultSite::PanicPre, 1))),
             ..Default::default()
         };
         let (ddg, deg) = supervised(&p, &tiny_cfg(2), &res);
@@ -847,7 +674,7 @@ mod tests {
         let p = stencil_prog();
         let (serial, _, _) = fold_program(&p);
         let res = ResilienceConfig {
-            faults: Some(Arc::new(FaultPlan::always(FaultSite::PanicResolve))),
+            faults: Some(Arc::new(FaultPlan::always(FaultSite::PanicPre))),
             max_retries: 1,
             backoff: Duration::from_millis(1),
             ..Default::default()

@@ -1,22 +1,21 @@
 //! Offline re-folding of `.ptrace` recordings (capture/replay split).
 //!
-//! A recording holds the fully-resolved folding-interface stream, so replay
-//! needs neither the VM nor the shadow resolver: [`fold_recording`] decodes
-//! frames back into recycled [`EventChunk`]s and folds them — serially for
-//! K ≤ 1, or through the same [`ShardRouter`] → K-worker shape (and the same
-//! worker loop) as the live pipeline for K > 1. Sharding is by folding key with per-key serial order
-//! preserved, so the replayed [`FoldedDdg`] is byte-identical (see
-//! [`FoldedDdg::canonical_text`]) to the live fold at *every* K — the
-//! invariant the CI replay gate enforces.
+//! A recording holds the folding-interface stream itself, so replay needs
+//! neither the VM nor the shadow memory: [`fold_recording`] decodes frames
+//! back into recycled [`EventChunk`]s and folds them — serially for K ≤ 1,
+//! or through the live pipeline's own scaffold (`with_fold_workers`: a
+//! `ShardRouter` in front of K workers) for K > 1. Sharding is by folding
+//! key with per-key serial order preserved, so the replayed [`FoldedDdg`]
+//! is byte-identical (see [`FoldedDdg::canonical_text`]) to the live fold at
+//! *every* K — the invariant the CI replay gate enforces.
 
 use crate::pass2::harvest_fold;
-use crate::pipeline::{fold_worker, shard_edges};
-use crate::{ChunkScratch, FoldOptions, FoldedDdg, FoldingSink};
+use crate::pipeline::with_fold_workers;
+use crate::{FoldOptions, FoldedDdg, FoldingSink};
 use polyddg::chunk::EventChunk;
-use polyddg::pipeline::ShardRouter;
 use polyiiv::context::ContextInterner;
 use polyir::Program;
-use polyrec::{program_hash, ReadStats, TraceReader};
+use polyrec::{program_hash, TraceReader};
 use polyresist::PolyProfError;
 use polytrace::{Collector, Counter};
 use std::path::Path;
@@ -48,22 +47,43 @@ pub fn fold_recording(
             ),
         });
     }
-    let k = fold_threads.max(1);
-    let (sinks, interner, stats) = if k == 1 {
+    let mut chunk = EventChunk::default();
+    let (sinks, chunks_folded, interner, stats) = if fold_threads <= 1 {
         let mut sink = FoldingSink::with_options(options);
-        let mut scratch = ChunkScratch::default();
-        let mut chunk = EventChunk::default();
         while reader.next_chunk(&mut chunk)? {
-            sink.fold_chunk(&chunk, &mut scratch);
+            chunk.replay_into(&mut sink);
         }
         let (interner, stats) = reader.finish()?;
-        (vec![sink], interner, stats)
+        (vec![sink], stats.frames, interner, stats)
     } else {
-        fold_replay_sharded(reader, k, options)?
+        // The feeder routes by folding key into K worker channels: the live
+        // pipeline with a trace reader where the VM and profiler would be.
+        let chunk_events = reader.meta().chunk_events.max(1) as usize;
+        let (fed, workers) = with_fold_workers(
+            fold_threads,
+            chunk_events,
+            options,
+            None,
+            None,
+            None,
+            |mut router| {
+                while reader.next_chunk(&mut chunk)? {
+                    chunk.replay_into(&mut router);
+                }
+                router.finish();
+                reader.finish()
+            },
+        );
+        let (interner, stats) = fed?;
+        let workers = workers.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let chunks = workers.iter().map(|w| w.chunks).sum();
+        let sinks: Vec<FoldingSink> = workers.into_iter().map(|w| w.sink).collect();
+        (sinks, chunks, interner, stats)
     };
     if let Some(c) = trace {
         c.add(Counter::RecFramesRead, stats.frames);
         c.add(Counter::RecBytesRead, stats.bytes);
+        c.add(Counter::ChunksFolded, chunks_folded);
         for sink in &sinks {
             harvest_fold(c, &sink.fold_stats());
         }
@@ -73,51 +93,4 @@ pub fn fold_recording(
         .map(|s| s.finalize(prog, &interner))
         .collect::<Vec<_>>();
     Ok((FoldedDdg::merge_parts(parts), interner))
-}
-
-/// K > 1 replay: a reader thread decodes frames and routes the events by
-/// folding key into K worker channels (the live pipeline's stage-2 → stage-3
-/// edge, minus the VM and resolver in front of it).
-fn fold_replay_sharded<R: std::io::Read + Send>(
-    mut reader: TraceReader<R>,
-    k: usize,
-    options: FoldOptions,
-) -> Result<(Vec<FoldingSink>, ContextInterner, ReadStats), PolyProfError> {
-    // Mirror the live pipeline's defaults for batching and backpressure.
-    let chunk_events = reader.meta().chunk_events.max(1) as usize;
-    let queue = 4;
-
-    std::thread::scope(|s| {
-        let (shard_writers, shard_ends) = shard_edges(k, chunk_events, queue);
-
-        let feeder = s.spawn(
-            move || -> Result<(ContextInterner, ReadStats), PolyProfError> {
-                let mut router = ShardRouter::new(shard_writers);
-                let mut chunk = EventChunk::default();
-                while reader.next_chunk(&mut chunk)? {
-                    // Recordings carry only resolved events, so replay_into
-                    // (which rejects MemPre) is safe by construction.
-                    chunk.replay_into(&mut router);
-                }
-                router.finish();
-                reader.finish()
-            },
-        );
-
-        let workers: Vec<_> = shard_ends
-            .into_iter()
-            .enumerate()
-            .map(|(shard, (rx, pool_tx))| {
-                s.spawn(move || fold_worker(shard, &rx, &pool_tx, options, None, None, None).sink)
-            })
-            .collect();
-
-        let fed = feeder.join().expect("replay feeder never panics");
-        let sinks: Vec<FoldingSink> = workers
-            .into_iter()
-            .map(|h| h.join().expect("replay worker never panics"))
-            .collect();
-        let (interner, stats) = fed?;
-        Ok((sinks, interner, stats))
-    })
 }

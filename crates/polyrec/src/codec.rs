@@ -104,10 +104,8 @@ impl<'a> Cursor<'a> {
 /// this is corrupt (the deepest shipped workload nests a dozen levels).
 const MAX_COORDS: u64 = 1 << 12;
 
-// Event opcodes — resolved (fold-interface) alphabet only. A recording
-// holds post-resolution streams, so the pre-resolution `MemPre` record has
-// no opcode: encoding one is a hard error, and any unknown opcode on decode
-// is structured corruption, not a panic.
+// Event opcodes — one per fold-interface event shape. Any unknown opcode on
+// decode is structured corruption, not a panic.
 const OP_POINT: u8 = 0;
 const OP_POINT_VAL: u8 = 1;
 const OP_LOAD: u8 = 2;
@@ -187,10 +185,8 @@ impl DeltaState {
     }
 }
 
-/// Encode one fully-resolved chunk as a frame payload. Errors on a
-/// pre-resolution `MemPre` record — recordings carry the resolved alphabet
-/// so replay needs neither a VM nor a shadow resolver.
-pub fn encode_chunk(chunk: &EventChunk, buf: &mut Vec<u8>) -> Result<(), String> {
+/// Encode one chunk as a frame payload.
+pub fn encode_chunk(chunk: &EventChunk, buf: &mut Vec<u8>) {
     let mut st = DeltaState::default();
     for ev in chunk.events() {
         match ev {
@@ -236,12 +232,8 @@ pub fn encode_chunk(chunk: &EventChunk, buf: &mut Vec<u8>) -> Result<(), String>
                 st.write_stmt(buf, dst);
                 st.write_coords(buf, dst_coords);
             }
-            EventRef::MemPre { .. } => {
-                return Err("unresolved (pre-resolution) event cannot be recorded".into());
-            }
         }
     }
-    Ok(())
 }
 
 /// Decode one frame payload into `chunk` (cleared first). Returns the
@@ -452,7 +444,7 @@ mod tests {
         c.push_dep(DepKind::Flow, StmtId(3), &[0, 1], StmtId(4), &[0, 2]);
         c.push_dep(DepKind::Reg, StmtId(1), &[i64::MIN], StmtId(2), &[i64::MAX]);
         let mut buf = Vec::new();
-        encode_chunk(&c, &mut buf).unwrap();
+        encode_chunk(&c, &mut buf);
         let mut back = EventChunk::default();
         assert_eq!(decode_chunk(&buf, &mut back).unwrap(), 6);
         let orig: Vec<String> = c.events().map(|e| format!("{e:?}")).collect();
@@ -461,19 +453,11 @@ mod tests {
     }
 
     #[test]
-    fn mem_pre_refuses_to_encode() {
-        let mut c = EventChunk::with_capacity(2);
-        c.push_mem_pre(StmtId(0), &[0], 4, false);
-        let mut buf = Vec::new();
-        assert!(encode_chunk(&c, &mut buf).is_err());
-    }
-
-    #[test]
     fn truncated_payload_is_an_error_not_a_panic() {
         let mut c = EventChunk::with_capacity(2);
         c.push_point(StmtId(1), &[5, 6, 7], Some(9));
         let mut buf = Vec::new();
-        encode_chunk(&c, &mut buf).unwrap();
+        encode_chunk(&c, &mut buf);
         let mut back = EventChunk::default();
         for cut in 1..buf.len() {
             assert!(

@@ -4,7 +4,7 @@
 //! resolved folding-interface stream during a live run and persists it as a
 //! compact `.ptrace` file; a [`TraceReader`] replays the frames back into
 //! recycled [`EventChunk`]s so the folder can re-run at any shard count K
-//! without the VM, the shadow resolver, or even the original binary.
+//! without the VM, the shadow memory, or even the original binary.
 //!
 //! # File layout (format version 1)
 //!
@@ -34,7 +34,7 @@
 pub mod codec;
 
 use polyddg::chunk::EventChunk;
-use polyddg::{DepKind, FoldSink, PreSink};
+use polyddg::{DepKind, FoldSink};
 use polyiiv::context::{ContextInterner, StmtId};
 use polyir::Program;
 use polyresist::PolyProfError;
@@ -178,13 +178,13 @@ impl<W: Write + Seek> TraceWriter<W> {
         })
     }
 
-    /// Append one resolved chunk as a checksummed frame.
+    /// Append one chunk as a checksummed frame.
     pub fn write_chunk(&mut self, chunk: &EventChunk) -> Result<(), PolyProfError> {
         if chunk.is_empty() {
             return Ok(());
         }
         self.payload.clear();
-        codec::encode_chunk(chunk, &mut self.payload).map_err(|d| rec_err(&self.label, d))?;
+        codec::encode_chunk(chunk, &mut self.payload);
         self.emit_frame(TAG_FRAME)?;
         self.frames += 1;
         self.events += chunk.len() as u64;
@@ -255,7 +255,7 @@ impl<W: Write + Seek> TraceWriter<W> {
 /// by a broken disk, it just loses the recording.
 pub struct Recorder<S: FoldSink, W: Write + Seek> {
     inner: S,
-    writer: Option<TraceWriter<W>>,
+    writer: TraceWriter<W>,
     buf: EventChunk,
     cap: usize,
     err: Option<PolyProfError>,
@@ -280,7 +280,7 @@ impl<S: FoldSink, W: Write + Seek> Recorder<S, W> {
         let cap = chunk_events.max(1);
         Recorder {
             inner,
-            writer: Some(writer),
+            writer,
             buf: EventChunk::with_capacity(cap),
             cap,
             err: None,
@@ -302,10 +302,8 @@ impl<S: FoldSink, W: Write + Seek> Recorder<S, W> {
             self.buf.clear();
             return;
         }
-        if let Some(w) = self.writer.as_mut() {
-            if let Err(e) = w.write_chunk(&self.buf) {
-                self.err = Some(e);
-            }
+        if let Err(e) = self.writer.write_chunk(&self.buf) {
+            self.err = Some(e);
         }
         self.buf.clear();
     }
@@ -323,23 +321,8 @@ impl<S: FoldSink, W: Write + Seek> Recorder<S, W> {
         if let Some(e) = self.err.take() {
             return Err(e);
         }
-        let writer = self.writer.take().expect("finish called once");
-        let stats = writer.finish(interner)?;
+        let stats = self.writer.finish(interner)?;
         Ok((self.inner, stats))
-    }
-
-    /// Flush the partial chunk and hand back the inner sink and the still
-    /// footer-less writer. For pipelines where the interner only becomes
-    /// available on another thread after this sink is torn down — the caller
-    /// must still call [`TraceWriter::finish`] or the recording is
-    /// (detectably) truncated.
-    pub fn into_writer(mut self) -> Result<(S, TraceWriter<W>), PolyProfError> {
-        self.spill();
-        if let Some(e) = self.err.take() {
-            return Err(e);
-        }
-        let writer = self.writer.take().expect("writer present until teardown");
-        Ok((self.inner, writer))
     }
 }
 
@@ -368,14 +351,6 @@ impl<S: FoldSink, W: Write + Seek> FoldSink for Recorder<S, W> {
         self.after_push();
         self.inner
             .dependence(kind, src, src_coords, dst, dst_coords);
-    }
-}
-
-impl<S: PreSink, W: Write + Seek> PreSink for Recorder<S, W> {
-    /// Pre-resolution records pass straight through: the recording holds the
-    /// *resolved* stream, and unresolved touches are resolved downstream.
-    fn mem_pre(&mut self, stmt: StmtId, coords: &[i64], addr: u64, is_write: bool) {
-        self.inner.mem_pre(stmt, coords, addr, is_write);
     }
 }
 

@@ -46,34 +46,13 @@ pub enum PolyProfError {
     },
     /// A pipeline stage thread panicked and supervision could not recover.
     StagePanic {
-        /// Which stage kind panicked (`"pre"`, `"resolve"`, `"fold"`).
+        /// Which stage kind panicked (`"pre"`, `"fold"`).
         stage: &'static str,
         /// Best-effort panic payload rendering.
         msg: String,
     },
-    /// A channel endpoint disappeared while a stage still had data to move.
-    ChannelClosed {
-        /// The stage that observed the closed channel.
-        stage: &'static str,
-    },
     /// A `POLYPROF_FAULT_PLAN` / [`FaultPlan::parse`] spec did not parse.
     InvalidFaultPlan(String),
-    /// An event chunk failed validation before replay.
-    MalformedChunk {
-        /// Shard that received the chunk.
-        shard: usize,
-        /// What the validator rejected.
-        detail: String,
-    },
-    /// The memory budget was exhausted and degradation was disabled.
-    BudgetExhausted {
-        /// Bytes tracked at the time of failure.
-        used: u64,
-        /// The configured limit.
-        limit: u64,
-    },
-    /// The watchdog deadline fired and partial results were not permitted.
-    DeadlineExceeded,
     /// An on-disk trace recording could not be written or replayed
     /// (IO failure, bad magic, unsupported format version, checksum
     /// mismatch, truncation, or count disagreement).
@@ -92,20 +71,7 @@ impl std::fmt::Display for PolyProfError {
             PolyProfError::StagePanic { stage, msg } => {
                 write!(f, "pipeline stage `{stage}` panicked: {msg}")
             }
-            PolyProfError::ChannelClosed { stage } => {
-                write!(f, "pipeline channel closed under stage `{stage}`")
-            }
             PolyProfError::InvalidFaultPlan(s) => write!(f, "invalid fault plan: {s}"),
-            PolyProfError::MalformedChunk { shard, detail } => {
-                write!(f, "malformed event chunk on shard {shard}: {detail}")
-            }
-            PolyProfError::BudgetExhausted { used, limit } => {
-                write!(
-                    f,
-                    "memory budget exhausted: {used} bytes tracked > {limit} limit"
-                )
-            }
-            PolyProfError::DeadlineExceeded => write!(f, "profiling deadline exceeded"),
             PolyProfError::Recording { path, detail } => {
                 write!(f, "trace recording `{path}`: {detail}")
             }
@@ -133,35 +99,32 @@ pub fn panic_msg(payload: &(dyn std::any::Any + Send)) -> String {
 /// Where in the pipeline a fault can be injected.
 ///
 /// The variants cover the fault matrix from the resilience gate: a panic in
-/// each of the three stage kinds, a chunk-send stall and drop, a shadow-page
+/// each of the two stage kinds, a chunk-send stall and drop, a shadow-page
 /// allocation failure, and a malformed event chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum FaultSite {
-    /// Panic inside the producer (staged `FrontEnd`) event path.
+    /// Panic inside the producer's memory-event path.
     PanicPre = 0,
-    /// Panic inside the shadow-resolver stage thread.
-    PanicResolve = 1,
     /// Panic inside a folding worker while replaying a chunk.
-    PanicFold = 2,
+    PanicFold = 1,
     /// Delay a chunk send (simulated back-pressure stall).
-    StallSend = 3,
+    StallSend = 2,
     /// Silently drop a chunk instead of sending it.
-    DropSend = 4,
+    DropSend = 3,
     /// Fail a shadow-memory page allocation.
-    AllocShadow = 5,
+    AllocShadow = 4,
     /// Corrupt an event chunk in flight (caught by `EventChunk::validate`).
-    MalformedChunk = 6,
+    MalformedChunk = 5,
 }
 
 /// Number of distinct [`FaultSite`]s.
-pub const N_FAULT_SITES: usize = 7;
+pub const N_FAULT_SITES: usize = 6;
 
 impl FaultSite {
     /// All sites, in slot order.
     pub const ALL: [FaultSite; N_FAULT_SITES] = [
         FaultSite::PanicPre,
-        FaultSite::PanicResolve,
         FaultSite::PanicFold,
         FaultSite::StallSend,
         FaultSite::DropSend,
@@ -173,7 +136,6 @@ impl FaultSite {
     pub fn name(self) -> &'static str {
         match self {
             FaultSite::PanicPre => "panic:pre",
-            FaultSite::PanicResolve => "panic:resolve",
             FaultSite::PanicFold => "panic:fold",
             FaultSite::StallSend => "stall:send",
             FaultSite::DropSend => "drop:send",
@@ -260,7 +222,10 @@ impl FaultPlan {
                     .copied()
                     .find(|s| s.name() == site_s)
                     .ok_or_else(|| {
-                        PolyProfError::InvalidFaultPlan(format!("unknown site `{site_s}`"))
+                        let known = FaultSite::ALL.map(FaultSite::name).join(", ");
+                        PolyProfError::InvalidFaultPlan(format!(
+                            "unknown site `{site_s}` (sites: {known})"
+                        ))
                     })?;
                 raw.push((site, occ_s.to_string()));
             }
@@ -568,8 +533,8 @@ impl ResourceBudget {
 /// One noteworthy recovery action, in the order it happened.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DegradationEvent {
-    /// Stage the event belongs to (`"pre"`, `"resolve"`, `"fold"`,
-    /// `"supervisor"`, `"budget"`, …).
+    /// Stage the event belongs to (`"pre"`, `"fold"`, `"supervisor"`,
+    /// `"budget"`, …).
     pub stage: String,
     /// Human-readable description.
     pub detail: String,
@@ -718,13 +683,28 @@ mod tests {
         assert!(FaultPlan::parse("seed=x").is_err());
     }
 
+    /// The resolver stage is gone and so is its site: a plan that still
+    /// names it is rejected, and the message lists what is accepted.
+    #[test]
+    fn parse_rejects_the_removed_resolve_site_and_lists_the_rest() {
+        let err = FaultPlan::parse("seed=1;panic:resolve@1").unwrap_err();
+        let PolyProfError::InvalidFaultPlan(msg) = &err else {
+            panic!("expected InvalidFaultPlan, got {err}");
+        };
+        assert!(msg.contains("panic:resolve"), "{msg}");
+        assert_eq!(FaultSite::ALL.len(), 6);
+        for site in FaultSite::ALL {
+            assert!(msg.contains(site.name()), "{msg} omits {}", site.name());
+        }
+    }
+
     #[test]
     fn every_occurrence_fires_repeatedly() {
-        let p = FaultPlan::always(FaultSite::PanicResolve);
+        let p = FaultPlan::always(FaultSite::PanicPre);
         for _ in 0..4 {
-            assert!(p.should_fire(FaultSite::PanicResolve));
+            assert!(p.should_fire(FaultSite::PanicPre));
         }
-        assert_eq!(p.fired(FaultSite::PanicResolve), 4);
+        assert_eq!(p.fired(FaultSite::PanicPre), 4);
     }
 
     #[test]
@@ -850,7 +830,7 @@ mod tests {
             msg: "boom".into(),
         };
         assert_eq!(e.to_string(), "pipeline stage `fold` panicked: boom");
-        let e = PolyProfError::BudgetExhausted { used: 5, limit: 4 };
-        assert!(e.to_string().contains("5 bytes"));
+        let e = PolyProfError::InvalidFaultPlan("bad seed `x`".into());
+        assert_eq!(e.to_string(), "invalid fault plan: bad seed `x`");
     }
 }

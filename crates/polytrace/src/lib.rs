@@ -10,8 +10,8 @@
 //!   static affine pre-pass, pass 2, finalize, DDG lint, SCEV removal,
 //!   scheduling, feedback, rendering, the static baseline), plus the
 //!   *concurrent* stage threads of the sharded pipeline
-//!   (event generation, shadow resolution, each fold shard, merge);
-//! * **pipeline counters and gauges** — events emitted / resolved / folded
+//!   (the producer, each fold shard, merge);
+//! * **pipeline counters and gauges** — events routed / folded
 //!   (total and per shard), chunk-pool recycle vs fresh-allocation counts,
 //!   bounded-channel send/recv stall time, shadow-page and context-cache MRU
 //!   hit/miss, dependence-MRU hit/miss, retired (SCEV) and over-approximated
@@ -292,7 +292,7 @@ impl Histogram {
 /// variant owns one histogram slot in the [`Collector`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HistKind {
-    /// Wall time of one `fold_chunk` call in a fold worker (ns).
+    /// Wall time of folding one chunk in a fold worker (ns).
     FoldChunkNs,
     /// Per-chunk blocked time in a bounded-channel send (ns).
     SendStallNs,
@@ -430,30 +430,24 @@ impl Stage {
 /// so they are reported as CPU time, not added to the sequential sum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PipeStage {
-    /// The VM thread: loop events, IIV, interning, register deps.
+    /// The producer: the VM run under the profiler (loop events, IIV,
+    /// interning, register deps, shadow resolution) and the shard router.
     PreProfile,
-    /// The shadow-resolution thread.
-    ShadowResolve,
     /// Parallel shard finalization + deterministic merge.
     Merge,
 }
 
 /// Number of [`PipeStage`] slots.
-pub const N_PIPE: usize = 3;
+pub const N_PIPE: usize = 2;
 
 impl PipeStage {
     /// All pipeline stages.
-    pub const ALL: [PipeStage; N_PIPE] = [
-        PipeStage::PreProfile,
-        PipeStage::ShadowResolve,
-        PipeStage::Merge,
-    ];
+    pub const ALL: [PipeStage; N_PIPE] = [PipeStage::PreProfile, PipeStage::Merge];
 
     /// Stable display name.
     pub fn name(self) -> &'static str {
         match self {
             PipeStage::PreProfile => "pre-profile",
-            PipeStage::ShadowResolve => "shadow-resolve",
             PipeStage::Merge => "merge",
         }
     }
@@ -461,8 +455,7 @@ impl PipeStage {
     fn slot(self) -> usize {
         match self {
             PipeStage::PreProfile => 0,
-            PipeStage::ShadowResolve => 1,
-            PipeStage::Merge => 2,
+            PipeStage::Merge => 1,
         }
     }
 }
@@ -475,13 +468,7 @@ pub enum Counter {
     DynOps,
     /// Dynamic memory events (loads + stores) seen by pass 2.
     MemEvents,
-    /// Events emitted by the sequential stage-1 prefix (pre-resolution
-    /// alphabet: points + register deps + unresolved memory touches).
-    EventsEmitted,
-    /// Unresolved memory touches turned into accesses/dependences by shadow
-    /// resolution.
-    EventsResolved,
-    /// Resolved events routed into folding shards (fold-input alphabet).
+    /// Events the producer routed into folding shards.
     EventsRouted,
     /// Events consumed by folding sinks (must equal the per-shard sum).
     EventsFolded,
@@ -497,7 +484,8 @@ pub enum Counter {
     ShadowMruMiss,
     /// Resident shadow pages at the end of the run.
     ShadowPages,
-    /// Whole event chunks folded through the batched per-shard path.
+    /// Event chunks folded whole: by the shard workers, or frame by frame
+    /// on a K = 1 replay (0 on a serial live run).
     ChunksFolded,
     /// Event chunks obtained from the recycling pool.
     ChunkRecycled,
@@ -570,15 +558,13 @@ pub enum Counter {
 }
 
 /// Number of [`Counter`] slots.
-pub const N_COUNTERS: usize = 43;
+pub const N_COUNTERS: usize = 41;
 
 impl Counter {
     /// All counters, in report order.
     pub const ALL: [Counter; N_COUNTERS] = [
         Counter::DynOps,
         Counter::MemEvents,
-        Counter::EventsEmitted,
-        Counter::EventsResolved,
         Counter::EventsRouted,
         Counter::EventsFolded,
         Counter::DepsFolded,
@@ -625,8 +611,6 @@ impl Counter {
         match self {
             Counter::DynOps => "dyn_ops",
             Counter::MemEvents => "mem_events",
-            Counter::EventsEmitted => "events_emitted",
-            Counter::EventsResolved => "events_resolved",
             Counter::EventsRouted => "events_routed",
             Counter::EventsFolded => "events_folded",
             Counter::DepsFolded => "deps_folded",
@@ -679,9 +663,8 @@ impl Counter {
 /// keep even oversubscribed configurations attributable).
 pub const MAX_SHARDS: usize = 32;
 
-/// Channel-edge slots: edge 0 is the stage-1 → resolver edge; edge `1 + k`
-/// is the resolver → shard-`k` edge.
-pub const N_EDGES: usize = MAX_SHARDS + 1;
+/// Channel-edge slots: edge `k` is the producer → shard-`k` edge.
+pub const N_EDGES: usize = MAX_SHARDS;
 
 /// A node of the profiler's own stage tree — the label alphabet of the
 /// self-flamegraph (rendered by `polyfeedback::report::self_flamegraph_svg`
@@ -715,10 +698,8 @@ impl StageNode {
 /// The driver and every sequential stage run in lane [`TID_DRIVER`]; the
 /// pipeline stage threads and fold shards get their own lanes.
 pub const TID_DRIVER: u32 = 0;
-/// The VM / pre-profile producer thread lane.
+/// The producer lane: the pass-2 VM run and the chunk sends.
 pub const TID_PRE: u32 = 1;
-/// The shadow-resolver thread lane.
-pub const TID_RESOLVE: u32 = 2;
 /// Fold shard `k` maps to lane `TID_SHARD0 + k`.
 pub const TID_SHARD0: u32 = 10;
 
@@ -732,7 +713,6 @@ pub fn tid_name(tid: u32) -> String {
     match tid {
         TID_DRIVER => "driver".to_string(),
         TID_PRE => "pre-profile".to_string(),
-        TID_RESOLVE => "shadow-resolve".to_string(),
         k if k >= TID_SHARD0 => format!("fold-shard {}", k - TID_SHARD0),
         other => format!("thread {other}"),
     }
@@ -1065,7 +1045,6 @@ impl Collector {
     pub fn pipe_span(&self, p: PipeStage) -> Span<'_> {
         let tid = match p {
             PipeStage::PreProfile => TID_PRE,
-            PipeStage::ShadowResolve => TID_RESOLVE,
             PipeStage::Merge => TID_DRIVER,
         };
         Span::new(self, SpanSlot::Pipe(p.slot()), p.name(), tid, 0)
@@ -1125,8 +1104,6 @@ impl Collector {
         ProgressSnapshot {
             t_ns,
             dyn_ops: self.get(Counter::DynOps),
-            events_emitted: self.get(Counter::EventsEmitted),
-            events_resolved: self.get(Counter::EventsResolved),
             events_folded: self.get(Counter::EventsFolded),
             events_per_sec: 0.0,
             pipe_busy_ns: std::array::from_fn(|i| self.pipe_ns[i].load(Ordering::Relaxed)),
@@ -1276,10 +1253,6 @@ pub struct ProgressSnapshot {
     pub t_ns: u64,
     /// Dynamic instructions executed so far.
     pub dyn_ops: u64,
-    /// Events emitted by stage 1 so far.
-    pub events_emitted: u64,
-    /// Memory touches resolved by the shadow stage so far.
-    pub events_resolved: u64,
     /// Events consumed by folding sinks so far.
     pub events_folded: u64,
     /// Folded-event throughput over the last sampling interval.
@@ -1315,7 +1288,7 @@ pub struct RunMetrics {
     pub shard_ns: Vec<u64>,
     /// Per-shard folded event counts; empty on a serial run.
     pub shard_events: Vec<u64>,
-    /// Per-edge in-flight chunk high-water marks (edge 0 = pre → resolver).
+    /// Per-edge in-flight chunk high-water marks (edge `k` = producer → shard `k`).
     pub queue_peak: Vec<u64>,
     /// Named counters, indexed by [`Counter`] slot order.
     pub counters: [u64; N_COUNTERS],

@@ -67,28 +67,47 @@ fn routed_events_equal_folded_events_at_every_k() {
     }
 }
 
-/// The resolver turns every pre-profiled memory event into exactly one
-/// shadow resolution; the shadow MRU sees exactly one lookup per memory
-/// event (hits + misses == total lookups).
+/// Every executor resolves shadow memory on the VM thread, once per memory
+/// event the prune mask lets through: the shadow MRU sees exactly one
+/// lookup for each (hits + misses == mem events − pruned mem events) on the
+/// serial driver, on the supervised pipeline at K = 1 (an armed plan that
+/// never fires routes there) and at K = 2 and 4 — with the mask off, and
+/// with it on (which prunes every access site of this stencil).
 #[test]
 fn shadow_mru_accounts_for_every_memory_event() {
-    for k in [2usize, 4] {
-        let m = run(k, MetricsLevel::Counters);
-        let mem = m.counter(Counter::MemEvents);
-        assert!(mem > 0);
-        assert_eq!(m.counter(Counter::EventsResolved), mem, "k={k}");
-        assert_eq!(
-            m.counter(Counter::ShadowMruHit) + m.counter(Counter::ShadowMruMiss),
-            mem,
-            "k={k}: shadow MRU lookups"
-        );
+    use polyprof_core::polyresist::FaultPlan;
+    use std::sync::Arc;
+
+    let prog = stencil(6, 40);
+    let unfired = Arc::new(FaultPlan::parse("panic:fold@999999999").unwrap());
+    let base = ProfileConfig::new()
+        .with_chunk_events(64)
+        .with_metrics(MetricsLevel::Counters);
+    for (what, cfg) in [
+        ("serial K=1", base.clone()),
+        ("supervised K=1", base.clone().with_fault_plan(unfired)),
+        ("K=2", base.clone().with_fold_threads(2)),
+        ("K=4", base.clone().with_fold_threads(4)),
+    ] {
+        for prune in [false, true] {
+            let cfg = cfg.clone().with_static_prune(prune);
+            let m = profile_with(&prog, &cfg).metrics.expect("counters on");
+            let mem = m.counter(Counter::MemEvents);
+            let pruned = m.counter(Counter::PrunedMemEvents);
+            assert!(mem > 0, "{what}: no memory events");
+            assert_eq!(pruned > 0, prune, "{what}: prune={prune}");
+            assert_eq!(
+                m.counter(Counter::ShadowMruHit) + m.counter(Counter::ShadowMruMiss),
+                mem - pruned,
+                "{what}, prune={prune}: shadow MRU lookups"
+            );
+        }
     }
 }
 
 /// The context cache is consulted once per context-path lookup, and the
-/// pipelined path folds whole chunks: every pipelined run reports a nonzero
-/// batched-chunk tally (the serial path replays events directly and reports
-/// zero).
+/// pipelined path folds chunks: every pipelined run reports a nonzero chunk
+/// tally (the serial path folds events as they happen and reports zero).
 #[test]
 fn cache_and_chunk_counters_cover_the_run() {
     for k in [1usize, 4] {
@@ -100,7 +119,7 @@ fn cache_and_chunk_counters_cover_the_run() {
         if k > 1 {
             assert!(
                 m.counter(Counter::ChunksFolded) > 0,
-                "k={k}: pipelined run folded no chunks batched"
+                "k={k}: pipelined run folded no chunks"
             );
         } else {
             assert_eq!(

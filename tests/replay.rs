@@ -5,8 +5,8 @@
 //! tampered header count — must surface as a structured `PolyProfError`,
 //! never a panic.
 //!
-//! Why identity holds: a recording carries the fully-resolved folding
-//! stream in serial order; replay routes it through the same
+//! Why identity holds: a recording carries the folding-interface stream
+//! in serial order; replay routes it through the same
 //! folding-key-sharded channels as the live pipeline, so per-key folder
 //! state is identical and the merge is order-independent.
 
@@ -89,9 +89,11 @@ fn replay_is_byte_identical_at_every_k() {
     }
 }
 
-/// The serial (fold_threads = 1) executor records through the same format;
-/// its recording replays byte-identically too, and matches the recording
-/// taken by the pipelined executor event-for-event after folding.
+/// The serial (fold_threads = 1) executor records through the same producer
+/// and the same tap as the pipelined one: at equal chunk size the two write
+/// the same file, byte for byte. Its recording replays byte-identically
+/// too, and matches a pipelined recording taken at another chunk size
+/// event-for-event after folding.
 #[test]
 fn serial_recording_matches_pipelined_recording() {
     let prog = stencil(9, 2);
@@ -102,6 +104,15 @@ fn serial_recording_matches_pipelined_recording() {
     let report = try_profile_with(&prog, &ProfileConfig::new().with_record_to(&serial_path))
         .expect("serial record run");
     let live_serial = polyfold::fold_program(&prog).0.canonical_text();
+
+    let k4_path = scratch("k4_rec");
+    let k4 = ProfileConfig::new().with_fold_threads(4);
+    try_profile_with(&prog, &k4.with_record_to(&k4_path)).expect("pipelined record run");
+    assert!(
+        fs::read(&serial_path).unwrap() == fs::read(&k4_path).unwrap(),
+        "recordings written at fold_threads 1 and 4 differ"
+    );
+    fs::remove_file(&k4_path).ok();
 
     let piped = record_live(&prog, &piped_path, 4).canonical_text();
     assert_eq!(live_serial, piped, "serial and pipelined live folds differ");
@@ -134,7 +145,7 @@ fn serial_recording_matches_pipelined_recording() {
 #[test]
 fn profile_replay_from_matches_live_report() {
     let prog = fig6_kernel(8, 4);
-    let persistent_panic = Arc::new(FaultPlan::always(FaultSite::PanicResolve));
+    let persistent_panic = Arc::new(FaultPlan::always(FaultSite::PanicPre));
     let recorders = [
         ("serial", ProfileConfig::new()),
         (

@@ -42,7 +42,7 @@ fn supervised_fold(
     (ddg, deg)
 }
 
-/// Every fault class — a panic in each of the three stage kinds, a chunk
+/// Every fault class — a panic in each of the two stage kinds, a chunk
 /// stall, a chunk drop, a shadow allocation failure, and a malformed chunk —
 /// completes end to end through `profile_with` with a populated degradation
 /// record.
@@ -63,8 +63,8 @@ fn every_fault_class_completes_with_degradation() {
         );
         assert!(deg.is_degraded(), "{}: {deg:?}", site.name());
         match site {
-            // Pre/resolve panics fail the attempt; the retry succeeds.
-            FaultSite::PanicPre | FaultSite::PanicResolve => {
+            // A producer panic fails the attempt; the retry succeeds.
+            FaultSite::PanicPre => {
                 assert!(deg.stage_retries >= 1, "{}: {deg:?}", site.name())
             }
             // A worker panic is salvaged: the shard is lost, not the run.
@@ -272,11 +272,11 @@ fn counters_do_not_drift_after_retry_or_fallback() {
 
     let retried = base
         .clone()
-        .with_fault_plan(Arc::new(FaultPlan::single(FaultSite::PanicResolve, 1)));
+        .with_fault_plan(Arc::new(FaultPlan::single(FaultSite::PanicPre, 1)));
     let fell_back = base
         .clone()
         .with_max_retries(1)
-        .with_fault_plan(Arc::new(FaultPlan::always(FaultSite::PanicResolve)));
+        .with_fault_plan(Arc::new(FaultPlan::always(FaultSite::PanicPre)));
     for (what, cfg, retries, fallbacks) in [("retry", retried, 1, 0), ("fallback", fell_back, 1, 1)]
     {
         let m = profile_with(&prog, &cfg).metrics.expect("counters on");

@@ -1,7 +1,7 @@
 //! Differential tests for the sharded folding pipeline: a pipelined run —
-//! event generation, shadow resolution, and K folding shards on separate
-//! threads — must produce *byte-identical* folded DDGs and reports to the
-//! retained serial path, for every shard count, on randomized elementwise,
+//! event generation and shadow resolution on the calling thread, K folding
+//! shards on threads of their own — must produce *byte-identical* folded
+//! DDGs and reports to the serial path, for every shard count, on randomized elementwise,
 //! stencil, and deep-nest (arena-spilling) traces.
 //!
 //! Why this must hold: every folding key (statement id; `(kind, src, dst,
@@ -88,26 +88,38 @@ proptest! {
 /// every table metric, and the annotated AST. (`full_text` is excluded for
 /// the same reason as in `profile_all_matches_serial`: hash-map iteration
 /// order varies between map *instances* even for identical contents.)
+///
+/// The same must hold under a 1-byte memory budget at 2 threads: pressure
+/// latches on the very first charge, so every folder is coarse from its
+/// first event whatever the thread timing, and workers fold budgeted sinks
+/// exactly as the serial driver does — same over-approximated statement
+/// count, same canonical DDG.
 #[test]
 fn report_matches_serial_on_rodinia() {
     let workloads = [rodinia::backprop::build(), rodinia::pathfinder::build()];
+    let plain = ProfileConfig::new().with_canonical(true);
+    let cases = [(plain.clone(), 4), (plain.with_memory_budget(1), 2)];
     for w in &workloads {
-        let serial = profile_with(&w.program, &ProfileConfig::new());
-        let piped = profile_with(
-            &w.program,
-            &ProfileConfig::new()
-                .with_fold_threads(4)
-                .with_chunk_events(256),
-        );
-        assert_eq!(piped.folded_stats, serial.folded_stats);
-        assert_eq!(piped.scev_removed, serial.scev_removed);
-        assert_eq!(piped.feedback.pct_aff, serial.feedback.pct_aff);
-        assert_eq!(piped.feedback.regions.len(), serial.feedback.regions.len());
-        for (p, s) in piped.feedback.regions.iter().zip(&serial.feedback.regions) {
-            assert_eq!(p.pct_parallel, s.pct_parallel);
-            assert_eq!(p.pct_simd, s.pct_simd);
+        for (base, k) in &cases {
+            let serial = profile_with(&w.program, base);
+            let piped = profile_with(
+                &w.program,
+                &base.clone().with_fold_threads(*k).with_chunk_events(256),
+            );
+            let coarse = serial.degradation.budget_overapprox_stmts;
+            assert_eq!(coarse > 0, base.memory_budget.is_some());
+            assert_eq!(piped.degradation.budget_overapprox_stmts, coarse);
+            assert_eq!(piped.canonical_ddg, serial.canonical_ddg);
+            assert_eq!(piped.folded_stats, serial.folded_stats);
+            assert_eq!(piped.scev_removed, serial.scev_removed);
+            assert_eq!(piped.feedback.pct_aff, serial.feedback.pct_aff);
+            assert_eq!(piped.feedback.regions.len(), serial.feedback.regions.len());
+            for (p, s) in piped.feedback.regions.iter().zip(&serial.feedback.regions) {
+                assert_eq!(p.pct_parallel, s.pct_parallel);
+                assert_eq!(p.pct_simd, s.pct_simd);
+            }
+            assert_eq!(piped.annotated_ast, serial.annotated_ast);
         }
-        assert_eq!(piped.annotated_ast, serial.annotated_ast);
     }
 }
 
