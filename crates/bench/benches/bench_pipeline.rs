@@ -272,7 +272,7 @@ fn main() {
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let git_sha = std::env::var("GITHUB_SHA").unwrap_or_else(|_| "unknown".into());
+    let git_sha = polyprof_bench::git_sha();
     let mut traj = JsonObj::new();
     traj.str_field("bench", "pipeline")
         .int_field("cpus", cpus as u64)

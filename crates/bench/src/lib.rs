@@ -36,6 +36,26 @@ pub fn replay_workloads() -> Vec<(&'static str, Program)> {
     ]
 }
 
+/// The commit a bench artifact was measured at, for trajectory lines:
+/// `GITHUB_SHA` when CI sets it, else `git rev-parse HEAD` of the working
+/// directory, else `"unknown"`.
+pub fn git_sha() -> String {
+    resolve_git_sha(std::env::var("GITHUB_SHA").ok(), || {
+        let out = std::process::Command::new("git")
+            .args(["rev-parse", "HEAD"])
+            .stderr(std::process::Stdio::null())
+            .output()
+            .ok()?;
+        (out.status.success()).then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+    })
+}
+
+fn resolve_git_sha(env: Option<String>, rev_parse: impl FnOnce() -> Option<String>) -> String {
+    (env.filter(|s| !s.is_empty()))
+        .or_else(|| rev_parse().filter(|s| !s.is_empty()))
+        .unwrap_or_else(|| "unknown".into())
+}
+
 /// Human-readable names for context elements given the program (used by the
 /// fig3 trace printer and flame graphs).
 pub fn ctx_namer<'p>(
@@ -164,6 +184,19 @@ mod tests {
         assert_eq!(s, "{\"workload\": \"back\\\"prop\\\"\\n\\t\\\\v1\\u0001\"}");
         assert!(!s.contains('\n'), "raw control chars must not leak");
         sentinel::validate_json(&s).expect("escaped output must be valid JSON");
+    }
+
+    /// `GITHUB_SHA` wins, the repository's HEAD is next (and is not asked
+    /// when the variable is set), `"unknown"` is the last resort.
+    #[test]
+    fn git_sha_precedence() {
+        let head = || Some("f00d".to_string());
+        let asked = || -> Option<String> { panic!("git asked although GITHUB_SHA is set") };
+        assert_eq!(resolve_git_sha(Some("c0ffee".into()), asked), "c0ffee");
+        assert_eq!(resolve_git_sha(None, head), "f00d");
+        assert_eq!(resolve_git_sha(Some(String::new()), head), "f00d");
+        assert_eq!(resolve_git_sha(None, || None), "unknown");
+        assert_eq!(resolve_git_sha(None, || Some(String::new())), "unknown");
     }
 
     #[test]

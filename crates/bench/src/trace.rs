@@ -153,3 +153,26 @@ pub fn big_backprop(n1: i64, n2: i64) -> Program {
     pb.set_entry(mid);
     pb.finish()
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use polyvm::Vm;
+
+    /// The dense workload is what the folder's verified prediction exists
+    /// for: runs of 192 points along the innermost dimension, every label
+    /// affine. More than nine folded events in ten must be accepted by it.
+    #[test]
+    fn big_backprop_is_folded_by_prediction() {
+        let prog = big_backprop(192, 192);
+        let mut rec = polycfg::StructureRecorder::new();
+        Vm::new(&prog).run(&[], &mut rec).expect("pass 1");
+        let structure = polycfg::StaticStructure::analyze(&prog, rec);
+        let mut prof = polyddg::DdgProfiler::new(&prog, &structure, polyfold::FoldingSink::new());
+        Vm::new(&prog).run(&[], &mut prof).expect("pass 2");
+        let stats = prof.finish().0.fold_stats();
+        assert!(stats.events_folded > 2_000_000);
+        let share = stats.predicted as f64 / stats.events_folded as f64;
+        assert!(share > 0.9, "predicted {share:.3} of {stats:?}");
+    }
+}

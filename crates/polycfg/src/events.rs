@@ -8,12 +8,17 @@
 //!
 //! The generator keeps the paper's `inLoops` stack of currently live loops,
 //! the per-CFG-loop `visiting` flag, and the per-recursive-component
-//! `stackcount` / `entry` state.
+//! `stackcount` / `entry` state. Every static question an event asks (is
+//! this block a header, does this loop contain it, is this function a
+//! component entry or header) is answered from tables that
+//! [`LoopEventGen::new`] flattens once per run out of the stage-1
+//! structure: a jump, call or return indexes vectors and tests one bit —
+//! no hash probe, no tree search.
 
 use crate::loop_forest::LoopIdx;
 use crate::recorder::StaticStructure;
 use crate::recursive::RecCompIdx;
-use polyir::{BlockRef, FuncId};
+use polyir::{BlockRef, FuncId, LocalBlockId};
 
 /// A live loop on the `inLoops` stack: either a CFG loop of a specific
 /// function or a recursive component of the call graph.
@@ -103,24 +108,106 @@ struct RecState {
     entry: Option<FuncId>,
 }
 
+/// `header_loop` entry of a block that heads no loop.
+const NO_LOOP: u32 = u32::MAX;
+
+/// Everything Alg. 1/2 ask about one function, flattened once per run into
+/// vectors indexed by `LocalBlockId` / `LoopIdx` so that no event hashes or
+/// searches a tree.
+#[derive(Debug, Clone, Default)]
+struct FuncTable {
+    /// Block → the loop it heads, [`NO_LOOP`] otherwise.
+    header_loop: Vec<u32>,
+    /// Loop × block membership bitmap: `words` words per loop, bit `b` of
+    /// loop `l`'s row set iff block `b` lies in `l`'s region.
+    member: Vec<u64>,
+    words: usize,
+    /// The paper's per-CFG-loop `visiting` flag, by loop index.
+    visiting: Vec<bool>,
+    /// The function's recursive component and its roles in it.
+    rec: Option<RecRole>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct RecRole {
+    comp: RecCompIdx,
+    is_entry: bool,
+    is_header: bool,
+}
+
+impl FuncTable {
+    fn contains(&self, l: LoopIdx, b: LocalBlockId) -> bool {
+        let (word, bit) = (b.0 as usize / 64, b.0 % 64);
+        word < self.words && (self.member[l.0 as usize * self.words + word] >> bit) & 1 == 1
+    }
+
+    fn loop_of_header(&self, b: LocalBlockId) -> Option<LoopIdx> {
+        match self.header_loop.get(b.0 as usize) {
+            Some(&l) if l != NO_LOOP => Some(LoopIdx(l)),
+            _ => None,
+        }
+    }
+}
+
 /// Online translator from raw control events to [`LoopEvent`]s.
 #[derive(Debug)]
 pub struct LoopEventGen<'s> {
-    structure: &'s StaticStructure,
+    /// Per-function tables, indexed by `FuncId`; functions that never
+    /// executed in pass 1 have empty ones.
+    funcs: Vec<FuncTable>,
     in_loops: Vec<LoopRef>,
-    /// `visiting` flags, indexed per function by loop index.
-    visiting: std::collections::HashMap<(FuncId, LoopIdx), bool>,
     rec: Vec<RecState>,
+    /// The tables are a snapshot of this structure.
+    _structure: std::marker::PhantomData<&'s StaticStructure>,
 }
 
 impl<'s> LoopEventGen<'s> {
     /// New generator over a completed stage-1 structure.
     pub fn new(structure: &'s StaticStructure) -> Self {
+        let rcs = &structure.rcs;
+        let n_funcs = structure
+            .forests
+            .keys()
+            .chain(rcs.components.iter().flat_map(|c| &c.members))
+            .map(|f| f.0 as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let mut funcs = vec![FuncTable::default(); n_funcs];
+        for (f, forest) in &structure.forests {
+            let n_blocks = forest
+                .loops
+                .iter()
+                .filter_map(|l| l.blocks.last())
+                .map(|b| b.0 as usize + 1)
+                .max()
+                .unwrap_or(0);
+            let words = n_blocks.div_ceil(64);
+            let t = &mut funcs[f.0 as usize];
+            t.header_loop = vec![NO_LOOP; n_blocks];
+            t.member = vec![0; forest.loops.len() * words];
+            t.words = words;
+            t.visiting = vec![false; forest.loops.len()];
+            for (l, info) in forest.loops.iter().enumerate() {
+                t.header_loop[info.header.0 as usize] = l as u32;
+                for b in &info.blocks {
+                    t.member[l * words + b.0 as usize / 64] |= 1 << (b.0 % 64);
+                }
+            }
+        }
+        for (c, comp) in rcs.components.iter().enumerate() {
+            for f in &comp.members {
+                funcs[f.0 as usize].rec = Some(RecRole {
+                    comp: RecCompIdx(c as u32),
+                    is_entry: comp.entries.contains(f),
+                    is_header: comp.headers.contains(f),
+                });
+            }
+        }
         LoopEventGen {
-            structure,
+            funcs,
             in_loops: Vec::new(),
-            visiting: std::collections::HashMap::new(),
-            rec: vec![RecState::default(); structure.rcs.components.len()],
+            rec: vec![RecState::default(); rcs.components.len()],
+            _structure: std::marker::PhantomData,
         }
     }
 
@@ -129,30 +216,44 @@ impl<'s> LoopEventGen<'s> {
         &self.in_loops
     }
 
-    fn is_visiting(&self, f: FuncId, l: LoopIdx) -> bool {
-        self.visiting.get(&(f, l)).copied().unwrap_or(false)
+    /// `f`'s role in the recursive-component-set, if it has one.
+    fn rec_role(&self, f: FuncId) -> Option<RecRole> {
+        self.funcs.get(f.0 as usize)?.rec
+    }
+
+    /// Pop `top` (a live CFG loop) and emit its exit towards `block`.
+    fn exit_cfg_loop(
+        &mut self,
+        f: FuncId,
+        l: LoopIdx,
+        block: Option<BlockRef>,
+        out: &mut Vec<LoopEvent>,
+    ) {
+        self.funcs[f.0 as usize].visiting[l.0 as usize] = false;
+        self.in_loops.pop();
+        if let Some(block) = block {
+            out.push(LoopEvent::Exit {
+                l: LoopRef::Cfg(f, l),
+                block,
+            });
+        }
     }
 
     /// Alg. 1: process a local jump; appends emitted events to `out`.
     pub fn on_jump(&mut self, _from: BlockRef, to: BlockRef, out: &mut Vec<LoopEvent>) {
-        let forest = self.structure.forest(to.func);
         // Exit live CFG loops of this function that the target lies outside.
-        while let Some(&top) = self.in_loops.last() {
-            match top {
-                LoopRef::Cfg(f, l)
-                    if f == to.func && !self.structure.forest(f).contains(l, to.block) =>
-                {
-                    self.visiting.insert((f, l), false);
-                    self.in_loops.pop();
-                    out.push(LoopEvent::Exit { l: top, block: to });
-                }
-                _ => break,
+        while let Some(&LoopRef::Cfg(f, l)) = self.in_loops.last() {
+            if f != to.func || self.funcs[f.0 as usize].contains(l, to.block) {
+                break;
             }
+            self.exit_cfg_loop(f, l, Some(to), out);
         }
-        if let Some(l) = forest.loop_of_header(to.block) {
+        let table = &mut self.funcs[to.func.0 as usize];
+        if let Some(l) = table.loop_of_header(to.block) {
             let lref = LoopRef::Cfg(to.func, l);
-            if !self.is_visiting(to.func, l) {
-                self.visiting.insert((to.func, l), true);
+            let visiting = &mut table.visiting[l.0 as usize];
+            if !*visiting {
+                *visiting = true;
                 self.in_loops.push(lref);
                 out.push(LoopEvent::Enter { l: lref, block: to });
             } else {
@@ -170,11 +271,16 @@ impl<'s> LoopEventGen<'s> {
         entry: BlockRef,
         out: &mut Vec<LoopEvent>,
     ) {
-        if let Some(comp) = self.structure.rcs.component_of(callee) {
+        if let Some(RecRole {
+            comp,
+            is_entry,
+            is_header,
+        }) = self.rec_role(callee)
+        {
             let lref = LoopRef::Rec(comp);
-            let state = &self.rec[comp.0 as usize];
-            if self.structure.rcs.is_entry(callee) && state.entry.is_none() {
-                self.rec[comp.0 as usize].entry = Some(callee);
+            let state = &mut self.rec[comp.0 as usize];
+            if is_entry && state.entry.is_none() {
+                state.entry = Some(callee);
                 self.in_loops.push(lref);
                 out.push(LoopEvent::EnterRec {
                     l: lref,
@@ -182,22 +288,14 @@ impl<'s> LoopEventGen<'s> {
                 });
                 return;
             }
-            if self.structure.rcs.is_header(callee) {
+            if is_header {
                 // Exit CFG loops still live inside the component's functions:
                 // a new recursive iteration begins.
-                let members = &self.structure.rcs.info(comp).members;
-                while let Some(&top) = self.in_loops.last() {
-                    match top {
-                        LoopRef::Cfg(f, l) if members.contains(&f) => {
-                            self.visiting.insert((f, l), false);
-                            self.in_loops.pop();
-                            out.push(LoopEvent::Exit {
-                                l: top,
-                                block: entry,
-                            });
-                        }
-                        _ => break,
+                while let Some(&LoopRef::Cfg(f, l)) = self.in_loops.last() {
+                    if self.rec_role(f).map(|r| r.comp) != Some(comp) {
+                        break;
                     }
+                    self.exit_cfg_loop(f, l, Some(entry), out);
                 }
                 self.rec[comp.0 as usize].stackcount += 1;
                 out.push(LoopEvent::IterCall {
@@ -218,26 +316,22 @@ impl<'s> LoopEventGen<'s> {
     /// nothing user-visible is emitted).
     pub fn on_ret(&mut self, from: FuncId, to: Option<BlockRef>, out: &mut Vec<LoopEvent>) {
         // Exit CFG loops of the returning function that are still live.
-        while let Some(&top) = self.in_loops.last() {
-            match top {
-                LoopRef::Cfg(f, l) if f == from => {
-                    self.visiting.insert((f, l), false);
-                    self.in_loops.pop();
-                    if let Some(b) = to {
-                        out.push(LoopEvent::Exit { l: top, block: b });
-                    }
-                }
-                _ => break,
+        while let Some(&LoopRef::Cfg(f, l)) = self.in_loops.last() {
+            if f != from {
+                break;
             }
+            self.exit_cfg_loop(f, l, to, out);
         }
-        if let Some(comp) = self.structure.rcs.component_of(from) {
+        if let Some(RecRole {
+            comp,
+            is_entry,
+            is_header,
+        }) = self.rec_role(from)
+        {
             let lref = LoopRef::Rec(comp);
-            let state = self.rec[comp.0 as usize];
-            if self.structure.rcs.is_entry(from)
-                && state.stackcount == 0
-                && state.entry == Some(from)
-            {
-                self.rec[comp.0 as usize].entry = None;
+            let state = &mut self.rec[comp.0 as usize];
+            if is_entry && state.stackcount == 0 && state.entry == Some(from) {
+                state.entry = None;
                 // Pop the recursive loop (pushed at Ec).
                 if self.in_loops.last() == Some(&lref) {
                     self.in_loops.pop();
@@ -247,8 +341,8 @@ impl<'s> LoopEventGen<'s> {
                 }
                 return;
             }
-            if self.structure.rcs.is_header(from) {
-                self.rec[comp.0 as usize].stackcount -= 1;
+            if is_header {
+                state.stackcount -= 1;
                 if let Some(b) = to {
                     out.push(LoopEvent::IterRet { l: lref, block: b });
                 }

@@ -13,6 +13,9 @@
 //! * An MRU (last-page) cache in front of the page table turns the
 //!   overwhelmingly common same-page access streams of dense kernels into
 //!   a compare + index, no hashing at all.
+//! * Pages are carved out of slabs reserved whole and filled a page at a
+//!   time (see `SLAB_PAGES`), so what a run costs does not depend on what
+//!   the allocator happened to keep from the run before it.
 
 use crate::coords::{CoordSnap, SnapCache};
 use crate::{DdgConfig, DepKind, FoldSink};
@@ -45,18 +48,39 @@ const PAGE_SIZE: usize = 1 << PAGE_BITS;
 /// Sentinel page number that can never equal `addr >> PAGE_BITS`.
 const NO_PAGE: u64 = u64::MAX;
 
-type Page = Box<[Cell]>;
+/// Pages per slab. A slab is one `Vec<Cell>` reserved at full capacity and
+/// extended by one page per first touch, so a page costs its own cells and
+/// nothing else, and a page slot is a (slab, offset) pair by shift and mask.
+///
+/// The size is chosen so that a slab is larger than any request glibc will
+/// place on its heap (the mmap threshold adapts upwards, but never beyond
+/// 32 MiB): a slab is mapped when reserved and unmapped when dropped. One
+/// heap allocation per 320 KiB page leaves it to chance — which small blocks
+/// sit above the pages when they are freed — whether the ~100 MB of a
+/// pointer-chasing run go back to the system or stay on the heap for the
+/// next run, and the same program profiled in a loop then takes 100 or 125
+/// ns/event from one process to the next. Only touched pages become
+/// resident; the reservation itself is address space.
+const SLAB_PAGES: usize = 1 << SLAB_PAGE_BITS;
+const SLAB_PAGE_BITS: u32 = 7;
+const SLAB_CELLS: usize = SLAB_PAGES * PAGE_SIZE;
+const _: () = assert!(SLAB_CELLS * std::mem::size_of::<Cell>() > 32 << 20);
 
-fn new_page() -> Page {
-    vec![Cell::default(); PAGE_SIZE].into_boxed_slice()
+/// Index within its slab of the cell of `addr` on page slot `slot`.
+#[inline]
+fn cell_index(slot: u32, addr: u64) -> usize {
+    ((slot as usize & (SLAB_PAGES - 1)) << PAGE_BITS) | (addr as usize & (PAGE_SIZE - 1))
 }
 
 /// Paged shadow memory: last writer and last reader per word address.
 #[derive(Debug)]
 pub struct ShadowMemory {
-    /// Page storage; stable indices handed out by `index`.
-    pages: Vec<Page>,
-    /// Page number (`addr >> PAGE_BITS`) → index into `pages`.
+    /// Page storage: page slot `s` is page `s % SLAB_PAGES` of slab
+    /// `s / SLAB_PAGES`. Every slab but the last is full.
+    slabs: Vec<Vec<Cell>>,
+    /// Pages allocated so far; the next page slot `index` hands out.
+    n_pages: u32,
+    /// Page number (`addr >> PAGE_BITS`) → page slot.
     index: HashMap<u64, u32>,
     /// MRU cache: the last page touched by `page_slot`.
     mru: (u64, u32),
@@ -86,7 +110,8 @@ impl ShadowMemory {
     /// Empty shadow memory.
     pub fn new() -> Self {
         ShadowMemory {
-            pages: Vec::new(),
+            slabs: Vec::new(),
+            n_pages: 0,
             index: HashMap::new(),
             mru: (NO_PAGE, 0),
             mru_hits: 0,
@@ -137,8 +162,13 @@ impl ShadowMemory {
                 if let Some(b) = &self.budget {
                     b.charge((PAGE_SIZE * std::mem::size_of::<Cell>()) as u64);
                 }
-                let slot = self.pages.len() as u32;
-                self.pages.push(new_page());
+                let slot = self.n_pages;
+                if slot as usize == self.slabs.len() * SLAB_PAGES {
+                    self.slabs.push(Vec::with_capacity(SLAB_CELLS));
+                }
+                let slab = self.slabs.last_mut().expect("a slab with room");
+                slab.resize(slab.len() + PAGE_SIZE, Cell::default());
+                self.n_pages += 1;
                 e.insert(slot);
                 slot
             }
@@ -167,7 +197,7 @@ impl ShadowMemory {
     #[inline]
     pub fn try_cell_mut(&mut self, addr: u64) -> Option<&mut Cell> {
         let slot = self.page_slot(addr >> PAGE_BITS)?;
-        Some(&mut self.pages[slot as usize][(addr as usize) & (PAGE_SIZE - 1)])
+        Some(&mut self.slabs[slot as usize >> SLAB_PAGE_BITS][cell_index(slot, addr)])
     }
 
     /// The shadow cell for `addr` if its page is resident (read-only; checks
@@ -180,7 +210,7 @@ impl ShadowMemory {
         } else {
             *self.index.get(&page_num)?
         };
-        Some(&self.pages[slot as usize][(addr as usize) & (PAGE_SIZE - 1)])
+        Some(&self.slabs[slot as usize >> SLAB_PAGE_BITS][cell_index(slot, addr)])
     }
 
     /// Last writer of `addr`, if any.
@@ -207,7 +237,7 @@ impl ShadowMemory {
 
     /// Number of resident shadow pages (overhead statistics).
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.n_pages as usize
     }
 
     /// MRU page-cache `(hits, misses)` on the update path since
@@ -355,6 +385,36 @@ mod tests {
         assert_eq!(s.last_write(a).unwrap().stmt, StmtId(3));
         assert_eq!(s.last_write(b).unwrap().stmt, StmtId(2));
         assert_eq!(s.resident_pages(), 2);
+    }
+
+    /// Page slots past the first slab resolve into the next one, and no
+    /// page's cells alias another's.
+    #[test]
+    fn pages_spill_into_a_second_slab() {
+        let mut arena = CoordArena::new();
+        let mut s = ShadowMemory::new();
+        let n = SLAB_PAGES as u64 + 2;
+        // First and last cell of every page, pages visited out of order.
+        for p in (0..n).rev() {
+            let base = (p * 7 + 3) << PAGE_BITS;
+            s.record_write(base, w(&mut arena, 2 * p as u32, &[0]));
+            s.record_write(
+                base + PAGE_SIZE as u64 - 1,
+                w(&mut arena, 2 * p as u32 + 1, &[0]),
+            );
+        }
+        assert_eq!(s.resident_pages(), n as usize);
+        assert_eq!(s.slabs.len(), 2);
+        assert_eq!(s.slabs[1].len(), 2 * PAGE_SIZE);
+        for p in 0..n {
+            let base = (p * 7 + 3) << PAGE_BITS;
+            assert_eq!(s.last_write(base).unwrap().stmt, StmtId(2 * p as u32));
+            assert_eq!(
+                s.last_write(base + PAGE_SIZE as u64 - 1).unwrap().stmt,
+                StmtId(2 * p as u32 + 1)
+            );
+            assert!(s.last_write(base + 1).is_none());
+        }
     }
 
     /// One cell carries both roles: a combined write+read probe sequence

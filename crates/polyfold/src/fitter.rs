@@ -9,11 +9,13 @@
 //! and any contradiction is final. Failure degrades to a `[min, max]` range
 //! — the paper's over-approximation, never a wrong answer.
 //!
-//! Verification is the hot path (one call per folded event per fitter), so
-//! once a candidate is integral with `i64`-sized coefficients it is cached
-//! as a plain integer dot product checked with overflow-aware arithmetic;
-//! overflow falls back to the exact rational evaluation, so the fast path is
-//! sample-for-sample equivalent to the rational one.
+//! Verification runs for every sample the stream folder cannot predict for
+//! itself (`crate::stream`: the first point of each run along the innermost
+//! dimension, and everything irregular), so once a candidate is integral
+//! with `i64`-sized coefficients it is cached as a plain integer dot product
+//! checked with overflow-aware arithmetic; overflow falls back to the exact
+//! rational evaluation, so the fast path is sample-for-sample equivalent to
+//! the rational one.
 
 use polylib::linsolve::IncrementalFit;
 use polylib::rat::Rat;
@@ -252,6 +254,26 @@ impl OnlineAffineFitter {
             self.failed = true;
             self.sys.clear();
         }
+    }
+
+    /// The candidate's coefficient on the last dimension, when the candidate
+    /// is live (not failed) and held as an integer mirror the fast path may
+    /// use: moving one step along that dimension moves the fitted value by
+    /// exactly this much. `None` otherwise, and always with the fast path off.
+    pub(crate) fn fast_step(&self) -> Option<i64> {
+        match &self.fast {
+            Some(fa) if self.fast_enabled && !self.failed => fa.coeffs.last().copied(),
+            _ => None,
+        }
+    }
+
+    /// Tally `n` samples that a caller verified against the candidate by
+    /// itself, all between an earlier pushed value and `last` inclusive: what
+    /// `n` verified [`push`](Self::push) calls would have left behind.
+    pub(crate) fn absorb_verified(&mut self, n: u64, last: i64) {
+        self.n += n;
+        self.vmin = self.vmin.min(last);
+        self.vmax = self.vmax.max(last);
     }
 
     /// Final classification.

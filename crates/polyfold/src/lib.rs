@@ -344,6 +344,9 @@ pub struct FoldStats {
     /// Folders switched to coarse (box + count) folding under budget
     /// pressure.
     pub budget_degraded: u64,
+    /// Events a folder accepted by verified prediction, without entering a
+    /// fitter (subset of `events_folded`; see [`StreamFolder::push`]).
+    pub predicted: u64,
 }
 
 impl FoldStats {
@@ -352,6 +355,7 @@ impl FoldStats {
         self.events_folded += other.events_folded;
         self.deps_folded += other.deps_folded;
         self.budget_degraded += other.budget_degraded;
+        self.predicted += other.predicted;
     }
 }
 
@@ -378,9 +382,17 @@ impl FoldingSink {
         }
     }
 
-    /// This sink's folding telemetry so far (read before `finalize`).
+    /// This sink's folding telemetry so far (read before `finalize`). The
+    /// folders count their own predicted pushes; they are summed here, at
+    /// stage end, not per event.
     pub fn fold_stats(&self) -> FoldStats {
-        self.stats
+        let folders = (self.stmts.iter().flatten())
+            .chain(self.accesses.iter().flatten().map(|(f, _)| f))
+            .chain(self.deps.iter().map(|(_, f, _)| f));
+        FoldStats {
+            predicted: folders.map(StreamFolder::predicted).sum(),
+            ..self.stats
+        }
     }
 
     /// Attach a resource budget. Folder allocations are charged against the

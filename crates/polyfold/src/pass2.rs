@@ -34,6 +34,7 @@ pub(crate) struct FrontTallies {
     mem_events: u64,
     pub(crate) pruned: PrunedEvents,
     ctx_cache: (u64, u64),
+    ctx_content_interns: u64,
     shadow_mru: (u64, u64),
     shadow_pages: u64,
     /// Shadow pages an armed fault plan refused; each left exactly one
@@ -57,6 +58,7 @@ impl FrontTallies {
         c.add(Counter::PrunedMemEvents, self.pruned.mem);
         c.add(Counter::CtxCacheHit, self.ctx_cache.0);
         c.add(Counter::CtxCacheMiss, self.ctx_cache.1);
+        c.add(Counter::CtxContentInterns, self.ctx_content_interns);
         c.add(Counter::ShadowMruHit, self.shadow_mru.0);
         c.add(Counter::ShadowMruMiss, self.shadow_mru.1);
         c.add(Counter::ShadowPages, self.shadow_pages);
@@ -79,6 +81,7 @@ impl FrontTallies {
 pub(crate) fn harvest_fold(c: &Collector, fs: &FoldStats) {
     c.add(Counter::EventsFolded, fs.events_folded);
     c.add(Counter::DepsFolded, fs.deps_folded);
+    c.add(Counter::FoldPredicted, fs.predicted);
 }
 
 /// A finished serial pass 2, folded but not yet finalized (so the caller
@@ -219,6 +222,7 @@ fn run_profiler<S: FoldSink>(
             mem: prof.pruned_mem_events,
         },
         ctx_cache: prof.interner.cache_stats(),
+        ctx_content_interns: prof.interner.content_interns(),
         shadow_mru: prof.shadow_mru_stats(),
         shadow_pages: prof.resident_shadow_pages() as u64,
         shadow_alloc_failures: prof.shadow_alloc_failures(),

@@ -8,7 +8,10 @@
 //! the values of each dimension form a contiguous run `[lb(prefix),
 //! ub(prefix)]`; the folder closes one *group* per prefix change, feeding
 //! `(prefix, first)` / `(prefix, last)` samples to per-dimension
-//! [`OnlineAffineFitter`]s for the lower/upper bounds.
+//! [`OnlineAffineFitter`]s for the lower/upper bounds. Within a run along
+//! the last dimension nothing closes and, once the label fitters hold
+//! candidates, nothing needs refitting: [`StreamFolder::push`] recognises
+//! those points by a verified prediction and leaves the fitters alone.
 
 use crate::fitter::{FitResult, OnlineAffineFitter, RatAffine};
 use polylib::{AffineExpr, Polyhedron};
@@ -87,6 +90,27 @@ pub struct StreamFolder {
     label_range: Vec<(i64, i64)>,
     /// Integer verification fast path for all fitters this folder creates.
     fast_fit: bool,
+    /// Verified prediction of the next point (see [`StreamFolder::push`]).
+    pred: Predictor,
+}
+
+/// What the next point of an affine run looks like: the previous point one
+/// step further along the last dimension, every label advanced by its
+/// candidate's coefficient on that dimension.
+#[derive(Debug, Clone, Default)]
+struct Predictor {
+    /// Set after a push that left every label fitter holding a live integer
+    /// candidate (and the folder exact-mode, labels consistent).
+    armed: bool,
+    /// Labels of the previous point (empty for an unlabelled stream); each
+    /// equals its fitter's candidate at that point.
+    labels: Vec<i64>,
+    /// Per label, the candidate's coefficient on the last dimension.
+    step: Vec<i64>,
+    /// Predicted pushes not yet tallied in the label fitters.
+    pending: u64,
+    /// Predicted pushes since construction.
+    hits: u64,
 }
 
 impl StreamFolder {
@@ -122,7 +146,13 @@ impl StreamFolder {
             coarse: false,
             label_range: Vec::new(),
             fast_fit,
+            pred: Predictor::default(),
         }
+    }
+
+    /// Pushes accepted by the verified-prediction path so far.
+    pub fn predicted(&self) -> u64 {
+        self.pred.hits
     }
 
     /// Points folded so far.
@@ -144,6 +174,8 @@ impl StreamFolder {
         if self.coarse {
             return;
         }
+        self.flush_predicted();
+        self.pred.armed = false;
         self.coarse = true;
         self.lb = Vec::new();
         self.ub = Vec::new();
@@ -159,8 +191,110 @@ impl StreamFolder {
     /// Feed one point with an optional label vector. Points must arrive in
     /// execution order (lexicographically non-decreasing); violations are
     /// absorbed as over-approximations, never errors.
+    ///
+    /// In a folded affine stream the next point is almost always the
+    /// previous one, one step further along the last dimension, with every
+    /// label advanced by its last coefficient. Such a push is accepted by
+    /// comparing it with that prediction — O(dim + labels), no fitter
+    /// entered — and its effect on the label fitters (a sample count and a
+    /// value range) is deferred. Every other push first settles the deferred
+    /// tally, then takes the general path and re-arms the prediction. The
+    /// prediction decides nothing a fitter would decide differently: the
+    /// previous labels equal the candidates at the previous point, so
+    /// `previous + step` *is* the candidate at this one, in exact integers
+    /// (an overflowing sum cannot equal an `i64` label and is left to the
+    /// general path). With `fast_fit` off it is never armed.
     pub fn push(&mut self, coords: &[i64], labels: Option<&[i64]>) {
         assert_eq!(coords.len(), self.dim, "stream changed dimensionality");
+        if self.pred.armed && self.push_predicted(coords, labels) {
+            return;
+        }
+        self.flush_predicted();
+        self.push_general(coords, labels);
+        self.rearm(labels);
+    }
+
+    /// Accept `coords`/`labels` if they are exactly the predicted next
+    /// point. Leaves everything [`push_general`](Self::push_general) would
+    /// have changed for such a point changed the same way, except the label
+    /// fitters' tallies, which wait for
+    /// [`flush_predicted`](Self::flush_predicted).
+    #[inline]
+    fn push_predicted(&mut self, coords: &[i64], labels: Option<&[i64]>) -> bool {
+        let last = self.dim - 1;
+        let prev = &self.prev_buf;
+        if coords[..last] != prev[..last] || Some(coords[last]) != prev[last].checked_add(1) {
+            return false;
+        }
+        let p = &mut self.pred;
+        match labels {
+            None if self.labels_present => return false,
+            None => {}
+            Some(ls) => {
+                let matches = self.labels_present
+                    && ls.len() == p.labels.len()
+                    && ls
+                        .iter()
+                        .zip(p.labels.iter().zip(&p.step))
+                        .all(|(&l, (&prev, &step))| Some(l) == prev.checked_add(step));
+                if !matches {
+                    return false;
+                }
+                p.labels.copy_from_slice(ls);
+            }
+        }
+        p.pending += 1;
+        p.hits += 1;
+        let c = coords[last];
+        self.count += 1;
+        self.box_hi[last] = self.box_hi[last].max(c);
+        self.open_last[last] = c;
+        self.prev_buf[last] = c;
+        true
+    }
+
+    /// Settle the deferred tally of predicted pushes into the label fitters.
+    /// The labels moved monotonically from a value the fitters have already
+    /// seen to `pred.labels`, so the latter bounds the whole run.
+    fn flush_predicted(&mut self) {
+        let n = std::mem::take(&mut self.pred.pending);
+        if n > 0 {
+            for (f, &last) in self.label_fitters.iter_mut().zip(&self.pred.labels) {
+                f.absorb_verified(n, last);
+            }
+        }
+    }
+
+    /// Arm the prediction after a general push of `labels`, if the stream is
+    /// in the regular state the prediction's equivalence argument needs.
+    fn rearm(&mut self, labels: Option<&[i64]>) {
+        let p = &mut self.pred;
+        p.armed = false;
+        if !self.fast_fit || self.coarse || self.dim == 0 || !self.labels_consistent {
+            return;
+        }
+        p.labels.clear();
+        p.step.clear();
+        match labels {
+            None if self.labels_present => return,
+            None => {}
+            Some(ls) => {
+                if self.label_arity != Some(ls.len()) {
+                    return;
+                }
+                for f in &self.label_fitters {
+                    match f.fast_step() {
+                        Some(step) => p.step.push(step),
+                        None => return,
+                    }
+                }
+                p.labels.extend_from_slice(ls);
+            }
+        }
+        p.armed = true;
+    }
+
+    fn push_general(&mut self, coords: &[i64], labels: Option<&[i64]>) {
         // Exact duplicate of the previous point (e.g. a twice-used operand
         // producing the same dependence twice): ignore.
         if self.has_prev && self.prev_buf == coords {
@@ -290,6 +424,7 @@ impl StreamFolder {
 
     /// Finalize: close open groups and assemble the folded result.
     pub fn finalize(mut self) -> FoldedStream {
+        self.flush_predicted();
         if self.has_prev && !self.coarse {
             let prev = std::mem::take(&mut self.prev_buf);
             self.close_groups(&prev, 0);

@@ -50,22 +50,66 @@ pub struct Dim {
 /// `dims` is ordered outermost → innermost; `version` increments whenever
 /// the *context* part changes (used by [`context::ContextInterner`] to cache
 /// statement-context lookups between context changes).
-#[derive(Debug, Clone)]
+///
+/// The context part is also a state machine. [`apply`](Self::apply) moves
+/// the context stacks as a pure function of (stacks, event), so the tracker
+/// numbers the distinct stacks it has reached — *states*, assigned by
+/// content, so two histories that reach the same stacks share one — and
+/// memoises `(state, event) → state` in a short per-state successor list.
+/// Only a transition taken for the first time hashes the stacks; the
+/// interner then maps [`state`](Self::state) to its path id by index. The
+/// tables are bounded by the program's control structure (distinct contexts
+/// × successors of a block), never by trip counts.
+#[derive(Debug)]
 pub struct IivTracker {
     dims: Vec<Dim>,
     version: u64,
+    /// Process-unique identity of this tracker's state numbering.
+    id: u64,
+    /// The state the context stacks are in now.
+    state: u32,
+    /// Context stacks of every state reached so far, by content.
+    states: context::PathTable,
+    /// Memoised transitions out of each state, scanned linearly: a block has
+    /// a handful of successors.
+    succ: Vec<Vec<(LoopEvent, u32)>>,
+    memo_misses: u64,
 }
 
 impl IivTracker {
     /// Start tracking at the program entry block.
     pub fn new(entry: BlockRef) -> Self {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        // Identity only (nothing is published through it): `Relaxed`.
+        static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+        let dims = vec![Dim {
+            iv: 0,
+            ctx: vec![CtxElem::Block(entry)],
+        }];
+        let mut states = context::PathTable::default();
+        let state = states.intern(&dims);
         IivTracker {
-            dims: vec![Dim {
-                iv: 0,
-                ctx: vec![CtxElem::Block(entry)],
-            }],
+            dims,
             version: 0,
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            state,
+            states,
+            succ: vec![Vec::new()],
+            memo_misses: 0,
         }
+    }
+
+    /// `(tracker identity, state)`: the state numbers the current context
+    /// stacks among those this tracker has reached; numbers of different
+    /// trackers are unrelated, which the identity tells apart.
+    pub fn state(&self) -> (u64, u32) {
+        (self.id, self.state)
+    }
+
+    /// Transitions that were not in the memo and interned the stacks by
+    /// content — the only hashing [`apply`](Self::apply) ever does.
+    pub fn memo_misses(&self) -> u64 {
+        self.memo_misses
     }
 
     /// Current dimensions, outermost first.
@@ -111,6 +155,27 @@ impl IivTracker {
 
     /// Apply one loop event (Alg. 3).
     pub fn apply(&mut self, ev: &LoopEvent) {
+        let before = self.version;
+        self.move_stacks(ev);
+        if self.version == before {
+            // Every stack change bumps the version: same stacks, same state.
+            return;
+        }
+        let known = &self.succ[self.state as usize];
+        if let Some(&(_, next)) = known.iter().find(|(e, _)| e == ev) {
+            self.state = next;
+            return;
+        }
+        self.memo_misses += 1;
+        let next = self.states.intern(&self.dims);
+        if next as usize == self.succ.len() {
+            self.succ.push(Vec::new());
+        }
+        self.succ[self.state as usize].push((*ev, next));
+        self.state = next;
+    }
+
+    fn move_stacks(&mut self, ev: &LoopEvent) {
         match *ev {
             // C(B): push the callee entry block onto the innermost context.
             LoopEvent::Call { block, .. } => {

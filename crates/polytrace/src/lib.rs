@@ -13,9 +13,9 @@
 //!   (the producer, each fold shard, merge);
 //! * **pipeline counters and gauges** — events routed / folded
 //!   (total and per shard), chunk-pool recycle vs fresh-allocation counts,
-//!   bounded-channel send/recv stall time, shadow-page and context-cache MRU
-//!   hit/miss, dependence-MRU hit/miss, retired (SCEV) and over-approximated
-//!   statement counts, queue-depth high-water marks.
+//!   bounded-channel send/recv stall time, shadow-page MRU and context
+//!   version-cache hit/miss, folder prediction hits, retired (SCEV) and
+//!   over-approximated statement counts, queue-depth high-water marks.
 //!
 //! The design keeps the hot paths honest:
 //!
@@ -474,10 +474,16 @@ pub enum Counter {
     EventsFolded,
     /// Dependence events folded (subset of [`Counter::EventsFolded`]).
     DepsFolded,
+    /// Events a stream folder accepted by verified prediction, without
+    /// entering a fitter (subset of [`Counter::EventsFolded`]).
+    FoldPredicted,
     /// Context-path version-cache hits (`ContextInterner`).
     CtxCacheHit,
     /// Context-path version-cache misses.
     CtxCacheMiss,
+    /// Version-cache misses that hashed the context stacks by content: the
+    /// first sight of a tracker state (subset of [`Counter::CtxCacheMiss`]).
+    CtxContentInterns,
     /// Shadow-memory MRU page-cache hits.
     ShadowMruHit,
     /// Shadow-memory MRU page-cache misses (page-table probe or page alloc).
@@ -558,7 +564,7 @@ pub enum Counter {
 }
 
 /// Number of [`Counter`] slots.
-pub const N_COUNTERS: usize = 41;
+pub const N_COUNTERS: usize = 43;
 
 impl Counter {
     /// All counters, in report order.
@@ -568,8 +574,10 @@ impl Counter {
         Counter::EventsRouted,
         Counter::EventsFolded,
         Counter::DepsFolded,
+        Counter::FoldPredicted,
         Counter::CtxCacheHit,
         Counter::CtxCacheMiss,
+        Counter::CtxContentInterns,
         Counter::ShadowMruHit,
         Counter::ShadowMruMiss,
         Counter::ShadowPages,
@@ -614,8 +622,10 @@ impl Counter {
             Counter::EventsRouted => "events_routed",
             Counter::EventsFolded => "events_folded",
             Counter::DepsFolded => "deps_folded",
+            Counter::FoldPredicted => "fold_predicted",
             Counter::CtxCacheHit => "ctx_cache_hit",
             Counter::CtxCacheMiss => "ctx_cache_miss",
+            Counter::CtxContentInterns => "ctx_content_interns",
             Counter::ShadowMruHit => "shadow_mru_hit",
             Counter::ShadowMruMiss => "shadow_mru_miss",
             Counter::ShadowPages => "shadow_pages",
@@ -1355,6 +1365,13 @@ impl RunMetrics {
         (total > 0).then(|| h as f64 / total as f64)
     }
 
+    /// Share of folded events the stream folders accepted by verified
+    /// prediction (`None` when nothing was folded).
+    pub fn fold_predict_hit_ratio(&self) -> Option<f64> {
+        let folded = self.counter(Counter::EventsFolded);
+        (folded > 0).then(|| self.counter(Counter::FoldPredicted) as f64 / folded as f64)
+    }
+
     /// Per-thread mean of `SendStallNs` (the summed counter divided by the
     /// number of contributing threads; 0 when no thread contributed).
     pub fn send_stall_mean_ns(&self) -> u64 {
@@ -1670,6 +1687,7 @@ impl fmt::Display for RunMetrics {
                 Counter::ShadowMruHit => {
                     self.hit_rate(Counter::ShadowMruHit, Counter::ShadowMruMiss)
                 }
+                Counter::FoldPredicted => self.fold_predict_hit_ratio(),
                 _ => None,
             };
             match rate {
@@ -1770,6 +1788,7 @@ mod tests {
         let t = format!("{m}");
         assert!(t.contains("ctx_cache_hit"), "{t}");
         assert!(t.contains("90.0% hit rate"), "{t}");
+        assert_eq!(m.fold_predict_hit_ratio(), None);
         assert!(t.contains("total wall time"), "{t}");
     }
 

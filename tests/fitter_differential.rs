@@ -14,7 +14,7 @@
 mod common;
 
 use common::stencil;
-use polyprof_core::polyfold::{FitResult, OnlineAffineFitter};
+use polyprof_core::polyfold::{FitResult, FoldedStream, OnlineAffineFitter, StreamFolder};
 use polyprof_core::{profile_with, ProfileConfig};
 use proptest::prelude::*;
 
@@ -111,6 +111,141 @@ proptest! {
             .collect();
         let (fast, slow) = run_both(2, &samples);
         prop_assert_eq!(fast, slow);
+    }
+}
+
+/// One step of a folder stream.
+#[derive(Debug, Clone)]
+enum Op {
+    Push(Vec<i64>, Option<Vec<i64>>),
+    Degrade,
+}
+
+/// A `dim`-deep counted nest in execution order. Labelled points carry a
+/// scalar `base + a·i + b·j` (wrapping: with `base` next to an `i64` limit
+/// the stream stops being affine where it wraps) and, like a dependence's
+/// producer coordinate, `j − 1`.
+fn nest(
+    dim: usize,
+    outer: i64,
+    inner: i64,
+    (a, b, base): (i64, i64, i64),
+    labelled: bool,
+) -> Vec<Op> {
+    let (planes, rows) = (
+        if dim == 3 { 2 } else { 1 },
+        if dim >= 2 { outer } else { 1 },
+    );
+    let mut ops = Vec::new();
+    for h in 0..planes {
+        for i in 0..rows {
+            for j in 0..inner {
+                let full = [h, i, j];
+                let v = base
+                    .wrapping_add(a.wrapping_mul(i))
+                    .wrapping_add(b.wrapping_mul(j))
+                    .wrapping_add(h);
+                let labels = labelled.then(|| vec![v, j - 1]);
+                ops.push(Op::Push(full[3 - dim..].to_vec(), labels));
+            }
+        }
+    }
+    ops
+}
+
+/// Break the stream at `at` in one of the ways the verified prediction must
+/// hand back to the general path.
+fn disturb(ops: &mut Vec<Op>, kind: u8, at: usize, bump: i64) {
+    let at = at % ops.len().max(1);
+    let Some(Op::Push(coords, labels)) = ops.get(at).cloned() else {
+        return;
+    };
+    let bumped = |ls: &Option<Vec<i64>>| {
+        ls.clone().map(|mut ls| {
+            ls[0] = ls[0].wrapping_add(bump);
+            ls
+        })
+    };
+    match kind {
+        // A hole: the point never executes.
+        1 => drop(ops.remove(at)),
+        // Lexicographic re-entry: an earlier point shows up again.
+        2 => {
+            let earlier = ops[at / 2].clone();
+            ops.insert(at + 1, earlier);
+        }
+        // Consecutive duplicate, equal labels / contradicting labels.
+        3 => ops.insert(at + 1, Op::Push(coords, labels)),
+        4 => ops.insert(at + 1, Op::Push(coords, bumped(&labels))),
+        // A label off its function.
+        5 => ops[at] = Op::Push(coords, bumped(&labels)),
+        // A label vector of another arity.
+        6 => {
+            let wider = labels.map(|mut ls| {
+                ls.push(7);
+                ls
+            });
+            ops[at] = Op::Push(coords, wider.or(Some(vec![1])));
+        }
+        // `None` after `Some` (or the reverse on an unlabelled stream).
+        7 => ops[at] = Op::Push(coords, labels.map_or(Some(vec![0, 0]), |_| None)),
+        // Budget pressure arrives mid-stream.
+        8 => ops.insert(at, Op::Degrade),
+        _ => {}
+    }
+}
+
+/// Fold `ops` with the integer fast path (and with it the verified
+/// prediction) on or off.
+fn fold(ops: &[Op], dim: usize, fast_fit: bool) -> (FoldedStream, u64) {
+    let mut f = StreamFolder::with_fast_fit(dim, fast_fit);
+    for op in ops {
+        match op {
+            Op::Push(coords, labels) => f.push(coords, labels.as_deref()),
+            Op::Degrade => f.degrade(),
+        }
+    }
+    let predicted = f.predicted();
+    (f.finalize(), predicted)
+}
+
+proptest! {
+    /// Whole-folder differential for the verified prediction in
+    /// `StreamFolder::push`: the rational reference never arms it, so the
+    /// two folders share the general path and nothing else. Affine runs are
+    /// interrupted at two random positions by every kind of irregularity,
+    /// with labels far from and within one step of the `i64` limits; the
+    /// finalized streams must be equal field by field.
+    #[test]
+    fn predicted_folding_matches_the_rational_reference(
+        dim in 1usize..=3, outer in 1i64..6, inner in 1i64..12,
+        a in -9i64..=9, b in -9i64..=9,
+        extreme in 0u8..3, labelled in 0u8..4,
+        kind1 in 0u8..9, at1 in 0usize..400,
+        kind2 in 0u8..9, at2 in 0usize..400,
+        bump in 1i64..=5,
+    ) {
+        let base = match extreme {
+            1 => i64::MAX - inner / 2, // crosses MAX inside a run when b > 0
+            2 => i64::MIN + inner / 2,
+            _ => 1000,
+        };
+        let mut ops = nest(dim, outer, inner, (a, b, base), labelled > 0);
+        let regular = kind1 == 0 && kind2 == 0 && extreme == 0;
+        disturb(&mut ops, kind1, at1, bump);
+        disturb(&mut ops, kind2, at2, bump);
+        let (fast, predicted) = fold(&ops, dim, true);
+        let (slow, never) = fold(&ops, dim, false);
+        prop_assert_eq!(never, 0, "the reference must not predict");
+        if regular && inner > 2 {
+            prop_assert!(predicted > 0, "an undisturbed affine nest must be predicted");
+        }
+        prop_assert_eq!(&fast.domain.poly, &slow.domain.poly);
+        prop_assert_eq!(fast.domain.exact, slow.domain.exact);
+        prop_assert_eq!(fast.domain.count, slow.domain.count);
+        prop_assert_eq!(&fast.domain.box_lo, &slow.domain.box_lo);
+        prop_assert_eq!(&fast.domain.box_hi, &slow.domain.box_hi);
+        prop_assert_eq!(&fast.labels, &slow.labels);
     }
 }
 
