@@ -13,6 +13,7 @@
 //! Usage: `record_trace [--dir DIR] [--force] [--print-key]`
 
 use polyprof_bench::{replay_workloads, JsonObj};
+use polyprof_core::polyrec::codec::Fnv1a;
 use polyprof_core::polyrec::{program_hash, TraceReader, FORMAT_VERSION};
 use polyprof_core::{try_profile_with, ProfileConfig};
 use std::path::{Path, PathBuf};
@@ -20,19 +21,13 @@ use std::path::{Path, PathBuf};
 /// One FNV-1a-64 over the format version and the per-workload hashes: the
 /// replay-gate cache key.
 fn cache_key(workloads: &[(&'static str, polyir::Program)]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(&FORMAT_VERSION.to_le_bytes());
+    let mut h = Fnv1a::new();
+    h.write(&FORMAT_VERSION.to_le_bytes());
     for (name, prog) in workloads {
-        eat(name.as_bytes());
-        eat(&program_hash(prog).to_le_bytes());
+        h.write(name.as_bytes());
+        h.write(&program_hash(prog).to_le_bytes());
     }
-    format!("polyrec-v{FORMAT_VERSION}-{h:016x}")
+    format!("polyrec-v{FORMAT_VERSION}-{:016x}", h.finish())
 }
 
 /// An existing recording is fresh when it opens under the current format

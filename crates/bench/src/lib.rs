@@ -1,10 +1,11 @@
-//! # polyprof-bench — experiment harness
+//! # polyprof-bench — the paper's regenerators and the replay tools
 //!
 //! One binary per paper artifact (`fig2`, `fig3`, `fig4`, `fig7`,
-//! `table1_2`, `table3`, `table4`, `table5`) regenerates the corresponding
-//! table or figure from the reproduction, and Criterion benches measure the
-//! case-study kernels (original vs transformed) and the profiling pipeline
-//! itself. Shared helpers live here.
+//! `table1_2`, `table3`, `table4`, `table5`, `ablation`) regenerates the
+//! corresponding table or figure from the reproduction; `record_trace` and
+//! `refold` drive the CI replay gate; `overhead_gate` enforces the telemetry
+//! budgets. Shared helpers live here. Performance numbers are not this
+//! crate's job: `perf_ledger/` is the repository's one benchmark.
 
 pub mod sentinel;
 pub mod trace;
@@ -13,19 +14,11 @@ use polyiiv::CtxElem;
 use polyir::Program;
 use std::time::Instant;
 
-/// True when the `BENCH_SMOKE` environment variable is set: benches shrink
-/// their workloads/repetitions to CI-smoke size (same assertions, smaller
-/// traces).
-pub fn smoke() -> bool {
-    std::env::var_os("BENCH_SMOKE").is_some()
-}
-
 /// The fixed workload set the trace-recording binaries (`record_trace`,
 /// `refold`) and the CI replay gate operate on: four Rodinia kernels plus
 /// the paper's Fig. 6 running example, at small deterministic sizes so the
-/// `.ptrace` fixtures stay cache-friendly. Sizes are *not* `BENCH_SMOKE`-
-/// dependent — a recording must mean the same thing whichever environment
-/// replays it.
+/// `.ptrace` fixtures stay cache-friendly. Sizes are fixed — a recording must
+/// mean the same thing whichever environment replays it.
 pub fn replay_workloads() -> Vec<(&'static str, Program)> {
     vec![
         ("backprop", rodinia::backprop::build().program),
@@ -34,26 +27,6 @@ pub fn replay_workloads() -> Vec<(&'static str, Program)> {
         ("hotspot", rodinia::hotspot::build().program),
         ("fig6", rodinia::paper_examples::fig6_kernel(16, 8)),
     ]
-}
-
-/// The commit a bench artifact was measured at, for trajectory lines:
-/// `GITHUB_SHA` when CI sets it, else `git rev-parse HEAD` of the working
-/// directory, else `"unknown"`.
-pub fn git_sha() -> String {
-    resolve_git_sha(std::env::var("GITHUB_SHA").ok(), || {
-        let out = std::process::Command::new("git")
-            .args(["rev-parse", "HEAD"])
-            .stderr(std::process::Stdio::null())
-            .output()
-            .ok()?;
-        (out.status.success()).then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
-    })
-}
-
-fn resolve_git_sha(env: Option<String>, rev_parse: impl FnOnce() -> Option<String>) -> String {
-    (env.filter(|s| !s.is_empty()))
-        .or_else(|| rev_parse().filter(|s| !s.is_empty()))
-        .unwrap_or_else(|| "unknown".into())
 }
 
 /// Human-readable names for context elements given the program (used by the
@@ -103,10 +76,11 @@ pub fn pct(x: f64) -> String {
     }
 }
 
-/// Minimal hand-rolled JSON object builder for machine-readable bench
-/// artifacts (`BENCH_pipeline.json`): flat or one-level-nested objects of
-/// strings and numbers. String values go through `polytrace::json_escape`,
-/// so quote- or control-character-bearing workload names stay valid JSON.
+/// Minimal hand-rolled JSON object builder for machine-readable output
+/// (`record_trace`/`refold` status lines, `perf_ledger`'s results): flat or
+/// one-level-nested objects of strings and numbers. String values go through
+/// `polytrace::json_escape`, so quote- or control-character-bearing workload
+/// names stay valid JSON.
 #[derive(Debug, Default)]
 pub struct JsonObj {
     fields: Vec<(String, String)>,
@@ -184,19 +158,6 @@ mod tests {
         assert_eq!(s, "{\"workload\": \"back\\\"prop\\\"\\n\\t\\\\v1\\u0001\"}");
         assert!(!s.contains('\n'), "raw control chars must not leak");
         sentinel::validate_json(&s).expect("escaped output must be valid JSON");
-    }
-
-    /// `GITHUB_SHA` wins, the repository's HEAD is next (and is not asked
-    /// when the variable is set), `"unknown"` is the last resort.
-    #[test]
-    fn git_sha_precedence() {
-        let head = || Some("f00d".to_string());
-        let asked = || -> Option<String> { panic!("git asked although GITHUB_SHA is set") };
-        assert_eq!(resolve_git_sha(Some("c0ffee".into()), asked), "c0ffee");
-        assert_eq!(resolve_git_sha(None, head), "f00d");
-        assert_eq!(resolve_git_sha(Some(String::new()), head), "f00d");
-        assert_eq!(resolve_git_sha(None, || None), "unknown");
-        assert_eq!(resolve_git_sha(None, || Some(String::new())), "unknown");
     }
 
     #[test]

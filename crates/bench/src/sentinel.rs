@@ -1,474 +1,6 @@
-//! Bench-trajectory regression sentinel.
-//!
-//! `bench_pipeline` appends one flat JSON object per run to
-//! `BENCH_trajectory.json` (JSONL). The sentinel groups that history by
-//! run identity — `(bench, cpus, smoke)` — and compares the newest run's
-//! ns/event figures against the **median of the previous five** matching
-//! runs. A run more than `worse_limit` (default 15%) slower on any tracked
-//! metric fails the gate; groups with fewer than five prior runs are
-//! records-only (the history is still growing).
-//!
-//! The parser is deliberately tolerant: it extracts known keys from flat
-//! JSON lines by scanning, skips lines it cannot read, and never fails on
-//! unknown keys — old and future trajectory schemas coexist in one file.
-//!
-//! A minimal recursive-descent JSON validator ([`validate_json`]) lives
-//! here too: the timeline gate uses it to prove exported Chrome traces are
-//! syntactically valid without pulling a JSON dependency into the tree.
+//! `validate_json` lives in `polytrace`, beside the emitters it checks. This
+//! path exists only because `perf_ledger/src/{main,spans}.rs` import
+//! `polyprof_bench::sentinel::validate_json` and `perf_ledger/` is frozen
+//! outside a `benchmark` PR; the next one repoints them and drops this module.
 
-/// The latency metrics the sentinel tracks, by trajectory key: the two
-/// per-event fold costs, plus the serve-gate's p99 end-to-end session
-/// latency from the `loadgen` driver.
-pub const TRACKED_METRICS: [&str; 3] = [
-    "profiler_ns_per_event",
-    "with_folding_ns_per_event",
-    "serve_p99_ms",
-];
-
-/// Prior matching runs required before the gate arms.
-pub const MIN_HISTORY: usize = 5;
-
-/// Default tolerated slowdown vs. the history median (0.15 = +15%).
-pub const DEFAULT_WORSE_LIMIT: f64 = 0.15;
-
-/// One parsed trajectory line (unknown keys ignored).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrajectoryEntry {
-    /// Bench name (`"bench_pipeline"`).
-    pub bench: String,
-    /// CPU count the run saw.
-    pub cpus: u64,
-    /// Whether the run was `BENCH_SMOKE`-sized.
-    pub smoke: bool,
-    /// `(metric key, ns/event)` for every tracked metric present.
-    pub metrics: Vec<(&'static str, f64)>,
-}
-
-/// What the sentinel concluded for one `(bench, cpus, smoke)` group.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Verdict {
-    /// Newest run within tolerance of the history median on every metric.
-    Pass,
-    /// Not enough history to judge — recorded, not gated.
-    RecordOnly {
-        /// Prior matching runs found (< [`MIN_HISTORY`]).
-        have: usize,
-    },
-    /// Newest run regressed past the tolerance on at least one metric.
-    Regressed {
-        /// The offending metric key.
-        metric: &'static str,
-        /// Newest run's value.
-        new: f64,
-        /// Median of the last [`MIN_HISTORY`] prior runs.
-        median: f64,
-    },
-}
-
-/// Sentinel outcome for one run-identity group.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupCheck {
-    /// Bench name.
-    pub bench: String,
-    /// CPU count of the group.
-    pub cpus: u64,
-    /// Smoke-sized group?
-    pub smoke: bool,
-    /// Runs seen in this group (including the newest).
-    pub runs: usize,
-    /// The verdict.
-    pub verdict: Verdict,
-}
-
-/// Extract a JSON string value for `key` from a flat object line.
-pub fn extract_str(line: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\"");
-    let at = line.find(&needle)?;
-    let rest = line[at + needle.len()..].trim_start().strip_prefix(':')?;
-    let rest = rest.trim_start().strip_prefix('"')?;
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                'n' => out.push('\n'),
-                't' => out.push('\t'),
-                'r' => out.push('\r'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let v = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(v)?);
-                }
-                other => out.push(other),
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// Extract a JSON numeric (or boolean, as 1/0) value for `key`.
-pub fn extract_num(line: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = line.find(&needle)?;
-    let rest = line[at + needle.len()..].trim_start().strip_prefix(':')?;
-    let rest = rest.trim_start();
-    if let Some(r) = rest.strip_prefix("true") {
-        let _ = r;
-        return Some(1.0);
-    }
-    if rest.starts_with("false") {
-        return Some(0.0);
-    }
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Parse a JSONL trajectory; unreadable lines are skipped, not fatal.
-pub fn parse_trajectory(text: &str) -> Vec<TrajectoryEntry> {
-    text.lines()
-        .filter_map(|line| {
-            let line = line.trim();
-            if line.is_empty() {
-                return None;
-            }
-            let bench = extract_str(line, "bench")?;
-            let cpus = extract_num(line, "cpus")? as u64;
-            let smoke = extract_num(line, "smoke")
-                .map(|v| v != 0.0)
-                .unwrap_or(false);
-            let metrics = TRACKED_METRICS
-                .iter()
-                .filter_map(|&m| extract_num(line, m).map(|v| (m, v)))
-                .collect();
-            Some(TrajectoryEntry {
-                bench,
-                cpus,
-                smoke,
-                metrics,
-            })
-        })
-        .collect()
-}
-
-fn median(sorted: &[f64]) -> f64 {
-    let n = sorted.len();
-    if n % 2 == 1 {
-        sorted[n / 2]
-    } else {
-        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
-    }
-}
-
-/// Run the sentinel over a trajectory file's text. Each `(bench, cpus,
-/// smoke)` group's **last** entry is the candidate; the up-to-five entries
-/// before it are its history.
-pub fn check_trajectory(text: &str, worse_limit: f64) -> Vec<GroupCheck> {
-    let entries = parse_trajectory(text);
-    // Group keys in first-seen order (no HashMap: keep output deterministic).
-    let mut keys: Vec<(String, u64, bool)> = Vec::new();
-    for e in &entries {
-        let k = (e.bench.clone(), e.cpus, e.smoke);
-        if !keys.contains(&k) {
-            keys.push(k);
-        }
-    }
-    keys.into_iter()
-        .map(|(bench, cpus, smoke)| {
-            let group: Vec<&TrajectoryEntry> = entries
-                .iter()
-                .filter(|e| e.bench == bench && e.cpus == cpus && e.smoke == smoke)
-                .collect();
-            let runs = group.len();
-            let (newest, history) = group.split_last().expect("group is non-empty");
-            let verdict = if history.len() < MIN_HISTORY {
-                Verdict::RecordOnly {
-                    have: history.len(),
-                }
-            } else {
-                let window = &history[history.len() - MIN_HISTORY..];
-                let mut verdict = Verdict::Pass;
-                for &(metric, new) in &newest.metrics {
-                    let mut vals: Vec<f64> = window
-                        .iter()
-                        .filter_map(|e| {
-                            e.metrics
-                                .iter()
-                                .find(|(m, _)| *m == metric)
-                                .map(|(_, v)| *v)
-                        })
-                        .collect();
-                    if vals.len() < MIN_HISTORY {
-                        continue; // metric too young to gate
-                    }
-                    vals.sort_by(|a, b| a.total_cmp(b));
-                    let med = median(&vals);
-                    if med > 0.0 && new > med * (1.0 + worse_limit) {
-                        verdict = Verdict::Regressed {
-                            metric,
-                            new,
-                            median: med,
-                        };
-                        break;
-                    }
-                }
-                verdict
-            };
-            GroupCheck {
-                bench,
-                cpus,
-                smoke,
-                runs,
-                verdict,
-            }
-        })
-        .collect()
-}
-
-/// Validate that `s` is one syntactically well-formed JSON value. Used by
-/// the timeline gate on exported Chrome traces (structure only — no schema).
-pub fn validate_json(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut i = 0usize;
-    skip_ws(b, &mut i);
-    value(b, &mut i)?;
-    skip_ws(b, &mut i);
-    if i != b.len() {
-        return Err(format!("trailing data at byte {i}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], i: &mut usize) {
-    while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-        *i += 1;
-    }
-}
-
-fn value(b: &[u8], i: &mut usize) -> Result<(), String> {
-    if *i >= b.len() {
-        return Err("unexpected end of input".into());
-    }
-    match b[*i] {
-        b'{' => {
-            *i += 1;
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b'}') {
-                *i += 1;
-                return Ok(());
-            }
-            loop {
-                skip_ws(b, i);
-                string(b, i)?;
-                skip_ws(b, i);
-                expect(b, i, b':')?;
-                skip_ws(b, i);
-                value(b, i)?;
-                skip_ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b'}') => {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {i}")),
-                }
-            }
-        }
-        b'[' => {
-            *i += 1;
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b']') {
-                *i += 1;
-                return Ok(());
-            }
-            loop {
-                skip_ws(b, i);
-                value(b, i)?;
-                skip_ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b']') => {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {i}")),
-                }
-            }
-        }
-        b'"' => string(b, i),
-        b't' => literal(b, i, b"true"),
-        b'f' => literal(b, i, b"false"),
-        b'n' => literal(b, i, b"null"),
-        b'-' | b'0'..=b'9' => number(b, i),
-        c => Err(format!("unexpected byte {c:#x} at {i}")),
-    }
-}
-
-fn expect(b: &[u8], i: &mut usize, want: u8) -> Result<(), String> {
-    if b.get(*i) == Some(&want) {
-        *i += 1;
-        Ok(())
-    } else {
-        Err(format!("expected {:?} at byte {i}", want as char))
-    }
-}
-
-fn literal(b: &[u8], i: &mut usize, lit: &[u8]) -> Result<(), String> {
-    if b.len() >= *i + lit.len() && &b[*i..*i + lit.len()] == lit {
-        *i += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {i}"))
-    }
-}
-
-fn string(b: &[u8], i: &mut usize) -> Result<(), String> {
-    expect(b, i, b'"')?;
-    while *i < b.len() {
-        match b[*i] {
-            b'"' => {
-                *i += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *i += 1;
-                match b.get(*i) {
-                    Some(b'u') => {
-                        if b.len() < *i + 5 || !b[*i + 1..*i + 5].iter().all(u8::is_ascii_hexdigit)
-                        {
-                            return Err(format!("bad \\u escape at byte {i}"));
-                        }
-                        *i += 5;
-                    }
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *i += 1,
-                    _ => return Err(format!("bad escape at byte {i}")),
-                }
-            }
-            0x00..=0x1f => return Err(format!("raw control char in string at byte {i}")),
-            _ => *i += 1,
-        }
-    }
-    Err("unterminated string".into())
-}
-
-fn number(b: &[u8], i: &mut usize) -> Result<(), String> {
-    let start = *i;
-    if b.get(*i) == Some(&b'-') {
-        *i += 1;
-    }
-    while *i < b.len()
-        && (b[*i].is_ascii_digit() || matches!(b[*i], b'.' | b'e' | b'E' | b'+' | b'-'))
-    {
-        *i += 1;
-    }
-    let text = std::str::from_utf8(&b[start..*i]).map_err(|e| e.to_string())?;
-    text.parse::<f64>()
-        .map_err(|_| format!("bad number {text:?} at byte {start}"))?;
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn line(bench: &str, cpus: u64, smoke: bool, prof: f64, fold: f64) -> String {
-        format!(
-            "{{\"bench\": \"{bench}\", \"cpus\": {cpus}, \"smoke\": {smoke}, \
-             \"profiler_ns_per_event\": {prof}, \"with_folding_ns_per_event\": {fold}}}"
-        )
-    }
-
-    #[test]
-    fn short_history_is_record_only() {
-        let text: String = (0..4)
-            .map(|_| line("bench_pipeline", 1, true, 100.0, 50.0) + "\n")
-            .collect();
-        let checks = check_trajectory(&text, DEFAULT_WORSE_LIMIT);
-        assert_eq!(checks.len(), 1);
-        assert_eq!(checks[0].verdict, Verdict::RecordOnly { have: 3 });
-    }
-
-    #[test]
-    fn within_tolerance_passes_and_regression_fails() {
-        let mut text: String = (0..5)
-            .map(|_| line("bench_pipeline", 1, true, 100.0, 50.0) + "\n")
-            .collect();
-        // +10% on profiler ns/event: within the 15% gate.
-        text.push_str(&line("bench_pipeline", 1, true, 110.0, 50.0));
-        let checks = check_trajectory(&text, DEFAULT_WORSE_LIMIT);
-        assert_eq!(checks[0].verdict, Verdict::Pass);
-
-        // +30%: past the gate.
-        let mut text: String = (0..5)
-            .map(|_| line("bench_pipeline", 1, true, 100.0, 50.0) + "\n")
-            .collect();
-        text.push_str(&line("bench_pipeline", 1, true, 130.0, 50.0));
-        let checks = check_trajectory(&text, DEFAULT_WORSE_LIMIT);
-        match &checks[0].verdict {
-            Verdict::Regressed {
-                metric,
-                new,
-                median,
-            } => {
-                assert_eq!(*metric, "profiler_ns_per_event");
-                assert_eq!(*new, 130.0);
-                assert_eq!(*median, 100.0);
-            }
-            v => panic!("expected regression, got {v:?}"),
-        }
-    }
-
-    #[test]
-    fn groups_are_identity_separated() {
-        // A fast 4-cpu history must not mask a slow 1-cpu run.
-        let mut text = String::new();
-        for _ in 0..5 {
-            text.push_str(&(line("bench_pipeline", 1, true, 100.0, 50.0) + "\n"));
-            text.push_str(&(line("bench_pipeline", 4, true, 30.0, 20.0) + "\n"));
-        }
-        text.push_str(&(line("bench_pipeline", 1, true, 200.0, 50.0) + "\n"));
-        text.push_str(&(line("bench_pipeline", 4, true, 30.0, 20.0) + "\n"));
-        let checks = check_trajectory(&text, DEFAULT_WORSE_LIMIT);
-        assert_eq!(checks.len(), 2);
-        assert!(matches!(checks[0].verdict, Verdict::Regressed { .. }));
-        assert_eq!(checks[1].verdict, Verdict::Pass);
-    }
-
-    #[test]
-    fn tolerant_parse_skips_junk_lines() {
-        let text = format!(
-            "not json at all\n{}\n{{\"unrelated\": 1}}\n",
-            line("bench_pipeline", 1, false, 10.0, 5.0)
-        );
-        let entries = parse_trajectory(&text);
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].cpus, 1);
-        assert!(!entries[0].smoke);
-        assert_eq!(entries[0].metrics.len(), 2);
-    }
-
-    #[test]
-    fn json_validator_accepts_and_rejects() {
-        validate_json("{\"a\": [1, 2.5, -3e2, true, null, \"x\\n\"]}").unwrap();
-        validate_json("  {}  ").unwrap();
-        assert!(validate_json("{\"a\": }").is_err());
-        assert!(validate_json("{\"a\": 1,}").is_err());
-        assert!(validate_json("[1 2]").is_err());
-        assert!(validate_json("{\"a\": \"\u{1}\"}").is_err(), "raw control");
-        assert!(validate_json("{} trailing").is_err());
-    }
-
-    #[test]
-    fn extractors_handle_escapes_and_numbers() {
-        let l = "{\"bench\": \"a\\\"b\", \"cpus\": 4, \"x\": -1.5e3, \"smoke\": false}";
-        assert_eq!(extract_str(l, "bench").as_deref(), Some("a\"b"));
-        assert_eq!(extract_num(l, "cpus"), Some(4.0));
-        assert_eq!(extract_num(l, "x"), Some(-1500.0));
-        assert_eq!(extract_num(l, "smoke"), Some(0.0));
-        assert_eq!(extract_num(l, "absent"), None);
-    }
-}
+pub use polytrace::validate_json;

@@ -1,63 +1,8 @@
-//! Trace recording/replay helpers and the parametric backprop-class
-//! workload shared by the profiling benches (`bench_pipeline`,
-//! `bench_fold_scaling`).
+//! The parametric backprop-class workload behind `perf_ledger`'s
+//! `dense_affine` and `record_replay` rows.
 
 use polyir::build::ProgramBuilder;
-use polyir::{BlockRef, FBinOp, FuncId, InstrRef, Operand, Program, UnOp, Value};
-use polyvm::EventSink;
-
-/// One recorded instrumentation event.
-#[derive(Debug, Clone, Copy)]
-pub enum Ev {
-    /// Local jump.
-    Jump(BlockRef, BlockRef),
-    /// Call.
-    Call(BlockRef, FuncId, BlockRef),
-    /// Return.
-    Ret(FuncId, Option<BlockRef>),
-    /// Instruction execution.
-    Exec(InstrRef, Option<Value>),
-    /// Memory access.
-    Mem(InstrRef, u64, bool),
-}
-
-/// Records the full event stream of one execution for later replay.
-#[derive(Debug, Default)]
-pub struct Recorder {
-    /// The recorded events, in execution order.
-    pub events: Vec<Ev>,
-}
-
-impl EventSink for Recorder {
-    fn local_jump(&mut self, from: BlockRef, to: BlockRef) {
-        self.events.push(Ev::Jump(from, to));
-    }
-    fn call(&mut self, callsite: BlockRef, callee: FuncId, entry: BlockRef) {
-        self.events.push(Ev::Call(callsite, callee, entry));
-    }
-    fn ret(&mut self, from: FuncId, to: Option<BlockRef>) {
-        self.events.push(Ev::Ret(from, to));
-    }
-    fn exec(&mut self, instr: InstrRef, value: Option<Value>) {
-        self.events.push(Ev::Exec(instr, value));
-    }
-    fn mem(&mut self, instr: InstrRef, addr: u64, is_write: bool) {
-        self.events.push(Ev::Mem(instr, addr, is_write));
-    }
-}
-
-/// Replay a recorded stream into any [`EventSink`], in order.
-pub fn replay<S: EventSink>(events: &[Ev], sink: &mut S) {
-    for ev in events {
-        match *ev {
-            Ev::Jump(a, b) => sink.local_jump(a, b),
-            Ev::Call(a, b, c) => sink.call(a, b, c),
-            Ev::Ret(a, b) => sink.ret(a, b),
-            Ev::Exec(a, b) => sink.exec(a, b),
-            Ev::Mem(a, b, c) => sink.mem(a, b, c),
-        }
-    }
-}
+use polyir::{FBinOp, Operand, Program, UnOp};
 
 /// A backprop-class program (the shape of `rodinia::backprop` — 2-D column-
 /// stride reduction kernel + 2-D elementwise update, both behind calls) with

@@ -122,10 +122,11 @@ pub struct Report {
 
 impl Report {
     /// The run metrics as a JSON object string, or `None` at
-    /// [`MetricsLevel::Off`]. Stable keys — this is what the bench harness
-    /// snapshots into its `metrics.json` artifacts. When the static
-    /// pre-pass ran, the `lint`, `static_deps`, and `legality` reports are
-    /// spliced in as additional top-level keys (each stable-keyed itself).
+    /// [`MetricsLevel::Off`]. Stable keys, one well-formed JSON value
+    /// (`tests/metrics.rs` passes it through `polytrace::validate_json`).
+    /// When the static pre-pass ran, the `lint`, `static_deps`, and
+    /// `legality` reports are spliced in as additional top-level keys (each
+    /// stable-keyed itself).
     pub fn metrics_json(&self) -> Option<String> {
         self.metrics.as_ref().map(|m| {
             let mut j = m.to_json();
@@ -187,8 +188,9 @@ pub struct ProfileConfig {
     /// keeps producing events; the sharded differential suite bit-compares
     /// the two.
     pub fold_threads: usize,
-    /// Events per pipeline chunk (batching granularity; ignored on the
-    /// serial path).
+    /// Events per pipeline chunk: the batching granularity between the
+    /// producer and the fold workers, and — on every path, serial included —
+    /// the frame size of a recording ([`ProfileConfig::with_record_to`]).
     pub chunk_events: usize,
     /// Self-profiling level: [`MetricsLevel::Off`] (default, zero cost),
     /// `Counters` (hot-path tallies, harvested per stage), or `Timing`

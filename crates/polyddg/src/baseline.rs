@@ -1,11 +1,7 @@
 //! Retained reference implementation of the stage-2 profiler — the
-//! pre-optimization hot path, kept verbatim for two jobs:
-//!
-//! 1. **Differential testing**: the interned-coordinate
-//!    [`DdgProfiler`](crate::DdgProfiler) must produce a byte-identical
-//!    folding stream.
-//! 2. **Benchmark baseline**: the ≥1.5× event-throughput claim in
-//!    `BENCH_pipeline.json` is measured against this implementation.
+//! pre-optimization hot path, kept verbatim for differential testing: the
+//! interned-coordinate [`DdgProfiler`](crate::DdgProfiler) must produce a
+//! byte-identical folding stream (`tests/differential.rs`).
 //!
 //! Differences from the production path, by construction:
 //! * every writer record boxes its own coordinate vector (`Box<[i64]>`),
@@ -27,11 +23,11 @@ use std::collections::HashMap;
 
 /// The boxed producer record of the naive path.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NaiveWriter {
+struct NaiveWriter {
     /// The statement (context + instruction).
-    pub stmt: StmtId,
+    stmt: StmtId,
     /// Its iteration-vector coordinates, owned.
-    pub coords: Box<[i64]>,
+    coords: Box<[i64]>,
 }
 
 const PAGE_BITS: u32 = 12;
@@ -47,19 +43,19 @@ fn new_page() -> Page {
 
 /// The original two-table paged shadow memory.
 #[derive(Debug, Default)]
-pub struct NaiveShadowMemory {
+struct NaiveShadowMemory {
     writes: HashMap<u64, Page>,
     reads: HashMap<u64, Page>,
 }
 
 impl NaiveShadowMemory {
     /// Empty shadow memory.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self::default()
     }
 
     /// Last writer of `addr`, if any.
-    pub fn last_write(&self, addr: u64) -> Option<&NaiveWriter> {
+    fn last_write(&self, addr: u64) -> Option<&NaiveWriter> {
         self.writes
             .get(&(addr >> PAGE_BITS))?
             .get((addr as usize) & (PAGE_SIZE - 1))?
@@ -67,7 +63,7 @@ impl NaiveShadowMemory {
     }
 
     /// Last reader of `addr`, if any (cleared on write).
-    pub fn last_read(&self, addr: u64) -> Option<&NaiveWriter> {
+    fn last_read(&self, addr: u64) -> Option<&NaiveWriter> {
         self.reads
             .get(&(addr >> PAGE_BITS))?
             .get((addr as usize) & (PAGE_SIZE - 1))?
@@ -76,7 +72,7 @@ impl NaiveShadowMemory {
 
     /// Record a write: updates the writer and clears the reader (two hash
     /// probes — the double lookup the production path eliminates).
-    pub fn record_write(&mut self, addr: u64, w: NaiveWriter) {
+    fn record_write(&mut self, addr: u64, w: NaiveWriter) {
         let page = self
             .writes
             .entry(addr >> PAGE_BITS)
@@ -88,14 +84,9 @@ impl NaiveShadowMemory {
     }
 
     /// Record a read (for last-reader anti-dependence tracking).
-    pub fn record_read(&mut self, addr: u64, r: NaiveWriter) {
+    fn record_read(&mut self, addr: u64, r: NaiveWriter) {
         let page = self.reads.entry(addr >> PAGE_BITS).or_insert_with(new_page);
         page[(addr as usize) & (PAGE_SIZE - 1)] = Some(r);
-    }
-
-    /// Number of resident shadow pages (write pages + read pages).
-    pub fn resident_pages(&self) -> usize {
-        self.writes.len() + self.reads.len()
     }
 }
 

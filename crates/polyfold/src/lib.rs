@@ -288,8 +288,7 @@ pub struct FoldOptions {
     /// Verify fixed affine candidates with overflow-checked `i64`
     /// arithmetic, falling back to exact rationals on overflow. Disabling it
     /// forces the pure-rational verification path everywhere — the
-    /// reference `tests/fitter_differential.rs` pins the fast path against
-    /// and `bench_pipeline` uses as its with-folding baseline.
+    /// reference `tests/fitter_differential.rs` pins the fast path against.
     pub fast_fit: bool,
 }
 

@@ -18,14 +18,51 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64 prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// Streaming FNV-1a 64: feed bytes with [`Fnv1a::write`] (or text through
+/// [`std::fmt::Write`]), read the hash with [`Fnv1a::finish`]. The one
+/// implementation behind frame checksums, [`program_hash`](crate::program_hash),
+/// the server's cache keys and the replay-gate fixture key.
+#[derive(Debug)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// The hash of the empty input.
+    pub fn new() -> Self {
+        Fnv1a(FNV_OFFSET)
+    }
+
+    /// Absorb `bytes`.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    /// The hash of everything written so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
+}
+
 /// FNV-1a 64 over a byte slice (frame and footer checksums).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.finish()
 }
 
 /// Append an unsigned LEB128 varint.

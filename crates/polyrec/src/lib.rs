@@ -82,20 +82,10 @@ fn io_err(path: &str, op: &str, e: std::io::Error) -> PolyProfError {
 /// deterministic `Debug` rendering (the `Program` tree is plain `Vec`s, so
 /// the rendering is stable) with FNV-1a, streamed — no intermediate string.
 pub fn program_hash(prog: &Program) -> u64 {
-    struct FnvWriter(u64);
-    impl std::fmt::Write for FnvWriter {
-        fn write_str(&mut self, s: &str) -> std::fmt::Result {
-            for b in s.bytes() {
-                self.0 ^= b as u64;
-                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            Ok(())
-        }
-    }
     use std::fmt::Write as _;
-    let mut w = FnvWriter(0xcbf2_9ce4_8422_2325);
-    let _ = write!(w, "{prog:?}");
-    w.0
+    let mut h = codec::Fnv1a::new();
+    let _ = write!(h, "{prog:?}");
+    h.finish()
 }
 
 /// Validate the header of an in-memory `.ptrace` byte stream and return its

@@ -1,5 +1,5 @@
 //! Blocking client for the polyserve wire protocol — the counterpart the
-//! tests, the `loadgen` driver, and the CI serve-gate speak through.
+//! tests and `perf_ledger`'s `serve_mix` workload speak through.
 
 use crate::wire::{json_str, json_u64, read_frame, write_frame, write_json, KIND_BINARY};
 use std::io;
@@ -102,8 +102,8 @@ impl Client {
         Ok(json_str(&frame, "type").as_deref() == Some("pong"))
     }
 
-    /// Fetch the server's service-metrics JSON (the `serve_metrics.json`
-    /// body wrapped in a `metrics` frame; flat keys, so the `wire` helpers
+    /// Fetch the server's service-metrics JSON (`ServiceStats::to_json`
+    /// wrapped in a `metrics` frame; flat keys, so the `wire` helpers
     /// extract counters directly from the returned string).
     pub fn metrics_json(&mut self) -> io::Result<String> {
         write_json(&mut self.stream, "{\"op\": \"metrics\"}")?;

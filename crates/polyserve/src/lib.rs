@@ -25,8 +25,8 @@
 //!
 //! The wire protocol is deliberately small (see [`wire`]): length-prefixed
 //! frames, flat JSON objects, no external dependencies. [`client::Client`]
-//! is the matching blocking client used by the tests, the `loadgen` bench
-//! driver, and the CI serve-gate.
+//! is the matching blocking client used by the tests and by
+//! `perf_ledger`'s `serve_mix` workload.
 //!
 //! ```no_run
 //! use polyserve::{serve, Client, ServerConfig, Submission, SubmitOpts};

@@ -9,9 +9,8 @@
 //!
 //! The JSON layer is deliberately tiny: the protocol's objects are flat
 //! (string / integer fields only at the layer the server inspects), so a
-//! pair of scanning extractors — the same technique the bench harness uses
-//! on its artifacts — replaces a serde dependency this workspace does not
-//! have.
+//! pair of scanning extractors replaces a serde dependency this workspace
+//! does not have.
 
 use std::io::{self, Read, Write};
 
@@ -132,14 +131,7 @@ fn find_value(json: &str, key: &str) -> Option<usize> {
 /// FNV-1a over raw bytes — the input-hash half of the folded-DDG cache key
 /// for recording submissions (program submissions run the VM on an empty
 /// input vector, so their input hash is 0).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
+pub use polyrec::codec::fnv1a;
 
 #[cfg(test)]
 mod tests {
@@ -181,9 +173,25 @@ mod tests {
         assert_eq!(json_u64(j, "op"), None);
     }
 
+    /// The three entry points of the one FNV-1a-64 — this re-export, the
+    /// slice form in `polyrec::codec` and its streaming form fed bytes or
+    /// text — agree on the published test vectors.
     #[test]
     fn fnv_is_stable() {
-        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
-        assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
+        use polyrec::codec::Fnv1a;
+        use std::fmt::Write as _;
+        for (input, want) in [
+            ("", 0xcbf2_9ce4_8422_2325u64),
+            ("a", 0xaf63_dc4c_8601_ec8c),
+            ("foobar", 0x8594_4171_f739_67e8),
+        ] {
+            assert_eq!(fnv1a(input.as_bytes()), want, "{input:?}");
+            assert_eq!(polyrec::codec::fnv1a(input.as_bytes()), want, "{input:?}");
+            let (head, tail) = input.split_at(input.len() / 2);
+            let mut h = Fnv1a::new();
+            h.write(head.as_bytes());
+            h.write_str(tail).unwrap();
+            assert_eq!(h.finish(), want, "{input:?} streamed");
+        }
     }
 }

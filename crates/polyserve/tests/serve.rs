@@ -8,7 +8,7 @@
 use polyprof_core::{try_profile_with, ProfileConfig};
 use polyserve::{serve, Client, Outcome, ServerConfig, Submission, SubmitOpts};
 use std::collections::HashMap;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The served workload registry — small deterministic builds so dozens of
 /// concurrent sessions stay test-sized.
@@ -53,6 +53,7 @@ fn ping_metrics_and_unknown_ops() {
     let mut c = Client::connect(server.addr()).unwrap();
     assert!(c.ping().unwrap());
     let m = c.metrics_json().unwrap();
+    polytrace::validate_json(&m).expect("metrics frame is JSON");
     assert_eq!(polyserve::wire::json_u64(&m, "submitted"), Some(0));
     // Unknown workload and unknown op are structured rejections, and the
     // connection stays usable afterwards.
@@ -78,6 +79,7 @@ fn served_report_is_byte_identical_to_direct_run() {
             .unwrap();
         match out {
             Outcome::Done { report_json, .. } => {
+                polytrace::validate_json(&report_json).expect("served report is JSON");
                 let canonical =
                     polyserve::wire::json_str(&report_json, "canonical_ddg").expect("canonical");
                 assert_eq!(
@@ -272,6 +274,7 @@ fn chaos_loadgen_gate() {
         deadline_grace: Duration::from_secs(5),
         progress_interval: Some(Duration::from_millis(5)),
     };
+    let wall_bound = cfg.session_deadline + cfg.deadline_grace;
     let server = serve("127.0.0.1:0", cfg, registry()).unwrap();
     let addr = server.addr();
 
@@ -284,10 +287,11 @@ fn chaos_loadgen_gate() {
             let workload = workloads[(t + i) % workloads.len()];
             handles.push(std::thread::spawn(move || {
                 let mut c = Client::connect(addr).unwrap();
+                let t0 = Instant::now();
                 let out = c
                     .submit_with_retry(Submission::Program { workload }, &tenant_opts(&tenant), 50)
                     .unwrap();
-                (workload.to_string(), out)
+                (workload.to_string(), out, t0.elapsed())
             }));
         }
     }
@@ -312,7 +316,14 @@ fn chaos_loadgen_gate() {
 
     let mut healthy_done = 0;
     for h in handles {
-        let (workload, out) = h.join().unwrap();
+        let (workload, out, wall) = h.join().unwrap();
+        // No healthy session outlives its deadline + grace as its client
+        // sees it (retries included): a wedged session is cancelled by the
+        // watchdog and still answers.
+        assert!(
+            wall < wall_bound,
+            "{workload}: session took {wall:?}, past deadline + grace {wall_bound:?}"
+        );
         match out {
             Outcome::Done {
                 report_json,

@@ -34,7 +34,10 @@
 //! ([`std::fmt::Display`]) or machine-readable JSON ([`RunMetrics::to_json`]),
 //! and surfaced on `polyprof_core::Report::metrics`.
 
+mod json;
 pub mod service;
+
+pub use json::validate_json;
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

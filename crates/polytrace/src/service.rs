@@ -10,8 +10,8 @@
 //! (not per event), so the per-event hot paths of the underlying runs are
 //! untouched.
 //!
-//! [`ServiceStats::to_json`] is the stable-keyed artifact the CI serve-gate
-//! uploads as `serve_metrics.json`.
+//! [`ServiceStats::to_json`] is the stable-keyed object the server's
+//! `metrics` op answers with.
 
 use crate::Histogram;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -139,7 +139,7 @@ impl ServiceStats {
     }
 
     /// Stable-keyed JSON object: every counter plus both histogram
-    /// summaries. This is the `serve_metrics.json` CI artifact body.
+    /// summaries. This is the body of the server's `metrics` frame.
     pub fn to_json(&self) -> String {
         let mut s = String::from("{");
         for c in ServiceCounter::ALL {

@@ -239,3 +239,33 @@ fn metrics_render_as_json_and_svg() {
     let table = r.metrics.as_ref().unwrap().to_string();
     assert!(table.contains("profile") && table.contains("events_folded"));
 }
+
+/// Every JSON document a run can hand out is one well-formed JSON value: the
+/// metrics object with the `lint`, `static_deps` and `legality` reports
+/// spliced in, the degradation record of a run that actually degraded, and
+/// the Chrome timeline.
+#[test]
+fn every_json_writer_passes_the_validator() {
+    use polyprof_core::polyresist::FaultPlan;
+    use polyprof_core::polytrace::validate_json;
+
+    let w = rodinia::backprop::build();
+    let cfg = ProfileConfig::new()
+        .with_fold_threads(2)
+        .with_metrics(MetricsLevel::Trace)
+        .with_lint(true)
+        .with_static_prune(true)
+        .with_fault_plan(std::sync::Arc::new(
+            FaultPlan::parse("seed=2;stall:send@1;stall_ms=5").unwrap(),
+        ));
+    let r = profile_with(&w.program, &cfg);
+    assert!(r.degradation.is_degraded(), "the fault plan never fired");
+
+    let metrics = r.metrics_json().expect("Trace run has metrics");
+    for key in ["\"lint\":", "\"static_deps\":", "\"legality\":"] {
+        assert!(metrics.contains(key), "missing {key} in {metrics}");
+    }
+    validate_json(&metrics).expect("metrics_json");
+    validate_json(&r.degradation_json()).expect("degradation_json");
+    validate_json(&r.timeline_json().expect("Trace exports a timeline")).expect("timeline_json");
+}

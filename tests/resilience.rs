@@ -5,8 +5,8 @@
 //! never-firing fault plan must not perturb a single folded byte.
 //!
 //! The CI `resilience-gate` step runs this suite plus a
-//! `POLYPROF_FAULT_PLAN` seed matrix through the bench harness; the
-//! environment knob itself is exercised there (mutating the process
+//! `POLYPROF_FAULT_PLAN` seed matrix through `examples/resilience_probe.rs`;
+//! the environment knob itself is exercised there (mutating the process
 //! environment here would race the other test threads).
 
 mod common;

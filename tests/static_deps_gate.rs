@@ -13,7 +13,8 @@
 //! * **Counters & artifact** — ≥ 2 affine kernels report nonzero
 //!   pruned-memory-event counts, the spliced `metrics_json` carries the
 //!   `lint` / `static_deps` / `legality` sections, and the per-workload
-//!   reports are dumped to `static_deps.json` for the CI artifact upload.
+//!   reports are dumped to `target/tmp/static_deps.json` for the CI artifact
+//!   upload.
 
 mod common;
 
@@ -212,8 +213,8 @@ fn schedule_legality_verified_end_to_end() {
 
 /// Pruned-memory-event counters are live on ≥ 2 affine kernels, the
 /// spliced `metrics_json` carries the three static report sections with
-/// stable keys, and the per-workload JSON lands in `static_deps.json` for
-/// the CI artifact upload.
+/// stable keys, and the per-workload JSON lands in
+/// `target/tmp/static_deps.json` for the CI artifact upload.
 #[test]
 fn pruned_counters_and_static_deps_artifact() {
     let mut rows: Vec<String> = Vec::new();
@@ -257,7 +258,8 @@ fn pruned_counters_and_static_deps_artifact() {
         kernels_pruning >= 2,
         "expected >= 2 kernels with pruned memory events, got {kernels_pruning}"
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../static_deps.json");
-    std::fs::write(path, format!("{{{}}}\n", rows.join(",")))
-        .expect("write static_deps.json artifact");
+    let artifact = format!("{{{}}}\n", rows.join(","));
+    polyprof_core::polytrace::validate_json(&artifact).expect("static_deps.json is JSON");
+    let path = concat!(env!("CARGO_TARGET_TMPDIR"), "/static_deps.json");
+    std::fs::write(path, artifact).expect("write static_deps.json artifact");
 }

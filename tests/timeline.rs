@@ -3,13 +3,15 @@
 //! at every shard count, shard-merge exactness, live-progress sampling,
 //! and the `Off`/`Counters` perturbation-free guarantee.
 //!
-//! These are the tests behind CI's `timeline-gate` step (together with the
-//! `trace_export` binary, which gates the on-disk Chrome JSON).
+//! These are the tests behind CI's `timeline-gate` step, including the check
+//! of the exported Chrome JSON on the Rodinia `backprop` fixture.
 
 mod common;
 
 use common::stencil;
-use polyprof_core::polytrace::{Counter, HistKind, Histogram, TraceEventKind};
+use polyprof_core::polytrace::{
+    tid_shard, validate_json, Counter, HistKind, Histogram, TraceEventKind, TID_DRIVER, TID_PRE,
+};
 use polyprof_core::{profile_with, MetricsLevel, ProfileConfig};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -142,17 +144,43 @@ fn shard_partitioned_histograms_merge_exactly() {
 // Timeline well-formedness + counter reconciliation
 // ---------------------------------------------------------------------------
 
-/// At `Trace`, every K: the timeline is non-empty, drop-free, per-lane
-/// begin/end events obey stack discipline (every end closes the matching
-/// innermost begin), and the chunk-granular events reconcile **exactly**
-/// with the polytrace counters.
+/// At `Trace`, every K, on the small-chunk stencil and on the Rodinia
+/// `backprop` fixture at its default chunk size: the timeline is non-empty
+/// and drop-free (the fixture fits its journals), every event sits in a lane
+/// of the two-stage lane set, per-lane begin/end events obey stack discipline
+/// (every end closes the matching innermost begin), the chunk-granular events
+/// reconcile **exactly** with the polytrace counters, and the Chrome export
+/// is valid JSON.
 #[test]
 fn timeline_well_formed_and_reconciles_at_every_k() {
-    for k in [1usize, 2, 4] {
-        let r = trace_run(k);
+    let rodinia_run = |k: usize| {
+        let cfg = ProfileConfig::new()
+            .with_fold_threads(k)
+            .with_metrics(MetricsLevel::Trace);
+        profile_with(&rodinia::backprop::build().program, &cfg)
+    };
+    let runs = [1usize, 2, 4]
+        .map(|k| ("stencil", k, trace_run(k)))
+        .into_iter()
+        .chain([1usize, 4].map(|k| ("backprop", k, rodinia_run(k))));
+    for (name, k, r) in runs {
         let m = r.metrics.as_ref().expect("Trace run has metrics");
-        assert_eq!(m.trace_dropped, 0, "k={k}: journal overflow");
-        assert!(!m.timeline.is_empty(), "k={k}: empty timeline");
+        assert_eq!(m.trace_dropped, 0, "{name} k={k}: journal overflow");
+        assert!(!m.timeline.is_empty(), "{name} k={k}: empty timeline");
+
+        // Lane set: the driver, and at K > 1 the producer (whose lane also
+        // carries the `chunk-send` instants of all K channel edges) and fold
+        // shard `j < K`. A serial run uses the driver lane alone.
+        let lane_ok = |tid: u32| {
+            tid == TID_DRIVER
+                || (k > 1 && (tid == TID_PRE || (tid_shard(0)..tid_shard(k)).contains(&tid)))
+        };
+        if let Some(ev) = m.timeline.iter().find(|ev| !lane_ok(ev.tid)) {
+            panic!(
+                "{name} k={k}: event {:?} in lane {} outside the lane set",
+                ev.name, ev.tid
+            );
+        }
 
         // Stack discipline per lane (events are sorted by timestamp).
         let mut stacks: HashMap<u32, Vec<&str>> = HashMap::new();
@@ -165,7 +193,7 @@ fn timeline_well_formed_and_reconciles_at_every_k() {
                     assert_eq!(
                         open,
                         Some(ev.name),
-                        "k={k}: end {:?} closes {open:?} on lane {}",
+                        "{name} k={k}: end {:?} closes {open:?} on lane {}",
                         ev.name,
                         ev.tid
                     );
@@ -174,7 +202,10 @@ fn timeline_well_formed_and_reconciles_at_every_k() {
             }
         }
         for (tid, stack) in &stacks {
-            assert!(stack.is_empty(), "k={k}: lane {tid} left open: {stack:?}");
+            assert!(
+                stack.is_empty(),
+                "{name} k={k}: lane {tid} left open: {stack:?}"
+            );
         }
 
         // Timeline ↔ counters: two views of one run.
@@ -182,22 +213,24 @@ fn timeline_well_formed_and_reconciles_at_every_k() {
         assert_eq!(
             fold_ends,
             m.counter(Counter::ChunksFolded),
-            "k={k}: fold-chunk spans vs chunks_folded"
+            "{name} k={k}: fold-chunk spans vs chunks_folded"
         );
         let sends = m.timeline_count("chunk-send", TraceEventKind::Instant);
         assert_eq!(
             sends,
             m.counter(Counter::ChunkRecycled) + m.counter(Counter::ChunkFresh),
-            "k={k}: chunk-send instants vs chunks shipped"
+            "{name} k={k}: chunk-send instants vs chunks shipped"
         );
         if k == 1 {
             assert_eq!(fold_ends + sends, 0, "serial run has no chunk events");
         } else {
-            assert!(fold_ends > 0, "k={k}: no fold-chunk spans traced");
+            assert!(fold_ends > 0, "{name} k={k}: no fold-chunk spans traced");
         }
 
-        // The Chrome export exists exactly at Trace and carries the events.
+        // The Chrome export exists exactly at Trace, is one well-formed JSON
+        // value and carries the events.
         let json = r.timeline_json().expect("Trace exports a timeline");
+        validate_json(&json).unwrap_or_else(|e| panic!("{name} k={k}: invalid JSON: {e}"));
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"ph\":\"B\"") && json.contains("\"ph\":\"E\""));
     }
