@@ -42,8 +42,8 @@ pub use polyvm;
 pub use polyresist::{FaultPlan, FaultSite, PolyProfError, ResourceBudget, RunDegradation};
 pub use polytrace::{MetricsLevel, ProgressSnapshot, RunMetrics};
 
-use polyddg::prune::PrunedEvents;
 use polyfeedback::metrics::ProgramFeedback;
+use polyfold::pass2::{Live, Pass2, Source, Target};
 use polyir::Program;
 use polystatic::dataflow::StaticSummary;
 use polystatic::deps::StaticDeps;
@@ -175,22 +175,23 @@ impl Report {
     }
 }
 
-/// Knobs of one profiling run (see `polyfold::pipeline` for the stage
-/// anatomy). Construct through [`ProfileConfig::new`] and the `with_*`
+/// Knobs of one profiling run (see `polyfold::pass2` for the anatomy of
+/// pass 2). Construct through [`ProfileConfig::new`] and the `with_*`
 /// builders — the struct is `#[non_exhaustive]` so future knobs can land
-/// without breaking callers.
+/// without breaking callers. A pair of knobs that cannot both be honoured
+/// is a [`PolyProfError::Config`], before anything runs.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct ProfileConfig {
-    /// Folding worker threads. `1` (the default) folds on the calling
-    /// thread, in line with the VM. Any larger value moves folding onto this
-    /// many worker threads, sharded by folding key, while the calling thread
-    /// keeps producing events; the sharded differential suite bit-compares
-    /// the two.
+    /// Folding worker threads. `1` (the default; `0` means the same) folds
+    /// on the calling thread, in line with the event source. Any larger
+    /// value moves folding onto this many supervised worker threads, sharded
+    /// by folding key, while the calling thread keeps producing events; the
+    /// sharded differential suite bit-compares the two.
     pub fold_threads: usize,
     /// Events per pipeline chunk: the batching granularity between the
-    /// producer and the fold workers, and — on every path, serial included —
-    /// the frame size of a recording ([`ProfileConfig::with_record_to`]).
+    /// producer and the fold workers, and — whatever the fold target — the
+    /// frame size of a recording ([`ProfileConfig::with_record_to`]).
     pub chunk_events: usize,
     /// Self-profiling level: [`MetricsLevel::Off`] (default, zero cost),
     /// `Counters` (hot-path tallies, harvested per stage), or `Timing`
@@ -213,16 +214,19 @@ pub struct ProfileConfig {
     /// (default) tracks nothing.
     pub memory_budget: Option<u64>,
     /// Watchdog deadline for pass 2, measured from its start. When it fires
-    /// the event producer stops gracefully and the run finalizes a partial
-    /// but valid folded DDG (`Report::degradation.deadline_hit`).
+    /// the event source — the VM, or the replay of a recording — stops
+    /// gracefully and the run finalizes a partial but valid folded DDG
+    /// (`Report::degradation.deadline_hit`).
     pub deadline: Option<Duration>,
-    /// Deterministic fault-injection schedule. Setting it routes pass 2
-    /// through the supervised pipeline regardless of `fold_threads`. `None`
-    /// for production runs; the `POLYPROF_FAULT_PLAN` environment knob fills
-    /// it for the CI resilience gate.
+    /// Deterministic fault-injection schedule, for tests and the CI
+    /// resilience gate; `None` for production runs. The supervisor of the
+    /// fault sites belongs to fold worker threads, so an armed plan gets one
+    /// worker even at `fold_threads` ≤ 1. It applies to a live run and to a
+    /// replay (which has no `panic:pre` or `alloc:shadow` site to fire).
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Failed supervised-pipeline attempts to retry before falling back to
-    /// the serial path.
+    /// Panicked attempts on fold workers to retry before folding on the
+    /// calling thread. Read only when pass 2 has workers (`fold_threads` > 1,
+    /// or a fault plan): the calling-thread fold is not supervised.
     pub max_retries: u32,
     /// Verify already-fitted affine candidates with overflow-checked `i64`
     /// dot products instead of exact rationals (falling back to the exact
@@ -234,33 +238,33 @@ pub struct ProfileConfig {
     /// Record the resolved event stream of pass 2 into a versioned `.ptrace`
     /// file at this path (see `polyrec`). The live fold is undisturbed; the
     /// recording can later be re-folded offline at any shard count via
-    /// [`ProfileConfig::replay_from`] with byte-identical results. Ignored
-    /// when `replay_from` is set (a replay has no VM run to tap).
+    /// [`ProfileConfig::replay_from`] with byte-identical results.
+    /// Contradicts `replay_from` (a replay has no VM run to tap).
     pub record_to: Option<PathBuf>,
     /// Skip the pass-2 VM run entirely and fold a `.ptrace` recording from
     /// this path instead. Pass 1 still executes (the structure feeds the
     /// scheduling/feedback stages); the recording's program hash must match
-    /// `prog`. Fault injection, budgets, and pruning do not apply to a
-    /// replayed fold — the stream on disk is already final.
+    /// `prog`. Budget, deadline, cancellation, fault plan, metrics and
+    /// `fold_threads` apply to the replayed fold exactly as to a live one;
+    /// `record_to` and `static_prune` contradict it (there is no VM run to
+    /// tap or to prune).
     pub replay_from: Option<PathBuf>,
     /// Sampling interval for the live-progress watcher thread. `None`
     /// (default) spawns nothing. When set, a sampler thread snapshots the
-    /// run's counters and gauges every interval into
-    /// [`Report::progress`]; a run configured at [`MetricsLevel::Off`] is
-    /// quietly upgraded to `Counters` so there is something to sample.
+    /// run's counters and gauges every interval into [`Report::progress`].
+    /// Contradicts [`MetricsLevel::Off`]: there would be nothing to sample.
     pub progress: Option<Duration>,
     /// Live fan-out of the progress sampler: every snapshot the sampler
     /// takes is *also* offered (non-blocking `try_send`) to this channel as
     /// it happens. This is how a serving layer streams incremental progress
-    /// frames to a client while the run is still folding. Requires
-    /// [`ProfileConfig::progress`] to arm the sampler; `None` (default)
-    /// changes nothing.
+    /// frames to a client while the run is still folding. Contradicts an
+    /// unset [`ProfileConfig::progress`] (no sampler would feed it).
     pub progress_sink: Option<std::sync::mpsc::SyncSender<ProgressSnapshot>>,
     /// Use this externally-owned budget instead of constructing one from
     /// `memory_budget`/`deadline`. A server hands every session a budget it
     /// keeps a handle to, so a watchdog can [`ResourceBudget::cancel`] a
-    /// wedged run from outside. When set, `memory_budget` and `deadline`
-    /// only describe the shared budget (they do not build a second one).
+    /// wedged run from outside. Contradicts `memory_budget` and `deadline`:
+    /// the limits are the shared budget's own.
     pub shared_budget: Option<Arc<ResourceBudget>>,
     /// Capture [`Report::canonical_ddg`] — the folded DDG's deterministic
     /// canonical text after SCEV removal. Off by default: the rendering
@@ -298,13 +302,13 @@ impl ProfileConfig {
         Self::default()
     }
 
-    /// Set the folding worker count (`>1` engages the staged pipeline).
+    /// Set the folding worker count (`>1` folds on worker threads).
     pub fn with_fold_threads(mut self, n: usize) -> Self {
         self.fold_threads = n;
         self
     }
 
-    /// Set the events-per-chunk batching granularity of the pipeline.
+    /// Set the events per chunk and per recorded frame.
     pub fn with_chunk_events(mut self, n: usize) -> Self {
         self.chunk_events = n;
         self
@@ -348,7 +352,7 @@ impl ProfileConfig {
         self
     }
 
-    /// Set the supervised-pipeline retry bound.
+    /// Set the retry bound of pass 2 on fold workers.
     pub fn with_max_retries(mut self, n: u32) -> Self {
         self.max_retries = n;
         self
@@ -402,6 +406,32 @@ impl ProfileConfig {
         self.canonical = on;
         self
     }
+
+    /// Reject every pair of knobs that cannot both be honoured.
+    fn check(&self) -> Result<(), PolyProfError> {
+        let clash = |knob, detail: &str| {
+            let detail = detail.to_string();
+            Err(PolyProfError::Config { knob, detail })
+        };
+        let replay = self.replay_from.is_some();
+        let limits = self.memory_budget.is_some() || self.deadline.is_some();
+        if self.progress.is_some() && self.metrics == MetricsLevel::Off {
+            return clash("progress", "has nothing to sample at `metrics` `Off`");
+        }
+        if self.progress_sink.is_some() && self.progress.is_none() {
+            return clash("progress_sink", "is fed by `progress`, which is unset");
+        }
+        if replay && self.record_to.is_some() {
+            return clash("record_to", "taps the VM run `replay_from` replaces");
+        }
+        if replay && self.static_prune {
+            return clash("static_prune", "masks the VM run `replay_from` replaces");
+        }
+        if self.shared_budget.is_some() && limits {
+            return clash("shared_budget", "overrides `memory_budget`/`deadline`");
+        }
+        Ok(())
+    }
 }
 
 /// Run the full Poly-Prof pipeline (both instrumentation passes, folding,
@@ -410,13 +440,13 @@ pub fn profile(prog: &Program) -> Report {
     profile_with(prog, &ProfileConfig::default())
 }
 
-/// As [`profile`], with explicit threading configuration. The sharded
-/// pipeline produces byte-identical reports to the serial path; the knobs
-/// only trade wall-clock for threads.
+/// As [`profile`], with explicit configuration. Folding on worker threads
+/// produces byte-identical reports to folding on the calling thread; the
+/// threading knobs only trade wall-clock for threads.
 ///
 /// Back-compat panicking wrapper around [`try_profile_with`] — it panics
-/// with the rendered [`PolyProfError`] on the (rare) unrecoverable failures
-/// that survive supervision, such as a deterministic VM error.
+/// with the rendered [`PolyProfError`] on what that function returns as
+/// `Err`, such as a deterministic VM error or a contradictory configuration.
 pub fn profile_with(prog: &Program, cfg: &ProfileConfig) -> Report {
     match try_profile_with(prog, cfg) {
         Ok(r) => r,
@@ -424,24 +454,21 @@ pub fn profile_with(prog: &Program, cfg: &ProfileConfig) -> Report {
     }
 }
 
-/// Fallible sibling of [`profile_with`]: every failure mode the supervised
-/// pipeline cannot absorb (bad program, deterministic VM error, malformed
-/// fault-plan spec) surfaces as a structured [`PolyProfError`] instead of a
-/// panic. Recoverable trouble — injected faults, stage panics, budget
-/// pressure, the watchdog deadline — still yields `Ok`, with the losses
+/// Fallible sibling of [`profile_with`], and a function of `(prog, cfg)`
+/// alone — it reads no environment. What no retry can repair (contradictory
+/// knobs, a deterministic VM error, an unreadable or mismatched recording)
+/// is a structured [`PolyProfError`] instead of a panic. Recoverable
+/// trouble — budget pressure, the watchdog deadline, and on fold workers
+/// injected faults and stage panics — still yields `Ok`, with the losses
 /// recorded in [`Report::degradation`].
 pub fn try_profile_with(prog: &Program, cfg: &ProfileConfig) -> Result<Report, PolyProfError> {
+    cfg.check()?;
+
     // Telemetry: one fixed-slot collector per run when metrics are on; no
     // allocation and no clock reads at `Off` (the zero-alloc gate runs the
-    // default config through this exact path). An armed progress sampler
-    // needs counters to sample, so it lifts `Off` to `Counters`.
-    let metrics_level = if cfg.progress.is_some() && cfg.metrics == MetricsLevel::Off {
-        MetricsLevel::Counters
-    } else {
-        cfg.metrics
-    };
-    let trace = (metrics_level != MetricsLevel::Off)
-        .then(|| (Arc::new(Collector::new(metrics_level)), Instant::now()));
+    // default config through this exact path).
+    let trace = (cfg.metrics != MetricsLevel::Off)
+        .then(|| (Arc::new(Collector::new(cfg.metrics)), Instant::now()));
 
     // Pass 1: dynamic control structure.
     let structure = {
@@ -456,15 +483,9 @@ pub fn try_profile_with(prog: &Program, cfg: &ProfileConfig) -> Result<Report, P
         polycfg::StaticStructure::analyze(prog, rec)
     };
 
-    // Resilience hooks. The fault plan comes from the config or, for the CI
-    // resilience gate, the `POLYPROF_FAULT_PLAN` environment knob; a budget
-    // exists only when a byte limit or deadline was configured. Both stay
-    // `None` on production runs — every downstream hook is then one skipped
-    // branch on a cold path.
-    let fault_plan = cfg
-        .fault_plan
-        .clone()
-        .or_else(|| FaultPlan::from_env().map(Arc::new));
+    // A budget exists only when a byte limit or deadline was configured (or
+    // the caller shares its own); with none, every downstream hook is one
+    // skipped branch on a cold path.
     let budget = match &cfg.shared_budget {
         Some(b) => Some(Arc::clone(b)),
         None => (cfg.memory_budget.is_some() || cfg.deadline.is_some())
@@ -517,74 +538,41 @@ pub fn try_profile_with(prog: &Program, cfg: &ProfileConfig) -> Result<Report, P
         _ => None,
     };
 
-    // Pass 2: pick a source (the VM, or a `.ptrace` recording) and an
-    // executor for it — the serial driver, or the supervised staged pipeline
-    // when more than one folding thread (or a fault plan, which only the
-    // supervisor arms) is requested. Every arm hands back
-    // the same four things; counters are harvested by the executor from the
-    // attempt that produced them.
-    let tr = trace.as_ref().map(|(c, _)| c);
-    let pcfg = polyfold::pipeline::PipelineConfig {
-        fold_threads: cfg.fold_threads,
+    // Pass 2: one call. The source is the VM or a `.ptrace` recording; the
+    // target follows from the threading and fault knobs, mapped here once:
+    let target = match (cfg.fold_threads, cfg.fault_plan.clone()) {
+        // `fold_threads` 0 means 1, and one thread is the calling one.
+        (0 | 1, None) => Target::Inline,
+        // The fault sites' supervisor belongs to worker targets, so a plan
+        // gets at least one worker even at `fold_threads` ≤ 1.
+        (n, faults) => Target::Workers {
+            n: n.max(1),
+            faults,
+            max_retries: cfg.max_retries,
+        },
+    };
+    let source = match &cfg.replay_from {
+        Some(path) => Source::Recording(path),
+        None => Source::Live(Live {
+            structure: &structure,
+            prune: prune.clone(),
+            synth,
+            record: cfg.record_to.as_deref(),
+        }),
+    };
+    let pass2 = Pass2 {
+        target,
         chunk_events: cfg.chunk_events,
         options: polyfold::FoldOptions {
             fast_fit: cfg.fast_fit,
             ..Default::default()
         },
-        ..Default::default()
+        trace: trace.as_ref().map(|(c, _)| Arc::clone(c)),
+        budget,
     };
-    let record = cfg.record_to.as_deref();
-    let profile_span = || tr.map(|c| c.span(Stage::Profile));
-    let (mut ddg, interner, pruned_events, degradation) = if let Some(path) = &cfg.replay_from {
-        let _span = profile_span();
-        let (ddg, interner) =
-            polyfold::replay::fold_recording(path, prog, pcfg.fold_threads, pcfg.options, tr)?;
-        (
-            ddg,
-            interner,
-            PrunedEvents::default(),
-            RunDegradation::default(),
-        )
-    } else if cfg.fold_threads <= 1 && fault_plan.is_none() {
-        let run = {
-            let _span = profile_span();
-            polyfold::fold_serial(
-                prog,
-                &structure,
-                &pcfg,
-                tr,
-                prune.clone(),
-                synth.as_ref(),
-                record,
-                budget.as_ref(),
-            )?
-        };
-        let mut deg = RunDegradation::default();
-        let (ddg, interner, pruned_events) = {
-            let _span = tr.map(|c| c.span(Stage::Finalize));
-            run.finalize(prog, &mut deg)
-        };
-        polyfold::pass2::close_degradation(&mut deg, budget.as_ref(), None, tr);
-        (ddg, interner, pruned_events, deg)
-    } else {
-        let _span = profile_span();
-        let rcfg = polyfold::pipeline::ResilienceConfig {
-            faults: fault_plan,
-            budget,
-            max_retries: cfg.max_retries,
-            ..Default::default()
-        };
-        polyfold::pipeline::fold_pipelined_supervised(
-            prog,
-            &structure,
-            &pcfg,
-            tr,
-            prune.clone(),
-            synth,
-            record,
-            &rcfg,
-        )?
-    };
+    let out = polyfold::pass2::run(prog, &source, &pass2)?;
+    let (mut ddg, interner, pruned_events) = (out.ddg, out.interner, out.pruned);
+    let degradation = out.degradation;
 
     // Post-fold, pre-removal: count pruned statements and lint the DDG
     // against the static claims (the lint must see the SCEV statements and
@@ -865,7 +853,7 @@ where
 /// one line per workload — its name, wall time, and the peak event-chunk
 /// depth seen on any pipeline channel — to stderr. The peak depth reads `0`
 /// unless `cfg` enables metrics *and* the pipelined path (`fold_threads >
-/// 1`), since the serial path has no channels.
+/// 1`), since a fold on the calling thread has no channels.
 pub fn profile_suite<P: std::borrow::Borrow<Program> + Sync>(
     progs: &[P],
     cfg: &ProfileConfig,
@@ -941,6 +929,59 @@ mod tests {
                 assert_eq!(pr.pct_simd, sr.pct_simd);
             }
             assert_eq!(p.annotated_ast, s.annotated_ast);
+        }
+    }
+
+    /// Every pair of knobs `try_profile_with` used to reconcile silently is a
+    /// structured error naming the knob that cannot be honoured, raised before
+    /// pass 1 (the recording named here does not even exist); the two pairings
+    /// that stay legal — `fold_threads` 0, a fault plan at one thread — run.
+    #[test]
+    fn contradictory_knobs_are_config_errors() {
+        let prog = rodinia::backprop::build().program;
+        let nowhere = std::env::temp_dir().join(format!("polyprof_{}_nowhere", std::process::id()));
+        let (tx, _rx) = std::sync::mpsc::sync_channel(1);
+        let shared = || Arc::new(ResourceBudget::new(None, None));
+        let tick = Duration::from_millis(1);
+        let counters = MetricsLevel::Counters;
+        let new = ProfileConfig::new;
+        let rows = [
+            ("progress", new().with_progress(tick)),
+            (
+                "progress_sink",
+                new().with_metrics(counters).with_progress_sink(tx),
+            ),
+            (
+                "record_to",
+                new().with_replay_from(&nowhere).with_record_to(&nowhere),
+            ),
+            (
+                "static_prune",
+                new().with_replay_from(&nowhere).with_static_prune(true),
+            ),
+            (
+                "shared_budget",
+                new().with_shared_budget(shared()).with_memory_budget(1),
+            ),
+            (
+                "shared_budget",
+                new().with_shared_budget(shared()).with_deadline(tick),
+            ),
+        ];
+        for (want, cfg) in rows {
+            match try_profile_with(&prog, &cfg).map(|r| r.folded_stats) {
+                Err(PolyProfError::Config { knob, detail }) => {
+                    assert_eq!(knob, want, "{detail}");
+                    assert!(!detail.is_empty());
+                }
+                other => panic!("{want}: expected a Config error, got {other:?}"),
+            }
+        }
+        assert!(!nowhere.exists());
+        let plan = Arc::new(FaultPlan::parse("panic:fold@999999999").unwrap());
+        for cfg in [new().with_fold_threads(0), new().with_fault_plan(plan)] {
+            let r = try_profile_with(&prog, &cfg).expect("legal configuration");
+            assert!(!r.degradation.is_degraded(), "{:?}", r.degradation);
         }
     }
 

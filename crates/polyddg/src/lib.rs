@@ -49,7 +49,7 @@
 //! writes to sees only the resolved folding interface. What that sink is
 //! decides the executor: a folding sink directly (serial), or a
 //! [`pipeline::ShardRouter`] fanning the same stream out by key to folding
-//! workers in [`chunk::EventChunk`] batches (`polyfold::pipeline`).
+//! workers in [`chunk::EventChunk`] batches (`polyfold::pass2`).
 
 pub mod baseline;
 pub mod chunk;

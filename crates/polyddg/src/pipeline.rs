@@ -11,7 +11,7 @@
 //! by statement id (dependences by *consumer* id — the folding key contains
 //! the consumer, so every dependence stream lives wholly in one shard) and
 //! ships it in [`EventChunk`](crate::chunk::EventChunk)s over bounded
-//! channels. Orchestration lives in `polyfold::pipeline`, which owns the
+//! channels. Orchestration lives in `polyfold::pass2`, which owns the
 //! folding side.
 //!
 //! Event order is preserved *per folding key*: the producer is

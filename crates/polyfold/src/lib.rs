@@ -17,18 +17,17 @@
 
 pub mod fitter;
 pub mod pass2;
-pub mod pipeline;
+mod pipeline;
 pub mod replay;
 pub mod stream;
 
 pub use fitter::{FitResult, OnlineAffineFitter, RatAffine};
-pub use pass2::{fold_serial, SerialRun};
 pub use stream::{FoldedDomain, FoldedStream, LabelFold, StreamFolder};
 
 use polyddg::{DepKind, FoldSink};
 use polyiiv::context::{ContextInterner, StmtId};
 use polyir::{Instr, Program};
-use polyresist::{PolyProfError, ResourceBudget, RunDegradation};
+use polyresist::{PolyProfError, ResourceBudget};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -197,17 +196,27 @@ impl FoldedDdg {
             .count()
     }
 
-    /// Deterministically merge shard partials into one DDG.
+    /// Deterministically merge shard partials into one DDG. A `None` part is
+    /// a shard whose folding worker died before emitting; the indices of
+    /// those are returned so the caller can record them in its degradation
+    /// report. An all-`None` (or empty) input yields an empty DDG.
     ///
-    /// The pipeline shards by folding key (statement id; consumer id for
+    /// Worker targets shard by folding key (statement id; consumer id for
     /// dependences), so the partials own *disjoint* key sets and merging is
     /// a union, never a combination of two half-folded streams. The final
     /// dependence sort is over the full key `(kind, src, dst, class)` —
     /// unique per relation — so the result is independent of shard count
-    /// and merge order, byte-identical to the serial sink's output.
-    pub fn merge_parts(parts: impl IntoIterator<Item = FoldedDdg>) -> FoldedDdg {
+    /// and merge order, byte-identical to a single sink's output.
+    pub fn merge_parts(
+        parts: impl IntoIterator<Item = Option<FoldedDdg>>,
+    ) -> (FoldedDdg, Vec<usize>) {
         let mut out = FoldedDdg::default();
-        for part in parts {
+        let mut missing = Vec::new();
+        for (i, part) in parts.into_iter().enumerate() {
+            let Some(part) = part else {
+                missing.push(i);
+                continue;
+            };
             out.total_ops += part.total_ops;
             out.removed_affine_ops += part.removed_affine_ops;
             for (id, s) in part.stmts {
@@ -221,7 +230,7 @@ impl FoldedDdg {
             out.deps.extend(part.deps);
         }
         out.deps.sort_by_key(|d| (d.kind, d.src, d.dst, d.class));
-        out
+        (out, missing)
     }
 
     /// Deterministic byte rendering of the whole folded DDG: statements and
@@ -254,25 +263,6 @@ impl FoldedDdg {
         )
         .expect("string write");
         out
-    }
-
-    /// Merge shard partials where some shards may be missing (a folding
-    /// worker died before emitting). Present parts merge exactly like
-    /// [`merge_parts`](Self::merge_parts); the indices of absent parts are
-    /// returned so the caller can record them in its degradation report.
-    /// An all-`None` (or empty) input yields an empty DDG.
-    pub fn merge_parts_tolerant(
-        parts: impl IntoIterator<Item = Option<FoldedDdg>>,
-    ) -> (FoldedDdg, Vec<usize>) {
-        let mut missing = Vec::new();
-        let mut present = Vec::new();
-        for (i, p) in parts.into_iter().enumerate() {
-            match p {
-                Some(d) => present.push(d),
-                None => missing.push(i),
-            }
-        }
-        (Self::merge_parts(present), missing)
     }
 }
 
@@ -346,16 +336,6 @@ pub struct FoldStats {
     /// Events a folder accepted by verified prediction, without entering a
     /// fitter (subset of `events_folded`; see [`StreamFolder::push`]).
     pub predicted: u64,
-}
-
-impl FoldStats {
-    /// Accumulate another sink's tally (merging shard statistics).
-    pub fn merge(&mut self, other: &FoldStats) {
-        self.events_folded += other.events_folded;
-        self.deps_folded += other.deps_folded;
-        self.budget_degraded += other.budget_degraded;
-        self.predicted += other.predicted;
-    }
 }
 
 /// Dependence stream key: kind, producer, consumer, carried class.
@@ -647,10 +627,9 @@ pub fn try_fold_program(
             msg: e.to_string(),
         })?;
     let structure = polycfg::StaticStructure::analyze(prog, rec);
-    let cfg = pipeline::PipelineConfig::default();
-    let run = fold_serial(prog, &structure, &cfg, None, None, None, None, None)?;
-    let (ddg, interner, _) = run.finalize(prog, &mut RunDegradation::default());
-    Ok((ddg, interner, structure))
+    let source = pass2::Source::Live(pass2::Live::new(&structure));
+    let out = pass2::run(prog, &source, &pass2::Pass2::default())?;
+    Ok((out.ddg, out.interner, structure))
 }
 
 /// Render a folded dependence like the paper's Table 2 rows:
@@ -860,18 +839,18 @@ mod tests {
         assert!(n_stmts > 0);
 
         // One real part, two dead shards.
-        let (merged, missing) = FoldedDdg::merge_parts_tolerant(vec![None, Some(ddg), None]);
+        let (merged, missing) = FoldedDdg::merge_parts(vec![None, Some(ddg), None]);
         assert_eq!(missing, vec![0, 2]);
         assert_eq!(merged.n_stmts(), n_stmts);
 
         // Everything missing → valid empty DDG.
-        let (empty, missing) = FoldedDdg::merge_parts_tolerant(vec![None, None]);
+        let (empty, missing) = FoldedDdg::merge_parts(vec![None, None]);
         assert_eq!(missing, vec![0, 1]);
         assert_eq!(empty.n_stmts(), 0);
         assert!(empty.deps.is_empty());
 
         // Empty iterator → empty DDG, nothing missing.
-        let (empty, missing) = FoldedDdg::merge_parts_tolerant(std::iter::empty());
+        let (empty, missing) = FoldedDdg::merge_parts(std::iter::empty());
         assert!(missing.is_empty());
         assert_eq!(empty.total_ops, 0);
     }

@@ -277,16 +277,6 @@ impl<S: FoldSink, W: Write + Seek> Recorder<S, W> {
         }
     }
 
-    /// The wrapped sink.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// The wrapped sink, mutably.
-    pub fn inner_mut(&mut self) -> &mut S {
-        &mut self.inner
-    }
-
     fn spill(&mut self) {
         if self.err.is_some() || self.buf.is_empty() {
             self.buf.clear();

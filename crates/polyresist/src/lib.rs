@@ -51,8 +51,16 @@ pub enum PolyProfError {
         /// Best-effort panic payload rendering.
         msg: String,
     },
-    /// A `POLYPROF_FAULT_PLAN` / [`FaultPlan::parse`] spec did not parse.
+    /// A [`FaultPlan::parse`] spec did not parse.
     InvalidFaultPlan(String),
+    /// Two knobs of one run configuration contradict each other; rejected
+    /// before anything runs rather than silently reconciled.
+    Config {
+        /// The knob that cannot be honoured as set.
+        knob: &'static str,
+        /// Which other setting it contradicts, and what to change.
+        detail: String,
+    },
     /// An on-disk trace recording could not be written or replayed
     /// (IO failure, bad magic, unsupported format version, checksum
     /// mismatch, truncation, or count disagreement).
@@ -72,6 +80,9 @@ impl std::fmt::Display for PolyProfError {
                 write!(f, "pipeline stage `{stage}` panicked: {msg}")
             }
             PolyProfError::InvalidFaultPlan(s) => write!(f, "invalid fault plan: {s}"),
+            PolyProfError::Config { knob, detail } => {
+                write!(f, "contradictory configuration: `{knob}` {detail}")
+            }
             PolyProfError::Recording { path, detail } => {
                 write!(f, "trace recording `{path}`: {detail}")
             }
@@ -177,9 +188,6 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// deterministic for a fixed interleaving of per-site occurrences (each
 /// site is probed from exactly one stage, so per-site order is total even
 /// in the sharded pipeline).
-///
-/// The environment knob `POLYPROF_FAULT_PLAN` feeds [`FaultPlan::from_env`]
-/// so the CI resilience gate can run a seed matrix without code changes.
 #[derive(Debug)]
 pub struct FaultPlan {
     seed: u64,
@@ -256,19 +264,6 @@ impl FaultPlan {
         })
     }
 
-    /// Read `POLYPROF_FAULT_PLAN`; `None` when unset or empty.
-    ///
-    /// Panics on a malformed spec — an injection harness that silently runs
-    /// fault-free would defeat the gate.
-    pub fn from_env() -> Option<FaultPlan> {
-        match std::env::var("POLYPROF_FAULT_PLAN") {
-            Ok(s) if !s.trim().is_empty() => {
-                Some(FaultPlan::parse(&s).expect("POLYPROF_FAULT_PLAN did not parse"))
-            }
-            _ => None,
-        }
-    }
-
     /// A plan with a single armed fault: fire `site` on its `nth` probe
     /// (1-based).
     pub fn single(site: FaultSite, nth: u64) -> FaultPlan {
@@ -332,18 +327,6 @@ impl FaultPlan {
         self.fired.iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
 
-    /// Reset occurrence counters (fired counters are kept — they feed the
-    /// degradation record). Called between supervised retry attempts so the
-    /// n-th-occurrence arithmetic stays deterministic per attempt… is *not*
-    /// what we want: a transient `Nth` fault must not re-fire on retry, so
-    /// counters deliberately keep counting across attempts. This method
-    /// exists only for tests that reuse a plan across independent runs.
-    pub fn reset_probes(&self) {
-        for c in &self.probes {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
-
     /// A fresh plan with the same seed, armed specs, and stall length but
     /// zeroed probe/fire counters. This is how one chaos spec fans out over
     /// many concurrent sessions deterministically: each session forks its
@@ -384,8 +367,8 @@ impl FaultPlan {
 #[derive(Debug, Default)]
 pub struct ResourceBudget {
     limit_bytes: Option<u64>,
-    /// The configured deadline *duration* — kept so `rearm`/`fresh_child`
-    /// can re-measure from a new start instant.
+    /// The configured deadline *duration* — kept so `rearm` can re-measure
+    /// from a new start instant.
     deadline_dur: Option<Duration>,
     deadline: std::sync::Mutex<Option<Instant>>,
     used: AtomicU64,
@@ -423,15 +406,6 @@ impl ResourceBudget {
         self.deadline_hit.store(false, Ordering::Relaxed);
     }
 
-    /// A brand-new budget with the same limits (byte cap and deadline
-    /// duration, the deadline measured from now) and zeroed accounting.
-    /// This is the per-session split a multi-tenant service takes from a
-    /// tenant's budget template: sessions meter independently, so one
-    /// session's blow-up cannot latch pressure on its siblings.
-    pub fn fresh_child(&self) -> ResourceBudget {
-        ResourceBudget::new(self.limit_bytes, self.deadline_dur)
-    }
-
     /// Cancel whatever run is metering against this budget: the next
     /// [`ResourceBudget::poll_deadline`] returns `true` regardless of the
     /// clock, so the VM's watchdog hook stops the run gracefully exactly as
@@ -444,11 +418,6 @@ impl ResourceBudget {
     /// Whether [`ResourceBudget::cancel`] was called.
     pub fn was_cancelled(&self) -> bool {
         self.cancelled.load(Ordering::Relaxed)
-    }
-
-    /// Whether any limit is configured at all.
-    pub fn is_limited(&self) -> bool {
-        self.limit_bytes.is_some() || self.deadline_dur.is_some()
     }
 
     /// Charge `bytes` of retained allocation. Returns `false` when the
@@ -465,11 +434,6 @@ impl ResourceBudget {
         }
     }
 
-    /// Return `bytes` to the budget (freed allocation).
-    pub fn uncharge(&self, bytes: u64) {
-        self.used.fetch_sub(bytes, Ordering::Relaxed);
-    }
-
     /// Has the byte budget been crossed at any point?
     pub fn under_pressure(&self) -> bool {
         self.pressure.load(Ordering::Relaxed)
@@ -483,11 +447,6 @@ impl ResourceBudget {
     /// High-water mark of tracked bytes.
     pub fn peak_bytes(&self) -> u64 {
         self.peak.load(Ordering::Relaxed)
-    }
-
-    /// The configured byte limit, if any.
-    pub fn limit_bytes(&self) -> Option<u64> {
-        self.limit_bytes
     }
 
     /// Poll the deadline. Latches and returns `true` once the deadline has
@@ -542,16 +501,16 @@ pub struct DegradationEvent {
 
 /// Structured record of everything a run lost or recovered from.
 ///
-/// Attached to `Report` by the supervised pipeline; an all-default record
-/// means the run was clean. The counters mirror the `polytrace` degradation
+/// Attached to `Report` by pass 2; an all-default record means the run was
+/// clean. The counters mirror the `polytrace` degradation
 /// counters so CI can diff them across fault-plan seeds.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunDegradation {
     /// Faults the plan actually fired (0 for production runs).
     pub faults_injected: u64,
-    /// Supervised pipeline attempts that were retried after a stage panic.
+    /// Pass-2 attempts on fold workers that were retried after a stage panic.
     pub stage_retries: u32,
-    /// The pipelined path was abandoned for the retained serial path.
+    /// The fold workers were abandoned for a fold on the calling thread.
     pub fell_back_serial: bool,
     /// Event chunks dropped in flight (injected or send-error).
     pub dropped_chunks: u64,
@@ -714,16 +673,13 @@ mod tests {
         assert!(!b.under_pressure());
         assert!(!b.charge(50)); // 110 > 100
         assert!(b.under_pressure());
-        b.uncharge(80);
-        assert!(b.under_pressure(), "pressure is latched");
         assert_eq!(b.peak_bytes(), 110);
-        assert_eq!(b.used_bytes(), 30);
+        assert_eq!(b.used_bytes(), 110);
     }
 
     #[test]
     fn unlimited_budget_never_pressures() {
         let b = ResourceBudget::new(None, None);
-        assert!(!b.is_limited());
         assert!(b.charge(u64::MAX / 2));
         assert!(!b.under_pressure());
         assert!(!b.poll_deadline());
@@ -761,18 +717,6 @@ mod tests {
 
         std::thread::sleep(Duration::from_millis(10));
         assert!(b.poll_deadline(), "re-armed deadline still expires");
-    }
-
-    #[test]
-    fn fresh_child_copies_limits_but_not_state() {
-        let b = ResourceBudget::new(Some(10), Some(Duration::from_secs(60)));
-        assert!(!b.charge(50));
-        let child = b.fresh_child();
-        assert_eq!(child.limit_bytes(), Some(10));
-        assert!(child.is_limited());
-        assert!(!child.under_pressure(), "child meters independently");
-        assert_eq!(child.used_bytes(), 0);
-        assert!(child.deadline_remaining().unwrap() > Duration::from_secs(59));
     }
 
     #[test]
@@ -832,5 +776,13 @@ mod tests {
         assert_eq!(e.to_string(), "pipeline stage `fold` panicked: boom");
         let e = PolyProfError::InvalidFaultPlan("bad seed `x`".into());
         assert_eq!(e.to_string(), "invalid fault plan: bad seed `x`");
+        let e = PolyProfError::Config {
+            knob: "record_to",
+            detail: "cannot be combined with `replay_from`".into(),
+        };
+        assert_eq!(
+            e.to_string(),
+            "contradictory configuration: `record_to` cannot be combined with `replay_from`"
+        );
     }
 }

@@ -695,7 +695,10 @@ fn fold_session(inner: &Arc<Inner>, job: &Job) -> SessionResult {
     let mut pump: Option<std::thread::JoinHandle<()>> = None;
     if let Some(interval) = inner.cfg.progress_interval {
         let (tx, rx) = std::sync::mpsc::sync_channel::<polytrace::ProgressSnapshot>(64);
-        cfg = cfg.with_progress(interval).with_progress_sink(tx);
+        cfg = cfg
+            .with_metrics(polytrace::MetricsLevel::Counters)
+            .with_progress(interval)
+            .with_progress_sink(tx);
         if let Ok(mut ps) = job.stream.try_clone() {
             let session = job.session;
             pump = Some(std::thread::spawn(move || {

@@ -210,17 +210,40 @@ fn trace_submission_replays_and_garbage_is_rejected() {
 
     let server = serve("127.0.0.1:0", ServerConfig::default(), registry()).unwrap();
     let mut c = Client::connect(server.addr()).unwrap();
-    match c
-        .submit(
-            Submission::Trace {
-                workload: "fig6",
-                bytes: &bytes,
-            },
-            &SubmitOpts::default(),
-        )
-        .unwrap()
-    {
-        Outcome::Done { report_json, .. } => {
+    let upload = Submission::Trace {
+        workload: "fig6",
+        bytes: &bytes,
+    };
+    // A replay session is budgeted and stoppable like a live one: a 1-byte
+    // budget over-approximates, a spent deadline ends the fold early.
+    let tight = SubmitOpts {
+        budget_bytes: Some(1),
+        ..SubmitOpts::default()
+    };
+    let expired = SubmitOpts {
+        deadline_ms: Some(0),
+        ..SubmitOpts::default()
+    };
+    for (opts, flag) in [
+        (&tight, "\"budget_pressure\":true"),
+        (&expired, "\"deadline_hit\":true"),
+    ] {
+        match c.submit(upload, opts).unwrap() {
+            Outcome::Done { report_json, .. } => {
+                assert!(report_json.contains(flag), "{flag} not in {report_json}")
+            }
+            other => panic!("expected Done, got {other:?}"),
+        }
+    }
+    // Neither degraded result was cached: the clean submission folds afresh
+    // and reproduces the direct run.
+    match c.submit(upload, &SubmitOpts::default()).unwrap() {
+        Outcome::Done {
+            cached,
+            report_json,
+            ..
+        } => {
+            assert!(!cached, "a degraded replay was served from the cache");
             let canonical = polyserve::wire::json_str(&report_json, "canonical_ddg").unwrap();
             assert_eq!(canonical, direct.canonical_ddg.unwrap());
         }

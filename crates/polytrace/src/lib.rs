@@ -341,8 +341,9 @@ impl HistKind {
 }
 
 /// Sequential stages of one profiling run. Exactly one of these is active at
-/// any moment, so their span times sum to (approximately) the run's wall
-/// time — the property the metrics-consistency suite asserts.
+/// any moment — for every source and fold target of pass 2, retries
+/// included — so their span times sum to (approximately) the run's wall
+/// time: the property the metrics-consistency suite asserts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Pass 1: dynamic CFG/CG recording + loop-forest analysis.
@@ -350,12 +351,13 @@ pub enum Stage {
     /// The static affine pre-pass (`polystatic::dataflow`): dominators,
     /// induction variables, SCEV proofs and the instrumentation prune mask.
     StaticPass,
-    /// Pass 2: the DDG profiling run itself (serial in-line, or the whole
-    /// staged pipeline — whose internal concurrency is broken out in
-    /// [`PipeStage`] / shard slots).
+    /// Pass 2's attempts: the event source (the VM under the profiler, or a
+    /// recording) streaming into the fold target. One span per attempt; a
+    /// worker target's concurrency is broken out in [`PipeStage`] and the
+    /// shard slots.
     Profile,
-    /// Folding-sink finalization (serial path; the pipeline finalizes inside
-    /// [`Stage::Profile`], attributed to [`PipeStage::Merge`]).
+    /// Folding-sink finalization, after the last attempt, for every fold
+    /// target: a lone sink directly, shards in parallel and then merged.
     Finalize,
     /// Post-fold DDG lint against the static summary.
     Lint,
@@ -369,9 +371,10 @@ pub enum Stage {
     Render,
     /// The static "Polly" baseline analysis.
     StaticBaseline,
-    /// Supervision and recovery work: draining wedged channels after a stage
-    /// panic, retry backoff, the serial-fallback re-run, and the deadline
-    /// watchdog's partial finalize. Zero on a clean run.
+    /// The time between two attempts of pass 2 on fold workers: the retry
+    /// backoff and the budget re-arm. (The calling-thread fallback after the
+    /// last retry is itself an attempt, under [`Stage::Profile`].) Zero
+    /// unless an attempt panicked.
     Recovery,
 }
 
@@ -428,38 +431,33 @@ impl Stage {
     }
 }
 
-/// Concurrent stage threads *inside* [`Stage::Profile`] when pass 2 runs as
-/// the sharded pipeline. These overlap in time (and with the fold shards),
-/// so they are reported as CPU time, not added to the sequential sum.
+/// Concurrent stage threads *inside* [`Stage::Profile`] when pass 2 folds on
+/// worker threads. These overlap in time with the fold shards, so they are
+/// reported as CPU time, not added to the sequential sum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PipeStage {
-    /// The producer: the VM run under the profiler (loop events, IIV,
-    /// interning, register deps, shadow resolution) and the shard router.
+    /// The producer: the event source — live, the VM run under the profiler
+    /// (loop events, IIV, interning, register deps, shadow resolution) — and
+    /// the shard router.
     PreProfile,
-    /// Parallel shard finalization + deterministic merge.
-    Merge,
 }
 
 /// Number of [`PipeStage`] slots.
-pub const N_PIPE: usize = 2;
+pub const N_PIPE: usize = 1;
 
 impl PipeStage {
     /// All pipeline stages.
-    pub const ALL: [PipeStage; N_PIPE] = [PipeStage::PreProfile, PipeStage::Merge];
+    pub const ALL: [PipeStage; N_PIPE] = [PipeStage::PreProfile];
 
     /// Stable display name.
     pub fn name(self) -> &'static str {
         match self {
             PipeStage::PreProfile => "pre-profile",
-            PipeStage::Merge => "merge",
         }
     }
 
     fn slot(self) -> usize {
-        match self {
-            PipeStage::PreProfile => 0,
-            PipeStage::Merge => 1,
-        }
+        self as usize
     }
 }
 
@@ -493,8 +491,8 @@ pub enum Counter {
     ShadowMruMiss,
     /// Resident shadow pages at the end of the run.
     ShadowPages,
-    /// Event chunks folded whole: by the shard workers, or frame by frame
-    /// on a K = 1 replay (0 on a serial live run).
+    /// Event chunks folded by shard workers, live or replayed (0 when pass 2
+    /// folds on the calling thread); one `fold-chunk` span each at `Trace`.
     ChunksFolded,
     /// Event chunks obtained from the recycling pool.
     ChunkRecycled,
@@ -542,9 +540,9 @@ pub enum Counter {
     LintViolations,
     /// Faults fired by an armed `polyresist::FaultPlan` (0 in production).
     FaultsInjected,
-    /// Supervised pipeline attempts retried after a stage panic.
+    /// Pass-2 attempts on fold workers retried after a stage panic.
     StageRetries,
-    /// Runs that abandoned the pipelined path for the serial fallback.
+    /// Runs that gave up on fold workers and folded on the calling thread.
     SerialFallbacks,
     /// Event chunks dropped in flight (injected or send-error).
     DroppedChunks,
@@ -1056,11 +1054,7 @@ impl Collector {
 
     /// RAII span over a concurrent pipeline stage.
     pub fn pipe_span(&self, p: PipeStage) -> Span<'_> {
-        let tid = match p {
-            PipeStage::PreProfile => TID_PRE,
-            PipeStage::Merge => TID_DRIVER,
-        };
-        Span::new(self, SpanSlot::Pipe(p.slot()), p.name(), tid, 0)
+        Span::new(self, SpanSlot::Pipe(p.slot()), p.name(), TID_PRE, 0)
     }
 
     /// RAII span over fold shard `k`'s worker loop.

@@ -24,13 +24,11 @@ fn run(fold_threads: usize, level: MetricsLevel) -> RunMetrics {
 
 /// Every event the router ships lands in exactly one folding shard and
 /// produces exactly one fold call: routed == per-shard sum == folded, at
-/// every K. (K = 1 still pipelines here — `profile_with` would take the
-/// serial path, so the one-shard case drives the pipeline directly.)
+/// every K. (`profile_with` folds K = 1 on the calling thread, so the
+/// one-shard case asks pass 2 for `workers(1)` directly.)
 #[test]
 fn routed_events_equal_folded_events_at_every_k() {
-    use polyprof_core::polyfold::pipeline::{
-        fold_pipelined_supervised, PipelineConfig, ResilienceConfig,
-    };
+    use polyprof_core::polyfold::pass2::{self, Live, Pass2, Source, Target};
     use polyprof_core::polytrace::Collector;
     use std::sync::Arc;
 
@@ -42,14 +40,13 @@ fn routed_events_equal_folded_events_at_every_k() {
             .unwrap();
         let structure = polyprof_core::polycfg::StaticStructure::analyze(&prog, rec);
         let col = Arc::new(Collector::new(MetricsLevel::Counters));
-        let pcfg = PipelineConfig {
-            fold_threads: 1,
+        let pcfg = Pass2 {
+            target: Target::workers(1),
             chunk_events: 64,
+            trace: Some(Arc::clone(&col)),
             ..Default::default()
         };
-        let res = ResilienceConfig::default();
-        let _ =
-            fold_pipelined_supervised(&prog, &structure, &pcfg, Some(&col), None, None, None, &res);
+        let _ = pass2::run(&prog, &Source::Live(Live::new(&structure)), &pcfg);
         col.snapshot(0)
     };
     for (k, m) in [
@@ -70,8 +67,8 @@ fn routed_events_equal_folded_events_at_every_k() {
 /// Every executor resolves shadow memory on the VM thread, once per memory
 /// event the prune mask lets through: the shadow MRU sees exactly one
 /// lookup for each (hits + misses == mem events − pruned mem events) on the
-/// serial driver, on the supervised pipeline at K = 1 (an armed plan that
-/// never fires routes there) and at K = 2 and 4 — with the mask off, and
+/// calling-thread fold, on one supervised worker (an armed plan that never
+/// fires gets one) and at K = 2 and 4 — with the mask off, and
 /// with it on (which prunes every access site of this stencil).
 #[test]
 fn shadow_mru_accounts_for_every_memory_event() {
@@ -178,6 +175,53 @@ fn stage_times_sum_to_wall_time_on_rodinia() {
         "stages cover only {seq} of {} ns wall",
         m.total_ns
     );
+}
+
+/// The stage spans partition every run, whatever its source and fold target:
+/// `finalize` is a stage of its own (never hidden inside `profile`), and the
+/// stage times sum to no more than the wall time — also across a retry, when
+/// `recovery` sits between two `profile` spans rather than inside one.
+#[test]
+fn stage_spans_partition_every_source_and_target() {
+    use polyprof_core::polyresist::{FaultPlan, FaultSite};
+    use polyprof_core::polytrace::Stage;
+    use std::sync::Arc;
+
+    let prog = stencil(6, 40);
+    let path = std::env::temp_dir().join(format!(
+        "polyprof_metrics_{}_partition.ptrace",
+        std::process::id()
+    ));
+    profile_with(&prog, &ProfileConfig::new().with_record_to(&path));
+    let base = ProfileConfig::new()
+        .with_chunk_events(64)
+        .with_metrics(MetricsLevel::Timing);
+    let k2 = base.clone().with_fold_threads(2);
+    let retried = Arc::new(FaultPlan::single(FaultSite::PanicPre, 1));
+    for (what, cfg, retries) in [
+        ("K=1", base, 0),
+        ("K=2", k2.clone(), 0),
+        ("K=2 replay", k2.clone().with_replay_from(&path), 0),
+        ("K=2 retried once", k2.with_fault_plan(retried), 1),
+    ] {
+        let r = profile_with(&prog, &cfg);
+        let m = r.metrics.as_ref().expect("metrics requested");
+        assert_eq!(r.degradation.stage_retries, retries, "{what}");
+        assert!(m.stage(Stage::Profile) > 0, "{what}: profile not timed");
+        assert!(m.stage(Stage::Finalize) > 0, "{what}: finalize not timed");
+        assert_eq!(
+            m.stage(Stage::Recovery) > 0,
+            retries > 0,
+            "{what}: recovery is the time between attempts"
+        );
+        assert!(
+            m.sequential_ns() <= m.total_ns,
+            "{what}: stage sum {} exceeds wall {}",
+            m.sequential_ns(),
+            m.total_ns
+        );
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 /// `Counters` must not read clocks: all span slots stay zero, while the

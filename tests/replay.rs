@@ -13,19 +13,18 @@
 mod common;
 
 use common::{deep_nest, elementwise, stencil};
-use polyprof_core::polyfold::pipeline::{
-    fold_pipelined_supervised, PipelineConfig, ResilienceConfig,
-};
+use polyprof_core::polyfold::pass2::{self, Live, Pass2, Source, Target};
 use polyprof_core::polyfold::{self, replay::fold_recording, FoldOptions, FoldedDdg};
 use polyprof_core::polyrec::{FORMAT_VERSION, HDR_EVENTS_OFF, HDR_VERSION_OFF, MAGIC};
-use polyprof_core::polyresist::{FaultPlan, FaultSite, PolyProfError};
+use polyprof_core::polyresist::{FaultPlan, FaultSite, PolyProfError, ResourceBudget};
 use polyprof_core::{polycfg, polyir::Program, polyvm};
-use polyprof_core::{profile_with, try_profile_with, ProfileConfig};
+use polyprof_core::{try_profile_with, ProfileConfig};
 use proptest::prelude::*;
 use rodinia::paper_examples::fig6_kernel;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Unique scratch path per (process, test) so parallel test threads never
 /// collide; callers clean up with `fs::remove_file` at the end.
@@ -39,27 +38,22 @@ fn record_live(prog: &Program, path: &Path, fold_threads: usize) -> FoldedDdg {
     let mut rec = polycfg::StructureRecorder::new();
     polyvm::Vm::new(prog).run(&[], &mut rec).expect("pass 1");
     let structure = polycfg::StaticStructure::analyze(prog, rec);
-    let cfg = PipelineConfig {
-        fold_threads,
+    let cfg = Pass2 {
+        target: Target::workers(fold_threads),
         chunk_events: 64,
         ..Default::default()
     };
-    let (ddg, _, _, deg) = fold_pipelined_supervised(
-        prog,
-        &structure,
-        &cfg,
-        None,
-        None,
-        None,
-        Some(path),
-        &ResilienceConfig::default(),
-    )
-    .expect("recording fold must complete");
+    let source = Source::Live(Live {
+        record: Some(path),
+        ..Live::new(&structure)
+    });
+    let out = pass2::run(prog, &source, &cfg).expect("recording fold must complete");
+    let deg = &out.degradation;
     assert!(
         !deg.is_degraded(),
         "recording a healthy run must not degrade: {deg:?}"
     );
-    ddg
+    out.ddg
 }
 
 /// The headline invariant: replaying a recording reproduces the live fold
@@ -307,21 +301,85 @@ proptest! {
     }
 }
 
-/// `record_to` on a replay run is ignored (there is no VM stream to tap):
-/// the replay still succeeds and no file appears.
+/// `record_to` on a replay run contradicts it (there is no VM stream to
+/// tap): a structured configuration error, and no file appears.
 #[test]
-fn record_to_is_ignored_during_replay() {
+fn record_to_with_replay_is_a_config_error() {
     let prog = elementwise(6, 2);
     let src = scratch("replay_src");
     let ghost = scratch("replay_ghost");
     record_live(&prog, &src, 2);
-    let report = profile_with(
+    let res = try_profile_with(
         &prog,
         &ProfileConfig::new()
             .with_replay_from(&src)
             .with_record_to(&ghost),
     );
-    assert!(report.folded_stats.2 > 0);
+    match res.map(|r| r.folded_stats) {
+        Err(PolyProfError::Config { knob, .. }) => assert_eq!(knob, "record_to"),
+        other => panic!("expected a Config error, got {other:?}"),
+    }
     assert!(!ghost.exists(), "replay must not write a new recording");
     fs::remove_file(&src).ok();
+}
+
+/// A replay is budgeted like a live run, on the calling thread and on fold
+/// workers: a 1-byte budget latches pressure and over-approximates exactly
+/// the statements the live run under that budget does.
+#[test]
+fn replay_honours_the_memory_budget() {
+    let prog = stencil(10, 3);
+    let path = scratch("replay_budget");
+    try_profile_with(&prog, &ProfileConfig::new().with_record_to(&path)).expect("record run");
+    for k in [1usize, 3] {
+        let tight = ProfileConfig::new()
+            .with_fold_threads(k)
+            .with_memory_budget(1);
+        let live = try_profile_with(&prog, &tight)
+            .expect("live run")
+            .degradation;
+        assert!(live.budget_overapprox_stmts > 0, "K={k}: {live:?}");
+        let replayed = try_profile_with(&prog, &tight.with_replay_from(&path))
+            .expect("replay run")
+            .degradation;
+        assert!(replayed.budget_pressure, "K={k}: {replayed:?}");
+        assert!(replayed.peak_tracked_bytes > 0, "K={k}: {replayed:?}");
+        assert_eq!(
+            replayed.budget_overapprox_stmts, live.budget_overapprox_stmts,
+            "K={k}"
+        );
+    }
+    fs::remove_file(&path).ok();
+}
+
+/// A replay can be stopped like a live run: an expired deadline, or a
+/// shared budget cancelled from outside, ends the fold at the next frame
+/// with a partial but valid result.
+#[test]
+fn replay_honours_deadline_and_cancellation() {
+    let prog = stencil(10, 3);
+    let path = scratch("replay_deadline");
+    let full = try_profile_with(&prog, &ProfileConfig::new().with_record_to(&path))
+        .expect("record run")
+        .folded_stats;
+    for k in [1usize, 3] {
+        let base = ProfileConfig::new()
+            .with_fold_threads(k)
+            .with_replay_from(&path);
+        let cancelled = Arc::new(ResourceBudget::new(None, None));
+        cancelled.cancel();
+        for (what, cfg) in [
+            ("deadline", base.clone().with_deadline(Duration::ZERO)),
+            ("cancel", base.with_shared_budget(cancelled)),
+        ] {
+            let r = try_profile_with(&prog, &cfg).expect("a stopped replay is not an error");
+            assert!(
+                r.degradation.deadline_hit,
+                "{what} K={k}: {:?}",
+                r.degradation
+            );
+            assert!(r.folded_stats.2 <= full.2, "{what} K={k}");
+        }
+    }
+    fs::remove_file(&path).ok();
 }

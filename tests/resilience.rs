@@ -4,17 +4,14 @@
 //! over-approximations (folded deps ⊇ exact serial deps), and an armed but
 //! never-firing fault plan must not perturb a single folded byte.
 //!
-//! The CI `resilience-gate` step runs this suite plus a
-//! `POLYPROF_FAULT_PLAN` seed matrix through `examples/resilience_probe.rs`;
-//! the environment knob itself is exercised there (mutating the process
-//! environment here would race the other test threads).
+//! The CI `resilience-gate` step runs this suite plus a seed matrix through
+//! `examples/resilience_probe.rs`, which takes each plan from its
+//! `POLYPROF_FAULT_PLAN` environment variable (the library reads none).
 
 mod common;
 
 use common::{canon, stencil};
-use polyprof_core::polyfold::pipeline::{
-    fold_pipelined_supervised, PipelineConfig, ResilienceConfig,
-};
+use polyprof_core::polyfold::pass2::{self, Live, Pass2, Source, Target};
 use polyprof_core::polyfold::{self, FoldedDdg, FoldingSink};
 use polyprof_core::polyresist::{FaultPlan, FaultSite, ResourceBudget, RunDegradation};
 use polyprof_core::{profile_with, try_profile_with, ProfileConfig};
@@ -24,68 +21,85 @@ use std::time::Duration;
 fn supervised_fold(
     prog: &polyprof_core::polyir::Program,
     k: usize,
-    res: &ResilienceConfig,
+    faults: Option<&str>,
 ) -> (FoldedDdg, RunDegradation) {
     let mut rec = polyprof_core::polycfg::StructureRecorder::new();
     polyprof_core::polyvm::Vm::new(prog)
         .run(&[], &mut rec)
         .expect("pass 1");
     let structure = polyprof_core::polycfg::StaticStructure::analyze(prog, rec);
-    let cfg = PipelineConfig {
-        fold_threads: k,
+    let cfg = Pass2 {
+        target: Target::Workers {
+            n: k,
+            faults: faults.map(|spec| Arc::new(FaultPlan::parse(spec).unwrap())),
+            max_retries: 2,
+        },
         chunk_events: 64,
         ..Default::default()
     };
-    let (ddg, _, _, deg) =
-        fold_pipelined_supervised(prog, &structure, &cfg, None, None, None, None, res)
-            .expect("supervised fold must complete");
-    (ddg, deg)
+    let out = pass2::run(prog, &Source::Live(Live::new(&structure)), &cfg)
+        .expect("supervised fold must complete");
+    (out.ddg, out.degradation)
 }
 
 /// Every fault class — a panic in each of the two stage kinds, a chunk
 /// stall, a chunk drop, a shadow allocation failure, and a malformed chunk —
 /// completes end to end through `profile_with` with a populated degradation
-/// record.
+/// record; and so does the replay of a recording, for the four sites a
+/// replay has (the channel and the workers; there is no VM and no shadow
+/// memory to fault).
 #[test]
 fn every_fault_class_completes_with_degradation() {
     let prog = stencil(10, 3);
+    let path = std::env::temp_dir().join(format!(
+        "polyprof_resilience_{}_faults.ptrace",
+        std::process::id()
+    ));
+    profile_with(&prog, &ProfileConfig::new().with_record_to(&path));
     for site in FaultSite::ALL {
-        let cfg = ProfileConfig::new()
+        let live = ProfileConfig::new()
             .with_fold_threads(3)
-            .with_chunk_events(64)
-            .with_fault_plan(Arc::new(FaultPlan::single(site, 1)));
-        let r = profile_with(&prog, &cfg);
-        let deg = &r.degradation;
-        assert!(
-            deg.faults_injected >= 1,
-            "{}: fault never fired: {deg:?}",
-            site.name()
-        );
-        assert!(deg.is_degraded(), "{}: {deg:?}", site.name());
-        match site {
-            // A producer panic fails the attempt; the retry succeeds.
-            FaultSite::PanicPre => {
-                assert!(deg.stage_retries >= 1, "{}: {deg:?}", site.name())
-            }
-            // A worker panic is salvaged: the shard is lost, not the run.
-            FaultSite::PanicFold => {
-                assert_eq!(deg.missing_shards.len(), 1, "{}: {deg:?}", site.name())
-            }
-            FaultSite::StallSend => {
-                assert_eq!(deg.stalled_sends, 1, "{}: {deg:?}", site.name())
-            }
-            FaultSite::DropSend => {
-                assert!(deg.dropped_chunks >= 1, "{}: {deg:?}", site.name())
-            }
-            FaultSite::AllocShadow => {
-                assert_eq!(deg.shadow_alloc_failures, 1, "{}: {deg:?}", site.name());
-                assert!(deg.unresolved_accesses >= 1, "{}: {deg:?}", site.name());
-            }
-            FaultSite::MalformedChunk => {
-                assert_eq!(deg.malformed_chunks, 1, "{}: {deg:?}", site.name())
+            .with_chunk_events(64);
+        let mut legs = vec![("live", live.clone())];
+        if !matches!(site, FaultSite::PanicPre | FaultSite::AllocShadow) {
+            legs.push(("replay", live.with_replay_from(&path)));
+        }
+        for (leg, cfg) in legs {
+            let cfg = cfg.with_fault_plan(Arc::new(FaultPlan::single(site, 1)));
+            let r = profile_with(&prog, &cfg);
+            let deg = &r.degradation;
+            let what = format!("{} ({leg})", site.name());
+            assert!(
+                deg.faults_injected >= 1,
+                "{what}: fault never fired: {deg:?}"
+            );
+            assert!(deg.is_degraded(), "{what}: {deg:?}");
+            match site {
+                // A producer panic fails the attempt; the retry succeeds.
+                FaultSite::PanicPre => {
+                    assert!(deg.stage_retries >= 1, "{what}: {deg:?}")
+                }
+                // A worker panic is salvaged: the shard is lost, not the run.
+                FaultSite::PanicFold => {
+                    assert_eq!(deg.missing_shards.len(), 1, "{what}: {deg:?}")
+                }
+                FaultSite::StallSend => {
+                    assert_eq!(deg.stalled_sends, 1, "{what}: {deg:?}")
+                }
+                FaultSite::DropSend => {
+                    assert!(deg.dropped_chunks >= 1, "{what}: {deg:?}")
+                }
+                FaultSite::AllocShadow => {
+                    assert_eq!(deg.shadow_alloc_failures, 1, "{what}: {deg:?}");
+                    assert!(deg.unresolved_accesses >= 1, "{what}: {deg:?}");
+                }
+                FaultSite::MalformedChunk => {
+                    assert_eq!(deg.malformed_chunks, 1, "{what}: {deg:?}")
+                }
             }
         }
     }
+    std::fs::remove_file(&path).ok();
 }
 
 /// A stall delays but loses nothing: the folded output must be
@@ -93,14 +107,8 @@ fn every_fault_class_completes_with_degradation() {
 #[test]
 fn stalled_send_is_lossless() {
     let prog = stencil(9, 2);
-    let clean = supervised_fold(&prog, 2, &ResilienceConfig::default()).0;
-    let res = ResilienceConfig {
-        faults: Some(Arc::new(
-            FaultPlan::parse("stall:send@2;stall_ms=5").unwrap(),
-        )),
-        ..Default::default()
-    };
-    let (ddg, deg) = supervised_fold(&prog, 2, &res);
+    let clean = supervised_fold(&prog, 2, None).0;
+    let (ddg, deg) = supervised_fold(&prog, 2, Some("stall:send@2;stall_ms=5"));
     assert_eq!(deg.stalled_sends, 1);
     assert_eq!(canon(&clean), canon(&ddg), "a stall must not lose events");
 }
@@ -110,14 +118,9 @@ fn stalled_send_is_lossless() {
 #[test]
 fn armed_but_unfired_plan_is_byte_identical() {
     let prog = stencil(10, 3);
-    let clean = supervised_fold(&prog, 3, &ResilienceConfig::default()).0;
-    let res = ResilienceConfig {
-        faults: Some(Arc::new(
-            FaultPlan::parse("panic:fold@999999999;drop:send@999999999").unwrap(),
-        )),
-        ..Default::default()
-    };
-    let (ddg, deg) = supervised_fold(&prog, 3, &res);
+    let clean = supervised_fold(&prog, 3, None).0;
+    let unfired = "panic:fold@999999999;drop:send@999999999";
+    let (ddg, deg) = supervised_fold(&prog, 3, Some(unfired));
     assert_eq!(deg.faults_injected, 0);
     assert!(!deg.is_degraded(), "{deg:?}");
     assert_eq!(canon(&clean), canon(&ddg));

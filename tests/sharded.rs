@@ -15,33 +15,30 @@ mod common;
 use common::{canon, deep_nest, elementwise, stencil};
 use polyir::Program;
 use polyprof_core::polycfg::{StaticStructure, StructureRecorder};
-use polyprof_core::polyfold::pipeline::{
-    fold_pipelined_supervised, PipelineConfig, ResilienceConfig,
-};
+use polyprof_core::polyfold::pass2::{self, Live, Pass2, Source, Target};
 use polyprof_core::polyfold::{self, FoldedDdg};
 use polyprof_core::{profile_with, ProfileConfig};
 use proptest::prelude::*;
 
-fn fold_serial(prog: &Program) -> FoldedDdg {
+fn fold_inline(prog: &Program) -> FoldedDdg {
     polyfold::fold_program(prog).0
 }
 
-/// Pass 1, then a fault-free staged pass 2 under `cfg`.
-fn fold_pipelined(prog: &Program, cfg: &PipelineConfig) -> FoldedDdg {
+/// Pass 1, then a fault-free pass 2 on fold workers under `cfg`.
+fn fold_pipelined(prog: &Program, cfg: &Pass2) -> FoldedDdg {
     let mut rec = StructureRecorder::new();
     polyprof_core::polyvm::Vm::new(prog)
         .run(&[], &mut rec)
         .expect("pass 1");
     let structure = StaticStructure::analyze(prog, rec);
-    let res = ResilienceConfig::default();
-    fold_pipelined_supervised(prog, &structure, cfg, None, None, None, None, &res)
+    pass2::run(prog, &Source::Live(Live::new(&structure)), cfg)
         .expect("fault-free pipelined fold")
-        .0
+        .ddg
 }
 
 fn fold_sharded(prog: &Program, k: usize, chunk_events: usize) -> FoldedDdg {
-    let cfg = PipelineConfig {
-        fold_threads: k,
+    let cfg = Pass2 {
+        target: Target::workers(k),
         chunk_events,
         ..Default::default()
     };
@@ -51,7 +48,7 @@ fn fold_sharded(prog: &Program, k: usize, chunk_events: usize) -> FoldedDdg {
 /// Canonical renderings must match byte-for-byte at K ∈ {1, 2, 8}. Chunks
 /// are kept tiny so every trace crosses many flush boundaries.
 fn assert_parity(prog: &Program) -> Result<(), String> {
-    let serial = canon(&fold_serial(prog));
+    let serial = canon(&fold_inline(prog));
     for k in [1usize, 2, 8] {
         let sharded = canon(&fold_sharded(prog, k, 64));
         prop_assert_eq!(&serial.0, &sharded.0, "folded statements differ at K={}", k);
@@ -149,8 +146,8 @@ fn sharded_parity_without_class_split() {
         let (sink, interner) = prof.finish();
         sink.finalize(&prog, &interner)
     };
-    let cfg = PipelineConfig {
-        fold_threads: 3,
+    let cfg = Pass2 {
+        target: Target::workers(3),
         chunk_events: 32,
         options,
         ..Default::default()

@@ -19,9 +19,7 @@
 mod common;
 
 use polyprof_core::polyddg::prune::PruneMask;
-use polyprof_core::polyfold::pipeline::{
-    fold_pipelined_supervised, PipelineConfig, ResilienceConfig,
-};
+use polyprof_core::polyfold::pass2::{self, Live, Pass2, Source, Target};
 use polyprof_core::polystatic::dataflow::StaticSummary;
 use polyprof_core::polystatic::deps::StaticDeps;
 use polyprof_core::{profile_with, MetricsLevel, ProfileConfig};
@@ -62,26 +60,20 @@ fn access_prune_byte_identity_at_k1_and_k4() {
         ));
         let structure = structure_of(p);
         for k in [1usize, 4] {
-            let cfg = PipelineConfig {
-                fold_threads: k,
+            let cfg = Pass2 {
+                target: Target::workers(k),
                 chunk_events: 64,
                 ..Default::default()
             };
-            let res = ResilienceConfig::default();
-            let (base, _, _, _) =
-                fold_pipelined_supervised(p, &structure, &cfg, None, None, None, None, &res)
-                    .expect("unpruned fold");
-            let (pruned, _, ev, _) = fold_pipelined_supervised(
-                p,
-                &structure,
-                &cfg,
-                None,
-                Some(Arc::clone(&mask)),
-                Some(Arc::clone(&deps) as _),
-                None,
-                &res,
-            )
-            .expect("pruned fold");
+            let plain = Source::Live(Live::new(&structure));
+            let base = pass2::run(p, &plain, &cfg).expect("unpruned fold").ddg;
+            let masked = Source::Live(Live {
+                prune: Some(Arc::clone(&mask)),
+                synth: Some(Arc::clone(&deps) as _),
+                ..Live::new(&structure)
+            });
+            let out = pass2::run(p, &masked, &cfg).expect("pruned fold");
+            let (pruned, ev) = (out.ddg, out.pruned);
             assert!(ev.mem > 0, "{name} @K={k}: no memory events were pruned");
             assert_eq!(
                 base.canonical_text(),

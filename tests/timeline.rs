@@ -236,6 +236,43 @@ fn timeline_well_formed_and_reconciles_at_every_k() {
     }
 }
 
+/// A replay on fold workers is traced like a live run on them: every shard
+/// registers its event count, and each worker's lane carries its span and
+/// `fold-chunk` journal.
+#[test]
+fn sharded_replay_is_traced_like_a_live_run() {
+    let prog = stencil(6, 40);
+    let path = std::env::temp_dir().join(format!(
+        "polyprof_timeline_{}_replay.ptrace",
+        std::process::id()
+    ));
+    profile_with(&prog, &ProfileConfig::new().with_record_to(&path));
+    let cfg = ProfileConfig::new()
+        .with_fold_threads(2)
+        .with_chunk_events(64)
+        .with_metrics(MetricsLevel::Trace)
+        .with_replay_from(&path);
+    let r = profile_with(&prog, &cfg);
+    std::fs::remove_file(&path).ok();
+    let m = r.metrics.as_ref().expect("Trace run has metrics");
+    assert_eq!(m.shard_events.len(), 2, "{:?}", m.shard_events);
+    assert_eq!(
+        m.shard_events.iter().sum::<u64>(),
+        m.counter(Counter::EventsFolded)
+    );
+    for shard in 0..2 {
+        let lane = tid_shard(shard);
+        assert!(
+            m.timeline.iter().any(|ev| ev.tid == lane),
+            "no event on the lane of shard {shard}"
+        );
+    }
+    assert_eq!(
+        m.timeline_count("fold-chunk", TraceEventKind::End),
+        m.counter(Counter::ChunksFolded)
+    );
+}
+
 /// `Trace` runs populate the latency histograms the pipeline feeds:
 /// fold-chunk times and chunk-send telemetry exist at K > 1, and the
 /// histogram counts agree with the chunk counters.
@@ -264,18 +301,15 @@ fn trace_run_populates_latency_histograms() {
 // Live-progress sampler
 // ---------------------------------------------------------------------------
 
-/// `with_progress` arms the watcher thread: snapshots arrive in time
-/// order with monotone cumulative counters, and the knob quietly lifts
-/// `Off` to `Counters` so there is something to sample.
+/// `with_progress` arms the watcher thread over the run's counters:
+/// snapshots arrive in time order with monotone cumulative counters.
 #[test]
 fn progress_sampler_streams_monotone_snapshots() {
     let w = rodinia::backprop::build();
-    let cfg = ProfileConfig::new().with_progress(Duration::from_micros(100));
+    let cfg = ProfileConfig::new()
+        .with_metrics(MetricsLevel::Counters)
+        .with_progress(Duration::from_micros(100));
     let r = profile_with(&w.program, &cfg);
-    assert!(
-        r.metrics.is_some(),
-        "progress sampling implies at least Counters"
-    );
     assert!(!r.progress.is_empty(), "no snapshots sampled");
     for pair in r.progress.windows(2) {
         assert!(pair[0].t_ns <= pair[1].t_ns, "snapshots out of order");
@@ -293,6 +327,7 @@ fn progress_sampler_streams_monotone_snapshots() {
 fn progress_sampler_reports_budget_gauges() {
     let w = rodinia::backprop::build();
     let cfg = ProfileConfig::new()
+        .with_metrics(MetricsLevel::Counters)
         .with_progress(Duration::from_micros(100))
         .with_memory_budget(1 << 30)
         .with_deadline(Duration::from_secs(3600));

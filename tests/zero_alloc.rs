@@ -104,23 +104,20 @@ fn steady_state_profiling_does_not_allocate_per_event() {
 /// whole staged pass 2 — all threads share the one global allocator, so the
 /// count covers every stage and shard.
 fn profile_counting_pipelined(prog: &Program) -> (u64, u64) {
-    use polyprof_core::polyfold::pipeline::{
-        fold_pipelined_supervised, PipelineConfig, ResilienceConfig,
-    };
+    use polyprof_core::polyfold::pass2::{self, Live, Pass2, Source, Target};
     let mut rec = polycfg::StructureRecorder::new();
     polyvm::Vm::new(prog).run(&[], &mut rec).expect("pass 1");
     let structure = polycfg::StaticStructure::analyze(prog, rec);
-    let cfg = PipelineConfig {
-        fold_threads: 2,
+    let cfg = Pass2 {
+        target: Target::workers(2),
         chunk_events: 1024,
         ..Default::default()
     };
-    let res = ResilienceConfig::default();
+    let source = Source::Live(Live::new(&structure));
     let before = ALLOCS.load(Ordering::Relaxed);
-    let (ddg, ..) = fold_pipelined_supervised(prog, &structure, &cfg, None, None, None, None, &res)
-        .expect("fault-free pipelined fold");
+    let out = pass2::run(prog, &source, &cfg).expect("fault-free pipelined fold");
     let after = ALLOCS.load(Ordering::Relaxed);
-    (ddg.total_ops, after - before)
+    (out.ddg.total_ops, after - before)
 }
 
 /// Inside each pipeline shard the steady state must stay allocation-free:
