@@ -40,7 +40,7 @@ pub use polytrace;
 pub use polyvm;
 
 pub use polyresist::{FaultPlan, FaultSite, PolyProfError, ResourceBudget, RunDegradation};
-pub use polytrace::{MetricsLevel, ProgressSnapshot, RunMetrics};
+pub use polytrace::{MetricsLevel, RunMetrics};
 
 use polyfeedback::metrics::ProgramFeedback;
 use polyfold::pass2::{Live, Pass2, Source, Target};
@@ -107,11 +107,6 @@ pub struct Report {
     /// watchdog deadline. All-default (check [`RunDegradation::is_degraded`])
     /// for a clean run — which every run without a fault plan or budget is.
     pub degradation: RunDegradation,
-    /// Periodic live snapshots from the progress sampler, in sample order.
-    /// Empty unless [`ProfileConfig::with_progress`] armed the watcher
-    /// thread — this is the streaming primitive a monitoring frontend would
-    /// subscribe to; batch runs get the full sequence after the fact.
-    pub progress: Vec<ProgressSnapshot>,
     /// Canonical text of the folded DDG after SCEV removal — the
     /// deterministic byte-comparison artifact (`full_text` is *not*
     /// byte-stable across runs; this is). Captured only when
@@ -249,22 +244,15 @@ pub struct ProfileConfig {
     /// `record_to` and `static_prune` contradict it (there is no VM run to
     /// tap or to prune).
     pub replay_from: Option<PathBuf>,
-    /// Sampling interval for the live-progress watcher thread. `None`
-    /// (default) spawns nothing. When set, a sampler thread snapshots the
-    /// run's counters and gauges every interval into [`Report::progress`].
-    /// Contradicts [`MetricsLevel::Off`]: there would be nothing to sample.
-    pub progress: Option<Duration>,
-    /// Live fan-out of the progress sampler: every snapshot the sampler
-    /// takes is *also* offered (non-blocking `try_send`) to this channel as
-    /// it happens. This is how a serving layer streams incremental progress
-    /// frames to a client while the run is still folding. Contradicts an
-    /// unset [`ProfileConfig::progress`] (no sampler would feed it).
-    pub progress_sink: Option<std::sync::mpsc::SyncSender<ProgressSnapshot>>,
     /// Use this externally-owned budget instead of constructing one from
-    /// `memory_budget`/`deadline`. A server hands every session a budget it
-    /// keeps a handle to, so a watchdog can [`ResourceBudget::cancel`] a
-    /// wedged run from outside. Contradicts `memory_budget` and `deadline`:
-    /// the limits are the shared budget's own.
+    /// `memory_budget`/`deadline` — the handle through which a run is watched
+    /// and stopped from outside. Whoever keeps a clone reads
+    /// [`ResourceBudget::progress`] (the heartbeat pass 2's event source
+    /// publishes once per 4096 dynamic instructions, or per replayed frame),
+    /// `used_bytes`, `under_pressure` and `deadline_remaining` from its own
+    /// thread at its own pace, and [`ResourceBudget::cancel`]s a wedged run;
+    /// `ResourceBudget::new(None, None)` suffices to watch. Contradicts
+    /// `memory_budget` and `deadline`: the limits are the shared budget's own.
     pub shared_budget: Option<Arc<ResourceBudget>>,
     /// Capture [`Report::canonical_ddg`] — the folded DDG's deterministic
     /// canonical text after SCEV removal. Off by default: the rendering
@@ -287,8 +275,6 @@ impl Default for ProfileConfig {
             fast_fit: true,
             record_to: None,
             replay_from: None,
-            progress: None,
-            progress_sink: None,
             shared_budget: None,
             canonical: false,
         }
@@ -379,20 +365,6 @@ impl ProfileConfig {
         self
     }
 
-    /// Arm the live-progress sampler at this interval (see
-    /// [`ProfileConfig::progress`]).
-    pub fn with_progress(mut self, interval: Duration) -> Self {
-        self.progress = Some(interval);
-        self
-    }
-
-    /// Stream every progress snapshot to this channel as it is taken (see
-    /// [`ProfileConfig::progress_sink`]).
-    pub fn with_progress_sink(mut self, tx: std::sync::mpsc::SyncSender<ProgressSnapshot>) -> Self {
-        self.progress_sink = Some(tx);
-        self
-    }
-
     /// Run under an externally-owned budget (see
     /// [`ProfileConfig::shared_budget`]).
     pub fn with_shared_budget(mut self, budget: Arc<ResourceBudget>) -> Self {
@@ -415,12 +387,6 @@ impl ProfileConfig {
         };
         let replay = self.replay_from.is_some();
         let limits = self.memory_budget.is_some() || self.deadline.is_some();
-        if self.progress.is_some() && self.metrics == MetricsLevel::Off {
-            return clash("progress", "has nothing to sample at `metrics` `Off`");
-        }
-        if self.progress_sink.is_some() && self.progress.is_none() {
-            return clash("progress_sink", "is fed by `progress`, which is unset");
-        }
         if replay && self.record_to.is_some() {
             return clash("record_to", "taps the VM run `replay_from` replaces");
         }
@@ -490,20 +456,6 @@ pub fn try_profile_with(prog: &Program, cfg: &ProfileConfig) -> Result<Report, P
         Some(b) => Some(Arc::clone(b)),
         None => (cfg.memory_budget.is_some() || cfg.deadline.is_some())
             .then(|| Arc::new(ResourceBudget::new(cfg.memory_budget, cfg.deadline))),
-    };
-
-    // Live-progress sampler: a watcher thread snapshotting counters/gauges
-    // every interval into a bounded channel. Purely observational — it only
-    // ever *reads* the collector's atomics, so the profiled run is
-    // undisturbed; a full channel drops the newest sample rather than block.
-    let sampler = match (cfg.progress, &trace) {
-        (Some(interval), Some((c, _))) => Some(spawn_sampler(
-            interval,
-            Arc::clone(c),
-            budget.clone(),
-            cfg.progress_sink.clone(),
-        )),
-        _ => None,
     };
 
     // Static affine pre-pass: SCEV proofs, prune mask, lint inputs. Runs
@@ -688,13 +640,6 @@ pub fn try_profile_with(prog: &Program, cfg: &ProfileConfig) -> Result<Report, P
         full_text
     };
 
-    // Stop the sampler (if any) *before* freezing the metrics snapshot, so
-    // no sample is taken concurrently with the drain of trace journals.
-    let progress = match sampler {
-        Some(s) => s.finish(),
-        None => Vec::new(),
-    };
-
     let metrics = trace.map(|(c, t0)| c.snapshot(t0.elapsed().as_nanos() as u64));
     // VM opcode telemetry only exists at `Timing`+, so `Off`/`Counters`
     // reports stay byte-identical to pre-telemetry output.
@@ -722,86 +667,8 @@ pub fn try_profile_with(prog: &Program, cfg: &ProfileConfig) -> Result<Report, P
         lint,
         metrics,
         degradation,
-        progress,
         canonical_ddg,
     })
-}
-
-/// A running progress sampler: stop flag + join handle + the bounded
-/// snapshot channel's receiving end.
-struct Sampler {
-    stop: Arc<std::sync::atomic::AtomicBool>,
-    handle: std::thread::JoinHandle<()>,
-    rx: std::sync::mpsc::Receiver<polytrace::ProgressSnapshot>,
-}
-
-/// Most snapshots a run retains; older runs stream, batch runs truncate.
-/// At the default-ish 100ms interval this covers a ~100s run.
-const PROGRESS_CAP: usize = 1024;
-
-fn spawn_sampler(
-    interval: Duration,
-    col: Arc<Collector>,
-    budget: Option<Arc<ResourceBudget>>,
-    sink: Option<std::sync::mpsc::SyncSender<polytrace::ProgressSnapshot>>,
-) -> Sampler {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_t = Arc::clone(&stop);
-    let (tx, rx) = std::sync::mpsc::sync_channel(PROGRESS_CAP);
-    let handle = std::thread::spawn(move || {
-        let mut prev_t = 0u64;
-        let mut prev_folded = 0u64;
-        let mut sample = || {
-            let t_ns = col.now_ns();
-            let mut snap = col.progress(t_ns);
-            let dt = t_ns.saturating_sub(prev_t);
-            if dt > 0 {
-                snap.events_per_sec =
-                    snap.events_folded.saturating_sub(prev_folded) as f64 * 1e9 / dt as f64;
-            }
-            prev_t = t_ns;
-            prev_folded = snap.events_folded;
-            if let Some(b) = &budget {
-                snap.budget_used_bytes = b.used_bytes();
-                snap.budget_pressure = b.under_pressure();
-                snap.deadline_remaining_ns = b.deadline_remaining().map(|d| d.as_nanos() as u64);
-            }
-            // Live fan-out first: a serving layer wants the snapshot while
-            // the run is still going. Non-blocking on both channels — a
-            // slow consumer loses samples, never stalls the sampler.
-            if let Some(s) = &sink {
-                let _ = s.try_send(snap.clone());
-            }
-            // Bounded: when the consumer lags PROGRESS_CAP samples behind,
-            // drop the newest instead of blocking the sampler.
-            let _ = tx.try_send(snap);
-        };
-        // Acquire pairs with the Release store in `Sampler::finish`: the
-        // closing sample sees every counter the run harvested before it.
-        while !stop_t.load(Ordering::Acquire) {
-            std::thread::park_timeout(interval);
-            if !stop_t.load(Ordering::Acquire) {
-                sample();
-            }
-        }
-        // One closing sample of the finished run: a run shorter than one
-        // interval (or than this thread's first scheduling) still reports
-        // where it ended.
-        sample();
-    });
-    Sampler { stop, handle, rx }
-}
-
-impl Sampler {
-    /// Stop the watcher thread — which takes one closing snapshot on its
-    /// way out — and drain every snapshot it took.
-    fn finish(self) -> Vec<polytrace::ProgressSnapshot> {
-        self.stop.store(true, std::sync::atomic::Ordering::Release);
-        self.handle.thread().unpark();
-        let _ = self.handle.join();
-        self.rx.try_iter().collect()
-    }
 }
 
 /// Run [`profile`] over a whole suite, fanning the workloads across threads.
@@ -940,17 +807,10 @@ mod tests {
     fn contradictory_knobs_are_config_errors() {
         let prog = rodinia::backprop::build().program;
         let nowhere = std::env::temp_dir().join(format!("polyprof_{}_nowhere", std::process::id()));
-        let (tx, _rx) = std::sync::mpsc::sync_channel(1);
         let shared = || Arc::new(ResourceBudget::new(None, None));
         let tick = Duration::from_millis(1);
-        let counters = MetricsLevel::Counters;
         let new = ProfileConfig::new;
         let rows = [
-            ("progress", new().with_progress(tick)),
-            (
-                "progress_sink",
-                new().with_metrics(counters).with_progress_sink(tx),
-            ),
             (
                 "record_to",
                 new().with_replay_from(&nowhere).with_record_to(&nowhere),

@@ -553,6 +553,10 @@ impl FoldSink for ChunkWriter {
         self.cur.push_dep(kind, src, src_coords, dst, dst_coords);
         self.after_push();
     }
+
+    fn events_seen(&self) -> u64 {
+        self.stats.events
+    }
 }
 
 #[cfg(test)]

@@ -98,6 +98,13 @@ pub trait FoldSink {
         dst: StmtId,
         dst_coords: &[i64],
     );
+    /// Events received so far, for the run's heartbeat
+    /// ([`ResourceBudget::beat`]): read once per watchdog poll from a tally
+    /// the sink keeps anyway, never counted for the purpose. Sinks without
+    /// one report 0.
+    fn events_seen(&self) -> u64 {
+        0
+    }
 }
 
 /// Re-emitter for access-level-pruned memory streams.
@@ -179,8 +186,8 @@ pub struct DdgProfiler<'p, F: FoldSink> {
     /// ([`FaultSite::PanicPre`]; the shadow memory probes its own site).
     faults: Option<Arc<FaultPlan>>,
     /// Optional resource budget: retained state is charged against its byte
-    /// limit, and its deadline is polled through the VM's throttled
-    /// [`EventSink::poll_abort`] hook.
+    /// limit, and the VM's throttled [`EventSink::poll_abort`] hook publishes
+    /// the heartbeat on it and polls its deadline.
     budget: Option<Arc<ResourceBudget>>,
 }
 
@@ -259,8 +266,9 @@ impl<'p, F: FoldSink> DdgProfiler<'p, F> {
     }
 
     /// Attach a resource budget: shadow pages and spilled coordinate
-    /// vectors are charged against the byte limit, and the deadline is
-    /// polled by the VM watchdog ([`EventSink::poll_abort`]).
+    /// vectors are charged against the byte limit, and the VM watchdog
+    /// ([`EventSink::poll_abort`]) becomes [`ResourceBudget::beat`] — the
+    /// run's heartbeat and its deadline poll.
     pub fn set_budget(&mut self, budget: Arc<ResourceBudget>) {
         self.shadow.set_budget(Arc::clone(&budget));
         self.snaps.set_budget(Arc::clone(&budget));
@@ -451,7 +459,7 @@ impl<'p, F: FoldSink> EventSink for DdgProfiler<'p, F> {
 
     fn poll_abort(&mut self) -> bool {
         match &self.budget {
-            Some(b) => b.poll_deadline(),
+            Some(b) => b.beat(self.dyn_ops, self.out.events_seen()),
             None => false,
         }
     }

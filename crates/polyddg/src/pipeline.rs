@@ -104,6 +104,10 @@ impl FoldSink for ShardRouter {
         let s = self.shard_of(dst);
         self.shards[s].dependence(kind, src, src_coords, dst, dst_coords);
     }
+
+    fn events_seen(&self) -> u64 {
+        self.shards.iter().map(ChunkWriter::events_seen).sum()
+    }
 }
 
 #[cfg(test)]

@@ -602,6 +602,10 @@ impl FoldSink for FoldingSink {
         }
         folder.push(dst_coords, Some(src_coords));
     }
+
+    fn events_seen(&self) -> u64 {
+        self.stats.events_folded
+    }
 }
 
 /// Fold a whole program end-to-end: pass 1 (structure), pass 2 (DDG →

@@ -21,7 +21,9 @@
 //!   coordinate arena) are charged to it, pressure degrades folders to sound
 //!   over-approximation, and its deadline or [`ResourceBudget::cancel`] stops
 //!   the source — the VM at its next watchdog poll, a recording at its next
-//!   frame — leaving a valid fold of a prefix.
+//!   frame — leaving a valid fold of a prefix. That same poll is
+//!   [`ResourceBudget::beat`]: the source publishes how far it has got, so
+//!   whoever shares the budget can watch the run without a thread of its own.
 //! * `trace` — the spans `profile` (one per attempt), `recovery` (between
 //!   attempts) and `finalize` partition the call; worker targets add the
 //!   producer and shard lanes. Counters reach the collector once, from the
@@ -495,9 +497,9 @@ fn run_profiler<S: FoldSink>(
 }
 
 /// The recording source: check that `path` was captured from `prog`, then
-/// replay every frame into `out`. Once the budget's deadline latches, the
-/// remaining frames are decoded and verified — the statement table is in
-/// the footer — but not folded.
+/// replay every frame into `out`, with one heartbeat and deadline poll per
+/// frame. Once the deadline latches, the remaining frames are decoded and
+/// verified — the statement table is in the footer — but not folded.
 fn replay<S: FoldSink>(
     prog: &Program,
     path: &Path,
@@ -519,7 +521,7 @@ fn replay<S: FoldSink>(
     }
     let mut chunk = EventChunk::default();
     while reader.next_chunk(&mut chunk)? {
-        if !budget.is_some_and(|b| b.poll_deadline()) {
+        if !budget.is_some_and(|b| b.beat(0, out.events_seen())) {
             chunk.replay_into(&mut out);
         }
     }

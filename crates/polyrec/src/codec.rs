@@ -12,6 +12,7 @@ use polyddg::DepKind;
 use polyiiv::context::{ContextInterner, CtxPathId, StmtId, StmtInfo};
 use polyiiv::CtxElem;
 use polyir::{BlockRef, FuncId, InstrRef, LocalBlockId};
+use std::io::Read;
 
 /// FNV-1a 64 offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -63,6 +64,20 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a::new();
     h.write(bytes);
     h.finish()
+}
+
+/// Replace `buf` with the next `len` bytes of `r`; a stream that ends first is
+/// an [`UnexpectedEof`](std::io::ErrorKind::UnexpectedEof). `len` is what a
+/// length prefix *claims*, not an allocation size: the bytes are read through
+/// [`Read::take`], so `buf` grows with what actually arrives and a header
+/// that lies about a 64 MiB payload costs its reader nothing. Callers check
+/// `len` against their cap first.
+pub fn read_claimed(r: &mut impl Read, len: usize, buf: &mut Vec<u8>) -> std::io::Result<()> {
+    buf.clear();
+    if r.take(len as u64).read_to_end(buf)? < len {
+        return Err(std::io::ErrorKind::UnexpectedEof.into());
+    }
+    Ok(())
 }
 
 /// Append an unsigned LEB128 varint.

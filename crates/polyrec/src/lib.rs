@@ -332,6 +332,10 @@ impl<S: FoldSink, W: Write + Seek> FoldSink for Recorder<S, W> {
         self.inner
             .dependence(kind, src, src_coords, dst, dst_coords);
     }
+
+    fn events_seen(&self) -> u64 {
+        self.inner.events_seen()
+    }
 }
 
 /// Header fields of an opened recording.
@@ -501,13 +505,8 @@ impl<R: Read> TraceReader<R> {
                 format!("frame payload of {len} bytes exceeds cap — corrupt length"),
             ));
         }
-        self.payload.resize(len as usize, 0);
-        read_exact(
-            &mut self.r,
-            &mut self.payload,
-            &self.label,
-            "frame payload (file truncated)",
-        )?;
+        codec::read_claimed(&mut self.r, len as usize, &mut self.payload)
+            .map_err(|e| read_err(&self.label, "frame payload (file truncated)", e))?;
         let mut sum = [0u8; 8];
         read_exact(
             &mut self.r,
@@ -615,13 +614,15 @@ fn read_exact<R: Read>(
     label: &str,
     what: &str,
 ) -> Result<(), PolyProfError> {
-    r.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            rec_err(label, format!("unexpected end of file reading {what}"))
-        } else {
-            io_err(label, what, e)
-        }
-    })
+    r.read_exact(buf).map_err(|e| read_err(label, what, e))
+}
+
+fn read_err(label: &str, what: &str, e: std::io::Error) -> PolyProfError {
+    if e.kind() == std::io::ErrorKind::UnexpectedEof {
+        rec_err(label, format!("unexpected end of file reading {what}"))
+    } else {
+        io_err(label, what, e)
+    }
 }
 
 #[cfg(test)]
@@ -764,6 +765,22 @@ mod tests {
         assert_eq!(meta.program_hash, 7);
         assert_eq!(meta.workload, "tap");
         assert_eq!(meta.header_events, 5);
+    }
+
+    /// A frame header is a claim, not an allocation size: one that promises
+    /// the cap and delivers three bytes is a truncation error, and the
+    /// reader's payload buffer holds what arrived, not what was promised.
+    #[test]
+    fn lying_frame_length_allocates_only_what_arrives() {
+        let mut bytes = Vec::new();
+        TraceWriter::new(IoCursor::new(&mut bytes), "<mem>".into(), 7, "liar", 4).unwrap();
+        bytes.push(TAG_FRAME);
+        bytes.extend_from_slice(&MAX_PAYLOAD.to_le_bytes());
+        bytes.extend_from_slice(&[1, 2, 3]);
+        let mut r = TraceReader::new(IoCursor::new(&bytes[..]), "<mem>".into()).unwrap();
+        let err = r.next_chunk(&mut EventChunk::default()).unwrap_err();
+        assert!(err.to_string().contains("frame payload"), "{err}");
+        assert!(r.payload.capacity() < 4096, "{}", r.payload.capacity());
     }
 
     #[test]

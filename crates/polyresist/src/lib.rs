@@ -14,9 +14,11 @@
 //!   failures, malformed event chunks). Production code threads an
 //!   `Option<Arc<FaultPlan>>` through the pipeline; the `None` fast path is
 //!   a single branch, so the hook is zero-cost when injection is off.
-//! * [`ResourceBudget`] — shared byte/deadline accounting. Stages charge
-//!   allocations against it and switch to over-approximation on pressure
-//!   instead of aborting.
+//! * [`ResourceBudget`] — the run's control block, shared with whoever
+//!   watches it: limits in (stages charge allocations against the byte limit
+//!   and switch to over-approximation on pressure instead of aborting; the
+//!   event source polls the deadline), cancellation in, and a heartbeat out
+//!   ([`ResourceBudget::progress`]) — watching a run takes no thread.
 //! * [`RunDegradation`] — the structured record of everything a run lost,
 //!   surfaced in the final `Report` and the feedback text.
 //!
@@ -348,7 +350,8 @@ impl FaultPlan {
 // Resource budget
 // ---------------------------------------------------------------------------
 
-/// Shared byte / wall-clock budget for one profiling run.
+/// The control block of one profiling run: limits in, cancel in, heartbeat
+/// out.
 ///
 /// Stages charge their retained allocations (shadow pages, coordinate
 /// arena spills, folder tables) against the byte budget with
@@ -357,7 +360,8 @@ impl FaultPlan {
 /// over-approximation mode instead of allocating further precision state.
 /// The optional deadline is polled (cheaply, caller-throttled) by the
 /// event producer; once hit it latches and the run finalizes partial but
-/// valid results.
+/// valid results. That poll is also the run's heartbeat
+/// ([`ResourceBudget::beat`]), read back with [`ResourceBudget::progress`].
 ///
 /// All counters are relaxed atomics: budget checks are heuristics, not
 /// synchronization. The deadline instant sits behind a mutex so a budget
@@ -376,6 +380,9 @@ pub struct ResourceBudget {
     pressure: AtomicBool,
     deadline_hit: AtomicBool,
     cancelled: AtomicBool,
+    /// The heartbeat: what the event source last published through `beat`.
+    beat_ops: AtomicU64,
+    beat_events: AtomicU64,
 }
 
 impl ResourceBudget {
@@ -449,6 +456,28 @@ impl ResourceBudget {
         self.peak.load(Ordering::Relaxed)
     }
 
+    /// The event source's heartbeat and watchdog poll in one call: publish
+    /// how far the current attempt has got — `ops` dynamic instructions
+    /// executed (0 for a recording, which executes none), `events` handed to
+    /// the fold target — then [`poll_deadline`](Self::poll_deadline). Callers
+    /// throttle this: the VM once per 4096 instructions, a replay once per
+    /// frame. A supervisor retry is a new attempt and restarts from zero.
+    pub fn beat(&self, ops: u64, events: u64) -> bool {
+        self.beat_ops.store(ops, Ordering::Relaxed);
+        self.beat_events.store(events, Ordering::Relaxed);
+        self.poll_deadline()
+    }
+
+    /// The last heartbeat, `(ops, events)` as given to [`beat`](Self::beat);
+    /// `(0, 0)` before the first. Two relaxed loads: any holder of the budget
+    /// reads it from its own thread at its own pace, and the run never notices.
+    pub fn progress(&self) -> (u64, u64) {
+        (
+            self.beat_ops.load(Ordering::Relaxed),
+            self.beat_events.load(Ordering::Relaxed),
+        )
+    }
+
     /// Poll the deadline. Latches and returns `true` once the deadline has
     /// passed (or the budget was [cancelled](Self::cancel)). Callers
     /// throttle this (it reads the clock).
@@ -475,8 +504,7 @@ impl ResourceBudget {
     }
 
     /// Time left until the watchdog deadline: `None` without one,
-    /// `Some(ZERO)` once it has passed. Reads the clock — the live-progress
-    /// sampler polls this at its own (caller-chosen) interval.
+    /// `Some(ZERO)` once it has passed. Reads the clock.
     pub fn deadline_remaining(&self) -> Option<Duration> {
         self.deadline
             .lock()
@@ -717,6 +745,19 @@ mod tests {
 
         std::thread::sleep(Duration::from_millis(10));
         assert!(b.poll_deadline(), "re-armed deadline still expires");
+    }
+
+    /// The heartbeat is what the source last said, and the same call is its
+    /// watchdog poll.
+    #[test]
+    fn beat_publishes_progress_and_polls_the_watchdog() {
+        let b = ResourceBudget::new(None, None);
+        assert_eq!(b.progress(), (0, 0));
+        assert!(!b.beat(4095, 12_000));
+        assert_eq!(b.progress(), (4095, 12_000));
+        b.cancel();
+        assert!(b.beat(8191, 24_000), "a cancelled budget stops the source");
+        assert_eq!(b.progress(), (8191, 24_000));
     }
 
     #[test]

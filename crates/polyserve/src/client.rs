@@ -58,7 +58,12 @@ pub enum Outcome {
         cached: bool,
         /// The report object (see `polyfeedback::session_report_json`).
         report_json: String,
-        /// Progress frames received while the session folded.
+        /// Progress frames received while the session folded, in order: one
+        /// per [`ServerConfig::progress_interval`](crate::ServerConfig), each
+        /// a flat JSON object whose `dyn_ops` / `events_folded` are the run's
+        /// heartbeat as of `t_ns` nanoseconds after the fold began (the
+        /// current attempt's counts — the final totals are in the report).
+        /// Empty when the server streams none or the result was cached.
         progress: Vec<String>,
     },
     /// Structured load shedding; retry after the hinted backoff.

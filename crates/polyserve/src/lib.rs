@@ -16,9 +16,15 @@
 //! - **Session isolation** — every session folds under `catch_unwind`
 //!   with its own [`polyresist::ResourceBudget`] (re-armed at run start so
 //!   queue wait never eats session time) and its own forked
-//!   [`polyresist::FaultPlan`]; a watchdog cancels sessions wedged past
-//!   their deadline. A failing session degrades *itself*; the server keeps
-//!   serving.
+//!   [`polyresist::FaultPlan`]. A failing session degrades *itself*; the
+//!   server keeps serving.
+//! - **One owner per session** — the connection thread that admitted a
+//!   session holds the only handle on its socket and writes every frame of
+//!   it; it reports progress by reading the heartbeat the run publishes on
+//!   the session's budget, and it is the watchdog that cancels a session
+//!   wedged past its deadline plus grace. No sampler, pump or watchdog
+//!   thread exists, and no thread in the server polls: accept, workers and
+//!   owners all block until there is something to do.
 //! - **Folded-DDG cache** — clean results are cached by
 //!   `(program hash, input hash)` with single-flight dedup: identical
 //!   concurrent submissions fold once.

@@ -2,22 +2,29 @@
 //! session supervision over [`polyprof_core::try_profile_with`].
 //!
 //! One [`serve`] call binds a TCP listener and returns a [`ServerHandle`];
-//! everything else is threads owned by the handle:
+//! everything else is threads — `workers` + 1 owned by the handle, one per
+//! open connection, none per session — and every one of them blocks until
+//! it has something to do:
 //!
-//! - an **accept loop** spawning one connection thread per client;
+//! - an **accept loop**, blocked in `accept`, spawning one connection thread
+//!   per client;
 //! - **connection threads** that parse requests and run *admission*: a
 //!   per-tenant token bucket (rate limiting) in front of a bounded run
 //!   queue (load shedding). Both rejections are *structured* — the client
 //!   gets an `overloaded` frame with a `retry_after_ms` hint, never an
-//!   accepted-then-hung session;
+//!   accepted-then-hung session. After admission the connection thread
+//!   **owns its session**: it is the only holder of the socket and so the
+//!   only writer of `accepted`, every `progress` frame and the terminal
+//!   frame; it reads the progress it reports from the session's
+//!   [`ResourceBudget`] heartbeat; and it is the session's watchdog, which
+//!   [`ResourceBudget::cancel`]s a run still going past its deadline plus a
+//!   grace period, turning a wedged run into a graceful partial result;
 //! - a **worker pool** draining the queue in round-robin tenant order (a
 //!   tenant flooding the queue cannot starve the others), each session
 //!   folded under `catch_unwind` with its own forked fault plan and its own
 //!   [`ResourceBudget`] — a panicking or wedged session degrades *that*
-//!   session only;
-//! - a **watchdog** that [`ResourceBudget::cancel`]s any session still
-//!   running past its deadline plus a grace period, turning a wedged run
-//!   into a graceful partial result;
+//!   session only. A worker never touches a socket: it answers the owner on
+//!   a channel (`Started`, then `Done` with the terminal frame);
 //! - a **folded-DDG cache** keyed by `(program hash, input hash)` with
 //!   single-flight dedup: identical clean submissions fold once, every
 //!   other session waits for (or reuses) that result.
@@ -33,9 +40,9 @@ use polyprof_core::{
 };
 use polytrace::service::{ServiceCounter, ServiceStats};
 use std::collections::{HashMap, VecDeque};
-use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -55,11 +62,13 @@ pub struct ServerConfig {
     /// starts the session (queue wait does not eat into it — the budget is
     /// re-armed at run start).
     pub session_deadline: Duration,
-    /// Grace past the deadline before the watchdog force-cancels a session
-    /// that did not stop on its own.
+    /// Grace past the deadline before the session's owner — its connection
+    /// thread — force-cancels a run that did not stop on its own.
     pub deadline_grace: Duration,
-    /// Interval of the live progress stream sent to the client while a
-    /// session folds; `None` streams no progress frames.
+    /// How often the connection thread reads the folding session's heartbeat
+    /// ([`ResourceBudget::progress`], refreshed by the run every 4096 dynamic
+    /// instructions or replayed frame) and sends it to the client as a
+    /// `progress` frame; `None` sends none.
     pub progress_interval: Option<Duration>,
 }
 
@@ -92,6 +101,15 @@ enum JobKind {
     Trace(Vec<u8>),
 }
 
+/// What a worker tells the connection thread that owns the session.
+enum Msg {
+    /// The fold begins at this instant: queue wait and single-flight are
+    /// over and the budget's deadline was just re-armed.
+    Started(Instant),
+    /// The terminal frame, for the owner to write.
+    Done(String),
+}
+
 /// One admitted session, queued for a worker.
 struct Job {
     session: u64,
@@ -101,12 +119,12 @@ struct Job {
     input_hash: u64,
     kind: JobKind,
     fault_plan: Option<Arc<FaultPlan>>,
+    /// Shared with the owner, which watches and cancels the run through it.
     budget: Arc<ResourceBudget>,
     memory_budget: Option<u64>,
-    deadline: Duration,
-    stream: TcpStream,
     enqueued: Instant,
-    done: Arc<(Mutex<bool>, Condvar)>,
+    /// To the connection thread that owns the session and its socket.
+    owner: Sender<Msg>,
 }
 
 /// Per-tenant token bucket. Time is an argument, never read here, so the
@@ -185,14 +203,8 @@ enum CacheEntry {
     Ready(Arc<CachedRun>),
 }
 
-/// One running session, visible to the watchdog.
-struct Active {
-    budget: Arc<ResourceBudget>,
-    started: Instant,
-    kill_after: Duration,
-}
-
 struct Inner {
+    addr: SocketAddr,
     cfg: ServerConfig,
     registry: HashMap<String, (Arc<Program>, u64)>,
     stats: ServiceStats,
@@ -200,15 +212,29 @@ struct Inner {
     work_cv: Condvar,
     cache: Mutex<HashMap<(u64, u64), CacheEntry>>,
     cache_cv: Condvar,
-    active: Mutex<HashMap<u64, Active>>,
     next_session: AtomicU64,
     stop: AtomicBool,
+}
+
+impl Inner {
+    /// Raise `stop` and wake every thread that blocks until there is work:
+    /// the workers on `work_cv`, the accept loop in `accept`.
+    fn shut_down(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        // A worker that saw `stop` clear holds the scheduler lock until it
+        // waits, so passing through the lock first means the notification
+        // finds it either waiting or yet to read the flag.
+        drop(lock(&self.sched));
+        self.work_cv.notify_all();
+        // `accept` has no timeout: a connection makes it return and see the
+        // flag. Nothing is listening after a second call, which is fine.
+        let _ = TcpStream::connect(self.addr);
+    }
 }
 
 /// A running server. Dropping the handle leaves the server running
 /// (detached); call [`ServerHandle::shutdown`] for an orderly stop.
 pub struct ServerHandle {
-    addr: SocketAddr,
     inner: Arc<Inner>,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
@@ -216,7 +242,7 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// The bound address (useful with the ephemeral port `127.0.0.1:0`).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.inner.addr
     }
 
     /// Fleet-level counters and latency distributions.
@@ -226,8 +252,7 @@ impl ServerHandle {
 
     /// Stop accepting, drain workers, join every owned thread.
     pub fn shutdown(mut self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
-        self.inner.work_cv.notify_all();
+        self.inner.shut_down();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -235,14 +260,13 @@ impl ServerHandle {
 }
 
 /// Bind `addr` (use `127.0.0.1:0` for an ephemeral port), install the
-/// workload registry, spawn the accept loop, worker pool, and watchdog.
+/// workload registry, spawn the accept loop and the worker pool.
 pub fn serve(
     addr: &str,
     cfg: ServerConfig,
     registry: Vec<(String, Program)>,
 ) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let registry = registry
         .into_iter()
@@ -252,6 +276,7 @@ pub fn serve(
         })
         .collect();
     let inner = Arc::new(Inner {
+        addr,
         cfg,
         registry,
         stats: ServiceStats::new(),
@@ -259,7 +284,6 @@ pub fn serve(
         work_cv: Condvar::new(),
         cache: Mutex::new(HashMap::new()),
         cache_cv: Condvar::new(),
-        active: Mutex::new(HashMap::new()),
         next_session: AtomicU64::new(1),
         stop: AtomicBool::new(false),
     });
@@ -270,35 +294,26 @@ pub fn serve(
     }
     {
         let inner = Arc::clone(&inner);
-        threads.push(std::thread::spawn(move || watchdog_loop(&inner)));
-    }
-    {
-        let inner = Arc::clone(&inner);
         threads.push(std::thread::spawn(move || accept_loop(&inner, listener)));
     }
-    Ok(ServerHandle {
-        addr,
-        inner,
-        threads,
-    })
+    Ok(ServerHandle { inner, threads })
 }
 
+/// Block in `accept` until a client — or [`Inner::shut_down`] — connects.
+/// Returning drops the listener, so later connects are refused.
 fn accept_loop(inner: &Arc<Inner>, listener: TcpListener) {
-    while !inner.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let inner = Arc::clone(inner);
-                // Connection threads are detached: a client holding an idle
-                // connection open must not block shutdown. They exit on
-                // peer close, IO error, or the stop flag.
-                std::thread::spawn(move || {
-                    let _ = handle_conn(&inner, stream);
-                });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+    for stream in listener.incoming() {
+        if inner.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        if let Ok(stream) = stream {
+            let inner = Arc::clone(inner);
+            // Connection threads are detached: a client holding an idle
+            // connection open must not block shutdown. They exit on peer
+            // close, IO error, or the stop flag.
+            std::thread::spawn(move || {
+                let _ = handle_conn(&inner, stream);
+            });
         }
     }
 }
@@ -331,10 +346,10 @@ fn handle_conn(inner: &Arc<Inner>, mut stream: TcpStream) -> std::io::Result<()>
                 write_json(&mut stream, &body)?;
             }
             Some("shutdown") => {
-                write_json(&mut stream, "{\"type\": \"bye\"}")?;
-                inner.stop.store(true, Ordering::SeqCst);
-                inner.work_cv.notify_all();
-                return Ok(());
+                // Before `bye`: whatever the client connects next is behind
+                // the wake-up connection in the accept queue, never served.
+                inner.shut_down();
+                return write_json(&mut stream, "{\"type\": \"bye\"}");
             }
             Some("submit") => handle_submit(inner, &mut stream, &req, None)?,
             Some("submit_trace") => {
@@ -366,7 +381,8 @@ fn handle_conn(inner: &Arc<Inner>, mut stream: TcpStream) -> std::io::Result<()>
 
 /// Admission: validate, rate-limit, load-shed, enqueue. Writes exactly one
 /// of `error` / `overloaded` / `accepted` to the client; after `accepted`
-/// the worker streams progress and writes the terminal frame.
+/// this thread stays with the session until its terminal frame
+/// ([`own_session`]).
 fn handle_submit(
     inner: &Arc<Inner>,
     stream: &mut TcpStream,
@@ -425,13 +441,12 @@ fn handle_submit(
         None => 0,
     };
 
-    // Clone the socket for the worker up front — a failure here is a
-    // connection error, not a leaked queue reservation.
-    let worker_stream = stream.try_clone()?;
-
     // Admission proper, under the scheduler lock: token bucket, then queue
-    // bound. Both rejections carry a retry_after_ms hint.
-    let job = {
+    // bound, then the job joins its tenant's queue. Both rejections carry a
+    // retry_after_ms hint.
+    let budget = Arc::new(ResourceBudget::new(memory_budget, Some(deadline)));
+    let (owner, from_worker) = channel();
+    let session = {
         let mut sched = lock(&inner.sched);
         let now = Instant::now();
         let capacity = inner.cfg.bucket_capacity;
@@ -460,30 +475,12 @@ fn handle_submit(
         if let Some(b) = sched.buckets.get_mut(&tenant) {
             b.tokens -= 1.0;
         }
-        // Reserve the queue slot now (the cap check above covered it), but
-        // enqueue only after the `accepted` frame is on the wire — the
-        // worker writes to a clone of this socket, and its first byte must
-        // come strictly after ours or the framing interleaves.
-        sched.queued += 1;
-        if !sched.queues.contains_key(&tenant) {
-            sched.rr.push(tenant.clone());
-            sched.queues.insert(tenant.clone(), VecDeque::new());
-        }
         let session = inner.next_session.fetch_add(1, Ordering::Relaxed);
         inner.stats.add(ServiceCounter::Admitted, 1);
-        session
-    };
-    let session = job;
-    let done = Arc::new((Mutex::new(false), Condvar::new()));
-    if let Err(e) = write_json(
-        stream,
-        &format!("{{\"type\": \"accepted\", \"session\": {session}}}"),
-    ) {
-        lock(&inner.sched).queued -= 1;
-        return Err(e);
-    }
-    {
-        let job = Job {
+        if !sched.queues.contains_key(&tenant) {
+            sched.rr.push(tenant.clone());
+        }
+        sched.queues.entry(tenant).or_default().push_back(Job {
             session,
             workload,
             prog,
@@ -496,40 +493,99 @@ fn handle_submit(
             fault_plan,
             // The deadline is armed here at admission but re-armed by the
             // worker at run start — queue wait never eats session time.
-            budget: Arc::new(ResourceBudget::new(memory_budget, Some(deadline))),
+            budget: Arc::clone(&budget),
             memory_budget,
-            deadline,
-            stream: worker_stream,
-            enqueued: Instant::now(),
-            done: Arc::clone(&done),
-        };
-        let mut sched = lock(&inner.sched);
-        sched
-            .queues
-            .get_mut(&tenant)
-            .expect("tenant registered at reservation")
-            .push_back(job);
+            enqueued: now,
+            owner,
+        });
+        sched.queued += 1;
         inner.work_cv.notify_one();
-    }
+        session
+    };
+    let kill_after = deadline + inner.cfg.deadline_grace;
+    own_session(inner, stream, session, &budget, kill_after, &from_worker)
+}
 
-    // Park until the worker writes the terminal frame — the connection
-    // stays single-writer per request, so frames never interleave. The
-    // timeout is a last-resort backstop; the watchdog cancels any wedged
-    // run long before it.
-    let backstop = deadline + inner.cfg.deadline_grace + Duration::from_secs(60);
-    let (flag, cv) = &*done;
-    let mut finished = lock(flag);
-    let t0 = Instant::now();
-    while !*finished {
-        if t0.elapsed() > backstop || inner.stop.load(Ordering::SeqCst) {
-            return Ok(());
+/// The connection thread after admission: the session's only owner. It holds
+/// the only handle on the socket, so `accepted`, the progress frames and the
+/// terminal frame cannot interleave; it waits on the worker's channel and
+/// does something only when that wait times out — report progress read from
+/// the budget's heartbeat every `progress_interval`, and, as the session's
+/// watchdog, [`ResourceBudget::cancel`] the run once, `kill_after` (deadline
+/// plus grace) past [`Msg::Started`]. The cancel survives the supervisor's
+/// re-arm between attempts, which the deadline alone does not.
+///
+/// A client that went away does not orphan its session: the first failed
+/// write is kept and returned at the end, and until then this thread stays
+/// the watchdog of a run whose frames go nowhere.
+fn own_session(
+    inner: &Inner,
+    stream: &mut TcpStream,
+    session: u64,
+    budget: &ResourceBudget,
+    kill_after: Duration,
+    from_worker: &Receiver<Msg>,
+) -> std::io::Result<()> {
+    let mut io = write_json(
+        stream,
+        &format!("{{\"type\": \"accepted\", \"session\": {session}}}"),
+    );
+    let interval = inner.cfg.progress_interval;
+    // All three are set by `Started`; until then there is nothing to report
+    // or to cancel, and the wait below has no timeout.
+    let mut t0 = Instant::now();
+    let (mut kill_at, mut report_at) = (None::<Instant>, None::<Instant>);
+    let (mut last_t_ns, mut last_events) = (0u64, 0u64);
+    loop {
+        let msg = match report_at.into_iter().chain(kill_at).min() {
+            Some(at) => from_worker.recv_timeout(at.saturating_duration_since(Instant::now())),
+            None => from_worker
+                .recv()
+                .map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        match msg {
+            Ok(Msg::Started(at)) => {
+                t0 = at;
+                kill_at = Some(at + kill_after);
+                report_at = interval.map(|i| at + i);
+                continue;
+            }
+            Ok(Msg::Done(frame)) => return io.and_then(|()| write_json(stream, &frame)),
+            // The worker died outside `catch_unwind`; nothing more will come.
+            Err(RecvTimeoutError::Disconnected) => return io,
+            Err(RecvTimeoutError::Timeout) => {}
         }
-        let (f, _timeout) = cv
-            .wait_timeout(finished, Duration::from_millis(100))
-            .unwrap_or_else(|e| e.into_inner());
-        finished = f;
+        let now = Instant::now();
+        if kill_at.is_some_and(|at| now >= at) {
+            kill_at = None;
+            budget.cancel();
+            inner.stats.add(ServiceCounter::WatchdogCancels, 1);
+        }
+        if report_at.is_some_and(|at| now >= at) {
+            let t_ns = now.duration_since(t0).as_nanos() as u64;
+            // The attempt's own counts: a supervisor retry restarts them.
+            let (ops, events) = budget.progress();
+            let rate = events.saturating_sub(last_events) as f64 * 1e9
+                / t_ns.saturating_sub(last_t_ns).max(1) as f64;
+            (last_t_ns, last_events) = (t_ns, events);
+            let frame = format!(
+                concat!(
+                    "{{\"type\": \"progress\", \"session\": {}, \"t_ns\": {}, ",
+                    "\"dyn_ops\": {}, \"events_folded\": {}, ",
+                    "\"events_per_sec\": {:.1}, \"budget_used_bytes\": {}}}"
+                ),
+                session,
+                t_ns,
+                ops,
+                events,
+                rate,
+                budget.used_bytes()
+            );
+            io = io.and_then(|()| write_json(stream, &frame));
+            // No reader, no reports: from here the owner wakes only to cancel.
+            report_at = interval.filter(|_| io.is_ok()).map(|i| now + i);
+        }
     }
-    Ok(())
 }
 
 /// Worker: pop jobs fairly, run each as a supervised session.
@@ -544,11 +600,7 @@ fn worker_loop(inner: &Arc<Inner>) {
                 if inner.stop.load(Ordering::SeqCst) {
                     return;
                 }
-                let (s, _timeout) = inner
-                    .work_cv
-                    .wait_timeout(sched, Duration::from_millis(100))
-                    .unwrap_or_else(|e| e.into_inner());
-                sched = s;
+                sched = inner.work_cv.wait(sched).unwrap_or_else(|e| e.into_inner());
             }
         };
         inner
@@ -564,7 +616,7 @@ fn cache_eligible(job: &Job) -> bool {
     job.fault_plan.is_none() && job.memory_budget.is_none()
 }
 
-fn run_session(inner: &Arc<Inner>, mut job: Job) {
+fn run_session(inner: &Arc<Inner>, job: Job) {
     let t0 = Instant::now();
     let key = (job.prog_hash, job.input_hash);
 
@@ -589,7 +641,7 @@ fn run_session(inner: &Arc<Inner>, mut job: Job) {
                         },
                         1,
                     );
-                    finish_session(inner, &mut job, SessionResult::Cached(r), t0);
+                    finish_session(inner, &job, SessionResult::Cached(r), t0);
                     return;
                 }
                 Some(CacheEntry::Pending) => {
@@ -613,21 +665,12 @@ fn run_session(inner: &Arc<Inner>, mut job: Job) {
         }
     }
 
-    // Visible to the watchdog from here until completion.
-    lock(&inner.active).insert(
-        job.session,
-        Active {
-            budget: Arc::clone(&job.budget),
-            started: Instant::now(),
-            kill_after: job.deadline + inner.cfg.deadline_grace,
-        },
-    );
-    // The session's clock starts now, not at admission.
+    // The session's clock — its own deadline and its owner's watchdog —
+    // starts now, not at admission.
     job.budget.rearm();
+    let _ = job.owner.send(Msg::Started(Instant::now()));
 
-    let result = fold_session(inner, &job);
-
-    lock(&inner.active).remove(&job.session);
+    let result = fold_session(&job);
 
     // Leader resolution: publish clean results, retract everything else so
     // waiters (and future submissions) fold for themselves.
@@ -651,7 +694,7 @@ fn run_session(inner: &Arc<Inner>, mut job: Job) {
         inner.cache_cv.notify_all();
     }
 
-    finish_session(inner, &mut job, result, t0);
+    finish_session(inner, &job, result, t0);
 }
 
 enum SessionResult {
@@ -661,9 +704,9 @@ enum SessionResult {
     Panicked(String),
 }
 
-/// Build the session's [`ProfileConfig`] and fold, streaming progress
-/// frames to the client while the run is live.
-fn fold_session(inner: &Arc<Inner>, job: &Job) -> SessionResult {
+/// Build the session's [`ProfileConfig`] and fold. The run publishes its
+/// heartbeat on the shared budget; whoever reports it is not this thread.
+fn fold_session(job: &Job) -> SessionResult {
     let mut cfg = ProfileConfig::new()
         .with_canonical(true)
         .with_shared_budget(Arc::clone(&job.budget));
@@ -689,51 +732,10 @@ fn fold_session(inner: &Arc<Inner>, job: &Job) -> SessionResult {
         scratch = Some(path);
     }
 
-    // Live progress: the sampler fans out to this channel; the pump thread
-    // frames each snapshot onto the client connection. Joined before the
-    // terminal frame so the stream never interleaves.
-    let mut pump: Option<std::thread::JoinHandle<()>> = None;
-    if let Some(interval) = inner.cfg.progress_interval {
-        let (tx, rx) = std::sync::mpsc::sync_channel::<polytrace::ProgressSnapshot>(64);
-        cfg = cfg
-            .with_metrics(polytrace::MetricsLevel::Counters)
-            .with_progress(interval)
-            .with_progress_sink(tx);
-        if let Ok(mut ps) = job.stream.try_clone() {
-            let session = job.session;
-            pump = Some(std::thread::spawn(move || {
-                while let Ok(s) = rx.recv() {
-                    let frame = format!(
-                        concat!(
-                            "{{\"type\": \"progress\", \"session\": {}, \"t_ns\": {}, ",
-                            "\"dyn_ops\": {}, \"events_folded\": {}, ",
-                            "\"events_per_sec\": {:.1}, \"budget_used_bytes\": {}}}"
-                        ),
-                        session,
-                        s.t_ns,
-                        s.dyn_ops,
-                        s.events_folded,
-                        s.events_per_sec,
-                        s.budget_used_bytes
-                    );
-                    if write_json(&mut ps, &frame).is_err() {
-                        break;
-                    }
-                }
-            }));
-        }
-    }
-
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         try_profile_with(&job.prog, &cfg)
     }));
 
-    // Drop the config (the last progress sender) so the pump drains out,
-    // then join it before anyone writes the terminal frame.
-    drop(cfg);
-    if let Some(p) = pump {
-        let _ = p.join();
-    }
     if let Some(path) = scratch {
         let _ = std::fs::remove_file(path);
     }
@@ -749,8 +751,11 @@ fn render_error(e: &PolyProfError) -> String {
     format!("{e}")
 }
 
-/// Write the terminal frame, account the session, release the waiter.
-fn finish_session(inner: &Arc<Inner>, job: &mut Job, result: SessionResult, t0: Instant) {
+/// Account the session and hand its terminal frame to the owner. Every
+/// admitted session ends here exactly once, whether or not anyone is left to
+/// read the frame, so `clean + degraded + panicked == admitted` once the
+/// queue drains.
+fn finish_session(inner: &Arc<Inner>, job: &Job, result: SessionResult, t0: Instant) {
     let frame = match &result {
         SessionResult::Fresh(report) => {
             if report.degradation.is_degraded() {
@@ -799,32 +804,12 @@ fn finish_session(inner: &Arc<Inner>, job: &mut Job, result: SessionResult, t0: 
             )
         }
     };
-    let _ = write_json(&mut job.stream, &frame);
-    let _ = job.stream.flush();
     inner
         .stats
         .record_session_wall_ns(t0.elapsed().as_nanos() as u64);
-    let (flag, cv) = &*job.done;
-    *lock(flag) = true;
-    cv.notify_all();
-}
-
-/// Watchdog: cancel any session running past deadline + grace. The cancel
-/// latches the session budget's abort flag; the VM / pipeline polls it and
-/// stops gracefully, finalizing a partial-but-valid report.
-fn watchdog_loop(inner: &Arc<Inner>) {
-    while !inner.stop.load(Ordering::SeqCst) {
-        {
-            let active = lock(&inner.active);
-            for a in active.values() {
-                if a.started.elapsed() > a.kill_after && !a.budget.was_cancelled() {
-                    a.budget.cancel();
-                    inner.stats.add(ServiceCounter::WatchdogCancels, 1);
-                }
-            }
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    // The owner waits for this unless its thread died, in which case the
+    // frame has no reader and is dropped.
+    let _ = job.owner.send(Msg::Done(frame));
 }
 
 #[cfg(test)]
@@ -879,10 +864,6 @@ mod tests {
     #[test]
     fn round_robin_is_fair_across_tenants() {
         fn fake_job(session: u64) -> Job {
-            // A scheduler-only job: the stream is a loopback connection we
-            // never use.
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
             Job {
                 session,
                 workload: "w".into(),
@@ -893,10 +874,8 @@ mod tests {
                 fault_plan: None,
                 budget: Arc::new(ResourceBudget::new(None, None)),
                 memory_budget: None,
-                deadline: Duration::from_secs(1),
-                stream,
                 enqueued: Instant::now(),
-                done: Arc::new((Mutex::new(false), Condvar::new())),
+                owner: channel().0,
             }
         }
         let mut sched = Sched::default();

@@ -36,6 +36,15 @@ pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> io::Result<(
 /// Read one frame. `Ok(None)` means the peer closed cleanly at a frame
 /// boundary; mid-frame EOF and oversized frames are errors.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(u8, Vec<u8>)>> {
+    let mut payload = Vec::new();
+    Ok(read_frame_into(r, &mut payload)?.map(|kind| (kind, payload)))
+}
+
+/// [`read_frame`] into the caller's buffer, returning the frame's kind. The
+/// buffer grows with the payload bytes that arrive, never to the length the
+/// header claims (see [`polyrec::codec::read_claimed`]): five bytes from a
+/// hostile peer cost the server five bytes, not a zeroed [`MAX_FRAME`].
+fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> io::Result<Option<u8>> {
     let mut len_buf = [0u8; 4];
     match r.read_exact(&mut len_buf) {
         Ok(()) => {}
@@ -51,9 +60,8 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(u8, Vec<u8>)>> {
     }
     let mut kind = [0u8; 1];
     r.read_exact(&mut kind)?;
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(Some((kind[0], payload)))
+    polyrec::codec::read_claimed(r, len, payload)?;
+    Ok(Some(kind[0]))
 }
 
 /// Convenience: frame a JSON string.
@@ -160,6 +168,19 @@ mod tests {
         let huge = ((MAX_FRAME + 1) as u32).to_le_bytes();
         let mut r = io::Cursor::new(huge.to_vec());
         assert!(read_frame(&mut r).is_err());
+    }
+
+    /// A length prefix is a claim, not an allocation size: a header that
+    /// promises `MAX_FRAME` and delivers three bytes is a mid-frame EOF, and
+    /// the buffer holds what arrived, not what was promised.
+    #[test]
+    fn lying_length_prefix_allocates_only_what_arrives() {
+        let mut bytes = (MAX_FRAME as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[KIND_BINARY, 1, 2, 3]);
+        let mut payload = Vec::new();
+        let err = read_frame_into(&mut io::Cursor::new(bytes), &mut payload).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(payload.capacity() < 4096, "{}", payload.capacity());
     }
 
     #[test]

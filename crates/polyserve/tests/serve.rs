@@ -3,7 +3,9 @@
 //! permanently under an always-fire fault plan and a 1-byte budget — every
 //! healthy session must deliver a report whose canonical DDG is
 //! byte-identical to a direct in-process run, overload must be structured,
-//! and the server must survive the whole storm.
+//! and the server must survive the whole storm. Beside it: what a session's
+//! owner — its connection thread — does while the fold runs (live progress,
+//! the watchdog's cancel), and that shutdown wakes every blocked thread.
 
 use polyprof_core::{try_profile_with, ProfileConfig};
 use polyserve::{serve, Client, Outcome, ServerConfig, Submission, SubmitOpts};
@@ -25,6 +27,22 @@ fn registry() -> Vec<(String, polyir::Program)> {
             rodinia::paper_examples::fig6_kernel(16, 8),
         ),
     ]
+}
+
+/// One workload long enough to watch: ~216 k dynamic instructions, a few
+/// hundred thousand events — tens of milliseconds of folding in `--release`.
+fn long_registry() -> Vec<(String, polyir::Program)> {
+    let prog = rodinia::paper_examples::fig6_kernel(192, 160);
+    vec![("fig6_long".to_string(), prog)]
+}
+
+/// Spin until `cond` holds; the bound only turns a hang into a failure.
+fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    let t0 = Instant::now();
+    while !cond() {
+        assert!(t0.elapsed() < Duration::from_secs(60), "waiting for {what}");
+        std::thread::yield_now();
+    }
 }
 
 /// Direct in-process canonical DDG per workload — the ground truth the
@@ -281,6 +299,124 @@ fn trace_submission_replays_and_garbage_is_rejected() {
     }
     let _ = std::fs::remove_dir_all(&dir);
     server.shutdown();
+}
+
+/// Progress frames carry the run's own heartbeat: valid JSON, monotone, and
+/// moving while the session folds — not a row of zeros closed by the total.
+#[test]
+fn progress_frames_are_live() {
+    let cfg = ServerConfig {
+        progress_interval: Some(Duration::from_millis(2)),
+        ..Default::default()
+    };
+    let server = serve("127.0.0.1:0", cfg, long_registry()).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let workload = "fig6_long";
+    let (progress, report_json) = match c
+        .submit(Submission::Program { workload }, &SubmitOpts::default())
+        .unwrap()
+    {
+        Outcome::Done {
+            progress,
+            report_json,
+            ..
+        } => (progress, report_json),
+        other => panic!("expected Done, got {other:?}"),
+    };
+    assert!(progress.len() >= 3, "{} frames", progress.len());
+    let column = |key: &str| -> Vec<u64> {
+        progress
+            .iter()
+            .map(|f| polyserve::wire::json_u64(f, key).unwrap_or_else(|| panic!("{key} in {f}")))
+            .collect()
+    };
+    for frame in &progress {
+        polytrace::validate_json(frame).unwrap_or_else(|e| panic!("{e}: {frame}"));
+    }
+    for key in ["t_ns", "dyn_ops", "events_folded"] {
+        let vals = column(key);
+        assert!(vals.windows(2).all(|w| w[0] <= w[1]), "{key}: {vals:?}");
+    }
+    let mut ops = column("dyn_ops");
+    let total = polyserve::wire::json_u64(&report_json, "dyn_ops").unwrap();
+    assert!(ops.last().unwrap() <= &total, "{ops:?} past {total}");
+    ops.dedup();
+    assert!(ops.len() >= 3, "dyn_ops stood still: {ops:?}");
+    // The budget's byte gauge rides along: shadow pages and folders charged.
+    assert!(column("budget_used_bytes").last().unwrap() > &0);
+    server.shutdown();
+}
+
+/// The owner is the watchdog. Every attempt of this session loses its worker
+/// (`panic:fold@*`) and crawls (`stall:send@*`) to its own 150 ms deadline,
+/// and the supervisor re-arms that deadline for the next attempt — only the
+/// owner's cancel, 100 ms of grace later and sticky across re-arms, ends it.
+#[test]
+fn owner_cancels_a_session_that_outlives_deadline_plus_grace() {
+    let cfg = ServerConfig {
+        deadline_grace: Duration::from_millis(100),
+        ..Default::default()
+    };
+    let server = serve("127.0.0.1:0", cfg, long_registry()).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let opts = SubmitOpts {
+        fault_plan: Some("panic:fold@*;stall:send@*;stall_ms=3".to_string()),
+        deadline_ms: Some(150),
+        ..SubmitOpts::default()
+    };
+    let workload = "fig6_long";
+    match c.submit(Submission::Program { workload }, &opts).unwrap() {
+        Outcome::Done { report_json, .. } => assert!(
+            report_json.contains("\"deadline_hit\":true"),
+            "{report_json}"
+        ),
+        other => panic!("expected Done, got {other:?}"),
+    }
+    let m = c.metrics_json().unwrap();
+    assert_eq!(polyserve::wire::json_u64(&m, "watchdog_cancels"), Some(1));
+    assert_eq!(polyserve::wire::json_u64(&m, "completed_degraded"), Some(1));
+    server.shutdown();
+}
+
+/// Nothing in the server polls, so shutdown has to wake what blocks: with an
+/// idle client connected, and after a client that vanished right behind its
+/// `submit` (whose session still runs and is still accounted), both
+/// `ServerHandle::shutdown` and `op: shutdown` return at once and leave
+/// nobody listening.
+#[test]
+fn shutdown_wakes_every_blocked_thread_and_closes_the_listener() {
+    use polytrace::service::ServiceCounter as C;
+    for via_client in [false, true] {
+        let server = serve("127.0.0.1:0", ServerConfig::default(), registry()).unwrap();
+        let addr = server.addr();
+        let mut idle = Client::connect(addr).unwrap();
+        assert!(idle.ping().unwrap());
+
+        let mut gone = std::net::TcpStream::connect(addr).unwrap();
+        let submit = "{\"op\": \"submit\", \"workload\": \"fig6\"}";
+        polyserve::wire::write_json(&mut gone, submit).unwrap();
+        drop(gone);
+        let stats = server.stats();
+        let finished = || {
+            stats.get(C::CompletedClean)
+                + stats.get(C::CompletedDegraded)
+                + stats.get(C::SessionsPanicked)
+        };
+        wait_until("the orphaned session", || finished() == 1);
+        assert_eq!(stats.get(C::Admitted), 1);
+
+        let t0 = Instant::now();
+        if via_client {
+            Client::connect(addr).unwrap().shutdown().unwrap();
+            let later = Client::connect(addr).and_then(|mut c| c.ping());
+            assert!(later.is_err(), "served after `op: shutdown`: {later:?}");
+        }
+        server.shutdown();
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+        let later = Client::connect(addr).and_then(|mut c| c.ping());
+        assert!(later.is_err(), "served after shutdown: {later:?}");
+    }
 }
 
 /// The acceptance gate: a mixed-tenant storm with a chaos tenant under a

@@ -415,19 +415,7 @@ impl Stage {
     }
 
     fn slot(self) -> usize {
-        match self {
-            Stage::Structure => 0,
-            Stage::StaticPass => 1,
-            Stage::Profile => 2,
-            Stage::Finalize => 3,
-            Stage::Lint => 4,
-            Stage::ScevRemoval => 5,
-            Stage::Schedule => 6,
-            Stage::Feedback => 7,
-            Stage::Render => 8,
-            Stage::StaticBaseline => 9,
-            Stage::Recovery => 10,
-        }
+        self as usize
     }
 }
 
@@ -665,7 +653,7 @@ impl Counter {
     }
 
     fn slot(self) -> usize {
-        Self::ALL.iter().position(|&c| c == self).expect("listed")
+        self as usize
     }
 }
 
@@ -1095,32 +1083,6 @@ impl Collector {
         depth
     }
 
-    /// Current in-flight depth of every touched channel edge (sampler view).
-    pub fn queue_depths(&self) -> Vec<u64> {
-        let edges = self.edges_used.load(Ordering::Relaxed) as usize;
-        self.queue_depth[..edges]
-            .iter()
-            .map(|d| d.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// An incremental live view of the run for the progress sampler:
-    /// counters and gauges loaded relaxed, no locks on any recording path.
-    /// Budget fields are left zero for the caller to fill in.
-    pub fn progress(&self, t_ns: u64) -> ProgressSnapshot {
-        ProgressSnapshot {
-            t_ns,
-            dyn_ops: self.get(Counter::DynOps),
-            events_folded: self.get(Counter::EventsFolded),
-            events_per_sec: 0.0,
-            pipe_busy_ns: std::array::from_fn(|i| self.pipe_ns[i].load(Ordering::Relaxed)),
-            queue_depths: self.queue_depths(),
-            budget_used_bytes: 0,
-            budget_pressure: false,
-            deadline_remaining_ns: None,
-        }
-    }
-
     /// A chunk left channel edge `edge` (receive side).
     #[inline]
     pub fn queue_recv(&self, edge: usize) {
@@ -1248,34 +1210,6 @@ impl Drop for Span<'_> {
             self.col.timeline.lock().unwrap().push(ev);
         }
     }
-}
-
-/// One incremental live view of a running profile, produced by the optional
-/// watcher thread (`ProfileConfig::with_progress`). Counter fields are
-/// monotone totals as of `t_ns`; the sampler derives `events_per_sec` from
-/// consecutive snapshots.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProgressSnapshot {
-    /// Nanoseconds since the collector's epoch.
-    pub t_ns: u64,
-    /// Dynamic instructions executed so far.
-    pub dyn_ops: u64,
-    /// Events consumed by folding sinks so far.
-    pub events_folded: u64,
-    /// Folded-event throughput over the last sampling interval.
-    pub events_per_sec: f64,
-    /// Cumulative busy nanoseconds per concurrent pipeline stage (zero
-    /// below `Timing`); deltas over the interval give per-stage busy
-    /// fractions.
-    pub pipe_busy_ns: [u64; N_PIPE],
-    /// Current in-flight chunks per touched channel edge.
-    pub queue_depths: Vec<u64>,
-    /// Bytes currently tracked against the resource budget (0 if none).
-    pub budget_used_bytes: u64,
-    /// Whether the byte budget has latched pressure.
-    pub budget_pressure: bool,
-    /// Time left until the watchdog deadline (`None` without a deadline).
-    pub deadline_remaining_ns: Option<u64>,
 }
 
 /// Frozen metrics of one profiling run: plain data, cheap to clone, stable
@@ -1700,17 +1634,20 @@ impl fmt::Display for RunMetrics {
 mod tests {
     use super::*;
 
+    /// A slot is the enum discriminant, and `ALL` lists the variants in
+    /// declaration order: `ALL[i]` sits in slot `i`, so the slots are dense
+    /// and unique and the report order is the slot order.
     #[test]
     fn counter_slots_are_dense_and_unique() {
-        let mut seen = [false; N_COUNTERS];
-        for c in Counter::ALL {
-            assert!(!seen[c.slot()], "duplicate slot for {c:?}");
-            seen[c.slot()] = true;
+        fn in_declaration_order<T: Copy + std::fmt::Debug>(all: &[T], slot: impl Fn(T) -> usize) {
+            for (i, &v) in all.iter().enumerate() {
+                assert_eq!(slot(v), i, "{v:?} is out of declaration order in ALL");
+            }
         }
-        assert!(seen.iter().all(|&s| s));
-        for (i, s) in Stage::ALL.iter().enumerate() {
-            assert_eq!(s.slot(), i, "Stage::ALL must be in slot order");
-        }
+        in_declaration_order(&Counter::ALL, |c| c as usize);
+        in_declaration_order(&Stage::ALL, |s| s as usize);
+        in_declaration_order(&HistKind::ALL, |k| k as usize);
+        in_declaration_order(&service::ServiceCounter::ALL, |c| c as usize);
     }
 
     #[test]
@@ -2029,20 +1966,5 @@ mod tests {
         assert_eq!(c.queue_send(0), 2);
         c.queue_recv(0);
         assert_eq!(c.queue_send(0), 2);
-        assert_eq!(c.queue_depths(), vec![2]);
-    }
-
-    #[test]
-    fn progress_snapshot_reads_counters() {
-        let c = Collector::new(MetricsLevel::Counters);
-        c.add(Counter::EventsFolded, 500);
-        c.add(Counter::DynOps, 1000);
-        c.queue_send(0);
-        let p = c.progress(123);
-        assert_eq!(p.t_ns, 123);
-        assert_eq!(p.events_folded, 500);
-        assert_eq!(p.dyn_ops, 1000);
-        assert_eq!(p.queue_depths, vec![1]);
-        assert_eq!(p.budget_used_bytes, 0);
     }
 }

@@ -2,8 +2,6 @@
 //! (`polytrace`): the counters harvested from the hot paths must agree with
 //! each other and with the run's observable outputs, at every shard count,
 //! and the whole layer must vanish at `MetricsLevel::Off`.
-//!
-//! These are the tests behind CI's `metrics-gate` step.
 
 mod common;
 

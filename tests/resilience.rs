@@ -1,12 +1,13 @@
 //! Resilience gate: every injectable fault class must yield a *completed*
 //! report with its losses recorded in `Report::degradation`, never a hang,
 //! deadlock, or caller-visible panic. Budgeted runs must degrade to sound
-//! over-approximations (folded deps ⊇ exact serial deps), and an armed but
-//! never-firing fault plan must not perturb a single folded byte.
+//! over-approximations (folded deps ⊇ exact serial deps), an expired
+//! deadline must finalize a partial report, and an armed but never-firing
+//! fault plan must not perturb a single folded byte.
 //!
-//! The CI `resilience-gate` step runs this suite plus a seed matrix through
-//! `examples/resilience_probe.rs`, which takes each plan from its
-//! `POLYPROF_FAULT_PLAN` environment variable (the library reads none).
+//! CI's `resilience-gate` step runs a fault-plan seed matrix beside this
+//! suite, through `examples/resilience_probe.rs`, which takes each plan from
+//! its `POLYPROF_FAULT_PLAN` environment variable (the library reads none).
 
 mod common;
 

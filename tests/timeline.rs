@@ -1,10 +1,9 @@
 //! Observability-layer invariants (polytrace v2): histogram algebra
 //! (property-based), timeline well-formedness and counter reconciliation
-//! at every shard count, shard-merge exactness, live-progress sampling,
-//! and the `Off`/`Counters` perturbation-free guarantee.
-//!
-//! These are the tests behind CI's `timeline-gate` step, including the check
-//! of the exported Chrome JSON on the Rodinia `backprop` fixture.
+//! at every shard count — K ∈ {1, 2, 4} on the small-chunk stencil and
+//! K ∈ {1, 4} on Rodinia `backprop`, with the exported Chrome JSON, the lane
+//! set and journal overflow checked — shard-merge exactness, the live
+//! heartbeat on a shared budget, and the `Off`/`Counters` no-new-sections pin.
 
 mod common;
 
@@ -12,10 +11,11 @@ use common::stencil;
 use polyprof_core::polytrace::{
     tid_shard, validate_json, Counter, HistKind, Histogram, TraceEventKind, TID_DRIVER, TID_PRE,
 };
-use polyprof_core::{profile_with, MetricsLevel, ProfileConfig};
+use polyprof_core::{profile_with, MetricsLevel, ProfileConfig, ResourceBudget};
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 fn trace_run(fold_threads: usize) -> polyprof_core::Report {
     let prog = stencil(6, 40);
@@ -298,45 +298,68 @@ fn trace_run_populates_latency_histograms() {
 }
 
 // ---------------------------------------------------------------------------
-// Live-progress sampler
+// Live progress: the heartbeat on a shared budget
 // ---------------------------------------------------------------------------
 
-/// `with_progress` arms the watcher thread over the run's counters:
-/// snapshots arrive in time order with monotone cumulative counters.
+/// Watching a run takes none of its threads and no knob but the budget it
+/// shares: for both fold targets and for the replay source, a second thread
+/// reading `ResourceBudget::progress()` sees the run move while it runs —
+/// never backwards, never past what the run finally did. A replay executes
+/// no instructions, so only its event count moves.
 #[test]
-fn progress_sampler_streams_monotone_snapshots() {
-    let w = rodinia::backprop::build();
-    let cfg = ProfileConfig::new()
-        .with_metrics(MetricsLevel::Counters)
-        .with_progress(Duration::from_micros(100));
-    let r = profile_with(&w.program, &cfg);
-    assert!(!r.progress.is_empty(), "no snapshots sampled");
-    for pair in r.progress.windows(2) {
-        assert!(pair[0].t_ns <= pair[1].t_ns, "snapshots out of order");
-        assert!(pair[0].dyn_ops <= pair[1].dyn_ops);
-        assert!(pair[0].events_folded <= pair[1].events_folded);
+fn shared_budget_heartbeat_is_live_for_every_source_and_target() {
+    let prog = rodinia::paper_examples::fig6_kernel(192, 160);
+    let path = std::env::temp_dir().join(format!(
+        "polyprof_timeline_{}_heartbeat.ptrace",
+        std::process::id()
+    ));
+    profile_with(&prog, &ProfileConfig::new().with_record_to(&path));
+    let inputs = [
+        ("live, inline", ProfileConfig::new()),
+        ("live, 2 workers", ProfileConfig::new().with_fold_threads(2)),
+        ("replay", ProfileConfig::new().with_replay_from(&path)),
+    ];
+    for (name, cfg) in inputs {
+        let live = cfg.replay_from.is_none();
+        let budget = Arc::new(ResourceBudget::new(None, None));
+        let cfg = cfg.with_shared_budget(Arc::clone(&budget));
+        let done = AtomicBool::new(false);
+        let (report, seen) = std::thread::scope(|s| {
+            let watcher = s.spawn(|| {
+                let mut seen = vec![budget.progress()];
+                while !done.load(Ordering::Acquire) {
+                    let now = budget.progress();
+                    if seen.last() != Some(&now) {
+                        seen.push(now);
+                    }
+                    std::thread::yield_now();
+                }
+                seen
+            });
+            let report = profile_with(&prog, &cfg);
+            done.store(true, Ordering::Release);
+            (report, watcher.join().expect("watcher"))
+        });
+        let (ops, events) = budget.progress();
+        assert!(
+            seen.windows(2)
+                .all(|w| w[0].0 <= w[1].0 && w[0].1 <= w[1].1),
+            "{name}: went backwards: {seen:?}"
+        );
+        // Strictly between nothing and the last beat: read mid-run.
+        assert!(
+            seen.iter()
+                .any(|&(o, e)| 0 < e && e < events && (o > 0) == live),
+            "{name}: no mid-run sample in {seen:?}"
+        );
+        assert!(
+            !report.degradation.is_degraded(),
+            "{name}: watched, not bounded"
+        );
+        assert!(ops <= report.folded_stats.2, "{name}: {ops} ops");
+        assert_eq!(ops > 0, live, "{name}");
     }
-    // Without a budget there is no pressure and no deadline to report.
-    let last = r.progress.last().unwrap();
-    assert!(!last.budget_pressure);
-    assert_eq!(last.deadline_remaining_ns, None);
-}
-
-/// With a (generous) budget armed, the sampler surfaces its gauges.
-#[test]
-fn progress_sampler_reports_budget_gauges() {
-    let w = rodinia::backprop::build();
-    let cfg = ProfileConfig::new()
-        .with_metrics(MetricsLevel::Counters)
-        .with_progress(Duration::from_micros(100))
-        .with_memory_budget(1 << 30)
-        .with_deadline(Duration::from_secs(3600));
-    let r = profile_with(&w.program, &cfg);
-    assert!(!r.degradation.deadline_hit);
-    assert!(!r.progress.is_empty());
-    let last = r.progress.last().unwrap();
-    let remaining = last.deadline_remaining_ns.expect("deadline armed");
-    assert!(remaining > 0 && remaining <= 3600 * 1_000_000_000);
+    std::fs::remove_file(&path).ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -358,7 +381,6 @@ fn counters_level_is_free_of_v2_sections() {
     assert!(m.vm_ops.is_empty());
     assert!(m.timeline.is_empty());
     assert!(r.timeline_json().is_none());
-    assert!(r.progress.is_empty());
     let json = r.metrics_json().unwrap();
     for key in ["\"histograms\"", "\"vm_ops\"", "\"trace_events\""] {
         assert!(!json.contains(key), "{key} leaked into Counters JSON");
