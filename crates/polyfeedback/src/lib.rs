@@ -19,7 +19,8 @@ pub mod report;
 pub use metrics::{ProgramFeedback, RegionReport};
 pub use report::{
     annotated_ast, degradation_section, flamegraph_svg, full_report, legality_section,
-    self_flamegraph_svg, session_report_json, static_pass_section, table5_row, vm_profile_section,
+    self_flamegraph_svg, session_report_head, session_report_json, session_report_tail,
+    static_pass_section, table5_row, vm_profile_section,
 };
 
 use polycfg::StaticStructure;

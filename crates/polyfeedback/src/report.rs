@@ -500,6 +500,11 @@ pub fn vm_profile_section(m: &polytrace::RunMetrics) -> String {
 /// captured it), the degradation record, and optionally the run-metrics
 /// object spliced in verbatim (both are stable-keyed JSON already).
 ///
+/// The object is [`session_report_head`] followed by [`session_report_tail`],
+/// byte for byte. Only the head depends on the session, so a service that
+/// hands the same result out again renders the tail — where the tens of
+/// kilobytes of escaped DDG text are — once, and prepends a fresh head.
+///
 /// Lives here, next to the other report renderers, so the wire framing and
 /// the human report evolve together; the server crate only assembles.
 pub fn session_report_json(
@@ -511,30 +516,61 @@ pub fn session_report_json(
     degradation_json: &str,
     metrics_json: Option<&str>,
 ) -> String {
-    let mut s = format!(
-        concat!(
-            "{{\"workload\": \"{}\", \"session\": {}, \"cached\": {}, ",
-            "\"folded_stmts\": {}, \"folded_deps\": {}, \"dyn_ops\": {}, ",
-            "\"degradation\": {}"
-        ),
-        polytrace::json_escape(workload),
-        session,
-        cached,
-        folded.0,
-        folded.1,
-        folded.2,
+    let mut s = session_report_head(workload, session, cached);
+    s.push_str(&session_report_tail(
+        folded,
+        canonical_ddg,
         degradation_json,
+        metrics_json,
+    ));
+    s
+}
+
+/// The part of [`session_report_json`] that depends on the session: the
+/// opening brace and the `workload`, `session` and `cached` fields, up to and
+/// including the separator before `folded_stmts`.
+pub fn session_report_head(workload: &str, session: u64, cached: bool) -> String {
+    format!(
+        "{{\"workload\": \"{}\", \"session\": {session}, \"cached\": {cached}, ",
+        polytrace::json_escape(workload),
+    )
+}
+
+/// The part of [`session_report_json`] that is the same for every session
+/// handing out this result: `folded_stmts` … `degradation` … `canonical_ddg`
+/// (… `metrics`) and the closing brace. Rendered into one allocation of
+/// exactly its length, so whoever keeps it keeps no slack.
+pub fn session_report_tail(
+    folded: (usize, usize, u64),
+    canonical_ddg: Option<&str>,
+    degradation_json: &str,
+    metrics_json: Option<&str>,
+) -> String {
+    const CANONICAL: &str = ", \"canonical_ddg\": \"";
+    const METRICS: &str = ", \"metrics\": ";
+    let stats = format!(
+        "\"folded_stmts\": {}, \"folded_deps\": {}, \"dyn_ops\": {}, \"degradation\": ",
+        folded.0, folded.1, folded.2,
     );
+    let len = stats.len()
+        + degradation_json.len()
+        + canonical_ddg.map_or(0, |c| CANONICAL.len() + polytrace::json_escaped_len(c) + 1)
+        + metrics_json.map_or(0, |m| METRICS.len() + m.len())
+        + 1;
+    let mut s = String::with_capacity(len);
+    s.push_str(&stats);
+    s.push_str(degradation_json);
     if let Some(c) = canonical_ddg {
-        s.push_str(&format!(
-            ", \"canonical_ddg\": \"{}\"",
-            polytrace::json_escape(c)
-        ));
+        s.push_str(CANONICAL);
+        polytrace::json_escape_into(&mut s, c);
+        s.push('"');
     }
     if let Some(m) = metrics_json {
-        s.push_str(&format!(", \"metrics\": {m}"));
+        s.push_str(METRICS);
+        s.push_str(m);
     }
     s.push('}');
+    debug_assert_eq!(s.len(), len);
     s
 }
 
@@ -570,5 +606,43 @@ mod tests {
         // Without the optional parts the object still closes cleanly.
         let j = session_report_json("w", 1, false, (0, 0, 0), None, "{}", None);
         assert!(j.ends_with("\"degradation\": {}}"), "{j}");
+    }
+
+    /// The report is head + tail byte for byte, with and without the
+    /// optional parts, and the tail holds no slack.
+    #[test]
+    fn session_report_is_head_plus_tail() {
+        let ddg = "S0 [0,1]\nS1 [0,2]\n";
+        let (deg, metrics) = ("{\"deadline_hit\":false}", "{\"total_ns\": 5}");
+        for (workload, session, cached, folded, canonical, deg, metrics) in [
+            (
+                "back\"prop",
+                7,
+                true,
+                (3, 2, 100),
+                Some(ddg),
+                deg,
+                Some(metrics),
+            ),
+            ("back\"prop", 8, false, (3, 2, 100), Some(ddg), deg, None),
+            ("w", u64::MAX, true, (3, 2, 100), None, deg, Some(metrics)),
+            ("w", 1, false, (0, 0, 0), None, "{}", None),
+        ] {
+            let head = session_report_head(workload, session, cached);
+            let tail = session_report_tail(folded, canonical, deg, metrics);
+            assert_eq!(
+                session_report_json(workload, session, cached, folded, canonical, deg, metrics),
+                head.clone() + &tail
+            );
+            assert_eq!(tail.len(), tail.capacity(), "{tail}");
+            assert!(
+                head.starts_with("{\"workload\": ")
+                    && head.ends_with("\"cached\": true, ") == cached
+            );
+            assert!(
+                tail.starts_with("\"folded_stmts\": ") && tail.ends_with('}'),
+                "{tail}"
+            );
+        }
     }
 }

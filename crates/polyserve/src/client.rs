@@ -1,8 +1,14 @@
 //! Blocking client for the polyserve wire protocol — the counterpart the
 //! tests and `perf_ledger`'s `serve_mix` workload speak through.
+//!
+//! The connection has `TCP_NODELAY` set and is read through one buffered
+//! reader, as the server's end of it is (see [`crate::wire`]); a frame's
+//! payload becomes the returned `String` without being copied — a report is
+//! tens of kilobytes, and the client's time between two sessions is part of
+//! every latency a closed-loop load measures.
 
-use crate::wire::{json_str, json_u64, read_frame, write_frame, write_json, KIND_BINARY};
-use std::io;
+use crate::wire::{json_str, json_u64, push_frame, read_frame, write_json, KIND_BINARY, KIND_JSON};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -89,7 +95,8 @@ pub enum Outcome {
 /// A blocking connection to a polyserve instance. Requests on one client
 /// are strictly sequential — open more clients for concurrency.
 pub struct Client {
-    stream: TcpStream,
+    /// The socket, behind the buffer it is read through; written directly.
+    conn: BufReader<TcpStream>,
 }
 
 impl Client {
@@ -97,12 +104,14 @@ impl Client {
     pub fn connect(addr: SocketAddr) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Client { stream })
+        Ok(Client {
+            conn: BufReader::new(stream),
+        })
     }
 
     /// Liveness probe.
     pub fn ping(&mut self) -> io::Result<bool> {
-        write_json(&mut self.stream, "{\"op\": \"ping\"}")?;
+        write_json(self.conn.get_mut(), "{\"op\": \"ping\"}")?;
         let frame = self.read_json()?;
         Ok(json_str(&frame, "type").as_deref() == Some("pong"))
     }
@@ -111,13 +120,13 @@ impl Client {
     /// wrapped in a `metrics` frame; flat keys, so the `wire` helpers
     /// extract counters directly from the returned string).
     pub fn metrics_json(&mut self) -> io::Result<String> {
-        write_json(&mut self.stream, "{\"op\": \"metrics\"}")?;
+        write_json(self.conn.get_mut(), "{\"op\": \"metrics\"}")?;
         self.read_json()
     }
 
     /// Ask the server to stop accepting and drain.
     pub fn shutdown(&mut self) -> io::Result<()> {
-        write_json(&mut self.stream, "{\"op\": \"shutdown\"}")?;
+        write_json(self.conn.get_mut(), "{\"op\": \"shutdown\"}")?;
         let _ = self.read_json()?;
         Ok(())
     }
@@ -148,10 +157,14 @@ impl Client {
             req.push_str(&format!(", \"deadline_ms\": {d}"));
         }
         req.push('}');
-        write_json(&mut self.stream, &req)?;
+        // The request and the recording that rides behind it are ready
+        // together, so they leave together.
+        let mut out = Vec::new();
+        push_frame(&mut out, KIND_JSON, &[req.as_bytes()])?;
         if let Submission::Trace { bytes, .. } = sub {
-            write_frame(&mut self.stream, KIND_BINARY, bytes)?;
+            push_frame(&mut out, KIND_BINARY, &[bytes])?;
         }
+        self.conn.get_mut().write_all(&out)?;
 
         let mut session = 0u64;
         let mut accepted = false;
@@ -171,12 +184,16 @@ impl Client {
                     })
                 }
                 Some("final") => {
-                    // The report is the substring after `"report": ` up to
-                    // the frame's closing brace.
-                    let report_json = frame
-                        .find("\"report\": ")
-                        .map(|at| frame[at + 10..frame.len() - 1].to_string())
-                        .unwrap_or_default();
+                    // The report is what follows `"report": ` up to the
+                    // frame's closing brace: cut out of the frame in place.
+                    let mut report_json = frame;
+                    match report_json.find("\"report\": ") {
+                        Some(at) => {
+                            report_json.pop();
+                            report_json.drain(..at + 10);
+                        }
+                        None => report_json.clear(),
+                    }
                     let cached = crate::wire::json_bool(&report_json, "cached").unwrap_or(false);
                     return Ok(Outcome::Done {
                         session,
@@ -227,8 +244,10 @@ impl Client {
     }
 
     fn read_json(&mut self) -> io::Result<String> {
-        match read_frame(&mut self.stream)? {
-            Some((_, payload)) => Ok(String::from_utf8_lossy(&payload).into_owned()),
+        match read_frame(&mut self.conn)? {
+            // The payload is the string; only invalid UTF-8 is copied.
+            Some((_, payload)) => Ok(String::from_utf8(payload)
+                .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())),
             None => Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server closed the connection",

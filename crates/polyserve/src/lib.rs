@@ -27,10 +27,15 @@
 //!   owners all block until there is something to do.
 //! - **Folded-DDG cache** — clean results are cached by
 //!   `(program hash, input hash)` with single-flight dedup: identical
-//!   concurrent submissions fold once.
+//!   concurrent submissions fold once. What is kept is the rendered report
+//!   minus its session-dependent head, at most 8 MiB of them (least recently
+//!   hit evicted first); a submission the cache holds is answered at
+//!   admission by its connection thread — no queue slot, no worker — so a hit
+//!   costs one copy of those bytes and is served while every worker folds.
 //!
 //! The wire protocol is deliberately small (see [`wire`]): length-prefixed
-//! frames, flat JSON objects, no external dependencies. [`client::Client`]
+//! frames each written in one write, flat JSON objects, no external
+//! dependencies. [`client::Client`]
 //! is the matching blocking client used by the tests and by
 //! `perf_ledger`'s `serve_mix` workload.
 //!

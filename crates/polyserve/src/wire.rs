@@ -7,6 +7,23 @@
 //! so a reader can never desynchronize mid-stream — a malformed *payload*
 //! is answered with a structured error, never a dropped connection.
 //!
+//! **A frame is one write.** [`push_frame`] assembles header and payload in
+//! a buffer and [`write_frame`] hands the buffer to the socket in one
+//! `write_all`; frames that are ready together are pushed into one buffer
+//! and leave together. Header and payload written separately are tiny
+//! segments, and a tiny segment sent behind an unacknowledged one waits
+//! under Nagle's algorithm for an ACK that the peer — blocked in `read`,
+//! with nothing to send back — holds for the kernel's delayed-ACK timer
+//! (~40 ms on Linux): every frame written in three parts cost its exchange
+//! 40 ms of nothing. One write per answer ends that for every exchange that
+//! is one answer: `pong`, `metrics`, a rejection, a cache hit (`accepted` +
+//! `final` together). The client's socket has `TCP_NODELAY`; the server's
+//! accepted sockets do not, so a frame that follows another by a moment
+//! (`accepted` → `progress` → `final`, a session that had to be queued)
+//! still waits for the first one's delayed ACK. Both ends read through one
+//! buffered reader per connection, so a small frame that has arrived is one
+//! `read`.
+//!
 //! The JSON layer is deliberately tiny: the protocol's objects are flat
 //! (string / integer fields only at the layer the server inspects), so a
 //! pair of scanning extractors replaces a serde dependency this workspace
@@ -24,12 +41,33 @@ pub const KIND_BINARY: u8 = 1;
 /// to let a client balloon server memory.
 pub const MAX_FRAME: usize = 64 << 20;
 
-/// Write one frame.
+/// Append one frame to `out`, its payload the concatenation of `parts`.
+/// What [`read_frame`] would refuse is refused here, before `out` is
+/// touched: a payload over [`MAX_FRAME`] is
+/// [`InvalidInput`](io::ErrorKind::InvalidInput), not a length that wraps or
+/// a frame the peer rejects mid-session.
+pub fn push_frame(out: &mut Vec<u8>, kind: u8, parts: &[&[u8]]) -> io::Result<()> {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    if len > MAX_FRAME {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("frame of {len} bytes exceeds MAX_FRAME"),
+        ));
+    }
+    out.reserve(5 + len);
+    out.extend_from_slice(&(len as u32).to_le_bytes());
+    out.push(kind);
+    for part in parts {
+        out.extend_from_slice(part);
+    }
+    Ok(())
+}
+
+/// Write one frame, in one write.
 pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> io::Result<()> {
-    let len = payload.len() as u32;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&[kind])?;
-    w.write_all(payload)?;
+    let mut frame = Vec::new();
+    push_frame(&mut frame, kind, &[payload])?;
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -102,14 +140,23 @@ pub fn json_str(json: &str, key: &str) -> Option<String> {
     None
 }
 
-/// Extract `"key": <integer>` from a flat JSON object.
+/// Extract `"key": <integer>` from a flat JSON object. `None` unless the
+/// digits run up to `,`, `}` or whitespace: `1e9` and `2.5` are not the
+/// integers 1 and 2.
 pub fn json_u64(json: &str, key: &str) -> Option<u64> {
-    let start = find_value(json, key)?;
-    let digits: String = json[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
+    let rest = &json[find_value(json, key)?..];
+    let digits = rest.find(|c: char| !c.is_ascii_digit())?;
+    let end = rest[digits..].chars().next()?;
+    if !(end == ',' || end == '}' || end.is_whitespace()) {
+        return None;
+    }
+    rest[..digits].parse().ok()
+}
+
+/// True when the object has a `"key":` at all: what tells a malformed value
+/// ([`json_u64`] is `None`, the key is there) from an absent one.
+pub fn json_has(json: &str, key: &str) -> bool {
+    find_value(json, key).is_some()
 }
 
 /// Extract `"key": true|false` from a flat JSON object.
@@ -142,8 +189,40 @@ fn find_value(json: &str, key: &str) -> Option<usize> {
 pub use polyrec::codec::fnv1a;
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A writer that counts the `write` calls it receives and takes at most
+    /// `take` bytes in each — what a socket sees, for the tests (here and in
+    /// `server`) that pin "one frame, one write".
+    pub(crate) struct CountingWriter {
+        pub(crate) bytes: Vec<u8>,
+        pub(crate) writes: usize,
+        take: usize,
+    }
+
+    impl CountingWriter {
+        pub(crate) fn taking(take: usize) -> Self {
+            CountingWriter {
+                bytes: Vec::new(),
+                writes: 0,
+                take,
+            }
+        }
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            let n = buf.len().min(self.take);
+            self.bytes.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
 
     #[test]
     fn frames_roundtrip() {
@@ -170,6 +249,39 @@ mod tests {
         assert!(read_frame(&mut r).is_err());
     }
 
+    /// The writer refuses what the reader refuses, before a byte is written.
+    /// (The slice is zero pages never touched: only its length is read.)
+    #[test]
+    fn oversized_payload_is_refused_before_any_write() {
+        let payload = vec![0u8; MAX_FRAME + 1];
+        let mut sink = CountingWriter::taking(usize::MAX);
+        let err = write_frame(&mut sink, KIND_BINARY, &payload).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!((sink.writes, sink.bytes.len()), (0, 0));
+    }
+
+    /// A frame is one `write` when the writer takes everything — header and
+    /// payload never travel as separate tiny segments — and still the same
+    /// bytes when the writer takes them seven at a time.
+    #[test]
+    fn a_frame_is_one_write() {
+        let small = b"{\"op\": \"ping\"}".to_vec();
+        let large: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
+        for payload in [&small, &large] {
+            let mut whole = CountingWriter::taking(usize::MAX);
+            write_frame(&mut whole, KIND_JSON, payload).unwrap();
+            assert_eq!(whole.writes, 1, "{} bytes", payload.len());
+            let mut dribble = CountingWriter::taking(7);
+            write_frame(&mut dribble, KIND_JSON, payload).unwrap();
+            assert_eq!(dribble.writes, (5 + payload.len()).div_ceil(7));
+            assert_eq!(dribble.bytes, whole.bytes);
+            let (kind, read) = read_frame(&mut io::Cursor::new(dribble.bytes))
+                .unwrap()
+                .unwrap();
+            assert_eq!((kind, &read), (KIND_JSON, payload));
+        }
+    }
+
     /// A length prefix is a claim, not an allocation size: a header that
     /// promises `MAX_FRAME` and delivers three bytes is a mid-frame EOF, and
     /// the buffer holds what arrived, not what was promised.
@@ -192,6 +304,18 @@ mod tests {
         assert_eq!(json_bool(j, "ok"), Some(true));
         assert_eq!(json_str(j, "missing"), None);
         assert_eq!(json_u64(j, "op"), None);
+        // A number that is not an integer is no number, not its leading
+        // digits — and is told apart from a key that is not there.
+        let j = "{\"a\": 1e9, \"b\": 2.5, \"c\": 12x, \"d\": -3, \"e\": 7 , \"f\": 8}";
+        for key in ["a", "b", "c", "d"] {
+            assert_eq!(json_u64(j, key), None, "{key}");
+            assert!(json_has(j, key), "{key}");
+        }
+        assert_eq!(json_u64(j, "e"), Some(7));
+        assert_eq!(json_u64(j, "f"), Some(8));
+        assert_eq!(json_u64("{\"g\": 99999999999999999999}", "g"), None);
+        assert_eq!(json_u64("{\"g\": 9", "g"), None);
+        assert!(!json_has(j, "g"));
     }
 
     /// The three entry points of the one FNV-1a-64 — this re-export, the

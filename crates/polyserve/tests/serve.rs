@@ -5,11 +5,15 @@
 //! byte-identical to a direct in-process run, overload must be structured,
 //! and the server must survive the whole storm. Beside it: what a session's
 //! owner — its connection thread — does while the fold runs (live progress,
-//! the watchdog's cancel), and that shutdown wakes every blocked thread.
+//! the watchdog's cancel), that shutdown wakes every blocked thread, and what
+//! the cache hands out: the fresh report's own bytes, at admission, with
+//! every worker busy.
 
 use polyprof_core::{try_profile_with, ProfileConfig};
+use polyserve::wire::json_str;
 use polyserve::{serve, Client, Outcome, ServerConfig, Submission, SubmitOpts};
 use std::collections::HashMap;
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 /// The served workload registry — small deterministic builds so dozens of
@@ -45,6 +49,18 @@ fn wait_until(what: &str, cond: impl Fn() -> bool) {
     }
 }
 
+/// Occupy a worker for about a second, whatever the speed of the box: submit
+/// `fig6_long` (the server must have [`long_registry`]) as a session that
+/// stalls 10 ms at each of its ~150 chunk sends and so crawls to its 1 s
+/// deadline. Returns the connection its frames arrive on.
+fn hold_a_worker(addr: std::net::SocketAddr) -> TcpStream {
+    let mut held = TcpStream::connect(addr).unwrap();
+    let submit = "{\"op\": \"submit\", \"workload\": \"fig6_long\", \"tenant\": \"held\", \
+                  \"fault_plan\": \"stall:send@*;stall_ms=10\", \"deadline_ms\": 1000}";
+    polyserve::wire::write_json(&mut held, submit).unwrap();
+    held
+}
+
 /// Direct in-process canonical DDG per workload — the ground truth the
 /// served reports must match byte for byte.
 fn direct_canonicals() -> HashMap<String, String> {
@@ -62,6 +78,39 @@ fn tenant_opts(tenant: &str) -> SubmitOpts {
     SubmitOpts {
         tenant: Some(tenant.to_string()),
         ..Default::default()
+    }
+}
+
+/// Submit on `c` and expect a report: `(session, cached, report_json)`.
+fn done(c: &mut Client, sub: Submission<'_>) -> (u64, bool, String) {
+    match c.submit(sub, &SubmitOpts::default()).unwrap() {
+        Outcome::Done {
+            session,
+            cached,
+            report_json,
+            ..
+        } => (session, cached, report_json),
+        other => panic!("expected Done, got {other:?}"),
+    }
+}
+
+/// The next frames of a connection driven by hand — for requests `Client`
+/// cannot phrase and for watching a session frame by frame — up to the first
+/// of type `ty`.
+fn frame_of_type(stream: &mut TcpStream, ty: &str) -> String {
+    loop {
+        let (_, payload) = polyserve::wire::read_frame(stream)
+            .unwrap()
+            .expect("the server closed the connection");
+        let frame = String::from_utf8(payload).unwrap();
+        let got = json_str(&frame, "type").unwrap_or_default();
+        if got == ty {
+            return frame;
+        }
+        assert!(
+            matches!(got.as_str(), "accepted" | "progress"),
+            "waiting for `{ty}`, got {frame}"
+        );
     }
 }
 
@@ -83,6 +132,33 @@ fn ping_metrics_and_unknown_ops() {
         .unwrap();
     assert!(matches!(out, Outcome::Rejected { ref error } if error.contains("unknown workload")));
     assert!(c.ping().unwrap());
+    server.shutdown();
+}
+
+/// A number that is not an integer is a bad request — not its leading digits
+/// (`1e9` would be a 1-byte budget), and not the default either.
+#[test]
+fn malformed_numbers_are_rejected_not_truncated() {
+    use polytrace::service::ServiceCounter as C;
+    let server = serve("127.0.0.1:0", ServerConfig::default(), registry()).unwrap();
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    for (field, error) in [
+        ("\"budget_bytes\": 1e9", "bad budget_bytes"),
+        ("\"deadline_ms\": 2.5", "bad deadline_ms"),
+    ] {
+        let before = server.stats().get(C::RejectedBadRequest);
+        let req = format!("{{\"op\": \"submit\", \"workload\": \"fig6\", {field}}}");
+        polyserve::wire::write_json(&mut raw, &req).unwrap();
+        // The first frame back is the `error`, with no `accepted` before it:
+        // what `Client` reports as `Outcome::Rejected`.
+        let frame = frame_of_type(&mut raw, "error");
+        assert_eq!(json_str(&frame, "error").as_deref(), Some(error));
+        assert_eq!(server.stats().get(C::RejectedBadRequest), before + 1);
+    }
+    assert_eq!(server.stats().get(C::Admitted), 0);
+    // Nothing was half-admitted; the same connection is served next.
+    polyserve::wire::write_json(&mut raw, "{\"op\": \"submit\", \"workload\": \"fig6\"}").unwrap();
+    frame_of_type(&mut raw, "final");
     server.shutdown();
 }
 
@@ -419,6 +495,117 @@ fn shutdown_wakes_every_blocked_thread_and_closes_the_listener() {
     }
 }
 
+/// What the cache hands out is the fresh report itself: the same bytes but
+/// for the session id and the `cached` flag — for a dense workload, an
+/// irregular one and an uploaded recording.
+#[test]
+fn hit_bytes_equal_fresh_bytes() {
+    let dir = std::env::temp_dir().join(format!("polyserve-hit-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("fig6.ptrace");
+    let prog = rodinia::paper_examples::fig6_kernel(16, 8);
+    try_profile_with(&prog, &ProfileConfig::new().with_record_to(&path)).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let mut registry = registry();
+    registry.push(("bfs".to_string(), rodinia::bfs::build().program));
+    let server = serve("127.0.0.1:0", ServerConfig::default(), registry).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    for sub in [
+        Submission::Program {
+            workload: "backprop",
+        },
+        Submission::Program { workload: "bfs" },
+        Submission::Trace {
+            workload: "fig6",
+            bytes: &bytes,
+        },
+    ] {
+        let (fresh_id, fresh_cached, fresh) = done(&mut c, sub);
+        let (hit_id, hit_cached, hit) = done(&mut c, sub);
+        assert!(!fresh_cached && hit_cached, "{sub:?}");
+        assert_ne!(fresh_id, hit_id);
+        polytrace::validate_json(&hit).expect("a hit is JSON");
+        let expected = fresh.replacen(
+            &format!("\"session\": {fresh_id}, \"cached\": false"),
+            &format!("\"session\": {hit_id}, \"cached\": true"),
+            1,
+        );
+        assert_ne!(expected, fresh, "the head was not where it was looked for");
+        assert!(hit == expected, "hit and fresh differ for {sub:?}");
+    }
+    server.shutdown();
+}
+
+/// A result the cache holds is answered at admission by the connection
+/// thread: with the only worker held and the queue's only slot taken, a
+/// repeat comes back cached — not shed, not queued — before the held session
+/// ends. The order of events is read off frames, never slept for: the held
+/// session ([`hold_a_worker`]) outlasts the two round trips that follow its
+/// first `progress` frame by construction.
+#[test]
+fn hit_is_served_while_every_worker_is_busy() {
+    use polytrace::service::ServiceCounter as C;
+    let cfg = ServerConfig {
+        workers: 1,
+        queue_cap: 1,
+        deadline_grace: Duration::from_millis(100),
+        progress_interval: Some(Duration::from_millis(10)),
+        ..Default::default()
+    };
+    let mut registry = registry();
+    registry.extend(long_registry());
+    let server = serve("127.0.0.1:0", cfg, registry).unwrap();
+    let (addr, stats) = (server.addr(), server.stats());
+    let fig6 = Submission::Program { workload: "fig6" };
+
+    let mut c = Client::connect(addr).unwrap();
+    assert!(!done(&mut c, fig6).1, "the first fig6 folds");
+
+    // `progress` follows `Started`: the worker is in this session's fold.
+    let mut held = hold_a_worker(addr);
+    frame_of_type(&mut held, "progress");
+    // `accepted`: this one is in the queue, where it stays.
+    let mut queued = TcpStream::connect(addr).unwrap();
+    let submit = "{\"op\": \"submit\", \"workload\": \"backprop\", \"tenant\": \"queued\"}";
+    polyserve::wire::write_json(&mut queued, submit).unwrap();
+    frame_of_type(&mut queued, "accepted");
+
+    assert!(done(&mut c, fig6).1, "the repeat is served from the cache");
+    // Nothing but the two fig6 sessions has finished: the hit came back
+    // before the held session's `final`...
+    let finished = || {
+        stats.get(C::CompletedClean)
+            + stats.get(C::CompletedDegraded)
+            + stats.get(C::SessionsPanicked)
+    };
+    assert_eq!(finished(), 2);
+    // ...and past a full queue, which sheds what the cache does not hold.
+    match c
+        .submit(
+            Submission::Program { workload: "nw" },
+            &SubmitOpts::default(),
+        )
+        .unwrap()
+    {
+        Outcome::Overloaded { reason, .. } => assert_eq!(reason, "queue_full"),
+        other => panic!("expected queue_full, got {other:?}"),
+    }
+
+    let report = frame_of_type(&mut held, "final");
+    assert!(report.contains("\"deadline_hit\":true"));
+    frame_of_type(&mut queued, "final");
+    // The hit was admitted and completed like any session, but never queued.
+    assert_eq!(stats.get(C::Admitted), 4);
+    assert_eq!(finished(), 4);
+    assert_eq!(stats.get(C::CacheHits), 1);
+    assert_eq!(stats.get(C::RejectedQueueFull), 1);
+    assert_eq!(stats.queue_wait().count(), 3);
+    assert_eq!(stats.session_wall().count(), 4);
+    server.shutdown();
+}
+
 /// The acceptance gate: a mixed-tenant storm with a chaos tenant under a
 /// permanent fault plan and a 1-byte budget.
 #[test]
@@ -540,6 +727,9 @@ fn chaos_loadgen_gate() {
 }
 
 /// Queue-full load shedding: a tiny queue with slow workers sheds cleanly.
+/// The one worker is held first: the twelve submissions are identical, and
+/// once one of them had folded, the rest would be answered from the cache at
+/// admission and never ask for a queue slot.
 #[test]
 fn queue_full_sheds_structurally() {
     let cfg = ServerConfig {
@@ -549,8 +739,14 @@ fn queue_full_sheds_structurally() {
         refill_per_sec: 1000.0,
         ..Default::default()
     };
-    let server = serve("127.0.0.1:0", cfg, registry()).unwrap();
+    let mut registry = registry();
+    registry.extend(long_registry());
+    let server = serve("127.0.0.1:0", cfg, registry).unwrap();
     let addr = server.addr();
+    let _held = hold_a_worker(addr);
+    wait_until("the worker to take the held session", || {
+        server.stats().queue_wait().count() == 1
+    });
     let handles: Vec<_> = (0..12)
         .map(|i| {
             std::thread::spawn(move || {

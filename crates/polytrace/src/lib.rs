@@ -98,20 +98,42 @@ impl MetricsLevel {
 /// degradation details etc. cannot break an artifact.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    json_escape_into(&mut out, s);
     out
+}
+
+/// [`json_escape`] appended to `out`. Every byte that needs an escape is
+/// ASCII, so the text between two escapes is copied as one run.
+pub fn json_escape_into(out: &mut String, s: &str) {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => out.push_str(&format!("\\u{b:04x}")),
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+}
+
+/// `json_escape(s).len()` without escaping: what a renderer reserves to
+/// write a long text into one allocation of exactly its size.
+pub fn json_escaped_len(s: &str) -> usize {
+    s.bytes()
+        .map(|b| match b {
+            b'"' | b'\\' | b'\n' | b'\r' | b'\t' => 2,
+            0..=0x1f => 6,
+            _ => 1,
+        })
+        .sum()
 }
 
 // ---------------------------------------------------------------------------
@@ -1781,6 +1803,19 @@ mod tests {
         assert_eq!(json_escape("a\nb\tc\r"), "a\\nb\\tc\\r");
         assert_eq!(json_escape("\u{1}x"), "\\u0001x");
         assert_eq!(json_escape("plain"), "plain");
+        // Multi-byte text passes through whole, and the length a renderer
+        // reserves is the length escaping produces.
+        assert_eq!(json_escape("é\"→\n"), "é\\\"→\\n");
+        for s in [
+            "",
+            "plain",
+            "a\"b\\c",
+            "a\nb\tc\r",
+            "\u{1}x\u{1f}",
+            "é\"→\n",
+        ] {
+            assert_eq!(json_escaped_len(s), json_escape(s).len(), "{s:?}");
+        }
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! A [`Collector`](crate::Collector) meters *one* profiling run; a service
 //! runs thousands of them. [`ServiceStats`] is the fleet-level layer: shared
 //! relaxed-atomic counters for the admission controller (submissions,
-//! structured rejections, cache traffic, watchdog kills) plus two merged
-//! [`Histogram`]s — how long sessions waited in the run queue, and how long
-//! they took wall-clock end to end. All recording paths are lock-free except
+//! structured rejections, cache traffic and evictions, watchdog kills) plus
+//! two merged [`Histogram`]s — how long sessions waited in the run queue, and
+//! how long they took wall-clock end to end. All recording paths are lock-free except
 //! the two histogram records, which take an uncontended mutex per *session*
 //! (not per event), so the per-event hot paths of the underlying runs are
 //! untouched.
@@ -25,7 +25,8 @@ use std::sync::Mutex;
 pub enum ServiceCounter {
     /// Submissions that reached the admission controller (any verdict).
     Submitted = 0,
-    /// Submissions admitted into the run queue.
+    /// Submissions admitted: queued for a worker, or answered from the
+    /// folded-DDG cache at admission without queueing.
     Admitted = 1,
     /// Structured `overloaded` rejections: the bounded run queue was full.
     RejectedQueueFull = 2,
@@ -41,17 +42,21 @@ pub enum ServiceCounter {
     /// Sessions whose run panicked past supervision; answered with a
     /// structured error, server kept serving.
     SessionsPanicked = 7,
-    /// Sessions served from the folded-DDG cache without folding.
+    /// Sessions served from the folded-DDG cache without folding, at
+    /// admission or by the worker that popped them.
     CacheHits = 8,
     /// Sessions that waited on an identical in-flight fold (single-flight)
     /// instead of folding the same trace again.
     SingleFlightWaits = 9,
     /// Wedged sessions the watchdog cancelled past their deadline grace.
     WatchdogCancels = 10,
+    /// Cached results dropped, least recently hit first, to keep the
+    /// folded-DDG cache under its byte cap.
+    CacheEvictions = 11,
 }
 
 /// Number of [`ServiceCounter`] slots.
-pub const N_SERVICE_COUNTERS: usize = 11;
+pub const N_SERVICE_COUNTERS: usize = 12;
 
 impl ServiceCounter {
     /// All counters, in report order.
@@ -67,6 +72,7 @@ impl ServiceCounter {
         ServiceCounter::CacheHits,
         ServiceCounter::SingleFlightWaits,
         ServiceCounter::WatchdogCancels,
+        ServiceCounter::CacheEvictions,
     ];
 
     /// Stable snake_case name (JSON keys).
@@ -83,6 +89,7 @@ impl ServiceCounter {
             ServiceCounter::CacheHits => "cache_hits",
             ServiceCounter::SingleFlightWaits => "single_flight_waits",
             ServiceCounter::WatchdogCancels => "watchdog_cancels",
+            ServiceCounter::CacheEvictions => "cache_evictions",
         }
     }
 }
