@@ -3,8 +3,8 @@
 //!
 //! Modes:
 //! - `refold [--threads K] TRACE...` — fold each recording at K shards and
-//!   print one JSON line per trace (workload, frames, events, folded
-//!   statement/dependence counts).
+//!   print one JSON line per trace (workload, events, the share of them the
+//!   recording spelled as predictions, folded statement/dependence counts).
 //! - `refold --assert-live [--threads K] TRACE...` — additionally run the
 //!   live profiler on the matching workload and require the replayed
 //!   folded DDG to be byte-identical (`FoldedDdg::canonical_text`); exits
@@ -21,8 +21,10 @@ use polyprof_bench::JsonObj;
 use polyprof_core::polyfold::replay::fold_recording;
 use polyprof_core::polyfold::{self, FoldOptions};
 use polyprof_core::polyrec::{program_hash, TraceReader};
+use polytrace::{Collector, Counter, MetricsLevel};
 use std::path::Path;
 use std::process::exit;
+use std::sync::Arc;
 
 /// Find the registry program a recording was captured from, by hash.
 fn lookup(path: &Path) -> (&'static str, polyir::Program) {
@@ -138,14 +140,21 @@ fn main() {
     for trace in &traces {
         let path = Path::new(trace);
         let (name, prog) = lookup(path);
-        let (ddg, _interner) =
-            match fold_recording(path, &prog, threads, FoldOptions::default(), None) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("refold: {trace}: {e}");
-                    exit(1);
-                }
-            };
+        let counters = Arc::new(Collector::new(MetricsLevel::Counters));
+        let folded = fold_recording(
+            path,
+            &prog,
+            threads,
+            FoldOptions::default(),
+            Some(&counters),
+        );
+        let (ddg, _interner) = match folded {
+            Ok(r) => r,
+            Err(e) => {
+                eprintln!("refold: {trace}: {e}");
+                exit(1);
+            }
+        };
         let replayed = ddg.canonical_text();
         let mut live_ok = true;
         if assert_live {
@@ -160,10 +169,14 @@ fn main() {
                 }
             }
         }
+        let events = counters.get(Counter::EventsFolded);
+        let predicted = counters.get(Counter::RecEventsPredicted);
         let mut j = JsonObj::new();
         j.str_field("workload", name)
             .str_field("trace", trace)
             .int_field("threads", threads as u64)
+            .int_field("events", events)
+            .num_field("predicted_share", predicted as f64 / events.max(1) as f64)
             .int_field("stmts", ddg.stmts.len() as u64)
             .int_field("deps", ddg.deps.len() as u64)
             .int_field("dyn_ops", ddg.total_ops);

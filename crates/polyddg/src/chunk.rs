@@ -1,6 +1,5 @@
 //! Fixed-size event chunks — the unit of transfer between the producer and
-//! the folding workers of an intra-trace parallel profiling run, and the
-//! frame of a `.ptrace` recording.
+//! the folding workers of an intra-trace parallel profiling run.
 //!
 //! A [`EventChunk`] is a flat, reusable buffer of folding-interface events:
 //! per-event records live in one `Vec`, all coordinate vectors in a shared
@@ -302,6 +301,32 @@ impl EventChunk {
                 } => sink.dependence(kind, src, src_coords, dst, dst_coords),
             }
         }
+    }
+}
+
+/// A chunk is itself a sink: events land in it in arrival order (what a
+/// `.ptrace` reader decodes a frame into when asked for a chunk).
+impl FoldSink for EventChunk {
+    #[inline]
+    fn instr_point(&mut self, stmt: StmtId, coords: &[i64], value: Option<i64>) {
+        self.push_point(stmt, coords, value);
+    }
+
+    #[inline]
+    fn mem_access(&mut self, stmt: StmtId, coords: &[i64], addr: u64, is_write: bool) {
+        self.push_access(stmt, coords, addr, is_write);
+    }
+
+    #[inline]
+    fn dependence(
+        &mut self,
+        kind: DepKind,
+        src: StmtId,
+        src_coords: &[i64],
+        dst: StmtId,
+        dst_coords: &[i64],
+    ) {
+        self.push_dep(kind, src, src_coords, dst, dst_coords);
     }
 }
 

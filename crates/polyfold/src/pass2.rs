@@ -7,8 +7,8 @@
 //! │   interning, register deps,       │   │   the calling thread         │
 //! │   shadow) → [Recorder] → MemSynth ├──▶├──────────────────────────────┤
 //! ├───────────────────────────────────┤   │ Workers: ShardRouter → n     │
-//! │ Recording: TraceReader, frame by  │   │   threads, one FoldingSink   │
-//! │   frame                           │   │   each, under the supervisor │
+//! │ Recording: TraceReader decodes    │   │   threads, one FoldingSink   │
+//! │   each frame into the target      │   │   each, under the supervisor │
 //! └───────────────────────────────────┘   └──────────────────────────────┘
 //! ```
 //!
@@ -36,10 +36,10 @@
 use crate::pipeline::{finalize_shards, with_fold_workers, WorkerOut};
 use crate::{FoldOptions, FoldedDdg, FoldingSink};
 use polycfg::StaticStructure;
-use polyddg::chunk::{ChunkStats, ChunkWriter, EventChunk};
+use polyddg::chunk::{ChunkStats, ChunkWriter};
 use polyddg::prune::{PruneMask, PrunedEvents};
-use polyddg::{DdgConfig, DdgProfiler, FoldSink, MemSynth};
-use polyiiv::context::ContextInterner;
+use polyddg::{DdgConfig, DdgProfiler, DepKind, FoldSink, MemSynth};
+use polyiiv::context::{ContextInterner, StmtId};
 use polyir::Program;
 use polyrec::{program_hash, Recorder, TraceReader};
 use polyresist::{FaultPlan, PolyProfError, ResourceBudget, RunDegradation};
@@ -496,10 +496,21 @@ fn run_profiler<S: FoldSink>(
     Ok((out, interner, tallies))
 }
 
+/// Where a recording's frames go once the deadline has latched: decoded and
+/// verified, then dropped.
+struct Discard;
+
+impl FoldSink for Discard {
+    fn instr_point(&mut self, _: StmtId, _: &[i64], _: Option<i64>) {}
+    fn mem_access(&mut self, _: StmtId, _: &[i64], _: u64, _: bool) {}
+    fn dependence(&mut self, _: DepKind, _: StmtId, _: &[i64], _: StmtId, _: &[i64]) {}
+}
+
 /// The recording source: check that `path` was captured from `prog`, then
-/// replay every frame into `out`, with one heartbeat and deadline poll per
-/// frame. Once the deadline latches, the remaining frames are decoded and
-/// verified — the statement table is in the footer — but not folded.
+/// decode every frame straight into `out`, with one heartbeat and deadline
+/// poll per frame. Once the deadline latches, the remaining frames are
+/// decoded and verified — the statement table is in the footer — but not
+/// folded.
 fn replay<S: FoldSink>(
     prog: &Program,
     path: &Path,
@@ -519,10 +530,14 @@ fn replay<S: FoldSink>(
             ),
         });
     }
-    let mut chunk = EventChunk::default();
-    while reader.next_chunk(&mut chunk)? {
-        if !budget.is_some_and(|b| b.beat(0, out.events_seen())) {
-            chunk.replay_into(&mut out);
+    loop {
+        let more = if budget.is_some_and(|b| b.beat(0, out.events_seen())) {
+            reader.next_into(&mut Discard)?
+        } else {
+            reader.next_into(&mut out)?
+        };
+        if !more {
+            break;
         }
     }
     let (interner, stats) = reader.finish()?;
@@ -530,6 +545,7 @@ fn replay<S: FoldSink>(
         counts: vec![
             (Counter::RecFramesRead, stats.frames),
             (Counter::RecBytesRead, stats.bytes),
+            (Counter::RecEventsPredicted, stats.predicted),
         ],
         ..SourceTallies::default()
     };

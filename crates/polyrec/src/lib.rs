@@ -1,38 +1,44 @@
 //! `polyrec`: versioned on-disk event-stream recordings.
 //!
 //! Splits profiling from analysis (ROADMAP item 2): a [`Recorder`] taps the
-//! resolved folding-interface stream during a live run and persists it as a
-//! compact `.ptrace` file; a [`TraceReader`] replays the frames back into
-//! recycled [`EventChunk`]s so the folder can re-run at any shard count K
-//! without the VM, the shadow memory, or even the original binary.
+//! resolved folding-interface stream during a live run and encodes each
+//! event into a compact `.ptrace` frame as it passes; a [`TraceReader`]
+//! decodes the frames straight into a [`FoldSink`] so the folder can re-run
+//! at any shard count K without the VM, the shadow memory, or even the
+//! original binary.
 //!
-//! # File layout (format version 1)
+//! # File layout (format version 2)
 //!
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"POLYREC\0"
 //! 8       4     format version (u32 LE)         — mismatch is a hard error
 //! 12      8     program hash (u64 LE)           — FNV-1a of the IR rendering
-//! 20      4     chunk_events (u32 LE)           — recorder's chunk capacity
+//! 20      4     chunk_events (u32 LE)           — events per frame
 //! 24      8     total events (u64 LE)           — patched at finish()
 //! 32      8     total frames (u64 LE)           — patched at finish()
 //! 40      4     workload-name length (u32 LE)
 //! 44      n     workload name (UTF-8)
-//! --      --    frames: [0x01][payload len u32][payload][FNV-1a u64] ...
-//! --      --    footer: [0x02][payload len u32][payload][FNV-1a u64]
+//! --      --    frames: [0x01][payload len u32][payload][checksum u64] ...
+//! --      --    footer: [0x02][payload len u32][payload][checksum u64]
 //! --      8     end magic b"POLYREND"
 //! ```
 //!
-//! Frame payloads are delta-coded zigzag varints (see [`codec`]); the footer
-//! carries the interner's statement table plus the authoritative event/frame
-//! totals. Three independent truncation tripwires — per-frame checksums, the
-//! header counts (patched in place at `finish`, so a crash mid-write leaves
-//! zeros), and the footer totals + end magic — mean a torn or bit-flipped
-//! file surfaces as a structured [`PolyProfError::Recording`], never a panic
-//! or a silently short replay.
+//! Frame payloads spell an event either in full — delta-coded zigzag
+//! varints — or, when it continues its key's stride, as a two-byte
+//! prediction (see [`codec`]); checksums are [`codec::frame_checksum`], one
+//! multiply per 8-byte word. The footer carries the interner's statement
+//! table plus the authoritative event/frame totals. Three independent
+//! truncation tripwires — per-frame checksums, the header counts (patched in
+//! place at `finish`, so a crash mid-write leaves zeros), and the footer
+//! totals + end magic — and a footer statement table that must cover every
+//! statement the frames named mean a torn, bit-flipped or forged file
+//! surfaces as a structured [`PolyProfError::Recording`], never a panic or a
+//! silently short replay.
 
 pub mod codec;
 
+use codec::{FrameDecoder, FrameEncoder};
 use polyddg::chunk::EventChunk;
 use polyddg::{DepKind, FoldSink};
 use polyiiv::context::{ContextInterner, StmtId};
@@ -48,7 +54,7 @@ pub const MAGIC: [u8; 8] = *b"POLYREC\0";
 pub const END_MAGIC: [u8; 8] = *b"POLYREND";
 /// Current format version. Readers accept exactly this version; a bump is a
 /// hard, tested error — old fixtures must be re-recorded, never reinterpreted.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Byte offset of the format version in the header.
 pub const HDR_VERSION_OFF: u64 = 8;
@@ -57,7 +63,7 @@ pub const HDR_EVENTS_OFF: u64 = 24;
 /// Byte offset of the total-frame count patched at `finish()`.
 pub const HDR_FRAMES_OFF: u64 = 32;
 
-/// Frame tag: one encoded [`EventChunk`].
+/// Frame tag: one [`FrameEncoder`] payload of events.
 const TAG_FRAME: u8 = 1;
 /// Frame tag: the footer (statement table + totals).
 const TAG_FOOTER: u8 = 2;
@@ -111,15 +117,14 @@ pub struct WriteStats {
     pub bytes: u64,
 }
 
-/// Streaming `.ptrace` writer: header up front, one frame per chunk, footer
-/// plus header count-patch at [`finish`](Self::finish).
+/// Streaming `.ptrace` writer: header up front, the frames a [`Recorder`]
+/// encodes, footer plus header count-patch at [`finish`](Self::finish).
 pub struct TraceWriter<W: Write + Seek> {
     w: W,
     label: String,
     frames: u64,
     events: u64,
     bytes: u64,
-    payload: Vec<u8>,
 }
 
 impl TraceWriter<BufWriter<File>> {
@@ -164,40 +169,36 @@ impl<W: Write + Seek> TraceWriter<W> {
             frames: 0,
             events: 0,
             bytes: hdr.len() as u64,
-            payload: Vec::new(),
         })
     }
 
-    /// Append one chunk as a checksummed frame.
-    pub fn write_chunk(&mut self, chunk: &EventChunk) -> Result<(), PolyProfError> {
-        if chunk.is_empty() {
+    /// Append the encoder's current frame (nothing when it holds no event).
+    fn write_frame(&mut self, enc: &FrameEncoder) -> Result<(), PolyProfError> {
+        if enc.events() == 0 {
             return Ok(());
         }
-        self.payload.clear();
-        codec::encode_chunk(chunk, &mut self.payload);
-        self.emit_frame(TAG_FRAME)?;
+        self.emit(TAG_FRAME, enc.payload())?;
         self.frames += 1;
-        self.events += chunk.len() as u64;
+        self.events += enc.events();
         Ok(())
     }
 
-    fn emit_frame(&mut self, tag: u8) -> Result<(), PolyProfError> {
-        if self.payload.len() as u64 > MAX_PAYLOAD as u64 {
+    fn emit(&mut self, tag: u8, payload: &[u8]) -> Result<(), PolyProfError> {
+        if payload.len() as u64 > MAX_PAYLOAD as u64 {
             return Err(rec_err(
                 &self.label,
-                format!("frame payload of {} bytes exceeds cap", self.payload.len()),
+                format!("frame payload of {} bytes exceeds cap", payload.len()),
             ));
         }
-        let sum = codec::fnv1a(&self.payload);
+        let sum = codec::frame_checksum(payload);
         let r: Result<(), std::io::Error> = (|| {
             self.w.write_all(&[tag])?;
-            self.w
-                .write_all(&(self.payload.len() as u32).to_le_bytes())?;
-            self.w.write_all(&self.payload)?;
+            self.w.write_all(&(payload.len() as u32).to_le_bytes())?;
+            self.w.write_all(payload)?;
             self.w.write_all(&sum.to_le_bytes())
         })();
         r.map_err(|e| io_err(&self.label, "write frame", e))?;
-        self.bytes += 1 + 4 + self.payload.len() as u64 + 8;
+        self.bytes += 1 + 4 + payload.len() as u64 + 8;
         Ok(())
     }
 
@@ -205,11 +206,11 @@ impl<W: Write + Seek> TraceWriter<W> {
     /// header counts, and flush. Consumes the writer; a recording without a
     /// successful `finish` is detectably truncated.
     pub fn finish(mut self, interner: &ContextInterner) -> Result<WriteStats, PolyProfError> {
-        self.payload.clear();
-        codec::encode_interner(&mut self.payload, interner);
-        codec::write_uv(&mut self.payload, self.events);
-        codec::write_uv(&mut self.payload, self.frames);
-        self.emit_frame(TAG_FOOTER)?;
+        let mut footer = Vec::new();
+        codec::encode_interner(&mut footer, interner);
+        codec::write_uv(&mut footer, self.events);
+        codec::write_uv(&mut footer, self.frames);
+        self.emit(TAG_FOOTER, &footer)?;
         let r: Result<(), std::io::Error> = (|| {
             self.w.write_all(&END_MAGIC)?;
             self.w.seek(SeekFrom::Start(HDR_EVENTS_OFF))?;
@@ -237,8 +238,8 @@ impl<W: Write + Seek> TraceWriter<W> {
 }
 
 /// A recording tap: forwards every resolved event to an inner [`FoldSink`]
-/// unchanged while buffering a copy into chunks and spilling each full chunk
-/// as one frame.
+/// unchanged after encoding it into the current frame, and writes each
+/// frame once it holds `chunk_events` events.
 ///
 /// Sink methods are infallible by contract, so IO failures are stashed and
 /// surfaced at [`finish`](Self::finish) — the live fold is never disturbed
@@ -246,8 +247,8 @@ impl<W: Write + Seek> TraceWriter<W> {
 pub struct Recorder<S: FoldSink, W: Write + Seek> {
     inner: S,
     writer: TraceWriter<W>,
-    buf: EventChunk,
-    cap: usize,
+    enc: FrameEncoder,
+    cap: u64,
     err: Option<PolyProfError>,
 }
 
@@ -265,31 +266,29 @@ impl<S: FoldSink> Recorder<S, BufWriter<File>> {
 }
 
 impl<S: FoldSink, W: Write + Seek> Recorder<S, W> {
-    /// Tap `inner` and spill chunks of `chunk_events` events into `writer`.
+    /// Tap `inner` and write frames of `chunk_events` events into `writer`.
     pub fn new(writer: TraceWriter<W>, chunk_events: usize, inner: S) -> Self {
-        let cap = chunk_events.max(1);
         Recorder {
             inner,
             writer,
-            buf: EventChunk::with_capacity(cap),
-            cap,
+            enc: FrameEncoder::new(),
+            cap: chunk_events.max(1) as u64,
             err: None,
         }
     }
 
     fn spill(&mut self) {
-        if self.err.is_some() || self.buf.is_empty() {
-            self.buf.clear();
-            return;
+        if self.err.is_none() {
+            if let Err(e) = self.writer.write_frame(&self.enc) {
+                self.err = Some(e);
+            }
         }
-        if let Err(e) = self.writer.write_chunk(&self.buf) {
-            self.err = Some(e);
-        }
-        self.buf.clear();
+        self.enc.reset();
     }
 
+    #[inline]
     fn after_push(&mut self) {
-        if self.buf.len() >= self.cap {
+        if self.enc.events() >= self.cap {
             self.spill();
         }
     }
@@ -308,13 +307,13 @@ impl<S: FoldSink, W: Write + Seek> Recorder<S, W> {
 
 impl<S: FoldSink, W: Write + Seek> FoldSink for Recorder<S, W> {
     fn instr_point(&mut self, stmt: StmtId, coords: &[i64], value: Option<i64>) {
-        self.buf.push_point(stmt, coords, value);
+        self.enc.instr_point(stmt, coords, value);
         self.after_push();
         self.inner.instr_point(stmt, coords, value);
     }
 
     fn mem_access(&mut self, stmt: StmtId, coords: &[i64], addr: u64, is_write: bool) {
-        self.buf.push_access(stmt, coords, addr, is_write);
+        self.enc.mem_access(stmt, coords, addr, is_write);
         self.after_push();
         self.inner.mem_access(stmt, coords, addr, is_write);
     }
@@ -327,7 +326,7 @@ impl<S: FoldSink, W: Write + Seek> FoldSink for Recorder<S, W> {
         dst: StmtId,
         dst_coords: &[i64],
     ) {
-        self.buf.push_dep(kind, src, src_coords, dst, dst_coords);
+        self.enc.dependence(kind, src, src_coords, dst, dst_coords);
         self.after_push();
         self.inner
             .dependence(kind, src, src_coords, dst, dst_coords);
@@ -364,11 +363,15 @@ pub struct ReadStats {
     pub events: u64,
     /// Total payload bytes decoded (frames + footer).
     pub bytes: u64,
+    /// Events spelled as a prediction from their key's stride (a subset of
+    /// `events`).
+    pub predicted: u64,
 }
 
-/// Streaming `.ptrace` reader: [`next_chunk`](Self::next_chunk) until it
-/// returns `false`, then [`finish`](Self::finish) to recover the interner
-/// and cross-check all three event counts.
+/// Streaming `.ptrace` reader: [`next_into`](Self::next_into) a fold sink
+/// (or [`next_chunk`](Self::next_chunk)) until it returns `false`, then
+/// [`finish`](Self::finish) to recover the interner and cross-check all
+/// three event counts.
 #[derive(Debug)]
 pub struct TraceReader<R: Read> {
     r: R,
@@ -378,6 +381,7 @@ pub struct TraceReader<R: Read> {
     events: u64,
     bytes: u64,
     payload: Vec<u8>,
+    dec: FrameDecoder,
     footer: Option<(ContextInterner, u64, u64)>,
 }
 
@@ -438,6 +442,7 @@ impl<R: Read> TraceReader<R> {
             events: 0,
             bytes: 0,
             payload: Vec::new(),
+            dec: FrameDecoder::new(),
             footer: None,
         })
     }
@@ -453,33 +458,41 @@ impl<R: Read> TraceReader<R> {
             frames: self.frames,
             events: self.events,
             bytes: self.bytes,
+            predicted: self.dec.predicted(),
         }
     }
 
-    /// Decode the next frame into `chunk` (cleared first; pass a recycled
-    /// chunk to amortize its buffers). Returns `Ok(false)` once the footer
-    /// is reached — after that, call [`finish`](Self::finish).
-    pub fn next_chunk(&mut self, chunk: &mut EventChunk) -> Result<bool, PolyProfError> {
+    /// Verify the next frame and decode its events straight into `sink`, in
+    /// recorded order. Returns `Ok(false)` once the footer is reached — after
+    /// that, call [`finish`](Self::finish). On `Err` the sink may have seen
+    /// part of the frame; the recording is unusable either way.
+    pub fn next_into<S: FoldSink>(&mut self, sink: &mut S) -> Result<bool, PolyProfError> {
         if self.footer.is_some() {
-            chunk.clear();
             return Ok(false);
         }
-        let tag = self.read_frame()?;
-        match tag {
+        match self.read_frame()? {
             TAG_FRAME => {
-                let n = codec::decode_chunk(&self.payload, chunk)
+                let n = self
+                    .dec
+                    .decode(&self.payload, sink)
                     .map_err(|d| rec_err(&self.label, format!("frame {}: {d}", self.frames)))?;
                 self.frames += 1;
                 self.events += n;
                 Ok(true)
             }
             TAG_FOOTER => {
-                chunk.clear();
                 self.read_footer()?;
                 Ok(false)
             }
             other => Err(rec_err(&self.label, format!("unknown frame tag {other}"))),
         }
+    }
+
+    /// [`next_into`](Self::next_into) a chunk, cleared first (pass a
+    /// recycled chunk to amortize its buffers).
+    pub fn next_chunk(&mut self, chunk: &mut EventChunk) -> Result<bool, PolyProfError> {
+        chunk.clear();
+        self.next_into(chunk)
     }
 
     /// Read one tagged frame into `self.payload`, verifying its checksum.
@@ -515,7 +528,7 @@ impl<R: Read> TraceReader<R> {
             "frame checksum (file truncated)",
         )?;
         let want = u64::from_le_bytes(sum);
-        let got = codec::fnv1a(&self.payload);
+        let got = codec::frame_checksum(&self.payload);
         if want != got {
             return Err(rec_err(
                 &self.label,
@@ -542,6 +555,18 @@ impl<R: Read> TraceReader<R> {
             .map_err(|d| rec_err(&self.label, format!("footer totals: {d}")))?;
         if !cur.is_done() {
             return Err(rec_err(&self.label, "footer has trailing bytes"));
+        }
+        // Checked here, before anything can look a statement up in the table:
+        // every id the frames handed the fold must have a row.
+        if self.dec.stmt_end() > stmts.len() as u64 {
+            return Err(rec_err(
+                &self.label,
+                format!(
+                    "frames name statement {} but the footer's table holds {}",
+                    self.dec.stmt_end() - 1,
+                    stmts.len()
+                ),
+            ));
         }
         let mut end = [0u8; 8];
         read_exact(
@@ -593,11 +618,7 @@ impl<R: Read> TraceReader<R> {
     /// [`next_chunk`](Self::next_chunk) returned `false` is an error — the
     /// stream was not fully verified.
     pub fn finish(self) -> Result<(ContextInterner, ReadStats), PolyProfError> {
-        let stats = ReadStats {
-            frames: self.frames,
-            events: self.events,
-            bytes: self.bytes,
-        };
+        let stats = self.stats();
         match self.footer {
             Some((interner, _, _)) => Ok((interner, stats)),
             None => Err(rec_err(
@@ -646,23 +667,52 @@ mod tests {
         )
     }
 
+    #[derive(Default)]
+    struct CountSink(usize);
+
+    impl FoldSink for CountSink {
+        fn instr_point(&mut self, _: StmtId, _: &[i64], _: Option<i64>) {
+            self.0 += 1;
+        }
+        fn mem_access(&mut self, _: StmtId, _: &[i64], _: u64, _: bool) {
+            self.0 += 1;
+        }
+        fn dependence(&mut self, _: DepKind, _: StmtId, _: &[i64], _: StmtId, _: &[i64]) {
+            self.0 += 1;
+        }
+    }
+
+    /// A recording of whatever `events` feeds a tap writing frames of `cap`
+    /// events, finished against `interner`.
+    fn record(
+        cap: usize,
+        interner: &ContextInterner,
+        events: impl FnOnce(&mut Recorder<CountSink, IoCursor<&mut Vec<u8>>>),
+    ) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        let w = TraceWriter::new(IoCursor::new(&mut bytes), "<mem>".into(), 42, "unit", cap)
+            .expect("in-memory header");
+        let mut rec = Recorder::new(w, cap, CountSink::default());
+        events(&mut rec);
+        rec.finish(interner).expect("in-memory recording");
+        bytes
+    }
+
+    /// Read a recording through to `finish`.
+    fn read_all(bytes: &[u8]) -> Result<(ContextInterner, ReadStats), PolyProfError> {
+        let mut r = TraceReader::new(IoCursor::new(bytes), "<mem>".into())?;
+        let mut chunk = EventChunk::default();
+        while r.next_chunk(&mut chunk)? {}
+        r.finish()
+    }
+
     #[test]
     fn roundtrip_in_memory() {
-        let mut bytes = Vec::new();
-        {
-            let buf = IoCursor::new(&mut bytes);
-            let mut w = TraceWriter::new(buf, "<mem>".into(), 42, "unit", 4).unwrap();
-            let mut c = EventChunk::with_capacity(4);
-            c.push_point(StmtId(0), &[0, 7], Some(-3));
-            c.push_access(StmtId(0), &[0, 7], 128, false);
-            w.write_chunk(&c).unwrap();
-            c.clear();
-            c.push_dep(DepKind::Anti, StmtId(0), &[1], StmtId(0), &[2]);
-            w.write_chunk(&c).unwrap();
-            let stats = w.finish(&interner_with_stmts()).unwrap();
-            assert_eq!(stats.frames, 2);
-            assert_eq!(stats.events, 3);
-        }
+        let bytes = record(2, &interner_with_stmts(), |rec| {
+            rec.instr_point(StmtId(0), &[0, 7], Some(-3));
+            rec.mem_access(StmtId(0), &[0, 7], 128, false);
+            rec.dependence(DepKind::Anti, StmtId(0), &[1], StmtId(0), &[2]);
+        });
         let mut r = TraceReader::new(IoCursor::new(&bytes[..]), "<mem>".into()).unwrap();
         assert_eq!(r.meta().program_hash, 42);
         assert_eq!(r.meta().workload, "unit");
@@ -725,19 +775,6 @@ mod tests {
 
     #[test]
     fn recorder_taps_without_perturbing_inner() {
-        #[derive(Default)]
-        struct CountSink(usize);
-        impl FoldSink for CountSink {
-            fn instr_point(&mut self, _: StmtId, _: &[i64], _: Option<i64>) {
-                self.0 += 1;
-            }
-            fn mem_access(&mut self, _: StmtId, _: &[i64], _: u64, _: bool) {
-                self.0 += 1;
-            }
-            fn dependence(&mut self, _: DepKind, _: StmtId, _: &[i64], _: StmtId, _: &[i64]) {
-                self.0 += 1;
-            }
-        }
         let mut bytes = Vec::new();
         {
             let w =
@@ -781,6 +818,54 @@ mod tests {
         let err = r.next_chunk(&mut EventChunk::default()).unwrap_err();
         assert!(err.to_string().contains("frame payload"), "{err}");
         assert!(r.payload.capacity() < 4096, "{}", r.payload.capacity());
+    }
+
+    /// Well-checksummed frames naming a statement the footer's table does
+    /// not hold are refused at the footer — before a fold could look the
+    /// statement up — not a panic in finalize.
+    #[test]
+    fn frames_naming_a_statement_past_the_table_are_refused() {
+        let empty = ContextInterner::from_parts(Vec::new(), Vec::new());
+        for (table, stmt) in [(&empty, 999), (&empty, 0), (&interner_with_stmts(), 1)] {
+            let bytes = record(4, table, |rec| rec.instr_point(StmtId(stmt), &[0], None));
+            match read_all(&bytes) {
+                Err(PolyProfError::Recording { detail, .. }) => assert!(
+                    detail.contains(&format!("statement {stmt} but the footer's table holds")),
+                    "{detail}"
+                ),
+                other => panic!("statement {stmt}: expected a recording error, got {other:?}"),
+            }
+        }
+        let fine = record(4, &interner_with_stmts(), |rec| {
+            rec.instr_point(StmtId(0), &[0], None)
+        });
+        assert_eq!(read_all(&fine).unwrap().1.events, 1);
+    }
+
+    /// Every single-bit flip anywhere in a small frame — tag, length,
+    /// payload, checksum — and every truncation of the file is an error.
+    #[test]
+    fn every_bit_flip_of_a_frame_and_every_truncation_is_an_error() {
+        let bytes = record(16, &interner_with_stmts(), |rec| {
+            for i in 0..4i64 {
+                rec.instr_point(StmtId(0), &[0, i], Some(2 * i));
+                rec.mem_access(StmtId(0), &[0, i], 64 + i as u64, true);
+            }
+            rec.dependence(DepKind::Flow, StmtId(0), &[0, 1], StmtId(0), &[0, 2]);
+        });
+        assert!(read_all(&bytes).is_ok());
+        let frame = 44 + "unit".len();
+        let payload_len = u32::from_le_bytes(bytes[frame + 1..frame + 5].try_into().unwrap());
+        let frame_end = frame + 1 + 4 + payload_len as usize + 8;
+        let mut flipped = bytes.clone();
+        for bit in frame * 8..frame_end * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(read_all(&flipped).is_err(), "flip of bit {bit} went unseen");
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+        for cut in 0..bytes.len() {
+            assert!(read_all(&bytes[..cut]).is_err(), "cut at {cut} went unseen");
+        }
     }
 
     #[test]

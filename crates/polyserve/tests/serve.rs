@@ -377,6 +377,47 @@ fn trace_submission_replays_and_garbage_is_rejected() {
     server.shutdown();
 }
 
+/// An upload that passes admission — valid header, matching program hash,
+/// every frame checksummed — but names a statement its own footer does not
+/// hold fails its session with the recording's structured error, not a
+/// panic, and the server goes on serving the same connection.
+#[test]
+fn forged_statement_upload_fails_structurally_and_the_server_serves_on() {
+    use polyprof_core::polyddg::{CollectSink, FoldSink};
+    use polyprof_core::polyiiv::context::{ContextInterner, StmtId};
+    use polyprof_core::polyrec::{program_hash, Recorder, TraceWriter};
+    let prog = rodinia::paper_examples::fig6_kernel(16, 8);
+    let mut bytes = Vec::new();
+    let w = TraceWriter::new(
+        std::io::Cursor::new(&mut bytes),
+        "<forged>".into(),
+        program_hash(&prog),
+        &prog.name,
+        4,
+    )
+    .unwrap();
+    let mut rec = Recorder::new(w, 4, CollectSink::default());
+    rec.instr_point(StmtId(999), &[0], None);
+    rec.finish(&ContextInterner::from_parts(Vec::new(), Vec::new()))
+        .unwrap();
+
+    let server = serve("127.0.0.1:0", ServerConfig::default(), registry()).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let forged = Submission::Trace {
+        workload: "fig6",
+        bytes: &bytes,
+    };
+    match c.submit(forged, &SubmitOpts::default()).unwrap() {
+        Outcome::Failed { error } => {
+            assert!(error.contains("statement 999"), "{error}");
+            assert!(!error.contains("panicked"), "{error}");
+        }
+        other => panic!("expected Failed, got {other:?}"),
+    }
+    done(&mut c, Submission::Program { workload: "fig6" });
+    server.shutdown();
+}
+
 /// Progress frames carry the run's own heartbeat: valid JSON, monotone, and
 /// moving while the session folds — not a row of zeros closed by the total.
 #[test]

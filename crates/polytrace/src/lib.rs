@@ -572,10 +572,13 @@ pub enum Counter {
     RecFramesRead,
     /// Trace-recording payload bytes decoded during replay (`polyrec` reader).
     RecBytesRead,
+    /// Replayed events the recording spelled as a prediction from their
+    /// key's stride (subset of the events read; `polyrec` reader).
+    RecEventsPredicted,
 }
 
 /// Number of [`Counter`] slots.
-pub const N_COUNTERS: usize = 43;
+pub const N_COUNTERS: usize = 44;
 
 impl Counter {
     /// All counters, in report order.
@@ -623,6 +626,7 @@ impl Counter {
         Counter::RecBytesWritten,
         Counter::RecFramesRead,
         Counter::RecBytesRead,
+        Counter::RecEventsPredicted,
     ];
 
     /// Stable snake_case name (JSON keys, table rows).
@@ -671,6 +675,7 @@ impl Counter {
             Counter::RecBytesWritten => "rec_bytes_written",
             Counter::RecFramesRead => "rec_frames_read",
             Counter::RecBytesRead => "rec_bytes_read",
+            Counter::RecEventsPredicted => "rec_events_predicted",
         }
     }
 

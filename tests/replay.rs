@@ -2,8 +2,8 @@
 //! must re-fold *byte-identically* (via `FoldedDdg::canonical_text`) to the
 //! live result at every shard count, and every corruption of the file —
 //! truncation, bad magic, a format-version bump, a flipped payload byte, a
-//! tampered header count — must surface as a structured `PolyProfError`,
-//! never a panic.
+//! tampered header count, a statement the footer's table lacks — must
+//! surface as a structured `PolyProfError`, never a panic.
 //!
 //! Why identity holds: a recording carries the folding-interface stream
 //! in serial order; replay routes it through the same
@@ -13,12 +13,17 @@
 mod common;
 
 use common::{deep_nest, elementwise, stencil};
+use polyprof_core::polyddg::{CollectSink, FoldSink};
 use polyprof_core::polyfold::pass2::{self, Live, Pass2, Source, Target};
 use polyprof_core::polyfold::{self, replay::fold_recording, FoldOptions, FoldedDdg};
-use polyprof_core::polyrec::{FORMAT_VERSION, HDR_EVENTS_OFF, HDR_VERSION_OFF, MAGIC};
+use polyprof_core::polyiiv::context::{ContextInterner, StmtId};
+use polyprof_core::polyrec::{
+    program_hash, Recorder, TraceWriter, FORMAT_VERSION, HDR_EVENTS_OFF, HDR_VERSION_OFF, MAGIC,
+};
 use polyprof_core::polyresist::{FaultPlan, FaultSite, PolyProfError, ResourceBudget};
+use polyprof_core::polytrace::Counter;
 use polyprof_core::{polycfg, polyir::Program, polyvm};
-use polyprof_core::{try_profile_with, ProfileConfig};
+use polyprof_core::{try_profile_with, MetricsLevel, ProfileConfig};
 use proptest::prelude::*;
 use rodinia::paper_examples::fig6_kernel;
 use std::fs;
@@ -54,6 +59,25 @@ fn record_live(prog: &Program, path: &Path, fold_threads: usize) -> FoldedDdg {
         "recording a healthy run must not degrade: {deg:?}"
     );
     out.ddg
+}
+
+/// A finished, correctly checksummed recording of `prog` whose one frame
+/// names statement 999 while its footer's statement table is empty.
+fn forged_stmt_recording(prog: &Program) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    let w = TraceWriter::new(
+        std::io::Cursor::new(&mut bytes),
+        "<forged>".into(),
+        program_hash(prog),
+        &prog.name,
+        4,
+    )
+    .unwrap();
+    let mut rec = Recorder::new(w, 4, CollectSink::default());
+    rec.instr_point(StmtId(999), &[0], None);
+    rec.finish(&ContextInterner::from_parts(Vec::new(), Vec::new()))
+        .unwrap();
+    bytes
 }
 
 /// The headline invariant: replaying a recording reproduces the live fold
@@ -272,6 +296,49 @@ fn header_count_tamper_is_detected() {
     let err = fold_recording(&path, &prog, 1, FoldOptions::default(), None)
         .expect_err("count disagreement must be detected");
     assert!(matches!(err, PolyProfError::Recording { .. }));
+    fs::remove_file(&path).ok();
+}
+
+/// A replay counts what it read, the events the recording spelled as
+/// two-byte predictions among them — most of a strided stencil's.
+#[test]
+fn replay_counts_predicted_events() {
+    let prog = stencil(10, 3);
+    let path = scratch("predicted_count");
+    try_profile_with(&prog, &ProfileConfig::new().with_record_to(&path)).expect("record run");
+    let replay = ProfileConfig::new()
+        .with_metrics(MetricsLevel::Counters)
+        .with_replay_from(&path);
+    let m = try_profile_with(&prog, &replay)
+        .expect("replay run")
+        .metrics
+        .expect("metrics were asked for");
+    let folded = m.counter(Counter::EventsFolded);
+    let predicted = m.counter(Counter::RecEventsPredicted);
+    assert!(m.counter(Counter::RecFramesRead) > 0);
+    assert!(
+        2 * predicted > folded && predicted < folded,
+        "{predicted} of {folded} events predicted"
+    );
+    fs::remove_file(&path).ok();
+}
+
+/// A recording whose frames pass every checksum but name a statement its
+/// footer's table does not hold is a structured error at every K — not an
+/// index panic when finalize looks the statement up.
+#[test]
+fn statement_outside_the_footer_table_is_a_hard_error() {
+    let prog = elementwise(6, 2);
+    let path = scratch("forged_stmt");
+    fs::write(&path, forged_stmt_recording(&prog)).unwrap();
+    for k in [1usize, 2] {
+        match fold_recording(&path, &prog, k, FoldOptions::default(), None) {
+            Err(PolyProfError::Recording { detail, .. }) => {
+                assert!(detail.contains("statement 999"), "K={k}: {detail}")
+            }
+            other => panic!("K={k}: expected a Recording error, got {:?}", other.err()),
+        }
+    }
     fs::remove_file(&path).ok();
 }
 
