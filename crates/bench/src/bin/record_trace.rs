@@ -79,9 +79,7 @@ fn main() {
             println!("{}", j.render());
             continue;
         }
-        let cfg = ProfileConfig::new()
-            .with_fold_threads(4)
-            .with_record_to(&path);
+        let cfg = ProfileConfig::new().with_record_to(&path);
         let report = match try_profile_with(prog, &cfg) {
             Ok(r) => r,
             Err(e) => {

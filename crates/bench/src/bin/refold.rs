@@ -2,10 +2,10 @@
 //! invariants.
 //!
 //! Modes:
-//! - `refold [--threads K] TRACE...` — fold each recording at K shards and
-//!   print one JSON line per trace (workload, events, the share of them the
-//!   recording spelled as predictions, folded statement/dependence counts).
-//! - `refold --assert-live [--threads K] TRACE...` — additionally run the
+//! - `refold TRACE...` — fold each recording and print one JSON line per
+//!   trace (workload, events, the share of them the recording spelled as
+//!   predictions, folded statement/dependence counts).
+//! - `refold --assert-live TRACE...` — additionally run the
 //!   live profiler on the matching workload and require the replayed
 //!   folded DDG to be byte-identical (`FoldedDdg::canonical_text`); exits
 //!   non-zero on any divergence. This is the CI replay gate.
@@ -49,10 +49,10 @@ fn lookup(path: &Path) -> (&'static str, polyir::Program) {
     exit(1);
 }
 
-/// Fold one recording at `k` shards, returning its canonical text.
-fn refold_one(path: &Path, k: usize) -> (&'static str, String) {
+/// Fold one recording, returning its canonical text.
+fn refold_one(path: &Path) -> (&'static str, String) {
     let (name, prog) = lookup(path);
-    match fold_recording(path, &prog, k, FoldOptions::default(), None) {
+    match fold_recording(path, &prog, 1, FoldOptions::default(), None) {
         Ok((ddg, _)) => (name, ddg.canonical_text()),
         Err(e) => {
             eprintln!("refold: {}: {e}", path.display());
@@ -80,27 +80,17 @@ fn first_diff(a: &str, b: &str) -> Option<(usize, String, String)> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut threads = 1usize;
     let mut assert_live = false;
     let mut diff = false;
     let mut traces: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--threads" => {
-                i += 1;
-                threads = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--threads needs a positive integer");
-            }
             "--assert-live" => assert_live = true,
             "--diff" => diff = true,
             other if other.starts_with("--") => {
                 eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: refold [--threads K] [--assert-live] TRACE... | refold --diff A B"
-                );
+                eprintln!("usage: refold [--assert-live] TRACE... | refold --diff A B");
                 exit(2);
             }
             trace => traces.push(trace.to_string()),
@@ -113,8 +103,8 @@ fn main() {
             eprintln!("refold --diff takes exactly two traces");
             exit(2);
         }
-        let (name_a, text_a) = refold_one(Path::new(&traces[0]), threads);
-        let (name_b, text_b) = refold_one(Path::new(&traces[1]), threads);
+        let (name_a, text_a) = refold_one(Path::new(&traces[0]));
+        let (name_b, text_b) = refold_one(Path::new(&traces[1]));
         match first_diff(&text_a, &text_b) {
             None => {
                 println!(
@@ -133,7 +123,7 @@ fn main() {
     }
 
     if traces.is_empty() {
-        eprintln!("usage: refold [--threads K] [--assert-live] TRACE... | refold --diff A B");
+        eprintln!("usage: refold [--assert-live] TRACE... | refold --diff A B");
         exit(2);
     }
     let mut failed = false;
@@ -141,13 +131,7 @@ fn main() {
         let path = Path::new(trace);
         let (name, prog) = lookup(path);
         let counters = Arc::new(Collector::new(MetricsLevel::Counters));
-        let folded = fold_recording(
-            path,
-            &prog,
-            threads,
-            FoldOptions::default(),
-            Some(&counters),
-        );
+        let folded = fold_recording(path, &prog, 1, FoldOptions::default(), Some(&counters));
         let (ddg, _interner) = match folded {
             Ok(r) => r,
             Err(e) => {
@@ -174,7 +158,6 @@ fn main() {
         let mut j = JsonObj::new();
         j.str_field("workload", name)
             .str_field("trace", trace)
-            .int_field("threads", threads as u64)
             .int_field("events", events)
             .num_field("predicted_share", predicted as f64 / events.max(1) as f64)
             .int_field("stmts", ddg.stmts.len() as u64)

@@ -43,7 +43,7 @@ pub use polyresist::{FaultPlan, FaultSite, PolyProfError, ResourceBudget, RunDeg
 pub use polytrace::{MetricsLevel, RunMetrics};
 
 use polyfeedback::metrics::ProgramFeedback;
-use polyfold::pass2::{Live, Pass2, Source, Target};
+use polyfold::pass2::{Live, Pass2, Source};
 use polyir::Program;
 use polystatic::dataflow::StaticSummary;
 use polystatic::deps::StaticDeps;
@@ -98,13 +98,13 @@ pub struct Report {
     /// Post-fold DDG lint verdict, when [`ProfileConfig::lint`] was set.
     pub lint: Option<LintReport>,
     /// The profiler's *own* run metrics — per-stage wall times, pipeline
-    /// counters, and channel/cache gauges. `None` when the run was
+    /// counters, and cache gauges. `None` when the run was
     /// configured with [`MetricsLevel::Off`] (the default): the telemetry
     /// layer then costs nothing and the hot path stays allocation-free.
     pub metrics: Option<RunMetrics>,
-    /// Everything the run lost or recovered from: injected faults, stage
-    /// retries, dropped/malformed chunks, budget over-approximation, the
-    /// watchdog deadline. All-default (check [`RunDegradation::is_degraded`])
+    /// Everything the run lost: injected faults, unresolved accesses, budget
+    /// over-approximation, the watchdog deadline. All-default (check
+    /// [`RunDegradation::is_degraded`])
     /// for a clean run — which every run without a fault plan or budget is.
     pub degradation: RunDegradation,
     /// Canonical text of the folded DDG after SCEV removal — the
@@ -178,19 +178,12 @@ impl Report {
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct ProfileConfig {
-    /// Folding worker threads. `1` (the default; `0` means the same) folds
-    /// on the calling thread, in line with the event source. Any larger
-    /// value moves folding onto this many supervised worker threads, sharded
-    /// by folding key, while the calling thread keeps producing events; the
-    /// sharded differential suite bit-compares the two.
-    pub fold_threads: usize,
-    /// Events per pipeline chunk: the batching granularity between the
-    /// producer and the fold workers, and — whatever the fold target — the
-    /// frame size of a recording ([`ProfileConfig::with_record_to`]).
+    /// Events per frame of a recording ([`ProfileConfig::with_record_to`]).
     pub chunk_events: usize,
     /// Self-profiling level: [`MetricsLevel::Off`] (default, zero cost),
     /// `Counters` (hot-path tallies, harvested per stage), or `Timing`
-    /// (counters + per-stage spans and channel stall clocks).
+    /// (counters + per-stage spans and the VM's opcode profile), or `Trace`
+    /// (timing + a timeline).
     pub metrics: MetricsLevel,
     /// Run the static affine pre-pass (`polystatic::dataflow`) and skip
     /// register-dependence instrumentation for statically-proven SCEV
@@ -214,15 +207,10 @@ pub struct ProfileConfig {
     /// (`Report::degradation.deadline_hit`).
     pub deadline: Option<Duration>,
     /// Deterministic fault-injection schedule, for tests and the CI
-    /// resilience gate; `None` for production runs. The supervisor of the
-    /// fault sites belongs to fold worker threads, so an armed plan gets one
-    /// worker even at `fold_threads` ≤ 1. It applies to a live run and to a
-    /// replay (which has no `panic:pre` or `alloc:shadow` site to fire).
+    /// resilience gate; `None` for production runs. It applies to a live run
+    /// and to a replay (which has only the `stall:beat` site to fire). A
+    /// fired `panic:pre` makes the run a [`PolyProfError::StagePanic`].
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Panicked attempts on fold workers to retry before folding on the
-    /// calling thread. Read only when pass 2 has workers (`fold_threads` > 1,
-    /// or a fault plan): the calling-thread fold is not supervised.
-    pub max_retries: u32,
     /// Verify already-fitted affine candidates with overflow-checked `i64`
     /// dot products instead of exact rationals (falling back to the exact
     /// path on overflow or a non-integral fit). On — the default — is
@@ -232,15 +220,15 @@ pub struct ProfileConfig {
     pub fast_fit: bool,
     /// Record the resolved event stream of pass 2 into a versioned `.ptrace`
     /// file at this path (see `polyrec`). The live fold is undisturbed; the
-    /// recording can later be re-folded offline at any shard count via
+    /// recording can later be re-folded offline via
     /// [`ProfileConfig::replay_from`] with byte-identical results.
     /// Contradicts `replay_from` (a replay has no VM run to tap).
     pub record_to: Option<PathBuf>,
     /// Skip the pass-2 VM run entirely and fold a `.ptrace` recording from
     /// this path instead. Pass 1 still executes (the structure feeds the
     /// scheduling/feedback stages); the recording's program hash must match
-    /// `prog`. Budget, deadline, cancellation, fault plan, metrics and
-    /// `fold_threads` apply to the replayed fold exactly as to a live one;
+    /// `prog`. Budget, deadline, cancellation, fault plan and metrics apply
+    /// to the replayed fold exactly as to a live one;
     /// `record_to` and `static_prune` contradict it (there is no VM run to
     /// tap or to prune).
     pub replay_from: Option<PathBuf>,
@@ -263,7 +251,6 @@ pub struct ProfileConfig {
 impl Default for ProfileConfig {
     fn default() -> Self {
         ProfileConfig {
-            fold_threads: 1,
             chunk_events: 4096,
             metrics: MetricsLevel::Off,
             static_prune: false,
@@ -271,7 +258,6 @@ impl Default for ProfileConfig {
             memory_budget: None,
             deadline: None,
             fault_plan: None,
-            max_retries: 2,
             fast_fit: true,
             record_to: None,
             replay_from: None,
@@ -282,19 +268,18 @@ impl Default for ProfileConfig {
 }
 
 impl ProfileConfig {
-    /// The default configuration: serial folding, 4096-event chunks,
-    /// metrics off.
+    /// The default configuration: 4096-event recording frames, metrics off.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Set the folding worker count (`>1` folds on worker threads).
-    pub fn with_fold_threads(mut self, n: usize) -> Self {
-        self.fold_threads = n;
+    /// Ignored: pass 2 folds on the calling thread. Removed when ROADMAP
+    /// item 1e drops the call.
+    pub fn with_fold_threads(self, _n: usize) -> Self {
         self
     }
 
-    /// Set the events per chunk and per recorded frame.
+    /// Set the events per recorded frame.
     pub fn with_chunk_events(mut self, n: usize) -> Self {
         self.chunk_events = n;
         self
@@ -335,12 +320,6 @@ impl ProfileConfig {
     /// Arm a deterministic fault-injection schedule (tests / CI gate).
     pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
         self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Set the retry bound of pass 2 on fold workers.
-    pub fn with_max_retries(mut self, n: u32) -> Self {
-        self.max_retries = n;
         self
     }
 
@@ -406,13 +385,12 @@ pub fn profile(prog: &Program) -> Report {
     profile_with(prog, &ProfileConfig::default())
 }
 
-/// As [`profile`], with explicit configuration. Folding on worker threads
-/// produces byte-identical reports to folding on the calling thread; the
-/// threading knobs only trade wall-clock for threads.
+/// As [`profile`], with explicit configuration.
 ///
 /// Back-compat panicking wrapper around [`try_profile_with`] — it panics
 /// with the rendered [`PolyProfError`] on what that function returns as
-/// `Err`, such as a deterministic VM error or a contradictory configuration.
+/// `Err`, such as a deterministic VM error, a contradictory configuration or
+/// a pass-2 panic.
 pub fn profile_with(prog: &Program, cfg: &ProfileConfig) -> Report {
     match try_profile_with(prog, cfg) {
         Ok(r) => r,
@@ -421,12 +399,11 @@ pub fn profile_with(prog: &Program, cfg: &ProfileConfig) -> Report {
 }
 
 /// Fallible sibling of [`profile_with`], and a function of `(prog, cfg)`
-/// alone — it reads no environment. What no retry can repair (contradictory
-/// knobs, a deterministic VM error, an unreadable or mismatched recording)
-/// is a structured [`PolyProfError`] instead of a panic. Recoverable
-/// trouble — budget pressure, the watchdog deadline, and on fold workers
-/// injected faults and stage panics — still yields `Ok`, with the losses
-/// recorded in [`Report::degradation`].
+/// alone — it reads no environment. Contradictory knobs, a deterministic VM
+/// error, an unreadable or mismatched recording and a panic in pass 2 are a
+/// structured [`PolyProfError`] instead of a panic. Recoverable trouble —
+/// budget pressure, the watchdog deadline, a refused shadow page — still
+/// yields `Ok`, with the losses recorded in [`Report::degradation`].
 pub fn try_profile_with(prog: &Program, cfg: &ProfileConfig) -> Result<Report, PolyProfError> {
     cfg.check()?;
 
@@ -490,19 +467,7 @@ pub fn try_profile_with(prog: &Program, cfg: &ProfileConfig) -> Result<Report, P
         _ => None,
     };
 
-    // Pass 2: one call. The source is the VM or a `.ptrace` recording; the
-    // target follows from the threading and fault knobs, mapped here once:
-    let target = match (cfg.fold_threads, cfg.fault_plan.clone()) {
-        // `fold_threads` 0 means 1, and one thread is the calling one.
-        (0 | 1, None) => Target::Inline,
-        // The fault sites' supervisor belongs to worker targets, so a plan
-        // gets at least one worker even at `fold_threads` ≤ 1.
-        (n, faults) => Target::Workers {
-            n: n.max(1),
-            faults,
-            max_retries: cfg.max_retries,
-        },
-    };
+    // Pass 2: one call. The source is the VM or a `.ptrace` recording.
     let source = match &cfg.replay_from {
         Some(path) => Source::Recording(path),
         None => Source::Live(Live {
@@ -510,17 +475,17 @@ pub fn try_profile_with(prog: &Program, cfg: &ProfileConfig) -> Result<Report, P
             prune: prune.clone(),
             synth,
             record: cfg.record_to.as_deref(),
+            chunk_events: cfg.chunk_events,
         }),
     };
     let pass2 = Pass2 {
-        target,
-        chunk_events: cfg.chunk_events,
         options: polyfold::FoldOptions {
             fast_fit: cfg.fast_fit,
             ..Default::default()
         },
         trace: trace.as_ref().map(|(c, _)| Arc::clone(c)),
         budget,
+        faults: cfg.fault_plan.clone(),
     };
     let out = polyfold::pass2::run(prog, &source, &pass2)?;
     let (mut ddg, interner, pruned_events) = (out.ddg, out.interner, out.pruned);
@@ -631,8 +596,7 @@ pub fn try_profile_with(prog: &Program, cfg: &ProfileConfig) -> Result<Report, P
         None => full_text,
     };
     // Degraded runs carry their loss accounting into the feedback document;
-    // clean runs (the overwhelmingly common case) append nothing, keeping
-    // their text byte-identical to pre-supervision output.
+    // clean runs (the overwhelmingly common case) append nothing.
     let full_text = if degradation.is_degraded() {
         let section = polyfeedback::degradation_section(&degradation);
         format!("{full_text}\n{section}")
@@ -717,10 +681,7 @@ where
 
 /// Suite driver with per-workload telemetry: profile every program with
 /// `cfg` in parallel (same ordering guarantees as [`profile_all`]) and log
-/// one line per workload — its name, wall time, and the peak event-chunk
-/// depth seen on any pipeline channel — to stderr. The peak depth reads `0`
-/// unless `cfg` enables metrics *and* the pipelined path (`fold_threads >
-/// 1`), since a fold on the calling thread has no channels.
+/// one line per workload — its name and wall time — to stderr.
 pub fn profile_suite<P: std::borrow::Borrow<Program> + Sync>(
     progs: &[P],
     cfg: &ProfileConfig,
@@ -728,17 +689,10 @@ pub fn profile_suite<P: std::borrow::Borrow<Program> + Sync>(
     profile_all_with(progs, |p| {
         let t0 = Instant::now();
         let r = profile_with(p.borrow(), cfg);
-        let wall = t0.elapsed();
-        let peak = r
-            .metrics
-            .as_ref()
-            .map(|m| m.counter(Counter::QueuePeakDepth))
-            .unwrap_or(0);
         eprintln!(
-            "[poly-prof] {:<16} wall {:>10.3?}  peak chunk depth {}",
+            "[poly-prof] {:<16} wall {:>10.3?}",
             p.borrow().name,
-            wall,
-            peak
+            t0.elapsed()
         );
         r
     })
@@ -801,8 +755,8 @@ mod tests {
 
     /// Every pair of knobs `try_profile_with` used to reconcile silently is a
     /// structured error naming the knob that cannot be honoured, raised before
-    /// pass 1 (the recording named here does not even exist); the two pairings
-    /// that stay legal — `fold_threads` 0, a fault plan at one thread — run.
+    /// pass 1 (the recording named here does not even exist); the ignored
+    /// `with_fold_threads(0)` and an armed plan that never fires run clean.
     #[test]
     fn contradictory_knobs_are_config_errors() {
         let prog = rodinia::backprop::build().program;
@@ -838,7 +792,7 @@ mod tests {
             }
         }
         assert!(!nowhere.exists());
-        let plan = Arc::new(FaultPlan::parse("panic:fold@999999999").unwrap());
+        let plan = Arc::new(FaultPlan::parse("panic:pre@999999999").unwrap());
         for cfg in [new().with_fold_threads(0), new().with_fault_plan(plan)] {
             let r = try_profile_with(&prog, &cfg).expect("legal configuration");
             assert!(!r.degradation.is_degraded(), "{:?}", r.degradation);

@@ -46,15 +46,12 @@
 //! [`DdgProfiler`] is the crate's only [`EventSink`] outside [`baseline`]:
 //! it owns its [`shadow::ShadowMemory`] and resolves every memory touch on
 //! the VM thread, through [`shadow::ShadowMemory::resolve`], so the sink it
-//! writes to sees only the resolved folding interface. What that sink is
-//! decides the executor: a folding sink directly (serial), or a
-//! [`pipeline::ShardRouter`] fanning the same stream out by key to folding
-//! workers in [`chunk::EventChunk`] batches (`polyfold::pass2`).
+//! writes to sees only the resolved folding interface — the folding sink
+//! itself, on the same thread (`polyfold::pass2`).
 
 pub mod baseline;
 pub mod chunk;
 pub mod coords;
-pub mod pipeline;
 pub mod prune;
 pub mod shadow;
 
@@ -183,7 +180,8 @@ pub struct DdgProfiler<'p, F: FoldSink> {
     /// access-level mask (their streams are synthesized statically).
     pub pruned_mem_events: u64,
     /// Optional deterministic fault plan probed per memory event
-    /// ([`FaultSite::PanicPre`]; the shadow memory probes its own site).
+    /// ([`FaultSite::PanicPre`]) and per watchdog poll
+    /// ([`FaultSite::StallBeat`]); the shadow memory probes its own site.
     faults: Option<Arc<FaultPlan>>,
     /// Optional resource budget: retained state is charged against its byte
     /// limit, and the VM's throttled [`EventSink::poll_abort`] hook publishes
@@ -259,7 +257,8 @@ impl<'p, F: FoldSink> DdgProfiler<'p, F> {
 
     /// Arm a deterministic fault plan: [`FaultSite::PanicPre`] fires as a
     /// panic on the probed memory event, [`FaultSite::AllocShadow`] refuses
-    /// a shadow page. Zero-cost when never called.
+    /// a shadow page, [`FaultSite::StallBeat`] holds the VM at a watchdog
+    /// poll. Zero-cost when never called.
     pub fn set_faults(&mut self, plan: Arc<FaultPlan>) {
         self.shadow.set_faults(Arc::clone(&plan));
         self.faults = Some(plan);
@@ -458,6 +457,9 @@ impl<'p, F: FoldSink> EventSink for DdgProfiler<'p, F> {
     }
 
     fn poll_abort(&mut self) -> bool {
+        if let Some(plan) = &self.faults {
+            plan.stall_at_beat();
+        }
         match &self.budget {
             Some(b) => b.beat(self.dyn_ops, self.out.events_seen()),
             None => false,

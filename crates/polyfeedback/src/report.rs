@@ -79,60 +79,16 @@ pub fn flamegraph_svg(input: &FeedbackInput<'_>, title: &str) -> String {
 
 /// Render the profiler's *own* stage tree as a flame graph — the telemetry
 /// layer's self-profile, through the same [`SchedTree`] machinery as the
-/// subject program's graph ([`flamegraph_svg`]).
-///
-/// At `Timing` the boxes are wall time per sequential stage, with the
-/// concurrent pipeline detail (stage threads + fold shards, CPU time)
-/// nested under the profile stage; at `Counters` the pipeline boxes fall
-/// back to event-flow weights instead.
+/// subject program's graph ([`flamegraph_svg`]). The boxes are wall time per
+/// sequential stage, so the graph is empty below `Timing`.
 pub fn self_flamegraph_svg(m: &polytrace::RunMetrics, title: &str) -> String {
-    use polytrace::{Counter, PipeStage, Stage, StageNode};
-    let mut tree: SchedTree<StageNode> = SchedTree::new();
-    let profile = StageNode::Stage(Stage::Profile);
-    if m.sequential_ns() > 0 {
-        let mut children_ns = 0u64;
-        for p in PipeStage::ALL {
-            let w = m.pipe(p);
-            if w > 0 {
-                tree.add_path(&[profile, StageNode::Pipe(p)], w);
-                children_ns += w;
-            }
-        }
-        for (k, &ns) in m.shard_ns.iter().enumerate() {
-            if ns > 0 {
-                tree.add_path(&[profile, StageNode::Shard(k as u8)], ns);
-                children_ns += ns;
-            }
-        }
-        for s in Stage::ALL {
-            // The profile stage's box absorbs its concurrent children; only
-            // the residual (if its wall exceeds their CPU sum) is added
-            // directly, so the subtree width stays monotone.
-            let w = if s == Stage::Profile {
-                m.stage(s).saturating_sub(children_ns)
-            } else {
-                m.stage(s)
-            };
-            if w > 0 {
-                tree.add_path(&[StageNode::Stage(s)], w);
-            }
-        }
-    } else {
-        let routed = m.counter(Counter::EventsRouted);
-        if routed > 0 {
-            tree.add_path(&[profile, StageNode::Pipe(PipeStage::PreProfile)], routed);
-        }
-        for (k, &ev) in m.shard_events.iter().enumerate() {
-            if ev > 0 {
-                tree.add_path(&[profile, StageNode::Shard(k as u8)], ev);
-            }
+    let mut tree: SchedTree<polytrace::Stage> = SchedTree::new();
+    for s in polytrace::Stage::ALL {
+        if m.stage(s) > 0 {
+            tree.add_path(&[s], m.stage(s));
         }
     }
-    tree.render_svg(title, &|n| n.name(), &|n| match n {
-        StageNode::Stage(_) => "#4a90d9".into(),
-        StageNode::Pipe(_) => "#e8743b".into(),
-        StageNode::Shard(_) => "#f2b134".into(),
-    })
+    tree.render_svg(title, &|s| s.name().to_string(), &|_| "#4a90d9".into())
 }
 
 /// Render the simplified annotated AST of the whole nest forest: loop
@@ -402,9 +358,9 @@ pub fn legality_section(
 }
 
 /// Render the resilience section appended to the full report when a run
-/// degraded: injected faults, supervision actions, budget losses, and the
-/// soundness reminder that every loss direction is an over-approximation
-/// (dropped data can only *hide* dependences, never invent them).
+/// degraded: injected faults, unresolved accesses, budget losses and the
+/// deadline. Every loss direction is an over-approximation or a prefix:
+/// lost data can only *hide* dependences, never invent them.
 pub fn degradation_section(deg: &polyresist::RunDegradation) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "─── resilience & degradation ───");
@@ -415,14 +371,8 @@ pub fn degradation_section(deg: &polyresist::RunDegradation) -> String {
     );
     let _ = writeln!(
         s,
-        "  stage retries / serial fallback     : {} / {}",
-        deg.stage_retries,
-        if deg.fell_back_serial { "yes" } else { "no" }
-    );
-    let _ = writeln!(
-        s,
-        "  chunks dropped / malformed / stalled: {} / {} / {}",
-        deg.dropped_chunks, deg.malformed_chunks, deg.stalled_sends
+        "  stalled heartbeats                  : {}",
+        deg.stalled_beats
     );
     let _ = writeln!(
         s,
@@ -445,17 +395,6 @@ pub fn degradation_section(deg: &polyresist::RunDegradation) -> String {
         "  deadline hit                        : {}",
         if deg.deadline_hit { "yes" } else { "no" }
     );
-    if !deg.missing_shards.is_empty() {
-        let ids: Vec<String> = deg.missing_shards.iter().map(|i| i.to_string()).collect();
-        let _ = writeln!(
-            s,
-            "  missing folding shards              : [{}]",
-            ids.join(", ")
-        );
-    }
-    for ev in &deg.events {
-        let _ = writeln!(s, "    [{}] {}", ev.stage, ev.detail);
-    }
     s
 }
 

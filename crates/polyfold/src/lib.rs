@@ -17,7 +17,6 @@
 
 pub mod fitter;
 pub mod pass2;
-mod pipeline;
 pub mod replay;
 pub mod stream;
 
@@ -196,43 +195,6 @@ impl FoldedDdg {
             .count()
     }
 
-    /// Deterministically merge shard partials into one DDG. A `None` part is
-    /// a shard whose folding worker died before emitting; the indices of
-    /// those are returned so the caller can record them in its degradation
-    /// report. An all-`None` (or empty) input yields an empty DDG.
-    ///
-    /// Worker targets shard by folding key (statement id; consumer id for
-    /// dependences), so the partials own *disjoint* key sets and merging is
-    /// a union, never a combination of two half-folded streams. The final
-    /// dependence sort is over the full key `(kind, src, dst, class)` —
-    /// unique per relation — so the result is independent of shard count
-    /// and merge order, byte-identical to a single sink's output.
-    pub fn merge_parts(
-        parts: impl IntoIterator<Item = Option<FoldedDdg>>,
-    ) -> (FoldedDdg, Vec<usize>) {
-        let mut out = FoldedDdg::default();
-        let mut missing = Vec::new();
-        for (i, part) in parts.into_iter().enumerate() {
-            let Some(part) = part else {
-                missing.push(i);
-                continue;
-            };
-            out.total_ops += part.total_ops;
-            out.removed_affine_ops += part.removed_affine_ops;
-            for (id, s) in part.stmts {
-                let prev = out.stmts.insert(id, s);
-                debug_assert!(prev.is_none(), "statement {id:?} folded in two shards");
-            }
-            for (id, a) in part.accesses {
-                let prev = out.accesses.insert(id, a);
-                debug_assert!(prev.is_none(), "access {id:?} folded in two shards");
-            }
-            out.deps.extend(part.deps);
-        }
-        out.deps.sort_by_key(|d| (d.kind, d.src, d.dst, d.class));
-        (out, missing)
-    }
-
     /// Deterministic byte rendering of the whole folded DDG: statements and
     /// accesses sorted by id, dependences in their canonical `(kind, src,
     /// dst, class)` order, totals last. Two DDGs are byte-identical here iff
@@ -300,7 +262,7 @@ impl Default for FoldOptions {
 /// streams key on `(kind, src, dst, class)`, resolved through a dense
 /// per-consumer table: slot `dst.0` holds the (few) relations targeting
 /// that statement, scanned linearly — no hashing, no MRU, and locality
-/// follows the consumer id the router already shards by.
+/// follows the consumer id.
 #[derive(Debug, Default)]
 pub struct FoldingSink {
     /// Statement folders, indexed by `StmtId::0`.
@@ -822,41 +784,6 @@ mod tests {
             .count();
         assert!(nonaffine_loads >= 1, "indirect access must fold to a range");
         let _ = interner;
-    }
-
-    /// Tolerant merge: missing shards are recorded, present shards merge
-    /// exactly, and degenerate inputs (all missing / empty) still succeed.
-    #[test]
-    fn merge_parts_tolerant_records_missing_shards() {
-        let mut pb = ProgramBuilder::new("t");
-        let base = pb.alloc(64);
-        let mut f = pb.func("main", 0);
-        f.for_loop("L", 0i64, 8i64, 1, |f, i| {
-            f.store(base as i64, i, i);
-        });
-        f.ret(None);
-        let fid = f.finish();
-        pb.set_entry(fid);
-        let p = pb.finish();
-        let (ddg, _, _) = fold_program(&p);
-        let n_stmts = ddg.n_stmts();
-        assert!(n_stmts > 0);
-
-        // One real part, two dead shards.
-        let (merged, missing) = FoldedDdg::merge_parts(vec![None, Some(ddg), None]);
-        assert_eq!(missing, vec![0, 2]);
-        assert_eq!(merged.n_stmts(), n_stmts);
-
-        // Everything missing → valid empty DDG.
-        let (empty, missing) = FoldedDdg::merge_parts(vec![None, None]);
-        assert_eq!(missing, vec![0, 1]);
-        assert_eq!(empty.n_stmts(), 0);
-        assert!(empty.deps.is_empty());
-
-        // Empty iterator → empty DDG, nothing missing.
-        let (empty, missing) = FoldedDdg::merge_parts(std::iter::empty());
-        assert!(missing.is_empty());
-        assert_eq!(empty.total_ops, 0);
     }
 
     /// Budget pressure degrades folders: the folded DDG reports

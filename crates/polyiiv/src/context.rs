@@ -233,12 +233,10 @@ impl ContextInterner {
     }
 }
 
-// Interned context snapshots cross thread boundaries in the sharded folding
-// pipeline: `StmtId`/`CtxPathId` travel inside event chunks, and the shard
-// workers finalize against one shared `&ContextInterner`. Everything here is
-// owned data (no interior mutability), so these hold automatically — the
-// assertions make the guarantee a compile-time contract instead of an
-// accident.
+// A fold's statement table may be handed to another thread with the
+// result it describes. Everything here is owned data (no interior
+// mutability), so these hold automatically — the assertions make the
+// guarantee a compile-time contract instead of an accident.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ContextInterner>();

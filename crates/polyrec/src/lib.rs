@@ -4,8 +4,7 @@
 //! resolved folding-interface stream during a live run and encodes each
 //! event into a compact `.ptrace` frame as it passes; a [`TraceReader`]
 //! decodes the frames straight into a [`FoldSink`] so the folder can re-run
-//! at any shard count K without the VM, the shadow memory, or even the
-//! original binary.
+//! without the VM, the shadow memory, or even the original binary.
 //!
 //! # File layout (format version 2)
 //!

@@ -3,17 +3,17 @@
 //! The paper's folding stage already embraces principled loss: non-affine
 //! parts are *over-approximated* so the back-end stays scalable (§3). This
 //! crate extends that philosophy from the geometry to the runtime: a
-//! profiling run should always terminate with a report, annotated with what
-//! was lost, instead of dying on the first worker panic, wedged channel, or
-//! memory blow-up.
+//! profiling run should terminate with a report annotated with what was lost
+//! (memory pressure, an expired deadline), or with a structured error —
+//! never a hang or a caller-visible panic.
 //!
 //! Three building blocks, all dependency-free:
 //!
 //! * [`FaultPlan`] — a deterministic, seedable schedule of injectable faults
-//!   (stage panics, delayed/dropped chunk sends, shadow-page allocation
-//!   failures, malformed event chunks). Production code threads an
-//!   `Option<Arc<FaultPlan>>` through the pipeline; the `None` fast path is
-//!   a single branch, so the hook is zero-cost when injection is off.
+//!   (a pass-2 panic, shadow-page allocation failures, heartbeat stalls).
+//!   Production code threads an `Option<Arc<FaultPlan>>` through pass 2; the
+//!   `None` fast path is a single branch, so the hook is zero-cost when
+//!   injection is off.
 //! * [`ResourceBudget`] — the run's control block, shared with whoever
 //!   watches it: limits in (stages charge allocations against the byte limit
 //!   and switch to over-approximation on pressure instead of aborting; the
@@ -46,9 +46,9 @@ pub enum PolyProfError {
         /// The interpreter's own error rendering.
         msg: String,
     },
-    /// A pipeline stage thread panicked and supervision could not recover.
+    /// A pipeline stage panicked; pass 2 reports itself as `"pass-2"`.
     StagePanic {
-        /// Which stage kind panicked (`"pre"`, `"fold"`).
+        /// Which stage panicked.
         stage: &'static str,
         /// Best-effort panic payload rendering.
         msg: String,
@@ -109,51 +109,40 @@ pub fn panic_msg(payload: &(dyn std::any::Any + Send)) -> String {
 // Fault plan
 // ---------------------------------------------------------------------------
 
-/// Where in the pipeline a fault can be injected.
+/// Where in pass 2 a fault can be injected.
 ///
-/// The variants cover the fault matrix from the resilience gate: a panic in
-/// each of the two stage kinds, a chunk-send stall and drop, a shadow-page
-/// allocation failure, and a malformed event chunk.
+/// Each site drives a behaviour a test checks and nothing else reaches: the
+/// pass-2 panic boundary, the loss accounting of an unresolved access, and a
+/// run held mid-way (how the `polyserve` tests occupy a worker).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum FaultSite {
-    /// Panic inside the producer's memory-event path.
+    /// Panic inside the live source's memory-event path.
     PanicPre = 0,
-    /// Panic inside a folding worker while replaying a chunk.
-    PanicFold = 1,
-    /// Delay a chunk send (simulated back-pressure stall).
-    StallSend = 2,
-    /// Silently drop a chunk instead of sending it.
-    DropSend = 3,
     /// Fail a shadow-memory page allocation.
-    AllocShadow = 4,
-    /// Corrupt an event chunk in flight (caught by `EventChunk::validate`).
-    MalformedChunk = 5,
+    AllocShadow = 1,
+    /// Sleep at a source heartbeat — the VM's watchdog poll, or one
+    /// replayed frame — for the plan's stall length.
+    StallBeat = 2,
 }
 
 /// Number of distinct [`FaultSite`]s.
-pub const N_FAULT_SITES: usize = 6;
+pub const N_FAULT_SITES: usize = 3;
 
 impl FaultSite {
     /// All sites, in slot order.
     pub const ALL: [FaultSite; N_FAULT_SITES] = [
         FaultSite::PanicPre,
-        FaultSite::PanicFold,
-        FaultSite::StallSend,
-        FaultSite::DropSend,
         FaultSite::AllocShadow,
-        FaultSite::MalformedChunk,
+        FaultSite::StallBeat,
     ];
 
     /// Stable spec name, as accepted by [`FaultPlan::parse`].
     pub fn name(self) -> &'static str {
         match self {
             FaultSite::PanicPre => "panic:pre",
-            FaultSite::PanicFold => "panic:fold",
-            FaultSite::StallSend => "stall:send",
-            FaultSite::DropSend => "drop:send",
             FaultSite::AllocShadow => "alloc:shadow",
-            FaultSite::MalformedChunk => "malformed:chunk",
+            FaultSite::StallBeat => "stall:beat",
         }
     }
 
@@ -186,15 +175,13 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// Built from a spec string (see [`FaultPlan::parse`]) or programmatically
 /// via [`FaultPlan::single`]. Pipeline stages *probe* the plan at each
 /// injectable site; a probe increments that site's occurrence counter and
-/// reports whether an armed fault fires there. Probing is thread-safe and
-/// deterministic for a fixed interleaving of per-site occurrences (each
-/// site is probed from exactly one stage, so per-site order is total even
-/// in the sharded pipeline).
+/// reports whether an armed fault fires there. Pass 2 probes on one thread,
+/// so per-site occurrence order is total and a plan fires deterministically.
 #[derive(Debug)]
 pub struct FaultPlan {
     seed: u64,
     specs: Vec<(FaultSite, Occurrence)>,
-    /// Stall length applied by `StallSend` faults.
+    /// Stall length applied by `StallBeat` faults.
     stall: Duration,
     /// Per-site probe counters (how many times the site was reached).
     probes: [AtomicU64; N_FAULT_SITES],
@@ -209,7 +196,7 @@ impl FaultPlan {
     /// (every occurrence) or `?` (pseudo-random occurrence in `[1, 16]`
     /// derived from the seed — the "seedable" injection mode).
     ///
-    /// Example: `seed=42;panic:fold@1;stall:send@3;malformed:chunk@?`.
+    /// Example: `seed=42;panic:pre@1;stall:beat@3;alloc:shadow@?`.
     pub fn parse(spec: &str) -> Result<FaultPlan, PolyProfError> {
         let mut seed = 0u64;
         let mut stall_ms = 20u64;
@@ -279,8 +266,7 @@ impl FaultPlan {
         }
     }
 
-    /// A plan that fires `site` on *every* probe (used to defeat bounded
-    /// retry and force the serial fallback).
+    /// A plan that fires `site` on *every* probe.
     pub fn always(site: FaultSite) -> FaultPlan {
         FaultPlan {
             seed: 0,
@@ -296,9 +282,17 @@ impl FaultPlan {
         self.seed
     }
 
-    /// How long a `StallSend` fault delays the send.
+    /// How long a `StallBeat` fault holds the source.
     pub fn stall_duration(&self) -> Duration {
         self.stall
+    }
+
+    /// Probe [`FaultSite::StallBeat`] and, when it fires, sleep for the
+    /// stall length. The event source calls this once per heartbeat.
+    pub fn stall_at_beat(&self) {
+        if self.should_fire(FaultSite::StallBeat) {
+            std::thread::sleep(self.stall);
+        }
     }
 
     /// Probe an injection site. Increments the site's occurrence counter
@@ -333,7 +327,7 @@ impl FaultPlan {
     /// zeroed probe/fire counters. This is how one chaos spec fans out over
     /// many concurrent sessions deterministically: each session forks its
     /// own plan, so every session sees the same occurrence arithmetic
-    /// (session #1's `panic:fold@2` fires on *its* second probe, not on the
+    /// (session #1's `stall:beat@2` fires on *its* second probe, not on the
     /// second probe observed globally across all sessions).
     pub fn fork(&self) -> FaultPlan {
         FaultPlan {
@@ -365,9 +359,9 @@ impl FaultPlan {
 ///
 /// All counters are relaxed atomics: budget checks are heuristics, not
 /// synchronization. The deadline instant sits behind a mutex so a budget
-/// shared across retry attempts (or reused by a long-running service
-/// session) can be [re-armed](ResourceBudget::rearm) from the retry start
-/// instead of reporting an immediately-expired deadline.
+/// created before its run starts (a service session's, made at admission)
+/// can be [re-armed](ResourceBudget::rearm) when the run actually starts
+/// instead of reporting a deadline already spent waiting in a queue.
 #[derive(Debug, Default)]
 pub struct ResourceBudget {
     limit_bytes: Option<u64>,
@@ -399,13 +393,12 @@ impl ResourceBudget {
     }
 
     /// Re-arm the watchdog deadline from *now* (the full configured duration
-    /// again) and clear the expiry latch. Called at the start of a retry
-    /// attempt that reuses the budget: without this, an attempt started
-    /// after the previous one burned the deadline would observe an
-    /// immediately-expired deadline and finalize an empty partial result.
-    /// Byte accounting and the pressure latch are deliberately *not* reset —
-    /// retained allocations survive a retry. A cancelled budget stays
-    /// cancelled.
+    /// again) and clear the expiry latch. Called when the run a budget was
+    /// made for starts later than the budget (a queued service session is
+    /// re-armed when a worker dequeues it): without this, the run would
+    /// observe a deadline burned while it waited and finalize an empty
+    /// partial result. Byte accounting and the pressure latch are
+    /// deliberately *not* reset. A cancelled budget stays cancelled.
     pub fn rearm(&self) {
         if let Some(d) = self.deadline_dur {
             *self.deadline.lock().unwrap() = Some(Instant::now() + d);
@@ -457,11 +450,10 @@ impl ResourceBudget {
     }
 
     /// The event source's heartbeat and watchdog poll in one call: publish
-    /// how far the current attempt has got — `ops` dynamic instructions
-    /// executed (0 for a recording, which executes none), `events` handed to
-    /// the fold target — then [`poll_deadline`](Self::poll_deadline). Callers
-    /// throttle this: the VM once per 4096 instructions, a replay once per
-    /// frame. A supervisor retry is a new attempt and restarts from zero.
+    /// how far the run has got — `ops` dynamic instructions executed (0 for
+    /// a recording, which executes none), `events` handed to the fold sink —
+    /// then [`poll_deadline`](Self::poll_deadline). Callers throttle this:
+    /// the VM once per 4096 instructions, a replay once per frame.
     pub fn beat(&self, ops: u64, events: u64) -> bool {
         self.beat_ops.store(ops, Ordering::Relaxed);
         self.beat_events.store(events, Ordering::Relaxed);
@@ -517,17 +509,7 @@ impl ResourceBudget {
 // Degradation record
 // ---------------------------------------------------------------------------
 
-/// One noteworthy recovery action, in the order it happened.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DegradationEvent {
-    /// Stage the event belongs to (`"pre"`, `"fold"`, `"supervisor"`,
-    /// `"budget"`, …).
-    pub stage: String,
-    /// Human-readable description.
-    pub detail: String,
-}
-
-/// Structured record of everything a run lost or recovered from.
+/// Structured record of everything a run lost.
 ///
 /// Attached to `Report` by pass 2; an all-default record means the run was
 /// clean. The counters mirror the `polytrace` degradation
@@ -536,16 +518,8 @@ pub struct DegradationEvent {
 pub struct RunDegradation {
     /// Faults the plan actually fired (0 for production runs).
     pub faults_injected: u64,
-    /// Pass-2 attempts on fold workers that were retried after a stage panic.
-    pub stage_retries: u32,
-    /// The fold workers were abandoned for a fold on the calling thread.
-    pub fell_back_serial: bool,
-    /// Event chunks dropped in flight (injected or send-error).
-    pub dropped_chunks: u64,
-    /// Event chunks rejected by validation before replay.
-    pub malformed_chunks: u64,
-    /// Chunk sends that were artificially stalled.
-    pub stalled_sends: u64,
+    /// Source heartbeats an armed fault plan stalled.
+    pub stalled_beats: u64,
     /// Memory accesses whose dependences were skipped because the shadow
     /// page could not be allocated.
     pub unresolved_accesses: u64,
@@ -559,70 +533,44 @@ pub struct RunDegradation {
     pub budget_pressure: bool,
     /// High-water mark of budget-tracked bytes (0 when no budget).
     pub peak_tracked_bytes: u64,
-    /// Shard ids whose folding worker died without emitting a part.
-    pub missing_shards: Vec<usize>,
-    /// Ordered log of recovery actions.
-    pub events: Vec<DegradationEvent>,
 }
 
 impl RunDegradation {
-    /// True when anything at all was lost or recovered.
+    /// True when anything at all was lost.
     pub fn is_degraded(&self) -> bool {
         self.faults_injected > 0
-            || self.stage_retries > 0
-            || self.fell_back_serial
-            || self.dropped_chunks > 0
-            || self.malformed_chunks > 0
-            || self.stalled_sends > 0
+            || self.stalled_beats > 0
             || self.unresolved_accesses > 0
             || self.shadow_alloc_failures > 0
             || self.budget_overapprox_stmts > 0
             || self.deadline_hit
             || self.budget_pressure
-            || !self.missing_shards.is_empty()
-    }
-
-    /// Append a recovery event.
-    pub fn note(&mut self, stage: &str, detail: impl Into<String>) {
-        self.events.push(DegradationEvent {
-            stage: stage.to_string(),
-            detail: detail.into(),
-        });
     }
 
     /// Fold the fault-plan fire counts into this record.
     pub fn absorb_plan(&mut self, plan: &FaultPlan) {
         self.faults_injected = plan.total_fired();
-        self.stalled_sends = plan.fired(FaultSite::StallSend);
+        self.stalled_beats = plan.fired(FaultSite::StallBeat);
         self.shadow_alloc_failures = plan.fired(FaultSite::AllocShadow);
     }
 
     /// Stable JSON rendering (counters only) for CI artifacts.
     pub fn to_json(&self) -> String {
-        let shards: Vec<String> = self.missing_shards.iter().map(|s| s.to_string()).collect();
         format!(
             concat!(
-                "{{\"faults_injected\":{},\"stage_retries\":{},",
-                "\"fell_back_serial\":{},\"dropped_chunks\":{},",
-                "\"malformed_chunks\":{},\"stalled_sends\":{},",
+                "{{\"faults_injected\":{},\"stalled_beats\":{},",
                 "\"unresolved_accesses\":{},\"shadow_alloc_failures\":{},",
                 "\"budget_overapprox_stmts\":{},\"deadline_hit\":{},",
-                "\"budget_pressure\":{},\"peak_tracked_bytes\":{},",
-                "\"missing_shards\":[{}]}}"
+                "\"budget_pressure\":{},\"peak_tracked_bytes\":{}}}"
             ),
             self.faults_injected,
-            self.stage_retries,
-            self.fell_back_serial,
-            self.dropped_chunks,
-            self.malformed_chunks,
-            self.stalled_sends,
+            self.stalled_beats,
             self.unresolved_accesses,
             self.shadow_alloc_failures,
             self.budget_overapprox_stmts,
             self.deadline_hit,
             self.budget_pressure,
             self.peak_tracked_bytes,
-            shards.join(",")
         )
     }
 }
@@ -633,13 +581,15 @@ mod tests {
 
     #[test]
     fn parse_roundtrip_and_fire_order() {
-        let p = FaultPlan::parse("seed=7;panic:fold@2;stall:send@1").unwrap();
+        let p = FaultPlan::parse("seed=7;alloc:shadow@2;stall:beat@1;stall_ms=1").unwrap();
         assert_eq!(p.seed(), 7);
-        assert!(!p.should_fire(FaultSite::PanicFold)); // occurrence 1
-        assert!(p.should_fire(FaultSite::PanicFold)); // occurrence 2 — armed
-        assert!(!p.should_fire(FaultSite::PanicFold)); // one-shot
-        assert!(p.should_fire(FaultSite::StallSend));
-        assert_eq!(p.fired(FaultSite::PanicFold), 1);
+        assert!(!p.should_fire(FaultSite::AllocShadow)); // occurrence 1
+        assert!(p.should_fire(FaultSite::AllocShadow)); // occurrence 2 — armed
+        assert!(!p.should_fire(FaultSite::AllocShadow)); // one-shot
+        p.stall_at_beat(); // occurrence 1 — armed
+        p.stall_at_beat();
+        assert_eq!(p.fired(FaultSite::AllocShadow), 1);
+        assert_eq!(p.fired(FaultSite::StallBeat), 1);
         assert_eq!(p.total_fired(), 2);
     }
 
@@ -664,24 +614,27 @@ mod tests {
 
     #[test]
     fn parse_rejects_garbage() {
-        assert!(FaultPlan::parse("panic:fold").is_err());
+        assert!(FaultPlan::parse("panic:pre").is_err());
         assert!(FaultPlan::parse("panic:nope@1").is_err());
-        assert!(FaultPlan::parse("panic:fold@0").is_err());
+        assert!(FaultPlan::parse("panic:pre@0").is_err());
         assert!(FaultPlan::parse("seed=x").is_err());
     }
 
-    /// The resolver stage is gone and so is its site: a plan that still
-    /// names it is rejected, and the message lists what is accepted.
+    /// The resolver stage and the fold workers are gone and so are their
+    /// panic sites: a plan that still names one is rejected, and the message
+    /// lists what is accepted.
     #[test]
     fn parse_rejects_the_removed_resolve_site_and_lists_the_rest() {
-        let err = FaultPlan::parse("seed=1;panic:resolve@1").unwrap_err();
-        let PolyProfError::InvalidFaultPlan(msg) = &err else {
-            panic!("expected InvalidFaultPlan, got {err}");
-        };
-        assert!(msg.contains("panic:resolve"), "{msg}");
-        assert_eq!(FaultSite::ALL.len(), 6);
-        for site in FaultSite::ALL {
-            assert!(msg.contains(site.name()), "{msg} omits {}", site.name());
+        assert_eq!(FaultSite::ALL.len(), 3);
+        for gone in ["resolve", "fold"] {
+            let err = FaultPlan::parse(&format!("seed=1;panic:{gone}@1")).unwrap_err();
+            let PolyProfError::InvalidFaultPlan(msg) = &err else {
+                panic!("expected InvalidFaultPlan, got {err}");
+            };
+            assert!(msg.contains(&format!("panic:{gone}")), "{msg}");
+            for site in FaultSite::ALL {
+                assert!(msg.contains(site.name()), "{msg} omits {}", site.name());
+            }
         }
     }
 
@@ -721,15 +674,15 @@ mod tests {
         assert!(b.deadline_was_hit());
     }
 
-    /// Regression: a budget reused across retry attempts must re-arm the
-    /// deadline from the retry start. Before `rearm`, the second attempt
-    /// saw the already-burned deadline and reported an immediate expiry.
+    /// Regression: a budget made before its run starts must re-arm the
+    /// deadline from the run's start. Before `rearm`, a run started after the
+    /// deadline burned reported an immediate expiry.
     #[test]
     fn rearm_restarts_the_deadline_from_now() {
         let b = ResourceBudget::new(Some(64), Some(Duration::from_millis(5)));
         assert!(!b.charge(100), "over the byte cap");
         std::thread::sleep(Duration::from_millis(10));
-        assert!(b.poll_deadline(), "first attempt burned the deadline");
+        assert!(b.poll_deadline(), "the wait burned the deadline");
         assert!(b.deadline_was_hit());
 
         b.rearm();
@@ -776,21 +729,21 @@ mod tests {
     /// spec deterministically covers many concurrent sessions.
     #[test]
     fn fork_resets_site_counters_per_session() {
-        let template = FaultPlan::parse("seed=9;panic:fold@2;stall_ms=3").unwrap();
+        let template = FaultPlan::parse("seed=9;stall:beat@2;stall_ms=3").unwrap();
         // Burn the template's counters so a buggy shared-counter fork shows.
-        assert!(!template.should_fire(FaultSite::PanicFold));
-        assert!(template.should_fire(FaultSite::PanicFold));
+        assert!(!template.should_fire(FaultSite::StallBeat));
+        assert!(template.should_fire(FaultSite::StallBeat));
         for _ in 0..3 {
             let session = template.fork();
             assert_eq!(session.seed(), 9);
             assert_eq!(session.stall_duration(), Duration::from_millis(3));
             assert_eq!(session.total_fired(), 0, "fired counters start fresh");
-            assert!(!session.should_fire(FaultSite::PanicFold), "occ 1");
-            assert!(session.should_fire(FaultSite::PanicFold), "occ 2 armed");
-            assert_eq!(session.fired(FaultSite::PanicFold), 1);
+            assert!(!session.should_fire(FaultSite::StallBeat), "occ 1");
+            assert!(session.should_fire(FaultSite::StallBeat), "occ 2 armed");
+            assert_eq!(session.fired(FaultSite::StallBeat), 1);
         }
         assert_eq!(
-            template.fired(FaultSite::PanicFold),
+            template.fired(FaultSite::StallBeat),
             1,
             "template untouched"
         );
@@ -800,21 +753,21 @@ mod tests {
     fn degradation_json_is_stable() {
         let mut d = RunDegradation::default();
         assert!(!d.is_degraded());
-        d.stage_retries = 2;
-        d.missing_shards = vec![1, 3];
+        d.stalled_beats = 2;
+        d.deadline_hit = true;
         assert!(d.is_degraded());
         let j = d.to_json();
-        assert!(j.contains("\"stage_retries\":2"), "{j}");
-        assert!(j.contains("\"missing_shards\":[1,3]"), "{j}");
+        assert!(j.contains("\"stalled_beats\":2"), "{j}");
+        assert!(j.contains("\"deadline_hit\":true"), "{j}");
     }
 
     #[test]
     fn error_display_is_informative() {
         let e = PolyProfError::StagePanic {
-            stage: "fold",
+            stage: "pass-2",
             msg: "boom".into(),
         };
-        assert_eq!(e.to_string(), "pipeline stage `fold` panicked: boom");
+        assert_eq!(e.to_string(), "pipeline stage `pass-2` panicked: boom");
         let e = PolyProfError::InvalidFaultPlan("bad seed `x`".into());
         assert_eq!(e.to_string(), "invalid fault plan: bad seed `x`");
         let e = PolyProfError::Config {

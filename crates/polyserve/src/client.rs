@@ -67,8 +67,8 @@ pub enum Outcome {
         /// Progress frames received while the session folded, in order: one
         /// per [`ServerConfig::progress_interval`](crate::ServerConfig), each
         /// a flat JSON object whose `dyn_ops` / `events_folded` are the run's
-        /// heartbeat as of `t_ns` nanoseconds after the fold began (the
-        /// current attempt's counts — the final totals are in the report).
+        /// heartbeat as of `t_ns` nanoseconds after the fold began (counts
+        /// so far — the final totals are in the report).
         /// Empty when the server streams none or the result was cached.
         progress: Vec<String>,
     },
@@ -84,8 +84,8 @@ pub enum Outcome {
         /// The server's error rendering.
         error: String,
     },
-    /// Accepted, but the session failed terminally (post-supervision error
-    /// or panic). The server stays up.
+    /// Accepted, but the session failed terminally (a pipeline error, a
+    /// pass-2 `StagePanic` among them, or a panic). The server stays up.
     Failed {
         /// The server's error rendering.
         error: String,

@@ -691,8 +691,12 @@ fn write_hit(w: &mut impl Write, workload: &str, session: u64, tail: &str) -> io
 /// does something only when that wait times out — report progress read from
 /// the budget's heartbeat every `progress_interval`, and, as the session's
 /// watchdog, [`ResourceBudget::cancel`] the run once, `kill_after` (deadline
-/// plus grace) past [`Msg::Started`]. The cancel survives the supervisor's
-/// re-arm between attempts, which the deadline alone does not.
+/// plus grace) past [`Msg::Started`]. The budget's own deadline already
+/// stops the event source at its next heartbeat; the cancel is the backstop
+/// for a run still going at deadline plus grace — a heartbeat held longer
+/// than the grace, or the stages after pass 2, which no deadline covers — and
+/// its record in `watchdog_cancels`. Unlike the deadline, it survives a
+/// [`ResourceBudget::rearm`].
 ///
 /// A client that went away does not orphan its session: the first failed
 /// write is kept and returned at the end, and until then this thread stays
@@ -742,7 +746,6 @@ fn own_session(
         }
         if report_at.is_some_and(|at| now >= at) {
             let t_ns = now.duration_since(t0).as_nanos() as u64;
-            // The attempt's own counts: a supervisor retry restarts them.
             let (ops, events) = budget.progress();
             let rate = events.saturating_sub(last_events) as f64 * 1e9
                 / t_ns.saturating_sub(last_t_ns).max(1) as f64;
@@ -767,7 +770,7 @@ fn own_session(
     }
 }
 
-/// Worker: pop jobs fairly, run each as a supervised session.
+/// Worker: pop jobs fairly, run each session under its own budget.
 fn worker_loop(inner: &Arc<Inner>) {
     loop {
         let job = {
@@ -878,8 +881,9 @@ enum SessionResult {
         cached: bool,
         degraded: bool,
     },
-    /// With a terminal pipeline error or a panic past supervision: the
-    /// message of the `error` frame.
+    /// With a terminal pipeline error — a pass-2 panic is one, `StagePanic` —
+    /// or a panic elsewhere in the session: the message of the `error`
+    /// frame.
     Failed(String),
 }
 

@@ -318,6 +318,90 @@ pub(crate) mod tests {
         assert!(!json_has(j, "g"));
     }
 
+    /// splitmix64: the seeded input stream of the fuzz tests below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// 10k seeded random frames — intact, truncated, bit-flipped, or with a
+    /// random length prefix — into the frame reader: none panics, and the
+    /// buffer never holds more than the payload bytes that arrived, nor
+    /// reserves past a small multiple of them; a frame read whole holds what
+    /// its prefix claimed.
+    #[test]
+    fn random_frames_never_panic_and_stay_bounded() {
+        let mut rng = Rng(0x5eed);
+        for _ in 0..10_000 {
+            let body: Vec<u8> = (0..rng.below(64)).map(|_| rng.next() as u8).collect();
+            let mut bytes = Vec::new();
+            push_frame(&mut bytes, rng.below(3) as u8, &[&body]).unwrap();
+            match rng.below(4) {
+                0 => bytes.truncate(rng.below(bytes.len() + 1)),
+                1 => {
+                    let at = rng.below(bytes.len());
+                    bytes[at] ^= 1 << rng.below(8);
+                }
+                2 => bytes[..4].copy_from_slice(&(rng.next() as u32).to_le_bytes()),
+                _ => {}
+            }
+            let mut payload = Vec::new();
+            let read = read_frame_into(&mut io::Cursor::new(&bytes), &mut payload);
+            let arrived = bytes.len().saturating_sub(5);
+            assert!(payload.len() <= arrived, "{} of {arrived}", payload.len());
+            assert!(
+                payload.capacity() <= (2 * arrived).max(4096),
+                "{} reserved for {arrived} bytes",
+                payload.capacity()
+            );
+            if let Ok(Some(_)) = read {
+                let claimed = u32::from_le_bytes(bytes[..4].try_into().unwrap());
+                assert_eq!(payload.len(), claimed as usize);
+            }
+        }
+    }
+
+    /// 10k seeded random strings over the protocol's alphabet — quotes,
+    /// escapes (`\u` cut short among them), colons, digits, exponents and
+    /// multi-byte text — into the flat-JSON scanners: none panics, and a
+    /// value any of them finds is under a key `json_has` sees.
+    #[test]
+    fn random_json_never_panics_the_scanners() {
+        const TOKENS: [&str; 20] = [
+            "\"k\":", "\"k\": ", "\"k\"", "\"", "\\", "\\u", "\\u00e9", ":", ",", "{", "}", " ",
+            "7", "12", "1e9", "-", ".", "true", "fals", "é→",
+        ];
+        let mut rng = Rng(0x1ee7);
+        for _ in 0..10_000 {
+            let json: String = (0..rng.below(16))
+                .map(|_| TOKENS[rng.below(TOKENS.len())])
+                .collect();
+            let has = json_has(&json, "k");
+            for found in [
+                json_str(&json, "k").is_some(),
+                json_u64(&json, "k").is_some(),
+                json_bool(&json, "k").is_some(),
+            ] {
+                assert!(!found || has, "{json:?}");
+            }
+            for key in ["", "\"", "é"] {
+                let _ = (json_str(&json, key), json_u64(&json, key));
+                let _ = (json_bool(&json, key), json_has(&json, key));
+            }
+        }
+    }
+
     /// The three entry points of the one FNV-1a-64 — this re-export, the
     /// slice form in `polyrec::codec` and its streaming form fed bytes or
     /// text — agree on the published test vectors.

@@ -1,6 +1,7 @@
 //! End-to-end tests of the profiling server, culminating in the chaos
 //! loadgen gate: ≥64 concurrent sessions across ≥4 tenants, one tenant
-//! permanently under an always-fire fault plan and a 1-byte budget — every
+//! under fault plans (a pass-2 panic, or refused shadow pages and stalled
+//! heartbeats) and a 1-byte budget — every
 //! healthy session must deliver a report whose canonical DDG is
 //! byte-identical to a direct in-process run, overload must be structured,
 //! and the server must survive the whole storm. Beside it: what a session's
@@ -51,12 +52,13 @@ fn wait_until(what: &str, cond: impl Fn() -> bool) {
 
 /// Occupy a worker for about a second, whatever the speed of the box: submit
 /// `fig6_long` (the server must have [`long_registry`]) as a session that
-/// stalls 10 ms at each of its ~150 chunk sends and so crawls to its 1 s
-/// deadline. Returns the connection its frames arrive on.
+/// stalls 25 ms at each of its ~50 heartbeats (one per 4096 instructions)
+/// and so crawls to its 1 s deadline. Returns the connection its frames
+/// arrive on.
 fn hold_a_worker(addr: std::net::SocketAddr) -> TcpStream {
     let mut held = TcpStream::connect(addr).unwrap();
     let submit = "{\"op\": \"submit\", \"workload\": \"fig6_long\", \"tenant\": \"held\", \
-                  \"fault_plan\": \"stall:send@*;stall_ms=10\", \"deadline_ms\": 1000}";
+                  \"fault_plan\": \"stall:beat@*;stall_ms=25\", \"deadline_ms\": 1000}";
     polyserve::wire::write_json(&mut held, submit).unwrap();
     held
 }
@@ -418,6 +420,64 @@ fn forged_statement_upload_fails_structurally_and_the_server_serves_on() {
     server.shutdown();
 }
 
+/// A panic in pass 2 (`panic:pre@1`, the first memory event) ends its
+/// session in an `error` frame naming the `pass-2` stage and is accounted as
+/// a failed session, and the server serves the same connection on.
+#[test]
+fn a_pass_2_panic_ends_its_session_in_an_error_frame_and_the_server_serves_on() {
+    use polytrace::service::ServiceCounter as C;
+    let server = serve("127.0.0.1:0", ServerConfig::default(), registry()).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let opts = SubmitOpts {
+        fault_plan: Some("panic:pre@1".to_string()),
+        ..SubmitOpts::default()
+    };
+    match c
+        .submit(Submission::Program { workload: "fig6" }, &opts)
+        .unwrap()
+    {
+        Outcome::Failed { error } => {
+            assert!(error.contains("`pass-2` panicked"), "{error}");
+            assert!(error.contains("injected fault"), "{error}");
+        }
+        other => panic!("expected Failed, got {other:?}"),
+    }
+    assert_eq!(server.stats().get(C::SessionsPanicked), 1);
+    done(&mut c, Submission::Program { workload: "fig6" });
+    assert_eq!(server.stats().get(C::CompletedClean), 1);
+    server.shutdown();
+}
+
+/// A fault plan naming a site this build does not have — the fold workers'
+/// panic site is gone with them — is refused at admission with a structured
+/// `bad fault_plan` that lists the sites there are.
+#[test]
+fn a_removed_fault_site_is_a_structured_rejection_listing_the_sites() {
+    use polyprof_core::FaultSite;
+    let server = serve("127.0.0.1:0", ServerConfig::default(), registry()).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let removed = format!("panic:{}@1", "fold");
+    let opts = SubmitOpts {
+        fault_plan: Some(removed.clone()),
+        ..SubmitOpts::default()
+    };
+    match c
+        .submit(Submission::Program { workload: "fig6" }, &opts)
+        .unwrap()
+    {
+        Outcome::Rejected { error } => {
+            assert!(error.starts_with("bad fault_plan"), "{error}");
+            assert!(error.contains(&removed[..removed.len() - 2]), "{error}");
+            for site in FaultSite::ALL {
+                assert!(error.contains(site.name()), "{error} omits {}", site.name());
+            }
+        }
+        other => panic!("expected Rejected, got {other:?}"),
+    }
+    assert!(c.ping().unwrap());
+    server.shutdown();
+}
+
 /// Progress frames carry the run's own heartbeat: valid JSON, monotone, and
 /// moving while the session folds — not a row of zeros closed by the total.
 #[test]
@@ -464,10 +524,10 @@ fn progress_frames_are_live() {
     server.shutdown();
 }
 
-/// The owner is the watchdog. Every attempt of this session loses its worker
-/// (`panic:fold@*`) and crawls (`stall:send@*`) to its own 150 ms deadline,
-/// and the supervisor re-arms that deadline for the next attempt — only the
-/// owner's cancel, 100 ms of grace later and sticky across re-arms, ends it.
+/// The owner is the watchdog. This session's first heartbeat stalls for
+/// 300 ms (`stall:beat@*`), past its 150 ms deadline and past the 100 ms of
+/// grace after it, so the owner's cancel lands during the stall; the run
+/// then stops at the heartbeat that ends the stall.
 #[test]
 fn owner_cancels_a_session_that_outlives_deadline_plus_grace() {
     let cfg = ServerConfig {
@@ -477,7 +537,7 @@ fn owner_cancels_a_session_that_outlives_deadline_plus_grace() {
     let server = serve("127.0.0.1:0", cfg, long_registry()).unwrap();
     let mut c = Client::connect(server.addr()).unwrap();
     let opts = SubmitOpts {
-        fault_plan: Some("panic:fold@*;stall:send@*;stall_ms=3".to_string()),
+        fault_plan: Some("stall:beat@*;stall_ms=300".to_string()),
         deadline_ms: Some(150),
         ..SubmitOpts::default()
     };
@@ -682,16 +742,20 @@ fn chaos_loadgen_gate() {
             }));
         }
     }
-    // The chaos tenant: every session panics the fold stage on every probe
-    // (defeating bounded retry, forcing serial fallback) under a 1-byte
-    // budget (forcing over-approximation degradation).
+    // The chaos tenant, under a 1-byte budget (forcing over-approximation
+    // degradation): even sessions panic in pass 2 at a seeded memory event,
+    // odd ones lose every shadow page and stall every heartbeat.
     let mut chaos_handles = Vec::new();
     for i in 0..8 {
         chaos_handles.push(std::thread::spawn(move || {
             let mut c = Client::connect(addr).unwrap();
+            let plan = match i % 2 {
+                0 => "seed=9;panic:pre@?",
+                _ => "seed=9;alloc:shadow@*;stall:beat@*;stall_ms=1",
+            };
             let opts = SubmitOpts {
                 tenant: Some("chaos".to_string()),
-                fault_plan: Some("seed=9;panic:fold@*;malformed:chunk@1".to_string()),
+                fault_plan: Some(plan.to_string()),
                 budget_bytes: Some(1),
                 deadline_ms: Some(20_000),
             };
@@ -732,22 +796,34 @@ fn chaos_loadgen_gate() {
     // Chaos sessions: each either completes degraded or fails with a
     // structured error — never a hang, never a dead server.
     let mut chaos_outcomes = 0;
+    let mut chaos_failed = 0;
     for h in chaos_handles {
         match h.join().unwrap() {
             Outcome::Done { report_json, .. } => {
-                let deg = polyserve::wire::json_str(&report_json, "canonical_ddg");
                 // Degraded canonical may legitimately differ from truth
                 // (over-approximation); what matters is the session
                 // reported degradation truthfully.
                 assert!(report_json.contains("\"degradation\":"), "{report_json}");
-                let _ = deg;
+                assert!(
+                    report_json.contains("\"unresolved_accesses\":"),
+                    "{report_json}"
+                );
+                assert!(
+                    !report_json.contains("\"unresolved_accesses\":0"),
+                    "{report_json}"
+                );
                 chaos_outcomes += 1;
             }
-            Outcome::Failed { .. } => chaos_outcomes += 1,
+            Outcome::Failed { error } => {
+                assert!(error.contains("`pass-2` panicked"), "{error}");
+                chaos_failed += 1;
+                chaos_outcomes += 1;
+            }
             other => panic!("chaos session must terminate structurally, got {other:?}"),
         }
     }
     assert_eq!(chaos_outcomes, 8);
+    assert_eq!(chaos_failed, 4, "every panic:pre session fails, no other");
 
     // The server survived: still answers, and the books balance.
     let mut c = Client::connect(addr).unwrap();
@@ -764,6 +840,7 @@ fn chaos_loadgen_gate() {
         "every admitted session must terminate: {m}"
     );
     assert!(clean >= 64, "healthy sessions all clean: {m}");
+    assert_eq!(panicked, 4, "only the panic:pre sessions failed: {m}");
     server.shutdown();
 }
 

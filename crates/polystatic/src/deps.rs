@@ -35,7 +35,7 @@
 //!   the dynamic run;
 //! * the synthesized per-key event order equals the serial profiler's
 //!   (lexicographic iteration order × instruction index), and folding is
-//!   per-key, so serial and sharded folds are both byte-identical.
+//!   per-key, so the folded DDG is byte-identical.
 
 use crate::dataflow::{loop_chain, DomTree, StaticSummary};
 use crate::{classify_registers, eval_operand, Base, Sym};

@@ -8,22 +8,17 @@
 //! * **per-stage span timing** — wall time of each sequential stage of
 //!   [`profile`](https://docs.rs/polyprof-core) (structure recording, the
 //!   static affine pre-pass, pass 2, finalize, DDG lint, SCEV removal,
-//!   scheduling, feedback, rendering, the static baseline), plus the
-//!   *concurrent* stage threads of the sharded pipeline
-//!   (the producer, each fold shard, merge);
-//! * **pipeline counters and gauges** — events routed / folded
-//!   (total and per shard), chunk-pool recycle vs fresh-allocation counts,
-//!   bounded-channel send/recv stall time, shadow-page MRU and context
+//!   scheduling, feedback, rendering, the static baseline);
+//! * **pipeline counters** — events folded, shadow-page MRU and context
 //!   version-cache hit/miss, folder prediction hits, retired (SCEV) and
-//!   over-approximated statement counts, queue-depth high-water marks.
+//!   over-approximated statement counts, recording frames and bytes.
 //!
 //! The design keeps the hot paths honest:
 //!
 //! * Per-event accounting lives in the components themselves as plain `u64`
 //!   fields (a register increment, no atomics, no branches) and is harvested
-//!   into the collector **once per stage**, when the owning thread finishes.
-//! * Atomic traffic happens only at chunk granularity (queue gauges, stall
-//!   time) or stage granularity (span ends) — thousands of events apart.
+//!   into the collector **once per stage**, when the stage finishes.
+//! * Atomic traffic happens only at stage granularity (span ends, harvests).
 //! * `Instant::now()` is taken only at [`MetricsLevel::Timing`]; at
 //!   [`MetricsLevel::Counters`] spans are free, and at [`MetricsLevel::Off`]
 //!   no collector exists at all, so the zero-allocation steady state of the
@@ -53,14 +48,12 @@ pub enum MetricsLevel {
     Off,
     /// Counters and gauges only — spans exist but never read the clock.
     Counters,
-    /// Counters plus wall-clock span timing for every stage, plus latency
-    /// [`Histogram`]s for per-chunk fold time, channel stalls, chunk
-    /// occupancy and queue depth.
+    /// Counters plus wall-clock span timing for every stage, plus the VM's
+    /// opcode counts and its sampled dispatch-latency [`Histogram`].
     Timing,
-    /// Everything above plus a timestamped event timeline: per-thread
-    /// bounded [`Journal`]s record begin/end/instant events at chunk
-    /// granularity, drained once at finish and exportable as Chrome
-    /// trace-event JSON ([`RunMetrics::timeline_json`]).
+    /// Everything above plus a timestamped event timeline: stage spans and
+    /// point events, plus any bounded per-thread [`Journal`]s, exportable as
+    /// Chrome trace-event JSON ([`RunMetrics::timeline_json`]).
     Trace,
 }
 
@@ -156,9 +149,8 @@ pub const N_HIST_BUCKETS: usize = (64 - HIST_SUB_BITS as usize) * HIST_SUB + HIS
 /// *local* histogram on their own thread and merge it into the
 /// [`Collector`] once at stage end, the same harvest discipline as the
 /// scalar counters. [`Histogram::merge`] is associative and commutative
-/// (bucket-wise addition), so per-shard histograms merge into exactly the
-/// histogram a single observer of the interleaved stream would have built —
-/// the distribution analogue of `FoldedDdg::merge_parts`.
+/// (bucket-wise addition), so partial histograms merge into exactly the
+/// histogram a single observer of the whole stream would have built.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     counts: [u64; N_HIST_BUCKETS],
@@ -313,46 +305,24 @@ impl Histogram {
     }
 }
 
-/// The fixed set of latency/occupancy distributions a run records. Every
-/// variant owns one histogram slot in the [`Collector`].
+/// The fixed set of latency distributions a run records. Every variant owns
+/// one histogram slot in the [`Collector`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HistKind {
-    /// Wall time of folding one chunk in a fold worker (ns).
-    FoldChunkNs,
-    /// Per-chunk blocked time in a bounded-channel send (ns).
-    SendStallNs,
-    /// Per-recv blocked time waiting on a channel (ns).
-    RecvStallNs,
-    /// Events carried by one sent chunk (occupancy; capacity = chunk_events).
-    ChunkOccupancy,
-    /// In-flight chunk count observed at each send, over all edges.
-    QueueDepth,
     /// Sampled VM dispatch time of one dynamic instruction (ns).
     VmDispatchNs,
 }
 
 /// Number of [`HistKind`] slots.
-pub const N_HISTS: usize = 6;
+pub const N_HISTS: usize = 1;
 
 impl HistKind {
     /// All kinds, in report order.
-    pub const ALL: [HistKind; N_HISTS] = [
-        HistKind::FoldChunkNs,
-        HistKind::SendStallNs,
-        HistKind::RecvStallNs,
-        HistKind::ChunkOccupancy,
-        HistKind::QueueDepth,
-        HistKind::VmDispatchNs,
-    ];
+    pub const ALL: [HistKind; N_HISTS] = [HistKind::VmDispatchNs];
 
     /// Stable snake_case name (JSON keys, table rows).
     pub fn name(self) -> &'static str {
         match self {
-            HistKind::FoldChunkNs => "fold_chunk_ns",
-            HistKind::SendStallNs => "send_stall_ns",
-            HistKind::RecvStallNs => "recv_stall_ns",
-            HistKind::ChunkOccupancy => "chunk_occupancy",
-            HistKind::QueueDepth => "queue_depth",
             HistKind::VmDispatchNs => "vm_dispatch_ns",
         }
     }
@@ -363,9 +333,9 @@ impl HistKind {
 }
 
 /// Sequential stages of one profiling run. Exactly one of these is active at
-/// any moment — for every source and fold target of pass 2, retries
-/// included — so their span times sum to (approximately) the run's wall
-/// time: the property the metrics-consistency suite asserts.
+/// any moment — for every source of pass 2 — so their span times sum to
+/// (approximately) the run's wall time: the property the metrics-consistency
+/// suite asserts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Pass 1: dynamic CFG/CG recording + loop-forest analysis.
@@ -373,13 +343,10 @@ pub enum Stage {
     /// The static affine pre-pass (`polystatic::dataflow`): dominators,
     /// induction variables, SCEV proofs and the instrumentation prune mask.
     StaticPass,
-    /// Pass 2's attempts: the event source (the VM under the profiler, or a
-    /// recording) streaming into the fold target. One span per attempt; a
-    /// worker target's concurrency is broken out in [`PipeStage`] and the
-    /// shard slots.
+    /// Pass 2: the event source (the VM under the profiler, or a recording)
+    /// streaming into the fold sink on the calling thread.
     Profile,
-    /// Folding-sink finalization, after the last attempt, for every fold
-    /// target: a lone sink directly, shards in parallel and then merged.
+    /// Folding-sink finalization, after the stream ends.
     Finalize,
     /// Post-fold DDG lint against the static summary.
     Lint,
@@ -393,15 +360,10 @@ pub enum Stage {
     Render,
     /// The static "Polly" baseline analysis.
     StaticBaseline,
-    /// The time between two attempts of pass 2 on fold workers: the retry
-    /// backoff and the budget re-arm. (The calling-thread fallback after the
-    /// last retry is itself an attempt, under [`Stage::Profile`].) Zero
-    /// unless an attempt panicked.
-    Recovery,
 }
 
 /// Number of [`Stage`] slots.
-pub const N_STAGES: usize = 11;
+pub const N_STAGES: usize = 10;
 
 impl Stage {
     /// All stages, in execution order.
@@ -416,7 +378,6 @@ impl Stage {
         Stage::Feedback,
         Stage::Render,
         Stage::StaticBaseline,
-        Stage::Recovery,
     ];
 
     /// Stable display name.
@@ -432,37 +393,6 @@ impl Stage {
             Stage::Feedback => "feedback",
             Stage::Render => "render",
             Stage::StaticBaseline => "static-baseline",
-            Stage::Recovery => "recovery",
-        }
-    }
-
-    fn slot(self) -> usize {
-        self as usize
-    }
-}
-
-/// Concurrent stage threads *inside* [`Stage::Profile`] when pass 2 folds on
-/// worker threads. These overlap in time with the fold shards, so they are
-/// reported as CPU time, not added to the sequential sum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PipeStage {
-    /// The producer: the event source — live, the VM run under the profiler
-    /// (loop events, IIV, interning, register deps, shadow resolution) — and
-    /// the shard router.
-    PreProfile,
-}
-
-/// Number of [`PipeStage`] slots.
-pub const N_PIPE: usize = 1;
-
-impl PipeStage {
-    /// All pipeline stages.
-    pub const ALL: [PipeStage; N_PIPE] = [PipeStage::PreProfile];
-
-    /// Stable display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            PipeStage::PreProfile => "pre-profile",
         }
     }
 
@@ -479,9 +409,7 @@ pub enum Counter {
     DynOps,
     /// Dynamic memory events (loads + stores) seen by pass 2.
     MemEvents,
-    /// Events the producer routed into folding shards.
-    EventsRouted,
-    /// Events consumed by folding sinks (must equal the per-shard sum).
+    /// Events consumed by the folding sink.
     EventsFolded,
     /// Dependence events folded (subset of [`Counter::EventsFolded`]).
     DepsFolded,
@@ -501,27 +429,6 @@ pub enum Counter {
     ShadowMruMiss,
     /// Resident shadow pages at the end of the run.
     ShadowPages,
-    /// Event chunks folded by shard workers, live or replayed (0 when pass 2
-    /// folds on the calling thread); one `fold-chunk` span each at `Trace`.
-    ChunksFolded,
-    /// Event chunks obtained from the recycling pool.
-    ChunkRecycled,
-    /// Event chunks freshly allocated (pool momentarily dry).
-    ChunkFresh,
-    /// Nanoseconds spent blocked in bounded-channel sends (backpressure),
-    /// summed over every contributing thread.
-    SendStallNs,
-    /// Threads that contributed to `SendStallNs` (per-thread mean
-    /// denominator; stall sums across threads can exceed wall time).
-    SendStallThreads,
-    /// Nanoseconds spent blocked waiting on channel receives, summed over
-    /// every contributing thread.
-    RecvStallNs,
-    /// Threads that contributed to `RecvStallNs` (per-thread mean
-    /// denominator).
-    RecvStallThreads,
-    /// High-water mark of in-flight chunks over all channel edges.
-    QueuePeakDepth,
     /// Bytes held by spilled coordinate-snapshot arenas.
     ArenaBytes,
     /// Statements retired by SCEV removal.
@@ -550,14 +457,6 @@ pub enum Counter {
     LintViolations,
     /// Faults fired by an armed `polyresist::FaultPlan` (0 in production).
     FaultsInjected,
-    /// Pass-2 attempts on fold workers retried after a stage panic.
-    StageRetries,
-    /// Runs that gave up on fold workers and folded on the calling thread.
-    SerialFallbacks,
-    /// Event chunks dropped in flight (injected or send-error).
-    DroppedChunks,
-    /// Event chunks rejected by validation before replay.
-    MalformedChunks,
     /// Memory accesses skipped because a shadow page failed to allocate.
     UnresolvedAccesses,
     /// Statements folded in budget over-approximation (coarse) mode.
@@ -578,14 +477,13 @@ pub enum Counter {
 }
 
 /// Number of [`Counter`] slots.
-pub const N_COUNTERS: usize = 44;
+pub const N_COUNTERS: usize = 31;
 
 impl Counter {
     /// All counters, in report order.
     pub const ALL: [Counter; N_COUNTERS] = [
         Counter::DynOps,
         Counter::MemEvents,
-        Counter::EventsRouted,
         Counter::EventsFolded,
         Counter::DepsFolded,
         Counter::FoldPredicted,
@@ -595,14 +493,6 @@ impl Counter {
         Counter::ShadowMruHit,
         Counter::ShadowMruMiss,
         Counter::ShadowPages,
-        Counter::ChunksFolded,
-        Counter::ChunkRecycled,
-        Counter::ChunkFresh,
-        Counter::SendStallNs,
-        Counter::SendStallThreads,
-        Counter::RecvStallNs,
-        Counter::RecvStallThreads,
-        Counter::QueuePeakDepth,
         Counter::ArenaBytes,
         Counter::RetiredStmts,
         Counter::RetiredDeps,
@@ -615,10 +505,6 @@ impl Counter {
         Counter::LintChecks,
         Counter::LintViolations,
         Counter::FaultsInjected,
-        Counter::StageRetries,
-        Counter::SerialFallbacks,
-        Counter::DroppedChunks,
-        Counter::MalformedChunks,
         Counter::UnresolvedAccesses,
         Counter::BudgetOverapprox,
         Counter::DeadlineHits,
@@ -634,7 +520,6 @@ impl Counter {
         match self {
             Counter::DynOps => "dyn_ops",
             Counter::MemEvents => "mem_events",
-            Counter::EventsRouted => "events_routed",
             Counter::EventsFolded => "events_folded",
             Counter::DepsFolded => "deps_folded",
             Counter::FoldPredicted => "fold_predicted",
@@ -644,14 +529,6 @@ impl Counter {
             Counter::ShadowMruHit => "shadow_mru_hit",
             Counter::ShadowMruMiss => "shadow_mru_miss",
             Counter::ShadowPages => "shadow_pages",
-            Counter::ChunksFolded => "chunks_folded",
-            Counter::ChunkRecycled => "chunks_recycled",
-            Counter::ChunkFresh => "chunks_fresh",
-            Counter::SendStallNs => "send_stall_ns",
-            Counter::SendStallThreads => "send_stall_threads",
-            Counter::RecvStallNs => "recv_stall_ns",
-            Counter::RecvStallThreads => "recv_stall_threads",
-            Counter::QueuePeakDepth => "queue_peak_depth",
             Counter::ArenaBytes => "arena_bytes",
             Counter::RetiredStmts => "retired_stmts",
             Counter::RetiredDeps => "retired_deps",
@@ -664,10 +541,6 @@ impl Counter {
             Counter::LintChecks => "lint_checks",
             Counter::LintViolations => "lint_violations",
             Counter::FaultsInjected => "faults_injected",
-            Counter::StageRetries => "stage_retries",
-            Counter::SerialFallbacks => "serial_fallbacks",
-            Counter::DroppedChunks => "dropped_chunks",
-            Counter::MalformedChunks => "malformed_chunks",
             Counter::UnresolvedAccesses => "unresolved_accesses",
             Counter::BudgetOverapprox => "budget_overapprox_stmts",
             Counter::DeadlineHits => "deadline_hits",
@@ -684,62 +557,18 @@ impl Counter {
     }
 }
 
-/// Fixed shard-accumulator count. Shard indices beyond this saturate into
-/// the last slot (the pipeline defaults cap `fold_threads` at 8; 32 slots
-/// keep even oversubscribed configurations attributable).
-pub const MAX_SHARDS: usize = 32;
-
-/// Channel-edge slots: edge `k` is the producer → shard-`k` edge.
-pub const N_EDGES: usize = MAX_SHARDS;
-
-/// A node of the profiler's own stage tree — the label alphabet of the
-/// self-flamegraph (rendered by `polyfeedback::report::self_flamegraph_svg`
-/// through the same `SchedTree` machinery as the subject program's graph).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StageNode {
-    /// A sequential stage.
-    Stage(Stage),
-    /// A concurrent pipeline stage thread.
-    Pipe(PipeStage),
-    /// One folding shard.
-    Shard(u8),
-}
-
-impl StageNode {
-    /// Display label.
-    pub fn name(&self) -> String {
-        match self {
-            StageNode::Stage(s) => s.name().to_string(),
-            StageNode::Pipe(p) => p.name().to_string(),
-            StageNode::Shard(k) => format!("fold-shard {k}"),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Timeline events and per-thread journals
 // ---------------------------------------------------------------------------
 
-/// Logical thread lanes of the timeline (the Chrome trace `tid`).
-/// The driver and every sequential stage run in lane [`TID_DRIVER`]; the
-/// pipeline stage threads and fold shards get their own lanes.
+/// Logical thread lanes of the timeline (the Chrome trace `tid`). The
+/// driver and every sequential stage run in lane [`TID_DRIVER`].
 pub const TID_DRIVER: u32 = 0;
-/// The producer lane: the pass-2 VM run and the chunk sends.
-pub const TID_PRE: u32 = 1;
-/// Fold shard `k` maps to lane `TID_SHARD0 + k`.
-pub const TID_SHARD0: u32 = 10;
-
-/// Timeline lane of fold shard `k`.
-pub fn tid_shard(k: usize) -> u32 {
-    TID_SHARD0 + k.min(MAX_SHARDS - 1) as u32
-}
 
 /// Human-readable lane name (Chrome trace `thread_name` metadata).
 pub fn tid_name(tid: u32) -> String {
     match tid {
         TID_DRIVER => "driver".to_string(),
-        TID_PRE => "pre-profile".to_string(),
-        k if k >= TID_SHARD0 => format!("fold-shard {}", k - TID_SHARD0),
         other => format!("thread {other}"),
     }
 }
@@ -757,10 +586,10 @@ pub enum TraceEventKind {
 
 /// One timestamped timeline record. Plain copyable data: a static name, a
 /// lane, the offset from the collector's epoch, and two free-form integer
-/// arguments (shard id, chunk sequence number, counts, …).
+/// arguments (counts, sequence numbers, …).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Static event name (`"fold-chunk"`, `"chunk-send"`, `"profile"`, …).
+    /// Static event name (`"profile"`, `"deadline-hit"`, …).
     pub name: &'static str,
     /// Begin / end / instant.
     pub kind: TraceEventKind,
@@ -768,14 +597,14 @@ pub struct TraceEvent {
     pub ts_ns: u64,
     /// Timeline lane (see [`TID_DRIVER`] and friends).
     pub tid: u32,
-    /// First argument (convention: shard id, or a count).
+    /// First argument (convention: a count).
     pub arg0: u64,
-    /// Second argument (convention: chunk sequence number, or a count).
+    /// Second argument (convention: a sequence number, or a count).
     pub arg1: u64,
 }
 
 /// A thread-owned, bounded event journal — the [`MetricsLevel::Trace`]
-/// recording primitive for chunk-frequency events.
+/// recording primitive for events too frequent for the shared timeline.
 ///
 /// Lock-free by ownership: exactly one thread writes it, with no atomics or
 /// locks on the recording path, and it is handed back to the collector
@@ -795,9 +624,8 @@ pub struct Journal {
     epoch: Instant,
 }
 
-/// Default per-thread journal capacity (events). At the default chunk size
-/// of 4096 events this covers runs of ~130M events per thread before
-/// dropping; ~1.5 MB per thread at 48 B per record.
+/// Default per-thread journal capacity (events); ~1.5 MB per thread at 48 B
+/// per record.
 pub const JOURNAL_CAP: usize = 1 << 15;
 
 impl Journal {
@@ -898,32 +726,22 @@ fn atomic_array<const N: usize>() -> [AtomicU64; N] {
 }
 
 /// The per-run accumulator: fixed slots, atomic, allocation-free to record
-/// into. Shared by every stage thread of one profiling run (behind an `Arc`
-/// or a scope borrow); one atomic add per harvest, `Relaxed` everywhere —
-/// cross-slot consistency is established by the thread joins that precede
-/// [`Collector::snapshot`].
+/// into. Shared behind an `Arc` by whatever records into one profiling run;
+/// one atomic add per harvest, `Relaxed` everywhere — a snapshot is taken
+/// after the run returns, so cross-slot consistency needs no ordering.
 #[derive(Debug)]
 pub struct Collector {
     level: MetricsLevel,
     /// Epoch of the run: every timeline timestamp is an offset from here.
     epoch: Instant,
     stage_ns: [AtomicU64; N_STAGES],
-    pipe_ns: [AtomicU64; N_PIPE],
-    shard_ns: [AtomicU64; MAX_SHARDS],
-    shard_events: [AtomicU64; MAX_SHARDS],
-    /// Highest shard slot touched + 1 (how many shards to report).
-    shards_used: AtomicU64,
-    /// Highest channel edge touched + 1 (how many edges to report).
-    edges_used: AtomicU64,
     counters: [AtomicU64; N_COUNTERS],
-    queue_depth: [AtomicU64; N_EDGES],
-    queue_peak: [AtomicU64; N_EDGES],
     /// Latency histograms, merged in at stage granularity (locked only at
     /// harvest time, never per event).
     hists: Box<[Mutex<Histogram>; N_HISTS]>,
-    /// Low-frequency shared timeline (stage/pipe/shard spans, recovery
-    /// instants) plus every submitted per-thread [`Journal`]. Locked O(1)
-    /// per span — tens of times per run.
+    /// Low-frequency shared timeline (stage spans, degradation instants)
+    /// plus every submitted per-thread [`Journal`]. Locked O(1) per span —
+    /// tens of times per run.
     timeline: Mutex<Vec<TraceEvent>>,
     /// Journal records rejected for capacity across all threads.
     trace_dropped: AtomicU64,
@@ -939,14 +757,7 @@ impl Collector {
             level,
             epoch: Instant::now(),
             stage_ns: atomic_array(),
-            pipe_ns: atomic_array(),
-            shard_ns: atomic_array(),
-            shard_events: atomic_array(),
-            shards_used: AtomicU64::new(0),
-            edges_used: AtomicU64::new(0),
             counters: atomic_array(),
-            queue_depth: atomic_array(),
-            queue_peak: atomic_array(),
             hists: Box::new(std::array::from_fn(|_| Mutex::new(Histogram::new()))),
             timeline: Mutex::new(Vec::new()),
             trace_dropped: AtomicU64::new(0),
@@ -995,16 +806,22 @@ impl Collector {
         }
     }
 
-    /// Record a point event straight onto the shared timeline (recovery,
-    /// degradation, watchdog — low-frequency paths only). No-op below
+    /// Record a point event straight onto the shared timeline (degradation,
+    /// watchdog — low-frequency paths only). No-op below
     /// [`MetricsLevel::Trace`].
     pub fn timeline_instant(&self, name: &'static str, tid: u32, arg0: u64, arg1: u64) {
+        self.push_event(name, TraceEventKind::Instant, tid, arg0, arg1);
+    }
+
+    /// Append one event to the shared timeline; no-op below
+    /// [`MetricsLevel::Trace`].
+    fn push_event(&self, name: &'static str, kind: TraceEventKind, tid: u32, arg0: u64, arg1: u64) {
         if !self.tracing() {
             return;
         }
         let ev = TraceEvent {
             name,
-            kind: TraceEventKind::Instant,
+            kind,
             ts_ns: self.now_ns(),
             tid,
             arg0,
@@ -1022,16 +839,8 @@ impl Collector {
         self.hists[kind.slot()].lock().unwrap().merge(h);
     }
 
-    /// Record a single sample into the shared histogram for `kind`. Chunk
-    /// granularity or colder only — per-event paths keep a local
-    /// [`Histogram`] and use [`Collector::merge_hist`].
-    pub fn record_hist(&self, kind: HistKind, v: u64) {
-        self.hists[kind.slot()].lock().unwrap().record(v);
-    }
-
     /// Harvest a per-opcode dispatch count from a finished VM run. Counts
-    /// for the same opcode name accumulate across runs (retries, serial
-    /// fallback).
+    /// for the same opcode name accumulate across calls.
     pub fn record_vm_op(&self, name: &'static str, count: u64) {
         if count == 0 {
             return;
@@ -1051,12 +860,6 @@ impl Collector {
         }
     }
 
-    /// Raise a named counter to at least `n` (gauge high-water mark).
-    #[inline]
-    pub fn raise(&self, c: Counter, n: u64) {
-        self.counters[c.slot()].fetch_max(n, Ordering::Relaxed);
-    }
-
     /// Current value of a named counter.
     pub fn get(&self, c: Counter) -> u64 {
         self.counters[c.slot()].load(Ordering::Relaxed)
@@ -1064,24 +867,7 @@ impl Collector {
 
     /// RAII span over a sequential stage (no clock read below `Timing`).
     pub fn span(&self, s: Stage) -> Span<'_> {
-        Span::new(self, SpanSlot::Stage(s.slot()), s.name(), TID_DRIVER, 0)
-    }
-
-    /// RAII span over a concurrent pipeline stage.
-    pub fn pipe_span(&self, p: PipeStage) -> Span<'_> {
-        Span::new(self, SpanSlot::Pipe(p.slot()), p.name(), TID_PRE, 0)
-    }
-
-    /// RAII span over fold shard `k`'s worker loop.
-    pub fn shard_span(&self, k: usize) -> Span<'_> {
-        let k = k.min(MAX_SHARDS - 1);
-        Span::new(
-            self,
-            SpanSlot::Shard(k),
-            "fold-shard",
-            tid_shard(k),
-            k as u64,
-        )
+        Span::new(self, s)
     }
 
     /// Record nanoseconds directly into a sequential-stage slot (for code
@@ -1090,41 +876,10 @@ impl Collector {
         self.stage_ns[s.slot()].fetch_add(ns, Ordering::Relaxed);
     }
 
-    /// Record events folded by shard `k`.
-    pub fn record_shard_events(&self, k: usize, events: u64) {
-        let k = k.min(MAX_SHARDS - 1);
-        self.shard_events[k].fetch_add(events, Ordering::Relaxed);
-        self.shards_used.fetch_max(k as u64 + 1, Ordering::Relaxed);
-    }
-
-    /// A chunk entered channel edge `edge` (send side). Returns the
-    /// post-send in-flight depth of the edge, so callers recording a
-    /// queue-depth histogram don't need a second atomic read.
-    #[inline]
-    pub fn queue_send(&self, edge: usize) -> u64 {
-        let edge = edge.min(N_EDGES - 1);
-        let depth = self.queue_depth[edge].fetch_add(1, Ordering::Relaxed) + 1;
-        self.queue_peak[edge].fetch_max(depth, Ordering::Relaxed);
-        self.edges_used
-            .fetch_max(edge as u64 + 1, Ordering::Relaxed);
-        depth
-    }
-
-    /// A chunk left channel edge `edge` (receive side).
-    #[inline]
-    pub fn queue_recv(&self, edge: usize) {
-        let edge = edge.min(N_EDGES - 1);
-        // Saturating: a recv observed before its send's add would underflow.
-        let _ = self.queue_depth[edge].fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| {
-            Some(d.saturating_sub(1))
-        });
-    }
-
-    /// Freeze the accumulators into a [`RunMetrics`]. Call after every stage
-    /// thread has been joined; `total_ns` is the run's measured wall time.
+    /// Freeze the accumulators into a [`RunMetrics`]. Call after the run
+    /// has returned; `total_ns` is the run's measured wall time.
     pub fn snapshot(&self, total_ns: u64) -> RunMetrics {
         let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let shards = ld(&self.shards_used) as usize;
         let hists = if self.timing() {
             self.hists
                 .iter()
@@ -1145,72 +900,35 @@ impl Collector {
         } else {
             Vec::new()
         };
-        let mut m = RunMetrics {
+        RunMetrics {
             level: self.level,
             total_ns,
             stage_ns: std::array::from_fn(|i| ld(&self.stage_ns[i])),
-            pipe_ns: std::array::from_fn(|i| ld(&self.pipe_ns[i])),
-            shard_ns: self.shard_ns[..shards].iter().map(ld).collect(),
-            shard_events: self.shard_events[..shards].iter().map(ld).collect(),
-            queue_peak: self.queue_peak[..ld(&self.edges_used) as usize]
-                .iter()
-                .map(ld)
-                .collect(),
             counters: std::array::from_fn(|i| ld(&self.counters[i])),
             hists,
             vm_ops,
             timeline,
             trace_dropped: ld(&self.trace_dropped),
-        };
-        let peak = m.queue_peak.iter().copied().max().unwrap_or(0);
-        m.counters[Counter::QueuePeakDepth.slot()] =
-            m.counters[Counter::QueuePeakDepth.slot()].max(peak);
-        m
+        }
     }
 }
 
-enum SpanSlot {
-    Stage(usize),
-    Pipe(usize),
-    Shard(usize),
-}
-
-/// RAII timing guard: adds its elapsed wall time to a collector slot on
-/// drop. Below [`MetricsLevel::Timing`] it never reads the clock and drop is
-/// a no-op. At [`MetricsLevel::Trace`] it additionally opens/closes a span
-/// on the shared timeline, so every existing stage/pipe/shard span shows up
-/// in the Chrome trace for free.
+/// RAII timing guard over a sequential stage: adds its elapsed wall time to
+/// the stage's slot on drop. Below [`MetricsLevel::Timing`] it never reads
+/// the clock and drop is a no-op. At [`MetricsLevel::Trace`] it additionally
+/// opens/closes a span on the shared timeline, so every stage shows up in
+/// the Chrome trace for free.
 pub struct Span<'a> {
     col: &'a Collector,
-    slot: SpanSlot,
+    stage: Stage,
     t0: Option<Instant>,
-    name: &'static str,
-    tid: u32,
-    arg0: u64,
 }
 
 impl<'a> Span<'a> {
-    fn new(col: &'a Collector, slot: SpanSlot, name: &'static str, tid: u32, arg0: u64) -> Self {
+    fn new(col: &'a Collector, stage: Stage) -> Self {
         let t0 = col.timing().then(Instant::now);
-        if col.tracing() {
-            let ev = TraceEvent {
-                name,
-                kind: TraceEventKind::Begin,
-                ts_ns: col.now_ns(),
-                tid,
-                arg0,
-                arg1: 0,
-            };
-            col.timeline.lock().unwrap().push(ev);
-        }
-        Span {
-            col,
-            slot,
-            t0,
-            name,
-            tid,
-            arg0,
-        }
+        col.push_event(stage.name(), TraceEventKind::Begin, TID_DRIVER, 0, 0);
+        Span { col, stage, t0 }
     }
 }
 
@@ -1218,24 +936,10 @@ impl Drop for Span<'_> {
     fn drop(&mut self) {
         if let Some(t0) = self.t0 {
             let ns = t0.elapsed().as_nanos() as u64;
-            let slot = match self.slot {
-                SpanSlot::Stage(i) => &self.col.stage_ns[i],
-                SpanSlot::Pipe(i) => &self.col.pipe_ns[i],
-                SpanSlot::Shard(i) => &self.col.shard_ns[i],
-            };
-            slot.fetch_add(ns, Ordering::Relaxed);
+            self.col.stage_ns[self.stage.slot()].fetch_add(ns, Ordering::Relaxed);
         }
-        if self.col.tracing() {
-            let ev = TraceEvent {
-                name: self.name,
-                kind: TraceEventKind::End,
-                ts_ns: self.col.now_ns(),
-                tid: self.tid,
-                arg0: self.arg0,
-                arg1: 0,
-            };
-            self.col.timeline.lock().unwrap().push(ev);
-        }
+        self.col
+            .push_event(self.stage.name(), TraceEventKind::End, TID_DRIVER, 0, 0);
     }
 }
 
@@ -1250,14 +954,6 @@ pub struct RunMetrics {
     pub total_ns: u64,
     /// Sequential stage times (ns), indexed by [`Stage`] slot order.
     pub stage_ns: [u64; N_STAGES],
-    /// Concurrent pipeline stage CPU times (ns), indexed by [`PipeStage`].
-    pub pipe_ns: [u64; N_PIPE],
-    /// Per-shard worker-loop CPU time (ns); empty on a serial run.
-    pub shard_ns: Vec<u64>,
-    /// Per-shard folded event counts; empty on a serial run.
-    pub shard_events: Vec<u64>,
-    /// Per-edge in-flight chunk high-water marks (edge `k` = producer → shard `k`).
-    pub queue_peak: Vec<u64>,
     /// Named counters, indexed by [`Counter`] slot order.
     pub counters: [u64; N_COUNTERS],
     /// Latency histograms, indexed by [`HistKind`] slot order; empty below
@@ -1279,11 +975,6 @@ impl RunMetrics {
         self.stage_ns[s.slot()]
     }
 
-    /// A concurrent pipeline stage's recorded CPU time, nanoseconds.
-    pub fn pipe(&self, p: PipeStage) -> u64 {
-        self.pipe_ns[p.slot()]
-    }
-
     /// A named counter's value.
     pub fn counter(&self, c: Counter) -> u64 {
         self.counters[c.slot()]
@@ -1293,27 +984,6 @@ impl RunMetrics {
     /// [`RunMetrics::total_ns`] at `Timing` (the stages partition the run).
     pub fn sequential_ns(&self) -> u64 {
         self.stage_ns.iter().sum()
-    }
-
-    /// True when the run went through the sharded pipeline (per-shard
-    /// accumulators populated).
-    pub fn has_pipeline(&self) -> bool {
-        !self.shard_events.is_empty()
-    }
-
-    /// Shard balance: max over mean of per-shard folded events (1.0 =
-    /// perfectly balanced; meaningless — 0.0 — on a serial run).
-    pub fn shard_balance(&self) -> f64 {
-        if self.shard_events.is_empty() {
-            return 0.0;
-        }
-        let max = *self.shard_events.iter().max().unwrap() as f64;
-        let mean = self.shard_events.iter().sum::<u64>() as f64 / self.shard_events.len() as f64;
-        if mean == 0.0 {
-            0.0
-        } else {
-            max / mean
-        }
     }
 
     /// Hit rate of a hit/miss counter pair (`None` when no lookups).
@@ -1330,29 +1000,13 @@ impl RunMetrics {
         (folded > 0).then(|| self.counter(Counter::FoldPredicted) as f64 / folded as f64)
     }
 
-    /// Per-thread mean of `SendStallNs` (the summed counter divided by the
-    /// number of contributing threads; 0 when no thread contributed).
-    pub fn send_stall_mean_ns(&self) -> u64 {
-        self.counter(Counter::SendStallNs)
-            .checked_div(self.counter(Counter::SendStallThreads))
-            .unwrap_or(0)
-    }
-
-    /// Per-thread mean of `RecvStallNs`.
-    pub fn recv_stall_mean_ns(&self) -> u64 {
-        self.counter(Counter::RecvStallNs)
-            .checked_div(self.counter(Counter::RecvStallThreads))
-            .unwrap_or(0)
-    }
-
     /// The recorded histogram for `kind` (`None` below `Timing`).
     pub fn hist(&self, kind: HistKind) -> Option<&Histogram> {
         self.hists.get(kind.slot())
     }
 
     /// Count of timeline events with a given name and kind (reconciliation
-    /// against the scalar counters: e.g. `fold-chunk` begins must equal
-    /// [`Counter::ChunksFolded`] on a drop-free trace).
+    /// against the spans and counters: e.g. one `profile` begin per run).
     pub fn timeline_count(&self, name: &str, kind: TraceEventKind) -> u64 {
         self.timeline
             .iter()
@@ -1435,34 +1089,6 @@ impl RunMetrics {
             s.push_str(&format!("\"{}\": {}", st.name(), self.stage(*st)));
         }
         s.push_str("}, ");
-        s.push_str("\"pipeline_ns\": {");
-        for (i, p) in PipeStage::ALL.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{}\": {}", p.name(), self.pipe(*p)));
-        }
-        s.push_str("}, ");
-        push_kv(&mut s, "shard_ns", &json_array(&self.shard_ns));
-        push_kv(&mut s, "shard_events", &json_array(&self.shard_events));
-        push_kv(&mut s, "queue_peak", &json_array(&self.queue_peak));
-        push_kv(
-            &mut s,
-            "shard_balance",
-            &format!("{:.4}", self.shard_balance()),
-        );
-        // Per-thread stall means: the stall counters are sums over every
-        // contributing thread, so only the means compare against total_ns.
-        push_kv(
-            &mut s,
-            "send_stall_mean_ns",
-            &self.send_stall_mean_ns().to_string(),
-        );
-        push_kv(
-            &mut s,
-            "recv_stall_mean_ns",
-            &self.recv_stall_mean_ns().to_string(),
-        );
         // Distribution / timeline / VM sections exist only at the levels
         // that record them, so `Off`/`Counters` artifacts stay byte-stable.
         if !self.hists.is_empty() {
@@ -1506,18 +1132,13 @@ fn push_kv(s: &mut String, k: &str, raw: &str) {
     s.push_str(&format!("\"{k}\": {raw}, "));
 }
 
-fn json_array(v: &[u64]) -> String {
-    let body: Vec<String> = v.iter().map(|x| x.to_string()).collect();
-    format!("[{}]", body.join(", "))
-}
-
 fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
 }
 
 impl fmt::Display for RunMetrics {
-    /// The human-readable table: stage times with % of wall, pipeline
-    /// breakdown when present, then the counter inventory with hit rates.
+    /// The human-readable table: stage times with % of wall, then the
+    /// counter inventory with hit rates.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "── run metrics ({:?}) ──", self.level)?;
         writeln!(f, "total wall time          {:>10.3} ms", ms(self.total_ns))?;
@@ -1542,40 +1163,6 @@ impl fmt::Display for RunMetrics {
                 "(stage sum)",
                 ms(self.sequential_ns()),
                 100.0 * self.sequential_ns() as f64 / total
-            )?;
-        }
-        if self.has_pipeline() {
-            writeln!(f, "pipeline (concurrent CPU time):")?;
-            if self.level >= MetricsLevel::Timing {
-                for p in PipeStage::ALL {
-                    writeln!(f, "  {:<22} {:>10.3} ms", p.name(), ms(self.pipe(p)))?;
-                }
-            }
-            for (k, ev) in self.shard_events.iter().enumerate() {
-                if self.level >= MetricsLevel::Timing {
-                    writeln!(
-                        f,
-                        "  fold-shard {:<11} {:>10.3} ms  {:>12} events",
-                        k,
-                        ms(self.shard_ns.get(k).copied().unwrap_or(0)),
-                        ev
-                    )?;
-                } else {
-                    writeln!(f, "  fold-shard {:<11} {:>12} events", k, ev)?;
-                }
-            }
-            writeln!(f, "  shard balance (max/mean) {:.3}", self.shard_balance())?;
-            // Stalls are summed over every contributing thread, so the sum
-            // can legitimately exceed wall time — the per-thread mean is
-            // the number comparable to `total_ns` and shard balance.
-            writeln!(
-                f,
-                "  send stall {:.3} ms total / {:.3} ms per thread, recv stall {:.3} ms total / {:.3} ms per thread, peak queue depth {}",
-                ms(self.counter(Counter::SendStallNs)),
-                ms(self.send_stall_mean_ns()),
-                ms(self.counter(Counter::RecvStallNs)),
-                ms(self.recv_stall_mean_ns()),
-                self.counter(Counter::QueuePeakDepth)
             )?;
         }
         if self.hists.iter().any(|h| !h.is_empty()) {
@@ -1623,18 +1210,6 @@ impl fmt::Display for RunMetrics {
         }
         writeln!(f, "counters:")?;
         for c in Counter::ALL {
-            // Stall/peak counters already shown in the pipeline section.
-            if matches!(
-                c,
-                Counter::SendStallNs
-                    | Counter::SendStallThreads
-                    | Counter::RecvStallNs
-                    | Counter::RecvStallThreads
-                    | Counter::QueuePeakDepth
-            ) && self.has_pipeline()
-            {
-                continue;
-            }
             let v = self.counter(c);
             if v == 0 {
                 continue;
@@ -1695,56 +1270,16 @@ mod tests {
     }
 
     #[test]
-    fn queue_gauges_track_peak_depth() {
-        let c = Collector::new(MetricsLevel::Counters);
-        c.queue_send(0);
-        c.queue_send(0);
-        c.queue_recv(0);
-        c.queue_send(0);
-        let m = c.snapshot(0);
-        assert_eq!(m.counter(Counter::QueuePeakDepth), 2);
-        // Underflow-safe: spurious recv does not wrap.
-        c.queue_recv(1);
-        c.queue_recv(1);
-        c.queue_send(1);
-        assert_eq!(c.snapshot(0).queue_peak[1], 1);
-    }
-
-    #[test]
-    fn shard_accounting_and_balance() {
-        let c = Collector::new(MetricsLevel::Counters);
-        c.record_shard_events(0, 100);
-        c.record_shard_events(2, 300);
-        let m = c.snapshot(0);
-        assert_eq!(m.shard_events, vec![100, 0, 300]);
-        // max 300, mean 133.3 → balance 2.25
-        assert!((m.shard_balance() - 2.25).abs() < 1e-9);
-        assert!(m.has_pipeline());
-    }
-
-    #[test]
-    fn shard_slots_saturate_not_panic() {
-        let c = Collector::new(MetricsLevel::Counters);
-        c.record_shard_events(MAX_SHARDS + 5, 7);
-        let _s = c.shard_span(MAX_SHARDS + 5);
-        let m = c.snapshot(0);
-        assert_eq!(m.shard_events.len(), MAX_SHARDS);
-        assert_eq!(m.shard_events[MAX_SHARDS - 1], 7);
-    }
-
-    #[test]
     fn json_and_table_render() {
         let c = Collector::new(MetricsLevel::Timing);
         c.add(Counter::DynOps, 1000);
         c.add(Counter::CtxCacheHit, 90);
         c.add(Counter::CtxCacheMiss, 10);
-        c.record_shard_events(0, 500);
         c.record_stage_ns(Stage::Profile, 5_000_000);
         let m = c.snapshot(10_000_000);
         let j = m.to_json();
         assert!(j.contains("\"dyn_ops\": 1000"), "{j}");
         assert!(j.contains("\"profile\": 5000000"), "{j}");
-        assert!(j.contains("\"shard_events\": [500]"), "{j}");
         assert!(j.contains("\"level\": \"timing\""), "{j}");
         let t = format!("{m}");
         assert!(t.contains("ctx_cache_hit"), "{t}");
@@ -1764,18 +1299,6 @@ mod tests {
             m.hit_rate(Counter::ShadowMruHit, Counter::ShadowMruMiss),
             None
         );
-    }
-
-    /// Stall sums divide by the contributing-thread counters; zero threads
-    /// never divides by zero.
-    #[test]
-    fn stall_means_are_per_thread() {
-        let c = Collector::new(MetricsLevel::Timing);
-        c.add(Counter::RecvStallNs, 3000);
-        c.add(Counter::RecvStallThreads, 3);
-        let m = c.snapshot(100);
-        assert_eq!(m.recv_stall_mean_ns(), 1000);
-        assert_eq!(m.send_stall_mean_ns(), 0);
     }
 
     #[test]
@@ -1888,7 +1411,7 @@ mod tests {
 
     #[test]
     fn journal_reserves_ends_under_overflow() {
-        let mut j = Journal::new(TID_PRE, 5, Instant::now());
+        let mut j = Journal::new(TID_DRIVER, 5, Instant::now());
         let a = j.begin("outer", 0, 0);
         let b = j.begin("inner", 1, 1);
         assert!(a && b);
@@ -1919,19 +1442,20 @@ mod tests {
         let c = Collector::new(MetricsLevel::Trace);
         {
             let _s = c.span(Stage::Profile);
-            let mut j = c.new_journal(tid_shard(1)).expect("tracing on");
-            let ok = j.begin("fold-chunk", 1, 0);
-            j.end(ok, "fold-chunk", 1, 0);
-            j.instant("chunk-send", 0, 42);
+            let mut j = c.new_journal(1).expect("tracing on");
+            let ok = j.begin("frame", 1, 0);
+            j.end(ok, "frame", 1, 0);
+            j.instant("beat", 0, 42);
             c.submit_journal(j);
         }
-        c.timeline_instant("recovery", TID_DRIVER, 7, 0);
+        c.timeline_instant("deadline-hit", TID_DRIVER, 7, 0);
         let m = c.snapshot(1);
-        assert_eq!(m.timeline_count("fold-chunk", TraceEventKind::Begin), 1);
-        assert_eq!(m.timeline_count("fold-chunk", TraceEventKind::End), 1);
+        assert_eq!(m.timeline_count("frame", TraceEventKind::Begin), 1);
+        assert_eq!(m.timeline_count("frame", TraceEventKind::End), 1);
         assert_eq!(m.timeline_count("profile", TraceEventKind::Begin), 1);
-        assert_eq!(m.timeline_count("chunk-send", TraceEventKind::Instant), 1);
-        assert_eq!(m.timeline_count("recovery", TraceEventKind::Instant), 1);
+        assert_eq!(m.timeline_count("profile", TraceEventKind::End), 1);
+        assert_eq!(m.timeline_count("beat", TraceEventKind::Instant), 1);
+        assert_eq!(m.timeline_count("deadline-hit", TraceEventKind::Instant), 1);
         // Sorted by timestamp.
         assert!(m.timeline.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
         let j = m.timeline_json();
@@ -1939,14 +1463,14 @@ mod tests {
         assert!(j.contains("\"ph\":\"B\""), "{j}");
         assert!(j.contains("\"ph\":\"E\""), "{j}");
         assert!(j.contains("\"thread_name\""), "{j}");
-        assert!(j.contains("fold-shard 1"), "{j}");
+        assert!(j.contains("\"driver\"") && j.contains("thread 1"), "{j}");
     }
 
     #[test]
     fn below_trace_no_journal_no_timeline() {
         let c = Collector::new(MetricsLevel::Timing);
-        assert!(c.new_journal(TID_PRE).is_none());
-        c.timeline_instant("recovery", TID_DRIVER, 0, 0);
+        assert!(c.new_journal(TID_DRIVER).is_none());
+        c.timeline_instant("deadline-hit", TID_DRIVER, 0, 0);
         {
             let _s = c.span(Stage::Profile);
         }
@@ -1977,34 +1501,25 @@ mod tests {
     #[test]
     fn hists_render_at_timing_not_counters() {
         let c = Collector::new(MetricsLevel::Timing);
-        c.record_hist(HistKind::FoldChunkNs, 1234);
         let mut local = Histogram::new();
+        local.record(1234);
+        c.merge_hist(HistKind::VmDispatchNs, &local);
         local.record(10);
         local.record(99);
-        c.merge_hist(HistKind::QueueDepth, &local);
+        c.merge_hist(HistKind::VmDispatchNs, &local);
         let m = c.snapshot(1);
-        assert_eq!(m.hist(HistKind::FoldChunkNs).unwrap().count(), 1);
-        assert_eq!(m.hist(HistKind::QueueDepth).unwrap().count(), 2);
+        assert_eq!(m.hist(HistKind::VmDispatchNs).unwrap().count(), 4);
         let j = m.to_json();
         assert!(j.contains("\"histograms\""), "{j}");
-        assert!(j.contains("\"fold_chunk_ns\": {\"count\": 1"), "{j}");
+        assert!(j.contains("\"vm_dispatch_ns\": {\"count\": 4"), "{j}");
 
         // Counters-level snapshots carry no histograms and render none —
         // the byte-stability invariant for Off/Counters artifacts.
         let c = Collector::new(MetricsLevel::Counters);
-        c.record_hist(HistKind::FoldChunkNs, 1234);
+        c.merge_hist(HistKind::VmDispatchNs, &local);
         let m = c.snapshot(1);
         assert!(m.hists.is_empty());
         assert!(!m.to_json().contains("histograms"));
         assert!(!m.to_json().contains("trace_events"));
-    }
-
-    #[test]
-    fn queue_send_reports_depth() {
-        let c = Collector::new(MetricsLevel::Counters);
-        assert_eq!(c.queue_send(0), 1);
-        assert_eq!(c.queue_send(0), 2);
-        c.queue_recv(0);
-        assert_eq!(c.queue_send(0), 2);
     }
 }

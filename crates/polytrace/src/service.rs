@@ -37,10 +37,11 @@ pub enum ServiceCounter {
     /// Sessions that completed with a clean (undegraded) report.
     CompletedClean = 5,
     /// Sessions that completed with a degraded report (faults, budget
-    /// pressure, deadline, serial fallback — still a valid report).
+    /// pressure, deadline — still a valid report).
     CompletedDegraded = 6,
-    /// Sessions whose run panicked past supervision; answered with a
-    /// structured error, server kept serving.
+    /// Sessions that failed — a pipeline error, a pass-2 `StagePanic`
+    /// among them, or a panic; answered with a structured error, server
+    /// kept serving.
     SessionsPanicked = 7,
     /// Sessions served from the folded-DDG cache without folding, at
     /// admission or by the worker that popped them.

@@ -1,7 +1,6 @@
 //! Shared fixtures for the differential suites: canonical folded-DDG
 //! rendering and the randomized trace builders (elementwise / stencil /
-//! deep nest) used by both the interned-vs-naive and the sharded-vs-serial
-//! parity tests.
+//! deep nest) the integration suites share.
 
 #![allow(dead_code)] // each test binary uses its own subset
 

@@ -34,7 +34,7 @@ fn concurrent_same_program_runs_are_isolated() {
     }
 }
 
-/// Mixed workloads, mixed configurations (serial, pipelined, metered) in
+/// Mixed workloads, mixed configurations (plain, budgeted, metered) in
 /// flight at once: each session's folded stats must match its own direct
 /// run, and each metered session's metrics must describe *its* run only.
 #[test]
@@ -54,9 +54,7 @@ fn concurrent_mixed_configs_do_not_interfere() {
         handles.push(std::thread::spawn(move || {
             let cfg = match i % 3 {
                 0 => ProfileConfig::new(),
-                1 => ProfileConfig::new()
-                    .with_fold_threads(2)
-                    .with_chunk_events(256),
+                1 => ProfileConfig::new().with_memory_budget(1 << 40),
                 _ => ProfileConfig::new().with_metrics(MetricsLevel::Counters),
             };
             let r = try_profile_with(&prog, &cfg).unwrap();

@@ -8,7 +8,7 @@
 //! * the counts of what still hashes (tracker memo misses, interner content
 //!   interns) do not move with the trip count;
 //! * the count of predicted fold events is a fact of the event stream: the
-//!   same at every shard count and on replay of the recording.
+//!   same live and on replay of the recording, whatever its frame size.
 
 mod common;
 
@@ -20,7 +20,7 @@ use polyprof_core::polyiiv::context::{ContextInterner, CtxPathId};
 use polyprof_core::polyiiv::{CtxElem, IivTracker};
 use polyprof_core::polytrace::Counter;
 use polyprof_core::polyvm::{EventSink, Vm};
-use polyprof_core::{profile_with, try_profile_with, MetricsLevel, ProfileConfig};
+use polyprof_core::{profile_with, MetricsLevel, ProfileConfig};
 use rodinia::paper_examples::{fig3_example1, fig3_example2};
 
 /// Loop events → tracker → interner, looked up after *every* event (the
@@ -253,43 +253,35 @@ fn counters(prog: &Program, cfg: ProfileConfig) -> (u64, u64) {
     )
 }
 
-/// Sharding is by folding key, so every folder sees the same stream whatever
-/// the executor: the predicted count is identical at K = 1, 2, 4 and when
-/// the recording of the run is replayed; the rational reference predicts
-/// nothing.
+/// Every folder sees the same stream whatever the source: the predicted
+/// count is identical live and when the recording of the run is replayed —
+/// recorded in the default frames or in 64-event ones; the rational
+/// reference predicts nothing.
 #[test]
 fn predicted_count_is_a_fact_of_the_stream() {
     for (name, prog) in [("stencil", stencil(10, 6)), ("deep", deep_nest(2))] {
-        let serial = counters(&prog, ProfileConfig::new());
-        assert!(serial.0 > 0, "{name}: nothing predicted");
-        for k in [2usize, 4] {
-            let piped = counters(
-                &prog,
-                ProfileConfig::new()
-                    .with_fold_threads(k)
-                    .with_chunk_events(64),
-            );
-            assert_eq!(serial, piped, "{name}: K={k} diverged");
-        }
+        let live = counters(&prog, ProfileConfig::new());
+        assert!(live.0 > 0, "{name}: nothing predicted");
         let path = std::env::temp_dir().join(format!(
             "polyprof_hot_path_{}_{name}.ptrace",
             std::process::id()
         ));
-        try_profile_with(&prog, &ProfileConfig::new().with_record_to(&path)).expect("record");
-        for k in [1usize, 2] {
-            let replayed = counters(
-                &prog,
-                ProfileConfig::new()
-                    .with_fold_threads(k)
-                    .with_replay_from(&path),
+        for frame in [4096usize, 64] {
+            let record = ProfileConfig::new()
+                .with_chunk_events(frame)
+                .with_record_to(&path);
+            assert_eq!(live, counters(&prog, record), "{name}: the tap moved it");
+            let replayed = counters(&prog, ProfileConfig::new().with_replay_from(&path));
+            assert_eq!(
+                live, replayed,
+                "{name}: replay of {frame}-event frames diverged"
             );
-            assert_eq!(serial, replayed, "{name}: replay at K={k} diverged");
         }
         std::fs::remove_file(&path).ok();
         let rational = counters(&prog, ProfileConfig::new().with_fast_fit(false));
         assert_eq!(
             rational,
-            (0, serial.1),
+            (0, live.1),
             "{name}: fast_fit off must not predict"
         );
     }

@@ -1,26 +1,25 @@
 //! Record→replay gate: a `.ptrace` recording captured during a live fold
 //! must re-fold *byte-identically* (via `FoldedDdg::canonical_text`) to the
-//! live result at every shard count, and every corruption of the file —
-//! truncation, bad magic, a format-version bump, a flipped payload byte, a
-//! tampered header count, a statement the footer's table lacks — must
-//! surface as a structured `PolyProfError`, never a panic.
+//! live result, and every corruption of the file — truncation, bad magic, a
+//! format-version bump, a flipped payload byte, a tampered header count, a
+//! statement the footer's table lacks — must surface as a structured
+//! `PolyProfError`, never a panic.
 //!
-//! Why identity holds: a recording carries the folding-interface stream
-//! in serial order; replay routes it through the same
-//! folding-key-sharded channels as the live pipeline, so per-key folder
-//! state is identical and the merge is order-independent.
+//! Why identity holds: a recording carries the folding-interface stream in
+//! the order the live run produced it, and replay feeds it to the same
+//! folding sink, so every folder sees the same events in the same order.
 
 mod common;
 
 use common::{deep_nest, elementwise, stencil};
 use polyprof_core::polyddg::{CollectSink, FoldSink};
-use polyprof_core::polyfold::pass2::{self, Live, Pass2, Source, Target};
+use polyprof_core::polyfold::pass2::{self, Live, Pass2, Source};
 use polyprof_core::polyfold::{self, replay::fold_recording, FoldOptions, FoldedDdg};
 use polyprof_core::polyiiv::context::{ContextInterner, StmtId};
 use polyprof_core::polyrec::{
     program_hash, Recorder, TraceWriter, FORMAT_VERSION, HDR_EVENTS_OFF, HDR_VERSION_OFF, MAGIC,
 };
-use polyprof_core::polyresist::{FaultPlan, FaultSite, PolyProfError, ResourceBudget};
+use polyprof_core::polyresist::{PolyProfError, ResourceBudget};
 use polyprof_core::polytrace::Counter;
 use polyprof_core::{polycfg, polyir::Program, polyvm};
 use polyprof_core::{try_profile_with, MetricsLevel, ProfileConfig};
@@ -37,19 +36,19 @@ fn scratch(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("polyrec_{}_{}.ptrace", std::process::id(), name))
 }
 
-/// Live pipelined fold that also records to `path`, returning the live DDG.
-/// Tiny chunks so every trace crosses many frame boundaries.
-fn record_live(prog: &Program, path: &Path, fold_threads: usize) -> FoldedDdg {
+/// Live fold under `options` that also records to `path`, returning the live
+/// DDG. Tiny frames so every trace crosses many frame boundaries.
+fn record_live_with(prog: &Program, path: &Path, options: FoldOptions) -> FoldedDdg {
     let mut rec = polycfg::StructureRecorder::new();
     polyvm::Vm::new(prog).run(&[], &mut rec).expect("pass 1");
     let structure = polycfg::StaticStructure::analyze(prog, rec);
     let cfg = Pass2 {
-        target: Target::workers(fold_threads),
-        chunk_events: 64,
+        options,
         ..Default::default()
     };
     let source = Source::Live(Live {
         record: Some(path),
+        chunk_events: 64,
         ..Live::new(&structure)
     });
     let out = pass2::run(prog, &source, &cfg).expect("recording fold must complete");
@@ -59,6 +58,10 @@ fn record_live(prog: &Program, path: &Path, fold_threads: usize) -> FoldedDdg {
         "recording a healthy run must not degrade: {deg:?}"
     );
     out.ddg
+}
+
+fn record_live(prog: &Program, path: &Path) -> FoldedDdg {
+    record_live_with(prog, path, FoldOptions::default())
 }
 
 /// A finished, correctly checksummed recording of `prog` whose one frame
@@ -81,124 +84,85 @@ fn forged_stmt_recording(prog: &Program) -> Vec<u8> {
 }
 
 /// The headline invariant: replaying a recording reproduces the live fold
-/// byte-for-byte at K ∈ {1, 2, 8}, for elementwise, stencil, deep-nest
-/// (arena-spilling), and the paper's Fig. 6 kernel.
+/// byte-for-byte, for elementwise, stencil, deep-nest (arena-spilling), and
+/// the paper's Fig. 6 kernel — and so does a recording taken through the
+/// public driver in its default 4096-event frames, which must also equal an
+/// untapped fold. The stencil's fold changes with `split_classes` off, and
+/// a recording replayed under those options still reproduces the live fold
+/// under them.
 #[test]
-fn replay_is_byte_identical_at_every_k() {
+fn replay_is_byte_identical_to_live() {
     let progs = [
         ("elem", elementwise(8, 3)),
         ("stencil", stencil(10, 3)),
         ("deep", deep_nest(2)),
         ("fig6", fig6_kernel(8, 4)),
     ];
+    let replay = |path: &Path, prog: &Program, options: FoldOptions| {
+        fold_recording(path, prog, 1, options, None)
+            .expect("replay must succeed")
+            .0
+            .canonical_text()
+    };
     for (name, prog) in &progs {
         let path = scratch(&format!("identity_{name}"));
-        let live = record_live(prog, &path, 4).canonical_text();
-        for k in [1usize, 2, 8] {
-            let (replayed, _) = fold_recording(&path, prog, k, FoldOptions::default(), None)
-                .expect("replay must succeed");
-            assert_eq!(
-                live,
-                replayed.canonical_text(),
-                "{name}: replayed fold at K={k} diverged from the live fold"
-            );
-        }
+        let live = record_live(prog, &path).canonical_text();
+        assert_eq!(live, replay(&path, prog, FoldOptions::default()), "{name}");
+        let untapped = polyfold::fold_program(prog).0.canonical_text();
+        assert_eq!(
+            live, untapped,
+            "{name}: the recording tap perturbed the fold"
+        );
+        try_profile_with(prog, &ProfileConfig::new().with_record_to(&path)).expect("record run");
+        let driven = replay(&path, prog, FoldOptions::default());
+        assert_eq!(live, driven, "{name}: a default-frame recording diverged");
         fs::remove_file(&path).ok();
     }
-}
 
-/// The serial (fold_threads = 1) executor records through the same producer
-/// and the same tap as the pipelined one: at equal chunk size the two write
-/// the same file, byte for byte. Its recording replays byte-identically
-/// too, and matches a pipelined recording taken at another chunk size
-/// event-for-event after folding.
-#[test]
-fn serial_recording_matches_pipelined_recording() {
-    let prog = stencil(9, 2);
-    let serial_path = scratch("serial_rec");
-    let piped_path = scratch("piped_rec");
-
-    // Serial executor with a recorder tap, driven through the public API.
-    let report = try_profile_with(&prog, &ProfileConfig::new().with_record_to(&serial_path))
-        .expect("serial record run");
-    let live_serial = polyfold::fold_program(&prog).0.canonical_text();
-
-    let k4_path = scratch("k4_rec");
-    let k4 = ProfileConfig::new().with_fold_threads(4);
-    try_profile_with(&prog, &k4.with_record_to(&k4_path)).expect("pipelined record run");
-    assert!(
-        fs::read(&serial_path).unwrap() == fs::read(&k4_path).unwrap(),
-        "recordings written at fold_threads 1 and 4 differ"
-    );
-    fs::remove_file(&k4_path).ok();
-
-    let piped = record_live(&prog, &piped_path, 4).canonical_text();
-    assert_eq!(live_serial, piped, "serial and pipelined live folds differ");
-
-    for (label, path) in [("serial", &serial_path), ("pipelined", &piped_path)] {
-        for k in [1usize, 2, 8] {
-            let (ddg, _) = fold_recording(path, &prog, k, FoldOptions::default(), None)
-                .expect("replay must succeed");
-            assert_eq!(
-                live_serial,
-                ddg.canonical_text(),
-                "{label} recording diverged at K={k}"
-            );
-        }
-    }
-    // The tap must not perturb the run it observed: the recorded run's
-    // report matches an untapped run of the same config byte-for-byte.
-    let untapped = try_profile_with(&prog, &ProfileConfig::new()).expect("untapped run");
-    assert_eq!(report.folded_stats, untapped.folded_stats);
-    assert_eq!(report.annotated_ast, untapped.annotated_ast);
-    fs::remove_file(&serial_path).ok();
-    fs::remove_file(&piped_path).ok();
+    let prog = stencil(10, 3);
+    let path = scratch("identity_no_split");
+    let options = FoldOptions {
+        split_classes: false,
+        ..Default::default()
+    };
+    let live = record_live_with(&prog, &path, options).canonical_text();
+    let default = polyfold::fold_program(&prog).0.canonical_text();
+    assert_ne!(live, default, "split_classes never reached the sink");
+    assert_eq!(live, replay(&path, &prog, options));
+    fs::remove_file(&path).ok();
 }
 
 /// `replay_from` through the public driver: the replayed report reproduces
 /// the live report's folded statistics, annotated AST and canonical DDG
-/// without a pass-2 VM run — whether the recording was taken by the serial
-/// executor outright, or by the serial driver as the supervisor's fallback
-/// after a persistent stage panic defeated every pipeline attempt.
+/// without a pass-2 VM run — whatever the recording's frame size. The tap
+/// does not perturb the run it observed either: the recording run's report
+/// matches an untapped run of the same config.
 #[test]
 fn profile_replay_from_matches_live_report() {
     let prog = fig6_kernel(8, 4);
-    let persistent_panic = Arc::new(FaultPlan::always(FaultSite::PanicPre));
-    let recorders = [
-        ("serial", ProfileConfig::new()),
-        (
-            "fallback",
-            ProfileConfig::new()
-                .with_fold_threads(2)
-                .with_chunk_events(64)
-                .with_max_retries(1)
-                .with_fault_plan(persistent_panic),
-        ),
-    ];
-    for (how, recorder) in recorders {
-        let path = scratch(&format!("profile_replay_{how}"));
-        let live = try_profile_with(&prog, &recorder.with_canonical(true).with_record_to(&path))
-            .expect("record run");
-        assert_eq!(
-            live.degradation.fell_back_serial,
-            how == "fallback",
-            "{how}: {:?}",
-            live.degradation
-        );
-        for k in [1usize, 8] {
-            let replayed = try_profile_with(
-                &prog,
-                &ProfileConfig::new()
-                    .with_fold_threads(k)
-                    .with_canonical(true)
-                    .with_replay_from(&path),
-            )
-            .expect("replay run");
-            assert_eq!(live.folded_stats, replayed.folded_stats, "{how} K={k}");
-            assert_eq!(live.scev_removed, replayed.scev_removed, "{how} K={k}");
-            assert_eq!(live.annotated_ast, replayed.annotated_ast, "{how} K={k}");
-            assert_eq!(live.canonical_ddg, replayed.canonical_ddg, "{how} K={k}");
-        }
+    let untapped =
+        try_profile_with(&prog, &ProfileConfig::new().with_canonical(true)).expect("untapped run");
+    for frame in [4096usize, 64] {
+        let path = scratch(&format!("profile_replay_{frame}"));
+        let recorder = ProfileConfig::new()
+            .with_chunk_events(frame)
+            .with_canonical(true);
+        let live = try_profile_with(&prog, &recorder.with_record_to(&path)).expect("record run");
+        assert!(!live.degradation.is_degraded(), "{:?}", live.degradation);
+        assert_eq!(live.folded_stats, untapped.folded_stats, "{frame}");
+        assert_eq!(live.annotated_ast, untapped.annotated_ast, "{frame}");
+        assert_eq!(live.canonical_ddg, untapped.canonical_ddg, "{frame}");
+        let replayed = try_profile_with(
+            &prog,
+            &ProfileConfig::new()
+                .with_canonical(true)
+                .with_replay_from(&path),
+        )
+        .expect("replay run");
+        assert_eq!(live.folded_stats, replayed.folded_stats, "{frame}");
+        assert_eq!(live.scev_removed, replayed.scev_removed, "{frame}");
+        assert_eq!(live.annotated_ast, replayed.annotated_ast, "{frame}");
+        assert_eq!(live.canonical_ddg, replayed.canonical_ddg, "{frame}");
         fs::remove_file(&path).ok();
     }
 }
@@ -210,7 +174,7 @@ fn program_hash_mismatch_is_a_hard_error() {
     let prog = stencil(9, 2);
     let other = elementwise(8, 3);
     let path = scratch("hash_mismatch");
-    record_live(&prog, &path, 2);
+    record_live(&prog, &path);
     let err = fold_recording(&path, &other, 1, FoldOptions::default(), None)
         .expect_err("wrong program must be rejected");
     match &err {
@@ -229,7 +193,7 @@ fn program_hash_mismatch_is_a_hard_error() {
 fn format_version_bump_is_a_hard_error() {
     let prog = elementwise(6, 2);
     let path = scratch("version_bump");
-    record_live(&prog, &path, 2);
+    record_live(&prog, &path);
     let mut bytes = fs::read(&path).unwrap();
     let off = HDR_VERSION_OFF as usize;
     bytes[off..off + 4].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
@@ -248,7 +212,7 @@ fn format_version_bump_is_a_hard_error() {
 fn bad_magic_is_a_hard_error() {
     let prog = elementwise(6, 2);
     let path = scratch("bad_magic");
-    record_live(&prog, &path, 2);
+    record_live(&prog, &path);
     let mut bytes = fs::read(&path).unwrap();
     bytes[0] ^= 0xFF;
     assert_ne!(&bytes[..8], &MAGIC[..]);
@@ -266,7 +230,7 @@ fn bad_magic_is_a_hard_error() {
 fn payload_byte_flip_is_detected() {
     let prog = stencil(9, 2);
     let path = scratch("byte_flip");
-    record_live(&prog, &path, 2);
+    record_live(&prog, &path);
     let mut bytes = fs::read(&path).unwrap();
     // Header is 44 bytes + name; the first frame starts right after it:
     // tag(1) + len(4) + payload. Flip a byte 6 into the frame (inside the
@@ -287,7 +251,7 @@ fn payload_byte_flip_is_detected() {
 fn header_count_tamper_is_detected() {
     let prog = elementwise(8, 3);
     let path = scratch("count_tamper");
-    record_live(&prog, &path, 2);
+    record_live(&prog, &path);
     let mut bytes = fs::read(&path).unwrap();
     let off = HDR_EVENTS_OFF as usize;
     let n = u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
@@ -324,20 +288,18 @@ fn replay_counts_predicted_events() {
 }
 
 /// A recording whose frames pass every checksum but name a statement its
-/// footer's table does not hold is a structured error at every K — not an
-/// index panic when finalize looks the statement up.
+/// footer's table does not hold is a structured error — not an index panic
+/// when finalize looks the statement up.
 #[test]
 fn statement_outside_the_footer_table_is_a_hard_error() {
     let prog = elementwise(6, 2);
     let path = scratch("forged_stmt");
     fs::write(&path, forged_stmt_recording(&prog)).unwrap();
-    for k in [1usize, 2] {
-        match fold_recording(&path, &prog, k, FoldOptions::default(), None) {
-            Err(PolyProfError::Recording { detail, .. }) => {
-                assert!(detail.contains("statement 999"), "K={k}: {detail}")
-            }
-            other => panic!("K={k}: expected a Recording error, got {:?}", other.err()),
+    match fold_recording(&path, &prog, 1, FoldOptions::default(), None) {
+        Err(PolyProfError::Recording { detail, .. }) => {
+            assert!(detail.contains("statement 999"), "{detail}")
         }
+        other => panic!("expected a Recording error, got {:?}", other.err()),
     }
     fs::remove_file(&path).ok();
 }
@@ -345,19 +307,18 @@ fn statement_outside_the_footer_table_is_a_hard_error() {
 proptest! {
     /// Truncating a recording at *any* point — mid-header, mid-name,
     /// mid-frame, mid-footer, before the end magic — yields a structured
-    /// error (no panic, no partial DDG accepted), at serial and sharded
-    /// replay alike. The footer's end magic plus the three-way count check
+    /// error (no panic, no partial DDG accepted). The footer's end magic plus
+    /// the three-way count check
     /// make every strict prefix detectable.
     #[test]
-    fn any_truncation_is_a_structured_error(seed in 0i64..1_000_000, k in 0usize..2) {
-        let k = [1usize, 4][k];
+    fn any_truncation_is_a_structured_error(seed in 0i64..1_000_000) {
         let prog = elementwise(7, 2);
-        let path = scratch(&format!("trunc_{seed}_{k}"));
-        record_live(&prog, &path, 2);
+        let path = scratch(&format!("trunc_{seed}"));
+        record_live(&prog, &path);
         let bytes = fs::read(&path).unwrap();
         let cut = (seed as usize) % bytes.len();
         fs::write(&path, &bytes[..cut]).unwrap();
-        let res = fold_recording(&path, &prog, k, FoldOptions::default(), None);
+        let res = fold_recording(&path, &prog, 1, FoldOptions::default(), None);
         fs::remove_file(&path).ok();
         prop_assert!(
             matches!(res, Err(PolyProfError::Recording { .. })),
@@ -375,7 +336,7 @@ fn record_to_with_replay_is_a_config_error() {
     let prog = elementwise(6, 2);
     let src = scratch("replay_src");
     let ghost = scratch("replay_ghost");
-    record_live(&prog, &src, 2);
+    record_live(&prog, &src);
     let res = try_profile_with(
         &prog,
         &ProfileConfig::new()
@@ -390,32 +351,28 @@ fn record_to_with_replay_is_a_config_error() {
     fs::remove_file(&src).ok();
 }
 
-/// A replay is budgeted like a live run, on the calling thread and on fold
-/// workers: a 1-byte budget latches pressure and over-approximates exactly
-/// the statements the live run under that budget does.
+/// A replay is budgeted like a live run: a 1-byte budget latches pressure
+/// and over-approximates exactly the statements the live run under that
+/// budget does.
 #[test]
 fn replay_honours_the_memory_budget() {
     let prog = stencil(10, 3);
     let path = scratch("replay_budget");
     try_profile_with(&prog, &ProfileConfig::new().with_record_to(&path)).expect("record run");
-    for k in [1usize, 3] {
-        let tight = ProfileConfig::new()
-            .with_fold_threads(k)
-            .with_memory_budget(1);
-        let live = try_profile_with(&prog, &tight)
-            .expect("live run")
-            .degradation;
-        assert!(live.budget_overapprox_stmts > 0, "K={k}: {live:?}");
-        let replayed = try_profile_with(&prog, &tight.with_replay_from(&path))
-            .expect("replay run")
-            .degradation;
-        assert!(replayed.budget_pressure, "K={k}: {replayed:?}");
-        assert!(replayed.peak_tracked_bytes > 0, "K={k}: {replayed:?}");
-        assert_eq!(
-            replayed.budget_overapprox_stmts, live.budget_overapprox_stmts,
-            "K={k}"
-        );
-    }
+    let tight = ProfileConfig::new().with_memory_budget(1);
+    let live = try_profile_with(&prog, &tight)
+        .expect("live run")
+        .degradation;
+    assert!(live.budget_overapprox_stmts > 0, "{live:?}");
+    let replayed = try_profile_with(&prog, &tight.with_replay_from(&path))
+        .expect("replay run")
+        .degradation;
+    assert!(replayed.budget_pressure, "{replayed:?}");
+    assert!(replayed.peak_tracked_bytes > 0, "{replayed:?}");
+    assert_eq!(
+        replayed.budget_overapprox_stmts,
+        live.budget_overapprox_stmts
+    );
     fs::remove_file(&path).ok();
 }
 
@@ -429,24 +386,16 @@ fn replay_honours_deadline_and_cancellation() {
     let full = try_profile_with(&prog, &ProfileConfig::new().with_record_to(&path))
         .expect("record run")
         .folded_stats;
-    for k in [1usize, 3] {
-        let base = ProfileConfig::new()
-            .with_fold_threads(k)
-            .with_replay_from(&path);
-        let cancelled = Arc::new(ResourceBudget::new(None, None));
-        cancelled.cancel();
-        for (what, cfg) in [
-            ("deadline", base.clone().with_deadline(Duration::ZERO)),
-            ("cancel", base.with_shared_budget(cancelled)),
-        ] {
-            let r = try_profile_with(&prog, &cfg).expect("a stopped replay is not an error");
-            assert!(
-                r.degradation.deadline_hit,
-                "{what} K={k}: {:?}",
-                r.degradation
-            );
-            assert!(r.folded_stats.2 <= full.2, "{what} K={k}");
-        }
+    let base = ProfileConfig::new().with_replay_from(&path);
+    let cancelled = Arc::new(ResourceBudget::new(None, None));
+    cancelled.cancel();
+    for (what, cfg) in [
+        ("deadline", base.clone().with_deadline(Duration::ZERO)),
+        ("cancel", base.with_shared_budget(cancelled)),
+    ] {
+        let r = try_profile_with(&prog, &cfg).expect("a stopped replay is not an error");
+        assert!(r.degradation.deadline_hit, "{what}: {:?}", r.degradation);
+        assert!(r.folded_stats.2 <= full.2, "{what}");
     }
     fs::remove_file(&path).ok();
 }

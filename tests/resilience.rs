@@ -1,9 +1,10 @@
-//! Resilience gate: every injectable fault class must yield a *completed*
-//! report with its losses recorded in `Report::degradation`, never a hang,
+//! Resilience gate: every injectable fault class must end structurally —
+//! a completed report with its losses recorded in `Report::degradation`, or,
+//! for a panic in pass 2, a `PolyProfError::StagePanic` — never a hang,
 //! deadlock, or caller-visible panic. Budgeted runs must degrade to sound
-//! over-approximations (folded deps ⊇ exact serial deps), an expired
-//! deadline must finalize a partial report, and an armed but never-firing
-//! fault plan must not perturb a single folded byte.
+//! over-approximations (folded deps ⊇ exact deps), an expired deadline must
+//! finalize a partial report, and an armed but never-firing fault plan must
+//! not perturb a single folded byte.
 //!
 //! CI's `resilience-gate` step runs a fault-plan seed matrix beside this
 //! suite, through `examples/resilience_probe.rs`, which takes each plan from
@@ -12,16 +13,16 @@
 mod common;
 
 use common::{canon, stencil};
-use polyprof_core::polyfold::pass2::{self, Live, Pass2, Source, Target};
+use polyprof_core::polyfold::pass2::{self, Live, Pass2, Source};
 use polyprof_core::polyfold::{self, FoldedDdg, FoldingSink};
+use polyprof_core::polyrec::TraceReader;
 use polyprof_core::polyresist::{FaultPlan, FaultSite, ResourceBudget, RunDegradation};
-use polyprof_core::{profile_with, try_profile_with, ProfileConfig};
+use polyprof_core::{profile_with, try_profile_with, PolyProfError, ProfileConfig};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn supervised_fold(
+fn fold(
     prog: &polyprof_core::polyir::Program,
-    k: usize,
     faults: Option<&str>,
 ) -> (FoldedDdg, RunDegradation) {
     let mut rec = polyprof_core::polycfg::StructureRecorder::new();
@@ -30,39 +31,31 @@ fn supervised_fold(
         .expect("pass 1");
     let structure = polyprof_core::polycfg::StaticStructure::analyze(prog, rec);
     let cfg = Pass2 {
-        target: Target::Workers {
-            n: k,
-            faults: faults.map(|spec| Arc::new(FaultPlan::parse(spec).unwrap())),
-            max_retries: 2,
-        },
-        chunk_events: 64,
+        faults: faults.map(|spec| Arc::new(FaultPlan::parse(spec).unwrap())),
         ..Default::default()
     };
-    let out = pass2::run(prog, &Source::Live(Live::new(&structure)), &cfg)
-        .expect("supervised fold must complete");
+    let out =
+        pass2::run(prog, &Source::Live(Live::new(&structure)), &cfg).expect("fold must complete");
     (out.ddg, out.degradation)
 }
 
-/// Every fault class — a panic in each of the two stage kinds, a chunk
-/// stall, a chunk drop, a shadow allocation failure, and a malformed chunk —
-/// completes end to end through `profile_with` with a populated degradation
-/// record; and so does the replay of a recording, for the four sites a
-/// replay has (the channel and the workers; there is no VM and no shadow
-/// memory to fault).
+/// Every fault class but `panic:pre` (a `StagePanic`, checked below) — a
+/// shadow allocation failure and a stalled heartbeat — completes end to end
+/// through `profile_with` with a populated degradation record; and so does
+/// the replay of a recording, for the one site a replay has (its per-frame
+/// heartbeat; there is no VM and no shadow memory to fault).
 #[test]
 fn every_fault_class_completes_with_degradation() {
-    let prog = stencil(10, 3);
+    let prog = stencil(64, 8);
     let path = std::env::temp_dir().join(format!(
         "polyprof_resilience_{}_faults.ptrace",
         std::process::id()
     ));
     profile_with(&prog, &ProfileConfig::new().with_record_to(&path));
-    for site in FaultSite::ALL {
-        let live = ProfileConfig::new()
-            .with_fold_threads(3)
-            .with_chunk_events(64);
+    for site in [FaultSite::AllocShadow, FaultSite::StallBeat] {
+        let live = ProfileConfig::new();
         let mut legs = vec![("live", live.clone())];
-        if !matches!(site, FaultSite::PanicPre | FaultSite::AllocShadow) {
+        if site == FaultSite::StallBeat {
             legs.push(("replay", live.with_replay_from(&path)));
         }
         for (leg, cfg) in legs {
@@ -76,27 +69,14 @@ fn every_fault_class_completes_with_degradation() {
             );
             assert!(deg.is_degraded(), "{what}: {deg:?}");
             match site {
-                // A producer panic fails the attempt; the retry succeeds.
-                FaultSite::PanicPre => {
-                    assert!(deg.stage_retries >= 1, "{what}: {deg:?}")
-                }
-                // A worker panic is salvaged: the shard is lost, not the run.
-                FaultSite::PanicFold => {
-                    assert_eq!(deg.missing_shards.len(), 1, "{what}: {deg:?}")
-                }
-                FaultSite::StallSend => {
-                    assert_eq!(deg.stalled_sends, 1, "{what}: {deg:?}")
-                }
-                FaultSite::DropSend => {
-                    assert!(deg.dropped_chunks >= 1, "{what}: {deg:?}")
+                FaultSite::StallBeat => {
+                    assert_eq!(deg.stalled_beats, 1, "{what}: {deg:?}")
                 }
                 FaultSite::AllocShadow => {
                     assert_eq!(deg.shadow_alloc_failures, 1, "{what}: {deg:?}");
                     assert!(deg.unresolved_accesses >= 1, "{what}: {deg:?}");
                 }
-                FaultSite::MalformedChunk => {
-                    assert_eq!(deg.malformed_chunks, 1, "{what}: {deg:?}")
-                }
+                FaultSite::PanicPre => unreachable!("not a completing site"),
             }
         }
     }
@@ -104,13 +84,13 @@ fn every_fault_class_completes_with_degradation() {
 }
 
 /// A stall delays but loses nothing: the folded output must be
-/// byte-identical to the fault-free pipeline.
+/// byte-identical to the fault-free fold.
 #[test]
-fn stalled_send_is_lossless() {
-    let prog = stencil(9, 2);
-    let clean = supervised_fold(&prog, 2, None).0;
-    let (ddg, deg) = supervised_fold(&prog, 2, Some("stall:send@2;stall_ms=5"));
-    assert_eq!(deg.stalled_sends, 1);
+fn stalled_beat_is_lossless() {
+    let prog = stencil(64, 8);
+    let clean = fold(&prog, None).0;
+    let (ddg, deg) = fold(&prog, Some("stall:beat@1;stall_ms=5"));
+    assert_eq!(deg.stalled_beats, 1);
     assert_eq!(canon(&clean), canon(&ddg), "a stall must not lose events");
 }
 
@@ -119,35 +99,64 @@ fn stalled_send_is_lossless() {
 #[test]
 fn armed_but_unfired_plan_is_byte_identical() {
     let prog = stencil(10, 3);
-    let clean = supervised_fold(&prog, 3, None).0;
-    let unfired = "panic:fold@999999999;drop:send@999999999";
-    let (ddg, deg) = supervised_fold(&prog, 3, Some(unfired));
+    let clean = fold(&prog, None).0;
+    let unfired = "panic:pre@999999999;alloc:shadow@999999999;stall:beat@999999999";
+    let (ddg, deg) = fold(&prog, Some(unfired));
     assert_eq!(deg.faults_injected, 0);
     assert!(!deg.is_degraded(), "{deg:?}");
     assert_eq!(canon(&clean), canon(&ddg));
 }
 
-/// A fault that fires on *every* occurrence defeats bounded retry; the run
-/// falls back to the serial path and still produces the full exact report.
+/// A panic in pass 2 — `panic:pre@1`, the first memory event — is caught
+/// once and returned: `try_profile_with` is `Err(StagePanic)` with stage
+/// `pass-2`, for a plain live run and for one recording itself, and
+/// `profile_with` panics with that same message. The recording the panic
+/// cut short is refused by `TraceReader` with a structured `Recording` error
+/// — never replayed as valid.
 #[test]
-fn persistent_fault_falls_back_to_full_serial_report() {
+fn a_pass_2_panic_is_a_stage_panic_and_leaves_a_refused_recording() {
     let prog = stencil(10, 3);
-    let serial = profile_with(&prog, &ProfileConfig::new());
-    let cfg = ProfileConfig::new()
-        .with_fold_threads(3)
-        .with_chunk_events(64)
-        .with_max_retries(1)
-        .with_fault_plan(Arc::new(FaultPlan::always(FaultSite::PanicPre)));
-    let r = profile_with(&prog, &cfg);
-    assert!(r.degradation.fell_back_serial, "{:?}", r.degradation);
-    assert_eq!(r.degradation.stage_retries, 1);
-    assert_eq!(r.folded_stats, serial.folded_stats, "fallback is lossless");
-    assert_eq!(r.scev_removed, serial.scev_removed);
-    assert_eq!(r.annotated_ast, serial.annotated_ast);
+    let path = std::env::temp_dir().join(format!(
+        "polyprof_resilience_{}_panic.ptrace",
+        std::process::id()
+    ));
+    let panicking = || {
+        ProfileConfig::new()
+            .with_chunk_events(16)
+            .with_fault_plan(Arc::new(FaultPlan::single(FaultSite::PanicPre, 1)))
+    };
+    let mut rendered = Vec::new();
+    for cfg in [panicking(), panicking().with_record_to(&path)] {
+        match try_profile_with(&prog, &cfg).map(|r| r.folded_stats) {
+            Err(
+                e @ PolyProfError::StagePanic {
+                    stage: "pass-2", ..
+                },
+            ) => {
+                assert!(e.to_string().contains("injected fault"), "{e}");
+                rendered.push(e.to_string());
+            }
+            other => panic!("expected a pass-2 StagePanic, got {other:?}"),
+        }
+    }
+    assert_eq!(rendered[0], rendered[1]);
+
+    let payload = std::panic::catch_unwind(|| profile_with(&prog, &panicking()).folded_stats)
+        .expect_err("profile_with panics on what try_profile_with returns");
+    let msg = payload.downcast_ref::<String>().expect("a rendered error");
+    assert_eq!(msg, &rendered[0]);
+
+    assert!(path.exists(), "the recording was started");
+    let refused = TraceReader::open(&path).and_then(|mut r| {
+        let mut sink = polyprof_core::polyddg::CollectSink::default();
+        while r.next_into(&mut sink)? {}
+        r.finish().map(|_| ())
+    });
     assert!(
-        r.full_text.contains("resilience & degradation"),
-        "degraded runs must report their losses"
+        matches!(refused, Err(PolyProfError::Recording { .. })),
+        "an unfinished recording must be refused: {refused:?}"
     );
+    std::fs::remove_file(&path).ok();
 }
 
 /// A Rodinia workload under a memory budget so tight the first allocation
@@ -207,19 +216,15 @@ fn rodinia_tight_budget_overapproximates_soundly() {
 #[test]
 fn expired_deadline_finalizes_partial_report() {
     let prog = stencil(64, 8);
-    for threads in [1usize, 3] {
-        let cfg = ProfileConfig::new()
-            .with_fold_threads(threads)
-            .with_deadline(Duration::ZERO);
-        let r = try_profile_with(&prog, &cfg).expect("deadline is graceful, not fatal");
-        assert!(r.degradation.deadline_hit, "threads={threads}");
-        assert!(r.degradation.is_degraded());
-        let full = profile_with(&prog, &ProfileConfig::new().with_fold_threads(threads));
-        assert!(
-            r.folded_stats.2 <= full.folded_stats.2,
-            "partial run cannot observe more ops than the full one"
-        );
-    }
+    let cfg = ProfileConfig::new().with_deadline(Duration::ZERO);
+    let r = try_profile_with(&prog, &cfg).expect("deadline is graceful, not fatal");
+    assert!(r.degradation.deadline_hit);
+    assert!(r.degradation.is_degraded());
+    let full = profile_with(&prog, &ProfileConfig::new());
+    assert!(
+        r.folded_stats.2 <= full.folded_stats.2,
+        "partial run cannot observe more ops than the full one"
+    );
 }
 
 /// A generous budget and far-future deadline change nothing: the report
@@ -243,64 +248,23 @@ fn generous_budget_is_invisible() {
     assert!(!r.full_text.contains("resilience & degradation"));
 }
 
-/// The degradation JSON snapshot (what CI archives) carries the counters.
+/// The degradation JSON snapshot (what CI archives) carries the counters,
+/// and the run's metrics count the same faults.
 #[test]
 fn degradation_json_reflects_the_run() {
-    let prog = stencil(9, 2);
-    let cfg = ProfileConfig::new()
-        .with_fold_threads(2)
-        .with_chunk_events(64)
-        .with_fault_plan(Arc::new(FaultPlan::single(FaultSite::DropSend, 1)));
-    let r = profile_with(&prog, &cfg);
-    let j = r.degradation_json();
-    assert!(j.contains("\"faults_injected\":1"), "{j}");
-    assert!(j.contains("\"dropped_chunks\":1"), "{j}");
-}
-
-/// Counters are facts about the run's *result*, not about how many attempts
-/// it took: a run retried once, and a run that fell back to the serial
-/// driver, report the same trace tallies as a clean run — harvested once,
-/// from the attempt that produced the result — while the supervision
-/// counters still record the trouble.
-#[test]
-fn counters_do_not_drift_after_retry_or_fallback() {
     use polyprof_core::polytrace::Counter;
     use polyprof_core::MetricsLevel;
 
-    let prog = stencil(10, 3);
-    let base = ProfileConfig::new()
-        .with_fold_threads(2)
-        .with_chunk_events(64)
-        .with_metrics(MetricsLevel::Counters);
-    let clean = profile_with(&prog, &base).metrics.expect("counters on");
-
-    let retried = base
-        .clone()
-        .with_fault_plan(Arc::new(FaultPlan::single(FaultSite::PanicPre, 1)));
-    let fell_back = base
-        .clone()
-        .with_max_retries(1)
-        .with_fault_plan(Arc::new(FaultPlan::always(FaultSite::PanicPre)));
-    for (what, cfg, retries, fallbacks) in [("retry", retried, 1, 0), ("fallback", fell_back, 1, 1)]
-    {
-        let m = profile_with(&prog, &cfg).metrics.expect("counters on");
-        for c in [
-            Counter::DynOps,
-            Counter::MemEvents,
-            Counter::CtxCacheHit,
-            Counter::EventsFolded,
-            Counter::DepsFolded,
-            Counter::ShadowPages,
-        ] {
-            assert_eq!(
-                m.counter(c),
-                clean.counter(c),
-                "{what}: {} drifted from the clean run",
-                c.name()
-            );
-        }
-        assert_eq!(m.counter(Counter::StageRetries), retries, "{what}");
-        assert_eq!(m.counter(Counter::SerialFallbacks), fallbacks, "{what}");
-        assert!(m.counter(Counter::FaultsInjected) >= 1, "{what}");
-    }
+    let prog = stencil(9, 2);
+    let cfg = ProfileConfig::new()
+        .with_metrics(MetricsLevel::Counters)
+        .with_fault_plan(Arc::new(FaultPlan::single(FaultSite::AllocShadow, 1)));
+    let r = profile_with(&prog, &cfg);
+    let j = r.degradation_json();
+    assert!(j.contains("\"faults_injected\":1"), "{j}");
+    assert!(j.contains("\"shadow_alloc_failures\":1"), "{j}");
+    assert!(j.contains("\"unresolved_accesses\":1"), "{j}");
+    let m = r.metrics.expect("counters on");
+    assert_eq!(m.counter(Counter::FaultsInjected), 1);
+    assert_eq!(m.counter(Counter::UnresolvedAccesses), 1);
 }

@@ -3,7 +3,7 @@
 //! * **Access-prune byte-identity** — with access-level pruning on, the
 //!   pruned sites' memory streams are re-synthesized from the static
 //!   relations and the folded DDG is byte-identical (canonical text) to the
-//!   unpruned run, at fold_threads ∈ {1, 4}.
+//!   unpruned run.
 //! * **Dynamic ⊆ static** — suite-wide, every folded memory dependence
 //!   between affine-proven sites is admitted by the static dependence
 //!   relation (lint v2, `DynamicExceedsStatic` never fires).
@@ -19,7 +19,7 @@
 mod common;
 
 use polyprof_core::polyddg::prune::PruneMask;
-use polyprof_core::polyfold::pass2::{self, Live, Pass2, Source, Target};
+use polyprof_core::polyfold::pass2::{self, Live, Pass2, Source};
 use polyprof_core::polystatic::dataflow::StaticSummary;
 use polyprof_core::polystatic::deps::StaticDeps;
 use polyprof_core::{profile_with, MetricsLevel, ProfileConfig};
@@ -45,7 +45,7 @@ fn affine_kernels() -> Vec<(&'static str, polyir::Program)> {
 /// bits) must leave the folded DDG byte-identical *before* SCEV removal:
 /// the synthesized streams replace the skipped shadow tracking exactly.
 #[test]
-fn access_prune_byte_identity_at_k1_and_k4() {
+fn access_prune_byte_identity() {
     for (name, p) in &affine_kernels() {
         let summary = StaticSummary::analyze(p);
         let deps = Arc::new(StaticDeps::analyze(p, &summary));
@@ -59,35 +59,28 @@ fn access_prune_byte_identity_at_k1_and_k4() {
             |i| deps.pruned_sites.contains(&i),
         ));
         let structure = structure_of(p);
-        for k in [1usize, 4] {
-            let cfg = Pass2 {
-                target: Target::workers(k),
-                chunk_events: 64,
-                ..Default::default()
-            };
-            let plain = Source::Live(Live::new(&structure));
-            let base = pass2::run(p, &plain, &cfg).expect("unpruned fold").ddg;
-            let masked = Source::Live(Live {
-                prune: Some(Arc::clone(&mask)),
-                synth: Some(Arc::clone(&deps) as _),
-                ..Live::new(&structure)
-            });
-            let out = pass2::run(p, &masked, &cfg).expect("pruned fold");
-            let (pruned, ev) = (out.ddg, out.pruned);
-            assert!(ev.mem > 0, "{name} @K={k}: no memory events were pruned");
-            assert_eq!(
-                base.canonical_text(),
-                pruned.canonical_text(),
-                "{name} @K={k}: access pruning changed the folded DDG"
-            );
-        }
+        let cfg = Pass2::default();
+        let plain = Source::Live(Live::new(&structure));
+        let base = pass2::run(p, &plain, &cfg).expect("unpruned fold").ddg;
+        let masked = Source::Live(Live {
+            prune: Some(Arc::clone(&mask)),
+            synth: Some(Arc::clone(&deps) as _),
+            ..Live::new(&structure)
+        });
+        let out = pass2::run(p, &masked, &cfg).expect("pruned fold");
+        let (pruned, ev) = (out.ddg, out.pruned);
+        assert!(ev.mem > 0, "{name}: no memory events were pruned");
+        assert_eq!(
+            base.canonical_text(),
+            pruned.canonical_text(),
+            "{name}: access pruning changed the folded DDG"
+        );
     }
 }
 
 /// The full hybrid path (`ProfileConfig::static_prune`: combined
 /// statement + access mask, synthesis wired through `profile_with`) is
-/// invisible in everything the user sees after SCEV removal, serial and
-/// pipelined.
+/// invisible in everything the user sees after SCEV removal.
 #[test]
 fn profile_level_prune_is_invisible_end_to_end() {
     let mut progs: Vec<(String, polyir::Program)> = rodinia::all_rodinia()
@@ -98,23 +91,16 @@ fn profile_level_prune_is_invisible_end_to_end() {
         progs.push((n.to_string(), p));
     }
     for (name, p) in &progs {
-        for k in [1usize, 4] {
-            let base = profile_with(p, &ProfileConfig::new().with_fold_threads(k));
-            let pruned = profile_with(
-                p,
-                &ProfileConfig::new()
-                    .with_fold_threads(k)
-                    .with_static_prune(true),
-            );
-            assert_eq!(
-                base.folded_stats, pruned.folded_stats,
-                "{name} @K={k}: folded stats diverged under static_prune"
-            );
-            assert_eq!(
-                base.annotated_ast, pruned.annotated_ast,
-                "{name} @K={k}: annotated AST diverged under static_prune"
-            );
-        }
+        let base = profile_with(p, &ProfileConfig::new());
+        let pruned = profile_with(p, &ProfileConfig::new().with_static_prune(true));
+        assert_eq!(
+            base.folded_stats, pruned.folded_stats,
+            "{name}: folded stats diverged under static_prune"
+        );
+        assert_eq!(
+            base.annotated_ast, pruned.annotated_ast,
+            "{name}: annotated AST diverged under static_prune"
+        );
     }
 }
 

@@ -2,7 +2,7 @@
 //! dynamic profile on every shipped workload.
 //!
 //! * **Lint** — the post-fold DDG lint is green over the full Rodinia
-//!   suite, serial and pipelined.
+//!   suite.
 //! * **Prune parity** — the folded DDG after `remove_scevs()` is
 //!   byte-identical with instrumentation pruning on or off.
 //! * **Soundness** — every statically-proven SCEV statement is also
@@ -39,27 +39,21 @@ fn fold(
     (ddg, interner)
 }
 
-/// DDG lint is green over the whole Rodinia suite, serial and pipelined.
+/// DDG lint is green over the whole Rodinia suite.
 #[test]
 fn lint_green_over_rodinia() {
-    for threads in [1usize, 4] {
-        let cfg = ProfileConfig::new()
-            .with_fold_threads(threads)
-            .with_lint(true)
-            .with_static_prune(true);
-        for w in rodinia::all_rodinia() {
-            let r = profile_with(&w.program, &cfg);
-            let lint = r.lint.expect("lint was requested");
-            assert!(
-                lint.ok(),
-                "{} (fold_threads={}): {} lint violations: {:?}",
-                w.name,
-                threads,
-                lint.violations.len(),
-                lint.violations
-            );
-            assert!(lint.checks > 0, "{}: lint ran no checks", w.name);
-        }
+    let cfg = ProfileConfig::new().with_lint(true).with_static_prune(true);
+    for w in rodinia::all_rodinia() {
+        let r = profile_with(&w.program, &cfg);
+        let lint = r.lint.expect("lint was requested");
+        assert!(
+            lint.ok(),
+            "{}: {} lint violations: {:?}",
+            w.name,
+            lint.violations.len(),
+            lint.violations
+        );
+        assert!(lint.checks > 0, "{}: lint ran no checks", w.name);
     }
 }
 

@@ -1,29 +1,26 @@
 //! Observability-layer invariants (polytrace v2): histogram algebra
-//! (property-based), timeline well-formedness and counter reconciliation
-//! at every shard count — K ∈ {1, 2, 4} on the small-chunk stencil and
-//! K ∈ {1, 4} on Rodinia `backprop`, with the exported Chrome JSON, the lane
-//! set and journal overflow checked — shard-merge exactness, the live
-//! heartbeat on a shared budget, and the `Off`/`Counters` no-new-sections pin.
+//! (property-based), timeline well-formedness and span reconciliation on
+//! the stencil and on Rodinia `backprop` — with the exported Chrome JSON, the
+//! lane set and journal overflow checked — a replay traced like a live run,
+//! partition-merge exactness, the live heartbeat on a shared budget, and the
+//! `Off`/`Counters` no-new-sections pin.
 
 mod common;
 
 use common::stencil;
 use polyprof_core::polytrace::{
-    tid_shard, validate_json, Counter, HistKind, Histogram, TraceEventKind, TID_DRIVER, TID_PRE,
+    validate_json, Counter, HistKind, Histogram, Stage, TraceEventKind, TID_DRIVER,
 };
 use polyprof_core::{profile_with, MetricsLevel, ProfileConfig, ResourceBudget};
 use proptest::prelude::*;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-fn trace_run(fold_threads: usize) -> polyprof_core::Report {
-    let prog = stencil(6, 40);
-    let cfg = ProfileConfig::new()
-        .with_fold_threads(fold_threads)
-        .with_chunk_events(64) // small chunks: many per-chunk trace records
-        .with_metrics(MetricsLevel::Trace);
-    profile_with(&prog, &cfg)
+fn trace_run(prog: &polyprof_core::polyir::Program) -> polyprof_core::Report {
+    profile_with(
+        prog,
+        &ProfileConfig::new().with_metrics(MetricsLevel::Trace),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -51,7 +48,7 @@ fn u64_vec(size: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u64>> {
 proptest! {
     /// Merge is associative and commutative: any merge tree over any
     /// partition of a stream equals the single-histogram result — this is
-    /// what makes per-shard histograms mergeable like `merge_parts`.
+    /// what makes thread-local histograms mergeable into the collector.
     #[test]
     fn hist_merge_associative_commutative(
         a in u64_vec(0..40),
@@ -119,7 +116,7 @@ fn hist_zero_and_one_sample_edges() {
 }
 
 /// The acceptance criterion, directly: split one event stream across K
-/// "shards", record per-shard histograms, merge — identical to the single
+/// parts, record a histogram per part, merge — identical to the single
 /// histogram of the unsplit stream, for every K.
 #[test]
 fn shard_partitioned_histograms_merge_exactly() {
@@ -128,12 +125,12 @@ fn shard_partitioned_histograms_merge_exactly() {
         .collect();
     let single = hist_of(&stream);
     for k in [1usize, 2, 4, 7] {
-        let mut shards = vec![Histogram::new(); k];
+        let mut parts = vec![Histogram::new(); k];
         for (i, &v) in stream.iter().enumerate() {
-            shards[i % k].record(v);
+            parts[i % k].record(v);
         }
         let mut merged = Histogram::new();
-        for s in &shards {
+        for s in &parts {
             merged.merge(s);
         }
         assert_eq!(merged, single, "k={k}");
@@ -144,48 +141,32 @@ fn shard_partitioned_histograms_merge_exactly() {
 // Timeline well-formedness + counter reconciliation
 // ---------------------------------------------------------------------------
 
-/// At `Trace`, every K, on the small-chunk stencil and on the Rodinia
-/// `backprop` fixture at its default chunk size: the timeline is non-empty
-/// and drop-free (the fixture fits its journals), every event sits in a lane
-/// of the two-stage lane set, per-lane begin/end events obey stack discipline
-/// (every end closes the matching innermost begin), the chunk-granular events
-/// reconcile **exactly** with the polytrace counters, and the Chrome export
-/// is valid JSON.
+/// At `Trace`, on the stencil and on the Rodinia `backprop` fixture: the
+/// timeline is non-empty and drop-free, every event sits in the driver lane,
+/// begin/end events obey stack discipline (every end closes the matching
+/// innermost begin), the spans reconcile **exactly** with the stage slots —
+/// one begin/end pair for each stage that recorded time, none for a stage
+/// that did not — and the Chrome export is valid JSON.
 #[test]
-fn timeline_well_formed_and_reconciles_at_every_k() {
-    let rodinia_run = |k: usize| {
-        let cfg = ProfileConfig::new()
-            .with_fold_threads(k)
-            .with_metrics(MetricsLevel::Trace);
-        profile_with(&rodinia::backprop::build().program, &cfg)
-    };
-    let runs = [1usize, 2, 4]
-        .map(|k| ("stencil", k, trace_run(k)))
-        .into_iter()
-        .chain([1usize, 4].map(|k| ("backprop", k, rodinia_run(k))));
-    for (name, k, r) in runs {
+fn timeline_well_formed_and_reconciles() {
+    let runs = [
+        ("stencil", trace_run(&stencil(6, 40))),
+        ("backprop", trace_run(&rodinia::backprop::build().program)),
+    ];
+    for (name, r) in runs {
         let m = r.metrics.as_ref().expect("Trace run has metrics");
-        assert_eq!(m.trace_dropped, 0, "{name} k={k}: journal overflow");
-        assert!(!m.timeline.is_empty(), "{name} k={k}: empty timeline");
-
-        // Lane set: the driver, and at K > 1 the producer (whose lane also
-        // carries the `chunk-send` instants of all K channel edges) and fold
-        // shard `j < K`. A serial run uses the driver lane alone.
-        let lane_ok = |tid: u32| {
-            tid == TID_DRIVER
-                || (k > 1 && (tid == TID_PRE || (tid_shard(0)..tid_shard(k)).contains(&tid)))
-        };
-        if let Some(ev) = m.timeline.iter().find(|ev| !lane_ok(ev.tid)) {
+        assert_eq!(m.trace_dropped, 0, "{name}: journal overflow");
+        assert!(!m.timeline.is_empty(), "{name}: empty timeline");
+        if let Some(ev) = m.timeline.iter().find(|ev| ev.tid != TID_DRIVER) {
             panic!(
-                "{name} k={k}: event {:?} in lane {} outside the lane set",
+                "{name}: event {:?} in lane {} outside the driver lane",
                 ev.name, ev.tid
             );
         }
 
-        // Stack discipline per lane (events are sorted by timestamp).
-        let mut stacks: HashMap<u32, Vec<&str>> = HashMap::new();
+        // Stack discipline (events are sorted by timestamp).
+        let mut stack: Vec<&str> = Vec::new();
         for ev in &m.timeline {
-            let stack = stacks.entry(ev.tid).or_default();
             match ev.kind {
                 TraceEventKind::Begin => stack.push(ev.name),
                 TraceEventKind::End => {
@@ -193,108 +174,89 @@ fn timeline_well_formed_and_reconciles_at_every_k() {
                     assert_eq!(
                         open,
                         Some(ev.name),
-                        "{name} k={k}: end {:?} closes {open:?} on lane {}",
-                        ev.name,
-                        ev.tid
+                        "{name}: end {:?} closes {open:?}",
+                        ev.name
                     );
                 }
                 TraceEventKind::Instant => {}
             }
         }
-        for (tid, stack) in &stacks {
-            assert!(
-                stack.is_empty(),
-                "{name} k={k}: lane {tid} left open: {stack:?}"
-            );
-        }
+        assert!(stack.is_empty(), "{name}: left open: {stack:?}");
 
-        // Timeline ↔ counters: two views of one run.
-        let fold_ends = m.timeline_count("fold-chunk", TraceEventKind::End);
-        assert_eq!(
-            fold_ends,
-            m.counter(Counter::ChunksFolded),
-            "{name} k={k}: fold-chunk spans vs chunks_folded"
-        );
-        let sends = m.timeline_count("chunk-send", TraceEventKind::Instant);
-        assert_eq!(
-            sends,
-            m.counter(Counter::ChunkRecycled) + m.counter(Counter::ChunkFresh),
-            "{name} k={k}: chunk-send instants vs chunks shipped"
-        );
-        if k == 1 {
-            assert_eq!(fold_ends + sends, 0, "serial run has no chunk events");
-        } else {
-            assert!(fold_ends > 0, "{name} k={k}: no fold-chunk spans traced");
+        // Timeline ↔ stage slots: two views of one run.
+        for s in Stage::ALL {
+            let ran = u64::from(m.stage(s) > 0);
+            for kind in [TraceEventKind::Begin, TraceEventKind::End] {
+                assert_eq!(
+                    m.timeline_count(s.name(), kind),
+                    ran,
+                    "{name}: {} {kind:?} spans vs its stage slot",
+                    s.name()
+                );
+            }
         }
+        assert_eq!(m.timeline_count("profile", TraceEventKind::Begin), 1);
+        assert_eq!(m.timeline_count("finalize", TraceEventKind::Begin), 1);
 
         // The Chrome export exists exactly at Trace, is one well-formed JSON
         // value and carries the events.
         let json = r.timeline_json().expect("Trace exports a timeline");
-        validate_json(&json).unwrap_or_else(|e| panic!("{name} k={k}: invalid JSON: {e}"));
+        validate_json(&json).unwrap_or_else(|e| panic!("{name}: invalid JSON: {e}"));
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"ph\":\"B\"") && json.contains("\"ph\":\"E\""));
     }
 }
 
-/// A replay on fold workers is traced like a live run on them: every shard
-/// registers its event count, and each worker's lane carries its span and
-/// `fold-chunk` journal.
+/// A replay is traced like a live run: the same stage spans, in the same
+/// order, and the same count of folded events.
 #[test]
-fn sharded_replay_is_traced_like_a_live_run() {
+fn replay_is_traced_like_a_live_run() {
     let prog = stencil(6, 40);
     let path = std::env::temp_dir().join(format!(
         "polyprof_timeline_{}_replay.ptrace",
         std::process::id()
     ));
-    profile_with(&prog, &ProfileConfig::new().with_record_to(&path));
-    let cfg = ProfileConfig::new()
-        .with_fold_threads(2)
-        .with_chunk_events(64)
-        .with_metrics(MetricsLevel::Trace)
-        .with_replay_from(&path);
-    let r = profile_with(&prog, &cfg);
+    let traced = ProfileConfig::new().with_metrics(MetricsLevel::Trace);
+    let live = profile_with(&prog, &traced.clone().with_record_to(&path));
+    let replayed = profile_with(&prog, &traced.with_replay_from(&path));
     std::fs::remove_file(&path).ok();
-    let m = r.metrics.as_ref().expect("Trace run has metrics");
-    assert_eq!(m.shard_events.len(), 2, "{:?}", m.shard_events);
-    assert_eq!(
-        m.shard_events.iter().sum::<u64>(),
-        m.counter(Counter::EventsFolded)
-    );
-    for shard in 0..2 {
-        let lane = tid_shard(shard);
-        assert!(
-            m.timeline.iter().any(|ev| ev.tid == lane),
-            "no event on the lane of shard {shard}"
-        );
-    }
-    assert_eq!(
-        m.timeline_count("fold-chunk", TraceEventKind::End),
-        m.counter(Counter::ChunksFolded)
-    );
+    let spans = |r: &polyprof_core::Report| -> Vec<(&'static str, TraceEventKind)> {
+        let m = r.metrics.as_ref().expect("Trace run has metrics");
+        m.timeline
+            .iter()
+            .filter(|ev| ev.kind != TraceEventKind::Instant)
+            .map(|ev| (ev.name, ev.kind))
+            .collect()
+    };
+    assert!(!spans(&live).is_empty());
+    assert_eq!(spans(&live), spans(&replayed));
+    let folded =
+        |r: &polyprof_core::Report| r.metrics.as_ref().unwrap().counter(Counter::EventsFolded);
+    assert!(folded(&live) > 0);
+    assert_eq!(folded(&live), folded(&replayed));
 }
 
-/// `Trace` runs populate the latency histograms the pipeline feeds:
-/// fold-chunk times and chunk-send telemetry exist at K > 1, and the
-/// histogram counts agree with the chunk counters.
+/// `Trace` runs populate the latency histogram they feed: the VM's sampled
+/// dispatch time, no more samples than dispatches, and none below `Trace`.
 #[test]
 fn trace_run_populates_latency_histograms() {
-    let r = trace_run(3);
+    let r = trace_run(&stencil(6, 40));
     let m = r.metrics.as_ref().unwrap();
-    let fold = m.hist(HistKind::FoldChunkNs).expect("fold-time histogram");
-    assert_eq!(fold.count(), m.counter(Counter::ChunksFolded));
-    let occ = m
-        .hist(HistKind::ChunkOccupancy)
-        .expect("occupancy histogram");
-    assert_eq!(
-        occ.count(),
-        m.counter(Counter::ChunkRecycled) + m.counter(Counter::ChunkFresh)
-    );
-    // Occupancy never exceeds the configured chunk capacity (64 above).
-    assert!(occ.max() <= 64, "occupancy {} > chunk capacity", occ.max());
+    let dispatch = m.hist(HistKind::VmDispatchNs).expect("dispatch histogram");
+    let dispatches: u64 = m.vm_ops.iter().map(|(_, n)| n).sum();
+    assert!(dispatch.count() > 0, "no dispatch sampled");
     assert!(
-        m.hist(HistKind::QueueDepth).is_some(),
-        "queue-depth histogram"
+        dispatch.count() <= dispatches,
+        "{} samples",
+        dispatch.count()
     );
+
+    let timing = ProfileConfig::new().with_metrics(MetricsLevel::Timing);
+    let t = profile_with(&stencil(6, 40), &timing);
+    let t = t.metrics.as_ref().unwrap();
+    assert!(t
+        .hist(HistKind::VmDispatchNs)
+        .is_some_and(Histogram::is_empty));
 }
 
 // ---------------------------------------------------------------------------
@@ -302,7 +264,7 @@ fn trace_run_populates_latency_histograms() {
 // ---------------------------------------------------------------------------
 
 /// Watching a run takes none of its threads and no knob but the budget it
-/// shares: for both fold targets and for the replay source, a second thread
+/// shares: for the live and for the replay source, a second thread
 /// reading `ResourceBudget::progress()` sees the run move while it runs —
 /// never backwards, never past what the run finally did. A replay executes
 /// no instructions, so only its event count moves.
@@ -315,8 +277,7 @@ fn shared_budget_heartbeat_is_live_for_every_source_and_target() {
     ));
     profile_with(&prog, &ProfileConfig::new().with_record_to(&path));
     let inputs = [
-        ("live, inline", ProfileConfig::new()),
-        ("live, 2 workers", ProfileConfig::new().with_fold_threads(2)),
+        ("live", ProfileConfig::new()),
         ("replay", ProfileConfig::new().with_replay_from(&path)),
     ];
     for (name, cfg) in inputs {
@@ -372,9 +333,7 @@ fn shared_budget_heartbeat_is_live_for_every_source_and_target() {
 #[test]
 fn counters_level_is_free_of_v2_sections() {
     let prog = stencil(6, 40);
-    let cfg = ProfileConfig::new()
-        .with_fold_threads(2)
-        .with_metrics(MetricsLevel::Counters);
+    let cfg = ProfileConfig::new().with_metrics(MetricsLevel::Counters);
     let r = profile_with(&prog, &cfg);
     let m = r.metrics.as_ref().unwrap();
     assert!(m.hists.is_empty());

@@ -19,13 +19,13 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
-/// `ALLOCS` is process-global and the pipelined test allocates from several
-/// threads, so the two tests must not overlap: each holds this lock for its
-/// whole body, or one's allocations land in the other's window.
+/// `ALLOCS` is process-global and the test harness runs tests on parallel
+/// threads, so a counting test holds this lock for its whole body, or another
+/// test's allocations land in its window.
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 fn exclusive() -> std::sync::MutexGuard<'static, ()> {
-    // A failed assertion in the other test poisons the lock, not the counter.
+    // A failed assertion in another test poisons the lock, not the counter.
     ONE_AT_A_TIME
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -96,51 +96,6 @@ fn steady_state_profiling_does_not_allocate_per_event() {
     assert!(
         extra_allocs < 64,
         "profiling allocates in steady state: {extra_allocs} extra allocations \
-         over {extra_ops} extra dynamic ops (short: {allocs_short}, long: {allocs_long})"
-    );
-}
-
-/// As above, through the sharded pipeline: (events, allocations) across the
-/// whole staged pass 2 — all threads share the one global allocator, so the
-/// count covers every stage and shard.
-fn profile_counting_pipelined(prog: &Program) -> (u64, u64) {
-    use polyprof_core::polyfold::pass2::{self, Live, Pass2, Source, Target};
-    let mut rec = polycfg::StructureRecorder::new();
-    polyvm::Vm::new(prog).run(&[], &mut rec).expect("pass 1");
-    let structure = polycfg::StaticStructure::analyze(prog, rec);
-    let cfg = Pass2 {
-        target: Target::workers(2),
-        chunk_events: 1024,
-        ..Default::default()
-    };
-    let source = Source::Live(Live::new(&structure));
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let out = pass2::run(prog, &source, &cfg).expect("fault-free pipelined fold");
-    let after = ALLOCS.load(Ordering::Relaxed);
-    (out.ddg.total_ops, after - before)
-}
-
-/// Inside each pipeline shard the steady state must stay allocation-free:
-/// extra allocations between a short and a 10x-longer run are bounded by
-/// *chunk traffic* (a few per extra chunk when the recycling pool momentarily
-/// runs dry, plus channel parking), never by events. The old per-event
-/// behavior would cost tens of thousands of allocations here; the bound
-/// of 2048 over ~45 extra chunks (~60k extra events) is two orders of
-/// magnitude below that while absorbing scheduler-dependent pool misses.
-#[test]
-fn pipelined_folding_allocation_bounded_by_chunks_not_events() {
-    let _alone = exclusive();
-    let short_n = 500i64;
-    let long_n = 5000i64;
-    let _ = profile_counting_pipelined(&kernel(short_n));
-    let (ops_short, allocs_short) = profile_counting_pipelined(&kernel(short_n));
-    let (ops_long, allocs_long) = profile_counting_pipelined(&kernel(long_n));
-    let extra_ops = ops_long - ops_short;
-    assert!(extra_ops > 20_000, "kernel too small for a meaningful test");
-    let extra_allocs = allocs_long.saturating_sub(allocs_short);
-    assert!(
-        extra_allocs < 2048,
-        "pipelined folding allocates per event: {extra_allocs} extra allocations \
          over {extra_ops} extra dynamic ops (short: {allocs_short}, long: {allocs_long})"
     );
 }
