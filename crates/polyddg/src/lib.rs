@@ -33,8 +33,11 @@
 //!   and every writer record shares that snapshot instead of boxing its
 //!   own `Box<[i64]>`.
 //! * [`shadow::ShadowMemory`] keeps last-writer and last-reader in one
-//!   cell per word behind an MRU page cache: a memory event resolves its
-//!   page once instead of probing two hash tables repeatedly.
+//!   16-byte cell per word behind an MRU page cache: a memory event
+//!   resolves its page once instead of probing two hash tables repeatedly.
+//!   A shadow record is a statement plus a counted handle on its snapshot
+//!   in the [`coords::SnapCache`] table, which recycles a snapshot's slot
+//!   when its last record is overwritten.
 //! * Register frames are pooled across call/ret, and statement lookup goes
 //!   through a small direct-mapped cache keyed by instruction.
 //!
@@ -264,10 +267,10 @@ impl<'p, F: FoldSink> DdgProfiler<'p, F> {
         self.faults = Some(plan);
     }
 
-    /// Attach a resource budget: shadow pages and spilled coordinate
-    /// vectors are charged against the byte limit, and the VM watchdog
-    /// ([`EventSink::poll_abort`]) becomes [`ResourceBudget::beat`] — the
-    /// run's heartbeat and its deadline poll.
+    /// Attach a resource budget: shadow pages, snapshot-table slots and
+    /// spilled coordinate vectors are charged against the byte limit, and
+    /// the VM watchdog ([`EventSink::poll_abort`]) becomes
+    /// [`ResourceBudget::beat`] — the run's heartbeat and its deadline poll.
     pub fn set_budget(&mut self, budget: Arc<ResourceBudget>) {
         self.shadow.set_budget(Arc::clone(&budget));
         self.snaps.set_budget(Arc::clone(&budget));
@@ -304,6 +307,12 @@ impl<'p, F: FoldSink> DdgProfiler<'p, F> {
     /// snapshots in bytes.
     pub fn arena_bytes(&self) -> usize {
         self.snaps.arena().bytes()
+    }
+
+    /// The most coordinate snapshots shadow records held at once (the
+    /// snapshot table's peak live slot count).
+    pub fn peak_live_snapshots(&self) -> usize {
+        self.snaps.peak_live()
     }
 
     fn drain_loop_events(&mut self) {
@@ -708,6 +717,45 @@ mod tests {
             let info = interner.stmt_info(*src);
             assert_eq!(info.instr.block.func, fid, "no cross-frame register deps");
         }
+    }
+
+    /// A run under a memory budget (what `with_memory_budget` arms) charges
+    /// exactly its shadow pages and its snapshot table's slots: a 2-D nest
+    /// spread over three pages, every element written at its own
+    /// coordinates, so the table holds one slot per element.
+    #[test]
+    fn memory_budget_charges_pages_and_snapshot_table() {
+        use polycfg::StructureRecorder;
+        let mut pb = ProgramBuilder::new("t");
+        let base = pb.alloc(3 * 4096);
+        let mut f = pb.func("main", 0);
+        f.for_loop("Li", 0i64, 3i64, 1, |f, i| {
+            let row = f.mul(i, 4096i64);
+            f.for_loop("Lj", 0i64, 20i64, 1, |f, j| {
+                let at = f.add(row, j);
+                f.store(base as i64, at, j);
+            });
+        });
+        f.ret(None);
+        let fid = f.finish();
+        pb.set_entry(fid);
+        let p = pb.finish();
+        let mut rec = StructureRecorder::new();
+        polyvm::Vm::new(&p).run(&[], &mut rec).unwrap();
+        let structure = StaticStructure::analyze(&p, rec);
+        let budget = Arc::new(ResourceBudget::new(Some(1 << 30), None));
+        let mut prof = DdgProfiler::new(&p, &structure, CollectSink::default());
+        prof.set_budget(Arc::clone(&budget));
+        polyvm::Vm::new(&p).run(&[], &mut prof).unwrap();
+        let pages = prof.resident_shadow_pages();
+        let slots = prof.peak_live_snapshots();
+        assert!(pages >= 3, "{pages} pages");
+        assert!(slots >= 60, "{slots} slots");
+        assert_eq!(prof.arena_bytes(), 0);
+        assert_eq!(
+            budget.used_bytes(),
+            (pages * 16 * 4096 + slots * coords::SLOT_BYTES) as u64
+        );
     }
 
     #[test]

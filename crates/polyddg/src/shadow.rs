@@ -4,27 +4,33 @@
 //!
 //! Layout is tuned for the per-event cost of stage 2:
 //!
-//! * Writer records are `Copy` ([`CoordSnap`] instead of `Box<[i64]>`), so
-//!   recording never allocates.
-//! * Last-writer and last-reader live in one [`Cell`] per word, in shared
-//!   pages of 4096 cells — a memory *write* event (read prev writer, read
-//!   prev reader, store new writer, clear reader) resolves its page **once**
-//!   instead of probing separate write/read page tables four times.
+//! * A record is a statement and a counted handle on its coordinate
+//!   snapshot in the profiler's [`SnapCache`], 8 bytes; recording never
+//!   allocates, and the snapshot itself is stored once per coordinate
+//!   change, not once per record.
+//! * Last-writer and last-reader live in one 16-byte `Cell` per word, in
+//!   shared pages of 4096 cells — a memory *write* event (read prev writer,
+//!   read prev reader, store new writer, clear reader) resolves its page
+//!   **once** instead of probing separate write/read page tables four times.
 //! * An MRU (last-page) cache in front of the page table turns the
 //!   overwhelmingly common same-page access streams of dense kernels into
 //!   a compare + index, no hashing at all.
 //! * Pages are carved out of slabs reserved whole and filled a page at a
 //!   time (see `SLAB_PAGES`), so what a run costs does not depend on what
 //!   the allocator happened to keep from the run before it.
+//!
+//! [`ShadowMemory::resolve`] is the only routine that reads or writes a
+//! cell, and so the only one that takes and gives back snapshot references.
 
-use crate::coords::{CoordSnap, SnapCache};
+use crate::coords::{CoordSnap, SnapCache, SnapHandle};
 use crate::{DdgConfig, DepKind, FoldSink};
 use polyiiv::context::StmtId;
 use polyresist::{FaultPlan, FaultSite, ResourceBudget};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// The producer record: a statement at specific coordinates.
+/// The producer record of a register frame: a statement at specific
+/// coordinates.
 #[derive(Debug, Clone, Copy)]
 pub struct Writer {
     /// The statement (context + instruction).
@@ -33,14 +39,43 @@ pub struct Writer {
     pub coords: CoordSnap,
 }
 
+/// A shadow record: a statement and one counted reference on the snapshot
+/// of its coordinates.
+#[derive(Debug, Clone, Copy)]
+struct Rec {
+    stmt: StmtId,
+    snap: SnapHandle,
+}
+
+impl Rec {
+    /// No record. Real statement ids are interned densely from 0, so
+    /// `u32::MAX` can never collide.
+    const NONE: Rec = Rec {
+        stmt: StmtId(u32::MAX),
+        snap: SnapHandle::NONE,
+    };
+
+    #[inline]
+    fn is_some(self) -> bool {
+        self.stmt != Rec::NONE.stmt
+    }
+}
+
 /// Per-word shadow state: last writer and last reader (reader is cleared on
 /// every write).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Cell {
-    /// Last write to this word.
-    pub write: Option<Writer>,
-    /// Last read since that write.
-    pub read: Option<Writer>,
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    write: Rec,
+    read: Rec,
+}
+
+const _: () = assert!(std::mem::size_of::<Cell>() == 16);
+
+impl Cell {
+    const EMPTY: Cell = Cell {
+        write: Rec::NONE,
+        read: Rec::NONE,
+    };
 }
 
 const PAGE_BITS: u32 = 12;
@@ -52,19 +87,21 @@ const NO_PAGE: u64 = u64::MAX;
 /// extended by one page per first touch, so a page costs its own cells and
 /// nothing else, and a page slot is a (slab, offset) pair by shift and mask.
 ///
-/// The size is chosen so that a slab is larger than any request glibc will
-/// place on its heap (the mmap threshold adapts upwards, but never beyond
-/// 32 MiB): a slab is mapped when reserved and unmapped when dropped. One
-/// heap allocation per 320 KiB page leaves it to chance — which small blocks
-/// sit above the pages when they are freed — whether the ~100 MB of a
-/// pointer-chasing run go back to the system or stay on the heap for the
-/// next run, and the same program profiled in a loop then takes 100 or 125
-/// ns/event from one process to the next. Only touched pages become
+/// The size is chosen so that a slab (64 MiB of address space) is larger
+/// than any request glibc will place on its heap (the mmap threshold adapts
+/// upwards, but never beyond 32 MiB): a slab is mapped when reserved and
+/// unmapped when dropped. One heap allocation per page leaves it to chance —
+/// which small blocks sit above the pages when they are freed — whether the
+/// tens of MB of a pointer-chasing run go back to the system or stay on the
+/// heap for the next run, and the same program profiled in a loop then
+/// changes speed from one process to the next. Only touched pages become
 /// resident; the reservation itself is address space.
 const SLAB_PAGES: usize = 1 << SLAB_PAGE_BITS;
-const SLAB_PAGE_BITS: u32 = 7;
+const SLAB_PAGE_BITS: u32 = 10;
 const SLAB_CELLS: usize = SLAB_PAGES * PAGE_SIZE;
 const _: () = assert!(SLAB_CELLS * std::mem::size_of::<Cell>() > 32 << 20);
+/// Bytes one page charges against the budget.
+const PAGE_BYTES: usize = PAGE_SIZE * std::mem::size_of::<Cell>();
 
 /// Index within its slab of the cell of `addr` on page slot `slot`.
 #[inline]
@@ -84,11 +121,12 @@ pub struct ShadowMemory {
     index: HashMap<u64, u32>,
     /// MRU cache: the last page touched by `page_slot`.
     mru: (u64, u32),
-    /// MRU hit/miss tally on the `cell_mut` (update) path — plain fields,
-    /// harvested into the `polytrace` collector at stage end. The read-only
-    /// `cell` path is deliberately uncounted: with the default tracking
-    /// config every memory event makes exactly one `cell_mut` call, so
-    /// hits + misses == memory events (the gated consistency invariant).
+    /// MRU hit/miss tally on the `try_cell_mut` (update) path — plain
+    /// fields, harvested into the `polytrace` collector at stage end. The
+    /// read-only `cell` path is deliberately uncounted: with the default
+    /// tracking config every memory event makes exactly one `try_cell_mut`
+    /// call, so hits + misses == memory events (the gated consistency
+    /// invariant).
     mru_hits: u64,
     mru_misses: u64,
     /// Optional deterministic fault plan: probed on *new-page allocation*
@@ -160,14 +198,14 @@ impl ShadowMemory {
                     }
                 }
                 if let Some(b) = &self.budget {
-                    b.charge((PAGE_SIZE * std::mem::size_of::<Cell>()) as u64);
+                    b.charge(PAGE_BYTES as u64);
                 }
                 let slot = self.n_pages;
                 if slot as usize == self.slabs.len() * SLAB_PAGES {
                     self.slabs.push(Vec::with_capacity(SLAB_CELLS));
                 }
                 let slab = self.slabs.last_mut().expect("a slab with room");
-                slab.resize(slab.len() + PAGE_SIZE, Cell::default());
+                slab.resize(slab.len() + PAGE_SIZE, Cell::EMPTY);
                 self.n_pages += 1;
                 e.insert(slot);
                 slot
@@ -177,25 +215,14 @@ impl ShadowMemory {
         Some(slot)
     }
 
-    /// The shadow cell for `addr`, allocating its page on first touch.
+    /// The shadow cell for `addr`, allocating its page on first touch; `None`
+    /// when an armed fault plan refused the page allocation.
     ///
     /// This is the single-resolution hot path: one MRU compare (or one hash
     /// probe on a page switch) serves the whole event — previous writer,
     /// previous reader, and the update.
-    ///
-    /// Panics if an armed fault plan refuses the allocation — fault-aware
-    /// callers use [`try_cell_mut`](Self::try_cell_mut) instead.
     #[inline]
-    pub fn cell_mut(&mut self, addr: u64) -> &mut Cell {
-        self.try_cell_mut(addr)
-            .expect("shadow page allocation refused by fault plan")
-    }
-
-    /// Fallible variant of [`cell_mut`](Self::cell_mut): `None` when an
-    /// armed fault plan refused the page allocation. The caller skips
-    /// dependence emission for this event and counts it as unresolved.
-    #[inline]
-    pub fn try_cell_mut(&mut self, addr: u64) -> Option<&mut Cell> {
+    fn try_cell_mut(&mut self, addr: u64) -> Option<&mut Cell> {
         let slot = self.page_slot(addr >> PAGE_BITS)?;
         Some(&mut self.slabs[slot as usize >> SLAB_PAGE_BITS][cell_index(slot, addr)])
     }
@@ -203,7 +230,7 @@ impl ShadowMemory {
     /// The shadow cell for `addr` if its page is resident (read-only; checks
     /// the MRU cache first, does not update it).
     #[inline]
-    pub fn cell(&self, addr: u64) -> Option<&Cell> {
+    fn cell(&self, addr: u64) -> Option<&Cell> {
         let page_num = addr >> PAGE_BITS;
         let slot = if self.mru.0 == page_num {
             self.mru.1
@@ -213,44 +240,24 @@ impl ShadowMemory {
         Some(&self.slabs[slot as usize >> SLAB_PAGE_BITS][cell_index(slot, addr)])
     }
 
-    /// Last writer of `addr`, if any.
-    pub fn last_write(&self, addr: u64) -> Option<&Writer> {
-        self.cell(addr)?.write.as_ref()
-    }
-
-    /// Last reader of `addr`, if any (cleared on write).
-    pub fn last_read(&self, addr: u64) -> Option<&Writer> {
-        self.cell(addr)?.read.as_ref()
-    }
-
-    /// Record a write: updates the writer and clears the reader.
-    pub fn record_write(&mut self, addr: u64, w: Writer) {
-        let cell = self.cell_mut(addr);
-        cell.write = Some(w);
-        cell.read = None;
-    }
-
-    /// Record a read (for last-reader anti-dependence tracking).
-    pub fn record_read(&mut self, addr: u64, r: Writer) {
-        self.cell_mut(addr).read = Some(r);
-    }
-
     /// Number of resident shadow pages (overhead statistics).
     pub fn resident_pages(&self) -> usize {
         self.n_pages as usize
     }
 
     /// MRU page-cache `(hits, misses)` on the update path since
-    /// construction; hits + misses equals total `cell_mut` calls.
+    /// construction; hits + misses equals the memory touches that stored a
+    /// record (every one, under the default tracking config).
     pub fn mru_stats(&self) -> (u64, u64) {
         (self.mru_hits, self.mru_misses)
     }
 
     /// Resolve one memory touch by `stmt` at `coords` on word `addr`: read
     /// and update the shadow cell, emit the flow / output / anti dependences
-    /// `cfg` tracks, then the `mem_access` event. `snaps` supplies the
-    /// writer snapshot of `coords` (taken only when a record is stored) and
-    /// the arena earlier records resolve in.
+    /// `cfg` tracks, then the `mem_access` event. `snaps` resolves earlier
+    /// records' coordinates and counts their references: a stored record
+    /// holds one on the snapshot of `coords`, and a record overwritten here
+    /// gives its own back once its dependence is out.
     ///
     /// When an armed fault plan refuses the shadow page, the access is still
     /// emitted but its dependences are unknowable: every count in
@@ -267,44 +274,57 @@ impl ShadowMemory {
         is_write: bool,
         out: &mut F,
     ) {
-        // The cell is resolved once; prior records are copied out so the
-        // update and the dependence emission don't contend for borrows.
-        let prev = if is_write || cfg.track_anti {
-            let me = Writer {
-                stmt,
-                coords: snaps.get(coords),
-            };
-            self.try_cell_mut(addr).map(|cell| {
-                if is_write {
-                    let prev = (cell.write, cell.read);
-                    cell.write = Some(me);
-                    cell.read = None;
-                    prev
-                } else {
-                    cell.read = Some(me);
-                    (cell.write, None)
-                }
-            })
-        } else {
-            Some((self.last_write(addr).copied(), None))
+        let dep = |out: &mut F, snaps: &SnapCache, kind, r: Rec| {
+            out.dependence(kind, r.stmt, snaps.resolve(r.snap), stmt, coords);
         };
-        let Some((prev_write, prev_read)) = prev else {
+        if !(is_write || cfg.track_anti) {
+            // An untracked read stores nothing.
+            if let Some(w) = self.cell(addr).map(|c| c.write).filter(|w| w.is_some()) {
+                dep(out, snaps, DepKind::Flow, w);
+            }
+            out.mem_access(stmt, coords, addr, is_write);
+            return;
+        }
+        // The cell is resolved once; prior records are copied out so the
+        // update and the dependence emission don't contend for borrows. The
+        // reference is taken only once the page exists: a refused page
+        // holds nothing.
+        let Some(cell) = self.try_cell_mut(addr) else {
             out.mem_access(stmt, coords, addr, is_write);
             return;
         };
-        let arena = snaps.arena();
-        let mut dep = |kind, w: Writer| {
-            out.dependence(kind, w.stmt, w.coords.resolve(arena), stmt, coords);
+        let me = Rec {
+            stmt,
+            snap: snaps.hold(coords),
         };
         if is_write {
-            if let Some(w) = prev_write.filter(|_| cfg.track_output) {
-                dep(DepKind::Output, w);
+            let prev = std::mem::replace(
+                cell,
+                Cell {
+                    write: me,
+                    read: Rec::NONE,
+                },
+            );
+            if prev.write.is_some() {
+                if cfg.track_output {
+                    dep(out, snaps, DepKind::Output, prev.write);
+                }
+                snaps.release(prev.write.snap);
             }
-            if let Some(r) = prev_read.filter(|_| cfg.track_anti) {
-                dep(DepKind::Anti, r);
+            // A reader is only ever stored when `cfg.track_anti` is on.
+            if prev.read.is_some() {
+                dep(out, snaps, DepKind::Anti, prev.read);
+                snaps.release(prev.read.snap);
             }
-        } else if let Some(w) = prev_write {
-            dep(DepKind::Flow, w);
+        } else {
+            let prev_read = std::mem::replace(&mut cell.read, me);
+            let w = cell.write;
+            if prev_read.is_some() {
+                snaps.release(prev_read.snap);
+            }
+            if w.is_some() {
+                dep(out, snaps, DepKind::Flow, w);
+            }
         }
         out.mem_access(stmt, coords, addr, is_write);
     }
@@ -313,135 +333,215 @@ impl ShadowMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coords::CoordArena;
+    use crate::CollectSink;
 
-    fn w(arena: &mut CoordArena, stmt: u32, coords: &[i64]) -> Writer {
-        Writer {
-            stmt: StmtId(stmt),
-            coords: CoordSnap::capture(coords, arena),
+    /// Shadow memory driven the way the profiler drives it: every touch
+    /// goes through `resolve` into a `CollectSink`, and a coordinate change
+    /// invalidates the snapshot cache.
+    #[derive(Default)]
+    struct Rig {
+        s: ShadowMemory,
+        snaps: SnapCache,
+        out: CollectSink,
+        at: Vec<i64>,
+    }
+
+    impl Rig {
+        fn touch(&mut self, cfg: DdgConfig, stmt: u32, coords: &[i64], addr: u64, is_write: bool) {
+            if self.at != coords {
+                self.snaps.invalidate();
+                self.at = coords.to_vec();
+            }
+            self.out.deps.clear();
+            let (s, snaps, out) = (&mut self.s, &mut self.snaps, &mut self.out);
+            s.resolve(&cfg, snaps, StmtId(stmt), coords, addr, is_write, out);
+        }
+
+        fn write(&mut self, stmt: u32, coords: &[i64], addr: u64) {
+            self.touch(DdgConfig::default(), stmt, coords, addr, true);
+        }
+
+        fn read(&mut self, stmt: u32, coords: &[i64], addr: u64) {
+            self.touch(DdgConfig::default(), stmt, coords, addr, false);
+        }
+
+        /// The dependences the last touch emitted, as `(kind, src, src coords)`.
+        fn deps(&self) -> Vec<(DepKind, u32, Vec<i64>)> {
+            self.out
+                .deps
+                .iter()
+                .map(|(k, s, c, ..)| (*k, s.0, c.clone()))
+                .collect()
+        }
+
+        /// The last writer of `addr`, seen by a read that stores nothing.
+        fn last_write(&mut self, addr: u64) -> Option<(u32, Vec<i64>)> {
+            let untracked = DdgConfig {
+                track_anti: false,
+                ..DdgConfig::default()
+            };
+            let at = self.at.clone();
+            self.touch(untracked, u32::MAX - 1, &at, addr, false);
+            let deps = self.deps();
+            assert!(deps.len() <= 1);
+            deps.into_iter().next().map(|(k, s, c)| {
+                assert_eq!(k, DepKind::Flow);
+                (s, c)
+            })
         }
     }
 
     #[test]
     fn write_then_read_back() {
-        let mut arena = CoordArena::new();
-        let mut s = ShadowMemory::new();
-        assert!(s.last_write(100).is_none());
-        s.record_write(100, w(&mut arena, 1, &[0, 3]));
-        let got = s.last_write(100).unwrap();
-        assert_eq!(got.stmt, StmtId(1));
-        assert_eq!(got.coords.resolve(&arena), &[0, 3]);
-        assert!(s.last_write(101).is_none());
+        let mut r = Rig::default();
+        assert!(r.last_write(100).is_none());
+        r.write(1, &[0, 3], 100);
+        assert_eq!(r.last_write(100), Some((1, vec![0, 3])));
+        assert!(r.last_write(101).is_none());
+        r.read(2, &[1, 0], 100);
+        assert_eq!(r.deps(), [(DepKind::Flow, 1, vec![0, 3])]);
+        assert_eq!(r.out.accesses.last().unwrap().2, 100);
     }
 
+    /// An overwrite emits the output dependence from the record it
+    /// replaces, then frees that record's snapshot.
     #[test]
     fn write_overwrites() {
-        let mut arena = CoordArena::new();
-        let mut s = ShadowMemory::new();
-        s.record_write(5, w(&mut arena, 1, &[0]));
-        s.record_write(5, w(&mut arena, 2, &[1]));
-        assert_eq!(s.last_write(5).unwrap().stmt, StmtId(2));
+        let mut r = Rig::default();
+        r.write(1, &[0], 5);
+        assert_eq!(r.snaps.live(), 1);
+        r.write(2, &[1], 5);
+        assert_eq!(r.deps(), [(DepKind::Output, 1, vec![0])]);
+        assert_eq!(r.last_write(5), Some((2, vec![1])));
+        assert_eq!(r.snaps.live(), 1, "the overwritten snapshot was freed");
+        assert_eq!(r.snaps.peak_live(), 2);
     }
 
+    /// A write emits the anti dependence from the reader and clears it: the
+    /// next write sees no reader.
     #[test]
     fn write_clears_reader() {
-        let mut arena = CoordArena::new();
-        let mut s = ShadowMemory::new();
-        s.record_read(7, w(&mut arena, 1, &[0]));
-        assert!(s.last_read(7).is_some());
-        s.record_write(7, w(&mut arena, 2, &[1]));
-        assert!(s.last_read(7).is_none());
+        let mut r = Rig::default();
+        r.read(1, &[0], 7);
+        assert!(r.deps().is_empty());
+        r.write(2, &[1], 7);
+        assert_eq!(r.deps(), [(DepKind::Anti, 1, vec![0])]);
+        r.write(3, &[2], 7);
+        assert_eq!(r.deps(), [(DepKind::Output, 2, vec![1])]);
+        assert_eq!(r.snaps.live(), 1);
+    }
+
+    /// Records at one coordinate vector share one slot; each reference is
+    /// counted, and the slot is freed with the last of them.
+    #[test]
+    fn shared_snapshot_is_counted() {
+        let mut r = Rig::default();
+        for a in 0..4 {
+            r.write(1, &[0], a);
+            r.read(2, &[0], a + 10);
+        }
+        assert_eq!(r.snaps.live(), 1);
+        assert_eq!(r.snaps.peak_live(), 1);
+        // New coordinates: the cache lets go of [0], the eight records do not.
+        r.write(3, &[1], 0);
+        assert_eq!(r.snaps.live(), 2);
+        for a in 1..4 {
+            r.write(3, &[1], a);
+        }
+        for a in 10..13 {
+            r.read(4, &[1], a);
+        }
+        assert_eq!(r.snaps.live(), 2, "the reader of word 13 still holds [0]");
+        r.write(5, &[1], 13);
+        assert_eq!(r.deps(), [(DepKind::Anti, 2, vec![0])]);
+        assert_eq!(r.snaps.live(), 1, "[0] freed with its last record");
+        assert_eq!(r.snaps.peak_live(), 2);
+    }
+
+    /// One cell carries both roles: each write sees the writer and the
+    /// reader before it, each read the writer.
+    #[test]
+    fn combined_cell_roundtrip() {
+        let mut r = Rig::default();
+        r.read(5, &[1], 42);
+        assert!(r.deps().is_empty());
+        r.write(6, &[2], 42);
+        assert_eq!(r.deps(), [(DepKind::Anti, 5, vec![1])]);
+        r.read(7, &[3], 42);
+        assert_eq!(r.deps(), [(DepKind::Flow, 6, vec![2])]);
+        r.write(8, &[4], 42);
+        assert_eq!(
+            r.deps(),
+            [(DepKind::Output, 6, vec![2]), (DepKind::Anti, 7, vec![3])]
+        );
+        assert_eq!(r.snaps.live(), 1, "only the last writer's snapshot is held");
     }
 
     #[test]
     fn cross_page_addresses() {
-        let mut arena = CoordArena::new();
-        let mut s = ShadowMemory::new();
+        let mut r = Rig::default();
         let far = 1u64 << 40;
-        s.record_write(far, w(&mut arena, 9, &[2]));
-        s.record_write(far + PAGE_SIZE as u64, w(&mut arena, 10, &[3]));
-        assert_eq!(s.last_write(far).unwrap().stmt, StmtId(9));
-        assert_eq!(
-            s.last_write(far + PAGE_SIZE as u64).unwrap().stmt,
-            StmtId(10)
-        );
-        assert_eq!(s.resident_pages(), 2);
+        r.write(9, &[2], far);
+        r.write(10, &[3], far + PAGE_SIZE as u64);
+        assert_eq!(r.last_write(far), Some((9, vec![2])));
+        assert_eq!(r.last_write(far + PAGE_SIZE as u64), Some((10, vec![3])));
+        assert_eq!(r.s.resident_pages(), 2);
     }
 
     /// The MRU cache must stay coherent across page switches, including
     /// reads that race ahead of the cached write page.
     #[test]
     fn mru_cache_coherent_across_page_switches() {
-        let mut arena = CoordArena::new();
-        let mut s = ShadowMemory::new();
+        let mut r = Rig::default();
         let a = 10u64; // page 0
         let b = 10u64 + (PAGE_SIZE as u64) * 3; // page 3
-        s.record_write(a, w(&mut arena, 1, &[0]));
-        s.record_write(b, w(&mut arena, 2, &[1]));
+        r.write(1, &[0], a);
+        r.write(2, &[1], b);
         // MRU now points at b's page; reads of a must still resolve.
-        assert_eq!(s.last_write(a).unwrap().stmt, StmtId(1));
-        assert_eq!(s.last_write(b).unwrap().stmt, StmtId(2));
-        s.record_write(a, w(&mut arena, 3, &[2]));
-        assert_eq!(s.last_write(a).unwrap().stmt, StmtId(3));
-        assert_eq!(s.last_write(b).unwrap().stmt, StmtId(2));
-        assert_eq!(s.resident_pages(), 2);
+        assert_eq!(r.last_write(a), Some((1, vec![0])));
+        assert_eq!(r.last_write(b), Some((2, vec![1])));
+        r.write(3, &[2], a);
+        assert_eq!(r.deps(), [(DepKind::Output, 1, vec![0])]);
+        assert_eq!(r.last_write(a), Some((3, vec![2])));
+        assert_eq!(r.last_write(b), Some((2, vec![1])));
+        assert_eq!(r.s.resident_pages(), 2);
+        let (hits, misses) = r.s.mru_stats();
+        assert_eq!(hits + misses, 3, "one update-path lookup per stored record");
     }
 
     /// Page slots past the first slab resolve into the next one, and no
     /// page's cells alias another's.
     #[test]
     fn pages_spill_into_a_second_slab() {
-        let mut arena = CoordArena::new();
-        let mut s = ShadowMemory::new();
+        let mut r = Rig::default();
         let n = SLAB_PAGES as u64 + 2;
         // First and last cell of every page, pages visited out of order.
         for p in (0..n).rev() {
             let base = (p * 7 + 3) << PAGE_BITS;
-            s.record_write(base, w(&mut arena, 2 * p as u32, &[0]));
-            s.record_write(
-                base + PAGE_SIZE as u64 - 1,
-                w(&mut arena, 2 * p as u32 + 1, &[0]),
-            );
+            r.write(2 * p as u32, &[0], base);
+            r.write(2 * p as u32 + 1, &[0], base + PAGE_SIZE as u64 - 1);
         }
-        assert_eq!(s.resident_pages(), n as usize);
-        assert_eq!(s.slabs.len(), 2);
-        assert_eq!(s.slabs[1].len(), 2 * PAGE_SIZE);
+        assert_eq!(r.s.resident_pages(), n as usize);
+        assert_eq!(r.s.slabs.len(), 2);
+        assert_eq!(r.s.slabs[1].len(), 2 * PAGE_SIZE);
         for p in 0..n {
             let base = (p * 7 + 3) << PAGE_BITS;
-            assert_eq!(s.last_write(base).unwrap().stmt, StmtId(2 * p as u32));
+            assert_eq!(r.last_write(base), Some((2 * p as u32, vec![0])));
             assert_eq!(
-                s.last_write(base + PAGE_SIZE as u64 - 1).unwrap().stmt,
-                StmtId(2 * p as u32 + 1)
+                r.last_write(base + PAGE_SIZE as u64 - 1),
+                Some((2 * p as u32 + 1, vec![0]))
             );
-            assert!(s.last_write(base + 1).is_none());
+            assert!(r.last_write(base + 1).is_none());
         }
     }
 
-    /// One cell carries both roles: a combined write+read probe sequence
-    /// through `cell_mut` matches the individual record/query API.
-    #[test]
-    fn combined_cell_roundtrip() {
-        let mut arena = CoordArena::new();
-        let mut s = ShadowMemory::new();
-        s.record_read(42, w(&mut arena, 5, &[1]));
-        let cell = s.cell_mut(42);
-        assert!(cell.write.is_none());
-        assert_eq!(cell.read.unwrap().stmt, StmtId(5));
-        cell.write = Some(Writer {
-            stmt: StmtId(6),
-            coords: cell.read.unwrap().coords,
-        });
-        cell.read = None;
-        assert_eq!(s.last_write(42).unwrap().stmt, StmtId(6));
-        assert!(s.last_read(42).is_none());
-    }
-
-    /// Differential check against a naive map (the property-test invariant).
+    /// Differential check against a naive map (the property-test
+    /// invariant), and the table bound: one live slot per written word, each
+    /// written at its own coordinates.
     #[test]
     fn matches_naive_map() {
         use std::collections::HashMap as Naive;
-        let mut arena = CoordArena::new();
-        let mut s = ShadowMemory::new();
+        let mut r = Rig::default();
         let mut naive: Naive<u64, u32> = Naive::new();
         // pseudo-random-ish address pattern without rand dependency
         let mut x = 12345u64;
@@ -450,42 +550,67 @@ mod tests {
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             let addr = x % 8192;
-            s.record_write(addr, w(&mut arena, i, &[i as i64]));
-            naive.insert(addr, i);
+            r.write(i, &[i as i64], addr);
+            let want = naive
+                .insert(addr, i)
+                .map(|w| (DepKind::Output, w, vec![w as i64]));
+            assert_eq!(r.deps(), Vec::from_iter(want), "at write {i}");
         }
+        assert_eq!(r.snaps.live(), naive.len());
         for addr in 0..8192u64 {
             assert_eq!(
-                s.last_write(addr).map(|w| w.stmt.0),
-                naive.get(&addr).copied(),
+                r.last_write(addr),
+                naive.get(&addr).map(|&w| (w, vec![w as i64])),
                 "mismatch at {addr}"
             );
         }
     }
 
+    /// A refused page stores no record and takes no reference; the access
+    /// is still emitted, without dependences.
     #[test]
     fn alloc_fault_refuses_one_page_then_recovers() {
-        let mut s = ShadowMemory::new();
-        s.set_faults(Arc::new(FaultPlan::single(FaultSite::AllocShadow, 1)));
-        assert!(s.try_cell_mut(0).is_none(), "first allocation refused");
-        assert_eq!(s.alloc_failures(), 1);
+        let mut r = Rig::default();
+        r.s.set_faults(Arc::new(FaultPlan::single(FaultSite::AllocShadow, 1)));
+        r.write(1, &[0], 0);
+        assert_eq!(r.s.alloc_failures(), 1);
+        assert_eq!(r.s.resident_pages(), 0);
+        assert_eq!(r.out.accesses.len(), 1);
+        assert_eq!(
+            (r.snaps.live(), r.snaps.peak_live()),
+            (0, 0),
+            "nothing held"
+        );
         // One-shot fault: the retry allocates normally.
-        assert!(s.try_cell_mut(0).is_some());
-        assert_eq!(s.resident_pages(), 1);
-        assert_eq!(s.alloc_failures(), 1);
+        r.write(2, &[0], 0);
+        assert!(r.deps().is_empty());
+        assert_eq!(r.s.resident_pages(), 1);
+        assert_eq!(r.s.alloc_failures(), 1);
+        assert_eq!(r.snaps.live(), 1);
     }
 
+    /// A page charges its 16-byte cells, a grown table its slot; a reused
+    /// page and a recycled slot charge nothing.
     #[test]
     fn budget_charged_per_allocated_page() {
         let b = Arc::new(ResourceBudget::new(Some(1), None));
-        let mut arena = CoordArena::new();
-        let mut s = ShadowMemory::new();
-        s.set_budget(Arc::clone(&b));
-        s.record_write(0, w(&mut arena, 1, &[0]));
-        assert!(b.used_bytes() >= (PAGE_SIZE * std::mem::size_of::<Cell>()) as u64);
+        let mut r = Rig::default();
+        r.s.set_budget(Arc::clone(&b));
+        r.snaps.set_budget(Arc::clone(&b));
+        r.write(1, &[0], 0);
+        let slot = crate::coords::SLOT_BYTES as u64;
+        assert_eq!(b.used_bytes(), 64 * 1024 + slot);
         assert!(b.under_pressure(), "1-byte budget crossed by first page");
-        // Same page again: no further charge.
-        let used = b.used_bytes();
-        s.record_write(1, w(&mut arena, 2, &[1]));
-        assert_eq!(b.used_bytes(), used);
+        // Same page, new coordinates: the table grows by one slot.
+        r.write(2, &[1], 1);
+        assert_eq!(b.used_bytes(), 64 * 1024 + 2 * slot);
+        // Overwrite word 0: [2] is held before [0] is given back, so the
+        // table grows once more.
+        r.write(3, &[2], 0);
+        assert_eq!(b.used_bytes(), 64 * 1024 + 3 * slot);
+        // Overwrite word 1: [3] recycles the slot [0] freed.
+        r.write(4, &[3], 1);
+        assert_eq!(r.snaps.live(), 2);
+        assert_eq!(b.used_bytes(), 64 * 1024 + 3 * slot);
     }
 }

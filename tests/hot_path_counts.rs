@@ -6,7 +6,8 @@
 //! * after every loop event, the path the interner hands out equals the
 //!   tracker's stacks *and* the id a memo-less first-seen list assigns;
 //! * the counts of what still hashes (tracker memo misses, interner content
-//!   interns) do not move with the trip count;
+//!   interns) do not move with the trip count, and neither does the peak of
+//!   the shadow records' snapshot table;
 //! * the count of predicted fold events is a fact of the event stream: the
 //!   same live and on replay of the recording, whatever its frame size.
 
@@ -16,6 +17,8 @@ use common::{deep_nest, stencil};
 use polyir::build::ProgramBuilder;
 use polyir::{BlockRef, CmpOp, FuncId, InstrRef, Operand, Program, Value};
 use polyprof_core::polycfg::{LoopEvent, LoopEventGen, StaticStructure, StructureRecorder};
+use polyprof_core::polyddg::DdgProfiler;
+use polyprof_core::polyfold::FoldingSink;
 use polyprof_core::polyiiv::context::{ContextInterner, CtxPathId};
 use polyprof_core::polyiiv::{CtxElem, IivTracker};
 use polyprof_core::polytrace::Counter;
@@ -241,6 +244,33 @@ fn hashing_does_not_grow_with_the_trip_count() {
         "the version cache still misses per transition: {misses_1} vs {misses_10}"
     );
     assert!(interns_10 * 20 < misses_10);
+}
+
+/// Peak live slots of the profiler's snapshot table over a full pass 2.
+fn peak_live_snapshots(prog: &Program) -> usize {
+    let mut rec = StructureRecorder::new();
+    Vm::new(prog).run(&[], &mut rec).expect("pass 1");
+    let structure = StaticStructure::analyze(prog, rec);
+    let mut prof = DdgProfiler::new(prog, &structure, FoldingSink::new());
+    Vm::new(prog).run(&[], &mut prof).expect("pass 2");
+    prof.peak_live_snapshots()
+}
+
+/// Shadow records hold counted snapshots, and an overwritten record gives
+/// its own back: the table is bounded by the 64 words the nest touches,
+/// not by how many coordinate vectors it runs through.
+#[test]
+fn snapshot_table_does_not_grow_with_the_trip_count() {
+    let (short, long) = (
+        peak_live_snapshots(&counted_nest(120)),
+        peak_live_snapshots(&counted_nest(360)),
+    );
+    assert_eq!(short, long, "the snapshot table grew with N");
+    assert_eq!(
+        short,
+        64 + 1,
+        "one slot per word's writer, plus the current"
+    );
 }
 
 fn counters(prog: &Program, cfg: ProfileConfig) -> (u64, u64) {
