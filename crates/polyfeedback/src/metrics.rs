@@ -158,7 +158,11 @@ fn region_report(input: &FeedbackInput<'_>, nest: usize) -> RegionReport {
         len: 0,
         skewed: false,
     };
-    for s in &stmts {
+    // `all_stmts` is in statement order, so the reported band does not
+    // depend on hash order. On a tie in length the unskewed band wins: skew
+    // only when it buys a longer band (as `stmt_tile_band` does per
+    // statement).
+    for s in &node.all_stmts {
         let w = ddg.stmts[s].domain.count;
         if a.stmt_parallelizable(*s) {
             par += w;
@@ -170,7 +174,8 @@ fn region_report(input: &FeedbackInput<'_>, nest: usize) -> RegionReport {
         if band.len >= 2 {
             til += w;
         }
-        if band.len > best_band.len {
+        let unskews_tie = band.len == best_band.len && best_band.skewed && !band.skewed;
+        if band.len > best_band.len || unskews_tie {
             best_band = band;
         }
     }

@@ -133,6 +133,11 @@ fn collision_poly(src: &AccessFn, dst: &AccessFn, trips: &[u64]) -> Polyhedron {
 /// row-major `8i + j`: rationally `δj ∈ [−7, 7]`, but with `δi = 0` forced
 /// integral the equality leaves only `δj = 0`). Rounding inward is sound:
 /// every *integer* collision satisfies the rounded bounds.
+///
+/// The dimensions cannot share one [`Polyhedron::bounds_of`] projection:
+/// each is bounded over `p` as tightened by every outer dimension's rounded
+/// interval, so bounding them all over the untightened `p` would change
+/// the verdicts.
 fn distance_bounds(p: &Polyhedron, n: usize) -> DepRelation {
     let mut p = p.clone();
     let distance = (0..n)

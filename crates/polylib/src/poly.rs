@@ -255,22 +255,23 @@ impl Polyhedron {
 
     /// Minimum of `expr` over the rational relaxation.
     pub fn min_of(&self, expr: &AffineExpr) -> Bound {
-        self.extremum(expr, true)
+        self.bounds_of(expr).0
     }
 
     /// Maximum of `expr` over the rational relaxation.
     pub fn max_of(&self, expr: &AffineExpr) -> Bound {
-        self.extremum(expr, false)
+        self.bounds_of(expr).1
     }
 
-    fn extremum(&self, expr: &AffineExpr, minimum: bool) -> Bound {
+    /// `(min, max)` of `expr` over the rational relaxation, from one
+    /// projection: append `t = expr`, eliminate every original variable
+    /// and read the largest lower and the smallest upper bound on `t`.
+    /// Emptiness falls out of the same projection (a constant
+    /// contradiction, or lower > upper) as `(Empty, Empty)`. FM projection
+    /// is exact over the rationals, so the elimination order is immaterial.
+    pub fn bounds_of(&self, expr: &AffineExpr) -> (Bound, Bound) {
         assert_eq!(expr.dim(), self.dim);
-        if self.is_empty() {
-            return Bound::Empty;
-        }
-        // Append t = expr as two inequalities over dim+1 variables, then
-        // eliminate the original variables and read bounds on t.
-        let nd = self.dim + 1;
+        let t = self.dim;
         let mut cons: Vec<Constraint> = self
             .inequalities()
             .into_iter()
@@ -282,42 +283,43 @@ impl Polyhedron {
         let mut te: Vec<i128> = expr.coeffs.iter().map(|&a| -(a as i128)).collect();
         te.push(1);
         cons.push(Constraint {
-            coeffs: te.clone(),
-            c: -(expr.c as i128),
-            eq: false,
-        }); // t - e >= 0
-        cons.push(Constraint {
             coeffs: te.iter().map(|a| -a).collect(),
             c: expr.c as i128,
             eq: false,
         }); // e - t >= 0
-        for v in 0..self.dim {
+        cons.push(Constraint {
+            coeffs: te,
+            c: -(expr.c as i128),
+            eq: false,
+        }); // t - e >= 0
+        for v in (0..self.dim).rev() {
+            if cons.iter().any(|c| c.is_contradiction()) {
+                return (Bound::Empty, Bound::Empty);
+            }
             cons = Self::fm_eliminate(&cons, v);
         }
-        let t = nd - 1;
-        let mut best: Option<Rat> = None;
+        let (mut lo, mut hi): (Option<Rat>, Option<Rat>) = (None, None);
         for c in &cons {
             let a = c.coeffs[t];
-            if minimum && a > 0 {
+            if a > 0 {
                 // a·t + c >= 0  →  t >= -c/a
                 let b = Rat::new(-c.c, a);
-                best = Some(match best {
-                    Some(x) => x.max(b),
-                    None => b,
-                });
-            } else if !minimum && a < 0 {
+                lo = Some(lo.map_or(b, |x| x.max(b)));
+            } else if a < 0 {
                 // a·t + c >= 0  →  t <= c/(-a)
                 let b = Rat::new(c.c, -a);
-                best = Some(match best {
-                    Some(x) => x.min(b),
-                    None => b,
-                });
+                hi = Some(hi.map_or(b, |x| x.min(b)));
+            } else if c.is_contradiction() {
+                return (Bound::Empty, Bound::Empty);
             }
         }
-        match best {
-            Some(r) => Bound::Finite(r),
-            None => Bound::Unbounded,
+        if let (Some(l), Some(h)) = (lo, hi) {
+            if l > h {
+                return (Bound::Empty, Bound::Empty);
+            }
         }
+        let bound = |r: Option<Rat>| r.map_or(Bound::Unbounded, Bound::Finite);
+        (bound(lo), bound(hi))
     }
 
     /// Substitute `x_var = value`, producing a polyhedron where `var` is
@@ -351,16 +353,10 @@ impl Polyhedron {
                 }
                 return true;
             }
-            let v = AffineExpr::var(p.dim(), var);
-            let lo = match p.min_of(&v) {
-                Bound::Finite(r) => r.ceil(),
-                Bound::Empty => return true,
-                Bound::Unbounded => return false,
-            };
-            let hi = match p.max_of(&v) {
-                Bound::Finite(r) => r.floor(),
-                Bound::Empty => return true,
-                Bound::Unbounded => return false,
+            let (lo, hi) = match p.bounds_of(&AffineExpr::var(p.dim(), var)) {
+                (Bound::Finite(lo), Bound::Finite(hi)) => (lo.ceil(), hi.floor()),
+                (Bound::Empty, _) => return true,
+                _ => return false,
             };
             if hi < lo {
                 return true;
@@ -388,8 +384,8 @@ impl Polyhedron {
     pub fn bounding_box(&self) -> Vec<(Option<Rat>, Option<Rat>)> {
         (0..self.dim)
             .map(|v| {
-                let e = AffineExpr::var(self.dim, v);
-                (self.min_of(&e).finite(), self.max_of(&e).finite())
+                let (lo, hi) = self.bounds_of(&AffineExpr::var(self.dim, v));
+                (lo.finite(), hi.finite())
             })
             .collect()
     }

@@ -2,7 +2,7 @@
 //! projection correctness, counting/specialization agreement, and rational
 //! arithmetic laws.
 
-use polylib::{AffineExpr, Bound, Polyhedron, Rat};
+use polylib::{AffineExpr, Bound, Constraint, Polyhedron, Rat};
 use proptest::prelude::*;
 
 /// A random small polyhedron in 2 variables built from bound constraints
@@ -32,6 +32,102 @@ fn small_poly() -> impl Strategy<Value = Polyhedron> {
             p.add_ge(&AffineExpr::new(vec![a, b], c));
             p
         })
+}
+
+/// Random polyhedra in 3 variables from 1–4 arbitrary constraints, a
+/// quarter of them equalities: unlike `small_poly` these are often
+/// unbounded, and empty ones have no box to make them so.
+fn loose_poly() -> impl Strategy<Value = Polyhedron> {
+    proptest::collection::vec((-3i64..=3, -3i64..=3, -3i64..=3, -6i64..=6, 0u8..4), 1..5).prop_map(
+        |rows| {
+            let mut p = Polyhedron::universe(3);
+            for (a, b, c, k, kind) in rows {
+                let e = AffineExpr::new(vec![a, b, c], k);
+                if kind == 0 {
+                    p.add_eq(&e);
+                } else {
+                    p.add_ge(&e);
+                }
+            }
+            p
+        },
+    )
+}
+
+/// The two-query extremum `bounds_of` replaced, kept as a reference: an
+/// emptiness test, then a second projection with `t = expr` appended
+/// (outermost variable first) that reads one side of `t`.
+fn reference_extremum(p: &Polyhedron, expr: &AffineExpr, minimum: bool) -> Bound {
+    if p.is_empty() {
+        return Bound::Empty;
+    }
+    let n = p.dim();
+    let mut q = Polyhedron::universe(n + 1);
+    for c in &p.cons {
+        let mut coeffs = c.coeffs.clone();
+        coeffs.push(0);
+        q.cons.push(Constraint {
+            coeffs,
+            ..c.clone()
+        });
+    }
+    let mut t_minus_e = expr.scale(-1).coeffs;
+    t_minus_e.push(1);
+    q.add_eq(&AffineExpr::new(t_minus_e, -expr.c));
+    for v in 0..n {
+        q = q.eliminate(v);
+    }
+    let side = q.cons.iter().filter_map(|c| {
+        let a = c.coeffs[n];
+        match (minimum, a.signum()) {
+            (true, 1) => Some(Rat::new(-c.c, a)),
+            (false, -1) => Some(Rat::new(c.c, -a)),
+            _ => None,
+        }
+    });
+    let best = if minimum { side.max() } else { side.min() };
+    best.map_or(Bound::Unbounded, Bound::Finite)
+}
+
+fn assert_bounds_match(p: &Polyhedron, f: &AffineExpr) {
+    let want = (
+        reference_extremum(p, f, true),
+        reference_extremum(p, f, false),
+    );
+    assert_eq!(p.bounds_of(f), want, "{p} over {f:?}");
+    assert_eq!((p.min_of(f), p.max_of(f)), want, "{p} over {f:?}");
+}
+
+/// The cases the random families hit only by chance.
+#[test]
+fn bounds_match_reference_on_edge_cases() {
+    let x = AffineExpr::var(2, 0);
+    let y = AffineExpr::var(2, 1);
+    let k = |v| AffineExpr::constant(2, v);
+    let mut empty = Polyhedron::universe(2);
+    empty.add_ge(&x.sub(&k(5)));
+    empty.add_le(&x.sub(&k(3)));
+    let mut empty_by_eq = Polyhedron::universe(2);
+    empty_by_eq.add_eq(&x.add(&y).sub(&k(1)));
+    empty_by_eq.add_eq(&x.add(&y).sub(&k(2)));
+    let mut ray = Polyhedron::universe(2);
+    ray.add_ge(&x);
+    ray.add_eq(&y.sub(&x.scale(2)));
+    let mut point = Polyhedron::universe(2);
+    point.add_eq(&x.sub(&k(3)));
+    point.add_eq(&y.add(&k(1)));
+    for p in [empty, empty_by_eq, ray, point, Polyhedron::universe(2)] {
+        for f in [x.clone(), y.clone(), x.sub(&y), x.add(&y).add(&k(4)), k(7)] {
+            assert_bounds_match(&p, &f);
+        }
+    }
+    assert_eq!(
+        Polyhedron::universe(0).bounds_of(&AffineExpr::constant(0, 2)),
+        {
+            let two = Bound::Finite(Rat::int(2));
+            (two, two)
+        }
+    );
 }
 
 proptest! {
@@ -92,6 +188,21 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// One projection gives what two extremum queries gave, on bounded
+    /// boxes cut by a half-space.
+    #[test]
+    fn bounds_match_reference(p in small_poly(), a in -3i64..=3, b in -3i64..=3, c in -5i64..=5) {
+        assert_bounds_match(&p, &AffineExpr::new(vec![a, b], c));
+    }
+
+    /// ... and on unbounded, equality-bearing and empty polyhedra.
+    #[test]
+    fn bounds_match_reference_on_loose_polyhedra(
+        p in loose_poly(), a in -3i64..=3, b in -3i64..=3, c in -3i64..=3, k in -5i64..=5,
+    ) {
+        assert_bounds_match(&p, &AffineExpr::new(vec![a, b, c], k));
     }
 
     /// Projection (eliminate) is an over-approximation of the shadow: any

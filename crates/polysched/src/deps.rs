@@ -11,7 +11,8 @@ use crate::nest::NestForest;
 use polyddg::DepKind;
 use polyfold::{FoldedDdg, LabelFold, RatAffine};
 use polyiiv::context::StmtId;
-use polylib::{AffineExpr, Bound, Polyhedron, Rat};
+use polylib::{AffineExpr, Bound, Constraint, Rat};
+use std::collections::HashMap;
 
 /// Bounds of one distance component over the dependence domain.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,7 +47,7 @@ pub enum Carried {
 }
 
 /// One analyzed dependence.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DepDist {
     /// Index into `FoldedDdg::deps`.
     pub dep_idx: usize,
@@ -75,18 +76,16 @@ impl DepDist {
     }
 }
 
-/// Bound `x_d − f(x)` over `domain`, where `f` has rational coefficients:
-/// scale by the coefficient LCM so polylib sees integers, then divide back.
-fn bound_distance(domain: &Polyhedron, d: usize, f: &RatAffine) -> DistRange {
-    let dim = domain.dim();
-    // LCM of denominators.
+/// The distance `x_d − f(x)` as the integer form `e = L·x_d − L·f(x)`,
+/// where `L` is the LCM of `f`'s denominators, so polylib sees integers;
+/// bounds of `e` divide back by `L`.
+fn distance_form(dim: usize, d: usize, f: &RatAffine) -> (AffineExpr, i128) {
     let mut l: i128 = 1;
     for c in f.coeffs.iter().chain(std::iter::once(&f.c)) {
         let den = c.den();
         let g = polylib::rat::gcd(l, den);
         l = l / g * den;
     }
-    // e = L·x_d − L·f(x)
     let mut coeffs = vec![0i64; dim];
     coeffs[d] += l as i64;
     for (i, c) in f.coeffs.iter().enumerate() {
@@ -95,22 +94,32 @@ fn bound_distance(domain: &Polyhedron, d: usize, f: &RatAffine) -> DistRange {
         }
     }
     let e = AffineExpr::new(coeffs, -((f.c.num() * l / f.c.den()) as i64));
-    let min = match domain.min_of(&e) {
+    (e, l)
+}
+
+/// The distance range from the bounds of `L·distance`; an empty domain
+/// reads as distance zero.
+fn dist_range((min, max): (Bound, Bound), l: i128) -> DistRange {
+    let unscale = |b: Bound| match b {
         Bound::Finite(r) => Some(r / Rat::int(l)),
         Bound::Empty => Some(Rat::ZERO),
         Bound::Unbounded => None,
     };
-    let max = match domain.max_of(&e) {
-        Bound::Finite(r) => Some(r / Rat::int(l)),
-        Bound::Empty => Some(Rat::ZERO),
-        Bound::Unbounded => None,
-    };
-    DistRange { min, max }
+    DistRange {
+        min: unscale(min),
+        max: unscale(max),
+    }
 }
 
 /// Analyze every dependence of the folded DDG against the nest forest.
+///
+/// Many dependences share a domain and a distance form, so each distinct
+/// `(domain, form)` is bounded once per call: domains get ids by their
+/// constraint lists, and `(domain id, form)` keys the bounds.
 pub fn compute_distances(ddg: &FoldedDdg, forest: &NestForest) -> Vec<DepDist> {
     let mut out = Vec::with_capacity(ddg.deps.len());
+    let mut domain_ids: HashMap<(usize, &[Constraint]), usize> = HashMap::new();
+    let mut bounds: HashMap<(usize, AffineExpr), (Bound, Bound)> = HashMap::new();
     for (idx, dep) in ddg.deps.iter().enumerate() {
         // Statements removed by the SCEV filter may still appear if the
         // caller skipped remove_scevs(); guard against missing chains.
@@ -126,12 +135,21 @@ pub fn compute_distances(ddg: &FoldedDdg, forest: &NestForest) -> Vec<DepDist> {
                 // the consumer domain and the producer map have a
                 // coordinate — beyond the *shared* dims this is the
                 // positional distance used by the fusion legality check.
-                let nd = dep.domain.poly.dim().min(fs.len());
+                let poly = &dep.domain.poly;
+                let next_id = domain_ids.len();
+                let dom = *domain_ids
+                    .entry((poly.dim(), &poly.cons))
+                    .or_insert(next_id);
+                let nd = poly.dim().min(fs.len());
                 let mut dist = Vec::with_capacity(nd.saturating_sub(1));
                 for (d, f) in fs.iter().enumerate().take(nd).skip(1) {
                     // Producer coordinate dim d is component d of the map
                     // (component 0 is the root dimension).
-                    dist.push(bound_distance(&dep.domain.poly, d, f));
+                    let (e, l) = distance_form(poly.dim(), d, f);
+                    let b = *bounds
+                        .entry((dom, e))
+                        .or_insert_with_key(|(_, e)| poly.bounds_of(e));
+                    dist.push(dist_range(b, l));
                 }
                 let mut carried = Carried::LoopIndependent;
                 for (i, r) in dist.iter().take(shared).enumerate() {
