@@ -15,10 +15,20 @@
 //! with `i64`-sized coefficients it is cached as a plain integer dot product
 //! checked with overflow-aware arithmetic; overflow falls back to the exact
 //! rational evaluation, so the fast path is sample-for-sample equivalent to
-//! the rational one.
+//! the rational one. A refit overwrites the candidate and its mirror in
+//! place, so a fitter allocates them once.
 
 use polylib::linsolve::IncrementalFit;
 use polylib::rat::Rat;
+
+/// `r` as an `i64`, if it is an integer in range.
+fn as_i64(r: Rat) -> Option<i64> {
+    if r.is_integer() {
+        i64::try_from(r.num()).ok()
+    } else {
+        None
+    }
+}
 
 /// An affine function with rational coefficients.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,14 +40,21 @@ pub struct RatAffine {
 }
 
 impl RatAffine {
-    /// Evaluate at an integer point.
+    /// Evaluate at an integer point; panics if the value or an
+    /// intermediate leaves `i128`.
     pub fn eval(&self, x: &[i64]) -> Rat {
+        self.checked_eval(x).expect("affine value overflows i128")
+    }
+
+    /// Evaluate at an integer point, or `None` where the value or an
+    /// intermediate leaves `i128`.
+    pub(crate) fn checked_eval(&self, x: &[i64]) -> Option<Rat> {
         debug_assert_eq!(x.len(), self.coeffs.len());
         let mut acc = self.c;
-        for (a, v) in self.coeffs.iter().zip(x) {
-            acc = acc + *a * Rat::int(*v as i128);
+        for (a, &v) in self.coeffs.iter().zip(x) {
+            acc = acc.checked_add(a.checked_mul(Rat::int(v.into()))?)?;
         }
-        acc
+        Some(acc)
     }
 
     /// True if every coefficient and the constant are integers.
@@ -45,15 +62,24 @@ impl RatAffine {
         self.coeffs.iter().all(|a| a.is_integer()) && self.c.is_integer()
     }
 
-    /// Convert to an integer [`polylib::AffineExpr`], if integral.
+    /// True if every coefficient and the constant are integers that fit
+    /// `i64`.
+    pub(crate) fn is_i64(&self) -> bool {
+        self.coeffs
+            .iter()
+            .chain([&self.c])
+            .all(|&a| as_i64(a).is_some())
+    }
+
+    /// Convert to an integer [`polylib::AffineExpr`], if integral with
+    /// `i64`-sized coefficients.
     pub fn to_affine_expr(&self) -> Option<polylib::AffineExpr> {
-        if !self.is_integral() {
-            return None;
-        }
-        Some(polylib::AffineExpr::new(
-            self.coeffs.iter().map(|a| a.num() as i64).collect(),
-            self.c.num() as i64,
-        ))
+        let coeffs = self
+            .coeffs
+            .iter()
+            .map(|&a| as_i64(a))
+            .collect::<Option<_>>()?;
+        Some(polylib::AffineExpr::new(coeffs, as_i64(self.c)?))
     }
 
     /// Render with variable names, e.g. `cj + 0ck - 1`.
@@ -97,25 +123,23 @@ impl RatAffine {
 
 /// Integer mirror of an integral [`RatAffine`]: verification becomes one
 /// overflow-checked `i64` dot product with no `Rat` normalization.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct FastAffine {
     coeffs: Vec<i64>,
     c: i64,
 }
 
 impl FastAffine {
-    /// Cacheable iff every coefficient and the constant are `i64` integers.
-    fn from_rat(f: &RatAffine) -> Option<FastAffine> {
-        if !f.is_integral() {
-            return None;
+    /// Mirror `f`, reusing this buffer. Cacheable iff every coefficient and
+    /// the constant are `i64` integers; on `false` the contents are stale.
+    fn assign(&mut self, f: &RatAffine) -> bool {
+        if !f.is_i64() {
+            return false;
         }
-        let c = i64::try_from(f.c.num()).ok()?;
-        let coeffs = f
-            .coeffs
-            .iter()
-            .map(|a| i64::try_from(a.num()).ok())
-            .collect::<Option<Vec<i64>>>()?;
-        Some(FastAffine { coeffs, c })
+        self.coeffs.clear();
+        self.coeffs.extend(f.coeffs.iter().map(|a| a.num() as i64));
+        self.c = f.c.num() as i64;
+        true
     }
 
     /// `c + coeffs · x`, or `None` on overflow (caller falls back to the
@@ -160,8 +184,10 @@ pub struct OnlineAffineFitter {
     /// Rows fed into `sys` (mirrors the retained-sample cap).
     retained: usize,
     fit: Option<RatAffine>,
-    /// Integer mirror of `fit` when integral and `i64`-sized.
-    fast: Option<FastAffine>,
+    /// Integer mirror of `fit`, current only while `fast_ok`.
+    fast: FastAffine,
+    /// `fit` is integral and `i64`-sized, and `fast` mirrors it.
+    fast_ok: bool,
     /// False forces rational-only verification (differential baseline).
     fast_enabled: bool,
     unique: bool,
@@ -186,7 +212,8 @@ impl OnlineAffineFitter {
             sys: IncrementalFit::new(dim),
             retained: 0,
             fit: None,
-            fast: None,
+            fast: FastAffine::default(),
+            fast_ok: false,
             fast_enabled,
             unique: false,
             failed: false,
@@ -216,13 +243,16 @@ impl OnlineAffineFitter {
             return;
         }
         if let Some(f) = &self.fit {
-            let verified = match &self.fast {
-                Some(fa) if self.fast_enabled => match fa.eval_checked(x) {
-                    Some(sum) => sum == v,
-                    // Overflow: fall back to the exact rational path.
-                    None => f.eval(x) == Rat::int(v as i128),
-                },
-                _ => f.eval(x) == Rat::int(v as i128),
+            let fast = if self.fast_ok && self.fast_enabled {
+                self.fast.eval_checked(x)
+            } else {
+                None
+            };
+            let verified = match fast {
+                Some(sum) => sum == v,
+                // Overflow or no mirror: the exact rational path. Past
+                // `i128` the sample stays unverified: a refit, or the range.
+                None => f.checked_eval(x) == Some(Rat::int(v.into())),
             };
             if verified {
                 return;
@@ -241,11 +271,15 @@ impl OnlineAffineFitter {
             return;
         }
         if self.sys.push(x, v) {
-            let (coeffs, c) = self.sys.solution().expect("consistent system");
+            let dim = self.dim;
+            let fit = self.fit.get_or_insert_with(|| RatAffine {
+                coeffs: vec![Rat::ZERO; dim],
+                c: Rat::ZERO,
+            });
+            let solved = self.sys.solution_into(&mut fit.coeffs, &mut fit.c);
+            debug_assert!(solved, "a consistent, non-empty system has a solution");
+            self.fast_ok = self.fast.assign(fit);
             self.unique = self.sys.rank() == self.dim + 1;
-            let fit = RatAffine { coeffs, c };
-            self.fast = FastAffine::from_rat(&fit);
-            self.fit = Some(fit);
             if self.unique {
                 // Contradictions are final from here on: free the system.
                 self.sys.clear();
@@ -261,9 +295,10 @@ impl OnlineAffineFitter {
     /// use: moving one step along that dimension moves the fitted value by
     /// exactly this much. `None` otherwise, and always with the fast path off.
     pub(crate) fn fast_step(&self) -> Option<i64> {
-        match &self.fast {
-            Some(fa) if self.fast_enabled && !self.failed => fa.coeffs.last().copied(),
-            _ => None,
+        if self.fast_ok && self.fast_enabled && !self.failed {
+            self.fast.coeffs.last().copied()
+        } else {
+            None
         }
     }
 
@@ -276,18 +311,23 @@ impl OnlineAffineFitter {
         self.vmax = self.vmax.max(last);
     }
 
+    /// The affine function every sample so far matches, if there is one:
+    /// what [`result`](Self::result) reports as `Affine`, by reference.
+    pub(crate) fn candidate(&self) -> Option<&RatAffine> {
+        self.fit.as_ref().filter(|_| !self.failed)
+    }
+
+    /// [`candidate`](Self::candidate), by value.
+    pub(crate) fn into_candidate(self) -> Option<RatAffine> {
+        self.fit.filter(|_| !self.failed)
+    }
+
     /// Final classification.
     pub fn result(&self) -> FitResult {
         if self.n == 0 {
             return FitResult::Empty;
         }
-        if self.failed {
-            return FitResult::Range {
-                min: self.vmin,
-                max: self.vmax,
-            };
-        }
-        match &self.fit {
+        match self.candidate() {
             Some(f) => FitResult::Affine(f.clone()),
             None => FitResult::Range {
                 min: self.vmin,
@@ -436,6 +476,26 @@ mod tests {
         assert!(a.to_affine_expr().is_none());
     }
 
+    /// An integral coefficient outside `i64` has no `AffineExpr`; one at the
+    /// limit converts exactly.
+    #[test]
+    fn to_affine_expr_rejects_out_of_range_coefficients() {
+        let wide = RatAffine {
+            coeffs: vec![Rat::int(i64::MIN as i128 - i64::MAX as i128)],
+            c: Rat::ZERO,
+        };
+        assert!(wide.is_integral());
+        assert_eq!(wide.to_affine_expr(), None);
+        let edge = RatAffine {
+            coeffs: vec![Rat::int(i64::MIN as i128)],
+            c: Rat::int(i64::MAX as i128),
+        };
+        assert_eq!(
+            edge.to_affine_expr(),
+            Some(polylib::AffineExpr::new(vec![i64::MIN], i64::MAX))
+        );
+    }
+
     #[test]
     fn display_readable() {
         let a = RatAffine {
@@ -507,7 +567,7 @@ mod tests {
         for i in (0..20).step_by(2) {
             f.push(&[i], i / 2);
         }
-        assert!(f.fast.is_none(), "half-integer slope must not cache i64");
+        assert!(!f.fast_ok, "half-integer slope must not cache i64");
         let FitResult::Affine(a) = f.result() else {
             panic!();
         };

@@ -558,7 +558,9 @@ impl FoldSink for FoldingSink {
         let (_, folder, delta) = &mut self.deps[slot as usize];
         Self::maybe_degrade(&self.budget, &mut self.stats, folder);
         for (i, d) in delta.iter_mut().enumerate().take(common) {
-            let v = dst_coords[i] - src_coords[i];
+            // Saturating: a replayed recording may hold any coordinates,
+            // and a clamped distance keeps its sign and order.
+            let v = dst_coords[i].saturating_sub(src_coords[i]);
             d.0 = d.0.min(v);
             d.1 = d.1.max(v);
         }
@@ -835,6 +837,21 @@ mod tests {
                 assert!(c.domain.box_hi[k] >= e.domain.box_hi[k]);
             }
         }
+    }
+
+    /// Coordinates at the `i64` limits (a replayed recording may hold any)
+    /// fold without overflow: the distance saturates, every point stays in
+    /// its domain.
+    #[test]
+    fn extreme_dependence_coordinates_fold() {
+        let mut sink = FoldingSink::new();
+        let (src, dst) = (StmtId(0), StmtId(1));
+        sink.dependence(DepKind::Flow, src, &[i64::MAX], dst, &[i64::MIN]);
+        sink.dependence(DepKind::Flow, src, &[i64::MIN], dst, &[i64::MAX]);
+        let [(_, folder, delta)] = <[DepEntry; 1]>::try_from(sink.deps).expect("one relation");
+        assert_eq!(delta, vec![(i64::MIN, i64::MAX)]);
+        let domain = folder.finalize().domain;
+        assert!(domain.poly.contains(&[i64::MIN]) && domain.poly.contains(&[i64::MAX]));
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! candidates, nothing needs refitting: [`StreamFolder::push`] recognises
 //! those points by a verified prediction and leaves the fitters alone.
 
-use crate::fitter::{FitResult, OnlineAffineFitter, RatAffine};
-use polylib::{AffineExpr, Polyhedron};
+use crate::fitter::{OnlineAffineFitter, RatAffine};
+use polylib::{Polyhedron, Rat};
 
 /// A folded iteration domain.
 #[derive(Debug, Clone)]
@@ -65,19 +65,15 @@ pub struct FoldedStream {
 pub struct StreamFolder {
     dim: usize,
     count: u64,
-    /// Previous point, in a buffer retained across pushes (steady-state
-    /// pushes never allocate).
-    prev_buf: Vec<i64>,
+    /// The per-dimension `i64` arrays ([`Arrays`]) back to back, in one
+    /// buffer retained across pushes (steady-state pushes never allocate).
+    arrays: Vec<i64>,
     has_prev: bool,
     monotone: bool,
     holes: bool,
-    /// Per-dimension open-group first/last values.
-    open_first: Vec<i64>,
-    open_last: Vec<i64>,
-    lb: Vec<OnlineAffineFitter>,
-    ub: Vec<OnlineAffineFitter>,
-    box_lo: Vec<i64>,
-    box_hi: Vec<i64>,
+    /// Per dimension `k`, the fitters of its groups' lower and upper bounds
+    /// as affine functions of the first `k` coordinates.
+    bounds: Vec<[OnlineAffineFitter; 2]>,
     label_arity: Option<usize>,
     label_fitters: Vec<OnlineAffineFitter>,
     labels_present: bool,
@@ -113,6 +109,41 @@ struct Predictor {
     hits: u64,
 }
 
+/// A [`StreamFolder`]'s per-dimension arrays, split out of its one buffer.
+struct Arrays<'a> {
+    /// Per-dimension observed minima (bounding box).
+    box_lo: &'a mut [i64],
+    /// Per-dimension observed maxima (bounding box).
+    box_hi: &'a mut [i64],
+    /// The previous point, once there is one.
+    prev: &'a mut [i64],
+    /// Per-dimension open-group first values.
+    first: &'a mut [i64],
+    /// Per-dimension open-group last values.
+    last: &'a mut [i64],
+}
+
+impl<'a> Arrays<'a> {
+    /// Arrays in the buffer.
+    const COUNT: usize = 5;
+
+    /// Split `buf` (`COUNT · dim` long), the box first.
+    #[inline]
+    fn of(buf: &'a mut [i64], dim: usize) -> Self {
+        let (box_lo, rest) = buf.split_at_mut(dim);
+        let (box_hi, rest) = rest.split_at_mut(dim);
+        let (prev, rest) = rest.split_at_mut(dim);
+        let (first, last) = rest.split_at_mut(dim);
+        Arrays {
+            box_lo,
+            box_hi,
+            prev,
+            first,
+            last,
+        }
+    }
+}
+
 impl StreamFolder {
     /// Folder for `dim`-dimensional points (integer fast-path fitters).
     pub fn new(dim: usize) -> Self {
@@ -122,23 +153,20 @@ impl StreamFolder {
     /// Folder with the fitters' integer fast path explicitly enabled or
     /// disabled (`false` = the pure-rational reference configuration).
     pub fn with_fast_fit(dim: usize, fast_fit: bool) -> Self {
+        let mut arrays = vec![0; Arrays::COUNT * dim];
+        let a = Arrays::of(&mut arrays, dim);
+        a.box_lo.fill(i64::MAX);
+        a.box_hi.fill(i64::MIN);
         StreamFolder {
             dim,
             count: 0,
-            prev_buf: Vec::with_capacity(dim),
+            arrays,
             has_prev: false,
             monotone: true,
             holes: false,
-            open_first: vec![0; dim],
-            open_last: vec![0; dim],
-            lb: (0..dim)
-                .map(|d| OnlineAffineFitter::with_fast(d, fast_fit))
+            bounds: (0..dim)
+                .map(|k| [(); 2].map(|_| OnlineAffineFitter::with_fast(k, fast_fit)))
                 .collect(),
-            ub: (0..dim)
-                .map(|d| OnlineAffineFitter::with_fast(d, fast_fit))
-                .collect(),
-            box_lo: vec![i64::MAX; dim],
-            box_hi: vec![i64::MIN; dim],
             label_arity: None,
             label_fitters: Vec::new(),
             labels_present: false,
@@ -177,8 +205,7 @@ impl StreamFolder {
         self.flush_predicted();
         self.pred.armed = false;
         self.coarse = true;
-        self.lb = Vec::new();
-        self.ub = Vec::new();
+        self.bounds = Vec::new();
         self.label_range = self.label_fitters.iter().map(|f| f.range()).collect();
         self.label_fitters = Vec::new();
     }
@@ -222,8 +249,8 @@ impl StreamFolder {
     #[inline]
     fn push_predicted(&mut self, coords: &[i64], labels: Option<&[i64]>) -> bool {
         let last = self.dim - 1;
-        let prev = &self.prev_buf;
-        if coords[..last] != prev[..last] || Some(coords[last]) != prev[last].checked_add(1) {
+        let a = Arrays::of(&mut self.arrays, self.dim);
+        if coords[..last] != a.prev[..last] || Some(coords[last]) != a.prev[last].checked_add(1) {
             return false;
         }
         let p = &mut self.pred;
@@ -247,9 +274,9 @@ impl StreamFolder {
         p.hits += 1;
         let c = coords[last];
         self.count += 1;
-        self.box_hi[last] = self.box_hi[last].max(c);
-        self.open_last[last] = c;
-        self.prev_buf[last] = c;
+        a.box_hi[last] = a.box_hi[last].max(c);
+        a.last[last] = c;
+        a.prev[last] = c;
         true
     }
 
@@ -295,60 +322,54 @@ impl StreamFolder {
     }
 
     fn push_general(&mut self, coords: &[i64], labels: Option<&[i64]>) {
+        let a = Arrays::of(&mut self.arrays, self.dim);
         // Exact duplicate of the previous point (e.g. a twice-used operand
         // producing the same dependence twice): ignore.
-        if self.has_prev && self.prev_buf == coords {
+        if self.has_prev && a.prev == coords {
             // Labels of duplicates still verified for consistency.
             self.push_labels(coords, labels);
             return;
         }
         self.count += 1;
-        for (k, &c) in coords.iter().enumerate().take(self.dim) {
-            self.box_lo[k] = self.box_lo[k].min(c);
-            self.box_hi[k] = self.box_hi[k].max(c);
+        for (k, &c) in coords.iter().enumerate() {
+            a.box_lo[k] = a.box_lo[k].min(c);
+            a.box_hi[k] = a.box_hi[k].max(c);
         }
         if self.coarse {
             // Degraded path: box + count only — no group machinery. The
             // dedup compare above still needs the previous point.
-            self.prev_buf.clear();
-            self.prev_buf.extend_from_slice(coords);
+            a.prev.copy_from_slice(coords);
             self.has_prev = true;
             self.push_labels(coords, labels);
             return;
         }
         if !self.has_prev {
-            self.open_first.copy_from_slice(coords);
-            self.open_last.copy_from_slice(coords);
+            a.first.copy_from_slice(coords);
+            a.last.copy_from_slice(coords);
         } else {
-            // Take the buffer out so `close_groups` can borrow self mutably;
-            // it is put back (and refilled) below.
-            let prev = std::mem::take(&mut self.prev_buf);
-            let j = (0..self.dim).find(|&k| coords[k] != prev[k]);
-            match j {
+            match (0..self.dim).find(|&k| coords[k] != a.prev[k]) {
                 None => unreachable!("duplicates handled above"),
-                Some(j) if coords[j] < prev[j] => {
+                Some(j) if coords[j] < a.prev[j] => {
                     // Lexicographic decrease: loop re-entry under an
                     // unmodelled repetition — over-approximate.
                     self.monotone = false;
                     // Close everything and restart groups.
-                    self.close_groups(&prev, 0);
-                    self.open_first.copy_from_slice(coords);
-                    self.open_last.copy_from_slice(coords);
+                    close_groups(&mut self.bounds, &a, 0);
+                    a.first.copy_from_slice(coords);
+                    a.last.copy_from_slice(coords);
                 }
                 Some(j) => {
-                    if coords[j] != prev[j] + 1 {
+                    if coords[j] != a.prev[j] + 1 {
                         self.holes = true;
                     }
-                    self.close_groups(&prev, j + 1);
-                    self.open_last[j] = coords[j];
-                    self.open_first[j + 1..self.dim].copy_from_slice(&coords[j + 1..self.dim]);
-                    self.open_last[j + 1..self.dim].copy_from_slice(&coords[j + 1..self.dim]);
+                    close_groups(&mut self.bounds, &a, j + 1);
+                    a.last[j] = coords[j];
+                    a.first[j + 1..].copy_from_slice(&coords[j + 1..]);
+                    a.last[j + 1..].copy_from_slice(&coords[j + 1..]);
                 }
             }
-            self.prev_buf = prev;
         }
-        self.prev_buf.clear();
-        self.prev_buf.extend_from_slice(coords);
+        a.prev.copy_from_slice(coords);
         self.has_prev = true;
         self.push_labels(coords, labels);
     }
@@ -410,53 +431,36 @@ impl StreamFolder {
         }
     }
 
-    /// Close groups for dims `from..dim` against prefix `prev`.
-    fn close_groups(&mut self, prev: &[i64], from: usize) {
-        for k in (from.max(1)..self.dim).rev() {
-            self.lb[k].push(&prev[..k], self.open_first[k]);
-            self.ub[k].push(&prev[..k], self.open_last[k]);
-        }
-        if from == 0 && self.dim > 0 {
-            self.lb[0].push(&[], self.open_first[0]);
-            self.ub[0].push(&[], self.open_last[0]);
-        }
-    }
-
     /// Finalize: close open groups and assemble the folded result.
+    ///
+    /// A dimension's groups fold to affine bounds only when both fitters
+    /// hold an integral candidate with `i64`-sized coefficients; otherwise
+    /// the dimension takes its bounding box and the domain is not exact.
+    /// Both kinds of constraint are built in `i128`, so a box at the `i64`
+    /// limits still contains every point.
     pub fn finalize(mut self) -> FoldedStream {
         self.flush_predicted();
+        let d = self.dim;
+        let a = Arrays::of(&mut self.arrays, d);
         if self.has_prev && !self.coarse {
-            let prev = std::mem::take(&mut self.prev_buf);
-            self.close_groups(&prev, 0);
+            close_groups(&mut self.bounds, &a, 0);
         }
-        let mut poly = Polyhedron::universe(self.dim);
+        let mut poly = Polyhedron::universe(d);
         let mut exact = self.monotone && !self.holes && !self.coarse;
-        for k in 0..self.dim {
-            let affine_pair = if self.coarse {
-                None
-            } else {
-                match (self.lb[k].result(), self.ub[k].result()) {
-                    (FitResult::Affine(l), FitResult::Affine(u)) => {
-                        match (
-                            rat_bound_to_expr(&l, k, self.dim),
-                            rat_bound_to_expr(&u, k, self.dim),
-                        ) {
-                            (Some(le), Some(ue)) => Some((le, ue)),
-                            _ => None,
-                        }
-                    }
-                    _ => None,
-                }
-            };
+        for k in 0..d {
+            let affine_pair = self.bounds.get(k).and_then(|[lb, ub]| {
+                let pair = (lb.candidate()?, ub.candidate()?);
+                (pair.0.is_i64() && pair.1.is_i64()).then_some(pair)
+            });
             match affine_pair {
-                Some((le, ue)) => {
-                    poly.add_var_bounds(k, &le, &ue);
-                }
+                Some((l, u)) => poly.add_var_bounds(
+                    k,
+                    (l.coeffs.iter().map(Rat::num), l.c.num()),
+                    (u.coeffs.iter().map(Rat::num), u.c.num()),
+                ),
                 None => {
                     exact = false;
-                    let lo = AffineExpr::constant(self.dim, self.box_lo[k]);
-                    let hi = AffineExpr::constant(self.dim, self.box_hi[k]);
-                    poly.add_var_bounds(k, &lo, &hi);
+                    poly.add_var_bounds(k, ([], a.box_lo[k].into()), ([], a.box_hi[k].into()));
                 }
             }
         }
@@ -466,51 +470,44 @@ impl StreamFolder {
         let labels = if !self.labels_present {
             LabelFold::None
         } else if self.coarse {
-            LabelFold::Range(self.label_range.clone())
-        } else if !self.labels_consistent {
-            LabelFold::Range(self.label_fitters.iter().map(|f| f.range()).collect())
+            LabelFold::Range(self.label_range)
+        } else if self.labels_consistent
+            && self.label_fitters.iter().all(|f| f.candidate().is_some())
+        {
+            LabelFold::Affine(
+                self.label_fitters
+                    .into_iter()
+                    .map(|f| f.into_candidate().expect("every label fitter is affine"))
+                    .collect(),
+            )
         } else {
-            let results: Vec<FitResult> = self.label_fitters.iter().map(|f| f.result()).collect();
-            if results.iter().all(|r| matches!(r, FitResult::Affine(_))) {
-                LabelFold::Affine(
-                    results
-                        .into_iter()
-                        .map(|r| match r {
-                            FitResult::Affine(a) => a,
-                            _ => unreachable!(),
-                        })
-                        .collect(),
-                )
-            } else {
-                LabelFold::Range(self.label_fitters.iter().map(|f| f.range()).collect())
-            }
+            LabelFold::Range(self.label_fitters.iter().map(|f| f.range()).collect())
         };
+        let mut box_lo = self.arrays;
+        let box_hi = box_lo[d..2 * d].to_vec();
+        box_lo.truncate(d);
         FoldedStream {
             domain: FoldedDomain {
                 poly,
                 exact,
                 count: self.count,
-                dim: self.dim,
-                box_lo: self.box_lo,
-                box_hi: self.box_hi,
+                dim: d,
+                box_lo,
+                box_hi,
             },
             labels,
         }
     }
 }
 
-/// Lift a bound over the first `k` variables to a `dim`-variable integer
-/// affine expression (None if the fit has fractional coefficients).
-fn rat_bound_to_expr(a: &RatAffine, k: usize, dim: usize) -> Option<AffineExpr> {
-    if !a.is_integral() {
-        return None;
+/// Close the open groups of dimensions `from..` against the previous point,
+/// innermost first.
+fn close_groups(bounds: &mut [[OnlineAffineFitter; 2]], a: &Arrays<'_>, from: usize) {
+    for k in (from..bounds.len()).rev() {
+        let [lb, ub] = &mut bounds[k];
+        lb.push(&a.prev[..k], a.first[k]);
+        ub.push(&a.prev[..k], a.last[k]);
     }
-    let mut coeffs = vec![0i64; dim];
-    for (i, c) in a.coeffs.iter().enumerate() {
-        debug_assert!(i < k);
-        coeffs[i] = c.num() as i64;
-    }
-    Some(AffineExpr::new(coeffs, a.c.num() as i64))
 }
 
 #[cfg(test)]
@@ -729,6 +726,40 @@ mod tests {
             }
         }
         assert_eq!(rc.labels, LabelFold::Range(vec![(0, 10)]));
+    }
+
+    /// A bound whose coefficient does not fit `i64` (here `MIN − MAX`) is
+    /// not exact: the dimension takes its box, which holds both points.
+    #[test]
+    fn out_of_range_bound_takes_the_box() {
+        let pts = [[0, i64::MAX], [1, i64::MIN]];
+        let mut f = StreamFolder::new(2);
+        for p in &pts {
+            f.push(p, None);
+        }
+        let r = f.finalize();
+        assert!(!r.domain.exact);
+        for p in &pts {
+            assert!(r.domain.poly.contains(p), "{p:?} escaped {}", r.domain.poly);
+        }
+    }
+
+    /// A box at the `i64` limits is built in `i128`: it holds every point
+    /// and builds without overflow.
+    #[test]
+    fn box_at_the_limits_holds_every_point() {
+        let pts = [[0, i64::MAX - 1], [1, i64::MIN], [2, i64::MIN + 5]];
+        let mut f = StreamFolder::new(2);
+        for p in &pts {
+            f.push(p, None);
+        }
+        let r = f.finalize();
+        assert!(!r.domain.exact);
+        assert_eq!(r.domain.box_lo, vec![0, i64::MIN]);
+        assert_eq!(r.domain.box_hi, vec![2, i64::MAX - 1]);
+        for p in &pts {
+            assert!(r.domain.poly.contains(p), "{p:?} escaped {}", r.domain.poly);
+        }
     }
 
     /// Degrading mid-stream keeps ranges accumulated by the fitters.

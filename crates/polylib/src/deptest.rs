@@ -116,11 +116,9 @@ fn collision_poly(src: &AccessFn, dst: &AccessFn, trips: &[u64]) -> Polyhedron {
     }
     p.add_eq(&AffineExpr::new(eq, src.base.wrapping_sub(dst.base)));
     for (d, &t) in trips.iter().enumerate() {
-        let hi = (t as i64) - 1;
-        let lo = AffineExpr::constant(2 * n, 0);
-        let ub = AffineExpr::constant(2 * n, hi);
-        p.add_var_bounds(d, &lo, &ub);
-        p.add_var_bounds(n + d, &lo, &ub);
+        let hi = (t as i64 - 1) as i128;
+        p.add_var_bounds(d, ([], 0), ([], hi));
+        p.add_var_bounds(n + d, ([], 0), ([], hi));
     }
     p
 }

@@ -114,15 +114,18 @@ pub fn fit_affine(samples: &[(Vec<i64>, i64)]) -> Option<(Vec<Rat>, Rat)> {
 /// for the same rows, and [`rank`](Self::rank) equals the rank
 /// `affine_rank`-style re-elimination would report (while consistent, the
 /// augmented rank equals the coefficient rank).
+///
+/// The RREF lives in one flat buffer of `rank` rows, each `cols + 1` long
+/// (coefficients, constant column, right-hand side) and ordered by pivot
+/// column, so a row's pivot is found by scanning forward from the previous
+/// row's. The buffer grows on demand — a fit that stays at rank 1 never
+/// holds more than one row — and a push allocates nothing once it has room.
 #[derive(Debug, Clone)]
 pub struct IncrementalFit {
     /// Columns of the coefficient matrix: `dim` variables + the constant.
     cols: usize,
-    /// RREF pivot rows of the augmented system, each `cols + 1` long,
-    /// ordered by pivot column.
-    rows: Vec<Vec<Rat>>,
-    /// Pivot column of each row (ascending).
-    pivot_cols: Vec<usize>,
+    /// The RREF rows, back to back; between pushes exactly `rank` of them.
+    rows: Vec<Rat>,
     inconsistent: bool,
 }
 
@@ -132,7 +135,6 @@ impl IncrementalFit {
         IncrementalFit {
             cols: dim + 1,
             rows: Vec::new(),
-            pivot_cols: Vec::new(),
             inconsistent: false,
         }
     }
@@ -140,7 +142,7 @@ impl IncrementalFit {
     /// Rank of the coefficient matrix `[x | 1]` accumulated so far (valid
     /// while the system is consistent).
     pub fn rank(&self) -> usize {
-        self.rows.len()
+        self.rows.len() / (self.cols + 1)
     }
 
     /// False once a pushed sample contradicted the accumulated system.
@@ -151,73 +153,120 @@ impl IncrementalFit {
     /// Drop all cached rows (frees memory; the fit is no longer usable).
     pub fn clear(&mut self) {
         self.rows = Vec::new();
-        self.pivot_cols = Vec::new();
+    }
+
+    /// Pivot column of the stored row `r`: its first non-zero entry, which
+    /// in RREF lies right of the previous row's pivot, so a walk over the
+    /// rows in order scans from `from` = that pivot + 1.
+    fn pivot(r: &[Rat], from: usize) -> usize {
+        let skip = r[from..].iter().position(|&v| v != Rat::ZERO);
+        from + skip.expect("a stored RREF row has a pivot")
     }
 
     /// Add one sample row `a·x + b = y`. Returns `false` (latching
-    /// inconsistency) when the row contradicts the accumulated system;
-    /// redundant rows are dropped without growing the RREF.
+    /// inconsistency) when the row contradicts the accumulated system, or
+    /// when reducing it would take exact arithmetic out of `i128` — either
+    /// way no affine fit is known from then on. Redundant rows are dropped
+    /// without growing the RREF.
     pub fn push(&mut self, x: &[i64], y: i64) -> bool {
         if self.inconsistent {
             return false;
         }
-        let cols = self.cols;
-        debug_assert_eq!(x.len() + 1, cols, "sample dimensionality changed");
-        let mut row: Vec<Rat> = Vec::with_capacity(cols + 1);
-        row.extend(x.iter().map(|&v| Rat::int(v as i128)));
-        row.push(Rat::ONE);
-        row.push(Rat::int(y as i128));
-        // Reduce against the cached pivot rows. Each stored row is 1 at its
-        // pivot and 0 at every other pivot, so order does not matter.
-        for (r, &pc) in self.rows.iter().zip(&self.pivot_cols) {
-            let f = row[pc];
-            if f != Rat::ZERO {
-                for c in pc..=cols {
-                    let s = r[c] * f;
-                    row[c] = row[c] - s;
-                }
-            }
+        if self.try_push(x, y) != Some(true) {
+            self.inconsistent = true;
+            self.rows.clear();
+            return false;
         }
-        let Some(pc) = (0..cols).find(|&c| row[c] != Rat::ZERO) else {
-            if row[cols] != Rat::ZERO {
-                self.inconsistent = true;
-                return false;
-            }
-            return true; // redundant row
-        };
-        let inv = Rat::ONE / row[pc];
-        for v in row.iter_mut() {
-            *v = *v * inv;
-        }
-        // Back-substitute the new pivot into the cached rows to keep RREF.
-        for r in self.rows.iter_mut() {
-            let f = r[pc];
-            if f != Rat::ZERO {
-                for c in pc..=cols {
-                    let s = row[c] * f;
-                    r[c] = r[c] - s;
-                }
-            }
-        }
-        let at = self.pivot_cols.partition_point(|&c| c < pc);
-        self.rows.insert(at, row);
-        self.pivot_cols.insert(at, pc);
         true
     }
 
-    /// The free-variables-zero solution `(coeffs, constant)` of the
-    /// accumulated system — identical to what [`fit_affine`] returns for the
-    /// same samples. `None` if inconsistent or empty.
-    pub fn solution(&self) -> Option<(Vec<Rat>, Rat)> {
-        if self.inconsistent || self.rows.is_empty() {
-            return None;
+    /// [`push`](Self::push) in checked arithmetic: `Some(false)` on a
+    /// contradiction, `None` on overflow (the rows are then unusable).
+    fn try_push(&mut self, x: &[i64], y: i64) -> Option<bool> {
+        let cols = self.cols;
+        let stride = cols + 1;
+        debug_assert_eq!(x.len() + 1, cols, "sample dimensionality changed");
+        // The new row goes at the tail and is reduced in place there.
+        let stored = self.rows.len();
+        self.rows.reserve(stride);
+        self.rows.extend(x.iter().map(|&v| Rat::int(v as i128)));
+        self.rows.push(Rat::ONE);
+        self.rows.push(Rat::int(y as i128));
+        let (rows, row) = self.rows.split_at_mut(stored);
+        // Reduce against the cached pivot rows. Each stored row is 1 at its
+        // pivot and 0 at every other pivot, so order does not matter.
+        let mut pc = 0;
+        for r in rows.chunks_exact(stride) {
+            pc = Self::pivot(r, pc);
+            let f = row[pc];
+            if f != Rat::ZERO {
+                for c in pc..=cols {
+                    row[c] = row[c].checked_sub(r[c].checked_mul(f)?)?;
+                }
+            }
+            pc += 1;
         }
+        let Some(pc) = (0..cols).find(|&c| row[c] != Rat::ZERO) else {
+            let consistent = row[cols] == Rat::ZERO;
+            self.rows.truncate(stored); // redundant, or a contradiction
+            return Some(consistent);
+        };
+        let inv = Rat::ONE.checked_div(row[pc])?;
+        for v in row.iter_mut() {
+            *v = v.checked_mul(inv)?;
+        }
+        // Back-substitute the new pivot into the cached rows to keep RREF,
+        // counting the rows whose pivot precedes the new one.
+        let (mut at, mut rpc) = (0, 0);
+        for r in rows.chunks_exact_mut(stride) {
+            rpc = Self::pivot(r, rpc);
+            at += usize::from(rpc < pc);
+            let f = r[pc];
+            if f != Rat::ZERO {
+                for c in pc..=cols {
+                    r[c] = r[c].checked_sub(row[c].checked_mul(f)?)?;
+                }
+            }
+            rpc += 1;
+        }
+        // Rotate the new row from the tail into its pivot slot.
+        self.rows[at * stride..].rotate_right(stride);
+        Some(true)
+    }
+
+    /// Write the free-variables-zero solution of the accumulated system
+    /// into `coeffs` (`dim` long) and `c` — identical to what
+    /// [`fit_affine`] returns for the same samples. Returns `false`, leaving
+    /// both untouched, if the system is inconsistent or empty.
+    pub fn solution_into(&self, coeffs: &mut [Rat], c: &mut Rat) -> bool {
         let d = self.cols - 1;
-        let mut sol = vec![Rat::ZERO; self.cols];
-        for (r, &pc) in self.rows.iter().zip(&self.pivot_cols) {
-            sol[pc] = r[self.cols];
+        assert_eq!(coeffs.len(), d, "solution buffer of another dimension");
+        if self.inconsistent || self.rows.is_empty() {
+            return false;
         }
-        Some((sol[..d].to_vec(), sol[d]))
+        coeffs.fill(Rat::ZERO);
+        *c = Rat::ZERO;
+        let mut pc = 0;
+        for r in self.rows.chunks_exact(self.cols + 1) {
+            pc = Self::pivot(r, pc);
+            let rhs = r[self.cols];
+            if pc < d {
+                coeffs[pc] = rhs;
+            } else {
+                *c = rhs;
+            }
+            pc += 1;
+        }
+        true
+    }
+
+    /// [`solution_into`](Self::solution_into) into fresh buffers: `None` if
+    /// inconsistent or empty.
+    pub fn solution(&self) -> Option<(Vec<Rat>, Rat)> {
+        let mut coeffs = vec![Rat::ZERO; self.cols - 1];
+        let mut c = Rat::ZERO;
+        self.solution_into(&mut coeffs, &mut c)
+            .then_some((coeffs, c))
     }
 }
 

@@ -134,11 +134,42 @@ impl Polyhedron {
         self.cons.push(c);
     }
 
-    /// Add `lb <= x_var` and `x_var <= ub` (both affine in all variables).
-    pub fn add_var_bounds(&mut self, var: usize, lb: &AffineExpr, ub: &AffineExpr) {
-        let v = AffineExpr::var(self.dim, var);
-        self.add_ge(&v.sub(lb)); // x - lb >= 0
-        self.add_ge(&ub.sub(&v)); // ub - x >= 0
+    /// Add `lb <= x_var` and `x_var <= ub`. Each bound is an affine form
+    /// `(coeffs, c)` whose coefficients belong to the leading variables (the
+    /// rest are zero), so a constant bound is `([], c)`. The constraints are
+    /// built straight from those coefficients in `i128`; the first call
+    /// reserves room for a pair per variable, what a folded domain holds.
+    pub fn add_var_bounds(
+        &mut self,
+        var: usize,
+        (lb, lc): (impl IntoIterator<Item = i128>, i128),
+        (ub, uc): (impl IntoIterator<Item = i128>, i128),
+    ) {
+        if self.cons.is_empty() {
+            self.cons.reserve_exact(2 * self.dim);
+        }
+        let mut lower = Constraint {
+            coeffs: vec![0; self.dim],
+            c: -lc,
+            eq: false,
+        }; // x - lb >= 0
+        for (a, b) in lower.coeffs.iter_mut().zip(lb) {
+            *a = -b;
+        }
+        lower.coeffs[var] += 1;
+        let mut upper = Constraint {
+            coeffs: vec![0; self.dim],
+            c: uc,
+            eq: false,
+        }; // ub - x >= 0
+        for (a, b) in upper.coeffs.iter_mut().zip(ub) {
+            *a = b;
+        }
+        upper.coeffs[var] -= 1;
+        for mut c in [lower, upper] {
+            c.normalize();
+            self.cons.push(c);
+        }
     }
 
     /// Integer membership test.

@@ -2,7 +2,7 @@
 //! projection correctness, counting/specialization agreement, and rational
 //! arithmetic laws.
 
-use polylib::{AffineExpr, Bound, Constraint, Polyhedron, Rat};
+use polylib::{AffineExpr, Bound, Constraint, IncrementalFit, Polyhedron, Rat};
 use proptest::prelude::*;
 
 /// A random small polyhedron in 2 variables built from bound constraints
@@ -19,16 +19,8 @@ fn small_poly() -> impl Strategy<Value = Polyhedron> {
     )
         .prop_map(|(l0, e0, l1, e1, a, b, c)| {
             let mut p = Polyhedron::universe(2);
-            p.add_var_bounds(
-                0,
-                &AffineExpr::constant(2, l0),
-                &AffineExpr::constant(2, l0 + e0),
-            );
-            p.add_var_bounds(
-                1,
-                &AffineExpr::constant(2, l1),
-                &AffineExpr::constant(2, l1 + e1),
-            );
+            p.add_var_bounds(0, ([], l0.into()), ([], (l0 + e0).into()));
+            p.add_var_bounds(1, ([], l1.into()), ([], (l1 + e1).into()));
             p.add_ge(&AffineExpr::new(vec![a, b], c));
             p
         })
@@ -87,6 +79,38 @@ fn reference_extremum(p: &Polyhedron, expr: &AffineExpr, minimum: bool) -> Bound
     });
     let best = if minimum { side.max() } else { side.min() };
     best.map_or(Bound::Unbounded, Bound::Finite)
+}
+
+/// Rank of the coefficient matrix `[x | 1]` of `samples`, by plain Gaussian
+/// elimination: the reference for `IncrementalFit::rank`.
+fn coefficient_rank(samples: &[(Vec<i64>, i64)]) -> usize {
+    let mut m: Vec<Vec<Rat>> = samples
+        .iter()
+        .map(|(x, _)| {
+            x.iter()
+                .map(|&v| Rat::int(v.into()))
+                .chain([Rat::ONE])
+                .collect()
+        })
+        .collect();
+    let cols = m.first().map_or(0, Vec::len);
+    let mut rank = 0;
+    for col in 0..cols {
+        let Some(p) = (rank..m.len()).find(|&r| m[r][col] != Rat::ZERO) else {
+            continue;
+        };
+        m.swap(rank, p);
+        let (done, below) = m.split_at_mut(rank + 1);
+        let pivot = &done[rank];
+        for row in below {
+            let f = row[col] / pivot[col];
+            for (v, &p) in row.iter_mut().zip(pivot).skip(col) {
+                *v = *v - p * f;
+            }
+        }
+        rank += 1;
+    }
+    rank
 }
 
 fn assert_bounds_match(p: &Polyhedron, f: &AffineExpr) {
@@ -248,10 +272,69 @@ proptest! {
         prop_assert_eq!(a - a, Rat::ZERO);
         if b != Rat::ZERO {
             prop_assert_eq!((a / b) * b, a);
+            prop_assert_eq!(a.checked_div(b), Some(a / b));
         }
+        // Where nothing overflows, the checked operations agree.
+        prop_assert_eq!(a.checked_add(b), Some(a + b));
+        prop_assert_eq!(a.checked_sub(b), Some(a - b));
+        prop_assert_eq!(a.checked_mul(b), Some(a * b));
         // floor/ceil sandwich
         prop_assert!(Rat::int(a.floor()) <= a);
         prop_assert!(Rat::int(a.ceil()) >= a);
+    }
+
+    /// The flat incremental RREF against a from-scratch solve: after every
+    /// push, `rank`, `is_consistent` and `solution` equal what `fit_affine`
+    /// (through `solve_rational`, no shared code) and a plain elimination
+    /// say of the samples so far. Points of dimension 0–5 are multiples of
+    /// `den`, so the slopes `slope / den` are rational; `modes` pins
+    /// coordinates to zero or to `x₀` (rank-deficient streams); a sample is
+    /// bumped off the function (a contradiction, unless the rank is still
+    /// short) or repeats an earlier one; the constant sits next to an
+    /// `i64` limit in a third of the cases.
+    #[test]
+    fn incremental_fit_matches_batch_fit(
+        dim in 0usize..=5,
+        modes in proptest::collection::vec(0u8..3, 5..6),
+        slope in proptest::collection::vec(-3i64..=3, 5..6),
+        den in 1i64..=3,
+        limit in 0u8..3,
+        stream in proptest::collection::vec(
+            (proptest::collection::vec(-4i64..=4, 5..6), 0u8..8, 0usize..64, 1i64..=5),
+            1..24,
+        ),
+    ) {
+        let c = match limit {
+            1 => i64::MAX - 200,
+            2 => i64::MIN + 200,
+            _ => 7,
+        };
+        let mut inc = IncrementalFit::new(dim);
+        let mut samples: Vec<(Vec<i64>, i64)> = Vec::new();
+        for (ks, event, back, bump) in stream {
+            let x: Vec<i64> = (0..dim)
+                .map(|i| match modes[i] {
+                    0 => den * ks[i],
+                    1 => 0,
+                    _ => den * ks[0],
+                })
+                .collect();
+            let y = c + (0..dim).map(|i| slope[i] * x[i] / den).sum::<i64>();
+            let sample = match event {
+                0 if !samples.is_empty() => samples[back % samples.len()].clone(),
+                1 => (x, y + bump),
+                _ => (x, y),
+            };
+            let pushed = inc.push(&sample.0, sample.1);
+            samples.push(sample);
+            let want = polylib::linsolve::fit_affine(&samples);
+            prop_assert_eq!(pushed, want.is_some());
+            prop_assert_eq!(inc.is_consistent(), want.is_some());
+            prop_assert_eq!(inc.solution(), want);
+            if inc.is_consistent() {
+                prop_assert_eq!(inc.rank(), coefficient_rank(&samples));
+            }
+        }
     }
 
     /// Affine fit round-trip through the solver used by folding.

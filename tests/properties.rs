@@ -20,8 +20,8 @@ proptest! {
         let mut p = Polyhedron::universe(2);
         let x = AffineExpr::var(2, 0);
         let y = AffineExpr::var(2, 1);
-        p.add_var_bounds(0, &AffineExpr::constant(2, lo0), &AffineExpr::constant(2, lo0 + ext0));
-        p.add_var_bounds(1, &AffineExpr::constant(2, lo1), &AffineExpr::constant(2, lo1 + ext1));
+        p.add_var_bounds(0, ([], lo0.into()), ([], (lo0 + ext0).into()));
+        p.add_var_bounds(1, ([], lo1.into()), ([], (lo1 + ext1).into()));
         let _ = (x, y);
         let f = AffineExpr::new(vec![c0, c1], cc);
         let min = p.min_of(&f);
@@ -92,6 +92,35 @@ proptest! {
                 "point {:?} escaped the fold",
                 p
             );
+        }
+    }
+
+    /// ... and at the `i64` limits, where a bound's coefficients can leave
+    /// `i64` and a box's constant can leave it when negated: coordinates
+    /// next to `i64::MIN`, `0` and `i64::MAX`, in execution order, with a
+    /// label each. Nothing may panic, and no point may escape.
+    #[test]
+    fn folding_contains_points_near_the_i64_limits(
+        dim in 1usize..=3,
+        raw in proptest::collection::vec(((0u8..3, 0i64..3), (0u8..3, 0i64..3), (0u8..3, 0i64..3)), 1..40),
+    ) {
+        let near = |(side, off): (u8, i64)| match side {
+            0 => i64::MIN + off,
+            1 => off - 1,
+            _ => i64::MAX - off,
+        };
+        let mut pts: Vec<Vec<i64>> = raw
+            .into_iter()
+            .map(|(a, b, c)| [near(a), near(b), near(c)][..dim].to_vec())
+            .collect();
+        pts.sort();
+        let mut f = StreamFolder::new(dim);
+        for p in &pts {
+            f.push(p, Some(&[p[dim - 1]]));
+        }
+        let r = f.finalize();
+        for p in &pts {
+            prop_assert!(r.domain.poly.contains(p), "point {:?} escaped {}", p, r.domain.poly);
         }
     }
 
