@@ -77,19 +77,14 @@ pub struct Report {
     /// them.
     pub scev_removed: (usize, usize),
     /// Instructions the static pre-pass proved SCEV (0 unless
-    /// [`ProfileConfig::static_prune`] or [`ProfileConfig::lint`] ran it).
+    /// [`ProfileConfig::lint`] ran it).
     pub static_scevs: usize,
-    /// Folded statements whose register-dependence instrumentation was
-    /// skipped by the static prune mask.
-    pub pruned_stmts: usize,
-    /// Register-dependence events skipped by the static prune mask.
+    /// Always 0. Ignored; removed when ROADMAP item 1e drops the call.
     pub pruned_events: u64,
-    /// Memory events whose shadow tracking was skipped by the access-level
-    /// prune mask (their streams were re-synthesized from the static
-    /// dependence relations, keeping the folded DDG byte-identical).
+    /// Always 0. Ignored; removed when ROADMAP item 1e drops the call.
     pub pruned_mem_events: u64,
     /// The static affine dependence relations (access functions, per-pair
-    /// dependence tests, prune plan), when the static pre-pass ran.
+    /// dependence tests), when the static pre-pass ran.
     pub static_deps: Option<Arc<StaticDeps>>,
     /// Schedule-legality verdicts: per loop the dynamic scheduler claimed
     /// parallel, whether the static direction vectors certify the claim.
@@ -185,15 +180,12 @@ pub struct ProfileConfig {
     /// (counters + per-stage spans and the VM's opcode profile), or `Trace`
     /// (timing + a timeline).
     pub metrics: MetricsLevel,
-    /// Run the static affine pre-pass (`polystatic::dataflow`) and skip
-    /// register-dependence instrumentation for statically-proven SCEV
-    /// statements. The folded DDG after SCEV removal is byte-identical with
-    /// this on or off (the differential suite proves it); the knob only
-    /// trades static-analysis time for profiling work.
-    pub static_prune: bool,
-    /// Lint the folded DDG against the static summary (forest refinement,
-    /// must-exist flow deps, partition disjointness, SCEV marks). Implies
-    /// running the static pre-pass; does not imply pruning.
+    /// Run the static affine pre-pass (`polystatic::{dataflow, deps}`) and
+    /// check the dynamic profile against it: lint the folded DDG (forest
+    /// refinement, must-exist flow deps, partition disjointness, SCEV marks,
+    /// static dependence relations) and re-verify the scheduler's parallel
+    /// verdicts ([`Report::legality`]). The only knob that runs the pre-pass;
+    /// it never changes the folded DDG.
     pub lint: bool,
     /// Byte budget for retained profiling state (shadow pages, coordinate
     /// arena, per-statement folders). Crossing it latches *pressure*:
@@ -211,13 +203,6 @@ pub struct ProfileConfig {
     /// and to a replay (which has only the `stall:beat` site to fire). A
     /// fired `panic:pre` makes the run a [`PolyProfError::StagePanic`].
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Verify already-fitted affine candidates with overflow-checked `i64`
-    /// dot products instead of exact rationals (falling back to the exact
-    /// path on overflow or a non-integral fit). On — the default — is
-    /// sample-for-sample equivalent to the rational path (the differential
-    /// suite proves it); the knob exists so benches can measure the gap and
-    /// tests can pin the equivalence.
-    pub fast_fit: bool,
     /// Record the resolved event stream of pass 2 into a versioned `.ptrace`
     /// file at this path (see `polyrec`). The live fold is undisturbed; the
     /// recording can later be re-folded offline via
@@ -229,8 +214,7 @@ pub struct ProfileConfig {
     /// scheduling/feedback stages); the recording's program hash must match
     /// `prog`. Budget, deadline, cancellation, fault plan and metrics apply
     /// to the replayed fold exactly as to a live one;
-    /// `record_to` and `static_prune` contradict it (there is no VM run to
-    /// tap or to prune).
+    /// `record_to` contradicts it (there is no VM run to tap).
     pub replay_from: Option<PathBuf>,
     /// Use this externally-owned budget instead of constructing one from
     /// `memory_budget`/`deadline` — the handle through which a run is watched
@@ -253,12 +237,10 @@ impl Default for ProfileConfig {
         ProfileConfig {
             chunk_events: 4096,
             metrics: MetricsLevel::Off,
-            static_prune: false,
             lint: false,
             memory_budget: None,
             deadline: None,
             fault_plan: None,
-            fast_fit: true,
             record_to: None,
             replay_from: None,
             shared_budget: None,
@@ -291,13 +273,14 @@ impl ProfileConfig {
         self
     }
 
-    /// Enable static instrumentation pruning.
-    pub fn with_static_prune(mut self, on: bool) -> Self {
-        self.static_prune = on;
+    /// Ignored: pass 2 instruments every instruction. Removed when ROADMAP
+    /// item 1e drops the call.
+    pub fn with_static_prune(self, _on: bool) -> Self {
         self
     }
 
-    /// Enable the post-fold DDG lint.
+    /// Enable the post-fold DDG lint and the legality check, and with them
+    /// the static pre-pass.
     pub fn with_lint(mut self, on: bool) -> Self {
         self.lint = on;
         self
@@ -320,13 +303,6 @@ impl ProfileConfig {
     /// Arm a deterministic fault-injection schedule (tests / CI gate).
     pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
         self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Toggle the integer fast-path fit verifier (see
-    /// [`ProfileConfig::fast_fit`]; on by default).
-    pub fn with_fast_fit(mut self, on: bool) -> Self {
-        self.fast_fit = on;
         self
     }
 
@@ -368,9 +344,6 @@ impl ProfileConfig {
         let limits = self.memory_budget.is_some() || self.deadline.is_some();
         if replay && self.record_to.is_some() {
             return clash("record_to", "taps the VM run `replay_from` replaces");
-        }
-        if replay && self.static_prune {
-            return clash("static_prune", "masks the VM run `replay_from` replaces");
         }
         if self.shared_budget.is_some() && limits {
             return clash("shared_budget", "overrides `memory_budget`/`deadline`");
@@ -435,82 +408,50 @@ pub fn try_profile_with(prog: &Program, cfg: &ProfileConfig) -> Result<Report, P
             .then(|| Arc::new(ResourceBudget::new(cfg.memory_budget, cfg.deadline))),
     };
 
-    // Static affine pre-pass: SCEV proofs, prune mask, lint inputs. Runs
-    // only when the hybrid knobs ask for it — the classic dynamic-only
-    // pipeline pays nothing.
-    let (summary, deps) = match cfg.static_prune || cfg.lint {
-        true => {
-            let _span = trace.as_ref().map(|(c, _)| c.span(Stage::StaticPass));
-            let summary = StaticSummary::analyze(prog);
-            let deps = Arc::new(StaticDeps::analyze(prog, &summary));
-            if let Some((c, _)) = &trace {
-                c.add(Counter::StaticScevStmts, summary.n_scev() as u64);
-                // `pairs_exact` counts every exactly-decided pair
-                // (Independent is exact too).
-                c.add(Counter::ProvenDepPairs, deps.pairs_exact() as u64);
-            }
-            (Some(summary), Some(deps))
+    // Static affine pre-pass: SCEV proofs and dependence relations, the
+    // oracles the lint and the legality check hold the dynamic profile to.
+    // Runs only for the lint — the dynamic pipeline pays nothing.
+    let static_pass = cfg.lint.then(|| {
+        let _span = trace.as_ref().map(|(c, _)| c.span(Stage::StaticPass));
+        let summary = StaticSummary::analyze(prog);
+        let deps = Arc::new(StaticDeps::analyze(prog, &summary));
+        if let Some((c, _)) = &trace {
+            c.add(Counter::StaticScevStmts, summary.n_scev() as u64);
+            // `pairs_exact` counts every exactly-decided pair
+            // (Independent is exact too).
+            c.add(Counter::ProvenDepPairs, deps.pairs_exact() as u64);
         }
-        false => (None, None),
-    };
-    let prune = cfg.static_prune.then(|| {
-        deps.as_ref()
-            .expect("deps computed")
-            .prune_mask(prog, summary.as_ref().expect("summary computed"))
+        (summary, deps)
     });
-    // The access-level half of the mask skips shadow tracking entirely, so
-    // the pruned sites' exact event streams must be re-synthesized into the
-    // fold after the run (see `polystatic::deps`) — `StaticDeps` itself is
-    // the synthesizer.
-    let synth: Option<Arc<dyn polyddg::MemSynth>> = match (&prune, &deps) {
-        (Some(m), Some(d)) if m.mem_marked() > 0 => Some(Arc::clone(d) as _),
-        _ => None,
-    };
 
     // Pass 2: one call. The source is the VM or a `.ptrace` recording.
     let source = match &cfg.replay_from {
         Some(path) => Source::Recording(path),
         None => Source::Live(Live {
             structure: &structure,
-            prune: prune.clone(),
-            synth,
             record: cfg.record_to.as_deref(),
             chunk_events: cfg.chunk_events,
         }),
     };
     let pass2 = Pass2 {
-        options: polyfold::FoldOptions {
-            fast_fit: cfg.fast_fit,
-            ..Default::default()
-        },
+        options: polyfold::FoldOptions::default(),
         trace: trace.as_ref().map(|(c, _)| Arc::clone(c)),
         budget,
         faults: cfg.fault_plan.clone(),
     };
     let out = polyfold::pass2::run(prog, &source, &pass2)?;
-    let (mut ddg, interner, pruned_events) = (out.ddg, out.interner, out.pruned);
+    let (mut ddg, interner) = (out.ddg, out.interner);
     let degradation = out.degradation;
 
-    // Post-fold, pre-removal: count pruned statements and lint the DDG
-    // against the static claims (the lint must see the SCEV statements and
-    // their dependences before removal deletes them).
-    let pruned_stmts = match &prune {
-        Some(m) => ddg
-            .stmts
-            .values()
-            .filter(|s| m.contains(interner.stmt_info(s.stmt).instr))
-            .count(),
-        None => 0,
-    };
-    if let Some((c, _)) = &trace {
-        c.add(Counter::PrunedStmts, pruned_stmts as u64);
-    }
-    let lint = cfg.lint.then(|| {
+    // Post-fold, pre-removal: lint the DDG against the static claims (the
+    // lint must see the SCEV statements and their dependences before
+    // removal deletes them).
+    let lint = static_pass.as_ref().map(|(summary, deps)| {
         let _span = trace.as_ref().map(|(c, _)| c.span(Stage::Lint));
         let rep = polystatic::lint::lint_ddg_with_deps(
             prog,
-            summary.as_ref().expect("summary computed"),
-            deps.as_deref(),
+            summary,
+            Some(&**deps),
             &ddg,
             &interner,
             &structure,
@@ -521,7 +462,7 @@ pub fn try_profile_with(prog: &Program, cfg: &ProfileConfig) -> Result<Report, P
         }
         rep
     });
-    let static_scevs = summary.as_ref().map(|s| s.n_scev()).unwrap_or(0);
+    let static_scevs = static_pass.as_ref().map_or(0, |(s, _)| s.n_scev());
 
     let scev_removed = {
         let _span = trace.as_ref().map(|(c, _)| c.span(Stage::ScevRemoval));
@@ -547,9 +488,9 @@ pub fn try_profile_with(prog: &Program, cfg: &ProfileConfig) -> Result<Report, P
     // re-verified against the static direction vectors (when the static
     // pre-pass ran). An unverified claim is not a refutation — it marks the
     // limit of the affine model, and the dynamic verdict stands.
-    let legality = deps
+    let legality = static_pass
         .as_ref()
-        .map(|d| polystatic::legality::check_schedule(prog, d, &analysis, &interner));
+        .map(|(_, d)| polystatic::legality::check_schedule(prog, d, &analysis, &interner));
     let input = polyfeedback::FeedbackInput {
         prog,
         ddg: &ddg,
@@ -575,25 +516,14 @@ pub fn try_profile_with(prog: &Program, cfg: &ProfileConfig) -> Result<Report, P
         polystatic::analyze_program(prog)
     };
 
-    let full_text = match &summary {
-        Some(s) => {
-            let section = polyfeedback::static_pass_section(
-                s.n_scev(),
-                pruned_stmts,
-                pruned_events.reg,
-                pruned_events.mem,
-                lint.as_ref(),
-            );
-            format!("{full_text}\n{section}")
-        }
-        None => full_text,
-    };
-    let full_text = match &deps {
-        Some(d) => {
-            let section = polyfeedback::legality_section(d, legality.as_ref());
-            format!("{full_text}\n{section}")
-        }
-        None => full_text,
+    let static_deps = static_pass.map(|(_, d)| d);
+    let full_text = match (&static_deps, &lint, &legality) {
+        (Some(d), Some(lint), Some(legality)) => format!(
+            "{full_text}\n{}\n{}",
+            polyfeedback::static_pass_section(static_scevs, lint),
+            polyfeedback::legality_section(d, legality)
+        ),
+        _ => full_text,
     };
     // Degraded runs carry their loss accounting into the feedback document;
     // clean runs (the overwhelmingly common case) append nothing.
@@ -623,10 +553,9 @@ pub fn try_profile_with(prog: &Program, cfg: &ProfileConfig) -> Result<Report, P
         folded_stats: (ddg.n_stmts(), ddg.deps.len(), ddg.total_ops),
         scev_removed,
         static_scevs,
-        pruned_stmts,
-        pruned_events: pruned_events.reg,
-        pruned_mem_events: pruned_events.mem,
-        static_deps: deps,
+        pruned_events: 0,
+        pruned_mem_events: 0,
+        static_deps,
         legality,
         lint,
         metrics,
@@ -768,10 +697,6 @@ mod tests {
             (
                 "record_to",
                 new().with_replay_from(&nowhere).with_record_to(&nowhere),
-            ),
-            (
-                "static_prune",
-                new().with_replay_from(&nowhere).with_static_prune(true),
             ),
             (
                 "shared_budget",

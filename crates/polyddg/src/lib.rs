@@ -55,7 +55,6 @@
 pub mod baseline;
 pub mod chunk;
 pub mod coords;
-pub mod prune;
 pub mod shadow;
 
 use coords::SnapCache;
@@ -65,7 +64,6 @@ use polyiiv::IivTracker;
 use polyir::{BlockRef, FuncId, InstrRef, Program, Value};
 use polyresist::{FaultPlan, FaultSite, ResourceBudget};
 use polyvm::EventSink;
-use prune::{PruneMask, PRUNED_STMT};
 use shadow::{ShadowMemory, Writer};
 use std::sync::Arc;
 
@@ -105,23 +103,6 @@ pub trait FoldSink {
     fn events_seen(&self) -> u64 {
         0
     }
-}
-
-/// Re-emitter for access-level-pruned memory streams.
-///
-/// When a [`PruneMask`] carries access-level entries
-/// ([`PruneMask::contains_mem`]), the profilers skip shadow tracking for
-/// those sites and the pruned `mem_access` / memory-`dependence` events must
-/// be regenerated after the run from static knowledge — in the exact
-/// per-key order the dynamic run would have produced, so the folded result
-/// stays byte-identical. `polystatic::deps` provides the implementation;
-/// the trait lives here so `polyfold` can invoke it without a `polystatic`
-/// dependency.
-pub trait MemSynth: Send + Sync {
-    /// Emit every pruned access site's `mem_access` and memory-dependence
-    /// events into `sink`, honoring `cfg`'s anti/output tracking switches.
-    /// `interner` maps the sites' static contexts back to statement ids.
-    fn synthesize(&self, interner: &ContextInterner, cfg: &DdgConfig, sink: &mut dyn FoldSink);
 }
 
 /// Configuration of the DDG profiler.
@@ -174,14 +155,6 @@ pub struct DdgProfiler<'p, F: FoldSink> {
     pub dyn_ops: u64,
     /// Dynamic memory events (loads + stores) seen.
     pub mem_events: u64,
-    /// Statically-proven-SCEV instructions whose register tracking is
-    /// skipped (see [`prune`]); `None` disables pruning.
-    prune: Option<Arc<PruneMask>>,
-    /// Dynamic executions whose register tracking was skipped by the mask.
-    pub pruned_events: u64,
-    /// Dynamic memory events whose shadow tracking was skipped by the
-    /// access-level mask (their streams are synthesized statically).
-    pub pruned_mem_events: u64,
     /// Optional deterministic fault plan probed per memory event
     /// ([`FaultSite::PanicPre`]) and per watchdog poll
     /// ([`FaultSite::StallBeat`]); the shadow memory probes its own site.
@@ -242,20 +215,9 @@ impl<'p, F: FoldSink> DdgProfiler<'p, F> {
             stmt_cache: [None; STMT_CACHE_SLOTS],
             dyn_ops: 0,
             mem_events: 0,
-            prune: None,
-            pruned_events: 0,
-            pruned_mem_events: 0,
             faults: None,
             budget: None,
         }
-    }
-
-    /// Enable static instrumentation pruning: instructions in `mask` skip
-    /// register-dependence tracking, and access-level entries additionally
-    /// skip shadow tracking. Sound only for masks whose every entry
-    /// satisfies the [`prune`] module contract.
-    pub fn set_prune_mask(&mut self, mask: Arc<PruneMask>) {
-        self.prune = Some(mask);
     }
 
     /// Arm a deterministic fault plan: [`FaultSite::PanicPre`] fires as a
@@ -390,39 +352,22 @@ impl<'p, F: FoldSink> EventSink for DdgProfiler<'p, F> {
         self.refresh_coords();
         let ins = self.prog.instr(instr);
 
-        let pruned = match &self.prune {
-            Some(m) => m.contains(instr),
-            None => false,
-        };
         if self.cfg.track_reg {
-            if pruned {
-                self.pruned_events += 1;
-            } else {
-                // Disjoint field borrows: the writer records are `Copy`, so no
-                // clone is needed to emit across the sink call.
-                let frame = self.reg_frames.last().expect("live frame");
-                let arena = self.snaps.arena();
-                let coords = &self.coords;
-                let out = &mut self.out;
-                ins.for_each_use(|r| {
-                    if let Some(w) = frame[r.0 as usize] {
-                        if w.stmt != PRUNED_STMT {
-                            out.dependence(
-                                DepKind::Reg,
-                                w.stmt,
-                                w.coords.resolve(arena),
-                                stmt,
-                                coords,
-                            );
-                        }
-                    }
-                });
-            }
+            // Disjoint field borrows: the writer records are `Copy`, so no
+            // clone is needed to emit across the sink call.
+            let frame = self.reg_frames.last().expect("live frame");
+            let arena = self.snaps.arena();
+            let coords = &self.coords;
+            let out = &mut self.out;
+            ins.for_each_use(|r| {
+                if let Some(w) = frame[r.0 as usize] {
+                    out.dependence(DepKind::Reg, w.stmt, w.coords.resolve(arena), stmt, coords);
+                }
+            });
         }
         if let Some(d) = ins.def() {
             let snap = self.snaps.get(&self.coords);
             let frame = self.reg_frames.last_mut().expect("live frame");
-            let stmt = if pruned { PRUNED_STMT } else { stmt };
             frame[d.0 as usize] = Some(Writer { stmt, coords: snap });
         }
 
@@ -441,15 +386,6 @@ impl<'p, F: FoldSink> EventSink for DdgProfiler<'p, F> {
                     "injected fault: pre-profiler panic (memory event {})",
                     self.mem_events
                 );
-            }
-        }
-        if let Some(m) = &self.prune {
-            if m.contains_mem(instr) {
-                // Access-level prune: no shadow interaction; the site's
-                // streams are synthesized from the static dependence
-                // relation after the run (see `MemSynth`).
-                self.pruned_mem_events += 1;
-                return;
             }
         }
         let stmt = self.current_stmt(instr);

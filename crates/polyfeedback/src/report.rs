@@ -263,44 +263,27 @@ pub fn full_report(input: &FeedbackInput<'_>, fb: &ProgramFeedback) -> String {
     s
 }
 
-/// Render the hybrid static/dynamic section appended to the full report
-/// when the static affine pre-pass ran: proof counts, pruning effect, and
-/// the DDG lint verdict.
-pub fn static_pass_section(
-    static_scevs: usize,
-    pruned_stmts: usize,
-    pruned_events: u64,
-    pruned_mem_events: u64,
-    lint: Option<&polystatic::lint::LintReport>,
-) -> String {
+/// Render the static-oracle section appended to the full report when the
+/// lint ran: proof counts and the DDG lint verdict.
+pub fn static_pass_section(static_scevs: usize, lint: &polystatic::lint::LintReport) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "─── static affine pre-pass ───");
     let _ = writeln!(s, "  statically proven SCEV instructions : {static_scevs}");
-    let _ = writeln!(
-        s,
-        "  instrumentation pruned              : {pruned_stmts} statements, {pruned_events} register-dep events, {pruned_mem_events} memory events"
-    );
-    match lint {
-        Some(rep) if rep.ok() => {
-            let _ = writeln!(
-                s,
-                "  DDG lint                            : ok ({} checks)",
-                rep.checks
-            );
-        }
-        Some(rep) => {
-            let _ = writeln!(
-                s,
-                "  DDG lint                            : {} VIOLATIONS ({} checks)",
-                rep.violations.len(),
-                rep.checks
-            );
-            for v in &rep.violations {
-                let _ = writeln!(s, "    [{}] {}", v.kind, v.detail);
-            }
-        }
-        None => {
-            let _ = writeln!(s, "  DDG lint                            : not run");
+    if lint.ok() {
+        let _ = writeln!(
+            s,
+            "  DDG lint                            : ok ({} checks)",
+            lint.checks
+        );
+    } else {
+        let _ = writeln!(
+            s,
+            "  DDG lint                            : {} VIOLATIONS ({} checks)",
+            lint.violations.len(),
+            lint.checks
+        );
+        for v in &lint.violations {
+            let _ = writeln!(s, "    [{}] {}", v.kind, v.detail);
         }
     }
     s
@@ -313,7 +296,7 @@ pub fn static_pass_section(
 /// they are *not* refutations, just the limit of the static model.
 pub fn legality_section(
     deps: &polystatic::deps::StaticDeps,
-    legality: Option<&polystatic::legality::LegalityReport>,
+    legality: &polystatic::legality::LegalityReport,
 ) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "─── static dependence relations & schedule legality ───");
@@ -331,28 +314,15 @@ pub fn legality_section(
     );
     let _ = writeln!(
         s,
-        "  access sites pruned for synthesis   : {} ({} partitions)",
-        deps.pruned_sites.len(),
-        deps.prunable_partitions
+        "  parallel claims legality-verified   : {} of {}",
+        legality.verified, legality.parallel_claims
     );
-    match legality {
-        Some(rep) => {
-            let _ = writeln!(
-                s,
-                "  parallel claims legality-verified   : {} of {}",
-                rep.verified, rep.parallel_claims
-            );
-            for v in rep.nodes.iter().filter(|v| !v.verified) {
-                let _ = writeln!(
-                    s,
-                    "    node {} (dim {}) unverified: {}",
-                    v.node, v.dim, v.detail
-                );
-            }
-        }
-        None => {
-            let _ = writeln!(s, "  schedule legality                   : not checked");
-        }
+    for v in legality.nodes.iter().filter(|v| !v.verified) {
+        let _ = writeln!(
+            s,
+            "    node {} (dim {}) unverified: {}",
+            v.node, v.dim, v.detail
+        );
     }
     s
 }

@@ -6,7 +6,7 @@
 //! ┌───────────────────────────────────┐
 //! │ Live: VM → DdgProfiler (IIV,      │
 //! │   interning, register deps,       │
-//! │   shadow) → [Recorder] → MemSynth ├──▶ FoldingSink ──▶ finalize
+//! │   shadow) → [Recorder]            ├──▶ FoldingSink ──▶ finalize
 //! ├───────────────────────────────────┤
 //! │ Recording: TraceReader decodes    │
 //! │   each frame into the sink        │
@@ -37,8 +37,7 @@
 
 use crate::{FoldOptions, FoldedDdg, FoldingSink};
 use polycfg::StaticStructure;
-use polyddg::prune::{PruneMask, PrunedEvents};
-use polyddg::{DdgConfig, DdgProfiler, DepKind, FoldSink, MemSynth};
+use polyddg::{DdgProfiler, DepKind, FoldSink};
 use polyiiv::context::{ContextInterner, StmtId};
 use polyir::Program;
 use polyrec::{program_hash, Recorder, TraceReader};
@@ -52,11 +51,6 @@ use std::sync::Arc;
 pub struct Live<'a> {
     /// Pass 1's result for the program.
     pub structure: &'a StaticStructure,
-    /// Static prune mask to install on the profiler.
-    pub prune: Option<Arc<PruneMask>>,
-    /// Re-emits the memory streams an access-level `prune` mask skipped (see
-    /// [`MemSynth`]); required when the mask carries access-level bits.
-    pub synth: Option<Arc<dyn MemSynth>>,
     /// Also write the event stream to a `.ptrace` file here, in frames of
     /// `chunk_events` events. A run that fails leaves a detectably
     /// unfinished recording behind.
@@ -66,12 +60,10 @@ pub struct Live<'a> {
 }
 
 impl<'a> Live<'a> {
-    /// The plain live source: no pruning, no recording.
+    /// The plain live source: no recording.
     pub fn new(structure: &'a StaticStructure) -> Self {
         Live {
             structure,
-            prune: None,
-            synth: None,
             record: None,
             chunk_events: 4096,
         }
@@ -80,7 +72,7 @@ impl<'a> Live<'a> {
 
 /// Where pass 2's resolved event stream comes from.
 pub enum Source<'a> {
-    /// VM → [`DdgProfiler`] → optional [`Recorder`] tap → sink → [`MemSynth`].
+    /// VM → [`DdgProfiler`] → optional [`Recorder`] tap → sink.
     Live(Live<'a>),
     /// A `.ptrace` recording of the program: its program hash is checked,
     /// then every frame is replayed into the sink — no VM, no shadow memory.
@@ -106,8 +98,6 @@ pub struct Pass2Out {
     pub ddg: FoldedDdg,
     /// The statement table the fold's ids refer to.
     pub interner: ContextInterner,
-    /// Events the prune mask skipped (zero for a recording).
-    pub pruned: PrunedEvents,
     /// Everything the run lost.
     pub degradation: RunDegradation,
 }
@@ -183,7 +173,6 @@ fn fold(prog: &Program, source: &Source<'_>, cfg: &Pass2) -> Result<Pass2Out, Po
     Ok(Pass2Out {
         ddg,
         interner,
-        pruned: tallies.pruned,
         degradation: deg,
     })
 }
@@ -194,7 +183,6 @@ struct SourceTallies {
     /// What to add to the collector.
     counts: Vec<(Counter, u64)>,
     opcodes: Option<Box<polyvm::OpcodeTelemetry>>,
-    pruned: PrunedEvents,
     /// Shadow pages an armed fault plan refused; each left exactly one
     /// access without its dependences.
     shadow_alloc_failures: u64,
@@ -227,10 +215,9 @@ fn feed<S: FoldSink>(
     Ok((out, interner, tallies))
 }
 
-/// The live source: VM → profiler → `out`, then the synthesized streams of
-/// access-level-pruned sites. `cfg.trace` only decides whether the VM counts
-/// opcodes (plain-u64 counting at `Timing`, plus sampled dispatch timing at
-/// `Trace`; `Off`/`Counters` never arm it).
+/// The live source: VM → profiler → `out`. `cfg.trace` only decides whether
+/// the VM counts opcodes (plain-u64 counting at `Timing`, plus sampled
+/// dispatch timing at `Trace`; `Off`/`Counters` never arm it).
 fn run_profiler<S: FoldSink>(
     prog: &Program,
     live: &Live<'_>,
@@ -238,9 +225,6 @@ fn run_profiler<S: FoldSink>(
     out: S,
 ) -> Result<(S, ContextInterner, SourceTallies), PolyProfError> {
     let mut prof = DdgProfiler::new(prog, live.structure, out);
-    if let Some(m) = &live.prune {
-        prof.set_prune_mask(Arc::clone(m));
-    }
     if let Some(p) = &cfg.faults {
         prof.set_faults(Arc::clone(p));
     }
@@ -253,24 +237,21 @@ fn run_profiler<S: FoldSink>(
     }
     // `Aborted` is the budget's deadline stopping the VM through the
     // profiler's watchdog hook: the stream so far is a valid prefix.
-    let aborted = match vm.run(&[], &mut prof) {
-        Ok(_) => false,
-        Err(polyvm::VmError::Aborted) => true,
+    match vm.run(&[], &mut prof) {
+        Ok(_) | Err(polyvm::VmError::Aborted) => {}
         Err(e) => {
             return Err(PolyProfError::Vm {
                 stage: "pass-2",
                 msg: e.to_string(),
             })
         }
-    };
+    }
     let (ctx_hit, ctx_miss) = prof.interner.cache_stats();
     let (mru_hit, mru_miss) = prof.shadow_mru_stats();
     let tallies = SourceTallies {
         counts: vec![
             (Counter::DynOps, prof.dyn_ops),
             (Counter::MemEvents, prof.mem_events),
-            (Counter::PrunedEvents, prof.pruned_events),
-            (Counter::PrunedMemEvents, prof.pruned_mem_events),
             (Counter::CtxCacheHit, ctx_hit),
             (Counter::CtxCacheMiss, ctx_miss),
             (Counter::CtxContentInterns, prof.interner.content_interns()),
@@ -280,21 +261,9 @@ fn run_profiler<S: FoldSink>(
             (Counter::ArenaBytes, prof.arena_bytes() as u64),
         ],
         opcodes: vm.take_opcode_telemetry(),
-        pruned: PrunedEvents {
-            reg: prof.pruned_events,
-            mem: prof.pruned_mem_events,
-        },
         shadow_alloc_failures: prof.shadow_alloc_failures(),
     };
-    let (mut out, interner) = prof.finish();
-    // Re-emit the access-level-pruned memory streams into the same sink. The
-    // pruned statements' access/dep keys never appear dynamically, so
-    // appending after the trace keeps every per-key stream in serial order.
-    // An aborted trace is partial — skip: synthesizing full streams would
-    // invent events the dynamic run never reached.
-    if let Some(sy) = live.synth.as_ref().filter(|_| !aborted) {
-        sy.synthesize(&interner, &DdgConfig::default(), &mut out);
-    }
+    let (out, interner) = prof.finish();
     Ok((out, interner, tallies))
 }
 

@@ -1,8 +1,9 @@
-//! Static affine pre-pass over `polyir` (hybrid static/dynamic profiling).
+//! Static affine pre-pass over `polyir`: the oracle the dynamic profile is
+//! linted against.
 //!
-//! The folding stage classifies SCEV statements *after* paying full dynamic
-//! cost; most of that structure is statically decidable. This module proves,
-//! per instruction, membership in one of three categories that the dynamic
+//! The folding stage classifies SCEV statements from the dynamic run; most
+//! of that structure is statically decidable. This module proves, per
+//! instruction, membership in one of three categories that the dynamic
 //! classifier in `polyfold::FoldingSink::finalize` is guaranteed to mark
 //! `is_scev`:
 //!
@@ -17,23 +18,18 @@
 //!    block has no execution holes (it dominates every back-edge source of
 //!    every enclosing loop). These fold to exact domains with affine labels.
 //!
-//! The union feeds a [`PruneMask`]: the profilers skip register-dependence
-//! tracking for masked instructions, and the folded DDG after
-//! `remove_scevs()` is byte-identical with pruning on or off (the skipped
-//! deps are exactly the ones SCEV removal retires). The same summary powers
-//! the post-fold DDG lint (`crate::lint`), which checks the dynamic run
-//! against every static claim made here.
+//! The post-fold DDG lint (`crate::lint`) checks the dynamic run against
+//! every static claim made here; none of it feeds pass 2, with which it
+//! shares no code.
 //!
 //! The analysis is deliberately conservative: every rule below errs toward
-//! *not* proving. A statically-missed SCEV costs dynamic work (the status
-//! quo); a wrongly-proven one would corrupt the folded DDG.
+//! *not* proving. A statically-missed SCEV only weakens the lint; a
+//! wrongly-proven one is a lint violation on a correct profile.
 
 use crate::{classify_registers, eval_instr, eval_operand, Base, Sym};
 use polycfg::loop_forest::{LoopForest, LoopIdx};
-use polyddg::prune::PruneMask;
 use polyir::*;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 /// Immediate-dominator tree of one function's static CFG
 /// (Cooper–Harvey–Kennedy over a reverse-postorder numbering).
@@ -244,8 +240,8 @@ pub struct FuncDataflow {
     pub scev: BTreeMap<InstrRef, ScevKind>,
 }
 
-/// Whole-program static summary: SCEV proofs (and the prune mask they
-/// justify), must-exist flow dependences, and the base-pointer partition.
+/// Whole-program static summary: SCEV proofs, must-exist flow dependences,
+/// and the base-pointer partition.
 #[derive(Debug)]
 pub struct StaticSummary {
     /// Per-function analyses, indexed by `FuncId`.
@@ -258,7 +254,6 @@ pub struct StaticSummary {
     pub partitions: BTreeMap<InstrRef, u32>,
     /// Number of distinct partitions.
     pub n_partitions: u32,
-    mask: Arc<PruneMask>,
 }
 
 impl StaticSummary {
@@ -288,31 +283,22 @@ impl StaticSummary {
             });
         }
         let (partitions, n_partitions) = partition_intervals(intervals);
-        let mask = Arc::new(PruneMask::from_fn(prog, |i| {
-            funcs[i.block.func.0 as usize].scev.contains_key(&i)
-        }));
         StaticSummary {
             funcs,
             must_flow,
             partitions,
             n_partitions,
-            mask,
         }
-    }
-
-    /// The instrumentation prune mask (shared; cheap to clone).
-    pub fn prune_mask(&self) -> Arc<PruneMask> {
-        Arc::clone(&self.mask)
     }
 
     /// Number of instructions statically proven SCEV.
     pub fn n_scev(&self) -> usize {
-        self.mask.marked()
+        self.funcs.iter().map(|f| f.scev.len()).sum()
     }
 
     /// Is this instruction statically proven SCEV?
     pub fn is_proven_scev(&self, i: InstrRef) -> bool {
-        self.mask.contains(i)
+        self.funcs[i.block.func.0 as usize].scev.contains_key(&i)
     }
 
     /// The proof category for an instruction, if proven.

@@ -5,57 +5,24 @@
 //! whose offset is linear over chain IVs, `addr(k) = base + Σ cᵈ·kᵈ` with
 //! `0 ≤ kᵈ < tripsᵈ` — and decides dependence for affine pairs exactly with
 //! `polylib`'s layered integer test (GCD → rational emptiness → bounded
-//! integer witness). The resulting per-pair [`DepResult`] relations feed
-//! three consumers:
+//! integer witness). The resulting per-pair [`DepResult`] relations are
+//! oracles for the dynamic profile, sharing no code with pass 2:
 //!
-//! 1. **Access-level instrumentation pruning** — a base-pointer partition
-//!    whose every site is affine with an exact domain (single block of a
-//!    `runs_once` function, all-counted chain, block dominating every latch)
-//!    needs no shadow tracking at run time: the profiler skips those sites
-//!    ([`polyddg::prune::PruneMask::contains_mem`]) and this module
-//!    re-synthesizes their exact `mem_access`/dependence streams afterwards
-//!    ([`MemSynth`]), replaying the shadow-cell automaton over the static
-//!    iteration domain so the folded DDG stays **byte-identical** to the
-//!    unpruned run.
-//! 2. **Lint v2** (`crate::lint`) — for every affine-proven pair the dynamic
+//! 1. **Lint v2** (`crate::lint`) — for every affine-proven pair the dynamic
 //!    folded distance vectors must sit inside the static relation.
-//! 3. **Schedule legality** (`crate::legality`) — `polysched` verdicts are
+//! 2. **Schedule legality** (`crate::legality`) — `polysched` verdicts are
 //!    re-verified against static carried-level refutations.
-//!
-//! Soundness invariants the pruning contract rests on:
-//!
-//! * partitions are address-disjoint by construction (interval sweep), so
-//!   skipping a *fully-covered* partition can never perturb the shadow
-//!   state any unpruned site observes;
-//! * pruning is attempted only when **every** access site of the program
-//!   has a known address interval (one ⊤ site aliases everything);
-//! * a pruned site's statement id is recovered uniquely from the interner
-//!   (`runs_once` ⇒ one context path), and a block that never executed
-//!   interns no statement — then nothing is synthesized, exactly matching
-//!   the dynamic run;
-//! * the synthesized per-key event order equals the serial profiler's
-//!   (lexicographic iteration order × instruction index), and folding is
-//!   per-key, so the folded DDG is byte-identical.
 
 use crate::dataflow::{loop_chain, DomTree, StaticSummary};
 use crate::{classify_registers, eval_operand, Base, Sym};
 use polycfg::loop_forest::{LoopForest, LoopIdx};
-use polyddg::prune::PruneMask;
-use polyddg::{DdgConfig, DepKind, FoldSink, MemSynth};
-use polyiiv::context::{ContextInterner, StmtId};
 use polyir::{BlockRef, FuncId, Instr, InstrRef, LocalBlockId, Program};
 use polylib::{dependence_test, AccessFn, DepResult};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::Arc;
+use std::collections::BTreeMap;
 
 /// Integer-witness enumeration cap for [`dependence_test`] — domains with a
 /// trip count above this fall back to `MaybeDependent` (sound).
 const WITNESS_CAP: u64 = 512;
-
-/// Upper bound on synthesized events per pruned partition
-/// (`domain points × sites`): beyond this, pruning would trade a profiler
-/// skip for an equally long synthesis loop, so the partition stays dynamic.
-const SYNTH_CAP: u128 = 1 << 16;
 
 /// One access site proven affine over its (all-counted) enclosing chain.
 #[derive(Debug, Clone)]
@@ -77,24 +44,8 @@ pub struct AffineSite {
     pub exact_domain: bool,
 }
 
-/// One synthesizable partition: every site affine + exact, single block.
-#[derive(Debug, Clone)]
-struct SynthPart {
-    /// Sites in instruction-index order (the within-iteration event order).
-    sites: Vec<SynthSite>,
-    /// Shared trip box, outermost first.
-    trips: Vec<u64>,
-}
-
-#[derive(Debug, Clone)]
-struct SynthSite {
-    instr: InstrRef,
-    is_write: bool,
-    access: AccessFn,
-}
-
-/// Whole-program static dependence analysis: affine access functions,
-/// per-pair dependence relations, and the access-level prune plan.
+/// Whole-program static dependence analysis: affine access functions and
+/// per-pair dependence relations.
 #[derive(Debug, Default)]
 pub struct StaticDeps {
     /// Affine-proven access sites.
@@ -103,17 +54,8 @@ pub struct StaticDeps {
     /// exact-domain affine sites sharing a block (at least one write).
     /// Key order is `(src, dst)` — the direction the folded dep points.
     pub pairs: BTreeMap<(InstrRef, InstrRef), DepResult>,
-    /// Sites whose shadow tracking is pruned (fully-covered partitions).
-    pub pruned_sites: BTreeSet<InstrRef>,
-    /// Number of partitions proven prunable.
-    pub prunable_partitions: u32,
-    /// Did every access site of the program get an address interval?
-    /// Pruning is unsound otherwise and `pruned_sites` stays empty.
-    pub all_partitioned: bool,
     /// Total (static) access sites in the program.
     pub total_sites: usize,
-    /// Synthesis plans, one per prunable partition.
-    parts: Vec<SynthPart>,
 }
 
 /// Does block `b` execute exactly once per point of its loop chain's trip
@@ -222,7 +164,7 @@ impl StaticDeps {
                     // Every address of the trip box must fit `i64`: the VM
                     // computes `base +w offset` with wrapping adds, so a
                     // non-overflowing closed form is what guarantees the
-                    // synthesized addresses equal the dynamic ones.
+                    // static addresses equal the dynamic ones.
                     let (mut lo, mut hi) = (base_total, base_total);
                     for (d, &ck) in coeffs.iter().enumerate() {
                         let span = ck as i128 * (trips[d].saturating_sub(1)) as i128;
@@ -249,9 +191,7 @@ impl StaticDeps {
                 }
             }
         }
-        out.all_partitioned = out.total_sites == summary.partitions.len();
         out.compute_pairs();
-        out.plan_pruning(summary);
         out
     }
 
@@ -278,64 +218,6 @@ impl StaticDeps {
         }
     }
 
-    /// Decide which partitions are prunable and build their synthesis plans.
-    fn plan_pruning(&mut self, summary: &StaticSummary) {
-        if !self.all_partitioned {
-            return; // a ⊤ site may alias every partition
-        }
-        let mut by_part: BTreeMap<u32, Vec<InstrRef>> = BTreeMap::new();
-        for (&i, &p) in &summary.partitions {
-            by_part.entry(p).or_default().push(i);
-        }
-        'parts: for sites in by_part.values() {
-            let mut block = None;
-            for &i in sites {
-                let Some(s) = self.sites.get(&i) else {
-                    continue 'parts; // non-affine member
-                };
-                if !s.exact_domain {
-                    continue 'parts;
-                }
-                if *block.get_or_insert(s.block) != s.block {
-                    continue 'parts; // multi-block partitions stay dynamic
-                }
-            }
-            let first = &self.sites[&sites[0]];
-            let points: u128 = first.trips.iter().map(|&t| t as u128).product();
-            if points.saturating_mul(sites.len() as u128) > SYNTH_CAP {
-                continue; // synthesis would cost more than it saves
-            }
-            // `sites` is ordered by `InstrRef` = instruction index here
-            // (one block), which is the within-iteration event order.
-            self.parts.push(SynthPart {
-                sites: sites
-                    .iter()
-                    .map(|i| {
-                        let s = &self.sites[i];
-                        SynthSite {
-                            instr: s.instr,
-                            is_write: s.is_write,
-                            access: s.access.clone(),
-                        }
-                    })
-                    .collect(),
-                trips: first.trips.clone(),
-            });
-            self.prunable_partitions += 1;
-            self.pruned_sites.extend(sites.iter().copied());
-        }
-    }
-
-    /// The combined prune mask: statement-level SCEV entries from `summary`
-    /// plus this analysis' access-level entries.
-    pub fn prune_mask(&self, prog: &Program, summary: &StaticSummary) -> Arc<PruneMask> {
-        Arc::new(PruneMask::from_fns(
-            prog,
-            |i| summary.is_proven_scev(i),
-            |i| self.pruned_sites.contains(&i),
-        ))
-    }
-
     /// Number of pairs decided exactly (independent or witnessed).
     pub fn pairs_exact(&self) -> usize {
         self.pairs.values().filter(|r| r.is_exact()).count()
@@ -353,123 +235,20 @@ impl StaticDeps {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"sites_total\":{},\"sites_affine\":{},\"pairs_checked\":{},\
-             \"pairs_exact\":{},\"pairs_independent\":{},\"pruned_sites\":{},\
-             \"prunable_partitions\":{},\"all_partitioned\":{}}}",
+             \"pairs_exact\":{},\"pairs_independent\":{}}}",
             self.total_sites,
             self.sites.len(),
             self.pairs.len(),
             self.pairs_exact(),
             self.pairs_independent(),
-            self.pruned_sites.len(),
-            self.prunable_partitions,
-            self.all_partitioned,
         )
-    }
-}
-
-/// Shadow-cell replay state: last writer / last reader with their coords.
-type Cell = (Option<(StmtId, Vec<i64>)>, Option<(StmtId, Vec<i64>)>);
-
-impl MemSynth for StaticDeps {
-    /// Re-emit every pruned partition's event streams in exact dynamic
-    /// order: lexicographic trip points × instruction index, replaying the
-    /// shadow-cell automaton (`DdgProfiler::mem`) over a local map. Honors
-    /// `cfg.track_anti`/`track_output` the way the profiler does.
-    fn synthesize(&self, interner: &ContextInterner, cfg: &DdgConfig, sink: &mut dyn FoldSink) {
-        // Pruned sites intern exactly one statement (`runs_once`), or none
-        // when their block never executed.
-        let mut stmt_of: BTreeMap<InstrRef, StmtId> = BTreeMap::new();
-        for (id, info) in interner.stmts() {
-            if self.pruned_sites.contains(&info.instr) {
-                let prev = stmt_of.insert(info.instr, id);
-                debug_assert!(prev.is_none(), "pruned site interned twice");
-            }
-        }
-        for part in &self.parts {
-            let n = part.trips.len();
-            if part.trips.contains(&0) {
-                continue; // empty domain: the dynamic run emitted nothing
-            }
-            let ids: Vec<Option<StmtId>> = part
-                .sites
-                .iter()
-                .map(|s| stmt_of.get(&s.instr).copied())
-                .collect();
-            if ids.iter().all(Option::is_none) {
-                continue; // block never executed (caller not reached)
-            }
-            debug_assert!(
-                ids.iter().all(Option::is_some),
-                "partition sites share a block, so all or none must intern"
-            );
-            let ids: Vec<StmtId> = ids.into_iter().flatten().collect();
-            if ids.len() != part.sites.len() {
-                continue;
-            }
-            for (&stmt, site) in ids.iter().zip(&part.sites) {
-                debug_assert_eq!(
-                    interner.stmt_info(stmt).depth,
-                    n + 1,
-                    "site {:?}: static chain depth disagrees with dynamic IIV",
-                    site.instr
-                );
-            }
-            let mut cells: HashMap<i64, Cell> = HashMap::new();
-            let mut k = vec![0i64; n];
-            let mut coords = vec![0i64; n + 1]; // coords[0]: run-once root
-            'points: loop {
-                coords[1..].copy_from_slice(&k);
-                for (site, &stmt) in part.sites.iter().zip(&ids) {
-                    let addr = site.access.eval(&k);
-                    let cell = cells.entry(addr).or_default();
-                    if site.is_write {
-                        let prev_write = cell.0.take();
-                        let prev_read = cell.1.take();
-                        cell.0 = Some((stmt, coords.clone()));
-                        if cfg.track_output {
-                            if let Some((ws, wc)) = &prev_write {
-                                sink.dependence(DepKind::Output, *ws, wc, stmt, &coords);
-                            }
-                        }
-                        if cfg.track_anti {
-                            if let Some((rs, rc)) = &prev_read {
-                                sink.dependence(DepKind::Anti, *rs, rc, stmt, &coords);
-                            }
-                        }
-                    } else {
-                        let prev = cell.0.clone();
-                        if cfg.track_anti {
-                            cell.1 = Some((stmt, coords.clone()));
-                        }
-                        if let Some((ws, wc)) = &prev {
-                            sink.dependence(DepKind::Flow, *ws, wc, stmt, &coords);
-                        }
-                    }
-                    sink.mem_access(stmt, &coords, addr as u64, site.is_write);
-                }
-                // Lexicographic odometer, innermost dimension fastest.
-                let mut d = n;
-                loop {
-                    if d == 0 {
-                        break 'points;
-                    }
-                    d -= 1;
-                    k[d] += 1;
-                    if (k[d] as u64) < part.trips[d] {
-                        break;
-                    }
-                    k[d] = 0;
-                }
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polycfg::StaticStructure;
-    use polyfold::FoldingSink;
+    use polyddg::DepKind;
     use polyir::build::ProgramBuilder;
 
     /// store a[i] = i; load a[i] — one partition, fully affine.
@@ -488,32 +267,6 @@ mod tests {
         pb.finish()
     }
 
-    /// Fold with optional access-level pruning + synthesis.
-    fn fold(p: &Program, prune: bool) -> (polyfold::FoldedDdg, u64) {
-        let mut rec = polycfg::StructureRecorder::new();
-        polyvm::Vm::new(p).run(&[], &mut rec).unwrap();
-        let structure = StaticStructure::analyze(p, rec);
-        let summary = StaticSummary::analyze(p);
-        let deps = StaticDeps::analyze(p, &summary);
-        let mut prof = polyddg::DdgProfiler::new(p, &structure, FoldingSink::new());
-        if prune {
-            // Access-level bits only: statement-level SCEV pruning is an
-            // orthogonal (non-identity-preserving) feature.
-            prof.set_prune_mask(std::sync::Arc::new(PruneMask::from_fns(
-                p,
-                |_| false,
-                |i| deps.pruned_sites.contains(&i),
-            )));
-        }
-        polyvm::Vm::new(p).run(&[], &mut prof).unwrap();
-        let pruned = prof.pruned_mem_events;
-        let (mut sink, interner) = prof.finish();
-        if prune {
-            deps.synthesize(&interner, &DdgConfig::default(), &mut sink);
-        }
-        (sink.finalize(p, &interner), pruned)
-    }
-
     #[test]
     fn elementwise_sites_and_pairs_are_affine() {
         let p = elementwise();
@@ -521,9 +274,6 @@ mod tests {
         let deps = StaticDeps::analyze(&p, &summary);
         assert_eq!(deps.total_sites, 2);
         assert_eq!(deps.sites.len(), 2, "{deps:?}");
-        assert!(deps.all_partitioned);
-        assert_eq!(deps.prunable_partitions, 1);
-        assert_eq!(deps.pruned_sites.len(), 2);
         // store→load, load→store, store→store: 3 ordered pairs with a write.
         assert_eq!(deps.pairs.len(), 3);
         assert_eq!(deps.pairs_exact(), 3);
@@ -535,17 +285,7 @@ mod tests {
     }
 
     #[test]
-    fn synthesis_reproduces_folded_ddg_byte_identically() {
-        let p = elementwise();
-        let (plain, pruned0) = fold(&p, false);
-        let (synth, pruned1) = fold(&p, true);
-        assert_eq!(pruned0, 0);
-        assert_eq!(pruned1, 16, "8 stores + 8 loads must be pruned");
-        assert_eq!(plain.canonical_text(), synth.canonical_text());
-    }
-
-    #[test]
-    fn carried_stencil_synthesis_is_byte_identical() {
+    fn carried_stencil_folds_a_distance_one_flow() {
         // a[i+1] = a[i] + 1: flow deps with distance 1 across iterations.
         let mut pb = ProgramBuilder::new("t");
         let a = pb.alloc(32);
@@ -560,22 +300,19 @@ mod tests {
         let fid = f.finish();
         pb.set_entry(fid);
         let p = pb.finish();
-        let (plain, _) = fold(&p, false);
-        let (synth, pruned) = fold(&p, true);
-        assert!(pruned > 0, "stencil sites must be pruned");
-        assert_eq!(plain.canonical_text(), synth.canonical_text());
+        let (ddg, _, _) = polyfold::fold_program(&p);
         // a[i+1] is written at iteration i and read at iteration i+1:
         // a loop-carried flow dep with distance exactly 1.
-        assert!(synth
+        assert!(ddg
             .deps
             .iter()
             .any(|d| d.kind == DepKind::Flow && d.delta.last() == Some(&(1, 1))));
     }
 
     #[test]
-    fn unknown_site_blocks_all_pruning() {
-        // An indirect access (unknown interval) must disable pruning even
-        // for the well-behaved partition next to it.
+    fn unknown_site_has_no_partition() {
+        // An indirect access has no address interval (⊤): it belongs to no
+        // partition, while its well-behaved neighbour does.
         let mut pb = ProgramBuilder::new("t");
         let idx = pb.array_i64(&[3, 0, 7, 1, 6, 2, 5, 4]);
         let a = pb.alloc(16);
@@ -590,9 +327,14 @@ mod tests {
         let p = pb.finish();
         let summary = StaticSummary::analyze(&p);
         let deps = StaticDeps::analyze(&p, &summary);
-        assert!(!deps.all_partitioned);
-        assert!(deps.pruned_sites.is_empty());
-        assert_eq!(deps.prunable_partitions, 0);
+        assert_eq!(deps.total_sites, 2);
+        assert_eq!(summary.partitions.len(), 1, "{:?}", summary.partitions);
+        let (&known, _) = summary.partitions.iter().next().unwrap();
+        assert!(
+            matches!(p.instr(known), Instr::Load { base: polyir::Operand::ImmI(b), .. } if *b == idx as i64),
+            "the partitioned site must be the `idx[i]` load, not {:?}",
+            p.instr(known)
+        );
     }
 
     #[test]
@@ -605,8 +347,7 @@ mod tests {
             "\"sites_total\":2",
             "\"sites_affine\":2",
             "\"pairs_checked\":3",
-            "\"prunable_partitions\":1",
-            "\"all_partitioned\":true",
+            "\"pairs_exact\":3",
         ] {
             assert!(j.contains(key), "{j}");
         }

@@ -340,8 +340,9 @@ impl HistKind {
 pub enum Stage {
     /// Pass 1: dynamic CFG/CG recording + loop-forest analysis.
     Structure,
-    /// The static affine pre-pass (`polystatic::dataflow`): dominators,
-    /// induction variables, SCEV proofs and the instrumentation prune mask.
+    /// The static affine pre-pass (`polystatic::dataflow` + `deps`), run for
+    /// the lint: dominators, induction variables, SCEV proofs and the
+    /// affine dependence relations.
     StaticPass,
     /// Pass 2: the event source (the VM under the profiler, or a recording)
     /// streaming into the fold sink on the calling thread.
@@ -440,14 +441,6 @@ pub enum Counter {
     OverapproxStmts,
     /// Static instructions proven SCEV by the affine pre-pass.
     StaticScevStmts,
-    /// Folded statements whose instruction was in the prune mask.
-    PrunedStmts,
-    /// Dynamic executions whose register-dependence tracking was skipped
-    /// because the instruction was statically proven SCEV.
-    PrunedEvents,
-    /// Dynamic memory events whose shadow tracking was skipped because the
-    /// access site was statically proven affine (streams re-synthesized).
-    PrunedMemEvents,
     /// Ordered access pairs whose dependence relation the static affine
     /// pre-pass computed exactly (Dependent or Independent, not Maybe).
     ProvenDepPairs,
@@ -477,7 +470,7 @@ pub enum Counter {
 }
 
 /// Number of [`Counter`] slots.
-pub const N_COUNTERS: usize = 31;
+pub const N_COUNTERS: usize = 28;
 
 impl Counter {
     /// All counters, in report order.
@@ -498,9 +491,6 @@ impl Counter {
         Counter::RetiredDeps,
         Counter::OverapproxStmts,
         Counter::StaticScevStmts,
-        Counter::PrunedStmts,
-        Counter::PrunedEvents,
-        Counter::PrunedMemEvents,
         Counter::ProvenDepPairs,
         Counter::LintChecks,
         Counter::LintViolations,
@@ -534,9 +524,6 @@ impl Counter {
             Counter::RetiredDeps => "retired_deps",
             Counter::OverapproxStmts => "overapprox_stmts",
             Counter::StaticScevStmts => "static_scev_stmts",
-            Counter::PrunedStmts => "pruned_stmts",
-            Counter::PrunedEvents => "pruned_events",
-            Counter::PrunedMemEvents => "pruned_mem_events",
             Counter::ProvenDepPairs => "proven_dep_pairs",
             Counter::LintChecks => "lint_checks",
             Counter::LintViolations => "lint_violations",

@@ -14,7 +14,13 @@
 mod common;
 
 use common::stencil;
-use polyprof_core::polyfold::{FitResult, FoldedStream, OnlineAffineFitter, StreamFolder};
+use polyir::Program;
+use polyprof_core::polycfg::{StaticStructure, StructureRecorder};
+use polyprof_core::polyfeedback::FeedbackInput;
+use polyprof_core::polyfold::pass2::{self, Live, Pass2, Source};
+use polyprof_core::polyfold::{
+    FitResult, FoldOptions, FoldedStream, OnlineAffineFitter, StreamFolder,
+};
 use polyprof_core::{profile_with, ProfileConfig};
 use proptest::prelude::*;
 
@@ -249,13 +255,56 @@ proptest! {
     }
 }
 
-/// The fast-path knob is also output-neutral end-to-end: a rational-only
-/// run is byte-identical to the default fast-path run.
+/// What a `Report` shows of one pass-2 fold with the fast path on or off:
+/// its folded stats, its SCEV removal and its annotated AST.
+struct Shown {
+    folded_stats: (usize, usize, u64),
+    scev_removed: (usize, usize),
+    annotated_ast: String,
+}
+
+fn shown(prog: &Program, fast_fit: bool) -> Shown {
+    let mut rec = StructureRecorder::new();
+    polyprof_core::polyvm::Vm::new(prog)
+        .run(&[], &mut rec)
+        .expect("pass 1");
+    let structure = StaticStructure::analyze(prog, rec);
+    let cfg = Pass2 {
+        options: FoldOptions {
+            fast_fit,
+            ..FoldOptions::default()
+        },
+        ..Pass2::default()
+    };
+    let out = pass2::run(prog, &Source::Live(Live::new(&structure)), &cfg).expect("pass 2");
+    let (mut ddg, interner) = (out.ddg, out.interner);
+    let scev_removed = ddg.remove_scevs();
+    let analysis = polyprof_core::polysched::Analysis::analyze(&ddg, &interner);
+    let annotated_ast = polyprof_core::polyfeedback::annotated_ast(&FeedbackInput {
+        prog,
+        ddg: &ddg,
+        interner: &interner,
+        structure: &structure,
+        analysis: &analysis,
+    });
+    Shown {
+        folded_stats: (ddg.n_stmts(), ddg.deps.len(), ddg.total_ops),
+        scev_removed,
+        annotated_ast,
+    }
+}
+
+/// The fast path is also output-neutral end-to-end: a rational-only fold is
+/// byte-identical to the default fast-path fold, which is what
+/// `profile_with` runs.
 #[test]
 fn fast_fit_off_matches_default() {
     let prog = stencil(10, 3);
-    let fast = profile_with(&prog, &ProfileConfig::new());
-    let slow = profile_with(&prog, &ProfileConfig::new().with_fast_fit(false));
+    let fast = shown(&prog, true);
+    let slow = shown(&prog, false);
+    let default = profile_with(&prog, &ProfileConfig::new());
+    assert_eq!(fast.folded_stats, default.folded_stats);
+    assert_eq!(fast.annotated_ast, default.annotated_ast);
     assert_eq!(fast.folded_stats, slow.folded_stats);
     assert_eq!(fast.scev_removed, slow.scev_removed);
     assert_eq!(fast.annotated_ast, slow.annotated_ast);

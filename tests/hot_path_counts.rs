@@ -18,13 +18,15 @@ use polyir::build::ProgramBuilder;
 use polyir::{BlockRef, CmpOp, FuncId, InstrRef, Operand, Program, Value};
 use polyprof_core::polycfg::{LoopEvent, LoopEventGen, StaticStructure, StructureRecorder};
 use polyprof_core::polyddg::DdgProfiler;
-use polyprof_core::polyfold::FoldingSink;
+use polyprof_core::polyfold::pass2::{self, Live, Pass2, Source};
+use polyprof_core::polyfold::{FoldOptions, FoldingSink};
 use polyprof_core::polyiiv::context::{ContextInterner, CtxPathId};
 use polyprof_core::polyiiv::{CtxElem, IivTracker};
-use polyprof_core::polytrace::Counter;
+use polyprof_core::polytrace::{Collector, Counter};
 use polyprof_core::polyvm::{EventSink, Vm};
 use polyprof_core::{profile_with, MetricsLevel, ProfileConfig};
 use rodinia::paper_examples::{fig3_example1, fig3_example2};
+use std::sync::Arc;
 
 /// Loop events → tracker → interner, looked up after *every* event (the
 /// profiler only looks up when an instruction executes), against a list of
@@ -283,6 +285,28 @@ fn counters(prog: &Program, cfg: ProfileConfig) -> (u64, u64) {
     )
 }
 
+/// [`counters`] of a pass-2 fold through the rational reference
+/// (`FoldOptions::fast_fit` off).
+fn rational_counters(prog: &Program) -> (u64, u64) {
+    let mut rec = StructureRecorder::new();
+    Vm::new(prog).run(&[], &mut rec).expect("pass 1");
+    let structure = StaticStructure::analyze(prog, rec);
+    let trace = Arc::new(Collector::new(MetricsLevel::Counters));
+    let cfg = Pass2 {
+        options: FoldOptions {
+            fast_fit: false,
+            ..FoldOptions::default()
+        },
+        trace: Some(Arc::clone(&trace)),
+        ..Pass2::default()
+    };
+    pass2::run(prog, &Source::Live(Live::new(&structure)), &cfg).expect("pass 2");
+    (
+        trace.get(Counter::FoldPredicted),
+        trace.get(Counter::EventsFolded),
+    )
+}
+
 /// Every folder sees the same stream whatever the source: the predicted
 /// count is identical live and when the recording of the run is replayed —
 /// recorded in the default frames or in 64-event ones; the rational
@@ -308,7 +332,7 @@ fn predicted_count_is_a_fact_of_the_stream() {
             );
         }
         std::fs::remove_file(&path).ok();
-        let rational = counters(&prog, ProfileConfig::new().with_fast_fit(false));
+        let rational = rational_counters(&prog);
         assert_eq!(
             rational,
             (0, live.1),

@@ -15,11 +15,9 @@ fn run(cfg: ProfileConfig, level: MetricsLevel) -> RunMetrics {
         .expect("metrics requested")
 }
 
-/// Pass 2 resolves shadow memory once per memory event the prune mask lets
-/// through: the shadow MRU sees exactly one lookup for each (hits + misses
-/// == mem events − pruned mem events) on a plain run and under an armed
-/// plan that never fires — with the mask off, and with it on (which prunes
-/// every access site of this stencil).
+/// Pass 2 resolves shadow memory once per memory event: the shadow MRU sees
+/// exactly one lookup for each (hits + misses == mem events) on a plain run
+/// and under an armed plan that never fires.
 #[test]
 fn shadow_mru_accounts_for_every_memory_event() {
     use polyprof_core::polyresist::FaultPlan;
@@ -30,21 +28,16 @@ fn shadow_mru_accounts_for_every_memory_event() {
     let base = ProfileConfig::new().with_metrics(MetricsLevel::Counters);
     for (what, cfg) in [
         ("plain", base.clone()),
-        ("armed", base.clone().with_fault_plan(unfired)),
+        ("armed", base.with_fault_plan(unfired)),
     ] {
-        for prune in [false, true] {
-            let cfg = cfg.clone().with_static_prune(prune);
-            let m = profile_with(&prog, &cfg).metrics.expect("counters on");
-            let mem = m.counter(Counter::MemEvents);
-            let pruned = m.counter(Counter::PrunedMemEvents);
-            assert!(mem > 0, "{what}: no memory events");
-            assert_eq!(pruned > 0, prune, "{what}: prune={prune}");
-            assert_eq!(
-                m.counter(Counter::ShadowMruHit) + m.counter(Counter::ShadowMruMiss),
-                mem - pruned,
-                "{what}, prune={prune}: shadow MRU lookups"
-            );
-        }
+        let m = profile_with(&prog, &cfg).metrics.expect("counters on");
+        let mem = m.counter(Counter::MemEvents);
+        assert!(mem > 0, "{what}: no memory events");
+        assert_eq!(
+            m.counter(Counter::ShadowMruHit) + m.counter(Counter::ShadowMruMiss),
+            mem,
+            "{what}: shadow MRU lookups"
+        );
     }
 }
 
@@ -218,7 +211,6 @@ fn every_json_writer_passes_the_validator() {
     let cfg = ProfileConfig::new()
         .with_metrics(MetricsLevel::Trace)
         .with_lint(true)
-        .with_static_prune(true)
         .with_fault_plan(std::sync::Arc::new(
             FaultPlan::parse("seed=2;stall:beat@1;stall_ms=5").unwrap(),
         ));
