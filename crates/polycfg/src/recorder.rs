@@ -5,6 +5,14 @@
 //! Only executed blocks and edges are analyzed — the paper highlights this
 //! as an advantage over static analysis for large programs with small hot
 //! regions.
+//!
+//! Recording runs once per executed instruction, so it touches no tree.
+//! [`StructureRecorder`] keeps dense tables per `FuncId`, grown on first
+//! touch: an executed-block bitset, a two-slot successor list per block (a
+//! `Jump` or `Br` names at most two successors) and a callee bitset. An
+//! `exec` event compares one cached `BlockRef`; a jump, call or return sets
+//! a bit or fills a slot. [`StaticStructure::analyze`] turns the tables into
+//! the ordered [`DynCfg`] sets and the call graph once, after the run.
 
 use crate::loop_forest::LoopForest;
 use crate::recursive::RecursiveComponentSet;
@@ -20,15 +28,45 @@ pub struct DynCfg {
     pub edges: BTreeSet<(LocalBlockId, LocalBlockId)>,
 }
 
+/// An empty successor slot.
+const NO_SUCC: u32 = u32::MAX;
+
+/// What pass 1 saw of one function: block tables indexed by
+/// `LocalBlockId`, the callee bitset by `FuncId`.
+#[derive(Debug, Default)]
+struct FuncTables {
+    /// Executed blocks, one bit each; all zero if the function never ran.
+    blocks: Vec<u64>,
+    /// Observed successors per block, [`NO_SUCC`] where unused.
+    succs: Vec<[u32; 2]>,
+    /// Edges beyond a block's two slots. A terminator cannot produce one;
+    /// this only keeps a hand-fed event stream exact.
+    more_edges: Vec<(LocalBlockId, LocalBlockId)>,
+    /// Called functions, one bit each.
+    callees: Vec<u64>,
+}
+
+fn set_bit(bits: &mut Vec<u64>, i: usize) {
+    let w = i / 64;
+    if w >= bits.len() {
+        bits.resize(w + 1, 0);
+    }
+    bits[w] |= 1 << (i % 64);
+}
+
+fn ones(bits: &[u64]) -> impl Iterator<Item = u32> + '_ {
+    bits.iter().enumerate().flat_map(|(w, &word)| {
+        (0..64u32)
+            .filter(move |b| word >> b & 1 == 1)
+            .map(move |b| w as u32 * 64 + b)
+    })
+}
+
 /// [`polyvm::EventSink`] that records dynamic CFGs and the call graph.
 #[derive(Debug, Default)]
 pub struct StructureRecorder {
-    /// Per-function dynamic CFG.
-    pub cfgs: BTreeMap<FuncId, DynCfg>,
-    /// Dynamic call-graph edges (caller function → callee function).
-    pub cg_edges: BTreeSet<(FuncId, FuncId)>,
-    /// Functions observed executing.
-    pub funcs: BTreeSet<FuncId>,
+    /// Per-function tables, indexed by `FuncId`.
+    funcs: Vec<FuncTables>,
     last_block: Option<BlockRef>,
 }
 
@@ -38,6 +76,15 @@ impl StructureRecorder {
         Self::default()
     }
 
+    fn tables(&mut self, f: FuncId) -> &mut FuncTables {
+        let i = f.0 as usize;
+        if i >= self.funcs.len() {
+            self.funcs.resize_with(i + 1, FuncTables::default);
+        }
+        &mut self.funcs[i]
+    }
+
+    #[inline]
     fn touch_block(&mut self, b: BlockRef) {
         // Cache the last touched block: the exec stream revisits the same
         // block for every instruction.
@@ -45,8 +92,30 @@ impl StructureRecorder {
             return;
         }
         self.last_block = Some(b);
-        self.funcs.insert(b.func);
-        self.cfgs.entry(b.func).or_default().blocks.insert(b.block);
+        set_bit(&mut self.tables(b.func).blocks, b.block.0 as usize);
+    }
+
+    /// The recorded dynamic CFGs of every executed function and the
+    /// call-graph edges, as ordered sets.
+    fn into_graphs(self) -> (BTreeMap<FuncId, DynCfg>, BTreeSet<(FuncId, FuncId)>) {
+        let mut cfgs = BTreeMap::new();
+        let mut cg_edges = BTreeSet::new();
+        for (f, t) in self.funcs.into_iter().enumerate() {
+            let f = FuncId(f as u32);
+            cg_edges.extend(ones(&t.callees).map(|g| (f, FuncId(g))));
+            if t.blocks.iter().all(|&w| w == 0) {
+                continue;
+            }
+            let mut edges: BTreeSet<_> = t.more_edges.into_iter().collect();
+            for (from, succ) in t.succs.iter().enumerate() {
+                for &to in succ.iter().filter(|&&s| s != NO_SUCC) {
+                    edges.insert((LocalBlockId(from as u32), LocalBlockId(to)));
+                }
+            }
+            let blocks = ones(&t.blocks).map(LocalBlockId).collect();
+            cfgs.insert(f, DynCfg { blocks, edges });
+        }
+        (cfgs, cg_edges)
     }
 }
 
@@ -55,17 +124,32 @@ impl polyvm::EventSink for StructureRecorder {
         debug_assert_eq!(from.func, to.func);
         self.touch_block(from);
         self.touch_block(to);
-        self.cfgs
-            .entry(from.func)
-            .or_default()
-            .edges
-            .insert((from.block, to.block));
+        let t = self.tables(from.func);
+        let i = from.block.0 as usize;
+        if i >= t.succs.len() {
+            t.succs.resize(i + 1, [NO_SUCC; 2]);
+        }
+        let slots = &mut t.succs[i];
+        let to = to.block.0;
+        if slots[0] == to || slots[1] == to {
+            return;
+        }
+        if slots[0] == NO_SUCC {
+            slots[0] = to;
+        } else if slots[1] == NO_SUCC {
+            slots[1] = to;
+        } else {
+            let e = (from.block, LocalBlockId(to));
+            if !t.more_edges.contains(&e) {
+                t.more_edges.push(e);
+            }
+        }
     }
 
     fn call(&mut self, callsite: BlockRef, callee: FuncId, entry: BlockRef) {
         self.touch_block(callsite);
         self.touch_block(entry);
-        self.cg_edges.insert((callsite.func, callee));
+        set_bit(&mut self.tables(callsite.func).callees, callee.0 as usize);
     }
 
     fn ret(&mut self, _from: FuncId, to: Option<BlockRef>) {
@@ -75,6 +159,7 @@ impl polyvm::EventSink for StructureRecorder {
         self.last_block = to;
     }
 
+    #[inline]
     fn exec(&mut self, instr: InstrRef, _value: Option<Value>) {
         self.touch_block(instr.block);
     }
@@ -97,18 +182,16 @@ impl StaticStructure {
     /// Analyze a completed recording. `prog` supplies entry-function and
     /// entry-block information.
     pub fn analyze(prog: &Program, rec: StructureRecorder) -> StaticStructure {
+        let (cfgs, cg_edges) = rec.into_graphs();
         let mut forests = BTreeMap::new();
-        for (&f, cfg) in &rec.cfgs {
+        for (&f, cfg) in &cfgs {
             let entry = prog.func(f).entry();
             forests.insert(f, LoopForest::build(&cfg.blocks, &cfg.edges, entry));
         }
+        let funcs: BTreeSet<FuncId> = cfgs.keys().copied().collect();
         let root = prog.entry.unwrap_or(FuncId(0));
-        let rcs = RecursiveComponentSet::build(&rec.funcs, &rec.cg_edges, root);
-        StaticStructure {
-            forests,
-            rcs,
-            cfgs: rec.cfgs,
-        }
+        let rcs = RecursiveComponentSet::build(&funcs, &cg_edges, root);
+        StaticStructure { forests, rcs, cfgs }
     }
 
     /// Forest lookup; panics if the function never executed.

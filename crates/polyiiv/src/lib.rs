@@ -74,6 +74,9 @@ pub struct IivTracker {
     /// a handful of successors.
     succ: Vec<Vec<(LoopEvent, u32)>>,
     memo_misses: u64,
+    /// Context vectors of closed dimensions, reused by the next dimension
+    /// opened, so that entering a loop allocates nothing in steady state.
+    spare_ctx: Vec<Vec<CtxElem>>,
 }
 
 impl IivTracker {
@@ -96,6 +99,7 @@ impl IivTracker {
             states,
             succ: vec![Vec::new()],
             memo_misses: 0,
+            spare_ctx: Vec::new(),
         }
     }
 
@@ -144,6 +148,21 @@ impl IivTracker {
             .expect("IIV always has a root dimension")
     }
 
+    /// Open an innermost dimension whose context starts at `block`.
+    fn open_dim(&mut self, block: BlockRef) {
+        let mut ctx = self.spare_ctx.pop().unwrap_or_default();
+        ctx.push(CtxElem::Block(block));
+        self.dims.push(Dim { iv: 0, ctx });
+    }
+
+    /// Close the innermost dimension, keeping its context vector.
+    fn close_dim(&mut self) {
+        let mut closed = self.dims.pop().expect("IIV always has a root dimension");
+        assert!(!self.dims.is_empty(), "exited the root dimension");
+        closed.ctx.clear();
+        self.spare_ctx.push(closed.ctx);
+    }
+
     fn set_ctx_last(&mut self, e: CtxElem) {
         let dim = self.innermost();
         if dim.ctx.last() == Some(&e) {
@@ -185,28 +204,21 @@ impl IivTracker {
             // Ec(L,B): push the recursive loop, then open a new dimension.
             LoopEvent::EnterRec { l, block } => {
                 self.innermost().ctx.push(CtxElem::Loop(l));
-                self.dims.push(Dim {
-                    iv: 0,
-                    ctx: vec![CtxElem::Block(block)],
-                });
+                self.open_dim(block);
                 self.version += 1;
             }
             // E(L,H): replace the current block with the loop id, then open
             // a new dimension whose context starts at the header.
             LoopEvent::Enter { l, block } => {
                 self.set_ctx_last(CtxElem::Loop(l));
-                self.dims.push(Dim {
-                    iv: 0,
-                    ctx: vec![CtxElem::Block(block)],
-                });
+                self.open_dim(block);
                 self.version += 1;
             }
             // X(L,B): close the dimension; execution continues at B. The
             // matching E replaced the context top in place, so X replaces it
             // back.
             LoopEvent::Exit { block, .. } => {
-                self.dims.pop();
-                assert!(!self.dims.is_empty(), "exited the root dimension");
+                self.close_dim();
                 self.version += 1;
                 self.set_ctx_last(CtxElem::Block(block));
             }
@@ -214,8 +226,7 @@ impl IivTracker {
             // (the entering call grew the stack), so Xr pops it — the final
             // return unwinds that call — before restoring the block.
             LoopEvent::ExitRec { block, .. } => {
-                self.dims.pop();
-                assert!(!self.dims.is_empty(), "exited the root dimension");
+                self.close_dim();
                 let dim = self.innermost();
                 dim.ctx.pop();
                 assert!(!dim.ctx.is_empty(), "recursive exit past the root context");

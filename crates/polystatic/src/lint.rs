@@ -128,6 +128,15 @@ pub fn lint_ddg_with_deps(
     rep
 }
 
+/// The folded statements in `StmtId` order: `FoldedDdg::stmts` is a
+/// `HashMap`, and violations must come out in the same order in every
+/// process.
+fn stmt_order(ddg: &FoldedDdg) -> impl Iterator<Item = polyiiv::context::StmtId> {
+    let mut ids: Vec<_> = ddg.stmts.keys().copied().collect();
+    ids.sort_unstable();
+    ids.into_iter()
+}
+
 /// Claim 1: every dynamically observed edge exists statically, and every
 /// dynamic loop nests inside a static loop consistently with its parent.
 /// (The dynamic forest is built over the *executed* subgraph, so its loops
@@ -214,9 +223,10 @@ fn check_must_flow(
     if summary.must_flow.is_empty() {
         return;
     }
-    // instr → folded stmt ids, to find each load's dynamic incarnations.
+    // instr → folded stmt ids in ascending order, to find each load's
+    // dynamic incarnations.
     let mut by_instr: BTreeMap<polyir::InstrRef, Vec<polyiiv::context::StmtId>> = BTreeMap::new();
-    for &s in ddg.stmts.keys() {
+    for s in stmt_order(ddg) {
         by_instr
             .entry(interner.stmt_info(s).instr)
             .or_default()
@@ -335,7 +345,7 @@ fn check_scev_marks(
     interner: &ContextInterner,
     rep: &mut LintReport,
 ) {
-    for s in ddg.stmts.values() {
+    for s in stmt_order(ddg).map(|id| &ddg.stmts[&id]) {
         let instr = interner.stmt_info(s.stmt).instr;
         if !summary.is_proven_scev(instr) {
             continue;
@@ -487,6 +497,51 @@ mod tests {
             .violations
             .iter()
             .any(|v| v.kind == LintKind::DynamicExceedsStatic));
+    }
+
+    #[test]
+    fn violations_come_out_in_statement_order() {
+        // Three nested loops of affine index arithmetic: every statement the
+        // static pass proves SCEV, with its dynamic mark cleared, is one
+        // unmarked-SCEV violation, and `stmts` is a HashMap.
+        let mut pb = ProgramBuilder::new("t");
+        let a = pb.alloc(512);
+        let mut f = pb.func("main", 0);
+        f.for_loop("I", 0i64, 4i64, 1, |f, i| {
+            let i2 = f.add(i, 2i64);
+            f.for_loop("J", 0i64, 4i64, 1, |f, j| {
+                let ij = f.add(i2, j);
+                f.for_loop("K", 0i64, 4i64, 1, |f, k| {
+                    let x = f.add(ij, k);
+                    let y = f.mul(x, 3i64);
+                    let z = f.add(y, 1i64);
+                    f.store(a as i64, z, x);
+                });
+            });
+        });
+        f.ret(None);
+        let fid = f.finish();
+        pb.set_entry(fid);
+        let p = pb.finish();
+        let (mut ddg, interner, structure) = polyfold::fold_program(&p);
+        for s in ddg.stmts.values_mut() {
+            s.is_scev = false;
+        }
+        let rep = lint_ddg(&p, &StaticSummary::analyze(&p), &ddg, &interner, &structure);
+        let ids: Vec<u32> = rep
+            .violations
+            .iter()
+            .filter(|v| v.kind == LintKind::UnmarkedScev)
+            .map(|v| {
+                let id = v
+                    .detail
+                    .strip_prefix("stmt StmtId(")
+                    .expect("detail names the stmt");
+                id[..id.find(')').unwrap()].parse().unwrap()
+            })
+            .collect();
+        assert!(ids.len() >= 8, "{} unmarked-SCEV violations", ids.len());
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
     }
 
     #[test]

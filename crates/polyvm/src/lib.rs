@@ -18,6 +18,7 @@
 
 use polyir::*;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Instant;
 
 pub mod sinks;
@@ -232,6 +233,43 @@ const PAGE_SIZE: usize = 1 << PAGE_BITS;
 /// Sentinel page number that can never equal `addr >> PAGE_BITS`.
 const NO_PAGE: u64 = u64::MAX;
 
+/// Hasher of the page index: one multiply by a 64-bit odd constant, folded
+/// to 64 bits by XOR-ing the product's halves, so that the low bits (the
+/// table's bucket) and the high bits (its tag) both depend on every bit of
+/// the page number. `std`'s keyed SipHash guards against keys crafted to
+/// collide; page numbers are addresses of the profiled program, which the
+/// caller builds (the server profiles only registered workloads) and whose
+/// cost fuel and deadlines already bound. Here it bought nothing but time on
+/// the page-switch path, which most accesses of a kernel streaming several
+/// arrays take.
+#[derive(Default)]
+struct PageHasher(u64);
+
+impl PageHasher {
+    #[inline]
+    fn mix(&mut self, x: u64) {
+        let p = u128::from(self.0 ^ x) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (p as u64) ^ ((p >> 64) as u64);
+    }
+}
+
+impl Hasher for PageHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.mix(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Sparse, paged word-addressed memory. Uninitialized cells read as `I64(0)`.
 ///
 /// Pages live in a flat vector behind a page-number index; an MRU (last-page)
@@ -241,7 +279,7 @@ const NO_PAGE: u64 = u64::MAX;
 #[derive(Debug)]
 pub struct Memory {
     pages: Vec<Box<[Value; PAGE_SIZE]>>,
-    index: HashMap<u64, u32>,
+    index: HashMap<u64, u32, BuildHasherDefault<PageHasher>>,
     mru: std::cell::Cell<(u64, u32)>,
 }
 
@@ -249,7 +287,7 @@ impl Default for Memory {
     fn default() -> Self {
         Memory {
             pages: Vec::new(),
-            index: HashMap::new(),
+            index: HashMap::default(),
             mru: std::cell::Cell::new((NO_PAGE, 0)),
         }
     }
@@ -310,6 +348,7 @@ impl Memory {
 struct Frame {
     func: FuncId,
     block: LocalBlockId,
+    /// Where a caller resumes in `block` (set when it makes a call).
     idx: usize,
     regs: Vec<Value>,
     /// Where to put the return value in the caller.
@@ -408,37 +447,48 @@ impl<'p> Vm<'p> {
     }
 
     /// Execute an arbitrary function as the root frame.
+    ///
+    /// The current frame lives in a local and the stack holds only its
+    /// callers, so a block's instructions run in an inner loop over one
+    /// borrowed slice; a frame's resume index is written only when a call
+    /// leaves its block. Register vectors of returned frames are kept for
+    /// the next call, so a call allocates nothing once the deepest call
+    /// chain has been reached.
     pub fn run_func<S: EventSink>(
         &mut self,
         root: FuncId,
         args: &[Value],
         sink: &mut S,
     ) -> Result<RunOutcome, VmError> {
-        let rootf = self.prog.func(root);
+        let prog = self.prog;
+        let rootf = prog.func(root);
         assert_eq!(args.len(), rootf.n_params as usize, "root arity mismatch");
         let mut regs = vec![Value::I64(0); rootf.n_regs as usize];
         regs[..args.len()].copy_from_slice(args);
-        let mut stack = vec![Frame {
+        let mut cur = Frame {
             func: root,
             block: rootf.entry(),
             idx: 0,
             regs,
             ret_reg: None,
-        }];
+        };
+        // Callers of `cur`, innermost last, and spare register vectors.
+        let mut stack: Vec<Frame> = Vec::new();
+        let mut spare: Vec<Vec<Value>> = Vec::new();
+        // Where execution resumes in `cur.block`.
+        let mut start = 0usize;
         let mut fuel = self.cfg.fuel;
         let mut executed: u64 = 0;
 
-        'outer: loop {
-            // Execute instructions of the current frame until a control event.
-            let (func, block, idx) = {
-                let f = stack.last().expect("non-empty stack");
-                (f.func, f.block, f.idx)
+        'blocks: loop {
+            let func = cur.func;
+            let here = BlockRef {
+                func,
+                block: cur.block,
             };
-            let blk = self.prog.func(func).block(block);
-            let here = BlockRef { func, block };
+            let blk = prog.func(func).block(cur.block);
 
-            if idx < blk.instrs.len() {
-                let ins = &blk.instrs[idx];
+            for (idx, ins) in blk.instrs.iter().enumerate().skip(start) {
                 if fuel == 0 {
                     return Err(VmError::FuelExhausted);
                 }
@@ -460,83 +510,78 @@ impl<'p> Vm<'p> {
                     block: here,
                     idx: idx as u32,
                 };
-                match ins {
-                    Instr::Call {
-                        dst,
-                        func: callee,
-                        args,
-                    } => {
-                        if stack.len() >= self.cfg.max_stack {
-                            return Err(VmError::StackOverflow);
-                        }
-                        let frame = stack.last_mut().expect("frame");
-                        let vals: Vec<Value> =
-                            args.iter().map(|a| Self::eval(&frame.regs, a)).collect();
-                        frame.idx = idx + 1;
-                        let calleef = self.prog.func(*callee);
-                        let mut regs = vec![Value::I64(0); calleef.n_regs as usize];
-                        regs[..vals.len()].copy_from_slice(&vals);
-                        let entry = BlockRef {
-                            func: *callee,
-                            block: calleef.entry(),
-                        };
-                        sink.exec(iref, None);
-                        sink.call(here, *callee, entry);
-                        stack.push(Frame {
-                            func: *callee,
-                            block: calleef.entry(),
-                            idx: 0,
-                            regs,
-                            ret_reg: *dst,
-                        });
-                        continue 'outer;
+                if let Instr::Call {
+                    dst,
+                    func: callee,
+                    args,
+                } = ins
+                {
+                    if stack.len() + 1 >= self.cfg.max_stack {
+                        return Err(VmError::StackOverflow);
                     }
-                    _ => {
-                        let frame = stack.last_mut().expect("frame");
-                        let t0 = time_this.then(Instant::now);
-                        let value = step_instr(ins, frame, &mut self.mem, iref, sink);
-                        if let (Some(t0), Some(t)) = (t0, self.telemetry.as_deref_mut()) {
-                            t.dispatch_ns.record(t0.elapsed().as_nanos() as u64);
-                        }
-                        frame.idx = idx + 1;
-                        sink.exec(iref, value);
-                        continue 'outer;
+                    let calleef = prog.func(*callee);
+                    let mut regs = spare.pop().unwrap_or_default();
+                    regs.clear();
+                    regs.resize(calleef.n_regs as usize, Value::I64(0));
+                    for (r, a) in regs.iter_mut().zip(args) {
+                        *r = Self::eval(&cur.regs, a);
                     }
+                    let entry = BlockRef {
+                        func: *callee,
+                        block: calleef.entry(),
+                    };
+                    sink.exec(iref, None);
+                    sink.call(here, *callee, entry);
+                    cur.idx = idx + 1;
+                    let callee_frame = Frame {
+                        func: *callee,
+                        block: entry.block,
+                        idx: 0,
+                        regs,
+                        ret_reg: *dst,
+                    };
+                    stack.push(std::mem::replace(&mut cur, callee_frame));
+                    start = 0;
+                    continue 'blocks;
                 }
+                let t0 = time_this.then(Instant::now);
+                let value = step_instr(ins, &mut cur.regs, &mut self.mem, iref, sink);
+                if let (Some(t0), Some(t)) = (t0, self.telemetry.as_deref_mut()) {
+                    t.dispatch_ns.record(t0.elapsed().as_nanos() as u64);
+                }
+                sink.exec(iref, value);
             }
 
             // Terminator.
             match &blk.term {
                 Terminator::Jump(t) => {
-                    let to = BlockRef { func, block: *t };
-                    sink.local_jump(here, to);
-                    let frame = stack.last_mut().expect("frame");
-                    frame.block = *t;
-                    frame.idx = 0;
+                    sink.local_jump(here, BlockRef { func, block: *t });
+                    cur.block = *t;
+                    start = 0;
                 }
                 Terminator::Br { cond, then_, else_ } => {
-                    let frame = stack.last_mut().expect("frame");
-                    let c = Self::eval(&frame.regs, cond).is_truthy();
-                    let t = if c { *then_ } else { *else_ };
-                    let to = BlockRef { func, block: t };
-                    frame.block = t;
-                    frame.idx = 0;
-                    sink.local_jump(here, to);
+                    let t = if Self::eval(&cur.regs, cond).is_truthy() {
+                        *then_
+                    } else {
+                        *else_
+                    };
+                    cur.block = t;
+                    start = 0;
+                    sink.local_jump(here, BlockRef { func, block: t });
                 }
                 Terminator::Ret(v) => {
-                    let frame = stack.last().expect("frame");
-                    let rv = v.as_ref().map(|o| Self::eval(&frame.regs, o));
-                    let ret_reg = frame.ret_reg;
-                    stack.pop();
-                    match stack.last_mut() {
-                        Some(caller) => {
-                            if let (Some(r), Some(val)) = (ret_reg, rv) {
+                    let rv = v.as_ref().map(|o| Self::eval(&cur.regs, o));
+                    match stack.pop() {
+                        Some(mut caller) => {
+                            if let (Some(r), Some(val)) = (cur.ret_reg, rv) {
                                 caller.regs[r.0 as usize] = val;
                             }
                             let to = BlockRef {
                                 func: caller.func,
                                 block: caller.block,
                             };
+                            start = caller.idx;
+                            spare.push(std::mem::replace(&mut cur, caller).regs);
                             sink.ret(func, Some(to));
                         }
                         None => {
@@ -556,10 +601,11 @@ impl<'p> Vm<'p> {
     }
 }
 
-/// Execute one non-call instruction; returns the produced value.
+/// Execute one non-call instruction over the frame's registers; returns the
+/// produced value.
 fn step_instr<S: EventSink>(
     ins: &Instr,
-    frame: &mut Frame,
+    regs: &mut [Value],
     mem: &mut Memory,
     iref: InstrRef,
     sink: &mut S,
@@ -573,62 +619,62 @@ fn step_instr<S: EventSink>(
     };
     match ins {
         Instr::Const { dst, value } => {
-            frame.regs[dst.0 as usize] = *value;
+            regs[dst.0 as usize] = *value;
             Some(*value)
         }
         Instr::Move { dst, src } => {
-            let v = ev(&frame.regs, src);
-            frame.regs[dst.0 as usize] = v;
+            let v = ev(regs, src);
+            regs[dst.0 as usize] = v;
             Some(v)
         }
         Instr::IOp { dst, op, a, b } => {
-            let x = ev(&frame.regs, a).as_i64();
-            let y = ev(&frame.regs, b).as_i64();
+            let x = ev(regs, a).as_i64();
+            let y = ev(regs, b).as_i64();
             let v = Value::I64(ibinop(*op, x, y));
-            frame.regs[dst.0 as usize] = v;
+            regs[dst.0 as usize] = v;
             Some(v)
         }
         Instr::FOp { dst, op, a, b } => {
-            let x = ev(&frame.regs, a).as_f64();
-            let y = ev(&frame.regs, b).as_f64();
+            let x = ev(regs, a).as_f64();
+            let y = ev(regs, b).as_f64();
             let v = Value::F64(fbinop(*op, x, y));
-            frame.regs[dst.0 as usize] = v;
+            regs[dst.0 as usize] = v;
             Some(v)
         }
         Instr::ICmp { dst, op, a, b } => {
-            let x = ev(&frame.regs, a).as_i64();
-            let y = ev(&frame.regs, b).as_i64();
+            let x = ev(regs, a).as_i64();
+            let y = ev(regs, b).as_i64();
             let v = Value::I64(cmp(*op, &x, &y) as i64);
-            frame.regs[dst.0 as usize] = v;
+            regs[dst.0 as usize] = v;
             Some(v)
         }
         Instr::FCmp { dst, op, a, b } => {
-            let x = ev(&frame.regs, a).as_f64();
-            let y = ev(&frame.regs, b).as_f64();
+            let x = ev(regs, a).as_f64();
+            let y = ev(regs, b).as_f64();
             let v = Value::I64(cmp(*op, &x, &y) as i64);
-            frame.regs[dst.0 as usize] = v;
+            regs[dst.0 as usize] = v;
             Some(v)
         }
         Instr::Un { dst, op, a } => {
-            let x = ev(&frame.regs, a);
+            let x = ev(regs, a);
             let v = unop(*op, x);
-            frame.regs[dst.0 as usize] = v;
+            regs[dst.0 as usize] = v;
             Some(v)
         }
         Instr::Load { dst, base, offset } => {
-            let addr = (ev(&frame.regs, base)
+            let addr = (ev(regs, base)
                 .as_i64()
-                .wrapping_add(ev(&frame.regs, offset).as_i64())) as u64;
+                .wrapping_add(ev(regs, offset).as_i64())) as u64;
             sink.mem(iref, addr, false);
             let v = mem.read(addr);
-            frame.regs[dst.0 as usize] = v;
+            regs[dst.0 as usize] = v;
             Some(v)
         }
         Instr::Store { base, offset, src } => {
-            let addr = (ev(&frame.regs, base)
+            let addr = (ev(regs, base)
                 .as_i64()
-                .wrapping_add(ev(&frame.regs, offset).as_i64())) as u64;
-            let v = ev(&frame.regs, src);
+                .wrapping_add(ev(regs, offset).as_i64())) as u64;
+            let v = ev(regs, src);
             sink.mem(iref, addr, true);
             mem.write(addr, v);
             None

@@ -105,6 +105,85 @@ fn steady_state_profiling_does_not_allocate_per_event() {
     );
 }
 
+/// A loop whose body calls `step`, and a loop whose body starts a recursion
+/// of fixed depth: the call and return path of both passes on every
+/// iteration.
+fn calling_kernel(n: i64) -> Program {
+    let mut pb = ProgramBuilder::new("calls");
+    let a = pb.alloc(64);
+    let mut step = pb.func("step", 2);
+    let (x, i) = (step.param(0), step.param(1));
+    let idx = step.rem(i, 64i64);
+    step.store(a as i64, idx, x);
+    step.ret(Some(idx.into()));
+    let step_id = step.finish();
+
+    let down = pb.declare("down", 1);
+    let mut d = pb.func("down", 1);
+    let k = d.param(0);
+    let more = d.icmp(polyir::CmpOp::Gt, k, 0i64);
+    let go = d.block("go");
+    let done = d.block("done");
+    d.br(more, go, done);
+    d.switch_to(go);
+    let k1 = d.sub(k, 1i64);
+    d.call_void(down, &[k1.into()]);
+    d.jump(done);
+    d.switch_to(done);
+    d.ret(None);
+    d.finish();
+
+    let mut f = pb.func("main", 0);
+    f.for_loop("L", 0i64, n, 1, |f, i| {
+        let v = f.load(a as i64, 0i64);
+        f.call(step_id, &[v.into(), i.into()]);
+        f.call_void(down, &[3i64.into()]);
+    });
+    f.ret(None);
+    let fid = f.finish();
+    pb.set_entry(fid);
+    pb.finish()
+}
+
+/// Both passes over `prog`, pass 1 into the structure recorder and pass 2
+/// into a folding profiler; returns (dynamic instructions, allocations of
+/// the two VM runs).
+fn both_passes_counting(prog: &Program) -> (u64, u64) {
+    let mut rec = polycfg::StructureRecorder::new();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let out = polyvm::Vm::new(prog).run(&[], &mut rec).expect("pass 1");
+    let pass1 = ALLOCS.load(Ordering::Relaxed) - before;
+    let structure = polycfg::StaticStructure::analyze(prog, rec);
+    let mut prof = polyddg::DdgProfiler::new(prog, &structure, polyfold::FoldingSink::new());
+    let before = ALLOCS.load(Ordering::Relaxed);
+    polyvm::Vm::new(prog).run(&[], &mut prof).expect("pass 2");
+    let pass2 = ALLOCS.load(Ordering::Relaxed) - before;
+    (out.dyn_instrs, pass1 + pass2)
+}
+
+/// A call allocates nothing once the deepest call chain has been reached:
+/// the VM recycles register vectors, pass 1 sets bits, pass 2 pools its
+/// register frames and the IIV tracker reuses the context vector of the
+/// last dimension it closed. An argument vector and a register vector per
+/// call in each VM run, and a context vector per loop or recursion entry,
+/// read 31 500 extra allocations here.
+#[test]
+fn calls_do_not_allocate_per_call_in_either_pass() {
+    let _alone = exclusive();
+    let (short_n, long_n) = (300i64, 1800i64);
+    let _ = both_passes_counting(&calling_kernel(short_n));
+    let (instrs_short, allocs_short) = both_passes_counting(&calling_kernel(short_n));
+    let (instrs_long, allocs_long) = both_passes_counting(&calling_kernel(long_n));
+    let extra_calls = 5 * (long_n - short_n) as u64;
+    assert!(instrs_long - instrs_short > 20_000, "kernel too small");
+    let extra_allocs = allocs_long.saturating_sub(allocs_short);
+    assert!(
+        extra_allocs < 64,
+        "{extra_allocs} extra allocations over {extra_calls} extra calls \
+         (short: {allocs_short}, long: {allocs_long})"
+    );
+}
+
 /// `prog`'s pass-2 event stream, captured in memory in arrival order, and
 /// the interner that numbered its statements.
 fn capture_pass2(prog: &Program) -> (EventChunk, ContextInterner) {
