@@ -302,13 +302,21 @@ impl OnlineAffineFitter {
         }
     }
 
-    /// Tally `n` samples that a caller verified against the candidate by
-    /// itself, all between an earlier pushed value and `last` inclusive: what
-    /// `n` verified [`push`](Self::push) calls would have left behind.
-    pub(crate) fn absorb_verified(&mut self, n: u64, last: i64) {
+    /// True once the samples are known not to be affine: from then on a
+    /// sample only counts and widens the range.
+    pub(crate) fn is_failed(&self) -> bool {
+        self.failed
+    }
+
+    /// Tally `n` samples the caller accepted without pushing them — each one
+    /// the candidate verifies, or any value once the fitter has failed —
+    /// whose values lie between `lo` and `hi`, or between those and an
+    /// earlier pushed value: what `n` [`push`](Self::push) calls would have
+    /// left behind.
+    pub(crate) fn absorb(&mut self, n: u64, lo: i64, hi: i64) {
         self.n += n;
-        self.vmin = self.vmin.min(last);
-        self.vmax = self.vmax.max(last);
+        self.vmin = self.vmin.min(lo);
+        self.vmax = self.vmax.max(hi);
     }
 
     /// The affine function every sample so far matches, if there is one:
@@ -572,5 +580,34 @@ mod tests {
             panic!();
         };
         assert_eq!(a.coeffs, vec![Rat::new(1, 2)]);
+    }
+
+    /// A deep fitter verifies in integers too: an 8-dimensional affine
+    /// stream keeps a fast step (no rational-path cliff past the depths the
+    /// suite reaches), and agrees with the rational reference.
+    #[test]
+    fn deep_fitter_keeps_an_integer_mirror() {
+        let coeffs = [3i64, -1, 4, 1, -5, 9, 2, 6];
+        let mut fast = OnlineAffineFitter::new(8);
+        let mut slow = OnlineAffineFitter::with_fast(8, false);
+        let mut seed = 7u64;
+        for _ in 0..40 {
+            let x: Vec<i64> = (0..8)
+                .map(|_| {
+                    seed = seed
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    (seed >> 58) as i64 - 32
+                })
+                .collect();
+            let v = 11 + coeffs.iter().zip(&x).map(|(a, b)| a * b).sum::<i64>();
+            fast.push(&x, v);
+            slow.push(&x, v);
+        }
+        assert!(fast.fast_ok);
+        assert_eq!(fast.fast_step(), Some(6));
+        assert_eq!(slow.fast_step(), None);
+        assert_eq!(fast.result(), slow.result());
+        assert!(matches!(fast.result(), FitResult::Affine(_)));
     }
 }

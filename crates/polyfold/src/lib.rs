@@ -269,8 +269,9 @@ pub struct FoldingSink {
     stmts: Vec<Option<StreamFolder>>,
     /// Access folders (+ is_write), indexed by `StmtId::0`.
     accesses: Vec<Option<(StreamFolder, bool)>>,
-    /// Dependence folders + per-dimension distance ranges, appended in
-    /// first-seen order; `dep_slots` maps keys to slots.
+    /// Dependence folders (which also keep the per-dimension distance
+    /// ranges), appended in first-seen order; `dep_slots` maps keys to
+    /// slots.
     deps: Vec<DepEntry>,
     /// Per-consumer dependence table, indexed by `dst.0`: each entry is
     /// `(kind, src, class, slot)` for one relation targeting that consumer.
@@ -303,8 +304,8 @@ pub struct FoldStats {
 /// Dependence stream key: kind, producer, consumer, carried class.
 type DepKey = (DepKind, StmtId, StmtId, u8);
 
-/// One dependence stream: key, folder, per-dimension distance ranges.
-type DepEntry = (DepKey, StreamFolder, Vec<(i64, i64)>);
+/// One dependence stream: key and folder.
+type DepEntry = (DepKey, StreamFolder);
 
 /// Carried-class tag for loop-independent dependences.
 const CLASS_NONE: u8 = u8::MAX;
@@ -329,7 +330,7 @@ impl FoldingSink {
     pub fn fold_stats(&self) -> FoldStats {
         let folders = (self.stmts.iter().flatten())
             .chain(self.accesses.iter().flatten().map(|(f, _)| f))
-            .chain(self.deps.iter().map(|(_, f, _)| f));
+            .chain(self.deps.iter().map(|(_, f)| f));
         FoldStats {
             predicted: folders.map(StreamFolder::predicted).sum(),
             ..self.stats
@@ -442,7 +443,8 @@ impl FoldingSink {
                 },
             );
         }
-        for ((kind, src, dst, class), folder, delta) in self.deps {
+        for ((kind, src, dst, class), mut folder) in self.deps {
+            let delta = folder.distances();
             let folded = folder.finalize();
             out.deps.push(FoldedDep {
                 kind,
@@ -548,22 +550,18 @@ impl FoldSink for FoldingSink {
                 let slot = self.deps.len() as u32;
                 self.deps.push((
                     (kind, src, dst, class),
-                    StreamFolder::with_fast_fit(dst_coords.len(), self.options.fast_fit),
-                    vec![(i64::MAX, i64::MIN); common],
+                    StreamFolder::for_dependence(
+                        dst_coords.len(),
+                        self.options.fast_fit,
+                        src_coords.len(),
+                    ),
                 ));
                 table.push((kind, src, class, slot));
                 slot
             }
         };
-        let (_, folder, delta) = &mut self.deps[slot as usize];
+        let (_, folder) = &mut self.deps[slot as usize];
         Self::maybe_degrade(&self.budget, &mut self.stats, folder);
-        for (i, d) in delta.iter_mut().enumerate().take(common) {
-            // Saturating: a replayed recording may hold any coordinates,
-            // and a clamped distance keeps its sign and order.
-            let v = dst_coords[i].saturating_sub(src_coords[i]);
-            d.0 = d.0.min(v);
-            d.1 = d.1.max(v);
-        }
         folder.push(dst_coords, Some(src_coords));
     }
 
@@ -848,8 +846,8 @@ mod tests {
         let (src, dst) = (StmtId(0), StmtId(1));
         sink.dependence(DepKind::Flow, src, &[i64::MAX], dst, &[i64::MIN]);
         sink.dependence(DepKind::Flow, src, &[i64::MIN], dst, &[i64::MAX]);
-        let [(_, folder, delta)] = <[DepEntry; 1]>::try_from(sink.deps).expect("one relation");
-        assert_eq!(delta, vec![(i64::MIN, i64::MAX)]);
+        let [(_, mut folder)] = <[DepEntry; 1]>::try_from(sink.deps).expect("one relation");
+        assert_eq!(folder.distances(), vec![(i64::MIN, i64::MAX)]);
         let domain = folder.finalize().domain;
         assert!(domain.poly.contains(&[i64::MIN]) && domain.poly.contains(&[i64::MAX]));
     }

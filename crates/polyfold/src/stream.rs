@@ -65,9 +65,13 @@ pub struct FoldedStream {
 pub struct StreamFolder {
     dim: usize,
     count: u64,
-    /// The per-dimension `i64` arrays ([`Arrays`]) back to back, in one
+    /// Every `i64` array the folder keeps ([`Arrays`]) back to back, in one
     /// buffer retained across pushes (steady-state pushes never allocate).
     arrays: Vec<i64>,
+    /// Leading coordinates whose distance to the label of the same index is
+    /// tracked: a dependence folder's common prefix (see
+    /// [`StreamFolder::for_dependence`]), 0 for any other folder.
+    dists: usize,
     has_prev: bool,
     monotone: bool,
     holes: bool,
@@ -90,26 +94,29 @@ pub struct StreamFolder {
     pred: Predictor,
 }
 
-/// What the next point of an affine run looks like: the previous point one
-/// step further along the last dimension, every label advanced by its
-/// candidate's coefficient on that dimension.
+/// What the next point of a run looks like: the previous point moved
+/// forward along the last dimension by some `Δ ≥ 1`, every affine label
+/// advanced by `Δ` times its candidate's coefficient on that dimension, any
+/// value for a label whose fitter has failed. Its per-label state lives in
+/// the folder's buffer ([`Arrays`]).
 #[derive(Debug, Clone, Default)]
 struct Predictor {
-    /// Set after a push that left every label fitter holding a live integer
-    /// candidate (and the folder exact-mode, labels consistent).
+    /// Set after a push that left every label fitter either failed or
+    /// holding a live integer candidate (and the folder exact-mode, labels
+    /// consistent).
     armed: bool,
-    /// Labels of the previous point (empty for an unlabelled stream); each
-    /// equals its fitter's candidate at that point.
-    labels: Vec<i64>,
-    /// Per label, the candidate's coefficient on the last dimension.
-    step: Vec<i64>,
+    /// A free label has a tracked distance, so predicted pushes widen the
+    /// distance ranges themselves instead of leaving it to the flush.
+    dists_each_push: bool,
     /// Predicted pushes not yet tallied in the label fitters.
     pending: u64,
     /// Predicted pushes since construction.
     hits: u64,
 }
 
-/// A [`StreamFolder`]'s per-dimension arrays, split out of its one buffer.
+/// A [`StreamFolder`]'s arrays, split out of its one buffer: five per
+/// dimension, a `(lo, hi)` pair per tracked distance, then — once the
+/// prediction has been armed on a labelled stream — one [`Slot`] per label.
 struct Arrays<'a> {
     /// Per-dimension observed minima (bounding box).
     box_lo: &'a mut [i64],
@@ -121,27 +128,72 @@ struct Arrays<'a> {
     first: &'a mut [i64],
     /// Per-dimension open-group last values.
     last: &'a mut [i64],
+    /// Per tracked distance `coords[i] − labels[i]`, its `[lo, hi]` range.
+    dist: &'a mut [[i64; 2]],
+    /// The prediction's state per label.
+    slots: &'a mut [Slot],
 }
 
-impl<'a> Arrays<'a> {
-    /// Arrays in the buffer.
-    const COUNT: usize = 5;
+/// The prediction's state for one label, indexed by [`LAB`], [`STEP`],
+/// [`FREE`], [`LO`] and [`HI`].
+type Slot = [i64; SLOT];
+/// Values in a [`Slot`].
+const SLOT: usize = 5;
+/// The label at the previous point; an affine one equals its fitter's
+/// candidate there.
+const LAB: usize = 0;
+/// The candidate's coefficient on the last dimension.
+const STEP: usize = 1;
+/// 1 if the label's fitter has failed (the label is free), else 0.
+const FREE: usize = 2;
+/// For a free label, the least value predicted pushes brought.
+const LO: usize = 3;
+/// For a free label, the greatest value predicted pushes brought.
+const HI: usize = 4;
 
-    /// Split `buf` (`COUNT · dim` long), the box first.
+impl<'a> Arrays<'a> {
+    /// Arrays per dimension.
+    const PER_DIM: usize = 5;
+
+    /// Split `buf`, the box first; the slots take what follows the
+    /// distances.
     #[inline]
-    fn of(buf: &'a mut [i64], dim: usize) -> Self {
+    fn of(buf: &'a mut [i64], dim: usize, dists: usize) -> Self {
         let (box_lo, rest) = buf.split_at_mut(dim);
         let (box_hi, rest) = rest.split_at_mut(dim);
         let (prev, rest) = rest.split_at_mut(dim);
-        let (first, last) = rest.split_at_mut(dim);
+        let (first, rest) = rest.split_at_mut(dim);
+        let (last, rest) = rest.split_at_mut(dim);
+        let (dist, slots) = rest.split_at_mut(2 * dists);
         Arrays {
             box_lo,
             box_hi,
             prev,
             first,
             last,
+            dist: dist.as_chunks_mut().0,
+            slots: slots.as_chunks_mut().0,
         }
     }
+}
+
+/// Widen the distance ranges by `coords[i] − labels[i]`, over the indices
+/// all three cover.
+#[inline]
+fn track_distances(dist: &mut [[i64; 2]], coords: &[i64], labels: &[i64]) {
+    for (d, (&c, &l)) in dist.iter_mut().zip(coords.iter().zip(labels)) {
+        widen(d, c, l);
+    }
+}
+
+/// Widen one distance range by `c − l`.
+#[inline]
+fn widen(d: &mut [i64; 2], c: i64, l: i64) {
+    // Saturating: a replayed recording may hold any coordinates, and a
+    // clamped distance keeps its sign and order.
+    let v = c.saturating_sub(l);
+    d[0] = d[0].min(v);
+    d[1] = d[1].max(v);
 }
 
 impl StreamFolder {
@@ -153,14 +205,33 @@ impl StreamFolder {
     /// Folder with the fitters' integer fast path explicitly enabled or
     /// disabled (`false` = the pure-rational reference configuration).
     pub fn with_fast_fit(dim: usize, fast_fit: bool) -> Self {
-        let mut arrays = vec![0; Arrays::COUNT * dim];
-        let a = Arrays::of(&mut arrays, dim);
+        Self::build(dim, fast_fit, 0, 1)
+    }
+
+    /// Folder for a dependence stream: points are the consumer's
+    /// coordinates, labels the producer's (`src_dim` of them). It also keeps
+    /// the range of each distance `dst_c − src_c` over the common prefix,
+    /// which [`distances`](Self::distances) reports.
+    pub(crate) fn for_dependence(dim: usize, fast_fit: bool, src_dim: usize) -> Self {
+        Self::build(dim, fast_fit, dim.min(src_dim), src_dim)
+    }
+
+    /// Folder with `dists` tracked distances and room reserved for the
+    /// prediction's arrays over `arity` labels, so arming never reallocates.
+    fn build(dim: usize, fast_fit: bool, dists: usize, arity: usize) -> Self {
+        let len = Arrays::PER_DIM * dim + 2 * dists;
+        let labels = if dim > 0 { SLOT * arity } else { 0 };
+        let mut arrays = Vec::with_capacity(len + labels);
+        arrays.resize(len, 0);
+        let a = Arrays::of(&mut arrays, dim, dists);
         a.box_lo.fill(i64::MAX);
         a.box_hi.fill(i64::MIN);
+        a.dist.fill([i64::MAX, i64::MIN]);
         StreamFolder {
             dim,
             count: 0,
             arrays,
+            dists,
             has_prev: false,
             monotone: true,
             holes: false,
@@ -193,6 +264,15 @@ impl StreamFolder {
         self.dim
     }
 
+    /// The observed range of each tracked distance `coords[i] − labels[i]`
+    /// (empty unless built by [`for_dependence`](Self::for_dependence)):
+    /// exact facts of the stream, affine or not.
+    pub(crate) fn distances(&mut self) -> Vec<(i64, i64)> {
+        self.flush_predicted();
+        let a = Arrays::of(&mut self.arrays, self.dim, self.dists);
+        a.dist.iter().map(|&[lo, hi]| (lo, hi)).collect()
+    }
+
     /// Switch to budget-degraded folding: drop the per-dimension affine
     /// fitters (freeing their memory) and keep only the bounding box, the
     /// deduplicated point count, and per-component label ranges. The
@@ -219,75 +299,123 @@ impl StreamFolder {
     /// execution order (lexicographically non-decreasing); violations are
     /// absorbed as over-approximations, never errors.
     ///
-    /// In a folded affine stream the next point is almost always the
-    /// previous one, one step further along the last dimension, with every
-    /// label advanced by its last coefficient. Such a push is accepted by
-    /// comparing it with that prediction — O(dim + labels), no fitter
+    /// Within a run along the last dimension a folded stream is almost
+    /// always predictable: the next point is the previous one moved forward
+    /// along the last dimension by `Δ` (1, or more under a guard or a
+    /// stride), every label with a live candidate advanced by `Δ` times its
+    /// last coefficient, and every label whose fitter has failed anything at
+    /// all. Such a push is accepted by comparing it with that prediction —
+    /// O(dim + labels) compares on the folder's one buffer, no fitter
     /// entered — and its effect on the label fitters (a sample count and a
-    /// value range) is deferred. Every other push first settles the deferred
-    /// tally, then takes the general path and re-arms the prediction. The
-    /// prediction decides nothing a fitter would decide differently: the
-    /// previous labels equal the candidates at the previous point, so
-    /// `previous + step` *is* the candidate at this one, in exact integers
-    /// (an overflowing sum cannot equal an `i64` label and is left to the
-    /// general path). With `fast_fit` off it is never armed.
+    /// value range) and on the distance ranges is deferred. Every other push
+    /// first settles the deferred tally, then takes the general path and
+    /// re-arms the prediction. The prediction decides nothing a fitter would
+    /// decide differently: the previous labels equal the candidates at the
+    /// previous point, so `previous + Δ·step` *is* the candidate at this
+    /// one, in exact integers (an overflowing product or sum cannot equal an
+    /// `i64` label and is left to the general path), and a failed fitter
+    /// decides nothing. With `fast_fit` off it is never armed.
     pub fn push(&mut self, coords: &[i64], labels: Option<&[i64]>) {
         assert_eq!(coords.len(), self.dim, "stream changed dimensionality");
         if self.pred.armed && self.push_predicted(coords, labels) {
             return;
         }
         self.flush_predicted();
+        if let Some(ls) = labels.filter(|_| self.dists > 0) {
+            let a = Arrays::of(&mut self.arrays, self.dim, self.dists);
+            track_distances(a.dist, coords, ls);
+        }
         self.push_general(coords, labels);
         self.rearm(labels);
     }
 
-    /// Accept `coords`/`labels` if they are exactly the predicted next
-    /// point. Leaves everything [`push_general`](Self::push_general) would
-    /// have changed for such a point changed the same way, except the label
-    /// fitters' tallies, which wait for
-    /// [`flush_predicted`](Self::flush_predicted).
+    /// Accept `coords`/`labels` if they are a predicted next point. Leaves
+    /// everything [`push_general`](Self::push_general) would have changed
+    /// for such a point changed the same way, except the label fitters'
+    /// tallies and (unless a free label has one) the distance ranges, which
+    /// wait for [`flush_predicted`](Self::flush_predicted).
     #[inline]
     fn push_predicted(&mut self, coords: &[i64], labels: Option<&[i64]>) -> bool {
-        let last = self.dim - 1;
-        let a = Arrays::of(&mut self.arrays, self.dim);
-        if coords[..last] != a.prev[..last] || Some(coords[last]) != a.prev[last].checked_add(1) {
+        let d = self.dim;
+        let last = d - 1;
+        // `Arrays::of`'s layout, indexed directly: a hit takes two slices
+        // instead of that function's seven bounds-checked splits.
+        let (dims, rest) = self.arrays.split_at_mut(Arrays::PER_DIM * d);
+        let prev = &mut dims[2 * d..3 * d];
+        if coords[..last] != prev[..last] {
             return false;
         }
-        let p = &mut self.pred;
+        let c = coords[last];
+        let delta = match c.checked_sub(prev[last]) {
+            Some(delta) if delta > 0 => delta,
+            _ => return false,
+        };
         match labels {
             None if self.labels_present => return false,
             None => {}
             Some(ls) => {
-                let matches = self.labels_present
-                    && ls.len() == p.labels.len()
-                    && ls
-                        .iter()
-                        .zip(p.labels.iter().zip(&p.step))
-                        .all(|(&l, (&prev, &step))| Some(l) == prev.checked_add(step));
-                if !matches {
+                let (dist, slots) = rest.split_at_mut(2 * self.dists);
+                let slots = slots.as_chunks_mut::<{ SLOT }>().0;
+                if !self.labels_present || ls.len() != slots.len() {
                     return false;
                 }
-                p.labels.copy_from_slice(ls);
+                for (&l, s) in ls.iter().zip(&*slots) {
+                    if s[FREE] == 0
+                        && s[STEP]
+                            .checked_mul(delta)
+                            .and_then(|x| s[LAB].checked_add(x))
+                            != Some(l)
+                    {
+                        return false;
+                    }
+                }
+                for (&l, s) in ls.iter().zip(slots) {
+                    if s[FREE] == 0 {
+                        s[LAB] = l;
+                    } else {
+                        s[LO] = s[LO].min(l);
+                        s[HI] = s[HI].max(l);
+                    }
+                }
+                if self.pred.dists_each_push {
+                    track_distances(dist.as_chunks_mut().0, coords, ls);
+                }
             }
         }
-        p.pending += 1;
-        p.hits += 1;
-        let c = coords[last];
+        prev[last] = c;
+        dims[d + last] = dims[d + last].max(c); // box_hi
+        dims[4 * d + last] = c; // open group's last
+        if delta != 1 {
+            // What the general path concludes from the same jump.
+            self.holes = true;
+        }
+        self.pred.pending += 1;
+        self.pred.hits += 1;
         self.count += 1;
-        a.box_hi[last] = a.box_hi[last].max(c);
-        a.last[last] = c;
-        a.prev[last] = c;
         true
     }
 
-    /// Settle the deferred tally of predicted pushes into the label fitters.
-    /// The labels moved monotonically from a value the fitters have already
-    /// seen to `pred.labels`, so the latter bounds the whole run.
+    /// Settle the deferred tally of predicted pushes into the label fitters
+    /// and the distance ranges. Along a run the coordinates and the affine
+    /// labels move linearly in the last coordinate, from a point the general
+    /// path has already seen to the stored previous point and labels, so the
+    /// latter bound the whole run; a free label brought its own range.
     fn flush_predicted(&mut self) {
         let n = std::mem::take(&mut self.pred.pending);
-        if n > 0 {
-            for (f, &last) in self.label_fitters.iter_mut().zip(&self.pred.labels) {
-                f.absorb_verified(n, last);
+        if n == 0 {
+            return;
+        }
+        let a = Arrays::of(&mut self.arrays, self.dim, self.dists);
+        for (f, s) in self.label_fitters.iter_mut().zip(&*a.slots) {
+            if s[FREE] == 0 {
+                f.absorb(n, s[LAB], s[LAB]);
+            } else {
+                f.absorb(n, s[LO], s[HI]);
+            }
+        }
+        if !self.pred.dists_each_push {
+            for (d, (&c, s)) in a.dist.iter_mut().zip(a.prev.iter().zip(&*a.slots)) {
+                widen(d, c, s[LAB]);
             }
         }
     }
@@ -295,13 +423,11 @@ impl StreamFolder {
     /// Arm the prediction after a general push of `labels`, if the stream is
     /// in the regular state the prediction's equivalence argument needs.
     fn rearm(&mut self, labels: Option<&[i64]>) {
-        let p = &mut self.pred;
-        p.armed = false;
+        self.pred.armed = false;
         if !self.fast_fit || self.coarse || self.dim == 0 || !self.labels_consistent {
             return;
         }
-        p.labels.clear();
-        p.step.clear();
+        let mut dists_each_push = false;
         match labels {
             None if self.labels_present => return,
             None => {}
@@ -309,20 +435,27 @@ impl StreamFolder {
                 if self.label_arity != Some(ls.len()) {
                     return;
                 }
-                for f in &self.label_fitters {
-                    match f.fast_step() {
-                        Some(step) => p.step.push(step),
-                        None => return,
-                    }
+                let len = Arrays::PER_DIM * self.dim + 2 * self.dists;
+                self.arrays.resize(len + SLOT * ls.len(), 0);
+                let a = Arrays::of(&mut self.arrays, self.dim, self.dists);
+                for (k, (f, s)) in self.label_fitters.iter().zip(a.slots).enumerate() {
+                    *s = if f.is_failed() {
+                        dists_each_push |= k < self.dists;
+                        [0, 0, 1, i64::MAX, i64::MIN]
+                    } else if let Some(step) = f.fast_step() {
+                        [ls[k], step, 0, 0, 0]
+                    } else {
+                        return;
+                    };
                 }
-                p.labels.extend_from_slice(ls);
             }
         }
-        p.armed = true;
+        self.pred.dists_each_push = dists_each_push;
+        self.pred.armed = true;
     }
 
     fn push_general(&mut self, coords: &[i64], labels: Option<&[i64]>) {
-        let a = Arrays::of(&mut self.arrays, self.dim);
+        let a = Arrays::of(&mut self.arrays, self.dim, self.dists);
         // Exact duplicate of the previous point (e.g. a twice-used operand
         // producing the same dependence twice): ignore.
         if self.has_prev && a.prev == coords {
@@ -441,7 +574,7 @@ impl StreamFolder {
     pub fn finalize(mut self) -> FoldedStream {
         self.flush_predicted();
         let d = self.dim;
-        let a = Arrays::of(&mut self.arrays, d);
+        let a = Arrays::of(&mut self.arrays, d, self.dists);
         if self.has_prev && !self.coarse {
             close_groups(&mut self.bounds, &a, 0);
         }
@@ -760,6 +893,47 @@ mod tests {
         for p in &pts {
             assert!(r.domain.poly.contains(p), "{p:?} escaped {}", r.domain.poly);
         }
+    }
+
+    /// A guarded row jumps forward and a label whose fitter failed is free:
+    /// after the first row only each row's first point leaves the
+    /// prediction, and the fold is the rational reference's.
+    #[test]
+    fn jumps_and_free_labels_are_predicted() {
+        let mut fast = StreamFolder::new(2);
+        let mut slow = StreamFolder::with_fast_fit(2, false);
+        for i in 0..4 {
+            for j in (0..20).step_by(2) {
+                let labels = [3 * j - i, j * j];
+                fast.push(&[i, j], Some(&labels));
+                slow.push(&[i, j], Some(&labels));
+            }
+        }
+        // Row 0 misses at j = 0, 2 (fixing `3j`) and 4 (failing `j²`).
+        assert_eq!(fast.predicted(), 7 + 3 * 9);
+        let (fast, slow) = (fast.finalize(), slow.finalize());
+        assert!(!fast.domain.exact, "the jumps are holes");
+        assert_eq!(fast.labels, LabelFold::Range(vec![(-3, 54), (0, 324)]));
+        assert_eq!(fast.labels, slow.labels);
+        assert_eq!(fast.domain.poly, slow.domain.poly);
+    }
+
+    /// A jump whose `step · Δ` overflows `i64` is a miss, not a wrapped
+    /// prediction: the general path verifies the label in exact arithmetic.
+    #[test]
+    fn overflowing_jump_is_left_to_the_general_path() {
+        let big = i64::MAX / 2 + 1;
+        let mut fast = StreamFolder::new(1);
+        let mut slow = StreamFolder::with_fast_fit(1, false);
+        for j in [0, 1, 3] {
+            let labels = [(i64::MIN / 2).wrapping_add(big.wrapping_mul(j))];
+            fast.push(&[j], Some(&labels));
+            slow.push(&[j], Some(&labels));
+        }
+        assert_eq!(fast.predicted(), 0);
+        let (fast, slow) = (fast.finalize(), slow.finalize());
+        assert_eq!(fast.labels, slow.labels);
+        assert!(!fast.labels.is_affine(), "the third label wrapped");
     }
 
     /// Degrading mid-stream keeps ranges accumulated by the fitters.

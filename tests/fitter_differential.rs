@@ -16,11 +16,13 @@ mod common;
 use common::stencil;
 use polyir::Program;
 use polyprof_core::polycfg::{StaticStructure, StructureRecorder};
+use polyprof_core::polyddg::{DepKind, FoldSink};
 use polyprof_core::polyfeedback::FeedbackInput;
 use polyprof_core::polyfold::pass2::{self, Live, Pass2, Source};
 use polyprof_core::polyfold::{
-    FitResult, FoldOptions, FoldedStream, OnlineAffineFitter, StreamFolder,
+    FitResult, FoldOptions, FoldedStream, FoldingSink, OnlineAffineFitter, StreamFolder,
 };
+use polyprof_core::polyiiv::context::{ContextInterner, StmtId};
 use polyprof_core::{profile_with, ProfileConfig};
 use proptest::prelude::*;
 
@@ -127,16 +129,37 @@ enum Op {
     Degrade,
 }
 
+/// How a nest's inner loop runs and what its points carry.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    /// Step of the inner loop: above 1, every point jumps forward.
+    stride: i64,
+    /// Non-zero: a guard, seeded by this, skips about a third of the inner
+    /// points, so forward jumps of various lengths recur inside runs.
+    guard: u64,
+    /// Append a label that is non-affine from the first row on (`j²`), so
+    /// its fitter fails early while the others stay affine.
+    wild: bool,
+}
+
+/// Whether the guard seeded by `seed` runs point `(h, i, j)`.
+fn guarded(seed: u64, h: i64, i: i64, j: i64) -> bool {
+    let mut x = seed ^ (h as u64) << 40 ^ (i as u64) << 20 ^ j as u64;
+    x = (x ^ (x >> 31)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    seed == 0 || !(x >> 32).is_multiple_of(3)
+}
+
 /// A `dim`-deep counted nest in execution order. Labelled points carry a
 /// scalar `base + a·i + b·j` (wrapping: with `base` next to an `i64` limit
 /// the stream stops being affine where it wraps) and, like a dependence's
-/// producer coordinate, `j − 1`.
+/// producer coordinate, `j − 1`; `shape` strides, guards and widens it.
 fn nest(
     dim: usize,
     outer: i64,
     inner: i64,
     (a, b, base): (i64, i64, i64),
     labelled: bool,
+    shape: Shape,
 ) -> Vec<Op> {
     let (planes, rows) = (
         if dim == 3 { 2 } else { 1 },
@@ -145,13 +168,22 @@ fn nest(
     let mut ops = Vec::new();
     for h in 0..planes {
         for i in 0..rows {
-            for j in 0..inner {
+            for j in (0..inner).map(|j| j * shape.stride) {
+                if !guarded(shape.guard, h, i, j) {
+                    continue;
+                }
                 let full = [h, i, j];
                 let v = base
                     .wrapping_add(a.wrapping_mul(i))
                     .wrapping_add(b.wrapping_mul(j))
                     .wrapping_add(h);
-                let labels = labelled.then(|| vec![v, j - 1]);
+                let labels = labelled.then(|| {
+                    let mut ls = vec![v, j - 1];
+                    if shape.wild {
+                        ls.push(j * j + i);
+                    }
+                    ls
+                });
                 ops.push(Op::Push(full[3 - dim..].to_vec(), labels));
             }
         }
@@ -218,26 +250,34 @@ fn fold(ops: &[Op], dim: usize, fast_fit: bool) -> (FoldedStream, u64) {
 proptest! {
     /// Whole-folder differential for the verified prediction in
     /// `StreamFolder::push`: the rational reference never arms it, so the
-    /// two folders share the general path and nothing else. Affine runs are
-    /// interrupted at two random positions by every kind of irregularity,
-    /// with labels far from and within one step of the `i64` limits; the
-    /// finalized streams must be equal field by field.
+    /// two folders share the general path and nothing else. Affine runs —
+    /// strided or guarded, so the prediction jumps forward, and with a label
+    /// whose fitter fails early, so it is free — are interrupted at two
+    /// random positions by every kind of irregularity, with labels far from
+    /// and within one step of the `i64` limits, and with a slope whose
+    /// product with a jump overflows; the finalized streams must be equal
+    /// field by field.
     #[test]
     fn predicted_folding_matches_the_rational_reference(
         dim in 1usize..=3, outer in 1i64..6, inner in 1i64..12,
         a in -9i64..=9, b in -9i64..=9,
-        extreme in 0u8..3, labelled in 0u8..4,
+        extreme in 0u8..4, labelled in 0u8..4,
+        stride in 1i64..=3, guard in 0u32..4, wild in 0u8..2,
         kind1 in 0u8..9, at1 in 0usize..400,
         kind2 in 0u8..9, at2 in 0usize..400,
         bump in 1i64..=5,
     ) {
-        let base = match extreme {
-            1 => i64::MAX - inner / 2, // crosses MAX inside a run when b > 0
-            2 => i64::MIN + inner / 2,
-            _ => 1000,
+        let (b, base) = match extreme {
+            1 => (b, i64::MAX - inner / 2), // crosses MAX inside a run when b > 0
+            2 => (b, i64::MIN + inner / 2),
+            // `2·b` overflows: a jump's `b·Δ` cannot be formed, though the
+            // labels stay in range for the first few points of a row.
+            3 => (i64::MAX / 2 + 1, i64::MIN / 2),
+            _ => (b, 1000),
         };
-        let mut ops = nest(dim, outer, inner, (a, b, base), labelled > 0);
-        let regular = kind1 == 0 && kind2 == 0 && extreme == 0;
+        let shape = Shape { stride, guard: guard.into(), wild: wild == 1 };
+        let mut ops = nest(dim, outer, inner, (a, b, base), labelled > 0, shape);
+        let regular = kind1 == 0 && kind2 == 0 && extreme == 0 && guard == 0;
         disturb(&mut ops, kind1, at1, bump);
         disturb(&mut ops, kind2, at2, bump);
         let (fast, predicted) = fold(&ops, dim, true);
@@ -252,6 +292,133 @@ proptest! {
         prop_assert_eq!(&fast.domain.box_lo, &slow.domain.box_lo);
         prop_assert_eq!(&fast.domain.box_hi, &slow.domain.box_hi);
         prop_assert_eq!(&fast.labels, &slow.labels);
+    }
+}
+
+/// The producers of one dependence relation, as functions of the consumer
+/// point.
+#[derive(Debug, Clone, Copy)]
+enum Producer {
+    /// The consumer one step back along the last dimension.
+    Shifted,
+    /// As `Shifted`, clamped at 0: two carried classes.
+    Clamped,
+    /// The row's first point: the distance grows along the run.
+    Fixed,
+    /// Twice as far along the last dimension: the distance falls.
+    Scaled,
+    /// Data-dependent in every component.
+    Wild,
+    /// Affine but for its last component, which is data-dependent.
+    HalfWild,
+    /// Affine with coordinates next to the `i64` limits.
+    Extreme,
+}
+
+/// A seeded stream of dependence and access events into a `FoldingSink`:
+/// consumer points of a strided, guarded `dst_dim`-deep nest, each the
+/// target of every relation in `rels` (producers `src_dim` deep) and of one
+/// access whose address is affine or, with `wild_addr`, data-dependent.
+fn feed_sink(
+    sink: &mut FoldingSink,
+    seed: u64,
+    (dst_dim, src_dim): (usize, usize),
+    (outer, inner, shape): (i64, i64, Shape),
+    rels: &[(DepKind, Producer)],
+    wild_addr: bool,
+) {
+    let mut rng = seed | 1;
+    let mut next = move || {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        (rng % 19) as i64 - 9
+    };
+    let dst = StmtId(rels.len() as u32);
+    for i in 0..outer {
+        for j in (0..inner).map(|j| j * shape.stride) {
+            if !guarded(shape.guard, 0, i, j) {
+                continue;
+            }
+            let full = [i, i + 1, j];
+            let point = &full[3 - dst_dim..];
+            for (r, &(kind, producer)) in rels.iter().enumerate() {
+                let mut src: Vec<i64> = (0..src_dim)
+                    .map(|k| point.get(k).copied().unwrap_or(k as i64))
+                    .collect();
+                let last = src_dim - 1;
+                match producer {
+                    Producer::Shifted => src[last] -= 1,
+                    Producer::Clamped => src[last] = (src[last] - 1).max(0),
+                    Producer::Fixed => src[last] = 0,
+                    Producer::Scaled => src[last] *= 2,
+                    Producer::Wild => src.iter_mut().for_each(|c| *c = next()),
+                    Producer::HalfWild => src[last] = next(),
+                    Producer::Extreme => {
+                        src[0] = src[0].wrapping_add(i64::MAX - 4);
+                        src[last] = src[last].wrapping_sub(i64::MAX - 3);
+                    }
+                }
+                sink.dependence(kind, StmtId(r as u32), &src, dst, point);
+            }
+            let addr = if wild_addr {
+                4096 + next()
+            } else {
+                4096 + 8 * j
+            };
+            sink.mem_access(dst, point, addr as u64, false);
+        }
+    }
+}
+
+proptest! {
+    /// `FoldingSink`-level differential: seeded dependence streams with
+    /// affine (shifted, fixed, scaled), clamped, data-dependent and extreme
+    /// producers over strided
+    /// and guarded consumers, folded with the fast path on and off, must
+    /// render the same canonical DDG — which pins the distance ranges the
+    /// dependence folders now settle at run endpoints.
+    #[test]
+    fn dependence_folding_matches_the_rational_reference(
+        seed in 0u32..1_000_000, dst_dim in 1usize..=3, src_dim in 1usize..=3,
+        outer in 1i64..6, inner in 1i64..14,
+        stride in 1i64..=3, guard in 0u32..4,
+        producers in proptest::collection::vec(0u8..7, 1..4),
+        wild_addr in 0u8..2,
+    ) {
+        let kinds = [DepKind::Flow, DepKind::Anti, DepKind::Output, DepKind::Reg];
+        let rels: Vec<(DepKind, Producer)> = producers
+            .iter()
+            .enumerate()
+            .map(|(r, &p)| {
+                let producer = [
+                    Producer::Shifted,
+                    Producer::Clamped,
+                    Producer::Fixed,
+                    Producer::Scaled,
+                    Producer::Wild,
+                    Producer::HalfWild,
+                    Producer::Extreme,
+                ][p as usize];
+                (kinds[r % kinds.len()], producer)
+            })
+            .collect();
+        let shape = Shape { stride, guard: guard.into(), wild: false };
+        let prog = stencil(4, 1);
+        let folded = |fast_fit: bool| {
+            let mut sink = FoldingSink::with_options(FoldOptions {
+                fast_fit,
+                ..FoldOptions::default()
+            });
+            let dims = (dst_dim, src_dim);
+            feed_sink(&mut sink, seed.into(), dims, (outer, inner, shape), &rels, wild_addr == 1);
+            let predicted = sink.fold_stats().predicted;
+            (sink.finalize(&prog, &ContextInterner::new()).canonical_text(), predicted)
+        };
+        let (fast, _) = folded(true);
+        let (slow, never) = folded(false);
+        prop_assert_eq!(never, 0, "the reference must not predict");
+        prop_assert_eq!(fast, slow);
     }
 }
 

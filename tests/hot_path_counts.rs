@@ -307,13 +307,71 @@ fn rational_counters(prog: &Program) -> (u64, u64) {
     )
 }
 
+/// A stride-2 sweep over `rows` rows of seeded data, `n` points a row,
+/// with the body under a data-dependent guard: the guarded statements'
+/// points jump forward along the inner loop, and the loaded value (with
+/// everything computed from it, and the producer row of each overwrite) is
+/// data-dependent, so its fitter fails within the first row.
+fn guarded_stride(rows: i64, n: i64) -> Program {
+    let mut pb = ProgramBuilder::new("guarded_stride");
+    let mut x = 0x2545_f491_4f6c_dd1du64;
+    let data: Vec<i64> = (0..rows * 2 * n)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % 100) as i64
+        })
+        .collect();
+    let d = pb.array_i64(&data) as i64;
+    let out = pb.alloc(2 * n as u64) as i64;
+    let mut f = pb.func("main", 0);
+    f.for_loop("R", 0i64, rows, 1, |f, r| {
+        let row = f.mul(r, 2 * n);
+        f.for_loop("I", 0i64, 2 * n, 2, |f, i| {
+            let at = f.add(row, i);
+            let v = f.load(d, at);
+            let keep = f.icmp(CmpOp::Lt, v, 70i64);
+            f.if_else(
+                keep,
+                |f| {
+                    let w = f.add(v, i);
+                    f.store(out, i, w);
+                },
+                |_| {},
+            );
+        });
+    });
+    f.ret(None);
+    let main = f.finish();
+    pb.set_entry(main);
+    pb.finish()
+}
+
+/// Irregular streams fold for the price of a compare: a point of a guarded
+/// statement is a forward jump and a data-dependent value is a free label,
+/// and both are predicted: 0.978 of this kernel's folded events, against
+/// 0.669 when the prediction takes neither.
+#[test]
+fn guarded_irregular_stream_is_predicted() {
+    let (predicted, folded) = counters(&guarded_stride(40, 64), ProfileConfig::new());
+    assert!(
+        predicted * 10 >= folded * 9,
+        "{predicted} of {folded} folded events predicted"
+    );
+}
+
 /// Every folder sees the same stream whatever the source: the predicted
 /// count is identical live and when the recording of the run is replayed —
 /// recorded in the default frames or in 64-event ones; the rational
 /// reference predicts nothing.
 #[test]
 fn predicted_count_is_a_fact_of_the_stream() {
-    for (name, prog) in [("stencil", stencil(10, 6)), ("deep", deep_nest(2))] {
+    for (name, prog) in [
+        ("stencil", stencil(10, 6)),
+        ("deep", deep_nest(2)),
+        ("guarded", guarded_stride(12, 32)),
+    ] {
         let live = counters(&prog, ProfileConfig::new());
         assert!(live.0 > 0, "{name}: nothing predicted");
         let path = std::env::temp_dir().join(format!(

@@ -198,10 +198,9 @@ fn capture_pass2(prog: &Program) -> (EventChunk, ContextInterner) {
 /// A folder's first fit, its refits and its finalize allocate little beyond
 /// what the `FoldedDdg` keeps: the RREF is one flat buffer, a refit
 /// overwrites the candidate in place, and finalize builds constraints with
-/// no temporaries. Three suite programs read 49.2 allocations per folder
-/// (bfs 41, hotspot3D 51, gemsfdtd 52); with a `Vec` per RREF row, a new
-/// candidate per refit and `AffineExpr` temporaries at finalize they read
-/// 131.
+/// no temporaries. Three suite programs read 47.1 allocations per folder
+/// (20 114 over 427 folders); with a `Vec` per RREF row, a new candidate
+/// per refit and `AffineExpr` temporaries at finalize they read 131.
 #[test]
 fn folding_allocates_a_bounded_number_of_blocks_per_folder() {
     let _alone = exclusive();
