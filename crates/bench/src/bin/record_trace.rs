@@ -3,38 +3,39 @@
 //! Profiles every [`polyprof_bench::replay_workloads`] entry with a
 //! recorder tap and writes one recording per workload into a directory
 //! (default `traces/`). Existing recordings whose header matches the
-//! current format version and program hash are kept (so an `actions/cache`
+//! current format version and program id are kept (so an `actions/cache`
 //! hit skips all work); pass `--force` to re-record regardless.
 //!
 //! `--print-key` prints a single cache-key line derived from the format
-//! version and every workload's program hash — exactly the inputs that
+//! version and every workload's program id — exactly the inputs that
 //! invalidate a recording — and exits without recording anything.
 //!
 //! Usage: `record_trace [--dir DIR] [--force] [--print-key]`
 
 use polyprof_bench::{replay_workloads, JsonObj};
 use polyprof_core::polyrec::codec::Fnv1a;
-use polyprof_core::polyrec::{program_hash, TraceReader, FORMAT_VERSION};
+use polyprof_core::polyrec::{program_id, TraceReader, FORMAT_VERSION};
 use polyprof_core::{try_profile_with, ProfileConfig};
 use std::path::{Path, PathBuf};
 
-/// One FNV-1a-64 over the format version and the per-workload hashes: the
-/// replay-gate cache key.
+/// One FNV-1a-64 over the format version and the per-workload program ids:
+/// the replay-gate cache key.
 fn cache_key(workloads: &[(&'static str, polyir::Program)]) -> String {
     let mut h = Fnv1a::new();
     h.write(&FORMAT_VERSION.to_le_bytes());
     for (name, prog) in workloads {
         h.write(name.as_bytes());
-        h.write(&program_hash(prog).to_le_bytes());
+        h.write(&program_id(prog).to_le_bytes());
     }
     format!("polyrec-v{FORMAT_VERSION}-{:016x}", h.finish())
 }
 
 /// An existing recording is fresh when it opens under the current format
-/// version and its header hash matches the program we would re-record.
+/// version and its header's program id matches the program we would
+/// re-record.
 fn is_fresh(path: &Path, prog: &polyir::Program) -> bool {
     match TraceReader::open(path) {
-        Ok(reader) => reader.meta().program_hash == program_hash(prog),
+        Ok(reader) => reader.meta().program_id == program_id(prog),
         Err(_) => false,
     }
 }

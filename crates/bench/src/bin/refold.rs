@@ -7,26 +7,30 @@
 //!   predictions, folded statement/dependence counts).
 //! - `refold --assert-live TRACE...` — additionally run the
 //!   live profiler on the matching workload and require the replayed
-//!   folded DDG to be byte-identical (`FoldedDdg::canonical_text`); exits
-//!   non-zero on any divergence. This is the CI replay gate.
+//!   folded DDG to be byte-identical (`FoldedDdg::canonical_text`), and the
+//!   rendered report of a `with_replay_from` run — built from the structure
+//!   the recording carries, with no VM run — to equal a live run's
+//!   (`Report::full_text`); exits non-zero on any divergence. This is the
+//!   CI replay gate.
 //! - `refold --diff A.ptrace B.ptrace` — fold both recordings and compare
 //!   their canonical texts; prints the first differing line and exits
 //!   non-zero when they disagree.
 //!
-//! Recordings are matched to programs by header program hash against the
+//! Recordings are matched to programs by header program id against the
 //! fixed [`polyprof_bench::replay_workloads`] registry.
 
 use polyprof_bench::replay_workloads;
 use polyprof_bench::JsonObj;
 use polyprof_core::polyfold::replay::fold_recording;
 use polyprof_core::polyfold::{self, FoldOptions};
-use polyprof_core::polyrec::{program_hash, TraceReader};
+use polyprof_core::polyrec::{program_id, TraceReader};
+use polyprof_core::{try_profile_with, ProfileConfig};
 use polytrace::{Collector, Counter, MetricsLevel};
 use std::path::Path;
 use std::process::exit;
 use std::sync::Arc;
 
-/// Find the registry program a recording was captured from, by hash.
+/// Find the registry program a recording was captured from, by program id.
 fn lookup(path: &Path) -> (&'static str, polyir::Program) {
     let reader = match TraceReader::open(path) {
         Ok(r) => r,
@@ -35,14 +39,14 @@ fn lookup(path: &Path) -> (&'static str, polyir::Program) {
             exit(1);
         }
     };
-    let want = reader.meta().program_hash;
+    let want = reader.meta().program_id;
     for (name, prog) in replay_workloads() {
-        if program_hash(&prog) == want {
+        if program_id(&prog) == want {
             return (name, prog);
         }
     }
     eprintln!(
-        "refold: {}: recording of unknown workload `{}` (hash {want:#018x} not in registry)",
+        "refold: {}: recording of unknown workload `{}` (program id {want:#018x} not in registry)",
         path.display(),
         reader.meta().workload
     );
@@ -61,7 +65,18 @@ fn refold_one(path: &Path) -> (&'static str, String) {
     }
 }
 
-/// First line where the two canonical texts disagree, if any.
+/// The rendered report (`Report::full_text`) of one profiling run.
+fn report(prog: &polyir::Program, cfg: &ProfileConfig) -> String {
+    match try_profile_with(prog, cfg) {
+        Ok(r) => r.full_text,
+        Err(e) => {
+            eprintln!("refold: {}: {e}", prog.name);
+            exit(1);
+        }
+    }
+}
+
+/// First line where the two texts disagree, if any.
 fn first_diff(a: &str, b: &str) -> Option<(usize, String, String)> {
     for (i, (la, lb)) in a.lines().zip(b.lines()).enumerate() {
         if la != lb {
@@ -143,15 +158,20 @@ fn main() {
         let mut live_ok = true;
         if assert_live {
             let live = polyfold::fold_program(&prog).0.canonical_text();
-            live_ok = live == replayed;
-            if !live_ok {
-                failed = true;
-                if let Some((line, ll, rl)) = first_diff(&live, &replayed) {
-                    eprintln!("refold: {trace}: replay diverged from live fold at line {line}:");
+            let live_report = report(&prog, &ProfileConfig::new());
+            let replayed_report = report(&prog, &ProfileConfig::new().with_replay_from(path));
+            for (what, live, replayed) in [
+                ("fold", &live, &replayed),
+                ("report", &live_report, &replayed_report),
+            ] {
+                if let Some((line, ll, rl)) = first_diff(live, replayed) {
+                    live_ok = false;
+                    eprintln!("refold: {trace}: replay diverged from live {what} at line {line}:");
                     eprintln!("  live:   {ll}");
                     eprintln!("  replay: {rl}");
                 }
             }
+            failed |= !live_ok;
         }
         let events = counters.get(Counter::EventsFolded);
         let predicted = counters.get(Counter::RecEventsPredicted);

@@ -209,11 +209,12 @@ pub struct ProfileConfig {
     /// [`ProfileConfig::replay_from`] with byte-identical results.
     /// Contradicts `replay_from` (a replay has no VM run to tap).
     pub record_to: Option<PathBuf>,
-    /// Skip the pass-2 VM run entirely and fold a `.ptrace` recording from
-    /// this path instead. Pass 1 still executes (the structure feeds the
-    /// scheduling/feedback stages); the recording's program hash must match
-    /// `prog`. Budget, deadline, cancellation, fault plan and metrics apply
-    /// to the replayed fold exactly as to a live one;
+    /// Run no VM at all and rebuild the profile from a `.ptrace` recording
+    /// at this path instead: pass 1's structure from its structure section
+    /// (the `structure` span times the rebuild), the fold from its frames.
+    /// The recording's program id must match `prog`. Budget, deadline,
+    /// cancellation, fault plan and metrics apply to the replayed fold
+    /// exactly as to a live one;
     /// `record_to` contradicts it (there is no VM run to tap).
     pub replay_from: Option<PathBuf>,
     /// Use this externally-owned budget instead of constructing one from
@@ -386,19 +387,6 @@ pub fn try_profile_with(prog: &Program, cfg: &ProfileConfig) -> Result<Report, P
     let trace = (cfg.metrics != MetricsLevel::Off)
         .then(|| (Arc::new(Collector::new(cfg.metrics)), Instant::now()));
 
-    // Pass 1: dynamic control structure.
-    let structure = {
-        let _span = trace.as_ref().map(|(c, _)| c.span(Stage::Structure));
-        let mut rec = polycfg::StructureRecorder::new();
-        polyvm::Vm::new(prog)
-            .run(&[], &mut rec)
-            .map_err(|e| PolyProfError::Vm {
-                stage: "pass-1",
-                msg: e.to_string(),
-            })?;
-        polycfg::StaticStructure::analyze(prog, rec)
-    };
-
     // A budget exists only when a byte limit or deadline was configured (or
     // the caller shares its own); with none, every downstream hook is one
     // skipped branch on a cold path.
@@ -407,6 +395,44 @@ pub fn try_profile_with(prog: &Program, cfg: &ProfileConfig) -> Result<Report, P
         None => (cfg.memory_budget.is_some() || cfg.deadline.is_some())
             .then(|| Arc::new(ResourceBudget::new(cfg.memory_budget, cfg.deadline))),
     };
+    let pass2 = Pass2 {
+        options: polyfold::FoldOptions::default(),
+        trace: trace.as_ref().map(|(c, _)| Arc::clone(c)),
+        budget,
+        faults: cfg.fault_plan.clone(),
+    };
+
+    // Passes 1 and 2. A live run executes the program twice: pass 1 records
+    // the dynamic control structure, pass 2 streams the events. A recording
+    // holds both, so a replay runs no VM and hands pass 1's output back.
+    let (out, structure) = match &cfg.replay_from {
+        Some(path) => {
+            let mut out = polyfold::pass2::run(prog, &Source::Recording(path), &pass2)?;
+            let structure = out.structure.take().expect("a replay rebuilds pass 1");
+            (out, structure)
+        }
+        None => {
+            let structure = {
+                let _span = trace.as_ref().map(|(c, _)| c.span(Stage::Structure));
+                let mut rec = polycfg::StructureRecorder::new();
+                polyvm::Vm::new(prog)
+                    .run(&[], &mut rec)
+                    .map_err(|e| PolyProfError::Vm {
+                        stage: "pass-1",
+                        msg: e.to_string(),
+                    })?;
+                polycfg::StaticStructure::analyze(prog, rec)
+            };
+            let source = Source::Live(Live {
+                structure: &structure,
+                record: cfg.record_to.as_deref(),
+                chunk_events: cfg.chunk_events,
+            });
+            (polyfold::pass2::run(prog, &source, &pass2)?, structure)
+        }
+    };
+    let (mut ddg, interner) = (out.ddg, out.interner);
+    let degradation = out.degradation;
 
     // Static affine pre-pass: SCEV proofs and dependence relations, the
     // oracles the lint and the legality check hold the dynamic profile to.
@@ -423,25 +449,6 @@ pub fn try_profile_with(prog: &Program, cfg: &ProfileConfig) -> Result<Report, P
         }
         (summary, deps)
     });
-
-    // Pass 2: one call. The source is the VM or a `.ptrace` recording.
-    let source = match &cfg.replay_from {
-        Some(path) => Source::Recording(path),
-        None => Source::Live(Live {
-            structure: &structure,
-            record: cfg.record_to.as_deref(),
-            chunk_events: cfg.chunk_events,
-        }),
-    };
-    let pass2 = Pass2 {
-        options: polyfold::FoldOptions::default(),
-        trace: trace.as_ref().map(|(c, _)| Arc::clone(c)),
-        budget,
-        faults: cfg.fault_plan.clone(),
-    };
-    let out = polyfold::pass2::run(prog, &source, &pass2)?;
-    let (mut ddg, interner) = (out.ddg, out.interner);
-    let degradation = out.degradation;
 
     // Post-fold, pre-removal: lint the DDG against the static claims (the
     // lint must see the SCEV statements and their dependences before

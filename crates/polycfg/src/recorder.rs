@@ -11,8 +11,10 @@
 //! touch: an executed-block bitset, a two-slot successor list per block (a
 //! `Jump` or `Br` names at most two successors) and a callee bitset. An
 //! `exec` event compares one cached `BlockRef`; a jump, call or return sets
-//! a bit or fills a slot. [`StaticStructure::analyze`] turns the tables into
-//! the ordered [`DynCfg`] sets and the call graph once, after the run.
+//! a bit or fills a slot. After the run the tables become the ordered
+//! [`DynCfg`] sets and the call graph — pass 1's whole output, which a
+//! `.ptrace` recording also carries — and [`StaticStructure::from_graphs`]
+//! builds the forests from those graphs.
 
 use crate::loop_forest::LoopForest;
 use crate::recursive::RecursiveComponentSet;
@@ -20,7 +22,7 @@ use polyir::{BlockRef, FuncId, InstrRef, LocalBlockId, Program, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Dynamic CFG of one function: observed blocks and local edges.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DynCfg {
     /// Blocks that executed at least one instruction or control event.
     pub blocks: BTreeSet<LocalBlockId>,
@@ -176,6 +178,9 @@ pub struct StaticStructure {
     pub rcs: RecursiveComponentSet,
     /// The recorded dynamic CFGs (kept for reporting).
     pub cfgs: BTreeMap<FuncId, DynCfg>,
+    /// The recorded dynamic call-graph edges `(caller, callee)` `rcs` was
+    /// built from.
+    pub cg_edges: BTreeSet<(FuncId, FuncId)>,
 }
 
 impl StaticStructure {
@@ -183,15 +188,35 @@ impl StaticStructure {
     /// entry-block information.
     pub fn analyze(prog: &Program, rec: StructureRecorder) -> StaticStructure {
         let (cfgs, cg_edges) = rec.into_graphs();
+        Self::from_graphs(prog, cfgs, cg_edges)
+    }
+
+    /// Build the forests and the recursive components from pass 1's graphs:
+    /// the dynamic CFG of every executed function and the call-graph edges.
+    /// Every function in `cfgs` must exist in `prog`.
+    pub fn from_graphs(
+        prog: &Program,
+        cfgs: BTreeMap<FuncId, DynCfg>,
+        cg_edges: BTreeSet<(FuncId, FuncId)>,
+    ) -> StaticStructure {
         let mut forests = BTreeMap::new();
         for (&f, cfg) in &cfgs {
             let entry = prog.func(f).entry();
             forests.insert(f, LoopForest::build(&cfg.blocks, &cfg.edges, entry));
         }
         let funcs: BTreeSet<FuncId> = cfgs.keys().copied().collect();
-        let root = prog.entry.unwrap_or(FuncId(0));
-        let rcs = RecursiveComponentSet::build(&funcs, &cg_edges, root);
-        StaticStructure { forests, rcs, cfgs }
+        let rcs = RecursiveComponentSet::build(&funcs, &cg_edges, Self::root(prog));
+        StaticStructure {
+            forests,
+            rcs,
+            cfgs,
+            cg_edges,
+        }
+    }
+
+    /// The function the recursive components treat as the program root.
+    pub fn root(prog: &Program) -> FuncId {
+        prog.entry.unwrap_or(FuncId(0))
     }
 
     /// Forest lookup; panics if the function never executed.

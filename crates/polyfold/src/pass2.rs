@@ -13,6 +13,11 @@
 //! └───────────────────────────────────┘
 //! ```
 //!
+//! A recording is the whole profile: besides the event stream it carries
+//! pass 1's graphs, so a [`Source::Recording`] runs no VM at all — [`run`]
+//! rebuilds the [`StaticStructure`] from the recording's structure section
+//! (under the `structure` span) and hands it back in [`Pass2Out::structure`].
+//!
 //! The source side (`feed`) is generic over the sink it writes into, so the
 //! recording tap composes without touching the plain hot path, and the
 //! default run monomorphises to VM → profiler → [`FoldingSink`]. Every field
@@ -28,7 +33,8 @@
 //!   whoever shares the budget can watch the run without a thread of its own.
 //! * `faults` — a deterministic fault plan: the live source's `panic:pre` and
 //!   `alloc:shadow` sites, and `stall:beat` at every source heartbeat.
-//! * `trace` — the spans `profile` and `finalize` partition the call.
+//! * `trace` — the spans `profile` and `finalize` partition the call (with
+//!   `structure` in front of them for a recording).
 //!
 //! A panic inside pass 2 — an injected `panic:pre`, or a bug — is caught
 //! once, here, and returned as [`PolyProfError::StagePanic`] with stage
@@ -40,9 +46,11 @@ use polycfg::StaticStructure;
 use polyddg::{DdgProfiler, DepKind, FoldSink};
 use polyiiv::context::{ContextInterner, StmtId};
 use polyir::Program;
-use polyrec::{program_hash, Recorder, TraceReader};
+use polyrec::{check_statements, check_structure, program_id, Recorder, TraceReader};
 use polyresist::{panic_msg, FaultPlan, PolyProfError, ResourceBudget, RunDegradation};
 use polytrace::{Collector, Counter, Stage, TID_DRIVER};
+use std::fs::File;
+use std::io::BufReader;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::Arc;
@@ -74,8 +82,9 @@ impl<'a> Live<'a> {
 pub enum Source<'a> {
     /// VM → [`DdgProfiler`] → optional [`Recorder`] tap → sink.
     Live(Live<'a>),
-    /// A `.ptrace` recording of the program: its program hash is checked,
-    /// then every frame is replayed into the sink — no VM, no shadow memory.
+    /// A `.ptrace` recording of the program: its program id is checked, pass
+    /// 1's structure is rebuilt from it, then every frame is replayed into
+    /// the sink — no VM, no shadow memory.
     Recording(&'a Path),
 }
 
@@ -100,6 +109,10 @@ pub struct Pass2Out {
     pub interner: ContextInterner,
     /// Everything the run lost.
     pub degradation: RunDegradation,
+    /// Pass 1's output for a [`Source::Recording`], rebuilt from its
+    /// structure section with the calls a live run makes; `None` for a
+    /// [`Source::Live`], whose structure the caller passed in.
+    pub structure: Option<StaticStructure>,
 }
 
 /// Run pass 2 of `prog`: stream `source` into one [`FoldingSink`], finalize,
@@ -121,9 +134,21 @@ fn fold(prog: &Program, source: &Source<'_>, cfg: &Pass2) -> Result<Pass2Out, Po
     if let Some(b) = &cfg.budget {
         sink.set_budget(Arc::clone(b));
     }
-    let (sink, interner, tallies) = {
-        let _span = trace.map(|c| c.span(Stage::Profile));
-        feed(prog, source, cfg, sink)?
+    let (sink, interner, tallies, structure) = match source {
+        Source::Live(live) => {
+            let _span = trace.map(|c| c.span(Stage::Profile));
+            let (sink, interner, tallies) = feed(prog, live, cfg, sink)?;
+            (sink, interner, tallies, None)
+        }
+        Source::Recording(path) => {
+            let (reader, structure) = {
+                let _span = trace.map(|c| c.span(Stage::Structure));
+                open_recording(prog, path)?
+            };
+            let _span = trace.map(|c| c.span(Stage::Profile));
+            let (sink, interner, tallies) = replay(prog, path, reader, &structure, cfg, sink)?;
+            (sink, interner, tallies, Some(structure))
+        }
     };
 
     let fs = sink.fold_stats();
@@ -174,6 +199,7 @@ fn fold(prog: &Program, source: &Source<'_>, cfg: &Pass2) -> Result<Pass2Out, Po
         ddg,
         interner,
         degradation: deg,
+        structure,
     })
 }
 
@@ -188,22 +214,18 @@ struct SourceTallies {
     shadow_alloc_failures: u64,
 }
 
-/// Stream `source` into `out`. Generic over the sink, so the recording tap
-/// composes without touching the plain hot path.
+/// Stream the live source into `out`. Generic over the sink, so the
+/// recording tap composes without touching the plain hot path.
 fn feed<S: FoldSink>(
     prog: &Program,
-    source: &Source<'_>,
+    live: &Live<'_>,
     cfg: &Pass2,
     out: S,
 ) -> Result<(S, ContextInterner, SourceTallies), PolyProfError> {
-    let live = match source {
-        Source::Live(live) => live,
-        Source::Recording(path) => return replay(prog, path, cfg, out),
-    };
     let Some(path) = live.record else {
         return run_profiler(prog, live, cfg, out);
     };
-    let tap = Recorder::to_file(path, prog, live.chunk_events.max(1), out)?;
+    let tap = Recorder::to_file(path, prog, live.structure, live.chunk_events.max(1), out)?;
     let (tap, interner, mut tallies) = run_profiler(prog, live, cfg, tap)?;
     // The footer needs the interner's statement table. A failure here fails
     // the run: a footer-less recording is useless.
@@ -277,30 +299,52 @@ impl FoldSink for Discard {
     fn dependence(&mut self, _: DepKind, _: StmtId, _: &[i64], _: StmtId, _: &[i64]) {}
 }
 
-/// The recording source: check that `path` was captured from `prog`, then
-/// decode every frame straight into `out`, with one heartbeat (fault probe
-/// and deadline poll) per frame. Once the deadline latches, the remaining
-/// frames are decoded and verified — the statement table is in the footer —
-/// but not folded.
-fn replay<S: FoldSink>(
+fn recording_err(path: &Path, detail: String) -> PolyProfError {
+    PolyProfError::Recording {
+        path: path.display().to_string(),
+        detail,
+    }
+}
+
+/// Open a recording, check that it was captured from `prog`, and rebuild
+/// pass 1's structure from its structure section — checked against `prog`
+/// before anything indexes with it.
+fn open_recording(
     prog: &Program,
     path: &Path,
-    cfg: &Pass2,
-    mut out: S,
-) -> Result<(S, ContextInterner, SourceTallies), PolyProfError> {
+) -> Result<(TraceReader<BufReader<File>>, StaticStructure), PolyProfError> {
     let mut reader = TraceReader::open(path)?;
-    let want = program_hash(prog);
-    let got = reader.meta().program_hash;
+    let want = program_id(prog);
+    let got = reader.meta().program_id;
     if want != got {
-        return Err(PolyProfError::Recording {
-            path: path.display().to_string(),
-            detail: format!(
-                "program hash mismatch: recording was captured from {got:#018x}, \
+        return Err(recording_err(
+            path,
+            format!(
+                "program id mismatch: recording was captured from {got:#018x}, \
                  replaying against {want:#018x} ({})",
                 prog.name
             ),
-        });
+        ));
     }
+    let graphs = reader.take_structure();
+    check_structure(prog, &graphs).map_err(|d| recording_err(path, d))?;
+    let (cfgs, cg_edges) = graphs;
+    Ok((reader, StaticStructure::from_graphs(prog, cfgs, cg_edges)))
+}
+
+/// The recording source: decode every frame of an opened recording straight
+/// into `out`, with one heartbeat (fault probe and deadline poll) per frame,
+/// then check the footer's statement table against `prog` and `structure`.
+/// Once the deadline latches, the remaining frames are decoded and verified —
+/// the statement table is in the footer — but not folded.
+fn replay<S: FoldSink>(
+    prog: &Program,
+    path: &Path,
+    mut reader: TraceReader<BufReader<File>>,
+    structure: &StaticStructure,
+    cfg: &Pass2,
+    mut out: S,
+) -> Result<(S, ContextInterner, SourceTallies), PolyProfError> {
     let budget = cfg.budget.as_deref();
     loop {
         if let Some(p) = &cfg.faults {
@@ -316,6 +360,7 @@ fn replay<S: FoldSink>(
         }
     }
     let (interner, stats) = reader.finish()?;
+    check_statements(prog, structure, &interner).map_err(|d| recording_err(path, d))?;
     let tallies = SourceTallies {
         counts: vec![
             (Counter::RecFramesRead, stats.frames),

@@ -1,8 +1,8 @@
 //! Offline re-folding of `.ptrace` recordings (capture/replay split).
 //!
-//! A recording holds the folding-interface stream itself, in the order the
-//! live run produced it, so replay needs neither the VM nor the shadow
-//! memory, and the replayed [`FoldedDdg`] is byte-identical (see
+//! A recording holds pass 1's graphs and the folding-interface stream
+//! itself, in the order the live run produced it, so replay needs neither
+//! the VM nor the shadow memory, and the replayed [`FoldedDdg`] is byte-identical (see
 //! [`FoldedDdg::canonical_text`]) to the live fold — the invariant the CI
 //! replay gate enforces.
 
@@ -20,7 +20,7 @@ use std::sync::Arc;
 /// `_fold_threads` is ignored; removed when ROADMAP item 1e drops the call.
 ///
 /// `prog` must be the program the recording was captured from: the header's
-/// program hash is checked first (a mismatch is a structured error), and
+/// program id is checked first (a mismatch is a structured error), and
 /// finalization classifies SCEVs against the program's instructions.
 pub fn fold_recording(
     path: &Path,

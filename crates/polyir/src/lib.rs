@@ -19,6 +19,7 @@ pub mod build;
 pub mod display;
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Identifier of a function within a [`Program`] (index into `Program::funcs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -65,6 +66,9 @@ pub struct InstrRef {
 pub struct Reg(pub u32);
 
 /// A runtime value: 64-bit integer or IEEE-754 double.
+///
+/// Hashes its variant and its bits (`F64` through [`f64::to_bits`]), so
+/// `0.0` and `-0.0` hash apart, and so do `I64` and `F64` of the same bits.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Value {
     /// Signed 64-bit integer (also used for addresses and booleans 0/1).
@@ -108,7 +112,8 @@ impl From<f64> for Value {
     }
 }
 
-/// An instruction operand: a register read or an immediate.
+/// An instruction operand: a register read or an immediate. Hashes like
+/// [`Value`]: variant, then the register or the immediate's bits.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Operand {
     /// Read a register of the current frame.
@@ -132,6 +137,40 @@ impl From<i64> for Operand {
 impl From<f64> for Operand {
     fn from(v: f64) -> Self {
         Operand::ImmF(v)
+    }
+}
+
+impl Hash for Value {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match *self {
+            Value::I64(v) => {
+                state.write_u8(0);
+                state.write_i64(v);
+            }
+            Value::F64(v) => {
+                state.write_u8(1);
+                state.write_u64(v.to_bits());
+            }
+        }
+    }
+}
+
+impl Hash for Operand {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match *self {
+            Operand::Reg(r) => {
+                state.write_u8(0);
+                state.write_u32(r.0);
+            }
+            Operand::ImmI(v) => {
+                state.write_u8(1);
+                state.write_i64(v);
+            }
+            Operand::ImmF(v) => {
+                state.write_u8(2);
+                state.write_u64(v.to_bits());
+            }
+        }
     }
 }
 
@@ -228,7 +267,7 @@ pub enum UnOp {
 ///
 /// The `Load`/`Store` address is `base + offset` where both are evaluated as
 /// integers; addresses are in words (one 64-bit cell per address).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Instr {
     /// `dst = imm`.
     Const {
@@ -412,7 +451,7 @@ impl Instr {
 }
 
 /// A block terminator (control transfer).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Terminator {
     /// Unconditional jump to a block of the same function.
     Jump(LocalBlockId),
@@ -443,7 +482,7 @@ impl Terminator {
 }
 
 /// A basic block: straight-line instructions plus one terminator.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct Block {
     /// Optional human-readable label (used in dumps and feedback).
     pub name: String,
@@ -457,7 +496,7 @@ pub struct Block {
 }
 
 /// A function: a register frame plus a CFG of blocks; block 0 is the entry.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct Function {
     /// Function name (shows up in flame graphs and region reports).
     pub name: String,
@@ -484,7 +523,7 @@ impl Function {
 }
 
 /// A whole program: functions plus an entry point and initial data segment.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Hash)]
 pub struct Program {
     /// All functions.
     pub funcs: Vec<Function>,

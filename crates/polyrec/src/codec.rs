@@ -1,7 +1,9 @@
-//! Wire primitives of the `.ptrace` format (version 2): LEB128 varints,
-//! zigzag signed encoding, the word-at-a-time frame checksum, FNV-1a for
-//! content hashes, the one frame encoder ([`FrameEncoder`]) and the one
-//! frame decoder ([`FrameDecoder`]), and the footer's statement table.
+//! Wire primitives of the `.ptrace` format (version 3): LEB128 varints,
+//! zigzag signed encoding, the word hash behind the frame checksum and the
+//! program identity (`WordHash`), FNV-1a for content hashes, the one frame
+//! encoder ([`FrameEncoder`]) and the one frame decoder ([`FrameDecoder`]),
+//! the structure section ([`encode_structure`]) and the footer's statement
+//! table.
 //!
 //! # Frame payload
 //!
@@ -38,23 +40,26 @@
 //! filled in its own frame is corrupt), and the delta state starts from
 //! zero, so a single damaged frame never poisons its neighbours.
 
-use polycfg::{LoopIdx, LoopRef, RecCompIdx};
+use polycfg::{DynCfg, LoopIdx, LoopRef, RecCompIdx};
 use polyddg::{DepKind, FoldSink};
 use polyiiv::context::{ContextInterner, CtxPathId, StmtId, StmtInfo};
 use polyiiv::CtxElem;
 use polyir::{BlockRef, FuncId, InstrRef, LocalBlockId};
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::Read;
 
 /// FNV-1a 64 offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64 prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Streaming FNV-1a 64: feed bytes with [`Fnv1a::write`] (or text through
 /// [`std::fmt::Write`]), read the hash with [`Fnv1a::finish`]. The one
-/// implementation behind [`program_hash`](crate::program_hash), the server's
-/// cache keys and the replay-gate fixture key. Frames are checksummed with
-/// [`frame_checksum`] instead.
+/// implementation behind the format-2 program hash the frozen ledger still
+/// keys its digests with, the server's upload digests and the replay-gate
+/// fixture key. Frames are checksummed
+/// with [`frame_checksum`] and programs identified by
+/// [`program_id`](crate::program_id) instead, both over `WordHash`.
 #[derive(Debug)]
 pub struct Fnv1a(u64);
 
@@ -102,33 +107,118 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// hash.
 const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// The checksum of a frame or footer payload: one multiply per 8-byte
-/// little-endian word (the last one zero-padded), the length folded into the
-/// seed, and a final avalanche. For a fixed word each step is a bijection of
-/// the running state, and for a fixed state it is injective in the word, so
-/// any damage confined to one word — every single-bit flip — changes the
-/// sum; the length tells a zero-padded tail from real zero bytes.
-pub fn frame_checksum(bytes: &[u8]) -> u64 {
+/// The word hash behind [`frame_checksum`] and
+/// [`program_id`](crate::program_id): a running state that absorbs one
+/// 64-bit word per step, `h = rotl31((h ^ word) · 2⁶⁴/φ)`, and ends in a
+/// murmur3-style avalanche. For a fixed word each step is a bijection of the
+/// state, and for a fixed state it is injective in the word, so damage
+/// confined to one word always changes the result. Fixed constants, fixed
+/// widths, no platform dependence: its values may be stored and compared
+/// across processes and machines.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WordHash(u64);
+
+impl WordHash {
+    /// A state seeded with `seed`.
+    pub fn new(seed: u64) -> Self {
+        WordHash(seed)
+    }
+
+    /// Absorb one word.
     #[inline(always)]
-    fn step(h: u64, word: u64) -> u64 {
-        (h ^ word).wrapping_mul(GOLDEN).rotate_left(31)
+    pub fn word(&mut self, w: u64) {
+        self.0 = (self.0 ^ w).wrapping_mul(GOLDEN).rotate_left(31);
     }
-    let mut h = FNV_OFFSET ^ (bytes.len() as u64).wrapping_mul(GOLDEN);
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        h = step(h, u64::from_le_bytes(w.try_into().expect("chunks of 8")));
+
+    /// Absorb `bytes` as little-endian 8-byte words, the last one
+    /// zero-padded.
+    pub fn words(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.word(u64::from_le_bytes(w.try_into().expect("chunks of 8")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut tail = [0u8; 8];
+            tail[..rest.len()].copy_from_slice(rest);
+            self.word(u64::from_le_bytes(tail));
+        }
     }
-    let rest = words.remainder();
-    if !rest.is_empty() {
-        let mut tail = [0u8; 8];
-        tail[..rest.len()].copy_from_slice(rest);
-        h = step(h, u64::from_le_bytes(tail));
+
+    /// The avalanched hash of everything absorbed so far.
+    pub fn sum(&self) -> u64 {
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
     }
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    h ^ (h >> 33)
+}
+
+/// A [`std::hash::Hasher`] over [`WordHash`]: every integer write is one
+/// word (sign- or zero-extended to 64 bits, `usize`/`isize` too), and a byte
+/// slice is its length word followed by its little-endian 8-byte words, the
+/// last one zero-padded. Nothing depends on the platform's endianness or
+/// pointer width — unlike std's default `write_*`, which feed native-endian
+/// bytes of native width.
+impl std::hash::Hasher for WordHash {
+    fn finish(&self) -> u64 {
+        self.sum()
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.word(bytes.len() as u64);
+        self.words(bytes);
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.word(i as u64);
+    }
+    fn write_u16(&mut self, i: u16) {
+        self.word(i as u64);
+    }
+    fn write_u32(&mut self, i: u32) {
+        self.word(i as u64);
+    }
+    fn write_u64(&mut self, i: u64) {
+        self.word(i);
+    }
+    fn write_u128(&mut self, i: u128) {
+        self.word(i as u64);
+        self.word((i >> 64) as u64);
+    }
+    fn write_usize(&mut self, i: usize) {
+        self.word(i as u64);
+    }
+    fn write_i8(&mut self, i: i8) {
+        self.word(i as i64 as u64);
+    }
+    fn write_i16(&mut self, i: i16) {
+        self.word(i as i64 as u64);
+    }
+    fn write_i32(&mut self, i: i32) {
+        self.word(i as i64 as u64);
+    }
+    fn write_i64(&mut self, i: i64) {
+        self.word(i as u64);
+    }
+    fn write_i128(&mut self, i: i128) {
+        self.write_u128(i as u128);
+    }
+    fn write_isize(&mut self, i: isize) {
+        self.word(i as i64 as u64);
+    }
+}
+
+/// The checksum of a frame or footer payload: a `WordHash` seeded with the
+/// length over the payload's 8-byte little-endian words, the last one
+/// zero-padded. Any damage confined to one word — every single-bit flip —
+/// changes the sum; the length tells a zero-padded tail from real zero bytes.
+pub fn frame_checksum(bytes: &[u8]) -> u64 {
+    let mut h = WordHash::new(FNV_OFFSET ^ (bytes.len() as u64).wrapping_mul(GOLDEN));
+    h.words(bytes);
+    h.sum()
 }
 
 /// Replace `buf` with the next `len` bytes of `r`; a stream that ends first is
@@ -793,6 +883,75 @@ pub fn decode_interner(cur: &mut Cursor) -> Result<InternerParts, String> {
     Ok((paths, stmts))
 }
 
+/// Pass 1's output as the structure section stores it: per executed
+/// function its dynamic CFG, and the dynamic call-graph edges — what
+/// `StructureRecorder::into_graphs` returns.
+pub type Graphs = (BTreeMap<FuncId, DynCfg>, BTreeSet<(FuncId, FuncId)>);
+
+/// Serialize pass 1's graphs into the structure-section payload: the
+/// function count, then per function (ascending) its id, its block count and
+/// blocks, its edge count and edges; then the call-graph edge count and
+/// edges. Every id is an unsigned varint.
+pub fn encode_structure(
+    buf: &mut Vec<u8>,
+    cfgs: &BTreeMap<FuncId, DynCfg>,
+    cg: &BTreeSet<(FuncId, FuncId)>,
+) {
+    write_uv(buf, cfgs.len() as u64);
+    for (f, cfg) in cfgs {
+        write_uv(buf, f.0 as u64);
+        write_uv(buf, cfg.blocks.len() as u64);
+        for b in &cfg.blocks {
+            write_uv(buf, b.0 as u64);
+        }
+        write_uv(buf, cfg.edges.len() as u64);
+        for (from, to) in &cfg.edges {
+            write_uv(buf, from.0 as u64);
+            write_uv(buf, to.0 as u64);
+        }
+    }
+    write_uv(buf, cg.len() as u64);
+    for (caller, callee) in cg {
+        write_uv(buf, caller.0 as u64);
+        write_uv(buf, callee.0 as u64);
+    }
+}
+
+/// Decode a structure-section payload back into pass 1's graphs. Checks the
+/// encoding only (counts, varints, no function listed twice, no trailing
+/// bytes); whether the ids exist in a program is
+/// [`check_structure`](crate::check_structure)'s question.
+pub fn decode_structure(cur: &mut Cursor) -> Result<Graphs, String> {
+    let n_funcs = cur.read_count(MAX_TABLE, "structure's function count")?;
+    let mut cfgs = BTreeMap::new();
+    for _ in 0..n_funcs {
+        let f = FuncId(read_u32(cur)?);
+        let n_blocks = cur.read_count(MAX_TABLE, "function's block count")?;
+        let mut cfg = DynCfg::default();
+        for _ in 0..n_blocks {
+            cfg.blocks.insert(LocalBlockId(read_u32(cur)?));
+        }
+        let n_edges = cur.read_count(MAX_TABLE, "function's edge count")?;
+        for _ in 0..n_edges {
+            let from = LocalBlockId(read_u32(cur)?);
+            cfg.edges.insert((from, LocalBlockId(read_u32(cur)?)));
+        }
+        if cfgs.insert(f, cfg).is_some() {
+            return Err(format!("structure lists function {} twice", f.0));
+        }
+    }
+    let n_cg = cur.read_count(MAX_TABLE, "structure's call-edge count")?;
+    let mut cg = BTreeSet::new();
+    for _ in 0..n_cg {
+        let caller = FuncId(read_u32(cur)?);
+        cg.insert((caller, FuncId(read_u32(cur)?)));
+    }
+    if !cur.is_done() {
+        return Err("structure section has trailing bytes".into());
+    }
+    Ok((cfgs, cg))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1166,14 +1325,74 @@ mod tests {
     /// opcodes, slots in and past the table and empty, huge word counts,
     /// raw noise — each framed with a valid checksum and read back, never
     /// panic, and the decoder's scratch stays within a small multiple of the
-    /// payload it was given.
+    /// payload it was given. So do 10 000 shaped like structure sections —
+    /// counts small and at the cap, ids in and far past a small program,
+    /// noise — read back and checked against that program.
     #[test]
     fn random_payloads_never_panic_and_stay_bounded() {
-        use crate::{TraceReader, TraceWriter, TAG_FRAME};
+        use crate::{check_structure, TraceReader, TraceWriter, TAG_FRAME, TAG_STRUCTURE};
+        use polycfg::StaticStructure;
         use std::io::Cursor as IoCursor;
         let mut head = Vec::new();
-        TraceWriter::new(IoCursor::new(&mut head), "<mem>".into(), 0, "fuzz", 4).unwrap();
+        TraceWriter::new(
+            IoCursor::new(&mut head),
+            "<mem>".into(),
+            0,
+            "fuzz",
+            4,
+            &StaticStructure::default(),
+        )
+        .unwrap();
+        let framed = |head: &[u8], tag: u8, payload: &[u8]| {
+            let mut file = head.to_vec();
+            file.push(tag);
+            file.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            file.extend_from_slice(payload);
+            file.extend_from_slice(&frame_checksum(payload).to_le_bytes());
+            file
+        };
         let mut rng = Rng(0x5eed);
+        // Two functions of three empty blocks each.
+        let prog = {
+            let block = polyir::Block {
+                name: String::new(),
+                instrs: Vec::new(),
+                term: polyir::Terminator::Ret(None),
+                src_line: 0,
+            };
+            let func = polyir::Function {
+                name: "f".into(),
+                n_params: 0,
+                n_regs: 0,
+                blocks: vec![block; 3],
+                src_file: String::new(),
+            };
+            polyir::Program {
+                funcs: vec![func; 2],
+                entry: Some(FuncId(0)),
+                ..polyir::Program::default()
+            }
+        };
+        let bare_header = &head[..44 + "fuzz".len()];
+        for _ in 0..10_000 {
+            let mut payload = Vec::new();
+            for _ in 0..rng.below(12) {
+                match rng.below(6) {
+                    0 => payload.extend((0..rng.below(6)).map(|_| rng.next() as u8)),
+                    1 => write_uv(&mut payload, MAX_TABLE + rng.below(2)),
+                    2 => write_uv(&mut payload, rng.next() >> rng.below(64)),
+                    _ => write_uv(&mut payload, rng.below(4)),
+                }
+            }
+            let file = framed(bare_header, TAG_STRUCTURE, &payload);
+            if let Ok(mut r) = TraceReader::new(IoCursor::new(&file[..]), "<mem>".into()) {
+                let graphs = r.take_structure();
+                if check_structure(&prog, &graphs).is_ok() {
+                    let (cfgs, cg) = graphs;
+                    StaticStructure::from_graphs(&prog, cfgs, cg);
+                }
+            }
+        }
         let mut chunk = EventChunk::default();
         for _ in 0..10_000 {
             let mut payload = Vec::new();
@@ -1194,11 +1413,7 @@ mod tests {
                     }
                 }
             }
-            let mut file = head.clone();
-            file.push(TAG_FRAME);
-            file.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            file.extend_from_slice(&payload);
-            file.extend_from_slice(&frame_checksum(&payload).to_le_bytes());
+            let file = framed(&head, TAG_FRAME, &payload);
             let mut r = TraceReader::new(IoCursor::new(&file[..]), "<mem>".into()).unwrap();
             let _ = r.next_chunk(&mut chunk);
             assert!(

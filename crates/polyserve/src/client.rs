@@ -21,7 +21,7 @@ pub enum Submission<'a> {
         workload: &'a str,
     },
     /// An uploaded `.ptrace` recording, re-folded offline. The recording's
-    /// program hash must match the registered workload's program.
+    /// program id must match the registered workload's program.
     Trace {
         /// Registered workload name (identifies the program).
         workload: &'a str,

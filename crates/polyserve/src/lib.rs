@@ -26,7 +26,7 @@
 //!   thread exists, and no thread in the server polls: accept, workers and
 //!   owners all block until there is something to do.
 //! - **Folded-DDG cache** — clean results are cached by
-//!   `(program hash, input hash)` with single-flight dedup: identical
+//!   `(program id, input hash)` with single-flight dedup: identical
 //!   concurrent submissions fold once. What is kept is the rendered report
 //!   minus its session-dependent head, at most 8 MiB of them (least recently
 //!   hit evicted first); a submission the cache holds is answered at

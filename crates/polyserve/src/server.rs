@@ -30,7 +30,7 @@
 //!   session only. A worker never touches a socket and builds no frame: it
 //!   answers the owner on a channel (`Started`, then `Done` with the
 //!   session's result);
-//! - a **folded-DDG cache** keyed by `(program hash, input hash)` with
+//! - a **folded-DDG cache** keyed by `(program id, input hash)` with
 //!   single-flight dedup: identical clean submissions fold once, every
 //!   other session waits for (or reuses) that result. An entry is the
 //!   session-independent tail of the report, rendered once by the leader
@@ -205,7 +205,7 @@ impl Sched {
 /// distinct valid recordings.
 const CACHE_BYTES: usize = 8 << 20;
 
-/// `(program hash, input hash)`: input hash 0 for a program submission (the
+/// `(program id, input hash)`: input hash 0 for a program submission (the
 /// VM runs on an empty input), FNV-1a of the bytes for an uploaded recording.
 type CacheKey = (u64, u64);
 
@@ -372,7 +372,7 @@ pub fn serve(
     let registry = registry
         .into_iter()
         .map(|(name, prog)| {
-            let h = polyrec::program_hash(&prog);
+            let h = polyrec::program_id(&prog);
             (name, (Arc::new(prog), h))
         })
         .collect();
@@ -523,7 +523,7 @@ fn handle_submit<W: Write>(
         Some(w) => w,
         None => return reject(stream, "missing workload"),
     };
-    let (prog, prog_hash) = match inner.registry.get(&workload) {
+    let (prog, prog_id) = match inner.registry.get(&workload) {
         Some((p, h)) => (Arc::clone(p), *h),
         None => return reject(stream, &format!("unknown workload `{workload}`")),
     };
@@ -547,13 +547,13 @@ fn handle_submit<W: Write>(
             // Structural validation happens at admission, not on a worker:
             // a garbage upload is a bad request, not a dead session.
             match polyrec::peek_meta(bytes, &workload) {
-                Ok(meta) if meta.program_hash == prog_hash => fnv1a(bytes),
+                Ok(meta) if meta.program_id == prog_id => fnv1a(bytes),
                 Ok(meta) => {
                     return reject(
                         stream,
                         &format!(
                             "recording is of program {:#x}, workload `{workload}` is {:#x}",
-                            meta.program_hash, prog_hash
+                            meta.program_id, prog_id
                         ),
                     )
                 }
@@ -565,7 +565,7 @@ fn handle_submit<W: Write>(
     // Only deterministic clean-config runs may hit or populate the cache: a
     // fault plan or a byte budget changes the result.
     let cache_key =
-        (fault_plan.is_none() && memory_budget.is_none()).then_some((prog_hash, input_hash));
+        (fault_plan.is_none() && memory_budget.is_none()).then_some((prog_id, input_hash));
 
     // Admission proper, under the scheduler lock: token bucket, then the
     // cache, then the queue bound, then the job joins its tenant's queue.

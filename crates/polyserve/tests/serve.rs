@@ -379,7 +379,7 @@ fn trace_submission_replays_and_garbage_is_rejected() {
     server.shutdown();
 }
 
-/// An upload that passes admission — valid header, matching program hash,
+/// An upload that passes admission — valid header, matching program id,
 /// every frame checksummed — but names a statement its own footer does not
 /// hold fails its session with the recording's structured error, not a
 /// panic, and the server goes on serving the same connection.
@@ -387,15 +387,16 @@ fn trace_submission_replays_and_garbage_is_rejected() {
 fn forged_statement_upload_fails_structurally_and_the_server_serves_on() {
     use polyprof_core::polyddg::{CollectSink, FoldSink};
     use polyprof_core::polyiiv::context::{ContextInterner, StmtId};
-    use polyprof_core::polyrec::{program_hash, Recorder, TraceWriter};
+    use polyprof_core::polyrec::{program_id, Recorder, TraceWriter};
     let prog = rodinia::paper_examples::fig6_kernel(16, 8);
     let mut bytes = Vec::new();
     let w = TraceWriter::new(
         std::io::Cursor::new(&mut bytes),
         "<forged>".into(),
-        program_hash(&prog),
+        program_id(&prog),
         &prog.name,
         4,
+        &polyprof_core::polycfg::StaticStructure::default(),
     )
     .unwrap();
     let mut rec = Recorder::new(w, 4, CollectSink::default());

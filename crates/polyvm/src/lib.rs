@@ -382,6 +382,18 @@ impl Default for VmConfig {
     }
 }
 
+thread_local! {
+    /// VMs constructed on this thread; see [`vms_built_on_this_thread`].
+    static VMS_BUILT: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// How many [`Vm`]s the calling thread has constructed so far. Per thread,
+/// so a test can show that a call it makes runs no VM while other tests run
+/// theirs in parallel: read it before and after the call.
+pub fn vms_built_on_this_thread() -> u64 {
+    VMS_BUILT.with(|n| n.get())
+}
+
 /// The PolyVM interpreter.
 pub struct Vm<'p> {
     prog: &'p Program,
@@ -403,6 +415,7 @@ impl<'p> Vm<'p> {
 
     /// Create a VM with an explicit configuration.
     pub fn with_config(prog: &'p Program, cfg: VmConfig) -> Self {
+        VMS_BUILT.with(|n| n.set(n.get() + 1));
         let mut mem = Memory::new();
         for &(addr, v) in &prog.data {
             mem.write(addr, v);

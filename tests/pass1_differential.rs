@@ -47,6 +47,7 @@ impl TreeRecorder {
             forests,
             rcs,
             cfgs: self.cfgs,
+            cg_edges: self.cg_edges,
         }
     }
 }
@@ -122,7 +123,7 @@ fn rendered(prog: &Program, s: &StaticStructure) -> [String; 3] {
         .map(|f| s.rcs.component_of(FuncId(f)))
         .collect();
     [
-        format!("{:?}", s.cfgs),
+        format!("{:?} {:?}", s.cfgs, s.cg_edges),
         format!("{forests:?}"),
         format!("{:?} {comp_of:?}", s.rcs.components),
     ]

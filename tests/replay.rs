@@ -1,13 +1,16 @@
 //! Record→replay gate: a `.ptrace` recording captured during a live fold
 //! must re-fold *byte-identically* (via `FoldedDdg::canonical_text`) to the
-//! live result, and every corruption of the file — truncation, bad magic, a
-//! format-version bump, a flipped payload byte, a tampered header count, a
-//! statement the footer's table lacks — must surface as a structured
-//! `PolyProfError`, never a panic.
+//! live result and, through the public driver, reproduce the live report
+//! without constructing a VM; every corruption of the file — truncation,
+//! bad magic, a format-version bump, a flipped byte, a tampered header
+//! count, a statement the footer's table lacks, a forged structure or
+//! footer that names what the program or the structure lacks — must
+//! surface as a structured `PolyProfError`, never a panic.
 //!
-//! Why identity holds: a recording carries the folding-interface stream in
-//! the order the live run produced it, and replay feeds it to the same
-//! folding sink, so every folder sees the same events in the same order.
+//! Why identity holds: a recording carries pass 1's graphs, from which the
+//! replay rebuilds the structure with the calls a live run makes, and the
+//! folding-interface stream in the order the live run produced it, which
+//! replay feeds to the same folding sink.
 
 mod common;
 
@@ -17,12 +20,13 @@ use polyprof_core::polyfold::pass2::{self, Live, Pass2, Source};
 use polyprof_core::polyfold::{self, replay::fold_recording, FoldOptions, FoldedDdg};
 use polyprof_core::polyiiv::context::{ContextInterner, StmtId};
 use polyprof_core::polyrec::{
-    program_hash, Recorder, TraceWriter, FORMAT_VERSION, HDR_EVENTS_OFF, HDR_VERSION_OFF, MAGIC,
+    codec, program_id, Recorder, TraceWriter, FORMAT_VERSION, HDR_EVENTS_OFF, HDR_VERSION_OFF,
+    MAGIC,
 };
 use polyprof_core::polyresist::{PolyProfError, ResourceBudget};
 use polyprof_core::polytrace::Counter;
-use polyprof_core::{polycfg, polyir::Program, polyvm};
-use polyprof_core::{try_profile_with, MetricsLevel, ProfileConfig};
+use polyprof_core::{polycfg, polyiiv::CtxElem, polyir::Program, polyvm};
+use polyprof_core::{try_profile_with, MetricsLevel, ProfileConfig, Report};
 use proptest::prelude::*;
 use rodinia::paper_examples::fig6_kernel;
 use std::fs;
@@ -71,9 +75,10 @@ fn forged_stmt_recording(prog: &Program) -> Vec<u8> {
     let w = TraceWriter::new(
         std::io::Cursor::new(&mut bytes),
         "<forged>".into(),
-        program_hash(prog),
+        program_id(prog),
         &prog.name,
         4,
+        &polycfg::StaticStructure::default(),
     )
     .unwrap();
     let mut rec = Recorder::new(w, 4, CollectSink::default());
@@ -81,6 +86,59 @@ fn forged_stmt_recording(prog: &Program) -> Vec<u8> {
     rec.finish(&ContextInterner::from_parts(Vec::new(), Vec::new()))
         .unwrap();
     bytes
+}
+
+/// Tags of a recording's tagged sections.
+const TAG_FOOTER: u8 = 2;
+const TAG_STRUCTURE: u8 = 3;
+
+/// `(tag, start, end)` of every tagged section of a recording — structure,
+/// frames, footer — in file order; `start` is the tag byte, `end` is past
+/// the checksum.
+fn sections(bytes: &[u8]) -> Vec<(u8, usize, usize)> {
+    let name_len = u32::from_le_bytes(bytes[40..44].try_into().unwrap()) as usize;
+    let mut at = 44 + name_len;
+    let mut out = Vec::new();
+    while at < bytes.len() - MAGIC.len() {
+        let len = u32::from_le_bytes(bytes[at + 1..at + 5].try_into().unwrap()) as usize;
+        out.push((bytes[at], at, at + 5 + len + 8));
+        at += 5 + len + 8;
+    }
+    out
+}
+
+/// `bytes` with the payload of its (only) section tagged `tag` rewritten by
+/// `forge`, framed with a correct length and checksum — damage no checksum
+/// can see.
+fn reforged(bytes: &[u8], tag: u8, forge: impl FnOnce(&[u8]) -> Vec<u8>) -> Vec<u8> {
+    let (_, start, end) = sections(bytes)
+        .into_iter()
+        .find(|s| s.0 == tag)
+        .expect("the section exists");
+    let payload = forge(&bytes[start + 5..end - 8]);
+    let mut out = bytes[..start].to_vec();
+    out.push(tag);
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&payload);
+    out.extend_from_slice(&codec::frame_checksum(&payload).to_le_bytes());
+    out.extend_from_slice(&bytes[end..]);
+    out
+}
+
+/// `bytes` with its footer's statement table decoded, edited by `edit` and
+/// re-encoded behind the same totals.
+fn reforged_footer(bytes: &[u8], edit: impl FnOnce(&mut codec::InternerParts)) -> Vec<u8> {
+    reforged(bytes, TAG_FOOTER, |payload| {
+        let mut cur = codec::Cursor::new(payload);
+        let mut parts = codec::decode_interner(&mut cur).expect("footer decodes");
+        let (events, frames) = (cur.read_uv().unwrap(), cur.read_uv().unwrap());
+        edit(&mut parts);
+        let mut out = Vec::new();
+        codec::encode_interner(&mut out, &ContextInterner::from_parts(parts.0, parts.1));
+        codec::write_uv(&mut out, events);
+        codec::write_uv(&mut out, frames);
+        out
+    })
 }
 
 /// The headline invariant: replaying a recording reproduces the live fold
@@ -132,56 +190,189 @@ fn replay_is_byte_identical_to_live() {
     fs::remove_file(&path).ok();
 }
 
-/// `replay_from` through the public driver: the replayed report reproduces
-/// the live report's folded statistics, annotated AST and canonical DDG
-/// without a pass-2 VM run — whatever the recording's frame size. The tap
-/// does not perturb the run it observed either: the recording run's report
+/// Every part of a report a replay must reproduce byte for byte: the fold's
+/// statistics and canonical text, the rendered report, the flame graph, the
+/// annotated AST and, when the lint ran, its verdict.
+fn assert_same_report(what: &str, live: &Report, replayed: &Report) {
+    assert_eq!(live.folded_stats, replayed.folded_stats, "{what}");
+    assert_eq!(live.scev_removed, replayed.scev_removed, "{what}");
+    assert_eq!(live.canonical_ddg, replayed.canonical_ddg, "{what}");
+    assert_eq!(live.full_text, replayed.full_text, "{what}");
+    assert_eq!(live.flamegraph_svg, replayed.flamegraph_svg, "{what}");
+    assert_eq!(live.annotated_ast, replayed.annotated_ast, "{what}");
+    let lint = |r: &Report| r.lint.as_ref().map(|l| l.to_json());
+    assert_eq!(lint(live), lint(replayed), "{what}");
+}
+
+/// `replay_from` through the public driver reproduces the live report byte
+/// for byte — with and without the lint — on fig6 and six Rodinia kernels,
+/// whatever the recording's frame size, and constructs no VM. The tap does
+/// not perturb the run it observed either: the recording run's report
 /// matches an untapped run of the same config.
 #[test]
 fn profile_replay_from_matches_live_report() {
-    let prog = fig6_kernel(8, 4);
-    let untapped =
-        try_profile_with(&prog, &ProfileConfig::new().with_canonical(true)).expect("untapped run");
-    for frame in [4096usize, 64] {
-        let path = scratch(&format!("profile_replay_{frame}"));
-        let recorder = ProfileConfig::new()
-            .with_chunk_events(frame)
-            .with_canonical(true);
-        let live = try_profile_with(&prog, &recorder.with_record_to(&path)).expect("record run");
-        assert!(!live.degradation.is_degraded(), "{:?}", live.degradation);
-        assert_eq!(live.folded_stats, untapped.folded_stats, "{frame}");
-        assert_eq!(live.annotated_ast, untapped.annotated_ast, "{frame}");
-        assert_eq!(live.canonical_ddg, untapped.canonical_ddg, "{frame}");
-        let replayed = try_profile_with(
-            &prog,
-            &ProfileConfig::new()
-                .with_canonical(true)
-                .with_replay_from(&path),
-        )
-        .expect("replay run");
-        assert_eq!(live.folded_stats, replayed.folded_stats, "{frame}");
-        assert_eq!(live.scev_removed, replayed.scev_removed, "{frame}");
-        assert_eq!(live.annotated_ast, replayed.annotated_ast, "{frame}");
-        assert_eq!(live.canonical_ddg, replayed.canonical_ddg, "{frame}");
-        fs::remove_file(&path).ok();
+    let mut progs = vec![("fig6".to_string(), fig6_kernel(8, 4))];
+    for w in [
+        rodinia::backprop::build(),
+        rodinia::bfs::build(),
+        rodinia::hotspot::build(),
+        rodinia::lud::build(),
+        rodinia::nw::build(),
+        rodinia::pathfinder::build(),
+    ] {
+        progs.push((w.name.to_string(), w.program));
+    }
+    let canonical = ProfileConfig::new().with_canonical(true);
+    for (name, prog) in &progs {
+        let untapped = try_profile_with(prog, &canonical).expect("untapped run");
+        let frames: &[usize] = if name == "fig6" { &[4096, 64] } else { &[4096] };
+        for &frame in frames {
+            let what = format!("{name}, frames of {frame}");
+            let path = scratch(&format!("profile_replay_{name}_{frame}"));
+            let recorder = canonical.clone().with_chunk_events(frame);
+            let live = try_profile_with(prog, &recorder.with_record_to(&path)).expect("record run");
+            assert!(!live.degradation.is_degraded(), "{:?}", live.degradation);
+            assert_same_report(&what, &untapped, &live);
+            let vms = polyvm::vms_built_on_this_thread();
+            let replayed = try_profile_with(prog, &canonical.clone().with_replay_from(&path))
+                .expect("replay run");
+            assert_eq!(
+                polyvm::vms_built_on_this_thread(),
+                vms,
+                "{what}: a replay ran a VM"
+            );
+            assert_same_report(&what, &live, &replayed);
+            let linted = canonical.clone().with_lint(true);
+            let live = try_profile_with(prog, &linted).expect("linted run");
+            let replayed =
+                try_profile_with(prog, &linted.with_replay_from(&path)).expect("linted replay");
+            assert!(replayed.lint.is_some(), "{what}");
+            assert_same_report(&format!("{what}, linted"), &live, &replayed);
+            fs::remove_file(&path).ok();
+        }
     }
 }
 
-/// Replaying against a different program is a structured error naming the
-/// hash mismatch — never a silently wrong DDG.
+/// A replay constructs no VM — neither through the public driver nor
+/// through `fold_recording` — while the live run that recorded it
+/// constructs two (pass 1 and pass 2). The tally is per thread, so tests
+/// running in parallel do not disturb it.
 #[test]
-fn program_hash_mismatch_is_a_hard_error() {
+fn a_replay_constructs_no_vm() {
+    let prog = stencil(10, 3);
+    let path = scratch("no_vm");
+    let vms = polyvm::vms_built_on_this_thread();
+    try_profile_with(&prog, &ProfileConfig::new().with_record_to(&path)).expect("record run");
+    assert_eq!(polyvm::vms_built_on_this_thread(), vms + 2);
+    let vms = polyvm::vms_built_on_this_thread();
+    let replayed = ProfileConfig::new()
+        .with_metrics(MetricsLevel::Timing)
+        .with_replay_from(&path);
+    let r = try_profile_with(&prog, &replayed).expect("replay run");
+    fold_recording(&path, &prog, 1, FoldOptions::default(), None).expect("fold");
+    assert_eq!(polyvm::vms_built_on_this_thread(), vms);
+    let m = r.metrics.expect("metrics were asked for");
+    assert!(m.vm_ops.is_empty(), "a replay dispatched opcodes");
+    fs::remove_file(&path).ok();
+}
+
+/// Replaying against a different program is a structured error naming the
+/// program-id mismatch — never a silently wrong DDG.
+#[test]
+fn program_id_mismatch_is_a_hard_error() {
     let prog = stencil(9, 2);
     let other = elementwise(8, 3);
-    let path = scratch("hash_mismatch");
+    let path = scratch("id_mismatch");
     record_live(&prog, &path);
     let err = fold_recording(&path, &other, 1, FoldOptions::default(), None)
         .expect_err("wrong program must be rejected");
     match &err {
         PolyProfError::Recording { detail, .. } => {
-            assert!(detail.contains("program hash mismatch"), "got: {detail}");
+            assert!(detail.contains("program id mismatch"), "got: {detail}");
         }
         other => panic!("expected Recording error, got {other}"),
+    }
+    fs::remove_file(&path).ok();
+}
+
+/// A recording whose checksums all hold but whose footer names loops the
+/// recorded structure does not have — every CFG loop index moved up by 50 —
+/// or an instruction the program does not have is refused with a
+/// structured error before the feedback stage indexes a forest with it.
+/// (The loop forgery used to panic in `region_report`.)
+#[test]
+fn forged_footer_loops_and_instructions_are_recording_errors() {
+    let prog = fig6_kernel(8, 4);
+    let path = scratch("forged_footer");
+    try_profile_with(&prog, &ProfileConfig::new().with_record_to(&path)).expect("record run");
+    let bytes = fs::read(&path).unwrap();
+    let loops_moved = reforged_footer(&bytes, |(paths, _)| {
+        let mut moved = 0;
+        for elem in paths.iter_mut().flatten().flatten() {
+            if let CtxElem::Loop(polycfg::LoopRef::Cfg(_, l)) = elem {
+                l.0 += 50;
+                moved += 1;
+            }
+        }
+        assert!(moved > 0, "fig6 names no loop");
+    });
+    let instr_moved = reforged_footer(&bytes, |(_, stmts)| stmts[0].instr.idx += 50);
+    for (what, forged) in [("loop", loops_moved), ("instruction", instr_moved)] {
+        fs::write(&path, &forged).unwrap();
+        let replay = ProfileConfig::new().with_replay_from(&path);
+        match try_profile_with(&prog, &replay).map(|r| r.folded_stats) {
+            Err(PolyProfError::Recording { detail, .. }) => {
+                assert!(detail.contains("footer's"), "{what}: {detail}")
+            }
+            other => panic!("{what}: expected a Recording error, got {other:?}"),
+        }
+    }
+    fs::remove_file(&path).ok();
+}
+
+/// A structure section whose checksum holds but that names a function the
+/// program lacks, or leaves out the entry function, is refused before
+/// anything indexes with it.
+#[test]
+fn forged_structure_is_a_recording_error() {
+    let prog = fig6_kernel(8, 4);
+    let path = scratch("forged_structure");
+    try_profile_with(&prog, &ProfileConfig::new().with_record_to(&path)).expect("record run");
+    let bytes = fs::read(&path).unwrap();
+    let forge = |edit: fn(&mut codec::Graphs)| {
+        reforged(&bytes, TAG_STRUCTURE, |payload| {
+            let mut graphs = codec::decode_structure(&mut codec::Cursor::new(payload)).unwrap();
+            edit(&mut graphs);
+            let mut out = Vec::new();
+            codec::encode_structure(&mut out, &graphs.0, &graphs.1);
+            out
+        })
+    };
+    let cases = [
+        (
+            "function",
+            forge(|(cfgs, _)| {
+                let cfg = cfgs.values().next().unwrap().clone();
+                cfgs.insert(polyprof_core::polyir::FuncId(99), cfg);
+            }),
+        ),
+        (
+            "entry",
+            forge(|(cfgs, cg)| {
+                cfgs.pop_first();
+                cg.clear();
+            }),
+        ),
+    ];
+    for (what, forged) in cases {
+        fs::write(&path, &forged).unwrap();
+        let replay = ProfileConfig::new().with_replay_from(&path);
+        match try_profile_with(&prog, &replay).map(|r| r.folded_stats) {
+            Err(PolyProfError::Recording { detail, .. }) => {
+                assert!(detail.contains("structure"), "{what}: {detail}")
+            }
+            other => panic!("{what}: expected a Recording error, got {other:?}"),
+        }
     }
     fs::remove_file(&path).ok();
 }
@@ -223,25 +414,30 @@ fn bad_magic_is_a_hard_error() {
     fs::remove_file(&path).ok();
 }
 
-/// Flipping a byte inside the first frame's payload trips the per-frame
-/// FNV checksum (or a payload bounds guard) — a structured decode error,
-/// not a silently different DDG.
+/// Flipping a byte inside the structure section's payload, or inside the
+/// first frame's, trips that section's checksum — a structured decode
+/// error, not a silently different structure or DDG.
 #[test]
 fn payload_byte_flip_is_detected() {
     let prog = stencil(9, 2);
     let path = scratch("byte_flip");
     record_live(&prog, &path);
-    let mut bytes = fs::read(&path).unwrap();
-    // Header is 44 bytes + name; the first frame starts right after it:
-    // tag(1) + len(4) + payload. Flip a byte 6 into the frame (inside the
-    // payload for any non-empty frame).
-    let name_len = u32::from_le_bytes(bytes[40..44].try_into().unwrap()) as usize;
-    let frame0 = 44 + name_len;
-    bytes[frame0 + 6] ^= 0xFF;
-    fs::write(&path, &bytes).unwrap();
-    let err = fold_recording(&path, &prog, 1, FoldOptions::default(), None)
-        .expect_err("checksum mismatch must be detected");
-    assert!(matches!(err, PolyProfError::Recording { .. }));
+    let bytes = fs::read(&path).unwrap();
+    // The structure section, then the first frame: tag(1) + len(4) +
+    // payload. Flip a byte 6 into each (inside any non-empty payload).
+    for (tag, start, _) in sections(&bytes).into_iter().take(2) {
+        let mut flipped = bytes.clone();
+        flipped[start + 6] ^= 0xFF;
+        fs::write(&path, &flipped).unwrap();
+        let err = fold_recording(&path, &prog, 1, FoldOptions::default(), None)
+            .expect_err("checksum mismatch must be detected");
+        match err {
+            PolyProfError::Recording { detail, .. } => {
+                assert!(detail.contains("checksum"), "section {tag}: {detail}")
+            }
+            other => panic!("section {tag}: expected a Recording error, got {other}"),
+        }
+    }
     fs::remove_file(&path).ok();
 }
 
