@@ -349,6 +349,13 @@ impl ProfileConfig {
         if self.shared_budget.is_some() && limits {
             return clash("shared_budget", "overrides `memory_budget`/`deadline`");
         }
+        if self.chunk_events > polyrec::MAX_CHUNK_EVENTS {
+            let most = polyrec::MAX_CHUNK_EVENTS;
+            return clash(
+                "chunk_events",
+                &format!("a recorded frame holds at most {most}"),
+            );
+        }
         Ok(())
     }
 }

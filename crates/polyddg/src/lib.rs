@@ -96,12 +96,103 @@ pub trait FoldSink {
         dst: StmtId,
         dst_coords: &[i64],
     );
+    /// A loop body of `body.len()` keys repeating `n` more times: for `t` in
+    /// `1..=n`, then each key in body order, the key's event at
+    /// `base + t·stride` (wrapping). The default spells exactly that through
+    /// the three methods above ([`expand_run`]), so a sink that does not
+    /// override it sees the same sequence as if the events had arrived one
+    /// by one; an override must fold to the same result.
+    fn body_run(&mut self, body: &[BodyKey<'_>], n: u64) {
+        expand_run(self, body, n);
+    }
+
     /// Events received so far, for the run's heartbeat
     /// ([`ResourceBudget::beat`]): read once per watchdog poll from a tally
     /// the sink keeps anyway, never counted for the purpose. Sinks without
     /// one report 0.
     fn events_seen(&self) -> u64 {
         0
+    }
+}
+
+/// Which [`FoldSink`] method a [`BodyKey`]'s events go through.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EventKind {
+    /// [`FoldSink::instr_point`] without a value.
+    Point,
+    /// [`FoldSink::instr_point`] with the value as the last word.
+    PointValue,
+    /// [`FoldSink::mem_access`], a load; the address is the last word.
+    Load,
+    /// [`FoldSink::mem_access`], a store; the address is the last word.
+    Store,
+    /// [`FoldSink::dependence`] of this kind.
+    Dep(DepKind),
+}
+
+/// One key of a repeated loop body ([`FoldSink::body_run`]): which events,
+/// and where they start and how they move. `base` and `stride` have one
+/// word per event word: the coordinates (a dependence's producer
+/// coordinates), then the value, the address or the consumer coordinates.
+#[derive(Debug, Clone, Copy)]
+pub struct BodyKey<'a> {
+    /// The method the events go through.
+    pub kind: EventKind,
+    /// The statement (a dependence's producer).
+    pub a: StmtId,
+    /// A dependence's consumer; unused otherwise.
+    pub b: StmtId,
+    /// Words before the split are the (producer's) coordinates.
+    pub split: usize,
+    /// The key's latest event, before the run.
+    pub base: &'a [i64],
+    /// What each repeat adds to every word.
+    pub stride: &'a [i64],
+}
+
+/// A point key of no words: filler for a fixed-size array of keys.
+impl Default for BodyKey<'_> {
+    fn default() -> Self {
+        BodyKey {
+            kind: EventKind::Point,
+            a: StmtId(0),
+            b: StmtId(0),
+            split: 0,
+            base: &[],
+            stride: &[],
+        }
+    }
+}
+
+impl BodyKey<'_> {
+    /// Hand `words` — an event of this key — to `sink`.
+    #[inline]
+    pub fn emit<S: FoldSink + ?Sized>(&self, sink: &mut S, words: &[i64]) {
+        let (x, y) = words.split_at(self.split);
+        match self.kind {
+            EventKind::Point => sink.instr_point(self.a, x, None),
+            EventKind::PointValue => sink.instr_point(self.a, x, Some(y[0])),
+            EventKind::Load => sink.mem_access(self.a, x, y[0] as u64, false),
+            EventKind::Store => sink.mem_access(self.a, x, y[0] as u64, true),
+            EventKind::Dep(kind) => sink.dependence(kind, self.a, x, self.b, y),
+        }
+    }
+}
+
+/// [`FoldSink::body_run`] spelled out: for `t` in `1..=n`, each key's event
+/// at `base + t·stride` (wrapping), in body order.
+pub fn expand_run<S: FoldSink + ?Sized>(sink: &mut S, body: &[BodyKey<'_>], n: u64) {
+    let mut words: Vec<i64> = body.iter().flat_map(|k| k.base).copied().collect();
+    for _ in 0..n {
+        let mut rest = &mut words[..];
+        for key in body {
+            let (w, tail) = rest.split_at_mut(key.base.len());
+            rest = tail;
+            for (w, &s) in w.iter_mut().zip(key.stride) {
+                *w = w.wrapping_add(s);
+            }
+            key.emit(sink, w);
+        }
     }
 }
 

@@ -23,7 +23,7 @@ pub mod stream;
 pub use fitter::{FitResult, OnlineAffineFitter, RatAffine};
 pub use stream::{FoldedDomain, FoldedStream, LabelFold, StreamFolder};
 
-use polyddg::{DepKind, FoldSink};
+use polyddg::{expand_run, BodyKey, DepKind, EventKind, FoldSink};
 use polyiiv::context::{ContextInterner, StmtId};
 use polyir::{Instr, Program};
 use polyresist::{PolyProfError, ResourceBudget};
@@ -476,63 +476,61 @@ impl FoldingSink {
         }
         &mut v[idx]
     }
-}
 
-impl FoldSink for FoldingSink {
-    fn instr_point(&mut self, stmt: StmtId, coords: &[i64], value: Option<i64>) {
-        self.total_ops += 1;
-        self.stats.events_folded += 1;
+    /// The statement folder of `stmt`, built for `dim` coordinates on first
+    /// sight (and charged to the budget).
+    #[inline(always)]
+    fn stmt_folder(&mut self, stmt: StmtId, dim: usize) -> &mut StreamFolder {
         let budget = &self.budget;
         let fast_fit = self.options.fast_fit;
         let folder = Self::stmt_slot(&mut self.stmts, stmt).get_or_insert_with(|| {
             if let Some(b) = budget {
-                b.charge(Self::folder_cost(coords.len()));
+                b.charge(Self::folder_cost(dim));
             }
-            StreamFolder::with_fast_fit(coords.len(), fast_fit)
+            StreamFolder::with_fast_fit(dim, fast_fit)
         });
         Self::maybe_degrade(budget, &mut self.stats, folder);
-        match value {
-            Some(v) => folder.push(coords, Some(&[v])),
-            None => folder.push(coords, None),
-        }
+        folder
     }
 
-    fn mem_access(&mut self, stmt: StmtId, coords: &[i64], addr: u64, is_write: bool) {
-        self.stats.events_folded += 1;
+    /// The access folder of `stmt`, as [`stmt_folder`](Self::stmt_folder);
+    /// the first access decides whether it folds a store.
+    #[inline(always)]
+    fn access_folder(&mut self, stmt: StmtId, dim: usize, is_write: bool) -> &mut StreamFolder {
         let budget = &self.budget;
         let fast_fit = self.options.fast_fit;
         let (folder, _) = Self::stmt_slot(&mut self.accesses, stmt).get_or_insert_with(|| {
             if let Some(b) = budget {
-                b.charge(Self::folder_cost(coords.len()));
+                b.charge(Self::folder_cost(dim));
             }
-            (
-                StreamFolder::with_fast_fit(coords.len(), fast_fit),
-                is_write,
-            )
+            (StreamFolder::with_fast_fit(dim, fast_fit), is_write)
         });
         Self::maybe_degrade(budget, &mut self.stats, folder);
-        folder.push(coords, Some(&[addr as i64]));
+        folder
     }
 
-    fn dependence(
+    /// The carried class of a dependence from `src` to `dst`.
+    #[inline(always)]
+    fn class_of(&self, src: &[i64], dst: &[i64]) -> u8 {
+        if !self.options.split_classes {
+            return 0;
+        }
+        let common = src.len().min(dst.len());
+        (0..common)
+            .find(|&i| src[i] != dst[i])
+            .map(|i| i as u8)
+            .unwrap_or(CLASS_NONE)
+    }
+
+    /// The folder of the dependence stream `(kind, src, dst, class)`, built
+    /// on first sight.
+    #[inline(always)]
+    fn dep_folder(
         &mut self,
-        kind: DepKind,
-        src: StmtId,
-        src_coords: &[i64],
-        dst: StmtId,
-        dst_coords: &[i64],
-    ) {
-        self.stats.events_folded += 1;
-        self.stats.deps_folded += 1;
-        let common = src_coords.len().min(dst_coords.len());
-        let class = if self.options.split_classes {
-            (0..common)
-                .find(|&i| src_coords[i] != dst_coords[i])
-                .map(|i| i as u8)
-                .unwrap_or(CLASS_NONE)
-        } else {
-            0
-        };
+        (kind, src, dst, class): DepKey,
+        src_dim: usize,
+        dst_dim: usize,
+    ) -> &mut StreamFolder {
         let idx = dst.0 as usize;
         if idx >= self.dep_slots.len() {
             self.dep_slots.resize_with(idx + 1, Vec::new);
@@ -545,16 +543,12 @@ impl FoldSink for FoldingSink {
             Some(e) => e.3,
             None => {
                 if let Some(b) = &self.budget {
-                    b.charge(Self::folder_cost(dst_coords.len()));
+                    b.charge(Self::folder_cost(dst_dim));
                 }
                 let slot = self.deps.len() as u32;
                 self.deps.push((
                     (kind, src, dst, class),
-                    StreamFolder::for_dependence(
-                        dst_coords.len(),
-                        self.options.fast_fit,
-                        src_coords.len(),
-                    ),
+                    StreamFolder::for_dependence(dst_dim, self.options.fast_fit, src_dim),
                 ));
                 table.push((kind, src, class, slot));
                 slot
@@ -562,7 +556,131 @@ impl FoldSink for FoldingSink {
         };
         let (_, folder) = &mut self.deps[slot as usize];
         Self::maybe_degrade(&self.budget, &mut self.stats, folder);
-        folder.push(dst_coords, Some(src_coords));
+        folder
+    }
+
+    /// The carried class of a dependence key's events along a run of `n`,
+    /// if it is one class throughout. Every coordinate is linear in `t`
+    /// when its last value `base + n·stride` is an `i64` (it cannot wrap in
+    /// between), and so is each difference `src − dst`: one that is 0 at
+    /// both ends is 0 throughout, one that is non-zero with one sign at
+    /// both ends is non-zero throughout.
+    fn run_class(&self, key: &BodyKey<'_>, n: u64) -> Option<u8> {
+        if !self.options.split_classes {
+            return Some(0);
+        }
+        let n = i64::try_from(n).ok()?;
+        let at = |i: usize, t: i64| key.stride[i].checked_mul(t)?.checked_add(key.base[i]);
+        let (src_len, dst_len) = (key.split, key.base.len() - key.split);
+        let mut class = CLASS_NONE;
+        for i in 0..src_len.min(dst_len) {
+            let j = key.split + i;
+            let (src_end, dst_end) = (at(i, n)?, at(j, n)?);
+            let first = at(i, 1)? as i128 - at(j, 1)? as i128;
+            let end = src_end as i128 - dst_end as i128;
+            if first == 0 && end == 0 {
+                continue;
+            }
+            if first.signum() * end.signum() != 1 {
+                return None;
+            }
+            class = i as u8;
+            break;
+        }
+        Some(class)
+    }
+}
+
+impl FoldSink for FoldingSink {
+    fn instr_point(&mut self, stmt: StmtId, coords: &[i64], value: Option<i64>) {
+        self.total_ops += 1;
+        self.stats.events_folded += 1;
+        let folder = self.stmt_folder(stmt, coords.len());
+        match value {
+            Some(v) => folder.push(coords, Some(&[v])),
+            None => folder.push(coords, None),
+        }
+    }
+
+    fn mem_access(&mut self, stmt: StmtId, coords: &[i64], addr: u64, is_write: bool) {
+        self.stats.events_folded += 1;
+        self.access_folder(stmt, coords.len(), is_write)
+            .push(coords, Some(&[addr as i64]));
+    }
+
+    fn dependence(
+        &mut self,
+        kind: DepKind,
+        src: StmtId,
+        src_coords: &[i64],
+        dst: StmtId,
+        dst_coords: &[i64],
+    ) {
+        self.stats.events_folded += 1;
+        self.stats.deps_folded += 1;
+        let class = self.class_of(src_coords, dst_coords);
+        let key = (kind, src, dst, class);
+        self.dep_folder(key, src_coords.len(), dst_coords.len())
+            .push(dst_coords, Some(src_coords));
+    }
+
+    /// Fold each key's `n` events into its own folder at once
+    /// ([`StreamFolder::push_run`]): the folders are independent, so the
+    /// order across keys does not matter. Spelled out event by event
+    /// instead when a budget is attached (its pressure may arrive mid-run),
+    /// when two keys feed one folder — a point with and without a value, or
+    /// a load and a store, of one statement, or one dependence key twice —
+    /// or when a dependence key's carried class changes along the run.
+    fn body_run(&mut self, body: &[BodyKey<'_>], n: u64) {
+        let mut folders = Vec::with_capacity(body.len());
+        let mut classes = Vec::new();
+        let mut whole = self.budget.is_none();
+        for key in body {
+            folders.push(match key.kind {
+                EventKind::Point | EventKind::PointValue => (0, key.a, None),
+                EventKind::Load | EventKind::Store => (1, key.a, None),
+                EventKind::Dep(kind) => {
+                    match self.run_class(key, n) {
+                        Some(class) => classes.push(class),
+                        None => whole = false,
+                    }
+                    (2 + kind as u8, key.a, Some(key.b))
+                }
+            });
+        }
+        folders.sort_unstable();
+        if !whole || folders.windows(2).any(|w| w[0] == w[1]) {
+            expand_run(self, body, n);
+            return;
+        }
+        let mut classes = classes.into_iter();
+        for key in body {
+            let (x, y) = key.base.split_at(key.split);
+            let (sx, sy) = key.stride.split_at(key.split);
+            self.stats.events_folded += n;
+            match key.kind {
+                EventKind::Point => {
+                    self.total_ops += n;
+                    self.stmt_folder(key.a, x.len()).push_run(x, sx, None, n);
+                }
+                EventKind::PointValue => {
+                    self.total_ops += n;
+                    self.stmt_folder(key.a, x.len())
+                        .push_run(x, sx, Some((y, sy)), n);
+                }
+                EventKind::Load | EventKind::Store => {
+                    let is_write = key.kind == EventKind::Store;
+                    self.access_folder(key.a, x.len(), is_write)
+                        .push_run(x, sx, Some((y, sy)), n);
+                }
+                EventKind::Dep(kind) => {
+                    self.stats.deps_folded += n;
+                    let class = classes.next().expect("one class per dependence key");
+                    self.dep_folder((kind, key.a, key.b, class), x.len(), y.len())
+                        .push_run(y, sy, Some((x, sx)), n);
+                }
+            }
+        }
     }
 
     fn events_seen(&self) -> u64 {

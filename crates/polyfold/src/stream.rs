@@ -395,6 +395,154 @@ impl StreamFolder {
         true
     }
 
+    /// Feed the `n` points `coords + t·coord_stride` for `t` in `1..=n`, each
+    /// with the labels `base + t·stride` (every word wrapping) — a run of a
+    /// loop body ([`polyddg::FoldSink::body_run`]). Leaves every field,
+    /// [`predicted`](Self::predicted) included, exactly as the `n` pushes
+    /// would, and takes O(dim + labels) when they would all be predicted:
+    /// see [`run_predicted`](Self::run_predicted). Otherwise it pushes the
+    /// first point and retries on the rest, from the state that push left;
+    /// failing again, it pushes them one by one.
+    pub fn push_run(
+        &mut self,
+        coords: &[i64],
+        coord_stride: &[i64],
+        labels: Option<(&[i64], &[i64])>,
+        n: u64,
+    ) {
+        assert_eq!(coords.len(), self.dim, "stream changed dimensionality");
+        if n == 0 || self.run_predicted(coords, coord_stride, labels, n) {
+            return;
+        }
+        let step = |w: &mut [i64], stride: &[i64]| {
+            for (w, &s) in w.iter_mut().zip(stride) {
+                *w = w.wrapping_add(s);
+            }
+        };
+        let mut c = coords.to_vec();
+        let mut l = labels.map(|(base, _)| base.to_vec());
+        let label_stride = labels.map_or(&[][..], |(_, stride)| stride);
+        step(&mut c, coord_stride);
+        if let Some(l) = &mut l {
+            step(l, label_stride);
+        }
+        self.push(&c, l.as_deref());
+        let rest = l.as_deref().map(|l| (l, label_stride));
+        if n == 1 || self.run_predicted(&c, coord_stride, rest, n - 1) {
+            return;
+        }
+        for _ in 1..n {
+            step(&mut c, coord_stride);
+            if let Some(l) = &mut l {
+                step(l, label_stride);
+            }
+            self.push(&c, l.as_deref());
+        }
+    }
+
+    /// Accept all of [`push_run`](Self::push_run)'s points at once if each
+    /// would pass [`push_predicted`](Self::push_predicted) in turn: the
+    /// folder is armed, the coordinates move along the last dimension only,
+    /// by `Δ > 0`, the first point passes the test against the folder's own
+    /// previous point, every affine label moves by its step times `Δ`, and
+    /// every word's last value `base + n·stride` is an `i64` — so no word
+    /// wraps along the run, every word is linear in `t`, and the free
+    /// labels' and distances' extremes are at the run's two ends
+    /// (saturating is monotone). Changes nothing when it returns false.
+    fn run_predicted(
+        &mut self,
+        coords: &[i64],
+        coord_stride: &[i64],
+        labels: Option<(&[i64], &[i64])>,
+        n: u64,
+    ) -> bool {
+        let Ok(n_i) = i64::try_from(n) else {
+            return false;
+        };
+        let at = |base: i64, stride: i64| stride.checked_mul(n_i)?.checked_add(base);
+        if !self.pred.armed {
+            return false;
+        }
+        let d = self.dim;
+        let last = d - 1;
+        let (dims, rest) = self.arrays.split_at_mut(Arrays::PER_DIM * d);
+        let prev = &mut dims[2 * d..3 * d];
+        let delta = coord_stride[last];
+        if delta <= 0
+            || coord_stride[..last].iter().any(|&s| s != 0)
+            || coords[..last] != prev[..last]
+        {
+            return false;
+        }
+        let Some(c_end) = at(coords[last], delta) else {
+            return false;
+        };
+        // In range: between the base and the end.
+        let c_first = coords[last] + delta;
+        let delta_first = match c_first.checked_sub(prev[last]) {
+            Some(delta) if delta > 0 => delta,
+            _ => return false,
+        };
+        match labels {
+            None if self.labels_present => return false,
+            None => {}
+            Some((base, stride)) => {
+                let (dist, slots) = rest.split_at_mut(2 * self.dists);
+                let slots = slots.as_chunks_mut::<{ SLOT }>().0;
+                if !self.labels_present || base.len() != slots.len() {
+                    return false;
+                }
+                for ((&b, &st), s) in base.iter().zip(stride).zip(&*slots) {
+                    if at(b, st).is_none() {
+                        return false;
+                    }
+                    if s[FREE] == 0
+                        && (s[STEP]
+                            .checked_mul(delta_first)
+                            .and_then(|x| s[LAB].checked_add(x))
+                            != Some(b + st)
+                            || n > 1 && s[STEP].checked_mul(delta) != Some(st))
+                    {
+                        return false;
+                    }
+                }
+                for ((&b, &st), s) in base.iter().zip(stride).zip(&mut *slots) {
+                    let (first, end) = (b + st, b + st * n_i);
+                    if s[FREE] == 0 {
+                        s[LAB] = end;
+                    } else {
+                        s[LO] = s[LO].min(first.min(end));
+                        s[HI] = s[HI].max(first.max(end));
+                    }
+                }
+                if self.pred.dists_each_push {
+                    let dist = dist.as_chunks_mut().0;
+                    for (i, (d, (&b, &st))) in
+                        dist.iter_mut().zip(base.iter().zip(stride)).enumerate()
+                    {
+                        let (c1, cn) = if i == last {
+                            (c_first, c_end)
+                        } else {
+                            (coords[i], coords[i])
+                        };
+                        widen(d, c1, b + st);
+                        widen(d, cn, b + st * n_i);
+                    }
+                }
+            }
+        }
+        prev[last] = c_end;
+        dims[d + last] = dims[d + last].max(c_end); // box_hi
+        dims[4 * d + last] = c_end; // open group's last
+        if delta_first != 1 || n > 1 && delta != 1 {
+            self.holes = true;
+        }
+        self.pred.pending += n;
+        self.pred.hits += n;
+        self.count += n;
+        true
+    }
+
     /// Settle the deferred tally of predicted pushes into the label fitters
     /// and the distance ranges. Along a run the coordinates and the affine
     /// labels move linearly in the last coordinate, from a point the general

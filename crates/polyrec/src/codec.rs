@@ -1,4 +1,4 @@
-//! Wire primitives of the `.ptrace` format (version 3): LEB128 varints,
+//! Wire primitives of the `.ptrace` format (version 4): LEB128 varints,
 //! zigzag signed encoding, the word hash behind the frame checksum and the
 //! program identity (`WordHash`), FNV-1a for content hashes, the one frame
 //! encoder ([`FrameEncoder`]) and the one frame decoder ([`FrameDecoder`]),
@@ -18,6 +18,7 @@
 //! | 2 / 3 | load / store | stmt, d | coords, addr |
 //! | 4–7 | flow / anti / output / register dependence | src, d, dst, d′ | src coords, dst coords |
 //! | 8 | predicted | — | — |
+//! | 9 | body run (the slot field is the body length `k`) | `n` | — |
 //!
 //! An event's *key* is (op, stmt) for points and accesses and (op, src, dst)
 //! for dependences; its *words* are the last column. A full event (ops 0–7)
@@ -30,6 +31,33 @@
 //! never hashes: the encoder alone decides where a key lives, and a
 //! collision merely costs the evicted key its prediction.
 //!
+//! # Body runs
+//!
+//! The *streak* is the consecutive predicted events since the last full
+//! event or the frame start. A body run (op 9, `k` in `1..=`[`KMAX`], then
+//! `n ≥ 1` as an unsigned varint) says: the streak's last `k` events — `k`
+//! distinct slots — repeat `n` more times, each repeat advancing every slot
+//! of the body by its stride, in body order. Slot `j`'s `t`-th event is
+//! `latest_j + t·stride_j` (wrapping), so the decoder hands the whole run
+//! to its sink as one [`FoldSink::body_run`] and steps each slot by `n`
+//! strides at once. After a run the streak goes on as if its `n·k` events
+//! had been spelled out, so runs chain. A record is three or four bytes and
+//! buys no more work than its frame's event cap: a body of 0 or more than
+//! `KMAX` events or longer than the streak, a body repeating a slot, `n =
+//! 0`, and a run that takes the frame past its cap are errors.
+//!
+//! The encoder finds runs by period: a predicted event whose slot was last
+//! seen `k ≤ KMAX` events back in the streak proposes `k`, and when the
+//! streak's last `k` slots equal the `k` before them, it drops the second
+//! copy's headers and opens a run of `n = 1`. Every further repeat of the
+//! body adds one; the first event off the body — or a full event, or the
+//! frame end — closes the run: its record, then the partial repeat as
+//! ordinary predictions. As a tap in front of a sink
+//! ([`FrameEncoder::tap_point`] and its siblings) the encoder holds back the
+//! repeats after the one that revealed the run and hands them over at the
+//! close as one [`FoldSink::body_run`], then the partial repeat event by
+//! event: the sink sees the stream in its order.
+//!
 //! Full-event fields are varints: the statement id as a zigzag delta
 //! against the previous full event's (a dependence's consumer against its
 //! producer), the coordinate counts `d` / `d′`, then each word as a zigzag
@@ -41,7 +69,7 @@
 //! zero, so a single damaged frame never poisons its neighbours.
 
 use polycfg::{DynCfg, LoopIdx, LoopRef, RecCompIdx};
-use polyddg::{DepKind, FoldSink};
+use polyddg::{BodyKey, DepKind, EventKind, FoldSink};
 use polyiiv::context::{ContextInterner, CtxPathId, StmtId, StmtInfo};
 use polyiiv::CtxElem;
 use polyir::{BlockRef, FuncId, InstrRef, LocalBlockId};
@@ -375,6 +403,12 @@ const OP_DEP_ANTI: u8 = 5;
 const OP_DEP_OUTPUT: u8 = 6;
 const OP_DEP_REG: u8 = 7;
 const OP_PREDICTED: u8 = 8;
+const OP_RUN: u8 = 9;
+
+/// Longest loop body a run record (op 9) repeats. The ledger's dense
+/// programs have bodies of 21 and 44 events; at 32 runs cover 0.31 of
+/// `dense_affine`'s events, at 64 0.94, and 128 adds nothing.
+pub const KMAX: usize = 64;
 
 fn dep_op(kind: DepKind) -> u8 {
     match kind {
@@ -491,6 +525,41 @@ impl Slot {
         }
     }
 
+    /// Step `runs` events at once: latest words += `runs`·stride.
+    fn advance_by(&mut self, runs: u64) {
+        let (last, stride) = self.buf.split_at_mut(self.n as usize);
+        for (l, &s) in last.iter_mut().zip(stride.iter()) {
+            *l = l.wrapping_add(s.wrapping_mul(runs as i64));
+        }
+    }
+
+    /// The latest words and the stride.
+    fn words(&self) -> (&[i64], &[i64]) {
+        self.buf.split_at(self.n as usize)
+    }
+
+    /// The slot's key, its events starting after `base`.
+    fn key<'a>(&'a self, base: &'a [i64]) -> BodyKey<'a> {
+        let kind = match self.op {
+            OP_POINT => EventKind::Point,
+            OP_POINT_VAL => EventKind::PointValue,
+            OP_LOAD => EventKind::Load,
+            OP_STORE => EventKind::Store,
+            OP_DEP_FLOW => EventKind::Dep(DepKind::Flow),
+            OP_DEP_ANTI => EventKind::Dep(DepKind::Anti),
+            OP_DEP_OUTPUT => EventKind::Dep(DepKind::Output),
+            _ => EventKind::Dep(DepKind::Reg),
+        };
+        BodyKey {
+            kind,
+            a: StmtId(self.a),
+            b: StmtId(self.b),
+            split: self.split as usize,
+            base,
+            stride: self.words().1,
+        }
+    }
+
     /// Hand the slot's latest event to `sink`.
     #[inline]
     fn emit<S: FoldSink>(&self, sink: &mut S) {
@@ -513,6 +582,91 @@ impl Slot {
     }
 }
 
+/// The tail of the current *streak* — the slots of the consecutive
+/// predicted events since the last full event or the frame start, a run's
+/// events counted as if spelled out — and where it starts and ends in a
+/// count of streak events that never resets. Only the last `2·KMAX` slots
+/// matter to a run record; older ones are dropped in batches.
+#[derive(Debug)]
+struct Streak {
+    tail: [u16; 4 * KMAX],
+    held: usize,
+    start: u64,
+    end: u64,
+}
+
+impl Streak {
+    fn new() -> Self {
+        // Positions start at 1, so a stamp of 0 is before every streak.
+        Streak {
+            tail: [0; 4 * KMAX],
+            held: 0,
+            start: 1,
+            end: 1,
+        }
+    }
+
+    /// Events in the streak.
+    #[inline]
+    fn len(&self) -> u64 {
+        self.end - self.start
+    }
+
+    /// Start an empty streak.
+    #[inline]
+    fn clear(&mut self) {
+        self.held = 0;
+        self.start = self.end;
+    }
+
+    #[inline]
+    fn push(&mut self, slot: u16) {
+        if self.held == 4 * KMAX {
+            self.tail.copy_within(2 * KMAX.., 0);
+            self.held = 2 * KMAX;
+        }
+        self.tail[self.held] = slot;
+        self.held += 1;
+        self.end += 1;
+    }
+
+    /// The last `k` slots (`k ≤ 2·KMAX` and at most [`len`](Self::len)).
+    #[inline]
+    fn last(&self, k: usize) -> &[u16] {
+        &self.tail[self.held - k..self.held]
+    }
+
+    /// Append `total` events that cycle through `body` from its start.
+    fn repeat(&mut self, body: &[u16], total: u64) {
+        let k = body.len() as u64;
+        let from = total - total.min(2 * KMAX as u64);
+        self.end += from;
+        for i in from..total {
+            self.push(body[(i % k) as usize]);
+        }
+    }
+}
+
+/// True when no slot occurs twice in `body`.
+fn distinct(body: &[u16]) -> bool {
+    let mut seen = [0u64; SLOTS / 64];
+    body.iter().all(|&s| {
+        let (word, bit) = (s as usize / 64, 1u64 << (s % 64));
+        let fresh = seen[word] & bit == 0;
+        seen[word] |= bit;
+        fresh
+    })
+}
+
+/// A sink that drops everything: the tap of an encoder that feeds no one.
+struct NoTap;
+
+impl FoldSink for NoTap {
+    fn instr_point(&mut self, _: StmtId, _: &[i64], _: Option<i64>) {}
+    fn mem_access(&mut self, _: StmtId, _: &[i64], _: u64, _: bool) {}
+    fn dependence(&mut self, _: DepKind, _: StmtId, _: &[i64], _: StmtId, _: &[i64]) {}
+}
+
 /// A predictor table of empty slots.
 fn new_table() -> Box<[Slot; SLOTS]> {
     let slots = vec![Slot::default(); SLOTS].into_boxed_slice();
@@ -522,6 +676,8 @@ fn new_table() -> Box<[Slot; SLOTS]> {
 /// Encodes events into one frame payload as they arrive (see the module
 /// docs for the layout). A [`FoldSink`], so anything that emits the folding
 /// interface can be recorded; [`reset`](Self::reset) starts the next frame.
+/// As a tap in front of another sink ([`tap_point`](Self::tap_point) and
+/// its siblings) it hands that sink the runs it proves.
 #[derive(Debug)]
 pub struct FrameEncoder {
     payload: Vec<u8>,
@@ -533,6 +689,20 @@ pub struct FrameEncoder {
     /// Words of the previous full event.
     prev: Vec<i64>,
     events: u64,
+    streak: Streak,
+    /// Per slot, the streak position of its latest predicted event.
+    stamps: Box<[u64; SLOTS]>,
+    /// Predicted headers at the end of the payload since the last full
+    /// event or run record: how far back a run may truncate.
+    spelled: usize,
+    /// The open run's body length (0: no run), its complete repeats after
+    /// the streak's copy of the body, and the body index of its next event.
+    run_k: usize,
+    run_n: u64,
+    run_at: usize,
+    run_body: [u16; KMAX],
+    /// The open run's start words, handed to a tap when it closes.
+    scratch: Vec<i64>,
 }
 
 impl Default for FrameEncoder {
@@ -551,11 +721,20 @@ impl FrameEncoder {
             prev_stmt: 0,
             prev: Vec::new(),
             events: 0,
+            streak: Streak::new(),
+            stamps: Box::new([0; SLOTS]),
+            spelled: 0,
+            run_k: 0,
+            run_n: 0,
+            run_at: 0,
+            run_body: [0; KMAX],
+            scratch: Vec::new(),
         }
     }
 
-    /// The current frame's payload.
-    pub fn payload(&self) -> &[u8] {
+    /// The current frame's payload, any open run closed first.
+    pub fn payload(&mut self) -> &[u8] {
+        self.close_run(&mut NoTap);
         &self.payload
     }
 
@@ -564,13 +743,17 @@ impl FrameEncoder {
         self.events
     }
 
-    /// Start a new, empty frame; buffers keep their capacity.
+    /// Start a new, empty frame (closing any open run); buffers keep their
+    /// capacity.
     pub fn reset(&mut self) {
+        self.close_run(&mut NoTap);
         self.payload.clear();
         self.gen += 1;
         self.prev_stmt = 0;
         self.prev.clear();
         self.events = 0;
+        self.streak.clear();
+        self.spelled = 0;
     }
 
     /// The encoder's slot for a key: a multiplicative hash, top bits.
@@ -580,23 +763,145 @@ impl FrameEncoder {
         (key.wrapping_mul(GOLDEN) >> (64 - SLOTS.trailing_zeros())) as usize
     }
 
-    /// Encode one event: two bytes when its slot predicts it.
+    /// Encode one event: two bytes when its slot predicts it, nothing yet
+    /// when it continues the open run. Events an open run held back go to
+    /// `tap` first when the run closes. Returns false when the open run
+    /// holds this event back.
     #[inline(always)]
-    fn push(&mut self, op: u8, a: u32, b: u32, x: &[i64], y: &[i64]) {
+    fn push<T: FoldSink>(
+        &mut self,
+        op: u8,
+        a: u32,
+        b: u32,
+        x: &[i64],
+        y: &[i64],
+        tap: &mut T,
+    ) -> bool {
         self.events += 1;
         let slot = Self::slot_of(op, a, b);
+        let n = x.len() + y.len();
+        if self.run_k > 0 {
+            let s = &mut self.slots[slot];
+            if slot == self.run_body[self.run_at] as usize
+                && s.holds(self.gen, op, a, b, x.len(), n)
+                && s.step_to(x, y)
+            {
+                self.run_at += 1;
+                if self.run_at == self.run_k {
+                    self.run_at = 0;
+                    self.run_n += 1;
+                }
+                return false;
+            }
+            self.close_run(tap);
+        }
         let s = &mut self.slots[slot];
-        if s.holds(self.gen, op, a, b, x.len(), x.len() + y.len()) && s.step_to(x, y) {
+        if s.holds(self.gen, op, a, b, x.len(), n) && s.step_to(x, y) {
             self.payload.extend_from_slice(&header(OP_PREDICTED, slot));
+            self.predicted(slot);
         } else {
             self.push_full(op, a, b, slot, x, y);
         }
+        true
     }
 
-    /// Spell the event out and make it its slot's latest.
+    /// Extend the streak by a predicted event of `slot` (its header is
+    /// written) and open a run when the streak's last `k` events repeat the
+    /// `k` before them, `k` being the distance back to `slot`'s previous
+    /// event in the streak.
+    #[inline(always)]
+    fn predicted(&mut self, slot: usize) {
+        let prev = std::mem::replace(&mut self.stamps[slot], self.streak.end);
+        self.streak.push(slot as u16);
+        self.spelled += 1;
+        if prev < self.streak.start {
+            return;
+        }
+        let k = (self.streak.end - 1 - prev) as usize;
+        if k <= KMAX && k <= self.spelled && self.streak.len() >= 2 * k as u64 {
+            self.try_open(k);
+        }
+    }
+
+    /// Open a run of body length `k` if the streak's last `k` slots repeat
+    /// the `k` before them and are distinct.
+    #[inline(never)]
+    fn try_open(&mut self, k: usize) {
+        let tail = self.streak.last(2 * k);
+        let (first, body) = tail.split_at(k);
+        if first != body || !distinct(body) {
+            return;
+        }
+        self.run_body[..k].copy_from_slice(body);
+        self.payload.truncate(self.payload.len() - 2 * k);
+        self.spelled -= k;
+        self.run_k = k;
+        self.run_n = 1;
+        self.run_at = 0;
+    }
+
+    /// Close the open run, if any: write its record and then its partial
+    /// repeat as ordinary predictions. The events it held back go to `tap`:
+    /// the complete repeats as one [`FoldSink::body_run`], then the partial
+    /// repeat one by one.
+    #[inline(never)]
+    pub fn close_run<T: FoldSink>(&mut self, tap: &mut T) {
+        let (k, n, at) = (self.run_k, self.run_n, self.run_at);
+        if k == 0 {
+            return;
+        }
+        self.run_k = 0;
+        let body = &self.run_body[..k];
+        self.payload.extend_from_slice(&header(OP_RUN, k));
+        write_uv(&mut self.payload, n);
+        for &s in &body[..at] {
+            self.payload
+                .extend_from_slice(&header(OP_PREDICTED, s as usize));
+        }
+        self.spelled = at;
+        // The streak goes on as if every held-back event had been spelled:
+        // repeats 2..=n of the body, then the partial one.
+        let held = (n - 1) * k as u64 + at as u64;
+        let first = self.streak.end;
+        self.streak.repeat(body, held);
+        for (j, &s) in body.iter().enumerate().take(held.min(k as u64) as usize) {
+            let j = j as u64;
+            self.stamps[s as usize] = first + j + (held - 1 - j) / k as u64 * k as u64;
+        }
+        if n >= 2 {
+            // The tap has seen the body's first repeat. The held-back
+            // repeats start at each slot's latest words `n − 1` strides back
+            // (one more for a slot the partial repeat reached), wrapping
+            // exactly as they were stepped.
+            self.scratch.clear();
+            let mut ends = [0usize; KMAX];
+            for (j, &s) in body.iter().enumerate() {
+                let (latest, stride) = self.slots[s as usize].words();
+                let back = (n - 1 + u64::from(j < at)) as i64;
+                let start = latest.iter().zip(stride);
+                self.scratch
+                    .extend(start.map(|(&l, &st)| l.wrapping_sub(st.wrapping_mul(back))));
+                ends[j] = self.scratch.len();
+            }
+            let mut keys = [BodyKey::default(); KMAX];
+            let mut from = 0;
+            for (j, &s) in body.iter().enumerate() {
+                keys[j] = self.slots[s as usize].key(&self.scratch[from..ends[j]]);
+                from = ends[j];
+            }
+            tap.body_run(&keys[..k], n - 1);
+        }
+        for &s in &body[..at] {
+            self.slots[s as usize].emit(tap);
+        }
+    }
+
+    /// Spell the event out and make it its slot's latest; the streak ends.
     #[inline(never)]
     fn push_full(&mut self, op: u8, a: u32, b: u32, slot: usize, x: &[i64], y: &[i64]) {
         let n = x.len() + y.len();
+        self.streak.clear();
+        self.spelled = 0;
         self.slots[slot].record(self.gen, op, a, b, x, y);
         let buf = &mut self.payload;
         buf.extend_from_slice(&header(op, slot));
@@ -614,21 +919,63 @@ impl FrameEncoder {
             *p = w;
         }
     }
+
+    /// [`FoldSink::instr_point`] as a tap in front of `inner`: encode the
+    /// event, handing `inner` whatever a run it closes held back. Returns
+    /// whether `inner` should see this event now — false when an open run
+    /// holds it back, to hand over when the run closes.
+    #[inline]
+    pub fn tap_point<T: FoldSink>(
+        &mut self,
+        stmt: StmtId,
+        coords: &[i64],
+        value: Option<i64>,
+        inner: &mut T,
+    ) -> bool {
+        match value {
+            Some(v) => self.push(OP_POINT_VAL, stmt.0, 0, coords, &[v], inner),
+            None => self.push(OP_POINT, stmt.0, 0, coords, &[], inner),
+        }
+    }
+
+    /// [`FoldSink::mem_access`] as a tap (see [`tap_point`](Self::tap_point)).
+    #[inline]
+    pub fn tap_access<T: FoldSink>(
+        &mut self,
+        stmt: StmtId,
+        coords: &[i64],
+        addr: u64,
+        is_write: bool,
+        inner: &mut T,
+    ) -> bool {
+        let op = if is_write { OP_STORE } else { OP_LOAD };
+        self.push(op, stmt.0, 0, coords, &[addr as i64], inner)
+    }
+
+    /// [`FoldSink::dependence`] as a tap (see [`tap_point`](Self::tap_point)).
+    #[inline]
+    pub fn tap_dependence<T: FoldSink>(
+        &mut self,
+        kind: DepKind,
+        src: StmtId,
+        src_coords: &[i64],
+        dst: StmtId,
+        dst_coords: &[i64],
+        inner: &mut T,
+    ) -> bool {
+        self.push(dep_op(kind), src.0, dst.0, src_coords, dst_coords, inner)
+    }
 }
 
 impl FoldSink for FrameEncoder {
     #[inline]
     fn instr_point(&mut self, stmt: StmtId, coords: &[i64], value: Option<i64>) {
-        match value {
-            Some(v) => self.push(OP_POINT_VAL, stmt.0, 0, coords, &[v]),
-            None => self.push(OP_POINT, stmt.0, 0, coords, &[]),
-        }
+        self.tap_point(stmt, coords, value, &mut NoTap);
     }
 
     #[inline]
     fn mem_access(&mut self, stmt: StmtId, coords: &[i64], addr: u64, is_write: bool) {
-        let op = if is_write { OP_STORE } else { OP_LOAD };
-        self.push(op, stmt.0, 0, coords, &[addr as i64]);
+        self.tap_access(stmt, coords, addr, is_write, &mut NoTap);
     }
 
     #[inline]
@@ -640,7 +987,7 @@ impl FoldSink for FrameEncoder {
         dst: StmtId,
         dst_coords: &[i64],
     ) {
-        self.push(dep_op(kind), src.0, dst.0, src_coords, dst_coords);
+        self.tap_dependence(kind, src, src_coords, dst, dst_coords, &mut NoTap);
     }
 }
 
@@ -653,6 +1000,9 @@ pub struct FrameDecoder {
     slots: Box<[Slot; SLOTS]>,
     gen: u64,
     prev: Vec<i64>,
+    streak: Streak,
+    /// Most events one frame may decode to.
+    cap: u64,
     /// One past the largest statement id emitted so far.
     stmt_end: u64,
     predicted: u64,
@@ -665,12 +1015,20 @@ impl Default for FrameDecoder {
 }
 
 impl FrameDecoder {
-    /// A decoder that has seen no frame.
+    /// A decoder that has seen no frame, for frames of at most
+    /// [`MAX_CHUNK_EVENTS`](crate::MAX_CHUNK_EVENTS) events.
     pub fn new() -> Self {
+        Self::with_cap(crate::MAX_CHUNK_EVENTS as u64)
+    }
+
+    /// A decoder that refuses a frame of more than `cap` events.
+    pub fn with_cap(cap: u64) -> Self {
         FrameDecoder {
             slots: new_table(),
             gen: 0,
             prev: Vec::new(),
+            streak: Streak::new(),
+            cap,
             stmt_end: 0,
             predicted: 0,
         }
@@ -682,7 +1040,8 @@ impl FrameDecoder {
         self.stmt_end
     }
 
-    /// Predicted events decoded so far, over all frames.
+    /// Predicted events decoded so far, over all frames: two-byte
+    /// predictions and the events of run records.
     pub fn predicted(&self) -> u64 {
         self.predicted
     }
@@ -692,12 +1051,17 @@ impl FrameDecoder {
     pub fn decode<S: FoldSink>(&mut self, payload: &[u8], sink: &mut S) -> Result<u64, String> {
         self.gen += 1;
         self.prev.clear();
+        self.streak.clear();
         let mut prev_stmt = 0u32;
         let mut cur = Cursor::new(payload);
         let mut n = 0u64;
         while let Some(h) = payload.get(cur.pos..cur.pos + 2) {
             cur.pos += 2;
             let (op, slot) = (h[1] >> 4, ((h[1] as usize & 0x0f) << 8) | h[0] as usize);
+            if op == OP_RUN {
+                n += self.run(slot, &mut cur, n, sink)?;
+                continue;
+            }
             let Some(s) = self.slots.get_mut(slot) else {
                 return Err(format!("event {n} names slot {slot} of {SLOTS}"));
             };
@@ -708,6 +1072,7 @@ impl FrameDecoder {
                     ));
                 }
                 s.advance();
+                self.streak.push(slot as u16);
                 self.predicted += 1;
             } else {
                 let is_dep = match op {
@@ -739,6 +1104,7 @@ impl FrameDecoder {
                 }
                 let (x, y) = self.prev.split_at(split);
                 s.record(self.gen, op, a, b, x, y);
+                self.streak.clear();
                 self.stmt_end = self.stmt_end.max(a.max(b) as u64 + 1);
             }
             s.emit(sink);
@@ -747,7 +1113,58 @@ impl FrameDecoder {
         if !cur.is_done() {
             return Err(format!("payload truncated at byte {}", cur.pos));
         }
+        if n > self.cap {
+            return Err(format!("frame of {n} events exceeds {}", self.cap));
+        }
         Ok(n)
+    }
+
+    /// Decode a run record of body length `k` after `n` events of the frame
+    /// into one [`FoldSink::body_run`]; returns its event count. A record
+    /// costs three bytes, so everything it claims is checked before any
+    /// work is done for it: the body must be a tail of the streak without a
+    /// repeated slot, and the frame must stay within its event cap.
+    fn run<S: FoldSink>(
+        &mut self,
+        k: usize,
+        cur: &mut Cursor,
+        n: u64,
+        sink: &mut S,
+    ) -> Result<u64, String> {
+        let runs = cur.read_uv()?;
+        if !(1..=KMAX).contains(&k) || k as u64 > self.streak.len() {
+            return Err(format!(
+                "event {n}: run body of {k} events on a streak of {}",
+                self.streak.len()
+            ));
+        }
+        let events = runs
+            .checked_mul(k as u64)
+            .filter(|&e| runs > 0 && e <= self.cap.saturating_sub(n));
+        let Some(events) = events else {
+            return Err(format!(
+                "event {n}: run of {runs} × {k} events in a frame of at most {}",
+                self.cap
+            ));
+        };
+        let mut body = [0u16; KMAX];
+        body[..k].copy_from_slice(self.streak.last(k));
+        let body = &body[..k];
+        if !distinct(body) {
+            return Err(format!("event {n}: run body repeats a slot"));
+        }
+        let mut keys = [BodyKey::default(); KMAX];
+        for (key, &s) in keys.iter_mut().zip(body) {
+            let slot = &self.slots[s as usize];
+            *key = slot.key(slot.words().0);
+        }
+        sink.body_run(&keys[..k], runs);
+        for &s in body {
+            self.slots[s as usize].advance_by(runs);
+        }
+        self.streak.repeat(body, events);
+        self.predicted += events;
+        Ok(events)
     }
 
     /// Words of scratch held (delta buffer plus every slot), for the
@@ -1040,6 +1457,14 @@ mod tests {
             }
         }
 
+        /// This event with its (producer's) statement replaced.
+        fn with_stmt(mut self, stmt: u32) -> Ev {
+            match &mut self {
+                Ev::Point(s, ..) | Ev::Access(s, ..) | Ev::Dep(_, s, ..) => *s = stmt,
+            }
+            self
+        }
+
         /// This event moved `k` steps along a per-word stride.
         fn step(&self, k: i64, stride: &[i64]) -> Ev {
             let mut i = 0;
@@ -1095,6 +1520,33 @@ mod tests {
                         }
                     }
                     out.push(ev);
+                }
+            }
+        }
+        // Loop bodies of up to 70 keys, each key on its own stride,
+        // repeated and then broken by a changed word: run records of every
+        // body length, closed at every phase, chained after a partial
+        // repeat, and bodies too long to be one. A body sometimes holds a
+        // key twice.
+        for _ in 0..3 {
+            let k = 1 + rng.below(70) as usize;
+            let body: Vec<(Ev, Vec<i64>)> = (0..k)
+                .map(|j| {
+                    let stmt = 100 + j as u32 - u32::from(rng.below(16) == 0);
+                    let stride = (0..3).map(|_| rng.word()).collect();
+                    (Ev::random(rng).with_stmt(stmt), stride)
+                })
+                .collect();
+            let reps = 1 + rng.below(12);
+            let brk = rng.below(reps * k as u64 + 1);
+            for t in 0..reps {
+                for (j, (ev, stride)) in body.iter().enumerate() {
+                    let ev = ev.step(t as i64, stride);
+                    if t * k as u64 + j as u64 == brk {
+                        out.push(ev.step(1, &[7]));
+                    } else {
+                        out.push(ev);
+                    }
                 }
             }
         }
@@ -1165,55 +1617,78 @@ mod tests {
         }
     }
 
+    /// This event through `enc` as a tap in front of `inner`.
+    fn tap(ev: &Ev, enc: &mut FrameEncoder, inner: &mut EventChunk) {
+        let now = match ev {
+            Ev::Point(s, c, v) => enc.tap_point(StmtId(*s), c, *v, inner),
+            Ev::Access(s, c, a, w) => enc.tap_access(StmtId(*s), c, *a, *w, inner),
+            Ev::Dep(k, s, sc, d, dc) => {
+                enc.tap_dependence(*k, StmtId(*s), sc, StmtId(*d), dc, inner)
+            }
+        };
+        if now {
+            ev.feed(inner);
+        }
+    }
+
     /// Seeded random streams, cut into frames at random points, decode to
     /// exactly the calls that built them — compared with an `EventChunk` fed
-    /// the same calls — through one decoder reused across frames.
+    /// the same calls — through one decoder reused across frames; and an
+    /// encoder used as a tap hands its inner sink exactly those calls too,
+    /// whatever its runs held back.
     #[test]
     fn random_streams_roundtrip_event_for_event() {
+        let mut runs = 0;
         for seed in 0..64 {
             let mut rng = Rng(seed);
             let events = stream(&mut rng);
             let mut enc = FrameEncoder::new();
             let mut dec = FrameDecoder::new();
-            let (mut want, mut got) = (EventChunk::default(), EventChunk::default());
-            let mut flush = |enc: &mut FrameEncoder, got: &mut EventChunk| {
+            let [mut want, mut got, mut tapped] = <[EventChunk; 3]>::default();
+            let mut flush = |enc: &mut FrameEncoder, got: &mut EventChunk, tapped: &mut _| {
+                enc.close_run(tapped);
+                runs += enc
+                    .payload()
+                    .windows(2)
+                    .filter(|h| h[1] >> 4 == OP_RUN)
+                    .count();
                 let n = dec.decode(enc.payload(), got).expect("own frame decodes");
                 assert_eq!(n, enc.events(), "seed {seed}");
                 enc.reset();
             };
             for ev in &events {
-                ev.feed(&mut enc);
+                tap(ev, &mut enc, &mut tapped);
                 ev.feed(&mut want);
                 if rng.below(50) == 0 {
-                    flush(&mut enc, &mut got);
+                    flush(&mut enc, &mut got, &mut tapped);
                 }
             }
-            flush(&mut enc, &mut got);
+            flush(&mut enc, &mut got, &mut tapped);
             assert_eq!(rendered(&want), rendered(&got), "seed {seed}");
+            assert_eq!(rendered(&want), rendered(&tapped), "seed {seed}: tap");
             assert!(dec.predicted() > 0, "seed {seed}: no run was predicted");
         }
+        assert!(runs > 64, "only {runs} run records");
     }
 
-    /// A strided stream is spelled almost entirely in two-byte predictions.
+    /// A strided loop body is spelled by its first two iterations in full,
+    /// one more in two-byte predictions and one run record for the rest.
     #[test]
-    fn strided_events_cost_two_bytes() {
-        let mut enc = FrameEncoder::new();
+    fn strided_loop_body_costs_one_run_record() {
+        let mut want = EventChunk::default();
         for i in 0..1000i64 {
-            enc.instr_point(StmtId(7), &[0, i], Some(3 * i));
-            enc.mem_access(StmtId(8), &[0, i], 4096 + 2 * i as u64, false);
-            enc.dependence(DepKind::Flow, StmtId(7), &[0, i], StmtId(8), &[0, i]);
+            want.instr_point(StmtId(7), &[0, i], Some(3 * i));
+            want.mem_access(StmtId(8), &[0, i], 4096 + 2 * i as u64, false);
+            want.dependence(DepKind::Flow, StmtId(7), &[0, i], StmtId(8), &[0, i]);
         }
-        assert!(
-            enc.payload().len() < 2 * 3000 + 64,
-            "{}",
-            enc.payload().len()
-        );
+        let mut enc = FrameEncoder::new();
+        want.replay_into(&mut enc);
+        assert!(enc.payload().len() < 64, "{}", enc.payload().len());
         let mut dec = FrameDecoder::new();
-        assert_eq!(
-            dec.decode(enc.payload(), &mut EventChunk::default()),
-            Ok(3000)
-        );
+        let mut got = EventChunk::default();
+        assert_eq!(dec.decode(enc.payload(), &mut got), Ok(3000));
         assert_eq!(dec.predicted(), 3000 - 6);
+        assert_eq!(rendered(&want), rendered(&got));
     }
 
     /// Slot indices past the table, predictions from slots empty in this
@@ -1235,13 +1710,58 @@ mod tests {
                 [full.clone(), header(OP_PREDICTED, 0xfff).to_vec()].concat(),
                 "names slot",
             ),
-            ([full.clone(), header(9, slot).to_vec()].concat(), "opcode"),
+            ([full.clone(), header(10, slot).to_vec()].concat(), "opcode"),
         ];
         for (payload, want) in cases {
             sink.clear();
             let err = dec.decode(&payload, &mut sink).unwrap_err();
             assert!(err.contains(want), "{payload:?}: {err}");
         }
+    }
+
+    /// A run record is three bytes, so every claim it makes is checked
+    /// before any work is done for it: a body of 0 or more than `KMAX`
+    /// events or longer than the streak, a body that repeats a slot, a
+    /// repeat count of 0, and a frame the run would take past the decoder's
+    /// cap — by 1 or by 2⁴⁰ events — are errors; the sink sees none of the
+    /// run's events.
+    #[test]
+    fn hostile_run_records_are_errors() {
+        let mut enc = FrameEncoder::new();
+        for i in 0..3 {
+            enc.instr_point(StmtId(2), &[i], None);
+        }
+        // Two full events and one prediction: a streak of one.
+        let one = enc.payload().to_vec();
+        let slot = FrameEncoder::slot_of(OP_POINT, 2, 0);
+        let twice = [one.clone(), header(OP_PREDICTED, slot).to_vec()].concat();
+        let run = |prefix: &[u8], k: usize, n: u64| {
+            let mut p = [prefix, &header(OP_RUN, k)].concat();
+            write_uv(&mut p, n);
+            p
+        };
+        let cases = [
+            (run(&one, 0, 1), "run body of 0"),
+            (run(&one, KMAX + 1, 1), "run body of 65"),
+            (run(&one, 2, 1), "on a streak of 1"),
+            (run(&twice, 2, 1), "repeats a slot"),
+            (run(&one, 1, 0), "run of 0"),
+            (run(&one, 1, 98), "at most 100"),
+            (run(&one, 1, 1 << 40), "at most 100"),
+            (run(&one, 1, u64::MAX), "at most 100"),
+            (run(&[], 1, 1), "streak of 0"),
+        ];
+        let mut dec = FrameDecoder::with_cap(100);
+        for (payload, want) in cases {
+            let mut sink = EventChunk::default();
+            let err = dec.decode(&payload, &mut sink).unwrap_err();
+            assert!(err.contains(want), "{payload:?}: {err}");
+            assert!(sink.len() <= 4, "{payload:?}: {} events", sink.len());
+        }
+        let mut sink = EventChunk::default();
+        assert_eq!(dec.decode(&run(&one, 1, 97), &mut sink), Ok(100));
+        let last: Vec<String> = sink.events().skip(99).map(|e| format!("{e:?}")).collect();
+        assert!(last[0].contains("[99]"), "{last:?}");
     }
 
     /// The sum sees every single-bit flip, and differs from FNV-1a.
@@ -1323,7 +1843,7 @@ mod tests {
 
     /// 10 000 seeded random payloads shaped like frames — valid and invalid
     /// opcodes, slots in and past the table and empty, huge word counts,
-    /// raw noise — each framed with a valid checksum and read back, never
+    /// run records over real streaks, raw noise — each framed with a valid checksum and read back, never
     /// panic, and the decoder's scratch stays within a small multiple of the
     /// payload it was given. So do 10 000 shaped like structure sections —
     /// counts small and at the cap, ids in and far past a small program,
@@ -1399,6 +1919,25 @@ mod tests {
             for _ in 0..rng.below(6) {
                 match rng.below(4) {
                     0 => payload.extend((0..rng.below(12)).map(|_| rng.next() as u8)),
+                    // A streak on one or two slots, then a run record over
+                    // it: bodies of every legal and illegal length, counts
+                    // from 0 to far past the frame's cap.
+                    1 => {
+                        for slot in [5, 6] {
+                            payload.extend_from_slice(&header(OP_POINT, slot));
+                            payload.extend_from_slice(&[0, 1, 2]);
+                        }
+                        for _ in 0..rng.below(4) {
+                            let slot = 5 + rng.below(2) as usize;
+                            payload.extend_from_slice(&header(OP_PREDICTED, slot));
+                        }
+                        let k = [0, 1, 2, 3, KMAX, KMAX + 1, 4095][rng.below(7) as usize];
+                        payload.extend_from_slice(&header(OP_RUN, k));
+                        write_uv(
+                            &mut payload,
+                            [0, 1, 2, 1 << 40, u64::MAX][rng.below(5) as usize],
+                        );
+                    }
                     _ => {
                         let op = [0, 1, 2, 4, 7, 8, 8, 9, 15][rng.below(9) as usize];
                         let slot = [0, 1, 1023, 1024, 4095][rng.below(5) as usize];

@@ -9,14 +9,14 @@
 //! into a [`FoldSink`], so the whole profile is rebuilt without the VM, the
 //! shadow memory, or even the original binary.
 //!
-//! # File layout (format version 3)
+//! # File layout (format version 4)
 //!
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"POLYREC\0"
 //! 8       4     format version (u32 LE)         — mismatch is a hard error
 //! 12      8     program id (u64 LE)             — see program_id
-//! 20      4     chunk_events (u32 LE)           — events per frame
+//! 20      4     chunk_events (u32 LE)           — events per frame, 1..=2²⁰
 //! 24      8     total events (u64 LE)           — patched at finish()
 //! 32      8     total frames (u64 LE)           — patched at finish()
 //! 40      4     workload-name length (u32 LE)
@@ -34,8 +34,9 @@
 //!
 //! Frame payloads spell an event either in full — delta-coded zigzag
 //! varints — or, when it continues its key's stride, as a two-byte
-//! prediction (see [`codec`]); checksums are [`codec::frame_checksum`], one
-//! multiply per 8-byte word. The footer carries the interner's statement
+//! prediction, and a loop body of predictions repeated `n` more times as
+//! one run record (see [`codec`]); checksums are [`codec::frame_checksum`],
+//! one multiply per 8-byte word. The footer carries the interner's statement
 //! table plus the authoritative event/frame totals. Three independent
 //! truncation tripwires — per-frame checksums, the header counts (patched in
 //! place at `finish`, so a crash mid-write leaves zeros), and the footer
@@ -65,7 +66,12 @@ pub const MAGIC: [u8; 8] = *b"POLYREC\0";
 pub const END_MAGIC: [u8; 8] = *b"POLYREND";
 /// Current format version. Readers accept exactly this version; a bump is a
 /// hard, tested error — old fixtures must be re-recorded, never reinterpreted.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
+
+/// Most events a frame may hold: a header's `chunk_events` is in
+/// `1..=MAX_CHUNK_EVENTS`. It bounds a frame's decode, run records
+/// included, and with it the time between a replay's heartbeats.
+pub const MAX_CHUNK_EVENTS: usize = 1 << 20;
 
 /// Byte offset of the format version in the header.
 pub const HDR_VERSION_OFF: u64 = 8;
@@ -307,11 +313,20 @@ impl<W: Write + Seek> TraceWriter<W> {
         chunk_events: usize,
         structure: &StaticStructure,
     ) -> Result<Self, PolyProfError> {
+        let cap = u32::try_from(chunk_events)
+            .ok()
+            .filter(|&c| c > 0 && c as usize <= MAX_CHUNK_EVENTS)
+            .ok_or_else(|| {
+                rec_err(
+                    &label,
+                    format!("{chunk_events} events per frame is outside 1..={MAX_CHUNK_EVENTS}"),
+                )
+            })?;
         let mut hdr = Vec::with_capacity(44 + workload.len());
         hdr.extend_from_slice(&MAGIC);
         hdr.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         hdr.extend_from_slice(&program_id.to_le_bytes());
-        hdr.extend_from_slice(&(chunk_events as u32).to_le_bytes());
+        hdr.extend_from_slice(&cap.to_le_bytes());
         hdr.extend_from_slice(&0u64.to_le_bytes()); // total events, patched
         hdr.extend_from_slice(&0u64.to_le_bytes()); // total frames, patched
         hdr.extend_from_slice(&(workload.len() as u32).to_le_bytes());
@@ -332,7 +347,7 @@ impl<W: Write + Seek> TraceWriter<W> {
     }
 
     /// Append the encoder's current frame (nothing when it holds no event).
-    fn write_frame(&mut self, enc: &FrameEncoder) -> Result<(), PolyProfError> {
+    fn write_frame(&mut self, enc: &mut FrameEncoder) -> Result<(), PolyProfError> {
         if enc.events() == 0 {
             return Ok(());
         }
@@ -396,9 +411,12 @@ impl<W: Write + Seek> TraceWriter<W> {
     }
 }
 
-/// A recording tap: forwards every resolved event to an inner [`FoldSink`]
-/// unchanged after encoding it into the current frame, and writes each
-/// frame once it holds `chunk_events` events.
+/// A recording tap: encodes every resolved event into the current frame and
+/// forwards it to an inner [`FoldSink`], and writes each frame once it holds
+/// `chunk_events` events. The repeats of a loop body the encoder has proved
+/// reach the inner sink as one [`FoldSink::body_run`] when the run closes,
+/// so the inner sink sees the stream in its order, and a sink that folds
+/// runs whole does not pay for them event by event.
 ///
 /// Sink methods are infallible by contract, so IO failures are stashed and
 /// surfaced at [`finish`](Self::finish) — the live fold is never disturbed
@@ -439,8 +457,9 @@ impl<S: FoldSink, W: Write + Seek> Recorder<S, W> {
     }
 
     fn spill(&mut self) {
+        self.enc.close_run(&mut self.inner);
         if self.err.is_none() {
-            if let Err(e) = self.writer.write_frame(&self.enc) {
+            if let Err(e) = self.writer.write_frame(&mut self.enc) {
                 self.err = Some(e);
             }
         }
@@ -468,15 +487,20 @@ impl<S: FoldSink, W: Write + Seek> Recorder<S, W> {
 
 impl<S: FoldSink, W: Write + Seek> FoldSink for Recorder<S, W> {
     fn instr_point(&mut self, stmt: StmtId, coords: &[i64], value: Option<i64>) {
-        self.enc.instr_point(stmt, coords, value);
+        if self.enc.tap_point(stmt, coords, value, &mut self.inner) {
+            self.inner.instr_point(stmt, coords, value);
+        }
         self.after_push();
-        self.inner.instr_point(stmt, coords, value);
     }
 
     fn mem_access(&mut self, stmt: StmtId, coords: &[i64], addr: u64, is_write: bool) {
-        self.enc.mem_access(stmt, coords, addr, is_write);
+        if self
+            .enc
+            .tap_access(stmt, coords, addr, is_write, &mut self.inner)
+        {
+            self.inner.mem_access(stmt, coords, addr, is_write);
+        }
         self.after_push();
-        self.inner.mem_access(stmt, coords, addr, is_write);
     }
 
     fn dependence(
@@ -487,10 +511,12 @@ impl<S: FoldSink, W: Write + Seek> FoldSink for Recorder<S, W> {
         dst: StmtId,
         dst_coords: &[i64],
     ) {
-        self.enc.dependence(kind, src, src_coords, dst, dst_coords);
+        let enc = &mut self.enc;
+        if enc.tap_dependence(kind, src, src_coords, dst, dst_coords, &mut self.inner) {
+            self.inner
+                .dependence(kind, src, src_coords, dst, dst_coords);
+        }
         self.after_push();
-        self.inner
-            .dependence(kind, src, src_coords, dst, dst_coords);
     }
 
     fn events_seen(&self) -> u64 {
@@ -576,6 +602,14 @@ impl<R: Read> TraceReader<R> {
         }
         let program_id = u64::from_le_bytes(fixed[12..20].try_into().unwrap());
         let chunk_events = u32::from_le_bytes(fixed[20..24].try_into().unwrap());
+        if chunk_events == 0 || chunk_events as usize > MAX_CHUNK_EVENTS {
+            return Err(rec_err(
+                &label,
+                format!(
+                    "header's {chunk_events} events per frame is outside 1..={MAX_CHUNK_EVENTS}"
+                ),
+            ));
+        }
         let header_events = u64::from_le_bytes(fixed[24..32].try_into().unwrap());
         let header_frames = u64::from_le_bytes(fixed[32..40].try_into().unwrap());
         let name_len = u32::from_le_bytes(fixed[40..44].try_into().unwrap());
@@ -604,7 +638,7 @@ impl<R: Read> TraceReader<R> {
             events: 0,
             bytes: 0,
             payload: Vec::new(),
-            dec: FrameDecoder::new(),
+            dec: FrameDecoder::with_cap(chunk_events.into()),
             structure: Graphs::default(),
             footer: None,
         };
@@ -972,8 +1006,9 @@ mod tests {
             let w = writer(&mut bytes, 7, "v", 4);
             w.finish(&interner_with_stmts()).unwrap();
         }
-        // Version 2 (no structure section) and a future version alike.
-        for version in [2, FORMAT_VERSION + 1] {
+        // Version 2 (no structure section), version 3 (no run records) and
+        // a future version alike.
+        for version in [2, 3, FORMAT_VERSION + 1] {
             bytes[HDR_VERSION_OFF as usize] = version as u8;
             let err = TraceReader::new(IoCursor::new(&bytes[..]), "<mem>".into()).unwrap_err();
             let msg = err.to_string();
@@ -994,34 +1029,104 @@ mod tests {
         assert!(err.to_string().contains("bad magic"));
     }
 
+    /// The tap hands its inner sink the very sequence it was fed — a strided
+    /// three-key loop body, whose repeats the encoder holds back and hands
+    /// over as one `body_run` (expanded by the chunk), broken by irregular
+    /// events — whatever the frame size, and the recording decodes to it.
     #[test]
     fn recorder_taps_without_perturbing_inner() {
-        let mut bytes = Vec::new();
-        {
-            let w = writer(&mut bytes, 7, "tap", 2);
-            let mut rec = Recorder::new(w, 2, CountSink::default());
-            for i in 0..5i64 {
-                rec.instr_point(StmtId(0), &[i], Some(i));
+        let mut want = EventChunk::default();
+        for i in 0..150i64 {
+            want.instr_point(StmtId(0), &[0, i], Some(i));
+            want.mem_access(StmtId(0), &[0, i], 64 + 2 * i as u64, i % 50 == 49);
+            want.dependence(DepKind::Flow, StmtId(0), &[0, i - 1], StmtId(0), &[0, i]);
+            if i % 70 == 69 {
+                want.instr_point(StmtId(0), &[1, i * i], None);
             }
-            let (inner, stats) = rec.finish(&interner_with_stmts()).unwrap();
-            assert_eq!(inner.0, 5);
-            assert_eq!(stats.events, 5);
-            assert_eq!(stats.frames, 3); // 2 + 2 + 1
         }
+        for cap in [2, 64] {
+            let mut bytes = Vec::new();
+            let w = writer(&mut bytes, 7, "tap", cap);
+            let mut rec = Recorder::new(w, cap, EventChunk::default());
+            want.replay_into(&mut rec);
+            let (inner, stats) = rec.finish(&interner_with_stmts()).unwrap();
+            let shown = |c: &EventChunk| c.events().map(|e| format!("{e:?}")).collect::<Vec<_>>();
+            assert_eq!(shown(&inner), shown(&want), "{cap}-event frames");
+            assert_eq!(stats.events, want.len() as u64);
+            assert_eq!(stats.frames, (want.len() as u64).div_ceil(cap as u64));
+            let mut r = TraceReader::new(IoCursor::new(&bytes[..]), "<mem>".into()).unwrap();
+            let (mut chunk, mut read) = (EventChunk::default(), EventChunk::default());
+            while r.next_chunk(&mut chunk).unwrap() {
+                chunk.replay_into(&mut read);
+            }
+            assert_eq!(shown(&read), shown(&want), "{cap}-event frames read back");
+            r.finish().unwrap();
+
+            // `peek_meta` reads the same header straight off the bytes.
+            let meta = peek_meta(&bytes, "<mem>").unwrap();
+            assert_eq!(meta.program_id, 7);
+            assert_eq!(meta.workload, "tap");
+            assert_eq!(meta.header_events, want.len() as u64);
+        }
+    }
+
+    /// Frames hold 1 to `MAX_CHUNK_EVENTS` events: a writer asked for 0 or
+    /// more — 2³² among them, which a `u32` header would record as 0 — is
+    /// refused, and so is a header that claims either.
+    #[test]
+    fn chunk_events_outside_the_cap_are_refused() {
+        for cap in [0, MAX_CHUNK_EVENTS + 1, 1 << 32] {
+            let mut bytes = Vec::new();
+            let w = TraceWriter::new(
+                IoCursor::new(&mut bytes),
+                "<mem>".into(),
+                7,
+                "cap",
+                cap,
+                &structure(),
+            );
+            assert!(matches!(w, Err(PolyProfError::Recording { .. })), "{cap}");
+        }
+        let mut bytes = Vec::new();
+        writer(&mut bytes, 7, "cap", MAX_CHUNK_EVENTS)
+            .finish(&interner_with_stmts())
+            .unwrap();
+        assert!(read_all(&bytes).is_ok());
+        for claim in [0u32, MAX_CHUNK_EVENTS as u32 + 1, u32::MAX] {
+            bytes[20..24].copy_from_slice(&claim.to_le_bytes());
+            let err = TraceReader::new(IoCursor::new(&bytes[..]), "<mem>".into()).unwrap_err();
+            assert!(err.to_string().contains("events per frame"), "{err}");
+        }
+    }
+
+    /// A well-checksummed frame whose run record claims 2⁴⁰ events is a
+    /// recording error, returned before any of them is decoded — a three-byte
+    /// record buys no more work than its frame's `chunk_events`.
+    #[test]
+    fn a_run_claiming_two_to_the_forty_events_is_refused() {
+        let mut bytes = Vec::new();
+        writer(&mut bytes, 7, "run", 4096);
+        // One point in full, then two predictions: a streak of one slot.
+        let mut enc = codec::FrameEncoder::new();
+        for i in 0..3 {
+            enc.instr_point(StmtId(0), &[i], None);
+        }
+        let mut payload = enc.payload().to_vec();
+        payload.extend_from_slice(&[1, 0x90]); // op 9, a body of one event
+        codec::write_uv(&mut payload, 1 << 40);
+        bytes.push(TAG_FRAME);
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        bytes.extend_from_slice(&codec::frame_checksum(&payload).to_le_bytes());
         let mut r = TraceReader::new(IoCursor::new(&bytes[..]), "<mem>".into()).unwrap();
         let mut chunk = EventChunk::default();
-        let mut n = 0;
-        while r.next_chunk(&mut chunk).unwrap() {
-            n += chunk.len();
+        match r.next_chunk(&mut chunk) {
+            Err(PolyProfError::Recording { detail, .. }) => {
+                assert!(detail.contains("at most 4096"), "{detail}")
+            }
+            other => panic!("expected a recording error, got {other:?}"),
         }
-        assert_eq!(n, 5);
-        r.finish().unwrap();
-
-        // `peek_meta` reads the same header straight off the bytes.
-        let meta = peek_meta(&bytes, "<mem>").unwrap();
-        assert_eq!(meta.program_id, 7);
-        assert_eq!(meta.workload, "tap");
-        assert_eq!(meta.header_events, 5);
+        assert!(chunk.len() <= 3, "{} events decoded", chunk.len());
     }
 
     /// A frame header is a claim, not an allocation size: one that promises
@@ -1063,12 +1168,12 @@ mod tests {
     }
 
     /// Every single-bit flip anywhere in the structure section or a small
-    /// frame — tag, length, payload, checksum — and every truncation of the
-    /// file is an error.
+    /// frame holding a run record — tag, length, payload, checksum — and
+    /// every truncation of the file is an error.
     #[test]
     fn every_bit_flip_of_a_frame_and_every_truncation_is_an_error() {
         let bytes = record(16, &interner_with_stmts(), |rec| {
-            for i in 0..4i64 {
+            for i in 0..6i64 {
                 rec.instr_point(StmtId(0), &[0, i], Some(2 * i));
                 rec.mem_access(StmtId(0), &[0, i], 64 + i as u64, true);
             }
@@ -1081,6 +1186,9 @@ mod tests {
         };
         let structure = 44 + "unit".len();
         let frame_end = section_end(section_end(structure));
+        let frame = &bytes[section_end(structure)..frame_end];
+        // A body of two events (op 9, k = 2) repeated three times more.
+        assert!(frame.windows(3).any(|w| w == [2, 0x90, 3]), "{frame:?}");
         let mut flipped = bytes.clone();
         for bit in structure * 8..frame_end * 8 {
             flipped[bit / 8] ^= 1 << (bit % 8);

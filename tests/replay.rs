@@ -21,7 +21,7 @@ use polyprof_core::polyfold::{self, replay::fold_recording, FoldOptions, FoldedD
 use polyprof_core::polyiiv::context::{ContextInterner, StmtId};
 use polyprof_core::polyrec::{
     codec, program_id, Recorder, TraceWriter, FORMAT_VERSION, HDR_EVENTS_OFF, HDR_VERSION_OFF,
-    MAGIC,
+    MAGIC, MAX_CHUNK_EVENTS,
 };
 use polyprof_core::polyresist::{PolyProfError, ResourceBudget};
 use polyprof_core::polytrace::Counter;
@@ -545,6 +545,31 @@ fn record_to_with_replay_is_a_config_error() {
     }
     assert!(!ghost.exists(), "replay must not write a new recording");
     fs::remove_file(&src).ok();
+}
+
+/// A recorded frame holds at most `MAX_CHUNK_EVENTS` events: asking for
+/// more — 2³², which the header's `u32` would have recorded as 0 — is a
+/// structured configuration error before anything runs, and no file
+/// appears.
+#[test]
+fn chunk_events_past_the_cap_is_a_config_error() {
+    let prog = elementwise(6, 2);
+    let ghost = scratch("chunk_cap_ghost");
+    for frame in [MAX_CHUNK_EVENTS + 1, 1 << 32] {
+        let cfg = ProfileConfig::new()
+            .with_chunk_events(frame)
+            .with_record_to(&ghost);
+        match try_profile_with(&prog, &cfg).map(|r| r.folded_stats) {
+            Err(PolyProfError::Config { knob, .. }) => assert_eq!(knob, "chunk_events"),
+            other => panic!("{frame}: expected a Config error, got {other:?}"),
+        }
+        assert!(!ghost.exists(), "{frame}: a refused run wrote a recording");
+    }
+    let cfg = ProfileConfig::new()
+        .with_chunk_events(MAX_CHUNK_EVENTS)
+        .with_record_to(&ghost);
+    try_profile_with(&prog, &cfg).expect("the cap itself is allowed");
+    fs::remove_file(&ghost).ok();
 }
 
 /// A replay is budgeted like a live run: a 1-byte budget latches pressure
