@@ -4,17 +4,17 @@
 
 use polyfeedback::report::{table5_header, table5_row};
 use polyprof_bench::pct;
-use polyprof_core::{profile_suite, MetricsLevel, ProfileConfig};
+use polyprof_core::{profile_suite, ProfileConfig};
 
 fn main() {
     println!("=== Table 5: Rodinia 3.1 summary (measured by poly-prof-rs) ===\n");
     println!("{}", table5_header());
     // Profile all 19 workloads across threads; reports come back in suite
     // order, so the rows print exactly as the serial loop did. The suite
-    // driver logs per-workload wall time (and, with POLYPROF_METRICS set,
-    // peak event-chunk depth) to stderr, keeping the table on stdout clean.
+    // driver logs per-workload wall time to stderr, keeping the table on
+    // stdout clean.
     let workloads = rodinia::all_rodinia();
-    let cfg = ProfileConfig::new().with_metrics(MetricsLevel::from_env());
+    let cfg = ProfileConfig::new();
     let progs: Vec<&polyprof_core::polyir::Program> =
         workloads.iter().map(|w| &w.program).collect();
     let reports = profile_suite(&progs, &cfg);

@@ -448,12 +448,6 @@ pub fn try_profile_with(prog: &Program, cfg: &ProfileConfig) -> Result<Report, P
         let _span = trace.as_ref().map(|(c, _)| c.span(Stage::StaticPass));
         let summary = StaticSummary::analyze(prog);
         let deps = Arc::new(StaticDeps::analyze(prog, &summary));
-        if let Some((c, _)) = &trace {
-            c.add(Counter::StaticScevStmts, summary.n_scev() as u64);
-            // `pairs_exact` counts every exactly-decided pair
-            // (Independent is exact too).
-            c.add(Counter::ProvenDepPairs, deps.pairs_exact() as u64);
-        }
         (summary, deps)
     });
 
@@ -462,19 +456,14 @@ pub fn try_profile_with(prog: &Program, cfg: &ProfileConfig) -> Result<Report, P
     // removal deletes them).
     let lint = static_pass.as_ref().map(|(summary, deps)| {
         let _span = trace.as_ref().map(|(c, _)| c.span(Stage::Lint));
-        let rep = polystatic::lint::lint_ddg_with_deps(
+        polystatic::lint::lint_ddg_with_deps(
             prog,
             summary,
             Some(&**deps),
             &ddg,
             &interner,
             &structure,
-        );
-        if let Some((c, _)) = &trace {
-            c.add(Counter::LintChecks, rep.checks);
-            c.add(Counter::LintViolations, rep.violations.len() as u64);
-        }
-        rep
+        )
     });
     let static_scevs = static_pass.as_ref().map_or(0, |(s, _)| s.n_scev());
 
@@ -483,8 +472,6 @@ pub fn try_profile_with(prog: &Program, cfg: &ProfileConfig) -> Result<Report, P
         ddg.remove_scevs()
     };
     if let Some((c, _)) = &trace {
-        c.add(Counter::RetiredStmts, scev_removed.0 as u64);
-        c.add(Counter::RetiredDeps, scev_removed.1 as u64);
         c.add(Counter::OverapproxStmts, ddg.overapprox_stmts() as u64);
     }
     // The canonical text is the run's byte-comparison artifact: unlike

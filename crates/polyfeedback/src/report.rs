@@ -389,7 +389,7 @@ pub fn vm_profile_section(m: &polytrace::RunMetrics) -> String {
         let rest: u64 = m.vm_ops.iter().skip(12).map(|(_, n)| n).sum();
         let _ = writeln!(s, "    {:<12} {rest:>12}", "(other)");
     }
-    if let Some(h) = m.hist(polytrace::HistKind::VmDispatchNs) {
+    if let Some(h) = &m.dispatch_ns {
         let _ = writeln!(
             s,
             "  dispatch latency (sampled, ns)      : p50 {} / p90 {} / p99 {} / max {}",

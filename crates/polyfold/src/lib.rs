@@ -21,6 +21,9 @@ pub mod replay;
 pub mod stream;
 
 pub use fitter::{FitResult, OnlineAffineFitter, RatAffine};
+/// The telemetry crate whose [`polytrace::Collector`] [`pass2::Pass2`]
+/// records into, and whose JSON escaping the analyses downstream share.
+pub use polytrace;
 pub use stream::{FoldedDomain, FoldedStream, LabelFold, StreamFolder};
 
 use polyddg::{expand_run, BodyKey, DepKind, EventKind, FoldSink};

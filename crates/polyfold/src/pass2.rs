@@ -48,7 +48,7 @@ use polyiiv::context::{ContextInterner, StmtId};
 use polyir::Program;
 use polyrec::{check_statements, check_structure, program_id, Recorder, TraceReader};
 use polyresist::{panic_msg, FaultPlan, PolyProfError, ResourceBudget, RunDegradation};
-use polytrace::{Collector, Counter, Stage, TID_DRIVER};
+use polytrace::{Collector, Counter, Stage};
 use std::fs::File;
 use std::io::BufReader;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -184,15 +184,11 @@ fn fold(prog: &Program, source: &Source<'_>, cfg: &Pass2) -> Result<Pass2Out, Po
         deg.absorb_plan(p);
     }
     if let Some(c) = trace {
-        c.add(Counter::FaultsInjected, deg.faults_injected);
-        c.add(Counter::UnresolvedAccesses, deg.unresolved_accesses);
-        c.add(Counter::BudgetOverapprox, deg.budget_overapprox_stmts);
         if deg.deadline_hit {
-            c.add(Counter::DeadlineHits, 1);
-            c.timeline_instant("deadline-hit", TID_DRIVER, 0, 0);
+            c.timeline_instant("deadline-hit", 0, 0);
         }
         if deg.budget_pressure {
-            c.timeline_instant("budget-pressure", TID_DRIVER, deg.peak_tracked_bytes, 0);
+            c.timeline_instant("budget-pressure", deg.peak_tracked_bytes, 0);
         }
     }
     Ok(Pass2Out {

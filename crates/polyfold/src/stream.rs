@@ -400,9 +400,9 @@ impl StreamFolder {
     /// loop body ([`polyddg::FoldSink::body_run`]). Leaves every field,
     /// [`predicted`](Self::predicted) included, exactly as the `n` pushes
     /// would, and takes O(dim + labels) when they would all be predicted:
-    /// see [`run_predicted`](Self::run_predicted). Otherwise it pushes the
-    /// first point and retries on the rest, from the state that push left;
-    /// failing again, it pushes them one by one.
+    /// see `run_predicted`. Otherwise it pushes the first point and retries
+    /// on the rest, from the state that push left; failing again, it pushes
+    /// them one by one.
     pub fn push_run(
         &mut self,
         coords: &[i64],

@@ -19,6 +19,7 @@
 //! visible to the dynamic profiler and need no domain generalization.
 
 use crate::deps::StaticDeps;
+use polyfold::polytrace::json_escape;
 use polyiiv::context::ContextInterner;
 use polyir::{Instr, InstrRef, Program};
 use polylib::{carried_at, DepResult};
@@ -62,8 +63,11 @@ impl LegalityReport {
             .iter()
             .map(|n| {
                 format!(
-                    "{{\"node\":{},\"dim\":{},\"verified\":{},\"detail\":{:?}}}",
-                    n.node, n.dim, n.verified, n.detail
+                    "{{\"node\":{},\"dim\":{},\"verified\":{},\"detail\":\"{}\"}}",
+                    n.node,
+                    n.dim,
+                    n.verified,
+                    json_escape(&n.detail)
                 )
             })
             .collect();

@@ -15,6 +15,7 @@
 
 use crate::dataflow::StaticSummary;
 use polycfg::StaticStructure;
+use polyfold::polytrace::json_escape;
 use polyfold::FoldedDdg;
 use polyiiv::context::ContextInterner;
 use polyir::{FuncId, Program};
@@ -83,7 +84,13 @@ impl LintReport {
         let violations: Vec<String> = self
             .violations
             .iter()
-            .map(|v| format!("{{\"kind\":\"{}\",\"detail\":{:?}}}", v.kind, v.detail))
+            .map(|v| {
+                format!(
+                    "{{\"kind\":\"{}\",\"detail\":\"{}\"}}",
+                    v.kind,
+                    json_escape(&v.detail)
+                )
+            })
             .collect();
         format!(
             "{{\"checks\":{},\"ok\":{},\"violations\":[{}]}}",
@@ -551,10 +558,14 @@ mod tests {
             violations: vec![],
         };
         rep.fail(LintKind::DynamicExceedsStatic, "x".into());
+        // Details carry user function names: JSON-escaped, not Debug.
+        rep.fail(LintKind::MissingMustFlow, "f\u{1}\"g\"".into());
         let j = rep.to_json();
         assert!(j.contains("\"checks\":3"));
         assert!(j.contains("\"ok\":false"));
         assert!(j.contains("\"kind\":\"dynamic-exceeds-static\""));
+        assert!(j.contains(r#""detail":"f\u0001\"g\"""#), "{j}");
+        polyfold::polytrace::validate_json(&j).expect("lint JSON");
     }
 
     #[test]

@@ -10,8 +10,13 @@
 //!   static affine pre-pass, pass 2, finalize, DDG lint, SCEV removal,
 //!   scheduling, feedback, rendering, the static baseline);
 //! * **pipeline counters** — events folded, shadow-page MRU and context
-//!   version-cache hit/miss, folder prediction hits, retired (SCEV) and
-//!   over-approximated statement counts, recording frames and bytes.
+//!   version-cache hit/miss, folder prediction hits, over-approximated
+//!   statement counts, recording frames and bytes. A fact the `Report`
+//!   already carries (SCEV removals, lint results, degradation) is not
+//!   counted a second time here;
+//! * **one latency histogram** — the VM's sampled dispatch time;
+//! * **a timeline** — stage spans and point events on the driver thread,
+//!   exportable as Chrome trace-event JSON.
 //!
 //! The design keeps the hot paths honest:
 //!
@@ -52,28 +57,12 @@ pub enum MetricsLevel {
     /// opcode counts and its sampled dispatch-latency [`Histogram`].
     Timing,
     /// Everything above plus a timestamped event timeline: stage spans and
-    /// point events, plus any bounded per-thread [`Journal`]s, exportable as
-    /// Chrome trace-event JSON ([`RunMetrics::timeline_json`]).
+    /// point events, exportable as Chrome trace-event JSON
+    /// ([`RunMetrics::timeline_json`]).
     Trace,
 }
 
 impl MetricsLevel {
-    /// Parse the `POLYPROF_METRICS` environment variable
-    /// (`off`/`counters`/`timing`/`trace`, case-insensitive; unset or
-    /// unknown => `Off`). Suite drivers use this so a run can be made
-    /// attributable without recompiling.
-    pub fn from_env() -> Self {
-        match std::env::var("POLYPROF_METRICS") {
-            Ok(v) => match v.to_ascii_lowercase().as_str() {
-                "counters" => MetricsLevel::Counters,
-                "timing" => MetricsLevel::Timing,
-                "trace" => MetricsLevel::Trace,
-                _ => MetricsLevel::Off,
-            },
-            Err(_) => MetricsLevel::Off,
-        }
-    }
-
     /// Stable lowercase name (JSON `level` field).
     pub fn name(self) -> &'static str {
         match self {
@@ -305,33 +294,6 @@ impl Histogram {
     }
 }
 
-/// The fixed set of latency distributions a run records. Every variant owns
-/// one histogram slot in the [`Collector`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum HistKind {
-    /// Sampled VM dispatch time of one dynamic instruction (ns).
-    VmDispatchNs,
-}
-
-/// Number of [`HistKind`] slots.
-pub const N_HISTS: usize = 1;
-
-impl HistKind {
-    /// All kinds, in report order.
-    pub const ALL: [HistKind; N_HISTS] = [HistKind::VmDispatchNs];
-
-    /// Stable snake_case name (JSON keys, table rows).
-    pub fn name(self) -> &'static str {
-        match self {
-            HistKind::VmDispatchNs => "vm_dispatch_ns",
-        }
-    }
-
-    fn slot(self) -> usize {
-        self as usize
-    }
-}
-
 /// Sequential stages of one profiling run. Exactly one of these is active at
 /// any moment — for every source of pass 2 — so their span times sum to
 /// (approximately) the run's wall time: the property the metrics-consistency
@@ -432,30 +394,9 @@ pub enum Counter {
     ShadowPages,
     /// Bytes held by spilled coordinate-snapshot arenas.
     ArenaBytes,
-    /// Statements retired by SCEV removal.
-    RetiredStmts,
-    /// Dependences removed together with SCEV statements.
-    RetiredDeps,
     /// Folded statements left over-approximated (inexact domain or
     /// non-affine label/access).
     OverapproxStmts,
-    /// Static instructions proven SCEV by the affine pre-pass.
-    StaticScevStmts,
-    /// Ordered access pairs whose dependence relation the static affine
-    /// pre-pass computed exactly (Dependent or Independent, not Maybe).
-    ProvenDepPairs,
-    /// DDG lint checks evaluated.
-    LintChecks,
-    /// DDG lint violations found.
-    LintViolations,
-    /// Faults fired by an armed `polyresist::FaultPlan` (0 in production).
-    FaultsInjected,
-    /// Memory accesses skipped because a shadow page failed to allocate.
-    UnresolvedAccesses,
-    /// Statements folded in budget over-approximation (coarse) mode.
-    BudgetOverapprox,
-    /// Watchdog deadline firings (0 or 1 per run).
-    DeadlineHits,
     /// Trace-recording frames written to disk (`polyrec` writer).
     RecFramesWritten,
     /// Trace-recording bytes written to disk (`polyrec` writer).
@@ -470,7 +411,7 @@ pub enum Counter {
 }
 
 /// Number of [`Counter`] slots.
-pub const N_COUNTERS: usize = 28;
+pub const N_COUNTERS: usize = 18;
 
 impl Counter {
     /// All counters, in report order.
@@ -487,17 +428,7 @@ impl Counter {
         Counter::ShadowMruMiss,
         Counter::ShadowPages,
         Counter::ArenaBytes,
-        Counter::RetiredStmts,
-        Counter::RetiredDeps,
         Counter::OverapproxStmts,
-        Counter::StaticScevStmts,
-        Counter::ProvenDepPairs,
-        Counter::LintChecks,
-        Counter::LintViolations,
-        Counter::FaultsInjected,
-        Counter::UnresolvedAccesses,
-        Counter::BudgetOverapprox,
-        Counter::DeadlineHits,
         Counter::RecFramesWritten,
         Counter::RecBytesWritten,
         Counter::RecFramesRead,
@@ -520,17 +451,7 @@ impl Counter {
             Counter::ShadowMruMiss => "shadow_mru_miss",
             Counter::ShadowPages => "shadow_pages",
             Counter::ArenaBytes => "arena_bytes",
-            Counter::RetiredStmts => "retired_stmts",
-            Counter::RetiredDeps => "retired_deps",
             Counter::OverapproxStmts => "overapprox_stmts",
-            Counter::StaticScevStmts => "static_scev_stmts",
-            Counter::ProvenDepPairs => "proven_dep_pairs",
-            Counter::LintChecks => "lint_checks",
-            Counter::LintViolations => "lint_violations",
-            Counter::FaultsInjected => "faults_injected",
-            Counter::UnresolvedAccesses => "unresolved_accesses",
-            Counter::BudgetOverapprox => "budget_overapprox_stmts",
-            Counter::DeadlineHits => "deadline_hits",
             Counter::RecFramesWritten => "rec_frames_written",
             Counter::RecBytesWritten => "rec_bytes_written",
             Counter::RecFramesRead => "rec_frames_read",
@@ -545,35 +466,23 @@ impl Counter {
 }
 
 // ---------------------------------------------------------------------------
-// Timeline events and per-thread journals
+// Timeline events
 // ---------------------------------------------------------------------------
-
-/// Logical thread lanes of the timeline (the Chrome trace `tid`). The
-/// driver and every sequential stage run in lane [`TID_DRIVER`].
-pub const TID_DRIVER: u32 = 0;
-
-/// Human-readable lane name (Chrome trace `thread_name` metadata).
-pub fn tid_name(tid: u32) -> String {
-    match tid {
-        TID_DRIVER => "driver".to_string(),
-        other => format!("thread {other}"),
-    }
-}
 
 /// What a [`TraceEvent`] marks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEventKind {
     /// Opens a span (Chrome `ph: "B"`).
     Begin,
-    /// Closes the innermost open span of the same lane (Chrome `ph: "E"`).
+    /// Closes the innermost open span (Chrome `ph: "E"`).
     End,
     /// A point event (Chrome `ph: "i"`).
     Instant,
 }
 
-/// One timestamped timeline record. Plain copyable data: a static name, a
-/// lane, the offset from the collector's epoch, and two free-form integer
-/// arguments (counts, sequence numbers, …).
+/// One timestamped timeline record. Plain copyable data: a static name, the
+/// offset from the collector's epoch, and two free-form integer arguments
+/// (counts, sequence numbers, …).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Static event name (`"profile"`, `"deadline-hit"`, …).
@@ -582,130 +491,10 @@ pub struct TraceEvent {
     pub kind: TraceEventKind,
     /// Nanoseconds since the collector's construction.
     pub ts_ns: u64,
-    /// Timeline lane (see [`TID_DRIVER`] and friends).
-    pub tid: u32,
     /// First argument (convention: a count).
     pub arg0: u64,
     /// Second argument (convention: a sequence number, or a count).
     pub arg1: u64,
-}
-
-/// A thread-owned, bounded event journal — the [`MetricsLevel::Trace`]
-/// recording primitive for events too frequent for the shared timeline.
-///
-/// Lock-free by ownership: exactly one thread writes it, with no atomics or
-/// locks on the recording path, and it is handed back to the collector
-/// ([`Collector::submit_journal`]) once when the thread finishes. Capacity
-/// is fixed at creation; a `begin` is accepted only if its matching `end`
-/// is *guaranteed* to fit (one slot per open span stays reserved), so every
-/// accepted begin has a matching end even under overflow — the
-/// well-formedness invariant the timeline tests assert. Overflowed records
-/// are counted, not silently lost.
-#[derive(Debug)]
-pub struct Journal {
-    tid: u32,
-    events: Vec<TraceEvent>,
-    cap: usize,
-    open: usize,
-    dropped: u64,
-    epoch: Instant,
-}
-
-/// Default per-thread journal capacity (events); ~1.5 MB per thread at 48 B
-/// per record.
-pub const JOURNAL_CAP: usize = 1 << 15;
-
-impl Journal {
-    fn new(tid: u32, cap: usize, epoch: Instant) -> Journal {
-        Journal {
-            tid,
-            events: Vec::with_capacity(cap),
-            cap,
-            open: 0,
-            dropped: 0,
-            epoch,
-        }
-    }
-
-    #[inline]
-    fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// Open a span. Returns `true` when the record was accepted — pass the
-    /// result to [`Journal::end`], which records only for accepted begins.
-    #[inline]
-    pub fn begin(&mut self, name: &'static str, arg0: u64, arg1: u64) -> bool {
-        // Reserve one slot per open span (incl. this one) for the ends.
-        if self.events.len() + self.open + 2 > self.cap {
-            self.dropped += 1;
-            return false;
-        }
-        self.open += 1;
-        let ev = TraceEvent {
-            name,
-            kind: TraceEventKind::Begin,
-            ts_ns: self.now_ns(),
-            tid: self.tid,
-            arg0,
-            arg1,
-        };
-        self.events.push(ev);
-        true
-    }
-
-    /// Close the innermost open span. `opened` is the value the matching
-    /// [`Journal::begin`] returned; a dropped begin drops its end too.
-    #[inline]
-    pub fn end(&mut self, opened: bool, name: &'static str, arg0: u64, arg1: u64) {
-        if !opened {
-            return;
-        }
-        debug_assert!(self.open > 0, "end without begin");
-        self.open = self.open.saturating_sub(1);
-        let ev = TraceEvent {
-            name,
-            kind: TraceEventKind::End,
-            ts_ns: self.now_ns(),
-            tid: self.tid,
-            arg0,
-            arg1,
-        };
-        self.events.push(ev);
-    }
-
-    /// Record a point event.
-    #[inline]
-    pub fn instant(&mut self, name: &'static str, arg0: u64, arg1: u64) {
-        if self.events.len() + self.open + 1 > self.cap {
-            self.dropped += 1;
-            return;
-        }
-        let ev = TraceEvent {
-            name,
-            kind: TraceEventKind::Instant,
-            ts_ns: self.now_ns(),
-            tid: self.tid,
-            arg0,
-            arg1,
-        };
-        self.events.push(ev);
-    }
-
-    /// Events recorded so far.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Records rejected because the journal was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
 }
 
 fn atomic_array<const N: usize>() -> [AtomicU64; N] {
@@ -723,15 +512,13 @@ pub struct Collector {
     epoch: Instant,
     stage_ns: [AtomicU64; N_STAGES],
     counters: [AtomicU64; N_COUNTERS],
-    /// Latency histograms, merged in at stage granularity (locked only at
-    /// harvest time, never per event).
-    hists: Box<[Mutex<Histogram>; N_HISTS]>,
-    /// Low-frequency shared timeline (stage spans, degradation instants)
-    /// plus every submitted per-thread [`Journal`]. Locked O(1) per span —
-    /// tens of times per run.
+    /// Sampled VM dispatch time (ns), merged in once per VM run (locked
+    /// only at harvest time, never per event).
+    dispatch_ns: Mutex<Histogram>,
+    /// Low-frequency timeline (stage spans, degradation instants). Locked
+    /// O(1) per span — tens of times per run — and stamped under the lock,
+    /// so it is in time order as appended.
     timeline: Mutex<Vec<TraceEvent>>,
-    /// Journal records rejected for capacity across all threads.
-    trace_dropped: AtomicU64,
     /// Per-opcode VM dispatch counts, harvested once per VM run. The names
     /// come from the interpreter — polytrace stays ignorant of the ISA.
     vm_ops: Mutex<Vec<(&'static str, u64)>>,
@@ -745,16 +532,10 @@ impl Collector {
             epoch: Instant::now(),
             stage_ns: atomic_array(),
             counters: atomic_array(),
-            hists: Box::new(std::array::from_fn(|_| Mutex::new(Histogram::new()))),
+            dispatch_ns: Mutex::new(Histogram::new()),
             timeline: Mutex::new(Vec::new()),
-            trace_dropped: AtomicU64::new(0),
             vm_ops: Mutex::new(Vec::new()),
         }
-    }
-
-    /// The configured level.
-    pub fn level(&self) -> MetricsLevel {
-        self.level
     }
 
     /// True when span timing is on (clock reads allowed).
@@ -763,7 +544,7 @@ impl Collector {
         self.level >= MetricsLevel::Timing
     }
 
-    /// True when timeline journaling is on.
+    /// True when the timeline records.
     #[inline]
     pub fn tracing(&self) -> bool {
         self.level >= MetricsLevel::Trace
@@ -775,55 +556,36 @@ impl Collector {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Hand out a bounded per-thread journal for lane `tid`, sharing this
-    /// collector's epoch. `None` below [`MetricsLevel::Trace`] — callers
-    /// keep the `Option` and skip recording entirely when absent.
-    pub fn new_journal(&self, tid: u32) -> Option<Journal> {
-        self.tracing()
-            .then(|| Journal::new(tid, JOURNAL_CAP, self.epoch))
+    /// Record a point event on the timeline (degradation, watchdog —
+    /// low-frequency paths only). No-op below [`MetricsLevel::Trace`].
+    pub fn timeline_instant(&self, name: &'static str, arg0: u64, arg1: u64) {
+        self.push_event(name, TraceEventKind::Instant, arg0, arg1);
     }
 
-    /// Absorb a finished thread's journal into the shared timeline.
-    pub fn submit_journal(&self, j: Journal) {
-        if j.dropped > 0 {
-            self.trace_dropped.fetch_add(j.dropped, Ordering::Relaxed);
-        }
-        if !j.events.is_empty() {
-            self.timeline.lock().unwrap().extend_from_slice(&j.events);
-        }
-    }
-
-    /// Record a point event straight onto the shared timeline (degradation,
-    /// watchdog — low-frequency paths only). No-op below
+    /// Append one event to the timeline; no-op below
     /// [`MetricsLevel::Trace`].
-    pub fn timeline_instant(&self, name: &'static str, tid: u32, arg0: u64, arg1: u64) {
-        self.push_event(name, TraceEventKind::Instant, tid, arg0, arg1);
-    }
-
-    /// Append one event to the shared timeline; no-op below
-    /// [`MetricsLevel::Trace`].
-    fn push_event(&self, name: &'static str, kind: TraceEventKind, tid: u32, arg0: u64, arg1: u64) {
+    fn push_event(&self, name: &'static str, kind: TraceEventKind, arg0: u64, arg1: u64) {
         if !self.tracing() {
             return;
         }
-        let ev = TraceEvent {
+        let mut timeline = self.timeline.lock().unwrap();
+        let ts_ns = self.now_ns();
+        timeline.push(TraceEvent {
             name,
             kind,
-            ts_ns: self.now_ns(),
-            tid,
+            ts_ns,
             arg0,
             arg1,
-        };
-        self.timeline.lock().unwrap().push(ev);
+        });
     }
 
-    /// Merge a thread-local histogram into the shared slot for `kind`
-    /// (stage-end harvest; one lock per thread per kind).
-    pub fn merge_hist(&self, kind: HistKind, h: &Histogram) {
+    /// Merge a VM run's sampled dispatch times into the run's histogram
+    /// (one lock per VM run).
+    pub fn merge_dispatch_ns(&self, h: &Histogram) {
         if h.is_empty() {
             return;
         }
-        self.hists[kind.slot()].lock().unwrap().merge(h);
+        self.dispatch_ns.lock().unwrap().merge(h);
     }
 
     /// Harvest a per-opcode dispatch count from a finished VM run. Counts
@@ -867,35 +629,18 @@ impl Collector {
     /// has returned; `total_ns` is the run's measured wall time.
     pub fn snapshot(&self, total_ns: u64) -> RunMetrics {
         let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let hists = if self.timing() {
-            self.hists
-                .iter()
-                .map(|h| h.lock().unwrap().clone())
-                .collect()
-        } else {
-            Vec::new()
-        };
         let mut vm_ops = self.vm_ops.lock().unwrap().clone();
         vm_ops.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-        let timeline = if self.tracing() {
-            let mut tl = self.timeline.lock().unwrap().clone();
-            // Stable per-lane order: journals arrive whole; sorting by
-            // timestamp interleaves the lanes chronologically while the
-            // stable sort preserves same-timestamp intra-thread order.
-            tl.sort_by_key(|e| e.ts_ns);
-            tl
-        } else {
-            Vec::new()
-        };
         RunMetrics {
             level: self.level,
             total_ns,
             stage_ns: std::array::from_fn(|i| ld(&self.stage_ns[i])),
             counters: std::array::from_fn(|i| ld(&self.counters[i])),
-            hists,
+            dispatch_ns: self
+                .timing()
+                .then(|| self.dispatch_ns.lock().unwrap().clone()),
             vm_ops,
-            timeline,
-            trace_dropped: ld(&self.trace_dropped),
+            timeline: self.timeline.lock().unwrap().clone(),
         }
     }
 }
@@ -914,7 +659,7 @@ pub struct Span<'a> {
 impl<'a> Span<'a> {
     fn new(col: &'a Collector, stage: Stage) -> Self {
         let t0 = col.timing().then(Instant::now);
-        col.push_event(stage.name(), TraceEventKind::Begin, TID_DRIVER, 0, 0);
+        col.push_event(stage.name(), TraceEventKind::Begin, 0, 0);
         Span { col, stage, t0 }
     }
 }
@@ -926,7 +671,7 @@ impl Drop for Span<'_> {
             self.col.stage_ns[self.stage.slot()].fetch_add(ns, Ordering::Relaxed);
         }
         self.col
-            .push_event(self.stage.name(), TraceEventKind::End, TID_DRIVER, 0, 0);
+            .push_event(self.stage.name(), TraceEventKind::End, 0, 0);
     }
 }
 
@@ -943,17 +688,13 @@ pub struct RunMetrics {
     pub stage_ns: [u64; N_STAGES],
     /// Named counters, indexed by [`Counter`] slot order.
     pub counters: [u64; N_COUNTERS],
-    /// Latency histograms, indexed by [`HistKind`] slot order; empty below
-    /// [`MetricsLevel::Timing`].
-    pub hists: Vec<Histogram>,
+    /// Sampled VM dispatch time (ns); `None` below [`MetricsLevel::Timing`].
+    pub dispatch_ns: Option<Histogram>,
     /// Per-opcode VM dispatch counts, sorted by count descending; empty
     /// unless VM telemetry ran (Timing and above).
     pub vm_ops: Vec<(&'static str, u64)>,
-    /// The merged timeline, sorted by timestamp; empty below
-    /// [`MetricsLevel::Trace`].
+    /// The timeline, in time order; empty below [`MetricsLevel::Trace`].
     pub timeline: Vec<TraceEvent>,
-    /// Journal records lost to capacity (0 on a well-sized run).
-    pub trace_dropped: u64,
 }
 
 impl RunMetrics {
@@ -987,11 +728,6 @@ impl RunMetrics {
         (folded > 0).then(|| self.counter(Counter::FoldPredicted) as f64 / folded as f64)
     }
 
-    /// The recorded histogram for `kind` (`None` below `Timing`).
-    pub fn hist(&self, kind: HistKind) -> Option<&Histogram> {
-        self.hists.get(kind.slot())
-    }
-
     /// Count of timeline events with a given name and kind (reconciliation
     /// against the spans and counters: e.g. one `profile` begin per run).
     pub fn timeline_count(&self, name: &str, kind: TraceEventKind) -> u64 {
@@ -1004,35 +740,14 @@ impl RunMetrics {
     /// Render the timeline as Chrome trace-event JSON (the
     /// `{"traceEvents": [...]}` object format), loadable in Perfetto or
     /// `chrome://tracing`. Timestamps are microseconds from the run epoch;
-    /// lanes carry `thread_name` metadata. Valid (empty) JSON below
-    /// [`MetricsLevel::Trace`].
+    /// every event sits on the one `"driver"` thread. Valid (empty) JSON
+    /// below [`MetricsLevel::Trace`].
     pub fn timeline_json(&self) -> String {
-        let mut s = String::with_capacity(64 + self.timeline.len() * 96);
-        s.push_str("{\"traceEvents\":[");
-        let mut first = true;
-        let mut push = |s: &mut String, ev: String| {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push('\n');
-            s.push_str(&ev);
-        };
-        // One thread_name metadata record per lane that appears.
-        let mut tids: Vec<u32> = self.timeline.iter().map(|e| e.tid).collect();
-        tids.sort_unstable();
-        tids.dedup();
-        for tid in tids {
-            push(
-                &mut s,
-                format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\
-                     \"args\":{{\"name\":\"{}\"}}}}",
-                    tid,
-                    json_escape(&tid_name(tid))
-                ),
-            );
-        }
+        let mut s = String::with_capacity(128 + self.timeline.len() * 96);
+        s.push_str(
+            "{\"traceEvents\":[\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
+             \"args\":{\"name\":\"driver\"}}",
+        );
         for ev in &self.timeline {
             let ph = match ev.kind {
                 TraceEventKind::Begin => "B",
@@ -1044,18 +759,14 @@ impl RunMetrics {
             } else {
                 ""
             };
-            push(
-                &mut s,
-                format!(
-                    "{{\"name\":\"{}\",\"ph\":\"{ph}\",\"pid\":1,\"tid\":{},\
-                     \"ts\":{:.3}{scope},\"args\":{{\"arg0\":{},\"arg1\":{}}}}}",
-                    json_escape(ev.name),
-                    ev.tid,
-                    ev.ts_ns as f64 / 1000.0,
-                    ev.arg0,
-                    ev.arg1
-                ),
-            );
+            s.push_str(&format!(
+                ",\n{{\"name\":\"{}\",\"ph\":\"{ph}\",\"pid\":1,\"tid\":0,\
+                 \"ts\":{:.3}{scope},\"args\":{{\"arg0\":{},\"arg1\":{}}}}}",
+                json_escape(ev.name),
+                ev.ts_ns as f64 / 1000.0,
+                ev.arg0,
+                ev.arg1
+            ));
         }
         s.push_str("\n],\"displayTimeUnit\":\"ms\"}");
         s
@@ -1078,16 +789,12 @@ impl RunMetrics {
         s.push_str("}, ");
         // Distribution / timeline / VM sections exist only at the levels
         // that record them, so `Off`/`Counters` artifacts stay byte-stable.
-        if !self.hists.is_empty() {
-            s.push_str("\"histograms\": {");
-            for (i, k) in HistKind::ALL.iter().enumerate() {
-                if i > 0 {
-                    s.push_str(", ");
-                }
-                let h = self.hist(*k).cloned().unwrap_or_default();
-                s.push_str(&format!("\"{}\": {}", k.name(), h.to_json()));
-            }
-            s.push_str("}, ");
+        if let Some(h) = &self.dispatch_ns {
+            push_kv(
+                &mut s,
+                "histograms",
+                &format!("{{\"vm_dispatch_ns\": {}}}", h.to_json()),
+            );
         }
         if !self.vm_ops.is_empty() {
             s.push_str("\"vm_ops\": {");
@@ -1101,7 +808,6 @@ impl RunMetrics {
         }
         if self.level >= MetricsLevel::Trace {
             push_kv(&mut s, "trace_events", &self.timeline.len().to_string());
-            push_kv(&mut s, "trace_dropped", &self.trace_dropped.to_string());
         }
         s.push_str("\"counters\": {");
         for (i, c) in Counter::ALL.iter().enumerate() {
@@ -1152,24 +858,18 @@ impl fmt::Display for RunMetrics {
                 100.0 * self.sequential_ns() as f64 / total
             )?;
         }
-        if self.hists.iter().any(|h| !h.is_empty()) {
+        if let Some(h) = self.dispatch_ns.as_ref().filter(|h| !h.is_empty()) {
             writeln!(f, "latency histograms:")?;
-            for k in HistKind::ALL {
-                let Some(h) = self.hist(k) else { continue };
-                if h.is_empty() {
-                    continue;
-                }
-                writeln!(
-                    f,
-                    "  {:<18} n {:>10}  p50 {:>10}  p90 {:>10}  p99 {:>10}  max {:>10}",
-                    k.name(),
-                    h.count(),
-                    h.percentile(0.50),
-                    h.percentile(0.90),
-                    h.percentile(0.99),
-                    h.max()
-                )?;
-            }
+            writeln!(
+                f,
+                "  {:<18} n {:>10}  p50 {:>10}  p90 {:>10}  p99 {:>10}  max {:>10}",
+                "vm_dispatch_ns",
+                h.count(),
+                h.percentile(0.50),
+                h.percentile(0.90),
+                h.percentile(0.99),
+                h.max()
+            )?;
         }
         if !self.vm_ops.is_empty() {
             let total: u64 = self.vm_ops.iter().map(|(_, c)| c).sum();
@@ -1188,12 +888,7 @@ impl fmt::Display for RunMetrics {
             }
         }
         if self.level >= MetricsLevel::Trace {
-            writeln!(
-                f,
-                "timeline: {} events ({} dropped)",
-                self.timeline.len(),
-                self.trace_dropped
-            )?;
+            writeln!(f, "timeline: {} events", self.timeline.len())?;
         }
         writeln!(f, "counters:")?;
         for c in Counter::ALL {
@@ -1235,7 +930,6 @@ mod tests {
         }
         in_declaration_order(&Counter::ALL, |c| c as usize);
         in_declaration_order(&Stage::ALL, |s| s as usize);
-        in_declaration_order(&HistKind::ALL, |k| k as usize);
         in_declaration_order(&service::ServiceCounter::ALL, |c| c as usize);
     }
 
@@ -1286,21 +980,6 @@ mod tests {
             m.hit_rate(Counter::ShadowMruHit, Counter::ShadowMruMiss),
             None
         );
-    }
-
-    #[test]
-    fn level_from_env_parses() {
-        // Sequential: env is process-global.
-        std::env::set_var("POLYPROF_METRICS", "timing");
-        assert_eq!(MetricsLevel::from_env(), MetricsLevel::Timing);
-        std::env::set_var("POLYPROF_METRICS", "Counters");
-        assert_eq!(MetricsLevel::from_env(), MetricsLevel::Counters);
-        std::env::set_var("POLYPROF_METRICS", "Trace");
-        assert_eq!(MetricsLevel::from_env(), MetricsLevel::Trace);
-        std::env::set_var("POLYPROF_METRICS", "nonsense");
-        assert_eq!(MetricsLevel::from_env(), MetricsLevel::Off);
-        std::env::remove_var("POLYPROF_METRICS");
-        assert_eq!(MetricsLevel::from_env(), MetricsLevel::Off);
     }
 
     #[test]
@@ -1397,67 +1076,47 @@ mod tests {
     }
 
     #[test]
-    fn journal_reserves_ends_under_overflow() {
-        let mut j = Journal::new(TID_DRIVER, 5, Instant::now());
-        let a = j.begin("outer", 0, 0);
-        let b = j.begin("inner", 1, 1);
-        assert!(a && b);
-        // len 2 + open 2 + 2 > 5: next begin must be rejected…
-        let c = j.begin("third", 2, 2);
-        assert!(!c);
-        assert_eq!(j.dropped(), 1);
-        // …but both accepted spans can still close.
-        j.end(b, "inner", 1, 1);
-        j.end(a, "outer", 0, 0);
-        j.end(c, "third", 2, 2); // dropped begin: end is a no-op
-        assert_eq!(j.len(), 4);
-        let begins = j
-            .events
-            .iter()
-            .filter(|e| e.kind == TraceEventKind::Begin)
-            .count();
-        let ends = j
-            .events
-            .iter()
-            .filter(|e| e.kind == TraceEventKind::End)
-            .count();
-        assert_eq!(begins, ends);
-    }
-
-    #[test]
-    fn journals_and_spans_feed_the_timeline() {
+    fn spans_and_instants_feed_the_timeline() {
         let c = Collector::new(MetricsLevel::Trace);
         {
             let _s = c.span(Stage::Profile);
-            let mut j = c.new_journal(1).expect("tracing on");
-            let ok = j.begin("frame", 1, 0);
-            j.end(ok, "frame", 1, 0);
-            j.instant("beat", 0, 42);
-            c.submit_journal(j);
+            c.timeline_instant("budget-pressure", 4096, 0);
         }
-        c.timeline_instant("deadline-hit", TID_DRIVER, 7, 0);
+        c.timeline_instant("deadline-hit", 7, 0);
         let m = c.snapshot(1);
-        assert_eq!(m.timeline_count("frame", TraceEventKind::Begin), 1);
-        assert_eq!(m.timeline_count("frame", TraceEventKind::End), 1);
         assert_eq!(m.timeline_count("profile", TraceEventKind::Begin), 1);
         assert_eq!(m.timeline_count("profile", TraceEventKind::End), 1);
-        assert_eq!(m.timeline_count("beat", TraceEventKind::Instant), 1);
+        assert_eq!(
+            m.timeline_count("budget-pressure", TraceEventKind::Instant),
+            1
+        );
         assert_eq!(m.timeline_count("deadline-hit", TraceEventKind::Instant), 1);
-        // Sorted by timestamp.
+        let order: Vec<_> = m.timeline.iter().map(|e| (e.name, e.kind)).collect();
+        assert_eq!(
+            order,
+            [
+                ("profile", TraceEventKind::Begin),
+                ("budget-pressure", TraceEventKind::Instant),
+                ("profile", TraceEventKind::End),
+                ("deadline-hit", TraceEventKind::Instant),
+            ]
+        );
+        // Appended in time order; nothing sorts it.
         assert!(m.timeline.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
         let j = m.timeline_json();
+        validate_json(&j).unwrap();
         assert!(j.contains("\"traceEvents\""), "{j}");
         assert!(j.contains("\"ph\":\"B\""), "{j}");
         assert!(j.contains("\"ph\":\"E\""), "{j}");
-        assert!(j.contains("\"thread_name\""), "{j}");
-        assert!(j.contains("\"driver\"") && j.contains("thread 1"), "{j}");
+        assert_eq!(j.matches("\"thread_name\"").count(), 1, "{j}");
+        assert!(j.contains("\"driver\""), "{j}");
+        assert_eq!(j.matches("\"tid\":0").count(), 5, "{j}");
     }
 
     #[test]
     fn below_trace_no_journal_no_timeline() {
         let c = Collector::new(MetricsLevel::Timing);
-        assert!(c.new_journal(TID_DRIVER).is_none());
-        c.timeline_instant("deadline-hit", TID_DRIVER, 0, 0);
+        c.timeline_instant("deadline-hit", 0, 0);
         {
             let _s = c.span(Stage::Profile);
         }
@@ -1490,12 +1149,12 @@ mod tests {
         let c = Collector::new(MetricsLevel::Timing);
         let mut local = Histogram::new();
         local.record(1234);
-        c.merge_hist(HistKind::VmDispatchNs, &local);
+        c.merge_dispatch_ns(&local);
         local.record(10);
         local.record(99);
-        c.merge_hist(HistKind::VmDispatchNs, &local);
+        c.merge_dispatch_ns(&local);
         let m = c.snapshot(1);
-        assert_eq!(m.hist(HistKind::VmDispatchNs).unwrap().count(), 4);
+        assert_eq!(m.dispatch_ns.as_ref().unwrap().count(), 4);
         let j = m.to_json();
         assert!(j.contains("\"histograms\""), "{j}");
         assert!(j.contains("\"vm_dispatch_ns\": {\"count\": 4"), "{j}");
@@ -1503,9 +1162,9 @@ mod tests {
         // Counters-level snapshots carry no histograms and render none —
         // the byte-stability invariant for Off/Counters artifacts.
         let c = Collector::new(MetricsLevel::Counters);
-        c.merge_hist(HistKind::VmDispatchNs, &local);
+        c.merge_dispatch_ns(&local);
         let m = c.snapshot(1);
-        assert!(m.hists.is_empty());
+        assert!(m.dispatch_ns.is_none());
         assert!(!m.to_json().contains("histograms"));
         assert!(!m.to_json().contains("trace_events"));
     }

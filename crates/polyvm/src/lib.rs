@@ -142,13 +142,13 @@ impl OpcodeTelemetry {
     }
 
     /// Fold the telemetry into a collector: per-opcode counts become
-    /// `vm_ops` entries, the sampled dispatch times merge into the
-    /// [`polytrace::HistKind::VmDispatchNs`] histogram.
+    /// `vm_ops` entries, the sampled dispatch times merge into the run's
+    /// dispatch-latency histogram ([`polytrace::RunMetrics::dispatch_ns`]).
     pub fn harvest(&self, col: &polytrace::Collector) {
         for (slot, &count) in self.counts.iter().enumerate() {
             col.record_vm_op(OPCODE_NAMES[slot], count);
         }
-        col.merge_hist(polytrace::HistKind::VmDispatchNs, &self.dispatch_ns);
+        col.merge_dispatch_ns(&self.dispatch_ns);
     }
 }
 

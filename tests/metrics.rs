@@ -7,7 +7,7 @@ mod common;
 
 use common::stencil;
 use polyprof_core::polytrace::Counter;
-use polyprof_core::{profile_with, MetricsLevel, ProfileConfig, RunMetrics};
+use polyprof_core::{profile_with, MetricsLevel, ProfileConfig, Report, RunMetrics};
 
 fn run(cfg: ProfileConfig, level: MetricsLevel) -> RunMetrics {
     profile_with(&stencil(6, 40), &cfg.with_metrics(level))
@@ -124,31 +124,39 @@ fn counters_level_collects_tallies_but_no_clocks() {
     }
 }
 
-/// Counters are deterministic facts about the event stream, not about where
-/// it came from: a live run and the replay of its recording agree on every
-/// fold-side tally.
-#[test]
-fn counters_agree_between_live_and_replay() {
+/// Records the stencil to a scratch `.ptrace` and replays it, both at
+/// `Counters`: `(live, replayed, recording size in bytes)`.
+fn record_and_replay(tag: &str) -> (Report, Report, u64) {
+    let prog = stencil(6, 40);
     let path = std::env::temp_dir().join(format!(
-        "polyprof_metrics_{}_agree.ptrace",
+        "polyprof_metrics_{}_{tag}.ptrace",
         std::process::id()
     ));
-    let live = run(
-        ProfileConfig::new().with_record_to(&path),
-        MetricsLevel::Counters,
-    );
-    let replayed = run(
-        ProfileConfig::new().with_replay_from(&path),
-        MetricsLevel::Counters,
-    );
+    let cfg = ProfileConfig::new().with_metrics(MetricsLevel::Counters);
+    let live = profile_with(&prog, &cfg.clone().with_record_to(&path));
+    let replayed = profile_with(&prog, &cfg.with_replay_from(&path));
+    let size = std::fs::metadata(&path).expect("recording written").len();
     std::fs::remove_file(&path).ok();
+    (live, replayed, size)
+}
+
+/// Counters are deterministic facts about the event stream, not about where
+/// it came from: a live run and the replay of its recording agree on every
+/// fold-side tally, and on what SCEV removal retired.
+#[test]
+fn counters_agree_between_live_and_replay() {
+    let (live, replayed, _) = record_and_replay("agree");
+    assert_eq!(live.scev_removed, replayed.scev_removed);
+    assert!(
+        live.scev_removed.0 > 0,
+        "stencil retires its induction SCEVs"
+    );
+    let (live, replayed) = (live.metrics.unwrap(), replayed.metrics.unwrap());
     assert!(live.counter(Counter::EventsFolded) > 0);
     for c in [
         Counter::EventsFolded,
         Counter::DepsFolded,
         Counter::FoldPredicted,
-        Counter::RetiredStmts,
-        Counter::RetiredDeps,
         Counter::OverapproxStmts,
     ] {
         assert_eq!(
@@ -157,6 +165,107 @@ fn counters_agree_between_live_and_replay() {
             "{} diverged",
             c.name()
         );
+    }
+}
+
+/// Every counter is read: on a recording run of the stencil and on its
+/// replay, each one holds a relation to another counter or to the report.
+/// The `match` has no `_` arm, so a counter added without a reader does
+/// not compile.
+#[test]
+fn every_counter_has_a_reader() {
+    let (live_r, replay_r, file_bytes) = record_and_replay("readers");
+    let (l, r) = (
+        live_r.metrics.as_ref().unwrap(),
+        replay_r.metrics.as_ref().unwrap(),
+    );
+    for c in Counter::ALL {
+        let (lv, rv) = (l.counter(c), r.counter(c));
+        let name = c.name();
+        match c {
+            // The VM runs live only; a replay executes nothing.
+            Counter::DynOps => {
+                assert_eq!(lv, live_r.folded_stats.2, "{name}");
+                assert_eq!(rv, 0, "{name}");
+            }
+            Counter::MemEvents => {
+                assert!(0 < lv && lv < l.counter(Counter::DynOps), "{name} {lv}");
+                assert_eq!(rv, 0, "{name}");
+            }
+            // The fold sees the same stream from either source.
+            Counter::EventsFolded => {
+                assert!(lv >= l.counter(Counter::DynOps), "{name} {lv}");
+                assert_eq!(lv, rv, "{name}");
+            }
+            Counter::DepsFolded | Counter::FoldPredicted => {
+                assert!(lv <= l.counter(Counter::EventsFolded), "{name} {lv}");
+                assert_eq!(lv, rv, "{name}");
+            }
+            // The context interner and the shadow memory live in the
+            // profiler, which only the live source runs. Every instruction
+            // and every memory event looks its context path up once.
+            Counter::CtxCacheHit | Counter::CtxCacheMiss => {
+                let lookups = l.counter(Counter::CtxCacheHit) + l.counter(Counter::CtxCacheMiss);
+                let events = l.counter(Counter::DynOps) + l.counter(Counter::MemEvents);
+                assert!(lv > 0 && lookups == events, "{name} {lookups} vs {events}");
+                assert_eq!(rv, 0, "{name}");
+            }
+            Counter::CtxContentInterns => {
+                assert!(
+                    0 < lv && lv <= l.counter(Counter::CtxCacheMiss),
+                    "{name} {lv}"
+                );
+                assert_eq!(rv, 0, "{name}");
+            }
+            // Pass 2 resolves shadow memory once per memory event.
+            Counter::ShadowMruHit | Counter::ShadowMruMiss => {
+                let lookups = l.counter(Counter::ShadowMruHit) + l.counter(Counter::ShadowMruMiss);
+                assert!(lv > 0 && lookups == l.counter(Counter::MemEvents), "{name}");
+                assert_eq!(rv, 0, "{name}");
+            }
+            Counter::ShadowPages => {
+                // A resident page was missed at least once: when it was made.
+                assert!(lv > 0 && l.counter(Counter::MemEvents) > 0, "{name}");
+                assert!(lv <= l.counter(Counter::ShadowMruMiss), "{name} {lv}");
+                assert_eq!(rv, 0, "{name}");
+            }
+            Counter::ArenaBytes => {
+                // The stencil is two loops deep: every coordinate snapshot
+                // fits inline (`polyddg::coords::INLINE_DIMS` is 4).
+                assert_eq!(lv, 0, "{name}");
+                assert_eq!(rv, 0, "{name}");
+            }
+            Counter::OverapproxStmts => {
+                assert!(lv <= live_r.folded_stats.0 as u64, "{name} {lv}");
+                assert_eq!(lv, rv, "{name}");
+            }
+            // What the writer wrote, the reader read.
+            Counter::RecFramesWritten => {
+                assert!(lv > 0, "{name}");
+                assert_eq!(lv, r.counter(Counter::RecFramesRead), "{name}");
+                assert_eq!(rv, 0, "{name}");
+            }
+            Counter::RecBytesWritten => {
+                assert_eq!(lv, file_bytes, "{name}");
+                assert_eq!(rv, 0, "{name}");
+            }
+            Counter::RecFramesRead => {
+                assert_eq!(lv, 0, "{name}");
+                assert_eq!(rv, l.counter(Counter::RecFramesWritten), "{name}");
+            }
+            Counter::RecBytesRead => {
+                // The decoded payload: the file also holds the header.
+                assert!(0 < rv && rv < file_bytes, "{name} {rv}");
+                assert_eq!(lv, 0, "{name}");
+            }
+            Counter::RecEventsPredicted => {
+                assert!(
+                    0 < rv && rv <= r.counter(Counter::EventsFolded),
+                    "{name} {rv}"
+                );
+                assert_eq!(lv, 0, "{name}");
+            }
+        }
     }
 }
 

@@ -248,11 +248,10 @@ fn generous_budget_is_invisible() {
     assert!(!r.full_text.contains("resilience & degradation"));
 }
 
-/// The degradation JSON snapshot (what CI archives) carries the counters,
-/// and the run's metrics count the same faults.
+/// The degradation JSON snapshot (what CI archives) carries the counters of
+/// the faults the run took.
 #[test]
 fn degradation_json_reflects_the_run() {
-    use polyprof_core::polytrace::Counter;
     use polyprof_core::MetricsLevel;
 
     let prog = stencil(9, 2);
@@ -264,7 +263,4 @@ fn degradation_json_reflects_the_run() {
     assert!(j.contains("\"faults_injected\":1"), "{j}");
     assert!(j.contains("\"shadow_alloc_failures\":1"), "{j}");
     assert!(j.contains("\"unresolved_accesses\":1"), "{j}");
-    let m = r.metrics.expect("counters on");
-    assert_eq!(m.counter(Counter::FaultsInjected), 1);
-    assert_eq!(m.counter(Counter::UnresolvedAccesses), 1);
 }
