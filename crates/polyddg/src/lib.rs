@@ -40,6 +40,14 @@
 //!   when its last record is overwritten.
 //! * Register frames are pooled across call/ret, and statement lookup goes
 //!   through a small direct-mapped cache keyed by instruction.
+//! * A [`runs::RunDetector`] stands between the profiler and its sink. The
+//!   loop events that move the iteration vector mark every iteration, and
+//!   the detector checks each one against the previous: the iteration
+//!   vector once, then per event only the value, address or producer
+//!   coordinates. The repeats of a loop body reach the sink as one
+//!   [`FoldSink::body_run`], which the folding sink folds per key at once.
+//!   A loop whose iterations keep failing goes dormant, and its events cost
+//!   the detector one branch.
 //!
 //! The pre-optimization implementation is retained in [`baseline`] for
 //! differential tests and benchmark comparison.
@@ -49,21 +57,25 @@
 //! [`DdgProfiler`] is the crate's only [`EventSink`] outside [`baseline`]:
 //! it owns its [`shadow::ShadowMemory`] and resolves every memory touch on
 //! the VM thread, through [`shadow::ShadowMemory::resolve`], so the sink it
-//! writes to sees only the resolved folding interface — the folding sink
-//! itself, on the same thread (`polyfold::pass2`).
+//! writes to sees only the resolved folding interface, loop-body runs
+//! included — the folding sink itself, on the same thread
+//! (`polyfold::pass2`).
 
 pub mod baseline;
 pub mod chunk;
 pub mod coords;
+pub mod runs;
 pub mod shadow;
 
 use coords::SnapCache;
-use polycfg::{LoopEventGen, StaticStructure};
+use polycfg::{LoopEvent, LoopEventGen, StaticStructure};
 use polyiiv::context::{ContextInterner, CtxPathId, StmtId};
 use polyiiv::IivTracker;
 use polyir::{BlockRef, FuncId, InstrRef, Program, Value};
 use polyresist::{FaultPlan, FaultSite, ResourceBudget};
 use polyvm::EventSink;
+pub use runs::KMAX;
+use runs::{Boundary, RunDetector};
 use shadow::{ShadowMemory, Writer};
 use std::sync::Arc;
 
@@ -130,6 +142,32 @@ pub enum EventKind {
     Dep(DepKind),
 }
 
+impl EventKind {
+    /// Every kind, in [`code`](Self::code) order.
+    pub const ALL: [EventKind; 8] = [
+        EventKind::Point,
+        EventKind::PointValue,
+        EventKind::Load,
+        EventKind::Store,
+        EventKind::Dep(DepKind::Flow),
+        EventKind::Dep(DepKind::Anti),
+        EventKind::Dep(DepKind::Output),
+        EventKind::Dep(DepKind::Reg),
+    ];
+
+    /// The kind as a number in `0..8`: its index in [`ALL`](Self::ALL).
+    #[inline(always)]
+    pub fn code(self) -> u8 {
+        match self {
+            EventKind::Point => 0,
+            EventKind::PointValue => 1,
+            EventKind::Load => 2,
+            EventKind::Store => 3,
+            EventKind::Dep(kind) => 4 + kind as u8,
+        }
+    }
+}
+
 /// One key of a repeated loop body ([`FoldSink::body_run`]): which events,
 /// and where they start and how they move. `base` and `stride` have one
 /// word per event word: the coordinates (a dependence's producer
@@ -182,7 +220,24 @@ impl BodyKey<'_> {
 /// [`FoldSink::body_run`] spelled out: for `t` in `1..=n`, each key's event
 /// at `base + t·stride` (wrapping), in body order.
 pub fn expand_run<S: FoldSink + ?Sized>(sink: &mut S, body: &[BodyKey<'_>], n: u64) {
-    let mut words: Vec<i64> = body.iter().flat_map(|k| k.base).copied().collect();
+    // Every key's latest words, stepped in place; on the stack unless the
+    // body holds more than 512 words.
+    let total: usize = body.iter().map(|k| k.base.len()).sum();
+    let mut buf = [0i64; 512];
+    let mut wide = Vec::new();
+    let words = match buf.get_mut(..total) {
+        Some(w) => w,
+        None => {
+            wide.resize(total, 0);
+            &mut wide[..]
+        }
+    };
+    let mut rest = &mut words[..];
+    for key in body {
+        let (w, tail) = rest.split_at_mut(key.base.len());
+        w.copy_from_slice(key.base);
+        rest = tail;
+    }
     for _ in 0..n {
         let mut rest = &mut words[..];
         for key in body {
@@ -233,13 +288,12 @@ pub struct DdgProfiler<'p, F: FoldSink> {
     /// Retired register frames, recycled on the next call (steady-state
     /// call/ret does not allocate).
     frame_pool: Vec<Vec<Option<Writer>>>,
-    out: F,
+    /// The sink, behind the loop-body run detector.
+    out: RunDetector<F>,
     shadow: ShadowMemory,
     cfg: DdgConfig,
-    /// Current coordinate vector, refreshed copy-on-change.
+    /// Current coordinate vector, refreshed when loop events move it.
     coords: Vec<i64>,
-    /// Set when loop events changed the IIV since `coords` was refreshed.
-    coords_dirty: bool,
     loop_buf: Vec<polycfg::LoopEvent>,
     stmt_cache: [Option<(CtxPathId, InstrRef, StmtId)>; STMT_CACHE_SLOTS],
     /// Dynamic instruction count (all ops).
@@ -289,19 +343,21 @@ impl<'p, F: FoldSink> DdgProfiler<'p, F> {
             block: prog.func(entry_fn).entry(),
         };
         let n_regs = prog.func(entry_fn).n_regs as usize;
+        let iiv = IivTracker::new(entry);
+        let mut coords = Vec::with_capacity(8);
+        iiv.coords_into(&mut coords);
         DdgProfiler {
             prog,
             gen: LoopEventGen::new(structure),
-            iiv: IivTracker::new(entry),
+            iiv,
             interner: ContextInterner::new(),
             snaps: SnapCache::default(),
             reg_frames: vec![vec![None; n_regs]],
             frame_pool: Vec::new(),
-            out,
+            out: RunDetector::new(out),
             shadow: ShadowMemory::new(),
             cfg,
-            coords: Vec::with_capacity(8),
-            coords_dirty: true,
+            coords,
             loop_buf: Vec::with_capacity(8),
             stmt_cache: [None; STMT_CACHE_SLOTS],
             dyn_ops: 0,
@@ -330,14 +386,15 @@ impl<'p, F: FoldSink> DdgProfiler<'p, F> {
         self.budget = Some(budget);
     }
 
-    /// Consume the profiler, returning the sink and interner.
+    /// Consume the profiler, returning the sink — once the loop-body runs
+    /// still held back are handed to it — and the interner.
     pub fn finish(self) -> (F, ContextInterner) {
-        (self.out, self.interner)
+        (self.out.finish(), self.interner)
     }
 
-    /// Immutable access to the fold sink mid-run.
-    pub fn sink(&self) -> &F {
-        &self.out
+    /// [`FoldSink::body_run`] calls the sink has received so far.
+    pub fn body_runs(&self) -> u64 {
+        self.out.runs()
     }
 
     /// Shadow-memory MRU page-cache `(hits, misses)` so far.
@@ -368,24 +425,34 @@ impl<'p, F: FoldSink> DdgProfiler<'p, F> {
         self.snaps.peak_live()
     }
 
+    /// Apply the loop events of one VM callback to the IIV. Only an
+    /// iteration, an entry or an exit moves the iteration vector — a plain
+    /// jump, call or return changes the context alone — so only those
+    /// refresh the coordinates (the old snapshot stays valid for every
+    /// record that captured it) and begin a new segment for the run
+    /// detector.
     fn drain_loop_events(&mut self) {
         if self.loop_buf.is_empty() {
             return;
         }
+        let mut at = None;
         for ev in self.loop_buf.drain(..) {
             self.iiv.apply(&ev);
+            match ev {
+                LoopEvent::Iter { l, .. }
+                | LoopEvent::IterCall { l, .. }
+                | LoopEvent::IterRet { l, .. } => at = Some(Boundary::Iter(l)),
+                LoopEvent::Enter { l, .. } | LoopEvent::EnterRec { l, .. } => {
+                    at = Some(Boundary::Enter(l))
+                }
+                LoopEvent::Exit { .. } | LoopEvent::ExitRec { .. } => at = Some(Boundary::Exit),
+                LoopEvent::Block(_) | LoopEvent::Call { .. } | LoopEvent::Ret(_) => {}
+            }
         }
-        self.coords_dirty = true;
-    }
-
-    /// Refresh the coordinate buffer if loop events moved the IIV. The old
-    /// snapshot stays valid for all writer records that captured it.
-    #[inline]
-    fn refresh_coords(&mut self) {
-        if self.coords_dirty {
+        if let Some(at) = at {
             self.iiv.coords_into(&mut self.coords);
             self.snaps.invalidate();
-            self.coords_dirty = false;
+            self.out.boundary(&self.coords, at);
         }
     }
 
@@ -440,7 +507,6 @@ impl<'p, F: FoldSink> EventSink for DdgProfiler<'p, F> {
     fn exec(&mut self, instr: InstrRef, value: Option<Value>) {
         self.dyn_ops += 1;
         let stmt = self.current_stmt(instr);
-        self.refresh_coords();
         let ins = self.prog.instr(instr);
 
         if self.cfg.track_reg {
@@ -480,7 +546,6 @@ impl<'p, F: FoldSink> EventSink for DdgProfiler<'p, F> {
             }
         }
         let stmt = self.current_stmt(instr);
-        self.refresh_coords();
         self.shadow.resolve(
             &self.cfg,
             &mut self.snaps,

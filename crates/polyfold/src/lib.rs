@@ -26,7 +26,7 @@ pub use fitter::{FitResult, OnlineAffineFitter, RatAffine};
 pub use polytrace;
 pub use stream::{FoldedDomain, FoldedStream, LabelFold, StreamFolder};
 
-use polyddg::{expand_run, BodyKey, DepKind, EventKind, FoldSink};
+use polyddg::{expand_run, BodyKey, DepKind, EventKind, FoldSink, KMAX};
 use polyiiv::context::{ContextInterner, StmtId};
 use polyir::{Instr, Program};
 use polyresist::{PolyProfError, ResourceBudget};
@@ -635,29 +635,34 @@ impl FoldSink for FoldingSink {
     /// a load and a store, of one statement, or one dependence key twice —
     /// or when a dependence key's carried class changes along the run.
     fn body_run(&mut self, body: &[BodyKey<'_>], n: u64) {
-        let mut folders = Vec::with_capacity(body.len());
-        let mut classes = Vec::new();
-        let mut whole = self.budget.is_none();
-        for key in body {
-            folders.push(match key.kind {
+        let k = body.len();
+        if self.budget.is_some() || k > KMAX {
+            expand_run(self, body, n);
+            return;
+        }
+        let mut whole = true;
+        let mut folders = [(0u8, StmtId(0), None); KMAX];
+        let mut classes = [0u8; KMAX];
+        for ((key, folder), class) in body.iter().zip(&mut folders).zip(&mut classes) {
+            *folder = match key.kind {
                 EventKind::Point | EventKind::PointValue => (0, key.a, None),
                 EventKind::Load | EventKind::Store => (1, key.a, None),
                 EventKind::Dep(kind) => {
                     match self.run_class(key, n) {
-                        Some(class) => classes.push(class),
+                        Some(c) => *class = c,
                         None => whole = false,
                     }
                     (2 + kind as u8, key.a, Some(key.b))
                 }
-            });
+            };
         }
+        let folders = &mut folders[..k];
         folders.sort_unstable();
         if !whole || folders.windows(2).any(|w| w[0] == w[1]) {
             expand_run(self, body, n);
             return;
         }
-        let mut classes = classes.into_iter();
-        for key in body {
+        for (key, &class) in body.iter().zip(&classes) {
             let (x, y) = key.base.split_at(key.split);
             let (sx, sy) = key.stride.split_at(key.split);
             self.stats.events_folded += n;
@@ -678,7 +683,6 @@ impl FoldSink for FoldingSink {
                 }
                 EventKind::Dep(kind) => {
                     self.stats.deps_folded += n;
-                    let class = classes.next().expect("one class per dependence key");
                     self.dep_folder((kind, key.a, key.b, class), x.len(), y.len())
                         .push_run(y, sy, Some((x, sx)), n);
                 }

@@ -419,24 +419,36 @@ impl StreamFolder {
                 *w = w.wrapping_add(s);
             }
         };
-        let mut c = coords.to_vec();
-        let mut l = labels.map(|(base, _)| base.to_vec());
-        let label_stride = labels.map_or(&[][..], |(_, stride)| stride);
-        step(&mut c, coord_stride);
-        if let Some(l) = &mut l {
-            step(l, label_stride);
-        }
-        self.push(&c, l.as_deref());
-        let rest = l.as_deref().map(|l| (l, label_stride));
-        if n == 1 || self.run_predicted(&c, coord_stride, rest, n - 1) {
+        // The point and its labels, on the stack unless they hold more
+        // than 64 words.
+        let (nc, nl) = (coords.len(), labels.map_or(0, |(base, _)| base.len()));
+        let mut buf = [0i64; 64];
+        let mut wide = Vec::new();
+        let words = match buf.get_mut(..nc + nl) {
+            Some(w) => w,
+            None => {
+                wide.resize(nc + nl, 0);
+                &mut wide[..]
+            }
+        };
+        let (c, l) = words.split_at_mut(nc);
+        c.copy_from_slice(coords);
+        let label_stride = labels.map_or(&[][..], |(base, stride)| {
+            l.copy_from_slice(base);
+            stride
+        });
+        let has_labels = labels.is_some();
+        step(c, coord_stride);
+        step(l, label_stride);
+        self.push(c, has_labels.then_some(&*l));
+        let rest = has_labels.then_some((&*l, label_stride));
+        if n == 1 || self.run_predicted(c, coord_stride, rest, n - 1) {
             return;
         }
         for _ in 1..n {
-            step(&mut c, coord_stride);
-            if let Some(l) = &mut l {
-                step(l, label_stride);
-            }
-            self.push(&c, l.as_deref());
+            step(c, coord_stride);
+            step(l, label_stride);
+            self.push(c, has_labels.then_some(&*l));
         }
     }
 

@@ -46,17 +46,12 @@
 //! `KMAX` events or longer than the streak, a body repeating a slot, `n =
 //! 0`, and a run that takes the frame past its cap are errors.
 //!
-//! The encoder finds runs by period: a predicted event whose slot was last
-//! seen `k ≤ KMAX` events back in the streak proposes `k`, and when the
-//! streak's last `k` slots equal the `k` before them, it drops the second
-//! copy's headers and opens a run of `n = 1`. Every further repeat of the
-//! body adds one; the first event off the body — or a full event, or the
-//! frame end — closes the run: its record, then the partial repeat as
-//! ordinary predictions. As a tap in front of a sink
-//! ([`FrameEncoder::tap_point`] and its siblings) the encoder holds back the
-//! repeats after the one that revealed the run and hands them over at the
-//! close as one [`FoldSink::body_run`], then the partial repeat event by
-//! event: the sink sees the stream in its order.
+//! The encoder writes a run record when it is handed one
+//! ([`FoldSink::body_run`], from the profiler's run detector, which finds
+//! loop bodies at iteration boundaries): if the streak ends with the body's
+//! events, each key in a slot of its own at the run's start words and with
+//! its stride, the repeats are one record; otherwise they are spelled out
+//! event by event until they are ([`FrameEncoder::run`]).
 //!
 //! Full-event fields are varints: the statement id as a zigzag delta
 //! against the previous full event's (a dependence's consumer against its
@@ -392,32 +387,22 @@ const MAX_TABLE: u64 = 1 << 20;
 /// many events of the ledger's recordings as an unbounded map does.
 pub const SLOTS: usize = 1024;
 
-// Opcodes — the high nibble of an event header. Any other value on decode is
+// Opcodes — the high nibble of an event header. Ops 0–7 are the codes of
+// the event kinds (`EventKind::code`). Any other value on decode is
 // structured corruption, not a panic.
 const OP_POINT: u8 = 0;
 const OP_POINT_VAL: u8 = 1;
 const OP_LOAD: u8 = 2;
 const OP_STORE: u8 = 3;
 const OP_DEP_FLOW: u8 = 4;
-const OP_DEP_ANTI: u8 = 5;
-const OP_DEP_OUTPUT: u8 = 6;
 const OP_DEP_REG: u8 = 7;
 const OP_PREDICTED: u8 = 8;
 const OP_RUN: u8 = 9;
 
-/// Longest loop body a run record (op 9) repeats. The ledger's dense
-/// programs have bodies of 21 and 44 events; at 32 runs cover 0.31 of
-/// `dense_affine`'s events, at 64 0.94, and 128 adds nothing.
-pub const KMAX: usize = 64;
-
-fn dep_op(kind: DepKind) -> u8 {
-    match kind {
-        DepKind::Flow => OP_DEP_FLOW,
-        DepKind::Anti => OP_DEP_ANTI,
-        DepKind::Output => OP_DEP_OUTPUT,
-        DepKind::Reg => OP_DEP_REG,
-    }
-}
+/// Longest loop body a run record (op 9) repeats: the run detector's
+/// (`polyddg::KMAX`), which finds bodies at iteration boundaries, so every
+/// run it hands a recording fits one record.
+pub use polyddg::KMAX;
 
 #[inline]
 fn header(op: u8, slot: usize) -> [u8; 2] {
@@ -480,15 +465,6 @@ impl Slot {
         false
     }
 
-    /// Step to the predicted event: latest words += stride.
-    #[inline(always)]
-    fn advance(&mut self) {
-        let (last, stride) = self.buf.split_at_mut(self.n as usize);
-        for (l, &s) in last.iter_mut().zip(stride.iter()) {
-            *l = l.wrapping_add(s);
-        }
-    }
-
     /// Make `x ++ y` the key's latest event: the stride becomes the step
     /// from the previous one when the slot already holds this key and
     /// layout in frame `gen`; otherwise the key starts afresh, stride zero.
@@ -526,6 +502,7 @@ impl Slot {
     }
 
     /// Step `runs` events at once: latest words += `runs`·stride.
+    #[inline(always)]
     fn advance_by(&mut self, runs: u64) {
         let (last, stride) = self.buf.split_at_mut(self.n as usize);
         for (l, &s) in last.iter_mut().zip(stride.iter()) {
@@ -540,18 +517,8 @@ impl Slot {
 
     /// The slot's key, its events starting after `base`.
     fn key<'a>(&'a self, base: &'a [i64]) -> BodyKey<'a> {
-        let kind = match self.op {
-            OP_POINT => EventKind::Point,
-            OP_POINT_VAL => EventKind::PointValue,
-            OP_LOAD => EventKind::Load,
-            OP_STORE => EventKind::Store,
-            OP_DEP_FLOW => EventKind::Dep(DepKind::Flow),
-            OP_DEP_ANTI => EventKind::Dep(DepKind::Anti),
-            OP_DEP_OUTPUT => EventKind::Dep(DepKind::Output),
-            _ => EventKind::Dep(DepKind::Reg),
-        };
         BodyKey {
-            kind,
+            kind: EventKind::ALL[self.op as usize],
             a: StmtId(self.a),
             b: StmtId(self.b),
             split: self.split as usize,
@@ -563,108 +530,63 @@ impl Slot {
     /// Hand the slot's latest event to `sink`.
     #[inline]
     fn emit<S: FoldSink>(&self, sink: &mut S) {
-        let (x, y) = self.buf[..self.n as usize].split_at(self.split as usize);
-        let a = StmtId(self.a);
-        match self.op {
-            OP_POINT => sink.instr_point(a, x, None),
-            OP_POINT_VAL => sink.instr_point(a, x, Some(y[0])),
-            OP_LOAD | OP_STORE => sink.mem_access(a, x, y[0] as u64, self.op == OP_STORE),
-            op => {
-                let kind = match op {
-                    OP_DEP_FLOW => DepKind::Flow,
-                    OP_DEP_ANTI => DepKind::Anti,
-                    OP_DEP_OUTPUT => DepKind::Output,
-                    _ => DepKind::Reg,
-                };
-                sink.dependence(kind, a, x, StmtId(self.b), y)
-            }
-        }
+        let latest = self.words().0;
+        self.key(latest).emit(sink, latest);
     }
 }
 
-/// The tail of the current *streak* — the slots of the consecutive
-/// predicted events since the last full event or the frame start, a run's
-/// events counted as if spelled out — and where it starts and ends in a
-/// count of streak events that never resets. Only the last `2·KMAX` slots
-/// matter to a run record; older ones are dropped in batches.
+/// The current *streak* — the consecutive predicted events since the last
+/// full event or the frame start, a run's events counted as if spelled
+/// out: its length and, in a ring, the slots of its last [`KMAX`] events,
+/// all a run record can name.
 #[derive(Debug)]
-struct Streak {
-    tail: [u16; 4 * KMAX],
-    held: usize,
-    start: u64,
-    end: u64,
+struct Tail {
+    ring: [u16; KMAX],
+    len: u64,
 }
 
-impl Streak {
+impl Tail {
     fn new() -> Self {
-        // Positions start at 1, so a stamp of 0 is before every streak.
-        Streak {
-            tail: [0; 4 * KMAX],
-            held: 0,
-            start: 1,
-            end: 1,
+        Tail {
+            ring: [0; KMAX],
+            len: 0,
         }
-    }
-
-    /// Events in the streak.
-    #[inline]
-    fn len(&self) -> u64 {
-        self.end - self.start
-    }
-
-    /// Start an empty streak.
-    #[inline]
-    fn clear(&mut self) {
-        self.held = 0;
-        self.start = self.end;
     }
 
     #[inline]
     fn push(&mut self, slot: u16) {
-        if self.held == 4 * KMAX {
-            self.tail.copy_within(2 * KMAX.., 0);
-            self.held = 2 * KMAX;
+        self.ring[(self.len % KMAX as u64) as usize] = slot;
+        self.len += 1;
+    }
+
+    /// The slots of the streak's last `k` events (`k` in `1..=KMAX`), if
+    /// the streak is that long and no slot occurs twice among them.
+    fn body(&self, k: usize) -> Option<[u16; KMAX]> {
+        if k == 0 || k > KMAX || k as u64 > self.len {
+            return None;
         }
-        self.tail[self.held] = slot;
-        self.held += 1;
-        self.end += 1;
+        let mut body = [0u16; KMAX];
+        let mut seen = [0u64; SLOTS / 64];
+        for (j, s) in body[..k].iter_mut().enumerate() {
+            *s = self.ring[((self.len - k as u64 + j as u64) % KMAX as u64) as usize];
+            let (word, bit) = (*s as usize / 64, 1u64 << (*s % 64));
+            if seen[word] & bit != 0 {
+                return None;
+            }
+            seen[word] |= bit;
+        }
+        Some(body)
     }
 
-    /// The last `k` slots (`k ≤ 2·KMAX` and at most [`len`](Self::len)).
-    #[inline]
-    fn last(&self, k: usize) -> &[u16] {
-        &self.tail[self.held - k..self.held]
-    }
-
-    /// Append `total` events that cycle through `body` from its start.
+    /// Extend the streak by `total` events that cycle through `body`.
     fn repeat(&mut self, body: &[u16], total: u64) {
         let k = body.len() as u64;
-        let from = total - total.min(2 * KMAX as u64);
-        self.end += from;
+        let from = total - total.min(KMAX as u64);
+        self.len += from;
         for i in from..total {
             self.push(body[(i % k) as usize]);
         }
     }
-}
-
-/// True when no slot occurs twice in `body`.
-fn distinct(body: &[u16]) -> bool {
-    let mut seen = [0u64; SLOTS / 64];
-    body.iter().all(|&s| {
-        let (word, bit) = (s as usize / 64, 1u64 << (s % 64));
-        let fresh = seen[word] & bit == 0;
-        seen[word] |= bit;
-        fresh
-    })
-}
-
-/// A sink that drops everything: the tap of an encoder that feeds no one.
-struct NoTap;
-
-impl FoldSink for NoTap {
-    fn instr_point(&mut self, _: StmtId, _: &[i64], _: Option<i64>) {}
-    fn mem_access(&mut self, _: StmtId, _: &[i64], _: u64, _: bool) {}
-    fn dependence(&mut self, _: DepKind, _: StmtId, _: &[i64], _: StmtId, _: &[i64]) {}
 }
 
 /// A predictor table of empty slots.
@@ -676,8 +598,6 @@ fn new_table() -> Box<[Slot; SLOTS]> {
 /// Encodes events into one frame payload as they arrive (see the module
 /// docs for the layout). A [`FoldSink`], so anything that emits the folding
 /// interface can be recorded; [`reset`](Self::reset) starts the next frame.
-/// As a tap in front of another sink ([`tap_point`](Self::tap_point) and
-/// its siblings) it hands that sink the runs it proves.
 #[derive(Debug)]
 pub struct FrameEncoder {
     payload: Vec<u8>,
@@ -689,19 +609,8 @@ pub struct FrameEncoder {
     /// Words of the previous full event.
     prev: Vec<i64>,
     events: u64,
-    streak: Streak,
-    /// Per slot, the streak position of its latest predicted event.
-    stamps: Box<[u64; SLOTS]>,
-    /// Predicted headers at the end of the payload since the last full
-    /// event or run record: how far back a run may truncate.
-    spelled: usize,
-    /// The open run's body length (0: no run), its complete repeats after
-    /// the streak's copy of the body, and the body index of its next event.
-    run_k: usize,
-    run_n: u64,
-    run_at: usize,
-    run_body: [u16; KMAX],
-    /// The open run's start words, handed to a tap when it closes.
+    tail: Tail,
+    /// Words of a run's event being spelled out.
     scratch: Vec<i64>,
 }
 
@@ -721,20 +630,13 @@ impl FrameEncoder {
             prev_stmt: 0,
             prev: Vec::new(),
             events: 0,
-            streak: Streak::new(),
-            stamps: Box::new([0; SLOTS]),
-            spelled: 0,
-            run_k: 0,
-            run_n: 0,
-            run_at: 0,
-            run_body: [0; KMAX],
+            tail: Tail::new(),
             scratch: Vec::new(),
         }
     }
 
-    /// The current frame's payload, any open run closed first.
-    pub fn payload(&mut self) -> &[u8] {
-        self.close_run(&mut NoTap);
+    /// The current frame's payload.
+    pub fn payload(&self) -> &[u8] {
         &self.payload
     }
 
@@ -743,17 +645,14 @@ impl FrameEncoder {
         self.events
     }
 
-    /// Start a new, empty frame (closing any open run); buffers keep their
-    /// capacity.
+    /// Start a new, empty frame; buffers keep their capacity.
     pub fn reset(&mut self) {
-        self.close_run(&mut NoTap);
         self.payload.clear();
         self.gen += 1;
         self.prev_stmt = 0;
         self.prev.clear();
         self.events = 0;
-        self.streak.clear();
-        self.spelled = 0;
+        self.tail.len = 0;
     }
 
     /// The encoder's slot for a key: a multiplicative hash, top bits.
@@ -763,136 +662,17 @@ impl FrameEncoder {
         (key.wrapping_mul(GOLDEN) >> (64 - SLOTS.trailing_zeros())) as usize
     }
 
-    /// Encode one event: two bytes when its slot predicts it, nothing yet
-    /// when it continues the open run. Events an open run held back go to
-    /// `tap` first when the run closes. Returns false when the open run
-    /// holds this event back.
+    /// Encode one event: two bytes when its slot predicts it.
     #[inline(always)]
-    fn push<T: FoldSink>(
-        &mut self,
-        op: u8,
-        a: u32,
-        b: u32,
-        x: &[i64],
-        y: &[i64],
-        tap: &mut T,
-    ) -> bool {
+    fn push(&mut self, op: u8, a: u32, b: u32, x: &[i64], y: &[i64]) {
         self.events += 1;
         let slot = Self::slot_of(op, a, b);
-        let n = x.len() + y.len();
-        if self.run_k > 0 {
-            let s = &mut self.slots[slot];
-            if slot == self.run_body[self.run_at] as usize
-                && s.holds(self.gen, op, a, b, x.len(), n)
-                && s.step_to(x, y)
-            {
-                self.run_at += 1;
-                if self.run_at == self.run_k {
-                    self.run_at = 0;
-                    self.run_n += 1;
-                }
-                return false;
-            }
-            self.close_run(tap);
-        }
         let s = &mut self.slots[slot];
-        if s.holds(self.gen, op, a, b, x.len(), n) && s.step_to(x, y) {
+        if s.holds(self.gen, op, a, b, x.len(), x.len() + y.len()) && s.step_to(x, y) {
             self.payload.extend_from_slice(&header(OP_PREDICTED, slot));
-            self.predicted(slot);
+            self.tail.push(slot as u16);
         } else {
             self.push_full(op, a, b, slot, x, y);
-        }
-        true
-    }
-
-    /// Extend the streak by a predicted event of `slot` (its header is
-    /// written) and open a run when the streak's last `k` events repeat the
-    /// `k` before them, `k` being the distance back to `slot`'s previous
-    /// event in the streak.
-    #[inline(always)]
-    fn predicted(&mut self, slot: usize) {
-        let prev = std::mem::replace(&mut self.stamps[slot], self.streak.end);
-        self.streak.push(slot as u16);
-        self.spelled += 1;
-        if prev < self.streak.start {
-            return;
-        }
-        let k = (self.streak.end - 1 - prev) as usize;
-        if k <= KMAX && k <= self.spelled && self.streak.len() >= 2 * k as u64 {
-            self.try_open(k);
-        }
-    }
-
-    /// Open a run of body length `k` if the streak's last `k` slots repeat
-    /// the `k` before them and are distinct.
-    #[inline(never)]
-    fn try_open(&mut self, k: usize) {
-        let tail = self.streak.last(2 * k);
-        let (first, body) = tail.split_at(k);
-        if first != body || !distinct(body) {
-            return;
-        }
-        self.run_body[..k].copy_from_slice(body);
-        self.payload.truncate(self.payload.len() - 2 * k);
-        self.spelled -= k;
-        self.run_k = k;
-        self.run_n = 1;
-        self.run_at = 0;
-    }
-
-    /// Close the open run, if any: write its record and then its partial
-    /// repeat as ordinary predictions. The events it held back go to `tap`:
-    /// the complete repeats as one [`FoldSink::body_run`], then the partial
-    /// repeat one by one.
-    #[inline(never)]
-    pub fn close_run<T: FoldSink>(&mut self, tap: &mut T) {
-        let (k, n, at) = (self.run_k, self.run_n, self.run_at);
-        if k == 0 {
-            return;
-        }
-        self.run_k = 0;
-        let body = &self.run_body[..k];
-        self.payload.extend_from_slice(&header(OP_RUN, k));
-        write_uv(&mut self.payload, n);
-        for &s in &body[..at] {
-            self.payload
-                .extend_from_slice(&header(OP_PREDICTED, s as usize));
-        }
-        self.spelled = at;
-        // The streak goes on as if every held-back event had been spelled:
-        // repeats 2..=n of the body, then the partial one.
-        let held = (n - 1) * k as u64 + at as u64;
-        let first = self.streak.end;
-        self.streak.repeat(body, held);
-        for (j, &s) in body.iter().enumerate().take(held.min(k as u64) as usize) {
-            let j = j as u64;
-            self.stamps[s as usize] = first + j + (held - 1 - j) / k as u64 * k as u64;
-        }
-        if n >= 2 {
-            // The tap has seen the body's first repeat. The held-back
-            // repeats start at each slot's latest words `n − 1` strides back
-            // (one more for a slot the partial repeat reached), wrapping
-            // exactly as they were stepped.
-            self.scratch.clear();
-            let mut ends = [0usize; KMAX];
-            for (j, &s) in body.iter().enumerate() {
-                let (latest, stride) = self.slots[s as usize].words();
-                let back = (n - 1 + u64::from(j < at)) as i64;
-                let start = latest.iter().zip(stride);
-                self.scratch
-                    .extend(start.map(|(&l, &st)| l.wrapping_sub(st.wrapping_mul(back))));
-                ends[j] = self.scratch.len();
-            }
-            let mut keys = [BodyKey::default(); KMAX];
-            let mut from = 0;
-            for (j, &s) in body.iter().enumerate() {
-                keys[j] = self.slots[s as usize].key(&self.scratch[from..ends[j]]);
-                from = ends[j];
-            }
-            tap.body_run(&keys[..k], n - 1);
-        }
-        for &s in &body[..at] {
-            self.slots[s as usize].emit(tap);
         }
     }
 
@@ -900,8 +680,7 @@ impl FrameEncoder {
     #[inline(never)]
     fn push_full(&mut self, op: u8, a: u32, b: u32, slot: usize, x: &[i64], y: &[i64]) {
         let n = x.len() + y.len();
-        self.streak.clear();
-        self.spelled = 0;
+        self.tail.len = 0;
         self.slots[slot].record(self.gen, op, a, b, x, y);
         let buf = &mut self.payload;
         buf.extend_from_slice(&header(op, slot));
@@ -920,62 +699,71 @@ impl FrameEncoder {
         }
     }
 
-    /// [`FoldSink::instr_point`] as a tap in front of `inner`: encode the
-    /// event, handing `inner` whatever a run it closes held back. Returns
-    /// whether `inner` should see this event now — false when an open run
-    /// holds it back, to hand over when the run closes.
-    #[inline]
-    pub fn tap_point<T: FoldSink>(
-        &mut self,
-        stmt: StmtId,
-        coords: &[i64],
-        value: Option<i64>,
-        inner: &mut T,
-    ) -> bool {
-        match value {
-            Some(v) => self.push(OP_POINT_VAL, stmt.0, 0, coords, &[v], inner),
-            None => self.push(OP_POINT, stmt.0, 0, coords, &[], inner),
+    /// Write repeats `t + 1 ..= t + n` of `body` ([`FoldSink::body_run`]'s
+    /// keys) as one run record, if the streak ends with the body's events:
+    /// its last `k` events are the body's `k` keys in order, each in a slot
+    /// of its own whose latest words are the key's repeat `t` and whose
+    /// stride is the key's. Otherwise write nothing and return false.
+    pub fn run(&mut self, body: &[BodyKey<'_>], t: u64, n: u64) -> bool {
+        let k = body.len();
+        let Some(slots) = self.tail.body(k).filter(|_| n > 0) else {
+            return false;
+        };
+        let t = t as i64;
+        for (key, &s) in body.iter().zip(&slots) {
+            let (op, a, b) = (key.kind.code(), key.a.0, key.b.0);
+            let slot = &self.slots[s as usize];
+            if s as usize != Self::slot_of(op, a, b)
+                || !slot.holds(self.gen, op, a, b, key.split, key.base.len())
+            {
+                return false;
+            }
+            let (last, stride) = slot.words();
+            let at_t = key.base.iter().zip(key.stride);
+            if stride != key.stride
+                || last
+                    .iter()
+                    .zip(at_t)
+                    .any(|(&l, (&b, &s))| l != b.wrapping_add(s.wrapping_mul(t)))
+            {
+                return false;
+            }
         }
+        self.payload.extend_from_slice(&header(OP_RUN, k));
+        write_uv(&mut self.payload, n);
+        for &s in &slots[..k] {
+            self.slots[s as usize].advance_by(n);
+        }
+        self.tail.repeat(&slots[..k], n * k as u64);
+        self.events += n * k as u64;
+        true
     }
 
-    /// [`FoldSink::mem_access`] as a tap (see [`tap_point`](Self::tap_point)).
-    #[inline]
-    pub fn tap_access<T: FoldSink>(
-        &mut self,
-        stmt: StmtId,
-        coords: &[i64],
-        addr: u64,
-        is_write: bool,
-        inner: &mut T,
-    ) -> bool {
-        let op = if is_write { OP_STORE } else { OP_LOAD };
-        self.push(op, stmt.0, 0, coords, &[addr as i64], inner)
-    }
-
-    /// [`FoldSink::dependence`] as a tap (see [`tap_point`](Self::tap_point)).
-    #[inline]
-    pub fn tap_dependence<T: FoldSink>(
-        &mut self,
-        kind: DepKind,
-        src: StmtId,
-        src_coords: &[i64],
-        dst: StmtId,
-        dst_coords: &[i64],
-        inner: &mut T,
-    ) -> bool {
-        self.push(dep_op(kind), src.0, dst.0, src_coords, dst_coords, inner)
+    /// Encode `key`'s event of repeat `t` — `base + t·stride` — on its own.
+    pub fn spell(&mut self, key: &BodyKey<'_>, t: u64) {
+        let mut words = std::mem::take(&mut self.scratch);
+        words.clear();
+        let t = t as i64;
+        let at_t = key.base.iter().zip(key.stride);
+        words.extend(at_t.map(|(&b, &s)| b.wrapping_add(s.wrapping_mul(t))));
+        key.emit(self, &words);
+        self.scratch = words;
     }
 }
 
 impl FoldSink for FrameEncoder {
     #[inline]
     fn instr_point(&mut self, stmt: StmtId, coords: &[i64], value: Option<i64>) {
-        self.tap_point(stmt, coords, value, &mut NoTap);
+        match value {
+            Some(v) => self.push(OP_POINT_VAL, stmt.0, 0, coords, &[v]),
+            None => self.push(OP_POINT, stmt.0, 0, coords, &[]),
+        }
     }
 
     #[inline]
     fn mem_access(&mut self, stmt: StmtId, coords: &[i64], addr: u64, is_write: bool) {
-        self.tap_access(stmt, coords, addr, is_write, &mut NoTap);
+        let op = if is_write { OP_STORE } else { OP_LOAD };
+        self.push(op, stmt.0, 0, coords, &[addr as i64]);
     }
 
     #[inline]
@@ -987,7 +775,29 @@ impl FoldSink for FrameEncoder {
         dst: StmtId,
         dst_coords: &[i64],
     ) {
-        self.tap_dependence(kind, src, src_coords, dst, dst_coords, &mut NoTap);
+        self.push(
+            EventKind::Dep(kind).code(),
+            src.0,
+            dst.0,
+            src_coords,
+            dst_coords,
+        );
+    }
+
+    /// One run record where the streak allows it; before that, the body's
+    /// repeats one event at a time.
+    fn body_run(&mut self, body: &[BodyKey<'_>], n: u64) {
+        if body.is_empty() {
+            return;
+        }
+        for t in 0..n {
+            if self.run(body, t, n - t) {
+                return;
+            }
+            for key in body {
+                self.spell(key, t + 1);
+            }
+        }
     }
 }
 
@@ -1000,7 +810,7 @@ pub struct FrameDecoder {
     slots: Box<[Slot; SLOTS]>,
     gen: u64,
     prev: Vec<i64>,
-    streak: Streak,
+    tail: Tail,
     /// Most events one frame may decode to.
     cap: u64,
     /// One past the largest statement id emitted so far.
@@ -1027,7 +837,7 @@ impl FrameDecoder {
             slots: new_table(),
             gen: 0,
             prev: Vec::new(),
-            streak: Streak::new(),
+            tail: Tail::new(),
             cap,
             stmt_end: 0,
             predicted: 0,
@@ -1051,7 +861,7 @@ impl FrameDecoder {
     pub fn decode<S: FoldSink>(&mut self, payload: &[u8], sink: &mut S) -> Result<u64, String> {
         self.gen += 1;
         self.prev.clear();
-        self.streak.clear();
+        self.tail.len = 0;
         let mut prev_stmt = 0u32;
         let mut cur = Cursor::new(payload);
         let mut n = 0u64;
@@ -1071,8 +881,8 @@ impl FrameDecoder {
                         "event {n} predicts from slot {slot}, not filled in this frame"
                     ));
                 }
-                s.advance();
-                self.streak.push(slot as u16);
+                s.advance_by(1);
+                self.tail.push(slot as u16);
                 self.predicted += 1;
             } else {
                 let is_dep = match op {
@@ -1104,7 +914,7 @@ impl FrameDecoder {
                 }
                 let (x, y) = self.prev.split_at(split);
                 s.record(self.gen, op, a, b, x, y);
-                self.streak.clear();
+                self.tail.len = 0;
                 self.stmt_end = self.stmt_end.max(a.max(b) as u64 + 1);
             }
             s.emit(sink);
@@ -1132,10 +942,10 @@ impl FrameDecoder {
         sink: &mut S,
     ) -> Result<u64, String> {
         let runs = cur.read_uv()?;
-        if !(1..=KMAX).contains(&k) || k as u64 > self.streak.len() {
+        if !(1..=KMAX).contains(&k) || k as u64 > self.tail.len {
             return Err(format!(
                 "event {n}: run body of {k} events on a streak of {}",
-                self.streak.len()
+                self.tail.len
             ));
         }
         let events = runs
@@ -1147,12 +957,10 @@ impl FrameDecoder {
                 self.cap
             ));
         };
-        let mut body = [0u16; KMAX];
-        body[..k].copy_from_slice(self.streak.last(k));
-        let body = &body[..k];
-        if !distinct(body) {
+        let Some(body) = self.tail.body(k) else {
             return Err(format!("event {n}: run body repeats a slot"));
-        }
+        };
+        let body = &body[..k];
         let mut keys = [BodyKey::default(); KMAX];
         for (key, &s) in keys.iter_mut().zip(body) {
             let slot = &self.slots[s as usize];
@@ -1162,7 +970,7 @@ impl FrameDecoder {
         for &s in body {
             self.slots[s as usize].advance_by(runs);
         }
-        self.streak.repeat(body, events);
+        self.tail.repeat(body, events);
         self.predicted += events;
         Ok(events)
     }
@@ -1494,11 +1302,67 @@ mod tests {
         }
     }
 
-    /// A stream that exercises every path of the predictor: random events of
-    /// all eight kinds, strided runs broken at every position (by a changed
-    /// word or a changed arity), and two keys forced onto one slot.
-    fn stream(rng: &mut Rng) -> Vec<Ev> {
-        let mut out: Vec<Ev> = (0..40).map(|_| Ev::random(rng)).collect();
+    /// One call of the folding interface: an event, or a loop-body run —
+    /// each key an event and the stride (cycled over its words) that moves
+    /// it, repeated `n` times after that event.
+    #[derive(Clone, Debug)]
+    enum Item {
+        Ev(Ev),
+        Run(Vec<(Ev, Vec<i64>)>, u64),
+    }
+
+    impl Item {
+        fn feed<S: FoldSink>(&self, sink: &mut S) {
+            let (body, n) = match self {
+                Item::Ev(ev) => return ev.feed(sink),
+                Item::Run(body, n) => (body, *n),
+            };
+            let keys: Vec<_> = body.iter().map(|(ev, stride)| ev.key(stride)).collect();
+            let keys: Vec<BodyKey<'_>> = keys
+                .iter()
+                .map(|(kind, a, b, split, base, stride)| BodyKey {
+                    kind: *kind,
+                    a: StmtId(*a),
+                    b: StmtId(*b),
+                    split: *split,
+                    base,
+                    stride,
+                })
+                .collect();
+            sink.body_run(&keys, n);
+        }
+    }
+
+    impl Ev {
+        /// This event as the key of a run whose repeats move every word
+        /// along `stride` (cycled, as [`Ev::step`] does), from this event.
+        fn key(&self, stride: &[i64]) -> (EventKind, u32, u32, usize, Vec<i64>, Vec<i64>) {
+            let (kind, a, b, x, y) = match self {
+                Ev::Point(s, c, None) => (EventKind::Point, *s, 0, c.clone(), vec![]),
+                Ev::Point(s, c, Some(v)) => (EventKind::PointValue, *s, 0, c.clone(), vec![*v]),
+                Ev::Access(s, c, a, w) => {
+                    let kind = if *w {
+                        EventKind::Store
+                    } else {
+                        EventKind::Load
+                    };
+                    (kind, *s, 0, c.clone(), vec![*a as i64])
+                }
+                Ev::Dep(k, s, sc, d, dc) => (EventKind::Dep(*k), *s, *d, sc.clone(), dc.clone()),
+            };
+            let split = x.len();
+            let base: Vec<i64> = x.into_iter().chain(y).collect();
+            let steps = (0..base.len()).map(|i| stride[i % stride.len()]).collect();
+            (kind, a, b, split, base, steps)
+        }
+    }
+
+    /// A stream that exercises every path of the predictor and of run
+    /// records: random events of all eight kinds, strided runs broken at
+    /// every position (by a changed word or a changed arity), loop bodies
+    /// handed over as runs, and two keys forced onto one slot.
+    fn stream(rng: &mut Rng) -> Vec<Item> {
+        let mut out: Vec<Item> = (0..40).map(|_| Item::Ev(Ev::random(rng))).collect();
         for _ in 0..4 {
             let base = Ev::random(rng);
             let stride: Vec<i64> = (0..3).map(|_| rng.word()).collect();
@@ -1519,15 +1383,17 @@ mod tests {
                             }
                         }
                     }
-                    out.push(ev);
+                    out.push(Item::Ev(ev));
                 }
             }
         }
-        // Loop bodies of up to 70 keys, each key on its own stride,
-        // repeated and then broken by a changed word: run records of every
-        // body length, closed at every phase, chained after a partial
-        // repeat, and bodies too long to be one. A body sometimes holds a
-        // key twice.
+        // Loop bodies of up to 70 keys, each key on its own stride: the
+        // first zero to three repeats event by event, then the rest as a
+        // run, broken by a changed word. Runs of every body length, after
+        // streaks of every length (none: the record must wait until the
+        // encoder has spelled the body into its slots), chained after a
+        // partial repeat, and bodies too long to be one record. A body
+        // sometimes holds a key twice, which no record can name.
         for _ in 0..3 {
             let k = 1 + rng.below(70) as usize;
             let body: Vec<(Ev, Vec<i64>)> = (0..k)
@@ -1539,13 +1405,26 @@ mod tests {
                 .collect();
             let reps = 1 + rng.below(12);
             let brk = rng.below(reps * k as u64 + 1);
-            for t in 0..reps {
-                for (j, (ev, stride)) in body.iter().enumerate() {
-                    let ev = ev.step(t as i64, stride);
+            let spelled = (brk / k as u64).min(rng.below(4));
+            let at = |t: u64| {
+                body.iter()
+                    .map(move |(ev, stride)| (ev.step(t as i64, stride), stride))
+            };
+            for t in 0..spelled {
+                out.extend(at(t).map(|(ev, _)| Item::Ev(ev)));
+            }
+            let run_to = brk / k as u64;
+            if run_to > spelled {
+                let from = at(0).map(|(ev, stride)| (ev.step(spelled as i64 - 1, stride), stride));
+                let from = from.map(|(ev, stride)| (ev, stride.clone())).collect();
+                out.push(Item::Run(from, run_to - spelled));
+            }
+            for t in run_to..reps {
+                for (j, (ev, _)) in at(t).enumerate() {
                     if t * k as u64 + j as u64 == brk {
-                        out.push(ev.step(1, &[7]));
+                        out.push(Item::Ev(ev.step(1, &[7])));
                     } else {
-                        out.push(ev);
+                        out.push(Item::Ev(ev));
                     }
                 }
             }
@@ -1557,8 +1436,8 @@ mod tests {
             .find(|&s| FrameEncoder::slot_of(OP_POINT, s, 0) == slot)
             .expect("a colliding statement exists");
         for i in 0..6 {
-            out.push(Ev::Point(0, vec![i], None));
-            out.push(Ev::Point(other, vec![i], None));
+            out.push(Item::Ev(Ev::Point(0, vec![i], None)));
+            out.push(Item::Ev(Ev::Point(other, vec![i], None)));
         }
         out
     }
@@ -1617,36 +1496,21 @@ mod tests {
         }
     }
 
-    /// This event through `enc` as a tap in front of `inner`.
-    fn tap(ev: &Ev, enc: &mut FrameEncoder, inner: &mut EventChunk) {
-        let now = match ev {
-            Ev::Point(s, c, v) => enc.tap_point(StmtId(*s), c, *v, inner),
-            Ev::Access(s, c, a, w) => enc.tap_access(StmtId(*s), c, *a, *w, inner),
-            Ev::Dep(k, s, sc, d, dc) => {
-                enc.tap_dependence(*k, StmtId(*s), sc, StmtId(*d), dc, inner)
-            }
-        };
-        if now {
-            ev.feed(inner);
-        }
-    }
-
-    /// Seeded random streams, cut into frames at random points, decode to
-    /// exactly the calls that built them — compared with an `EventChunk` fed
-    /// the same calls — through one decoder reused across frames; and an
-    /// encoder used as a tap hands its inner sink exactly those calls too,
-    /// whatever its runs held back.
+    /// Seeded random streams of events and loop-body runs, cut into
+    /// frames at random points between them, decode to exactly the events
+    /// they spell — compared with an `EventChunk` fed the same calls, which
+    /// spells each run out — through one decoder reused across frames; and
+    /// the runs are run records wherever the streak allowed one.
     #[test]
     fn random_streams_roundtrip_event_for_event() {
         let mut runs = 0;
         for seed in 0..64 {
             let mut rng = Rng(seed);
-            let events = stream(&mut rng);
+            let items = stream(&mut rng);
             let mut enc = FrameEncoder::new();
             let mut dec = FrameDecoder::new();
-            let [mut want, mut got, mut tapped] = <[EventChunk; 3]>::default();
-            let mut flush = |enc: &mut FrameEncoder, got: &mut EventChunk, tapped: &mut _| {
-                enc.close_run(tapped);
+            let [mut want, mut got] = <[EventChunk; 2]>::default();
+            let mut flush = |enc: &mut FrameEncoder, got: &mut EventChunk| {
                 runs += enc
                     .payload()
                     .windows(2)
@@ -1656,39 +1520,62 @@ mod tests {
                 assert_eq!(n, enc.events(), "seed {seed}");
                 enc.reset();
             };
-            for ev in &events {
-                tap(ev, &mut enc, &mut tapped);
-                ev.feed(&mut want);
+            for item in &items {
+                item.feed(&mut enc);
+                item.feed(&mut want);
                 if rng.below(50) == 0 {
-                    flush(&mut enc, &mut got, &mut tapped);
+                    flush(&mut enc, &mut got);
                 }
             }
-            flush(&mut enc, &mut got, &mut tapped);
+            flush(&mut enc, &mut got);
             assert_eq!(rendered(&want), rendered(&got), "seed {seed}");
-            assert_eq!(rendered(&want), rendered(&tapped), "seed {seed}: tap");
             assert!(dec.predicted() > 0, "seed {seed}: no run was predicted");
         }
         assert!(runs > 64, "only {runs} run records");
     }
 
-    /// A strided loop body is spelled by its first two iterations in full,
-    /// one more in two-byte predictions and one run record for the rest.
+    /// A strided loop body handed over as a run after three iterations is
+    /// spelled by its first two iterations in full, the third in two-byte
+    /// predictions and one run record for the rest.
     #[test]
     fn strided_loop_body_costs_one_run_record() {
         let mut want = EventChunk::default();
-        for i in 0..1000i64 {
-            want.instr_point(StmtId(7), &[0, i], Some(3 * i));
-            want.mem_access(StmtId(8), &[0, i], 4096 + 2 * i as u64, false);
-            want.dependence(DepKind::Flow, StmtId(7), &[0, i], StmtId(8), &[0, i]);
-        }
         let mut enc = FrameEncoder::new();
-        want.replay_into(&mut enc);
+        for i in 0..3i64 {
+            for sink in [&mut want as &mut dyn FoldSink, &mut enc] {
+                sink.instr_point(StmtId(7), &[0, i], Some(3 * i));
+                sink.mem_access(StmtId(8), &[0, i], 4096 + 2 * i as u64, false);
+                sink.dependence(DepKind::Flow, StmtId(7), &[0, i], StmtId(8), &[0, i]);
+            }
+        }
+        let run = Item::Run(
+            vec![
+                (Ev::Point(7, vec![0, 2], Some(6)), vec![0, 1, 3]),
+                (Ev::Access(8, vec![0, 2], 4100, false), vec![0, 1, 2]),
+                (
+                    Ev::Dep(DepKind::Flow, 7, vec![0, 2], 8, vec![0, 2]),
+                    vec![0, 1],
+                ),
+            ],
+            997,
+        );
+        run.feed(&mut want);
+        run.feed(&mut enc);
+        assert_eq!(enc.events(), 3000);
         assert!(enc.payload().len() < 64, "{}", enc.payload().len());
         let mut dec = FrameDecoder::new();
         let mut got = EventChunk::default();
         assert_eq!(dec.decode(enc.payload(), &mut got), Ok(3000));
         assert_eq!(dec.predicted(), 3000 - 6);
         assert_eq!(rendered(&want), rendered(&got));
+        // The same run from a fresh frame has no streak to name: it is
+        // spelled until it has one, and then it is a record.
+        let mut fresh = FrameEncoder::new();
+        run.feed(&mut fresh);
+        assert_eq!(fresh.events(), 2991);
+        assert!(fresh.payload().len() < 64, "{}", fresh.payload().len());
+        assert_eq!(dec.decode(fresh.payload(), &mut got), Ok(2991));
+        assert_eq!(dec.predicted() - (3000 - 6), 2991 - 6);
     }
 
     /// Slot indices past the table, predictions from slots empty in this

@@ -51,7 +51,7 @@ pub mod codec;
 use codec::{FrameDecoder, FrameEncoder, Graphs};
 use polycfg::{LoopRef, StaticStructure};
 use polyddg::chunk::EventChunk;
-use polyddg::{DepKind, FoldSink};
+use polyddg::{BodyKey, DepKind, FoldSink};
 use polyiiv::context::{ContextInterner, StmtId};
 use polyiiv::CtxElem;
 use polyir::{BlockRef, Program};
@@ -347,7 +347,7 @@ impl<W: Write + Seek> TraceWriter<W> {
     }
 
     /// Append the encoder's current frame (nothing when it holds no event).
-    fn write_frame(&mut self, enc: &mut FrameEncoder) -> Result<(), PolyProfError> {
+    fn write_frame(&mut self, enc: &FrameEncoder) -> Result<(), PolyProfError> {
         if enc.events() == 0 {
             return Ok(());
         }
@@ -413,10 +413,10 @@ impl<W: Write + Seek> TraceWriter<W> {
 
 /// A recording tap: encodes every resolved event into the current frame and
 /// forwards it to an inner [`FoldSink`], and writes each frame once it holds
-/// `chunk_events` events. The repeats of a loop body the encoder has proved
-/// reach the inner sink as one [`FoldSink::body_run`] when the run closes,
-/// so the inner sink sees the stream in its order, and a sink that folds
-/// runs whole does not pay for them event by event.
+/// `chunk_events` events. A loop-body run ([`FoldSink::body_run`]) is
+/// written as run records where the frame allows — split at the frame's
+/// event cap — and spelled out elsewhere, then handed to the inner sink as
+/// the one run it is.
 ///
 /// Sink methods are infallible by contract, so IO failures are stashed and
 /// surfaced at [`finish`](Self::finish) — the live fold is never disturbed
@@ -457,9 +457,8 @@ impl<S: FoldSink, W: Write + Seek> Recorder<S, W> {
     }
 
     fn spill(&mut self) {
-        self.enc.close_run(&mut self.inner);
         if self.err.is_none() {
-            if let Err(e) = self.writer.write_frame(&mut self.enc) {
+            if let Err(e) = self.writer.write_frame(&self.enc) {
                 self.err = Some(e);
             }
         }
@@ -487,19 +486,14 @@ impl<S: FoldSink, W: Write + Seek> Recorder<S, W> {
 
 impl<S: FoldSink, W: Write + Seek> FoldSink for Recorder<S, W> {
     fn instr_point(&mut self, stmt: StmtId, coords: &[i64], value: Option<i64>) {
-        if self.enc.tap_point(stmt, coords, value, &mut self.inner) {
-            self.inner.instr_point(stmt, coords, value);
-        }
+        self.enc.instr_point(stmt, coords, value);
+        self.inner.instr_point(stmt, coords, value);
         self.after_push();
     }
 
     fn mem_access(&mut self, stmt: StmtId, coords: &[i64], addr: u64, is_write: bool) {
-        if self
-            .enc
-            .tap_access(stmt, coords, addr, is_write, &mut self.inner)
-        {
-            self.inner.mem_access(stmt, coords, addr, is_write);
-        }
+        self.enc.mem_access(stmt, coords, addr, is_write);
+        self.inner.mem_access(stmt, coords, addr, is_write);
         self.after_push();
     }
 
@@ -511,12 +505,35 @@ impl<S: FoldSink, W: Write + Seek> FoldSink for Recorder<S, W> {
         dst: StmtId,
         dst_coords: &[i64],
     ) {
-        let enc = &mut self.enc;
-        if enc.tap_dependence(kind, src, src_coords, dst, dst_coords, &mut self.inner) {
-            self.inner
-                .dependence(kind, src, src_coords, dst, dst_coords);
-        }
+        self.enc.dependence(kind, src, src_coords, dst, dst_coords);
+        self.inner
+            .dependence(kind, src, src_coords, dst, dst_coords);
         self.after_push();
+    }
+
+    /// As many whole repeats as fit the frame in one run record when the
+    /// streak allows it, else the next repeat event by event; until all
+    /// `n` are written. Then the inner sink takes the run whole.
+    fn body_run(&mut self, body: &[BodyKey<'_>], n: u64) {
+        if body.is_empty() {
+            return;
+        }
+        let k = body.len() as u64;
+        let mut t = 0;
+        while t < n {
+            let fit = ((self.cap - self.enc.events()) / k).min(n - t);
+            if fit > 0 && self.enc.run(body, t, fit) {
+                t += fit;
+                self.after_push();
+                continue;
+            }
+            t += 1;
+            for key in body {
+                self.enc.spell(key, t);
+                self.after_push();
+            }
+        }
+        self.inner.body_run(body, n);
     }
 
     fn events_seen(&self) -> u64 {
@@ -865,6 +882,7 @@ fn read_err(label: &str, what: &str, e: std::io::Error) -> PolyProfError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use polyddg::EventKind;
     use std::io::Cursor as IoCursor;
 
     fn interner_with_stmts() -> ContextInterner {
@@ -1030,25 +1048,36 @@ mod tests {
     }
 
     /// The tap hands its inner sink the very sequence it was fed — a strided
-    /// three-key loop body, whose repeats the encoder holds back and hands
-    /// over as one `body_run` (expanded by the chunk), broken by irregular
-    /// events — whatever the frame size, and the recording decodes to it.
+    /// three-key loop body, whose repeats a run detector in front of it
+    /// hands over as `body_run`s (expanded by the chunk), broken by
+    /// irregular events — whatever the frame size, and the recording
+    /// decodes to it; the runs are run records wherever a frame has room.
     #[test]
     fn recorder_taps_without_perturbing_inner() {
+        use polyddg::runs::{Boundary, RunDetector};
+        let l = LoopRef::Cfg(polyir::FuncId(0), polycfg::LoopIdx(0));
+        let body = |sink: &mut dyn FoldSink, i: i64| {
+            sink.instr_point(StmtId(0), &[0, i], Some(i));
+            sink.mem_access(StmtId(0), &[0, i], 64 + 2 * i as u64, i % 50 == 49);
+            sink.dependence(DepKind::Flow, StmtId(0), &[0, i - 1], StmtId(0), &[0, i]);
+            if i % 70 == 69 {
+                sink.instr_point(StmtId(0), &[0, i], None);
+            }
+        };
         let mut want = EventChunk::default();
         for i in 0..150i64 {
-            want.instr_point(StmtId(0), &[0, i], Some(i));
-            want.mem_access(StmtId(0), &[0, i], 64 + 2 * i as u64, i % 50 == 49);
-            want.dependence(DepKind::Flow, StmtId(0), &[0, i - 1], StmtId(0), &[0, i]);
-            if i % 70 == 69 {
-                want.instr_point(StmtId(0), &[1, i * i], None);
-            }
+            body(&mut want, i);
         }
         for cap in [2, 64] {
             let mut bytes = Vec::new();
             let w = writer(&mut bytes, 7, "tap", cap);
-            let mut rec = Recorder::new(w, cap, EventChunk::default());
-            want.replay_into(&mut rec);
+            let mut det = RunDetector::new(Recorder::new(w, cap, EventChunk::default()));
+            for i in 0..150i64 {
+                det.boundary(&[0, i], Boundary::Iter(l));
+                body(&mut det, i);
+            }
+            assert!(det.runs() >= 3, "{cap}-event frames: {} runs", det.runs());
+            let rec = det.finish();
             let (inner, stats) = rec.finish(&interner_with_stmts()).unwrap();
             let shown = |c: &EventChunk| c.events().map(|e| format!("{e:?}")).collect::<Vec<_>>();
             assert_eq!(shown(&inner), shown(&want), "{cap}-event frames");
@@ -1060,7 +1089,20 @@ mod tests {
                 chunk.replay_into(&mut read);
             }
             assert_eq!(shown(&read), shown(&want), "{cap}-event frames read back");
-            r.finish().unwrap();
+            let (_, read_stats) = r.finish().unwrap();
+            if cap == 64 {
+                // Frames of 64 events hold whole runs of the 3-event body:
+                // fewer bytes than the same events one by one.
+                assert!(
+                    read_stats.predicted * 2 > want.len() as u64,
+                    "{read_stats:?}"
+                );
+                let mut plain = Vec::new();
+                let mut rec = Recorder::new(writer(&mut plain, 7, "tap", cap), cap, CountSink(0));
+                want.replay_into(&mut rec);
+                let spelled = rec.finish(&interner_with_stmts()).unwrap().1;
+                assert!(stats.bytes < spelled.bytes, "{stats:?} vs {spelled:?}");
+            }
 
             // `peek_meta` reads the same header straight off the bytes.
             let meta = peek_meta(&bytes, "<mem>").unwrap();
@@ -1173,10 +1215,23 @@ mod tests {
     #[test]
     fn every_bit_flip_of_a_frame_and_every_truncation_is_an_error() {
         let bytes = record(16, &interner_with_stmts(), |rec| {
-            for i in 0..6i64 {
+            for i in 0..3i64 {
                 rec.instr_point(StmtId(0), &[0, i], Some(2 * i));
                 rec.mem_access(StmtId(0), &[0, i], 64 + i as u64, true);
             }
+            let key = |kind, base, stride| BodyKey {
+                kind,
+                a: StmtId(0),
+                b: StmtId(0),
+                split: 2,
+                base,
+                stride,
+            };
+            let body = [
+                key(EventKind::PointValue, &[0, 2, 4], &[0, 1, 2]),
+                key(EventKind::Store, &[0, 2, 66], &[0, 1, 1]),
+            ];
+            rec.body_run(&body, 3);
             rec.dependence(DepKind::Flow, StmtId(0), &[0, 1], StmtId(0), &[0, 2]);
         });
         assert!(read_all(&bytes).is_ok());

@@ -72,8 +72,8 @@ fn kernel(n: i64) -> Program {
 }
 
 /// Full pass-1 + pass-2 profile into a folding sink; returns (events,
-/// allocations) for the pass-2 portion only.
-fn profile_counting(prog: &Program) -> (u64, u64) {
+/// allocations, loop-body runs folded) for the pass-2 portion only.
+fn profile_counting(prog: &Program) -> (u64, u64, u64) {
     let mut rec = polycfg::StructureRecorder::new();
     polyvm::Vm::new(prog).run(&[], &mut rec).expect("pass 1");
     let structure = polycfg::StaticStructure::analyze(prog, rec);
@@ -81,7 +81,7 @@ fn profile_counting(prog: &Program) -> (u64, u64) {
     let before = ALLOCS.load(Ordering::Relaxed);
     polyvm::Vm::new(prog).run(&[], &mut prof).expect("pass 2");
     let after = ALLOCS.load(Ordering::Relaxed);
-    (prof.dyn_ops, after - before)
+    (prof.dyn_ops, after - before, prof.body_runs())
 }
 
 #[test]
@@ -91,10 +91,13 @@ fn steady_state_profiling_does_not_allocate_per_event() {
     let long_n = 5000i64;
     // Warm caches/allocator so one-time lazy init doesn't skew the counts.
     let _ = profile_counting(&kernel(short_n));
-    let (ops_short, allocs_short) = profile_counting(&kernel(short_n));
-    let (ops_long, allocs_long) = profile_counting(&kernel(long_n));
+    let (ops_short, allocs_short, _) = profile_counting(&kernel(short_n));
+    let (ops_long, allocs_long, runs) = profile_counting(&kernel(long_n));
     let extra_ops = ops_long - ops_short;
     assert!(extra_ops > 20_000, "kernel too small for a meaningful test");
+    // `i % 64` breaks the loop body's run every 64 iterations: each run
+    // must fold without allocating too.
+    assert!(runs >= long_n as u64 / 64, "only {runs} loop-body runs");
     let extra_allocs = allocs_long.saturating_sub(allocs_short);
     // Old behavior: ≥ 2 allocations per memory event → extra_allocs would be
     // on the order of extra_ops. Steady state allows only incidental growth.
