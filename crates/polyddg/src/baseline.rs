@@ -13,7 +13,7 @@
 //!
 //! Nothing in the production pipeline uses this module.
 
-use crate::{DdgConfig, DepKind, FoldSink};
+use crate::{DepKind, FoldSink};
 use polycfg::{LoopEventGen, StaticStructure};
 use polyiiv::context::{ContextInterner, CtxPathId, StmtId};
 use polyiiv::IivTracker;
@@ -101,7 +101,6 @@ pub struct NaiveDdgProfiler<'p, F: FoldSink> {
     shadow: NaiveShadowMemory,
     reg_frames: Vec<Vec<Option<NaiveWriter>>>,
     out: F,
-    cfg: DdgConfig,
     coords: Vec<i64>,
     loop_buf: Vec<polycfg::LoopEvent>,
     stmt_cache: Option<(CtxPathId, InstrRef, StmtId)>,
@@ -113,16 +112,6 @@ impl<'p, F: FoldSink> NaiveDdgProfiler<'p, F> {
     /// Build a profiler over a program and its stage-1 structure; `out`
     /// receives the folding streams.
     pub fn new(prog: &'p Program, structure: &'p StaticStructure, out: F) -> Self {
-        Self::with_config(prog, structure, out, DdgConfig::default())
-    }
-
-    /// As [`NaiveDdgProfiler::new`] with explicit configuration.
-    pub fn with_config(
-        prog: &'p Program,
-        structure: &'p StaticStructure,
-        out: F,
-        cfg: DdgConfig,
-    ) -> Self {
         let entry_fn = prog.entry.expect("program must have an entry");
         let entry = BlockRef {
             func: entry_fn,
@@ -137,7 +126,6 @@ impl<'p, F: FoldSink> NaiveDdgProfiler<'p, F> {
             shadow: NaiveShadowMemory::new(),
             reg_frames: vec![vec![None; n_regs]],
             out,
-            cfg,
             coords: Vec::with_capacity(8),
             loop_buf: Vec::with_capacity(8),
             stmt_cache: None,
@@ -195,15 +183,13 @@ impl<'p, F: FoldSink> EventSink for NaiveDdgProfiler<'p, F> {
         self.iiv.coords_into(&mut self.coords);
         let ins = self.prog.instr(instr);
 
-        if self.cfg.track_reg {
-            let frame = self.reg_frames.last().expect("live frame");
-            // Clone to avoid holding a borrow across the sink call.
-            for r in ins.uses() {
-                if let Some(w) = &frame[r.0 as usize] {
-                    let (ws, wc) = (w.stmt, w.coords.clone());
-                    self.out
-                        .dependence(DepKind::Reg, ws, &wc, stmt, &self.coords);
-                }
+        let frame = self.reg_frames.last().expect("live frame");
+        // Clone to avoid holding a borrow across the sink call.
+        for r in ins.uses() {
+            if let Some(w) = &frame[r.0 as usize] {
+                let (ws, wc) = (w.stmt, w.coords.clone());
+                self.out
+                    .dependence(DepKind::Reg, ws, &wc, stmt, &self.coords);
             }
         }
         if let Some(d) = ins.def() {
@@ -223,19 +209,15 @@ impl<'p, F: FoldSink> EventSink for NaiveDdgProfiler<'p, F> {
         let stmt = self.current_stmt(instr);
         self.iiv.coords_into(&mut self.coords);
         if is_write {
-            if self.cfg.track_output {
-                if let Some(w) = self.shadow.last_write(addr) {
-                    let (ws, wc) = (w.stmt, w.coords.clone());
-                    self.out
-                        .dependence(DepKind::Output, ws, &wc, stmt, &self.coords);
-                }
+            if let Some(w) = self.shadow.last_write(addr) {
+                let (ws, wc) = (w.stmt, w.coords.clone());
+                self.out
+                    .dependence(DepKind::Output, ws, &wc, stmt, &self.coords);
             }
-            if self.cfg.track_anti {
-                if let Some(r) = self.shadow.last_read(addr) {
-                    let (rs, rc) = (r.stmt, r.coords.clone());
-                    self.out
-                        .dependence(DepKind::Anti, rs, &rc, stmt, &self.coords);
-                }
+            if let Some(r) = self.shadow.last_read(addr) {
+                let (rs, rc) = (r.stmt, r.coords.clone());
+                self.out
+                    .dependence(DepKind::Anti, rs, &rc, stmt, &self.coords);
             }
             self.shadow.record_write(
                 addr,
@@ -250,15 +232,13 @@ impl<'p, F: FoldSink> EventSink for NaiveDdgProfiler<'p, F> {
                 self.out
                     .dependence(DepKind::Flow, ws, &wc, stmt, &self.coords);
             }
-            if self.cfg.track_anti {
-                self.shadow.record_read(
-                    addr,
-                    NaiveWriter {
-                        stmt,
-                        coords: self.coords.clone().into_boxed_slice(),
-                    },
-                );
-            }
+            self.shadow.record_read(
+                addr,
+                NaiveWriter {
+                    stmt,
+                    coords: self.coords.clone().into_boxed_slice(),
+                },
+            );
         }
         self.out.mem_access(stmt, &self.coords, addr, is_write);
     }

@@ -251,27 +251,6 @@ pub fn expand_run<S: FoldSink + ?Sized>(sink: &mut S, body: &[BodyKey<'_>], n: u
     }
 }
 
-/// Configuration of the DDG profiler.
-#[derive(Debug, Clone, Copy)]
-pub struct DdgConfig {
-    /// Track write-after-read dependences (last-reader approximation).
-    pub track_anti: bool,
-    /// Track write-after-write dependences.
-    pub track_output: bool,
-    /// Track register flow dependences.
-    pub track_reg: bool,
-}
-
-impl Default for DdgConfig {
-    fn default() -> Self {
-        DdgConfig {
-            track_anti: true,
-            track_output: true,
-            track_reg: true,
-        }
-    }
-}
-
 /// The stage-2 profiler: the one [`EventSink`] of pass 2. It drives
 /// loop-event generation (Alg. 1/2), the dynamic IIV (Alg. 3), context and
 /// statement interning, register tracking and shadow-memory resolution, and
@@ -291,7 +270,6 @@ pub struct DdgProfiler<'p, F: FoldSink> {
     /// The sink, behind the loop-body run detector.
     out: RunDetector<F>,
     shadow: ShadowMemory,
-    cfg: DdgConfig,
     /// Current coordinate vector, refreshed when loop events move it.
     coords: Vec<i64>,
     loop_buf: Vec<polycfg::LoopEvent>,
@@ -327,16 +305,6 @@ impl<'p, F: FoldSink> DdgProfiler<'p, F> {
     /// Build a profiler over a program and its stage-1 structure; `out`
     /// receives the folding streams.
     pub fn new(prog: &'p Program, structure: &'p StaticStructure, out: F) -> Self {
-        Self::with_config(prog, structure, out, DdgConfig::default())
-    }
-
-    /// As [`DdgProfiler::new`] with explicit configuration.
-    pub fn with_config(
-        prog: &'p Program,
-        structure: &'p StaticStructure,
-        out: F,
-        cfg: DdgConfig,
-    ) -> Self {
         let entry_fn = prog.entry.expect("program must have an entry");
         let entry = BlockRef {
             func: entry_fn,
@@ -356,7 +324,6 @@ impl<'p, F: FoldSink> DdgProfiler<'p, F> {
             frame_pool: Vec::new(),
             out: RunDetector::new(out),
             shadow: ShadowMemory::new(),
-            cfg,
             coords,
             loop_buf: Vec::with_capacity(8),
             stmt_cache: [None; STMT_CACHE_SLOTS],
@@ -509,19 +476,17 @@ impl<'p, F: FoldSink> EventSink for DdgProfiler<'p, F> {
         let stmt = self.current_stmt(instr);
         let ins = self.prog.instr(instr);
 
-        if self.cfg.track_reg {
-            // Disjoint field borrows: the writer records are `Copy`, so no
-            // clone is needed to emit across the sink call.
-            let frame = self.reg_frames.last().expect("live frame");
-            let arena = self.snaps.arena();
-            let coords = &self.coords;
-            let out = &mut self.out;
-            ins.for_each_use(|r| {
-                if let Some(w) = frame[r.0 as usize] {
-                    out.dependence(DepKind::Reg, w.stmt, w.coords.resolve(arena), stmt, coords);
-                }
-            });
-        }
+        // Disjoint field borrows: the writer records are `Copy`, so no clone
+        // is needed to emit across the sink call.
+        let frame = self.reg_frames.last().expect("live frame");
+        let arena = self.snaps.arena();
+        let coords = &self.coords;
+        let out = &mut self.out;
+        ins.for_each_use(|r| {
+            if let Some(w) = frame[r.0 as usize] {
+                out.dependence(DepKind::Reg, w.stmt, w.coords.resolve(arena), stmt, coords);
+            }
+        });
         if let Some(d) = ins.def() {
             let snap = self.snaps.get(&self.coords);
             let frame = self.reg_frames.last_mut().expect("live frame");
@@ -547,7 +512,6 @@ impl<'p, F: FoldSink> EventSink for DdgProfiler<'p, F> {
         }
         let stmt = self.current_stmt(instr);
         self.shadow.resolve(
-            &self.cfg,
             &mut self.snaps,
             stmt,
             &self.coords,

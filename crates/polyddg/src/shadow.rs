@@ -23,7 +23,7 @@
 //! cell, and so the only one that takes and gives back snapshot references.
 
 use crate::coords::{CoordSnap, SnapCache, SnapHandle};
-use crate::{DdgConfig, DepKind, FoldSink};
+use crate::{DepKind, FoldSink};
 use polyiiv::context::StmtId;
 use polyresist::{FaultPlan, FaultSite, ResourceBudget};
 use std::collections::HashMap;
@@ -122,11 +122,9 @@ pub struct ShadowMemory {
     /// MRU cache: the last page touched by `page_slot`.
     mru: (u64, u32),
     /// MRU hit/miss tally on the `try_cell_mut` (update) path — plain
-    /// fields, harvested into the `polytrace` collector at stage end. The
-    /// read-only `cell` path is deliberately uncounted: with the default
-    /// tracking config every memory event makes exactly one `try_cell_mut`
-    /// call, so hits + misses == memory events (the gated consistency
-    /// invariant).
+    /// fields, harvested into the `polytrace` collector at stage end. Every
+    /// memory event makes exactly one `try_cell_mut` call, so hits + misses
+    /// == memory events (the gated consistency invariant).
     mru_hits: u64,
     mru_misses: u64,
     /// Optional deterministic fault plan: probed on *new-page allocation*
@@ -229,7 +227,7 @@ impl ShadowMemory {
 
     /// The shadow cell for `addr` if its page is resident (read-only; checks
     /// the MRU cache first, does not update it).
-    #[inline]
+    #[cfg(test)]
     fn cell(&self, addr: u64) -> Option<&Cell> {
         let page_num = addr >> PAGE_BITS;
         let slot = if self.mru.0 == page_num {
@@ -247,14 +245,14 @@ impl ShadowMemory {
 
     /// MRU page-cache `(hits, misses)` on the update path since
     /// construction; hits + misses equals the memory touches that stored a
-    /// record (every one, under the default tracking config).
+    /// record (every one).
     pub fn mru_stats(&self) -> (u64, u64) {
         (self.mru_hits, self.mru_misses)
     }
 
     /// Resolve one memory touch by `stmt` at `coords` on word `addr`: read
     /// and update the shadow cell, emit the flow / output / anti dependences
-    /// `cfg` tracks, then the `mem_access` event. `snaps` resolves earlier
+    /// it closes, then the `mem_access` event. `snaps` resolves earlier
     /// records' coordinates and counts their references: a stored record
     /// holds one on the snapshot of `coords`, and a record overwritten here
     /// gives its own back once its dependence is out.
@@ -262,11 +260,9 @@ impl ShadowMemory {
     /// When an armed fault plan refuses the shadow page, the access is still
     /// emitted but its dependences are unknowable: every count in
     /// [`alloc_failures`](Self::alloc_failures) is one such unresolved access.
-    #[allow(clippy::too_many_arguments)]
     #[inline]
     pub fn resolve<F: FoldSink>(
         &mut self,
-        cfg: &DdgConfig,
         snaps: &mut SnapCache,
         stmt: StmtId,
         coords: &[i64],
@@ -277,14 +273,6 @@ impl ShadowMemory {
         let dep = |out: &mut F, snaps: &SnapCache, kind, r: Rec| {
             out.dependence(kind, r.stmt, snaps.resolve(r.snap), stmt, coords);
         };
-        if !(is_write || cfg.track_anti) {
-            // An untracked read stores nothing.
-            if let Some(w) = self.cell(addr).map(|c| c.write).filter(|w| w.is_some()) {
-                dep(out, snaps, DepKind::Flow, w);
-            }
-            out.mem_access(stmt, coords, addr, is_write);
-            return;
-        }
         // The cell is resolved once; prior records are copied out so the
         // update and the dependence emission don't contend for borrows. The
         // reference is taken only once the page exists: a refused page
@@ -306,12 +294,9 @@ impl ShadowMemory {
                 },
             );
             if prev.write.is_some() {
-                if cfg.track_output {
-                    dep(out, snaps, DepKind::Output, prev.write);
-                }
+                dep(out, snaps, DepKind::Output, prev.write);
                 snaps.release(prev.write.snap);
             }
-            // A reader is only ever stored when `cfg.track_anti` is on.
             if prev.read.is_some() {
                 dep(out, snaps, DepKind::Anti, prev.read);
                 snaps.release(prev.read.snap);
@@ -347,22 +332,22 @@ mod tests {
     }
 
     impl Rig {
-        fn touch(&mut self, cfg: DdgConfig, stmt: u32, coords: &[i64], addr: u64, is_write: bool) {
+        fn touch(&mut self, stmt: u32, coords: &[i64], addr: u64, is_write: bool) {
             if self.at != coords {
                 self.snaps.invalidate();
                 self.at = coords.to_vec();
             }
             self.out.deps.clear();
             let (s, snaps, out) = (&mut self.s, &mut self.snaps, &mut self.out);
-            s.resolve(&cfg, snaps, StmtId(stmt), coords, addr, is_write, out);
+            s.resolve(snaps, StmtId(stmt), coords, addr, is_write, out);
         }
 
         fn write(&mut self, stmt: u32, coords: &[i64], addr: u64) {
-            self.touch(DdgConfig::default(), stmt, coords, addr, true);
+            self.touch(stmt, coords, addr, true);
         }
 
         fn read(&mut self, stmt: u32, coords: &[i64], addr: u64) {
-            self.touch(DdgConfig::default(), stmt, coords, addr, false);
+            self.touch(stmt, coords, addr, false);
         }
 
         /// The dependences the last touch emitted, as `(kind, src, src coords)`.
@@ -374,20 +359,11 @@ mod tests {
                 .collect()
         }
 
-        /// The last writer of `addr`, seen by a read that stores nothing.
-        fn last_write(&mut self, addr: u64) -> Option<(u32, Vec<i64>)> {
-            let untracked = DdgConfig {
-                track_anti: false,
-                ..DdgConfig::default()
-            };
-            let at = self.at.clone();
-            self.touch(untracked, u32::MAX - 1, &at, addr, false);
-            let deps = self.deps();
-            assert!(deps.len() <= 1);
-            deps.into_iter().next().map(|(k, s, c)| {
-                assert_eq!(k, DepKind::Flow);
-                (s, c)
-            })
+        /// The last writer of `addr`, read off its cell.
+        fn last_write(&self, addr: u64) -> Option<(u32, Vec<i64>)> {
+            let w = self.s.cell(addr)?.write;
+            w.is_some()
+                .then(|| (w.stmt.0, self.snaps.resolve(w.snap).to_vec()))
         }
     }
 

@@ -346,8 +346,8 @@ pub fn degradation_section(deg: &polyresist::RunDegradation) -> String {
     );
     let _ = writeln!(
         s,
-        "  unresolved accesses (shadow alloc)  : {} ({} failures)",
-        deg.unresolved_accesses, deg.shadow_alloc_failures
+        "  unresolved accesses (shadow alloc)  : {}",
+        deg.shadow_alloc_failures
     );
     let _ = writeln!(
         s,

@@ -528,12 +528,22 @@ impl FoldingSink {
     /// The folder of the dependence stream `(kind, src, dst, class)`, built
     /// on first sight.
     #[inline(always)]
-    fn dep_folder(
+    fn dep_folder(&mut self, key: DepKey, src_dim: usize, dst_dim: usize) -> &mut StreamFolder {
+        let slot = self.dep_slot(key, src_dim, dst_dim);
+        let (_, folder) = &mut self.deps[slot];
+        Self::maybe_degrade(&self.budget, &mut self.stats, folder);
+        folder
+    }
+
+    /// The slot in `deps` of [`dep_folder`](Self::dep_folder)'s folder,
+    /// built (and charged to the budget) on first sight.
+    #[inline(always)]
+    fn dep_slot(
         &mut self,
         (kind, src, dst, class): DepKey,
         src_dim: usize,
         dst_dim: usize,
-    ) -> &mut StreamFolder {
+    ) -> usize {
         let idx = dst.0 as usize;
         if idx >= self.dep_slots.len() {
             self.dep_slots.resize_with(idx + 1, Vec::new);
@@ -557,9 +567,54 @@ impl FoldingSink {
                 slot
             }
         };
-        let (_, folder) = &mut self.deps[slot as usize];
-        Self::maybe_degrade(&self.budget, &mut self.stats, folder);
-        folder
+        slot as usize
+    }
+
+    /// Resolve the folder of a run's key as the key's next event would —
+    /// built and charged on first sight, degraded once the budget has
+    /// latched pressure — and return its index for
+    /// [`folder_at`](Self::folder_at).
+    fn resolve(&mut self, key: &BodyKey<'_>, class: u8) -> usize {
+        let dim = key.split;
+        match key.kind {
+            EventKind::Point | EventKind::PointValue => {
+                self.stmt_folder(key.a, dim);
+                key.a.0 as usize
+            }
+            EventKind::Load | EventKind::Store => {
+                self.access_folder(key.a, dim, key.kind == EventKind::Store);
+                key.a.0 as usize
+            }
+            EventKind::Dep(kind) => {
+                let slot = self.dep_slot((kind, key.a, key.b, class), dim, key.base.len() - dim);
+                Self::maybe_degrade(&self.budget, &mut self.stats, &mut self.deps[slot].1);
+                slot
+            }
+        }
+    }
+
+    /// The folder [`resolve`](Self::resolve) returned `at` for, as it is.
+    fn folder_at(&mut self, kind: EventKind, at: usize) -> &mut StreamFolder {
+        let folder = match kind {
+            EventKind::Point | EventKind::PointValue => self.stmts[at].as_mut(),
+            EventKind::Load | EventKind::Store => self.accesses[at].as_mut().map(|(f, _)| f),
+            EventKind::Dep(_) => self.deps.get_mut(at).map(|(_, f)| f),
+        };
+        folder.expect("a resolved folder")
+    }
+
+    /// Fold `m` repeats of `key`, from `base` on, into its folder `at`.
+    fn fold_run(&mut self, key: &BodyKey<'_>, at: usize, base: &[i64], m: u64) {
+        let (x, y) = base.split_at(key.split);
+        let (sx, sy) = key.stride.split_at(key.split);
+        let folder = self.folder_at(key.kind, at);
+        match key.kind {
+            EventKind::Point => folder.push_run(x, sx, None, m),
+            EventKind::PointValue | EventKind::Load | EventKind::Store => {
+                folder.push_run(x, sx, Some((y, sy)), m)
+            }
+            EventKind::Dep(_) => folder.push_run(y, sy, Some((x, sx)), m),
+        }
     }
 
     /// The carried class of a dependence key's events along a run of `n`,
@@ -629,14 +684,21 @@ impl FoldSink for FoldingSink {
 
     /// Fold each key's `n` events into its own folder at once
     /// ([`StreamFolder::push_run`]): the folders are independent, so the
-    /// order across keys does not matter. Spelled out event by event
-    /// instead when a budget is attached (its pressure may arrive mid-run),
-    /// when two keys feed one folder — a point with and without a value, or
-    /// a load and a store, of one statement, or one dependence key twice —
-    /// or when a dependence key's carried class changes along the run.
+    /// order across keys does not matter — except to a budget, which is
+    /// charged and degrades folders as the events would have it. Every
+    /// key's folder is resolved first, in body order, as the first repeat
+    /// resolves it: a new folder is charged, and one resolved after the
+    /// budget latched pressure degrades. Only a new folder charges, so
+    /// pressure can latch only there; if it latches at key `j`, the keys
+    /// before `j` fold their first repeat precise and the rest coarse, since
+    /// the second repeat finds them degraded. Spelled out event by event
+    /// instead when two keys feed one folder — a point with and without a
+    /// value, or a load and a store, of one statement, or one dependence key
+    /// twice — or when a dependence key's carried class changes along the
+    /// run.
     fn body_run(&mut self, body: &[BodyKey<'_>], n: u64) {
         let k = body.len();
-        if self.budget.is_some() || k > KMAX {
+        if k > KMAX {
             expand_run(self, body, n);
             return;
         }
@@ -662,30 +724,36 @@ impl FoldSink for FoldingSink {
             expand_run(self, body, n);
             return;
         }
-        for (key, &class) in body.iter().zip(&classes) {
-            let (x, y) = key.base.split_at(key.split);
-            let (sx, sy) = key.stride.split_at(key.split);
+        // `latch`: the first key resolved under pressure (`k`: none).
+        let mut at = [0; KMAX];
+        let mut latch = k;
+        for (i, (key, &class)) in body.iter().zip(&classes).enumerate() {
+            at[i] = self.resolve(key, class);
+            if latch == k && self.budget.as_ref().is_some_and(|b| b.under_pressure()) {
+                latch = i;
+            }
+        }
+        for (i, (key, &at)) in body.iter().zip(&at).enumerate() {
             self.stats.events_folded += n;
             match key.kind {
-                EventKind::Point => {
-                    self.total_ops += n;
-                    self.stmt_folder(key.a, x.len()).push_run(x, sx, None, n);
+                EventKind::Point | EventKind::PointValue => self.total_ops += n,
+                EventKind::Load | EventKind::Store => {}
+                EventKind::Dep(_) => self.stats.deps_folded += n,
+            }
+            if i < latch && latch < k && n > 1 {
+                // Pressure latched at a later key of the first repeat.
+                self.fold_run(key, at, key.base, 1);
+                let folder = self.folder_at(key.kind, at);
+                if !folder.is_coarse() {
+                    folder.degrade();
+                    self.stats.budget_degraded += 1;
                 }
-                EventKind::PointValue => {
-                    self.total_ops += n;
-                    self.stmt_folder(key.a, x.len())
-                        .push_run(x, sx, Some((y, sy)), n);
-                }
-                EventKind::Load | EventKind::Store => {
-                    let is_write = key.kind == EventKind::Store;
-                    self.access_folder(key.a, x.len(), is_write)
-                        .push_run(x, sx, Some((y, sy)), n);
-                }
-                EventKind::Dep(kind) => {
-                    self.stats.deps_folded += n;
-                    self.dep_folder((kind, key.a, key.b, class), x.len(), y.len())
-                        .push_run(y, sy, Some((x, sx)), n);
-                }
+                let next: Vec<i64> = (key.base.iter().zip(key.stride))
+                    .map(|(&w, &s)| w.wrapping_add(s))
+                    .collect();
+                self.fold_run(key, at, &next, n - 1);
+            } else {
+                self.fold_run(key, at, key.base, n);
             }
         }
     }

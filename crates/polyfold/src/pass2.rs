@@ -154,7 +154,6 @@ fn fold(prog: &Program, source: &Source<'_>, cfg: &Pass2) -> Result<Pass2Out, Po
     let fs = sink.fold_stats();
     let mut deg = RunDegradation {
         shadow_alloc_failures: tallies.shadow_alloc_failures,
-        unresolved_accesses: tallies.shadow_alloc_failures,
         budget_overapprox_stmts: fs.budget_degraded,
         ..RunDegradation::default()
     };

@@ -520,10 +520,8 @@ pub struct RunDegradation {
     pub faults_injected: u64,
     /// Source heartbeats an armed fault plan stalled.
     pub stalled_beats: u64,
-    /// Memory accesses whose dependences were skipped because the shadow
-    /// page could not be allocated.
-    pub unresolved_accesses: u64,
-    /// Shadow page allocations that failed (injected).
+    /// Shadow page allocations that failed (injected). Each left one
+    /// memory access without its dependences.
     pub shadow_alloc_failures: u64,
     /// Statements folded in budget over-approximation mode.
     pub budget_overapprox_stmts: u64,
@@ -540,7 +538,6 @@ impl RunDegradation {
     pub fn is_degraded(&self) -> bool {
         self.faults_injected > 0
             || self.stalled_beats > 0
-            || self.unresolved_accesses > 0
             || self.shadow_alloc_failures > 0
             || self.budget_overapprox_stmts > 0
             || self.deadline_hit
@@ -559,13 +556,12 @@ impl RunDegradation {
         format!(
             concat!(
                 "{{\"faults_injected\":{},\"stalled_beats\":{},",
-                "\"unresolved_accesses\":{},\"shadow_alloc_failures\":{},",
+                "\"shadow_alloc_failures\":{},",
                 "\"budget_overapprox_stmts\":{},\"deadline_hit\":{},",
                 "\"budget_pressure\":{},\"peak_tracked_bytes\":{}}}"
             ),
             self.faults_injected,
             self.stalled_beats,
-            self.unresolved_accesses,
             self.shadow_alloc_failures,
             self.budget_overapprox_stmts,
             self.deadline_hit,

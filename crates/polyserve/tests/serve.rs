@@ -806,11 +806,11 @@ fn chaos_loadgen_gate() {
                 // reported degradation truthfully.
                 assert!(report_json.contains("\"degradation\":"), "{report_json}");
                 assert!(
-                    report_json.contains("\"unresolved_accesses\":"),
+                    report_json.contains("\"shadow_alloc_failures\":"),
                     "{report_json}"
                 );
                 assert!(
-                    !report_json.contains("\"unresolved_accesses\":0"),
+                    !report_json.contains("\"shadow_alloc_failures\":0"),
                     "{report_json}"
                 );
                 chaos_outcomes += 1;

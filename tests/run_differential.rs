@@ -13,7 +13,8 @@
 //! The bodies here break each of those conditions on purpose: zero,
 //! negative, off-dimension and jumping strides, words next to the `i64`
 //! limits, dependences whose class flips mid-run, keys that share a folder,
-//! and budgets whose pressure arrives mid-run.
+//! and budgets whose pressure latches before the run or inside it, where a
+//! key past the first builds its folder.
 
 mod common;
 
@@ -26,6 +27,7 @@ use polyprof_core::polyir::{InstrRef, Program};
 use polyprof_core::polyresist::ResourceBudget;
 use proptest::prelude::*;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// SplitMix64: the case's details drawn from one seed.
 struct Rng(u64);
@@ -267,18 +269,24 @@ proptest! {
     /// spelled repeats and one off-stride event: the sink taking the runs
     /// whole and the
     /// sink taking them event by event fold the same DDG with the same
-    /// statistics — with no budget, a roomy one, and one whose pressure
-    /// latches mid-stream. With `bend`, some keys' runs continue the
-    /// warm-up's line for one repeat and then leave it.
+    /// statistics — with no budget, a roomy one, one whose pressure latches
+    /// mid-stream, and one whose pressure latches inside the first run, at
+    /// key `j`: only the keys before `j` are warmed up, and the limit is
+    /// what the sink holds once they have folded their first repeat. With
+    /// `bend`, some keys' runs continue the warm-up's line for one repeat
+    /// and then leave it.
     #[test]
     fn body_runs_fold_like_their_events(
         seed in 0u32..u32::MAX, k in 1usize..=64, n in 1u32..24,
         warm in 0i64..4, chain in 0u32..6,
-        collide in 0u8..4, flip in 0u8..2, extreme in 0u8..3, budget in 0u8..4,
+        collide in 0u8..4, flip in 0u8..2, extreme in 0u8..3, budget in 0u8..5,
         bend in 0u8..3, tail in 0u8..2,
     ) {
         let (mut rng, n, chain) = (Rng(seed.into()), u64::from(n), u64::from(chain));
-        let warmed = body(&mut rng, k, collide == 0, flip == 1, extreme == 0);
+        // Budget 4's bodies are short and fold whole as far as their
+        // strides allow.
+        let (wild, k) = (budget != 4, if budget == 4 { 1 + k % 8 } else { k });
+        let warmed = body(&mut rng, k, wild && collide == 0, wild && flip == 1, wild && extreme == 0);
         let keys: Vec<Key> = warmed
             .iter()
             .map(|key| match bend == 0 && rng.below(2) == 0 {
@@ -289,17 +297,41 @@ proptest! {
         let body_keys: Vec<BodyKey<'_>> = keys.iter().map(Key::body_key).collect();
         let prog = stencil(4, 1);
         let interner = interner(&prog);
-        let [mut whole, mut spelled] = [(); 2].map(|_| {
+        let j = match (budget, k) {
+            (4, 2..) => 1 + rng.below(k as u64 - 1) as usize,
+            (4, _) => 0,
+            _ => k,
+        };
+        let start = |budget: Option<&Arc<ResourceBudget>>| {
             let mut sink = FoldingSink::new();
-            if budget > 1 {
-                let limit = if budget == 2 { 1 << 30 } else { 40_000 };
-                sink.set_budget(Arc::new(ResourceBudget::new(Some(limit), None)));
+            if let Some(b) = budget {
+                sink.set_budget(Arc::clone(b));
             }
-            spell(&mut sink, &warmed, -warm, 0);
+            spell(&mut sink, &warmed[..j], -warm, 0);
             sink
-        });
+        };
+        let limit = match budget {
+            2 => Some(1 << 30),
+            3 => Some(40_000),
+            4 => {
+                let meter = Arc::new(ResourceBudget::new(None, None));
+                let mut probe = start(Some(&meter));
+                expand_run(&mut probe, &body_keys[..j], 1);
+                Some(meter.used_bytes())
+            }
+            _ => None,
+        };
+        let budgets = [(); 2].map(|_| limit.map(|l| Arc::new(ResourceBudget::new(Some(l), None))));
+        let [mut whole, mut spelled] = [0, 1].map(|s| start(budgets[s].as_ref()));
+        let latched = || budgets[0].as_ref().is_some_and(|b| b.under_pressure());
+        let latched_before = latched();
         whole.body_run(&body_keys, n);
         expand_run(&mut spelled, &body_keys, n);
+        if budget == 4 {
+            // Key `j` has no folder yet, and no earlier key shares one with
+            // it: building it latches the pressure.
+            prop_assert!(!latched_before && latched());
+        }
         // Later events can hide a wrongly accepted run in the fold; the
         // statistics show it at once.
         prop_assert_eq!(whole.fold_stats(), spelled.fold_stats());
@@ -324,9 +356,22 @@ proptest! {
 /// A regular body — a point with a value, a load, a store and a carried
 /// dependence, each moving along the last dimension — taken whole by
 /// `body_run` costs O(keys): 2⁴⁰ repeats fold at once, to the domain and
-/// the statistics those repeats spell, every one of them predicted.
+/// the statistics those repeats spell, every one of them predicted. So it
+/// does under a roomy byte limit and under a deadline alone: the test
+/// finishes only if no run is spelled out.
 #[test]
 fn a_regular_run_folds_in_constant_time() {
+    let budgets = [
+        None,
+        Some(ResourceBudget::new(Some(1 << 40), None)),
+        Some(ResourceBudget::new(None, Some(Duration::from_secs(3600)))),
+    ];
+    for budget in budgets.map(|b| b.map(Arc::new)) {
+        regular_run_folds_whole(budget);
+    }
+}
+
+fn regular_run_folds_whole(budget: Option<Arc<ResourceBudget>>) {
     let n = 1u64 << 40;
     let keys = [
         Key {
@@ -365,6 +410,9 @@ fn a_regular_run_folds_in_constant_time() {
     let body: Vec<BodyKey<'_>> = keys.iter().map(Key::body_key).collect();
     let warmed = || {
         let mut sink = FoldingSink::new();
+        if let Some(b) = &budget {
+            sink.set_budget(Arc::clone(b));
+        }
         spell(&mut sink, &keys, -1, 0);
         sink
     };
