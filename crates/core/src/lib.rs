@@ -39,6 +39,7 @@ pub use polystatic;
 pub use polytrace;
 pub use polyvm;
 
+pub use polyfold::pass2::Replay;
 pub use polyresist::{FaultPlan, FaultSite, PolyProfError, ResourceBudget, RunDegradation};
 pub use polytrace::{MetricsLevel, RunMetrics};
 
@@ -103,8 +104,11 @@ pub struct Report {
     /// for a clean run — which every run without a fault plan or budget is.
     pub degradation: RunDegradation,
     /// Canonical text of the folded DDG after SCEV removal — the
-    /// deterministic byte-comparison artifact (`full_text` is *not*
-    /// byte-stable across runs; this is). Captured only when
+    /// byte-comparison artifact: what the tests, the server and the ledger
+    /// compare between runs. (`full_text` has matched wherever it was
+    /// compared, and `generous_budget_is_invisible` and the replay tests
+    /// assert it, but no serving or benchmark check rests on it.) Captured
+    /// only when
     /// [`ProfileConfig::with_canonical`] asked for it; `None` otherwise so
     /// the default path allocates nothing extra.
     pub canonical_ddg: Option<String>,
@@ -209,14 +213,15 @@ pub struct ProfileConfig {
     /// [`ProfileConfig::replay_from`] with byte-identical results.
     /// Contradicts `replay_from` (a replay has no VM run to tap).
     pub record_to: Option<PathBuf>,
-    /// Run no VM at all and rebuild the profile from a `.ptrace` recording
-    /// at this path instead: pass 1's structure from its structure section
+    /// Run no VM at all and rebuild the profile from this `.ptrace`
+    /// recording instead — a file, streamed, or bytes in memory, read in
+    /// place: pass 1's structure from its structure section
     /// (the `structure` span times the rebuild), the fold from its frames.
     /// The recording's program id must match `prog`. Budget, deadline,
     /// cancellation, fault plan and metrics apply to the replayed fold
     /// exactly as to a live one;
     /// `record_to` contradicts it (there is no VM run to tap).
-    pub replay_from: Option<PathBuf>,
+    pub replay_from: Option<Replay>,
     /// Use this externally-owned budget instead of constructing one from
     /// `memory_budget`/`deadline` — the handle through which a run is watched
     /// and stopped from outside. Whoever keeps a clone reads
@@ -315,9 +320,10 @@ impl ProfileConfig {
     }
 
     /// Fold a `.ptrace` recording instead of re-running the VM (see
-    /// [`ProfileConfig::replay_from`]).
-    pub fn with_replay_from(mut self, path: impl Into<PathBuf>) -> Self {
-        self.replay_from = Some(path.into());
+    /// [`ProfileConfig::replay_from`]): a path, or the recording's bytes as
+    /// an `Arc<[u8]>`.
+    pub fn with_replay_from(mut self, recording: impl Into<Replay>) -> Self {
+        self.replay_from = Some(recording.into());
         self
     }
 
@@ -413,8 +419,8 @@ pub fn try_profile_with(prog: &Program, cfg: &ProfileConfig) -> Result<Report, P
     // the dynamic control structure, pass 2 streams the events. A recording
     // holds both, so a replay runs no VM and hands pass 1's output back.
     let (out, structure) = match &cfg.replay_from {
-        Some(path) => {
-            let mut out = polyfold::pass2::run(prog, &Source::Recording(path), &pass2)?;
+        Some(recording) => {
+            let mut out = polyfold::pass2::run(prog, &Source::Recording(recording), &pass2)?;
             let structure = out.structure.take().expect("a replay rebuilds pass 1");
             (out, structure)
         }
@@ -474,10 +480,9 @@ pub fn try_profile_with(prog: &Program, cfg: &ProfileConfig) -> Result<Report, P
     if let Some((c, _)) = &trace {
         c.add(Counter::OverapproxStmts, ddg.overapprox_stmts() as u64);
     }
-    // The canonical text is the run's byte-comparison artifact: unlike
-    // `full_text` it is deterministic across map-iteration orders, so a
-    // serving layer can compare a session's result bit-for-bit against a
-    // direct in-process run.
+    // The canonical text is the run's byte-comparison artifact: a serving
+    // layer compares a session's result bit-for-bit against a direct
+    // in-process run through it, never through `full_text`.
     let canonical_ddg = cfg.canonical.then(|| ddg.canonical_text());
 
     // Stage 4: scheduling + feedback.

@@ -374,12 +374,6 @@ impl<'p, F: FoldSink> DdgProfiler<'p, F> {
         self.shadow.resident_pages()
     }
 
-    /// Shadow-page allocations an armed fault plan refused: each left one
-    /// access without its dependences.
-    pub fn shadow_alloc_failures(&self) -> u64 {
-        self.shadow.alloc_failures()
-    }
-
     /// Heap footprint of spilled (> [`coords::INLINE_DIMS`]-dim) coordinate
     /// snapshots in bytes.
     pub fn arena_bytes(&self) -> usize {

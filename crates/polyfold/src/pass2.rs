@@ -17,6 +17,8 @@
 //! pass 1's graphs, so a [`Source::Recording`] runs no VM at all — [`run`]
 //! rebuilds the [`StaticStructure`] from the recording's structure section
 //! (under the `structure` span) and hands it back in [`Pass2Out::structure`].
+//! The recording is a file, streamed through a buffered reader, or bytes
+//! already in memory (a [`Replay`]), read in place; both decode the same way.
 //!
 //! The source side (`feed`) is generic over the sink it writes into, so the
 //! recording tap composes without touching the plain hot path, and the
@@ -49,10 +51,9 @@ use polyir::Program;
 use polyrec::{check_statements, check_structure, program_id, Recorder, TraceReader};
 use polyresist::{panic_msg, FaultPlan, PolyProfError, ResourceBudget, RunDegradation};
 use polytrace::{Collector, Counter, Stage};
-use std::fs::File;
-use std::io::BufReader;
+use std::io::Read;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// The live source: run the program under the profiler.
@@ -85,7 +86,37 @@ pub enum Source<'a> {
     /// A `.ptrace` recording of the program: its program id is checked, pass
     /// 1's structure is rebuilt from it, then every frame is replayed into
     /// the sink — no VM, no shadow memory.
-    Recording(&'a Path),
+    Recording(&'a Replay),
+}
+
+/// A `.ptrace` recording to replay: a file, or bytes already in memory.
+#[derive(Debug, Clone)]
+pub enum Replay {
+    /// A file, streamed frame by frame — never read whole.
+    File(PathBuf),
+    /// A whole recording in memory (an upload), read in place through
+    /// `&[u8]`: the replay borrows it, no copy of it is made.
+    Bytes {
+        /// What errors call the recording, in place of a path.
+        label: String,
+        /// The recording, shared with whoever handed it over.
+        bytes: Arc<[u8]>,
+    },
+}
+
+impl<T: ?Sized + AsRef<Path>> From<&T> for Replay {
+    fn from(path: &T) -> Self {
+        Replay::File(path.as_ref().to_path_buf())
+    }
+}
+
+impl From<Arc<[u8]>> for Replay {
+    fn from(bytes: Arc<[u8]>) -> Self {
+        Replay::Bytes {
+            label: "<in-memory recording>".to_string(),
+            bytes,
+        }
+    }
 }
 
 /// Knobs of one pass-2 run; each means the same for every [`Source`].
@@ -140,20 +171,23 @@ fn fold(prog: &Program, source: &Source<'_>, cfg: &Pass2) -> Result<Pass2Out, Po
             let (sink, interner, tallies) = feed(prog, live, cfg, sink)?;
             (sink, interner, tallies, None)
         }
-        Source::Recording(path) => {
-            let (reader, structure) = {
-                let _span = trace.map(|c| c.span(Stage::Structure));
-                open_recording(prog, path)?
-            };
-            let _span = trace.map(|c| c.span(Stage::Profile));
-            let (sink, interner, tallies) = replay(prog, path, reader, &structure, cfg, sink)?;
+        Source::Recording(Replay::File(path)) => {
+            let label = path.display().to_string();
+            let (sink, interner, tallies, structure) =
+                recording(prog, &label, || TraceReader::open(path), cfg, sink)?;
+            (sink, interner, tallies, Some(structure))
+        }
+        Source::Recording(Replay::Bytes { label, bytes }) => {
+            let open = || TraceReader::new(&bytes[..], label.clone());
+            let (sink, interner, tallies, structure) = recording(prog, label, open, cfg, sink)?;
             (sink, interner, tallies, Some(structure))
         }
     };
 
     let fs = sink.fold_stats();
+    // Shadow pages an armed fault plan refused are the plan's to count
+    // (`absorb_plan` below): each fire refused one page.
     let mut deg = RunDegradation {
-        shadow_alloc_failures: tallies.shadow_alloc_failures,
         budget_overapprox_stmts: fs.budget_degraded,
         ..RunDegradation::default()
     };
@@ -204,9 +238,6 @@ struct SourceTallies {
     /// What to add to the collector.
     counts: Vec<(Counter, u64)>,
     opcodes: Option<Box<polyvm::OpcodeTelemetry>>,
-    /// Shadow pages an armed fault plan refused; each left exactly one
-    /// access without its dependences.
-    shadow_alloc_failures: u64,
 }
 
 /// Stream the live source into `out`. Generic over the sink, so the
@@ -278,7 +309,6 @@ fn run_profiler<S: FoldSink>(
             (Counter::ArenaBytes, prof.arena_bytes() as u64),
         ],
         opcodes: vm.take_opcode_telemetry(),
-        shadow_alloc_failures: prof.shadow_alloc_failures(),
     };
     let (out, interner) = prof.finish();
     Ok((out, interner, tallies))
@@ -294,26 +324,46 @@ impl FoldSink for Discard {
     fn dependence(&mut self, _: DepKind, _: StmtId, _: &[i64], _: StmtId, _: &[i64]) {}
 }
 
-fn recording_err(path: &Path, detail: String) -> PolyProfError {
+fn recording_err(label: &str, detail: String) -> PolyProfError {
     PolyProfError::Recording {
-        path: path.display().to_string(),
+        path: label.to_string(),
         detail,
     }
 }
 
-/// Open a recording, check that it was captured from `prog`, and rebuild
+/// The recording source, over whatever `open` reads it through: open it and
+/// rebuild pass 1's structure (the `structure` span), then replay its frames
+/// into `sink` (the `profile` span).
+fn recording<R: Read>(
+    prog: &Program,
+    label: &str,
+    open: impl FnOnce() -> Result<TraceReader<R>, PolyProfError>,
+    cfg: &Pass2,
+    sink: FoldingSink,
+) -> Result<(FoldingSink, ContextInterner, SourceTallies, StaticStructure), PolyProfError> {
+    let trace = cfg.trace.as_deref();
+    let (reader, structure) = {
+        let _span = trace.map(|c| c.span(Stage::Structure));
+        open_recording(prog, label, open()?)?
+    };
+    let _span = trace.map(|c| c.span(Stage::Profile));
+    let (sink, interner, tallies) = replay(prog, label, reader, &structure, cfg, sink)?;
+    Ok((sink, interner, tallies, structure))
+}
+
+/// Check that an opened recording was captured from `prog`, and rebuild
 /// pass 1's structure from its structure section — checked against `prog`
 /// before anything indexes with it.
-fn open_recording(
+fn open_recording<R: Read>(
     prog: &Program,
-    path: &Path,
-) -> Result<(TraceReader<BufReader<File>>, StaticStructure), PolyProfError> {
-    let mut reader = TraceReader::open(path)?;
+    label: &str,
+    mut reader: TraceReader<R>,
+) -> Result<(TraceReader<R>, StaticStructure), PolyProfError> {
     let want = program_id(prog);
     let got = reader.meta().program_id;
     if want != got {
         return Err(recording_err(
-            path,
+            label,
             format!(
                 "program id mismatch: recording was captured from {got:#018x}, \
                  replaying against {want:#018x} ({})",
@@ -322,7 +372,7 @@ fn open_recording(
         ));
     }
     let graphs = reader.take_structure();
-    check_structure(prog, &graphs).map_err(|d| recording_err(path, d))?;
+    check_structure(prog, &graphs).map_err(|d| recording_err(label, d))?;
     let (cfgs, cg_edges) = graphs;
     Ok((reader, StaticStructure::from_graphs(prog, cfgs, cg_edges)))
 }
@@ -332,10 +382,10 @@ fn open_recording(
 /// then check the footer's statement table against `prog` and `structure`.
 /// Once the deadline latches, the remaining frames are decoded and verified —
 /// the statement table is in the footer — but not folded.
-fn replay<S: FoldSink>(
+fn replay<S: FoldSink, R: Read>(
     prog: &Program,
-    path: &Path,
-    mut reader: TraceReader<BufReader<File>>,
+    label: &str,
+    mut reader: TraceReader<R>,
     structure: &StaticStructure,
     cfg: &Pass2,
     mut out: S,
@@ -355,7 +405,7 @@ fn replay<S: FoldSink>(
         }
     }
     let (interner, stats) = reader.finish()?;
-    check_statements(prog, structure, &interner).map_err(|d| recording_err(path, d))?;
+    check_statements(prog, structure, &interner).map_err(|d| recording_err(label, d))?;
     let tallies = SourceTallies {
         counts: vec![
             (Counter::RecFramesRead, stats.frames),

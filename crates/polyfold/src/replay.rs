@@ -6,7 +6,7 @@
 //! [`FoldedDdg::canonical_text`]) to the live fold — the invariant the CI
 //! replay gate enforces.
 
-use crate::pass2::{run, Pass2, Source};
+use crate::pass2::{run, Pass2, Replay, Source};
 use crate::{FoldOptions, FoldedDdg};
 use polyiiv::context::ContextInterner;
 use polyir::Program;
@@ -34,6 +34,6 @@ pub fn fold_recording(
         trace: trace.cloned(),
         ..Pass2::default()
     };
-    let out = run(prog, &Source::Recording(path), &cfg)?;
+    let out = run(prog, &Source::Recording(&Replay::from(path)), &cfg)?;
     Ok((out.ddg, out.interner))
 }

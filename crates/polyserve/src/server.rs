@@ -31,8 +31,10 @@
 //!   answers the owner on a channel (`Started`, then `Done` with the
 //!   session's result);
 //! - a **folded-DDG cache** keyed by `(program id, input hash)` with
-//!   single-flight dedup: identical clean submissions fold once, every
-//!   other session waits for (or reuses) that result. An entry is the
+//!   single-flight dedup, decided at admission: the first of identical clean
+//!   submissions is queued as the key's leader, and every other one reuses
+//!   its result — at once if it is published, else after waiting for it on
+//!   its own connection thread, with no queue slot or worker. An entry is the
 //!   session-independent tail of the report, rendered once by the leader
 //!   that folded it — its own `final` frame and every later hit are a fresh
 //!   head in front of those same bytes. The cache holds at most 8 MiB of
@@ -46,7 +48,7 @@ use crate::wire::{
     fnv1a, json_has, json_str, json_u64, push_frame, read_frame, write_json, KIND_BINARY, KIND_JSON,
 };
 use polyir::Program;
-use polyprof_core::{try_profile_with, FaultPlan, ProfileConfig, ResourceBudget};
+use polyprof_core::{try_profile_with, FaultPlan, ProfileConfig, Replay, ResourceBudget};
 use polytrace::service::{ServiceCounter, ServiceStats};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -71,7 +73,9 @@ pub struct ServerConfig {
     pub refill_per_sec: f64,
     /// Per-session watchdog deadline, measured from the moment a worker
     /// starts the session (queue wait does not eat into it — the budget is
-    /// re-armed at run start).
+    /// re-armed at run start). With the grace it also bounds how long a
+    /// session waits, from admission, for the single-flight leader of its
+    /// cache key before it folds independently.
     pub session_deadline: Duration,
     /// Grace past the deadline before the session's owner — its connection
     /// thread — force-cancels a run that did not stop on its own.
@@ -108,14 +112,15 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 enum JobKind {
     /// A registered workload, run through the VM on an empty input.
     Program,
-    /// An uploaded `.ptrace` recording, re-folded offline.
-    Trace(Vec<u8>),
+    /// An uploaded `.ptrace` recording, re-folded offline from the bytes it
+    /// arrived in ([`Replay::Bytes`]).
+    Trace(Replay),
 }
 
 /// What a worker tells the connection thread that owns the session.
 enum Msg {
-    /// The fold begins at this instant: queue wait and single-flight are
-    /// over and the budget's deadline was just re-armed.
+    /// The fold begins at this instant: queue wait is over and the budget's
+    /// deadline was just re-armed.
     Started(Instant),
     /// How the session ended, for the owner to frame and write.
     Done(SessionResult),
@@ -123,11 +128,12 @@ enum Msg {
 
 /// One admitted session, queued for a worker.
 struct Job {
-    session: u64,
     prog: Arc<Program>,
-    /// Where the cache keeps this session's result; `None` for a session
-    /// that may neither hit nor populate it.
-    cache_key: Option<CacheKey>,
+    /// The cache key this session leads the single flight of, claimed
+    /// `Pending` at admission: its clean result is published there, anything
+    /// else retracts the claim. `None` for a session that may not populate
+    /// the cache, or that gave up waiting for a wedged leader.
+    lead: Option<CacheKey>,
     kind: JobKind,
     fault_plan: Option<Arc<FaultPlan>>,
     /// Shared with the owner, which watches and cancels the run through it.
@@ -216,9 +222,21 @@ struct CachedRun {
     tail: String,
 }
 
+/// What admission does with a submission, decided under the scheduler lock.
+enum Admission {
+    /// The cache holds the result: answer it now, on the connection thread.
+    Hit(Arc<CachedRun>),
+    /// Another session leads this key's single flight: wait for its result.
+    Wait(CacheKey),
+    /// Queue the session for a worker — as the leader of this key's single
+    /// flight, when there is one.
+    Fold(Option<CacheKey>),
+}
+
 /// Single-flight cache slot.
 enum CacheEntry {
-    /// A leader session is folding this key right now.
+    /// A leader session, claimed at admission, is queued for or folding
+    /// this key.
     Pending,
     /// Folded and clean; reuse freely. `stamp` is the cache's clock at the
     /// entry's publication or latest hit.
@@ -258,6 +276,17 @@ impl Cache {
                 true
             }
             Entry::Occupied(_) => false,
+        }
+    }
+
+    /// Single flight, at admission: a published result under `key` is a hit,
+    /// a `Pending` one is waited for, and a vacant key is claimed for the
+    /// submission to lead.
+    fn admit(&mut self, key: CacheKey) -> Admission {
+        match self.hit(&key) {
+            Some(run) => Admission::Hit(run),
+            None if self.lead(key) => Admission::Fold(Some(key)),
+            None => Admission::Wait(key),
         }
     }
 
@@ -309,9 +338,11 @@ struct Inner {
     stats: ServiceStats,
     sched: Mutex<Sched>,
     work_cv: Condvar,
-    /// Taken after `sched` where both are held (the peek at admission),
-    /// never the other way round.
+    /// Taken after `sched` where both are held (the single-flight decision
+    /// at admission), never the other way round.
     cache: Mutex<Cache>,
+    /// Notified when a leader publishes or retracts; single-flight waiters
+    /// — connection threads — wait on it.
     cache_cv: Condvar,
     next_session: AtomicU64,
     stop: AtomicBool,
@@ -401,20 +432,15 @@ pub fn serve(
 }
 
 /// Block in `accept` until a client — or [`Inner::shut_down`] — connects.
-/// Returning drops the listener, so later connects are refused.
-///
-/// Accepted sockets keep Nagle's algorithm on. An answer that is one write
-/// (a hit, a rejection, `pong`) has nothing un-ACKed in front of it and
-/// leaves at once; the `final` of a queued session, written behind an
-/// `accepted` the client has not ACKed yet, waits out the client's ~40 ms
-/// delayed ACK. `set_nodelay(true)` on the accepted socket ends that wait;
-/// DESIGN.md §10 ("Wire") says what it measures and why it is not set yet.
+/// Returning drops the listener, so later connects are refused. Each
+/// accepted socket gets [`prepare_conn`] before its connection thread starts.
 fn accept_loop(inner: &Arc<Inner>, listener: TcpListener) {
     for stream in listener.incoming() {
         if inner.stop.load(Ordering::SeqCst) {
             return;
         }
         if let Ok(stream) = stream {
+            prepare_conn(&stream);
             let inner = Arc::clone(inner);
             // Connection threads are detached: a client holding an idle
             // connection open must not block shutdown. They exit on peer
@@ -424,6 +450,17 @@ fn accept_loop(inner: &Arc<Inner>, listener: TcpListener) {
             });
         }
     }
+}
+
+/// Per-connection socket setup: Nagle's algorithm off. A session's frames
+/// follow one another by moments — `accepted`, `progress`, `final` — and
+/// under Nagle each one after the first waits for the client's ACK of the
+/// one before, which the client, blocked in `read` with nothing to send,
+/// holds for its delayed-ACK timer (~40 ms on Linux). Every frame is one
+/// write ([`crate::wire`]), so nothing is left for Nagle to coalesce. A
+/// socket that refuses the option is served anyway, only slower.
+fn prepare_conn(stream: &TcpStream) {
+    let _ = stream.set_nodelay(true);
 }
 
 fn handle_conn(inner: &Arc<Inner>, stream: TcpStream) -> io::Result<()> {
@@ -491,11 +528,13 @@ fn handle_conn(inner: &Arc<Inner>, stream: TcpStream) -> io::Result<()> {
     }
 }
 
-/// Admission: validate, rate-limit, peek the cache, load-shed, enqueue.
-/// Writes exactly one of `error` / `overloaded` / `accepted` to the client.
-/// A submission whose result the cache holds is answered here, `accepted` and
-/// `final` in one write ([`write_hit`]); after any other `accepted` this
-/// thread stays with the session until its terminal frame ([`own_session`]).
+/// Admission: validate, rate-limit, decide single flight, load-shed,
+/// enqueue. Writes exactly one of `error` / `overloaded` / `accepted` to the
+/// client. A submission whose result the cache holds is answered here,
+/// `accepted` and `final` in one write ([`write_hit`]); one whose result a
+/// leader is folding waits for it here ([`await_leader`]) and is answered
+/// the same way; after any other `accepted` this thread stays with the
+/// session until its terminal frame ([`own_session`]).
 fn handle_submit<W: Write>(
     inner: &Arc<Inner>,
     stream: &mut W,
@@ -567,8 +606,8 @@ fn handle_submit<W: Write>(
     let cache_key =
         (fault_plan.is_none() && memory_budget.is_none()).then_some((prog_id, input_hash));
 
-    // Admission proper, under the scheduler lock: token bucket, then the
-    // cache, then the queue bound, then the job joins its tenant's queue.
+    // Admission proper, under the scheduler lock: token bucket, then single
+    // flight, then the queue bound, then the job joins its tenant's queue.
     // Both rejections carry a retry_after_ms hint.
     let mut guard = lock(&inner.sched);
     let sched = &mut *guard;
@@ -586,53 +625,94 @@ fn handle_submit<W: Write>(
         );
         return write_json(stream, &body);
     }
-    // A result the cache holds needs no worker, so no queue slot either: the
-    // queue bound sheds only what would have to wait for one.
-    let hit = cache_key.and_then(|key| lock(&inner.cache).hit(&key));
-    if hit.is_none() && sched.queued >= inner.cfg.queue_cap {
-        let wait_ms = ((sched.queued as u64 * 20) / inner.cfg.workers.max(1) as u64).clamp(10, 500);
-        drop(guard);
-        inner.stats.add(ServiceCounter::RejectedQueueFull, 1);
-        let body = format!(
-            "{{\"type\": \"overloaded\", \"reason\": \"queue_full\", \"retry_after_ms\": {wait_ms}}}"
-        );
-        return write_json(stream, &body);
+    let mut admission = match cache_key {
+        Some(key) => lock(&inner.cache).admit(key),
+        None => Admission::Fold(None),
+    };
+    // A result the cache holds, or one a leader is folding, needs no worker
+    // of its own, so no queue slot either: the queue bound sheds only what
+    // would have to wait for one.
+    if let Admission::Fold(lead) = &admission {
+        if sched.queued >= inner.cfg.queue_cap {
+            if let Some(key) = lead {
+                // Claimed under this same lock, so nobody waits on it yet.
+                lock(&inner.cache).remove(key);
+            }
+            let wait_ms =
+                ((sched.queued as u64 * 20) / inner.cfg.workers.max(1) as u64).clamp(10, 500);
+            drop(guard);
+            inner.stats.add(ServiceCounter::RejectedQueueFull, 1);
+            let body = format!(
+                "{{\"type\": \"overloaded\", \"reason\": \"queue_full\", \"retry_after_ms\": {wait_ms}}}"
+            );
+            return write_json(stream, &body);
+        }
     }
     bucket.tokens -= 1.0;
     let session = inner.next_session.fetch_add(1, Ordering::Relaxed);
     inner.stats.add(ServiceCounter::Admitted, 1);
-    if let Some(run) = hit {
-        // Answered here, by this thread, with every worker free to be busy.
-        // Nothing can wedge, so there is no budget to arm and no watchdog to
-        // be; it never queued, so it leaves no queue-wait sample; and no lock
-        // is held across the write.
-        drop(guard);
-        inner.stats.add(ServiceCounter::CacheHits, 1);
+
+    // A hit — at once, or after waiting for its leader — is answered here,
+    // by this thread, with every worker free to be busy. Nothing can wedge,
+    // so there is no budget to arm and no watchdog to be; it never queued,
+    // so it leaves no queue-wait sample; and no lock is held across the
+    // write.
+    let answer = |stream: &mut W, run: &CachedRun, reuse: ServiceCounter| {
+        inner.stats.add(reuse, 1);
         inner.stats.add(ServiceCounter::CompletedClean, 1);
         let io = write_hit(stream, &workload, session, &run.tail);
         inner
             .stats
             .record_session_wall_ns(now.elapsed().as_nanos() as u64);
-        return io;
-    }
+        io
+    };
+    let until = now + deadline + inner.cfg.deadline_grace;
+    let lead = loop {
+        let key = match admission {
+            Admission::Fold(lead) => break lead,
+            Admission::Hit(run) => {
+                drop(guard);
+                return answer(stream, &run, ServiceCounter::CacheHits);
+            }
+            Admission::Wait(key) => key,
+        };
+        drop(guard);
+        if let Some(run) = await_leader(inner, key, until) {
+            return answer(stream, &run, ServiceCounter::SingleFlightWaits);
+        }
+        // The leader retracted (or its result was evicted before this thread
+        // woke), or it outlived this session's deadline plus grace: admission
+        // again, where this session may hit or lead the key itself — or, past
+        // its time, fold independently.
+        guard = lock(&inner.sched);
+        admission = match lock(&inner.cache).admit(key) {
+            Admission::Wait(_) if Instant::now() >= until => Admission::Fold(None),
+            decided => decided,
+        };
+    };
+
+    let sched = &mut *guard;
     let budget = Arc::new(ResourceBudget::new(memory_budget, Some(deadline)));
     let (owner, from_worker) = channel();
     if !sched.queues.contains_key(&tenant) {
         sched.rr.push(tenant.clone());
     }
     sched.queues.entry(tenant).or_default().push_back(Job {
-        session,
         prog,
-        cache_key,
+        lead,
         kind: match trace_bytes {
-            Some(b) => JobKind::Trace(b),
+            Some(bytes) => JobKind::Trace(Replay::Bytes {
+                label: format!("<upload of {workload}>"),
+                bytes: bytes.into(),
+            }),
             None => JobKind::Program,
         },
         fault_plan,
         // The deadline is armed here at admission but re-armed by the
         // worker at run start — queue wait never eats session time.
         budget: Arc::clone(&budget),
-        enqueued: now,
+        // Not `now`: a waiter that ends up folding was in no queue till here.
+        enqueued: Instant::now(),
         owner,
     });
     sched.queued += 1;
@@ -650,10 +730,30 @@ fn handle_submit<W: Write>(
     )
 }
 
+/// Wait on `cache_cv` while `key` is `Pending`, until `until`: the leader's
+/// published result, or `None` once it retracted, the result is gone, or
+/// the time ran out.
+fn await_leader(inner: &Inner, key: CacheKey, until: Instant) -> Option<Arc<CachedRun>> {
+    let mut cache = lock(&inner.cache);
+    loop {
+        if let Some(run) = cache.hit(&key) {
+            return Some(run);
+        }
+        let left = until.saturating_duration_since(Instant::now());
+        if !cache.entries.contains_key(&key) || left.is_zero() {
+            return None;
+        }
+        cache = inner
+            .cache_cv
+            .wait_timeout(cache, left)
+            .unwrap_or_else(|e| e.into_inner())
+            .0;
+    }
+}
+
 /// A session's terminal `final` frame, appended to `out`: the report is the
 /// session's own head in front of a rendered tail. The one builder of that
-/// frame — for a fresh result, a hit answered at admission and a hit found
-/// by a worker alike.
+/// frame — for a fresh result and a hit alike.
 fn push_final(
     out: &mut Vec<u8>,
     workload: &str,
@@ -792,54 +892,10 @@ fn worker_loop(inner: &Arc<Inner>) {
     }
 }
 
+/// Fold one queued session. Single flight was settled at admission: a
+/// session queued with a `lead` publishes or retracts that key here.
 fn run_session(inner: &Arc<Inner>, job: Job) {
     let t0 = Instant::now();
-
-    // Single-flight cache: hit, wait-for-leader, or become the leader. (A
-    // result that was there at admission never got here: this is for waiters,
-    // and for sessions queued when their leader published.)
-    let mut leading = None;
-    if let Some(key) = job.cache_key {
-        let mut cache = lock(&inner.cache);
-        let mut waited = false;
-        loop {
-            if let Some(run) = cache.hit(&key) {
-                drop(cache);
-                // One accounting event per session: a waiter that reuses
-                // the leader's result is a single-flight dedup, an
-                // immediate hit is a plain cache hit.
-                inner.stats.add(
-                    if waited {
-                        ServiceCounter::SingleFlightWaits
-                    } else {
-                        ServiceCounter::CacheHits
-                    },
-                    1,
-                );
-                let result = SessionResult::Report {
-                    run,
-                    cached: true,
-                    degraded: false,
-                };
-                finish_session(inner, &job, result, t0);
-                return;
-            }
-            if cache.lead(key) {
-                leading = Some(key);
-                break;
-            }
-            waited = true;
-            let (c, timeout) = inner
-                .cache_cv
-                .wait_timeout(cache, Duration::from_secs(30))
-                .unwrap_or_else(|e| e.into_inner());
-            cache = c;
-            if timeout.timed_out() {
-                // Leader wedged beyond reason: fold independently.
-                break;
-            }
-        }
-    }
 
     // The session's clock — its own deadline and its owner's watchdog —
     // starts now, not at admission.
@@ -849,9 +905,9 @@ fn run_session(inner: &Arc<Inner>, job: Job) {
     let result = fold_session(&job);
 
     // Leader resolution: publish a clean result — the very bytes this
-    // session's own frame carries — and retract everything else so waiters
-    // (and future submissions) fold for themselves.
-    if let Some(key) = leading {
+    // session's own frame carries — and retract everything else, so that
+    // waiters (and future submissions) go back through admission.
+    if let Some(key) = job.lead {
         let mut cache = lock(&inner.cache);
         let evicted = match &result {
             SessionResult::Report {
@@ -874,13 +930,9 @@ fn run_session(inner: &Arc<Inner>, job: Job) {
 
 /// How a session ended: what a worker hands the session's owner.
 enum SessionResult {
-    /// With a report, as its rendered session-independent tail — just
-    /// folded, or the cache's.
-    Report {
-        run: Arc<CachedRun>,
-        cached: bool,
-        degraded: bool,
-    },
+    /// With a report, as its rendered session-independent tail, just
+    /// folded.
+    Report { run: Arc<CachedRun>, degraded: bool },
     /// With a terminal pipeline error — a pass-2 panic is one, `StagePanic` —
     /// or a panic elsewhere in the session: the message of the `error`
     /// frame.
@@ -901,28 +953,14 @@ fn fold_session(job: &Job) -> SessionResult {
         cfg = cfg.with_fault_plan(Arc::new(plan.fork()));
     }
 
-    // Spool an uploaded recording to a scratch file for the replay path.
-    let mut scratch: Option<std::path::PathBuf> = None;
-    if let JobKind::Trace(bytes) = &job.kind {
-        let path = std::env::temp_dir().join(format!(
-            "polyserve-{}-{}.ptrace",
-            std::process::id(),
-            job.session
-        ));
-        if let Err(e) = std::fs::write(&path, bytes) {
-            return SessionResult::Failed(format!("spooling recording: {e}"));
-        }
-        cfg = cfg.with_replay_from(&path);
-        scratch = Some(path);
+    if let JobKind::Trace(upload) = &job.kind {
+        // Shares the bytes; copies none of them.
+        cfg = cfg.with_replay_from(upload.clone());
     }
 
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         try_profile_with(&job.prog, &cfg)
     }));
-
-    if let Some(path) = scratch {
-        let _ = std::fs::remove_file(path);
-    }
 
     match outcome {
         Ok(Ok(report)) => SessionResult::Report {
@@ -934,7 +972,6 @@ fn fold_session(job: &Job) -> SessionResult {
                     None,
                 ),
             }),
-            cached: false,
             degraded: report.degradation.is_degraded(),
         },
         Ok(Err(e)) => SessionResult::Failed(e.to_string()),
@@ -982,9 +1019,9 @@ fn write_terminal(
         write_json(w, &body)
     };
     match result {
-        SessionResult::Report { run, cached, .. } => {
+        SessionResult::Report { run, .. } => {
             let mut out = Vec::new();
-            match push_final(&mut out, workload, session, *cached, &run.tail) {
+            match push_final(&mut out, workload, session, false, &run.tail) {
                 Ok(()) => w.write_all(&out),
                 // A report past the frame limit is an error the client can
                 // read, not a frame it must refuse.
@@ -1170,13 +1207,28 @@ mod tests {
         server.shutdown();
     }
 
+    /// An accepted socket leaves [`prepare_conn`] — what `accept_loop` runs
+    /// on each one — with Nagle's algorithm off.
+    #[test]
+    fn accepted_sockets_have_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(!accepted.nodelay().unwrap(), "Nagle is on by default");
+        prepare_conn(&accepted);
+        assert!(accepted.nodelay().unwrap());
+    }
+
     #[test]
     fn round_robin_is_fair_across_tenants() {
+        // A job's program name is its identity here.
         fn fake_job(session: u64) -> Job {
             Job {
-                session,
-                prog: Arc::new(Program::default()),
-                cache_key: None,
+                prog: Arc::new(Program {
+                    name: session.to_string(),
+                    ..Program::default()
+                }),
+                lead: None,
                 kind: JobKind::Program,
                 fault_plan: None,
                 budget: Arc::new(ResourceBudget::new(None, None)),
@@ -1194,7 +1246,8 @@ mod tests {
                 sched.queued += 1;
             }
         }
-        let order: Vec<u64> = std::iter::from_fn(|| sched.pop().map(|j| j.session)).collect();
+        let order: Vec<u64> =
+            std::iter::from_fn(|| sched.pop().map(|j| j.prog.name.parse().unwrap())).collect();
         // Fair: b and c are served before a's backlog drains.
         assert_eq!(order, vec![1, 5, 6, 2, 3, 4]);
         assert_eq!(sched.queued, 0);

@@ -17,10 +17,11 @@
 //! (~40 ms on Linux): every frame written in three parts cost its exchange
 //! 40 ms of nothing. One write per answer ends that for every exchange that
 //! is one answer: `pong`, `metrics`, a rejection, a cache hit (`accepted` +
-//! `final` together). The client's socket has `TCP_NODELAY`; the server's
-//! accepted sockets do not, so a frame that follows another by a moment
-//! (`accepted` → `progress` → `final`, a session that had to be queued)
-//! still waits for the first one's delayed ACK. Both ends read through one
+//! `final` together). A frame that follows another by a moment (`accepted`
+//! → `progress` → `final`, a session that had to be queued) is not held
+//! either: both ends set `TCP_NODELAY` — the client when it connects, the
+//! server on every socket it accepts — and with every frame one write,
+//! there is nothing left for Nagle to coalesce. Both ends read through one
 //! buffered reader per connection, so a small frame that has arrived is one
 //! `read`.
 //!

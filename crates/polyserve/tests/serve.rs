@@ -240,6 +240,70 @@ fn cache_serves_identical_submissions_and_single_flights() {
     // 6 concurrent + 1 repeat = 7 sessions over one fold: the other 6 were
     // either single-flight waiters or late cache hits.
     assert_eq!(hits + waits, 6, "dedup accounting off: {m}");
+    // Single flight is decided at admission: only the leader ever queued —
+    // a waiter waits on its connection thread, not on a worker.
+    assert_eq!(server.stats().queue_wait().count(), 1, "{m}");
+    server.shutdown();
+}
+
+/// A waiter is not bound to its leader's fate. The leader's `deadline_ms`
+/// of 0 cuts its fold short, so it retracts its claim instead of publishing;
+/// the session waiting on it goes back through admission, folds for itself
+/// and gets a clean report — not the leader's degraded one, and not marked
+/// cached. The only worker is held first, so the leader is still queued
+/// when the waiter is admitted.
+#[test]
+fn a_waiter_folds_for_itself_when_its_leader_is_degraded() {
+    use polytrace::service::ServiceCounter as C;
+    let cfg = ServerConfig {
+        workers: 1,
+        ..Default::default()
+    };
+    let registry = long_registry();
+    let truth = try_profile_with(&registry[0].1, &ProfileConfig::new().with_canonical(true))
+        .expect("direct run")
+        .canonical_ddg
+        .expect("canonical captured");
+    let server = serve("127.0.0.1:0", cfg, registry).unwrap();
+    let (addr, stats) = (server.addr(), server.stats());
+    let mut held = hold_a_worker(addr);
+    wait_until("the worker to take the held session", || {
+        stats.queue_wait().count() == 1
+    });
+
+    let mut leader = TcpStream::connect(addr).unwrap();
+    let submit = "{\"op\": \"submit\", \"workload\": \"fig6_long\", \"deadline_ms\": 0}";
+    polyserve::wire::write_json(&mut leader, submit).unwrap();
+    frame_of_type(&mut leader, "accepted");
+    let waiter = std::thread::spawn(move || {
+        let mut c = Client::connect(addr).unwrap();
+        done(
+            &mut c,
+            Submission::Program {
+                workload: "fig6_long",
+            },
+        )
+    });
+    // Admitted, and neither answered nor queued: waiting on the leader.
+    wait_until("the waiter's admission", || stats.get(C::Admitted) == 3);
+    assert_eq!(stats.queue_wait().count(), 1);
+
+    assert!(frame_of_type(&mut held, "final").contains("\"deadline_hit\":true"));
+    assert!(frame_of_type(&mut leader, "final").contains("\"deadline_hit\":true"));
+    let (_, cached, report) = waiter.join().unwrap();
+    assert!(!cached, "the waiter folded for itself");
+    assert!(report.contains("\"deadline_hit\":false"), "{report}");
+    assert_eq!(json_str(&report, "canonical_ddg").as_deref(), Some(&*truth));
+    assert_eq!(stats.get(C::SingleFlightWaits), 0);
+    assert_eq!(stats.get(C::CompletedDegraded), 2);
+    assert_eq!(stats.get(C::CompletedClean), 1);
+    assert_eq!(stats.queue_wait().count(), 3);
+    // The waiter led the key once the leader retracted, and published.
+    let mut c = Client::connect(addr).unwrap();
+    let repeat = Submission::Program {
+        workload: "fig6_long",
+    };
+    assert!(done(&mut c, repeat).1, "the waiter's result is cached");
     server.shutdown();
 }
 
@@ -846,9 +910,10 @@ fn chaos_loadgen_gate() {
 }
 
 /// Queue-full load shedding: a tiny queue with slow workers sheds cleanly.
-/// The one worker is held first: the twelve submissions are identical, and
-/// once one of them had folded, the rest would be answered from the cache at
-/// admission and never ask for a queue slot.
+/// The one worker is held first, and the twelve submissions each carry a
+/// byte budget, which keeps them out of the cache: identical cacheable ones
+/// would be one leader's single flight — one queue slot, the rest waiting on
+/// their connection threads or answered from the cache at admission.
 #[test]
 fn queue_full_sheds_structurally() {
     let cfg = ServerConfig {
@@ -870,11 +935,15 @@ fn queue_full_sheds_structurally() {
         .map(|i| {
             std::thread::spawn(move || {
                 let mut c = Client::connect(addr).unwrap();
+                let opts = SubmitOpts {
+                    budget_bytes: Some(1 << 40),
+                    ..tenant_opts(&format!("q{i}"))
+                };
                 c.submit(
                     Submission::Program {
                         workload: "backprop",
                     },
-                    &tenant_opts(&format!("q{i}")),
+                    &opts,
                 )
                 .unwrap()
             })

@@ -1,7 +1,8 @@
 //! Record→replay gate: a `.ptrace` recording captured during a live fold
 //! must re-fold *byte-identically* (via `FoldedDdg::canonical_text`) to the
 //! live result and, through the public driver, reproduce the live report
-//! without constructing a VM; every corruption of the file — truncation,
+//! without constructing a VM — from its file or from its bytes in memory
+//! alike; every corruption of the recording — truncation,
 //! bad magic, a format-version bump, a flipped byte, a tampered header
 //! count, a statement the footer's table lacks, a forged structure or
 //! footer that names what the program or the structure lacks — must
@@ -249,6 +250,105 @@ fn profile_replay_from_matches_live_report() {
             assert!(replayed.lint.is_some(), "{what}");
             assert_same_report(&format!("{what}, linted"), &live, &replayed);
             fs::remove_file(&path).ok();
+        }
+    }
+}
+
+/// Replay from a recording's bytes in memory — what a server does with an
+/// upload — is replay from its file: the same canonical DDG, `full_text`
+/// and the rest of the report, on fig6 and every Rodinia kernel.
+#[test]
+fn replay_from_bytes_matches_replay_from_file() {
+    let mut progs = vec![("fig6".to_string(), fig6_kernel(8, 4))];
+    progs.extend(
+        rodinia::all_rodinia()
+            .into_iter()
+            .map(|w| (w.name.to_string(), w.program)),
+    );
+    let canonical = ProfileConfig::new().with_canonical(true);
+    for (name, prog) in &progs {
+        let path = scratch(&format!("bytes_{name}"));
+        try_profile_with(prog, &canonical.clone().with_record_to(&path)).expect("record run");
+        let bytes: Arc<[u8]> = fs::read(&path).unwrap().into();
+        let from_file =
+            try_profile_with(prog, &canonical.clone().with_replay_from(&path)).expect("file");
+        let from_bytes =
+            try_profile_with(prog, &canonical.clone().with_replay_from(bytes)).expect("bytes");
+        assert!(from_bytes.canonical_ddg.is_some(), "{name}");
+        assert_same_report(name, &from_file, &from_bytes);
+        fs::remove_file(&path).ok();
+    }
+}
+
+/// Replay `bytes` in memory as a recording of `prog`.
+fn replay_bytes(prog: &Program, bytes: &[u8]) -> Result<(usize, usize, u64), PolyProfError> {
+    let replay = ProfileConfig::new().with_replay_from(Arc::<[u8]>::from(bytes));
+    try_profile_with(prog, &replay).map(|r| r.folded_stats)
+}
+
+/// What a file is refused for, its bytes in memory are refused for: bad
+/// magic, a format-version bump, a flipped byte in the structure section and
+/// in the first frame, a tampered header count, and a cut inside the header,
+/// inside every section and before the end magic are each a structured
+/// `Recording` error, which names the bytes by their label.
+#[test]
+fn corrupted_bytes_are_recording_errors() {
+    let prog = stencil(9, 2);
+    let path = scratch("bytes_corrupt");
+    record_live(&prog, &path);
+    let bytes = fs::read(&path).unwrap();
+    fs::remove_file(&path).ok();
+    replay_bytes(&prog, &bytes).expect("the intact bytes replay");
+
+    let edited = |edit: &dyn Fn(&mut Vec<u8>)| {
+        let mut b = bytes.clone();
+        edit(&mut b);
+        b
+    };
+    let mut cases = vec![
+        ("bad magic", "bad magic", edited(&|b| b[0] ^= 0xFF)),
+        (
+            "version bump",
+            "unsupported format version",
+            edited(&|b| {
+                let off = HDR_VERSION_OFF as usize;
+                b[off..off + 4].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
+            }),
+        ),
+        (
+            "count tamper",
+            "",
+            edited(&|b| {
+                let off = HDR_EVENTS_OFF as usize;
+                let n = u64::from_le_bytes(b[off..off + 8].try_into().unwrap());
+                b[off..off + 8].copy_from_slice(&(n + 1).to_le_bytes());
+            }),
+        ),
+        ("cut in the header", "", bytes[..20].to_vec()),
+        (
+            "cut before the end magic",
+            "",
+            bytes[..bytes.len() - 1].to_vec(),
+        ),
+    ];
+    let sections = sections(&bytes);
+    for &(_, start, _) in &sections[..2] {
+        cases.push(("byte flip", "checksum", edited(&|b| b[start + 6] ^= 0xFF)));
+    }
+    for &(_, start, end) in &sections {
+        cases.push((
+            "cut inside a section",
+            "",
+            bytes[..(start + end) / 2].to_vec(),
+        ));
+    }
+    for (what, detail_has, corrupt) in cases {
+        match replay_bytes(&prog, &corrupt) {
+            Err(PolyProfError::Recording { path, detail }) => {
+                assert_eq!(path, "<in-memory recording>", "{what}: {detail}");
+                assert!(detail.contains(detail_has), "{what}: {detail}");
+            }
+            other => panic!("{what}: expected a Recording error, got {other:?}"),
         }
     }
 }
@@ -519,6 +619,12 @@ proptest! {
         prop_assert!(
             matches!(res, Err(PolyProfError::Recording { .. })),
             "truncation at {} of {} bytes must be a structured error",
+            cut,
+            bytes.len()
+        );
+        prop_assert!(
+            matches!(replay_bytes(&prog, &bytes[..cut]), Err(PolyProfError::Recording { .. })),
+            "truncation at {} of {} bytes in memory must be a structured error",
             cut,
             bytes.len()
         );
