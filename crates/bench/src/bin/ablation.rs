@@ -9,7 +9,8 @@
 //! Prints `%||ops`, `%simdops` and tile depth for representative workloads
 //! under each configuration.
 
-use polyfold::{FoldOptions, FoldingSink};
+use polyfold::pass2::{self, Live, Pass2, Source};
+use polyfold::FoldOptions;
 use polyprof_bench::pct;
 use polysched::Analysis;
 
@@ -20,17 +21,15 @@ struct Config {
 }
 
 fn run(prog: &polyir::Program, cfg: &Config) -> (f64, f64, usize) {
-    let mut rec = polycfg::StructureRecorder::new();
-    polyvm::Vm::new(prog).run(&[], &mut rec).unwrap();
-    let structure = polycfg::StaticStructure::analyze(prog, rec);
-    let sink = FoldingSink::with_options(FoldOptions {
-        split_classes: cfg.split_classes,
-        ..Default::default()
-    });
-    let mut prof = polyddg::DdgProfiler::new(prog, &structure, sink);
-    polyvm::Vm::new(prog).run(&[], &mut prof).unwrap();
-    let (sink, interner) = prof.finish();
-    let mut ddg = sink.finalize(prog, &interner);
+    let knobs = Pass2 {
+        options: FoldOptions {
+            split_classes: cfg.split_classes,
+            ..Default::default()
+        },
+        ..Pass2::default()
+    };
+    let out = pass2::run(prog, &Source::Live(Live::default()), &knobs).unwrap();
+    let (mut ddg, interner) = (out.ddg, out.interner);
     if cfg.remove_scevs {
         ddg.remove_scevs();
     }

@@ -2,7 +2,7 @@
 //! (recursion), print the trace of loop events with the dynamic IIV after
 //! each step (panels d/i), and the folded statement domains (panel k).
 
-use polycfg::{LoopEvent, LoopEventGen, StaticStructure, StructureRecorder};
+use polycfg::{LoopEvent, LoopEventGen, StaticStructure};
 use polyiiv::IivTracker;
 use polyir::{BlockRef, FuncId, Program};
 use polyprof_bench::ctx_namer;
@@ -94,15 +94,12 @@ impl EventSink for TracePrinter<'_> {
 
 fn trace(p: &Program, title: &str) {
     println!("=== {title} ===\n  step  event          dynamic IIV");
-    let mut rec = StructureRecorder::new();
-    Vm::new(p).run(&[], &mut rec).unwrap();
-    let structure = StaticStructure::analyze(p, rec);
+    let (mut ddg, interner, structure) = polyfold::fold_program(p);
     let mut tp = TracePrinter::new(p, &structure);
     Vm::new(p).run(&[], &mut tp).unwrap();
 
     // Folded domains (Fig. 3k analogue).
     println!("\n  folded statement domains:");
-    let (mut ddg, interner, _) = polyfold::fold_program(p);
     ddg.remove_scevs();
     let namer = ctx_namer(p, &structure);
     let mut rows: Vec<(String, String)> = ddg

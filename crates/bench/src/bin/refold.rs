@@ -21,8 +21,8 @@
 
 use polyprof_bench::replay_workloads;
 use polyprof_bench::JsonObj;
-use polyprof_core::polyfold::replay::fold_recording;
-use polyprof_core::polyfold::{self, FoldOptions};
+use polyprof_core::polyfold::pass2::{self, Pass2, Replay, Source};
+use polyprof_core::polyfold::{self, FoldedDdg};
 use polyprof_core::polyrec::{program_id, TraceReader};
 use polyprof_core::{try_profile_with, ProfileConfig};
 use polytrace::{Collector, Counter, MetricsLevel};
@@ -53,16 +53,25 @@ fn lookup(path: &Path) -> (&'static str, polyir::Program) {
     exit(1);
 }
 
-/// Fold one recording, returning its canonical text.
-fn refold_one(path: &Path) -> (&'static str, String) {
-    let (name, prog) = lookup(path);
-    match fold_recording(path, &prog, 1, FoldOptions::default(), None) {
-        Ok((ddg, _)) => (name, ddg.canonical_text()),
+/// Fold the recording at `path` of `prog`, counting into `trace`.
+fn refold(path: &Path, prog: &polyir::Program, trace: Option<Arc<Collector>>) -> FoldedDdg {
+    let cfg = Pass2 {
+        trace,
+        ..Pass2::default()
+    };
+    match pass2::run(prog, &Source::Recording(&Replay::from(path)), &cfg) {
+        Ok(out) => out.ddg,
         Err(e) => {
             eprintln!("refold: {}: {e}", path.display());
             exit(1);
         }
     }
+}
+
+/// Fold one recording, returning its canonical text.
+fn refold_one(path: &Path) -> (&'static str, String) {
+    let (name, prog) = lookup(path);
+    (name, refold(path, &prog, None).canonical_text())
 }
 
 /// The rendered report (`Report::full_text`) of one profiling run.
@@ -146,14 +155,7 @@ fn main() {
         let path = Path::new(trace);
         let (name, prog) = lookup(path);
         let counters = Arc::new(Collector::new(MetricsLevel::Counters));
-        let folded = fold_recording(path, &prog, 1, FoldOptions::default(), Some(&counters));
-        let (ddg, _interner) = match folded {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("refold: {trace}: {e}");
-                exit(1);
-            }
-        };
+        let ddg = refold(path, &prog, Some(Arc::clone(&counters)));
         let replayed = ddg.canonical_text();
         let mut live_ok = true;
         if assert_live {

@@ -102,7 +102,9 @@ pub fn big_backprop(n1: i64, n2: i64) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polyvm::Vm;
+    use polyfold::pass2::{self, Live, Pass2, Source};
+    use polytrace::{Collector, Counter, MetricsLevel};
+    use std::sync::Arc;
 
     /// The dense workload is what the folder's verified prediction exists
     /// for: runs of 192 points along the innermost dimension, every label
@@ -110,14 +112,18 @@ mod tests {
     #[test]
     fn big_backprop_is_folded_by_prediction() {
         let prog = big_backprop(192, 192);
-        let mut rec = polycfg::StructureRecorder::new();
-        Vm::new(&prog).run(&[], &mut rec).expect("pass 1");
-        let structure = polycfg::StaticStructure::analyze(&prog, rec);
-        let mut prof = polyddg::DdgProfiler::new(&prog, &structure, polyfold::FoldingSink::new());
-        Vm::new(&prog).run(&[], &mut prof).expect("pass 2");
-        let stats = prof.finish().0.fold_stats();
-        assert!(stats.events_folded > 2_000_000);
-        let share = stats.predicted as f64 / stats.events_folded as f64;
-        assert!(share > 0.9, "predicted {share:.3} of {stats:?}");
+        let counters = Arc::new(Collector::new(MetricsLevel::Counters));
+        let cfg = Pass2 {
+            trace: Some(Arc::clone(&counters)),
+            ..Pass2::default()
+        };
+        pass2::run(&prog, &Source::Live(Live::default()), &cfg).expect("both passes");
+        let (folded, predicted) = (
+            counters.get(Counter::EventsFolded),
+            counters.get(Counter::FoldPredicted),
+        );
+        assert!(folded > 2_000_000);
+        let share = predicted as f64 / folded as f64;
+        assert!(share > 0.9, "predicted {share:.3} of {folded}");
     }
 }

@@ -418,33 +418,15 @@ pub fn try_profile_with(prog: &Program, cfg: &ProfileConfig) -> Result<Report, P
     // Passes 1 and 2. A live run executes the program twice: pass 1 records
     // the dynamic control structure, pass 2 streams the events. A recording
     // holds both, so a replay runs no VM and hands pass 1's output back.
-    let (out, structure) = match &cfg.replay_from {
-        Some(recording) => {
-            let mut out = polyfold::pass2::run(prog, &Source::Recording(recording), &pass2)?;
-            let structure = out.structure.take().expect("a replay rebuilds pass 1");
-            (out, structure)
-        }
-        None => {
-            let structure = {
-                let _span = trace.as_ref().map(|(c, _)| c.span(Stage::Structure));
-                let mut rec = polycfg::StructureRecorder::new();
-                polyvm::Vm::new(prog)
-                    .run(&[], &mut rec)
-                    .map_err(|e| PolyProfError::Vm {
-                        stage: "pass-1",
-                        msg: e.to_string(),
-                    })?;
-                polycfg::StaticStructure::analyze(prog, rec)
-            };
-            let source = Source::Live(Live {
-                structure: &structure,
-                record: cfg.record_to.as_deref(),
-                chunk_events: cfg.chunk_events,
-            });
-            (polyfold::pass2::run(prog, &source, &pass2)?, structure)
-        }
+    let source = match &cfg.replay_from {
+        Some(recording) => Source::Recording(recording),
+        None => Source::Live(Live {
+            record: cfg.record_to.as_deref(),
+            chunk_events: cfg.chunk_events,
+        }),
     };
-    let (mut ddg, interner) = (out.ddg, out.interner);
+    let out = polyfold::pass2::run(prog, &source, &pass2)?;
+    let (mut ddg, interner, structure) = (out.ddg, out.interner, out.structure);
     let degradation = out.degradation;
 
     // Static affine pre-pass: SCEV proofs and dependence relations, the
@@ -570,19 +552,12 @@ pub fn try_profile_with(prog: &Program, cfg: &ProfileConfig) -> Result<Report, P
     })
 }
 
-/// Run [`profile`] over a whole suite, fanning the workloads across threads.
+/// Suite driver: apply `f` to each item in parallel, preserving input order.
 ///
 /// Every profiling run owns its VM, shadow memory, and folding state, so
 /// workloads are embarrassingly parallel; results come back in input order,
-/// identical to a serial `progs.iter().map(profile)` loop. This is the
-/// driver behind the Table 5 / ablation suite runs.
-pub fn profile_all<P: std::borrow::Borrow<Program> + Sync>(progs: &[P]) -> Vec<Report> {
-    profile_all_with(progs, |p| profile(p.borrow()))
-}
-
-/// Generalized suite driver: apply `f` to each item in parallel, preserving
-/// input order. Use this when the per-workload step needs more than
-/// [`profile`] (extra configs, paired metadata, custom sinks).
+/// identical to a serial `items.iter().map(f)` loop. This is the driver
+/// behind the Table 5 / ablation suite runs.
 ///
 /// A panicking workload re-panics on the caller with a payload that names
 /// the originating item (`workload #i panicked: <original message>`), so a
@@ -615,7 +590,7 @@ where
 }
 
 /// Suite driver with per-workload telemetry: profile every program with
-/// `cfg` in parallel (same ordering guarantees as [`profile_all`]) and log
+/// `cfg` in parallel (same ordering guarantees as [`profile_all_with`]) and log
 /// one line per workload — its name and wall time — to stderr.
 pub fn profile_suite<P: std::borrow::Borrow<Program> + Sync>(
     progs: &[P],
@@ -661,9 +636,8 @@ mod tests {
     }
 
     /// The rayon suite driver must produce the same reports, in the same
-    /// order, as a serial loop. (Full text is excluded: hash-map iteration
-    /// order varies between map instances; the comparison uses the metric
-    /// fields that feed the tables.)
+    /// order, as a serial loop — down to the rendered text and the canonical
+    /// DDG.
     #[test]
     fn profile_all_matches_serial() {
         let workloads = [
@@ -672,10 +646,14 @@ mod tests {
             rodinia::pathfinder::build(),
         ];
         let progs: Vec<&Program> = workloads.iter().map(|w| &w.program).collect();
-        let par = profile_all(&progs);
-        let ser: Vec<Report> = progs.iter().map(|p| profile(p)).collect();
+        let cfg = ProfileConfig::new().with_canonical(true);
+        let par = profile_all_with(&progs, |p| profile_with(p, &cfg));
+        let ser: Vec<Report> = progs.iter().map(|p| profile_with(p, &cfg)).collect();
         assert_eq!(par.len(), ser.len());
         for (p, s) in par.iter().zip(&ser) {
+            assert_eq!(p.full_text, s.full_text);
+            assert!(p.canonical_ddg.is_some());
+            assert_eq!(p.canonical_ddg, s.canonical_ddg);
             assert_eq!(p.folded_stats, s.folded_stats);
             assert_eq!(p.scev_removed, s.scev_removed);
             assert_eq!(p.feedback.pct_aff, s.feedback.pct_aff);

@@ -30,13 +30,6 @@ pub enum LoopRef {
     Rec(RecCompIdx),
 }
 
-impl LoopRef {
-    /// True for CFG loops (`L.isCFG` in the paper's pseudo-code).
-    pub fn is_cfg(&self) -> bool {
-        matches!(self, LoopRef::Cfg(..))
-    }
-}
-
 /// Loop events, matching the paper's emitted-event alphabet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoopEvent {
@@ -211,11 +204,6 @@ impl<'s> LoopEventGen<'s> {
         }
     }
 
-    /// The current `inLoops` stack (outermost first).
-    pub fn live_loops(&self) -> &[LoopRef] {
-        &self.in_loops
-    }
-
     /// `f`'s role in the recursive-component-set, if it has one.
     fn rec_role(&self, f: FuncId) -> Option<RecRole> {
         self.funcs.get(f.0 as usize)?.rec
@@ -358,7 +346,6 @@ impl<'s> LoopEventGen<'s> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::StructureRecorder;
     use polyir::build::ProgramBuilder;
     use polyir::{IBinOp, Program};
     use polyvm::{EventSink, Vm};
@@ -381,9 +368,7 @@ mod tests {
     }
 
     fn loop_events(p: &Program) -> Vec<LoopEvent> {
-        let mut rec = StructureRecorder::new();
-        Vm::new(p).run(&[], &mut rec).unwrap();
-        let s = StaticStructure::analyze(p, rec);
+        let s = StaticStructure::record(p).unwrap();
         let mut c = Collect {
             gen: LoopEventGen::new(&s),
             out: Vec::new(),

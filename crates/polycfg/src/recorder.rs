@@ -184,6 +184,14 @@ pub struct StaticStructure {
 }
 
 impl StaticStructure {
+    /// Pass 1 of `prog`: run it once under a [`StructureRecorder`] and
+    /// analyze what it recorded.
+    pub fn record(prog: &Program) -> Result<StaticStructure, polyvm::VmError> {
+        let mut rec = StructureRecorder::new();
+        polyvm::Vm::new(prog).run(&[], &mut rec)?;
+        Ok(Self::analyze(prog, rec))
+    }
+
     /// Analyze a completed recording. `prog` supplies entry-function and
     /// entry-block information.
     pub fn analyze(prog: &Program, rec: StructureRecorder) -> StaticStructure {
@@ -241,12 +249,9 @@ mod tests {
     use super::*;
     use polyir::build::ProgramBuilder;
     use polyir::IBinOp;
-    use polyvm::Vm;
 
     fn profiled(p: &Program) -> StaticStructure {
-        let mut rec = StructureRecorder::new();
-        Vm::new(p).run(&[], &mut rec).unwrap();
-        StaticStructure::analyze(p, rec)
+        StaticStructure::record(p).unwrap()
     }
 
     #[test]

@@ -248,12 +248,7 @@ impl<'p, F: FoldSink> EventSink for NaiveDdgProfiler<'p, F> {
 pub fn profile_collected_naive(
     prog: &Program,
 ) -> (crate::CollectSink, ContextInterner, StaticStructure) {
-    use polycfg::StructureRecorder;
-    let mut rec = StructureRecorder::new();
-    polyvm::Vm::new(prog)
-        .run(&[], &mut rec)
-        .expect("pass-1 execution failed");
-    let structure = StaticStructure::analyze(prog, rec);
+    let structure = StaticStructure::record(prog).expect("pass-1 execution failed");
     let mut prof = NaiveDdgProfiler::new(prog, &structure, crate::CollectSink::default());
     polyvm::Vm::new(prog)
         .run(&[], &mut prof)

@@ -563,39 +563,15 @@ impl FoldSink for CollectSink {
 
 /// Convenience: run both profiling passes over `prog` and return the
 /// collected raw streams plus structure and interner (test/report helper).
-/// Panics on a VM error — see [`try_profile_collected`] for the fallible
-/// variant.
+/// Panics on a VM error.
 pub fn profile_collected(prog: &Program) -> (CollectSink, ContextInterner, StaticStructure) {
-    match try_profile_collected(prog) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible variant of [`profile_collected`]: a VM error in either pass
-/// surfaces as [`polyresist::PolyProfError::Vm`] instead of a panic.
-pub fn try_profile_collected(
-    prog: &Program,
-) -> Result<(CollectSink, ContextInterner, StaticStructure), polyresist::PolyProfError> {
-    use polycfg::StructureRecorder;
-    use polyresist::PolyProfError;
-    let mut rec = StructureRecorder::new();
-    polyvm::Vm::new(prog)
-        .run(&[], &mut rec)
-        .map_err(|e| PolyProfError::Vm {
-            stage: "pass-1",
-            msg: e.to_string(),
-        })?;
-    let structure = StaticStructure::analyze(prog, rec);
+    let structure = StaticStructure::record(prog).expect("pass-1 execution failed");
     let mut prof = DdgProfiler::new(prog, &structure, CollectSink::default());
     polyvm::Vm::new(prog)
         .run(&[], &mut prof)
-        .map_err(|e| PolyProfError::Vm {
-            stage: "pass-2",
-            msg: e.to_string(),
-        })?;
+        .expect("pass-2 execution failed");
     let (sink, interner) = prof.finish();
-    Ok((sink, interner, structure))
+    (sink, interner, structure)
 }
 
 #[cfg(test)]
@@ -775,7 +751,6 @@ mod tests {
     /// coordinates, so the table holds one slot per element.
     #[test]
     fn memory_budget_charges_pages_and_snapshot_table() {
-        use polycfg::StructureRecorder;
         let mut pb = ProgramBuilder::new("t");
         let base = pb.alloc(3 * 4096);
         let mut f = pb.func("main", 0);
@@ -790,9 +765,7 @@ mod tests {
         let fid = f.finish();
         pb.set_entry(fid);
         let p = pb.finish();
-        let mut rec = StructureRecorder::new();
-        polyvm::Vm::new(&p).run(&[], &mut rec).unwrap();
-        let structure = StaticStructure::analyze(&p, rec);
+        let structure = StaticStructure::record(&p).unwrap();
         let budget = Arc::new(ResourceBudget::new(Some(1 << 30), None));
         let mut prof = DdgProfiler::new(&p, &structure, CollectSink::default());
         prof.set_budget(Arc::clone(&budget));

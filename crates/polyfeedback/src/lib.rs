@@ -42,35 +42,25 @@ pub struct FeedbackInput<'a> {
     pub analysis: &'a Analysis,
 }
 
-/// Run the whole pipeline on a program and produce its feedback.
-pub fn feedback_for_program(prog: &polyir::Program) -> ProgramFeedback {
-    let mut rec = polycfg::StructureRecorder::new();
-    polyvm::Vm::new(prog)
-        .run(&[], &mut rec)
-        .expect("pass-1 execution failed");
-    let structure = polycfg::StaticStructure::analyze(prog, rec);
-    let mut prof = polyddg::DdgProfiler::new(prog, &structure, polyfold::FoldingSink::new());
-    polyvm::Vm::new(prog)
-        .run(&[], &mut prof)
-        .expect("pass-2 execution failed");
-    let (sink, interner) = prof.finish();
-    let mut ddg = sink.finalize(prog, &interner);
-    ddg.remove_scevs();
-    let analysis = Analysis::analyze(&ddg, &interner);
-    metrics::compute(&FeedbackInput {
-        prog,
-        ddg: &ddg,
-        interner: &interner,
-        structure: &structure,
-        analysis: &analysis,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use polyir::build::ProgramBuilder;
     use polyir::FBinOp;
+
+    /// Both passes, SCEV removal and scheduling, then the metrics.
+    fn feedback(prog: &polyir::Program) -> ProgramFeedback {
+        let (mut ddg, interner, structure) = polyfold::fold_program(prog);
+        ddg.remove_scevs();
+        let analysis = Analysis::analyze(&ddg, &interner);
+        metrics::compute(&FeedbackInput {
+            prog,
+            ddg: &ddg,
+            interner: &interner,
+            structure: &structure,
+            analysis: &analysis,
+        })
+    }
 
     fn layerforward_program(n2: i64, n1: i64) -> polyir::Program {
         let mut pb = ProgramBuilder::new("backprop");
@@ -106,7 +96,7 @@ mod tests {
 
     #[test]
     fn layerforward_feedback_matches_table3_shape() {
-        let fb = feedback_for_program(&layerforward_program(16, 16));
+        let fb = feedback(&layerforward_program(16, 16));
         assert!(!fb.regions.is_empty());
         let r = &fb.regions[0];
         // Paper Table 3 L_layer row: parallel (outer yes), permutable nest,
@@ -135,13 +125,7 @@ mod tests {
     #[test]
     fn flamegraph_and_ast_render() {
         let p = layerforward_program(8, 8);
-        let mut rec = polycfg::StructureRecorder::new();
-        polyvm::Vm::new(&p).run(&[], &mut rec).unwrap();
-        let structure = polycfg::StaticStructure::analyze(&p, rec);
-        let mut prof = polyddg::DdgProfiler::new(&p, &structure, polyfold::FoldingSink::new());
-        polyvm::Vm::new(&p).run(&[], &mut prof).unwrap();
-        let (sink, interner) = prof.finish();
-        let mut ddg = sink.finalize(&p, &interner);
+        let (mut ddg, interner, structure) = polyfold::fold_program(&p);
         ddg.remove_scevs();
         let analysis = Analysis::analyze(&ddg, &interner);
         let input = FeedbackInput {
@@ -195,7 +179,7 @@ mod tests {
         let fid = f.finish();
         pb.set_entry(fid);
         let p = pb.finish();
-        let fb = feedback_for_program(&p);
+        let fb = feedback(&p);
         let r = &fb.regions[0];
         assert!(
             r.pct_reuse < 0.8,

@@ -29,7 +29,7 @@ pub use stream::{FoldedDomain, FoldedStream, LabelFold, StreamFolder};
 use polyddg::{expand_run, BodyKey, DepKind, EventKind, FoldSink, KMAX};
 use polyiiv::context::{ContextInterner, StmtId};
 use polyir::{Instr, Program};
-use polyresist::{PolyProfError, ResourceBudget};
+use polyresist::ResourceBudget;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -763,32 +763,13 @@ impl FoldSink for FoldingSink {
     }
 }
 
-/// Fold a whole program end-to-end: pass 1 (structure), pass 2 (DDG →
-/// folding). Returns the folded DDG, the interner, and the structure.
-/// Panics on a VM error — see [`try_fold_program`] for the fallible variant.
+/// Fold a whole program end-to-end through [`pass2::run`]: pass 1
+/// (structure), pass 2 (DDG → folding). Returns the folded DDG, the
+/// interner, and the structure. Panics on a VM error.
 pub fn fold_program(prog: &Program) -> (FoldedDdg, ContextInterner, polycfg::StaticStructure) {
-    match try_fold_program(prog) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible variant of [`fold_program`]: VM errors in either pass surface
-/// as [`PolyProfError::Vm`] instead of panics.
-pub fn try_fold_program(
-    prog: &Program,
-) -> Result<(FoldedDdg, ContextInterner, polycfg::StaticStructure), PolyProfError> {
-    let mut rec = polycfg::StructureRecorder::new();
-    polyvm::Vm::new(prog)
-        .run(&[], &mut rec)
-        .map_err(|e| PolyProfError::Vm {
-            stage: "pass-1",
-            msg: e.to_string(),
-        })?;
-    let structure = polycfg::StaticStructure::analyze(prog, rec);
-    let source = pass2::Source::Live(pass2::Live::new(&structure));
-    let out = pass2::run(prog, &source, &pass2::Pass2::default())?;
-    Ok((out.ddg, out.interner, structure))
+    let source = pass2::Source::Live(pass2::Live::default());
+    let out = pass2::run(prog, &source, &pass2::Pass2::default()).unwrap_or_else(|e| panic!("{e}"));
+    (out.ddg, out.interner, out.structure)
 }
 
 /// Render a folded dependence like the paper's Table 2 rows:
@@ -997,18 +978,20 @@ mod tests {
         let p = pb.finish();
 
         // Exact reference.
-        let (exact, _, structure) = fold_program(&p);
+        let (exact, _, _) = fold_program(&p);
 
-        // Budget so tight the first folder allocation latches pressure.
+        // Budget so tight the first charged allocation latches pressure.
         let budget = Arc::new(ResourceBudget::new(Some(1), None));
-        let mut sink = FoldingSink::new();
-        sink.set_budget(Arc::clone(&budget));
-        let mut prof = polyddg::DdgProfiler::new(&p, &structure, sink);
-        polyvm::Vm::new(&p).run(&[], &mut prof).unwrap();
-        let (sink, interner) = prof.finish();
-        let stats = sink.fold_stats();
-        assert!(stats.budget_degraded > 0, "folders must degrade");
-        let coarse = sink.finalize(&p, &interner);
+        let cfg = pass2::Pass2 {
+            budget: Some(Arc::clone(&budget)),
+            ..pass2::Pass2::default()
+        };
+        let out = pass2::run(&p, &pass2::Source::Live(pass2::Live::default()), &cfg).unwrap();
+        assert!(
+            out.degradation.budget_overapprox_stmts > 0,
+            "folders must degrade"
+        );
+        let coarse = out.ddg;
 
         assert!(budget.under_pressure());
         assert!(coarse.overapprox_stmts() > 0);

@@ -1,22 +1,27 @@
-//! Pass 2, the one way: [`run`] streams a [`Source`] into one
+//! Both instrumentation passes, the one way: [`run`] gets pass 1's
+//! structure from a [`Source`], streams the source's events into one
 //! [`FoldingSink`] on the calling thread, then finalizes it.
 //!
 //! ```text
 //!            source                                   sink
 //! ┌───────────────────────────────────┐
-//! │ Live: VM → DdgProfiler (IIV,      │
+//! │ Live: VM → StructureRecorder,     │
+//! │   then VM → DdgProfiler (IIV,     │
 //! │   interning, register deps,       │
 //! │   shadow) → [Recorder]            ├──▶ FoldingSink ──▶ finalize
 //! ├───────────────────────────────────┤
-//! │ Recording: TraceReader decodes    │
-//! │   each frame into the sink        │
+//! │ Recording: structure section,     │
+//! │   then TraceReader decodes each   │
+//! │   frame into the sink             │
 //! └───────────────────────────────────┘
 //! ```
 //!
-//! A recording is the whole profile: besides the event stream it carries
-//! pass 1's graphs, so a [`Source::Recording`] runs no VM at all — [`run`]
-//! rebuilds the [`StaticStructure`] from the recording's structure section
-//! (under the `structure` span) and hands it back in [`Pass2Out::structure`].
+//! Either way pass 1 comes first, under the `structure` span, and its
+//! [`StaticStructure`] comes back in [`Pass2Out::structure`]. A live source
+//! runs the program once under [`StaticStructure::record`]. A recording is
+//! the whole profile: besides the event stream it carries pass 1's graphs,
+//! so a [`Source::Recording`] runs no VM at all — [`run`] rebuilds the
+//! structure from the recording's structure section.
 //! The recording is a file, streamed through a buffered reader, or bytes
 //! already in memory (a [`Replay`]), read in place; both decode the same way.
 //!
@@ -35,13 +40,15 @@
 //!   whoever shares the budget can watch the run without a thread of its own.
 //! * `faults` — a deterministic fault plan: the live source's `panic:pre` and
 //!   `alloc:shadow` sites, and `stall:beat` at every source heartbeat.
-//! * `trace` — the spans `profile` and `finalize` partition the call (with
-//!   `structure` in front of them for a recording).
+//! * `trace` — the spans `structure`, `profile` and `finalize` partition the
+//!   call.
 //!
-//! A panic inside pass 2 — an injected `panic:pre`, or a bug — is caught
-//! once, here, and returned as [`PolyProfError::StagePanic`] with stage
-//! `"pass-2"`. Nothing retries it: the source is deterministic, so a second
-//! run would panic again.
+//! A VM error in a live pass 1 is [`PolyProfError::Vm`] with stage
+//! `"pass-1"`. A panic inside pass 2 — an injected `panic:pre`, or a bug — is
+//! caught once, here, and returned as [`PolyProfError::StagePanic`] with
+//! stage `"pass-2"`; a live pass 1 runs outside that boundary. Nothing
+//! retries it: the source is deterministic, so a second run would panic
+//! again.
 
 use crate::{FoldOptions, FoldedDdg, FoldingSink};
 use polycfg::StaticStructure;
@@ -56,10 +63,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// The live source: run the program under the profiler.
+/// The live source: run the program under the structure recorder, then
+/// under the profiler.
 pub struct Live<'a> {
-    /// Pass 1's result for the program.
-    pub structure: &'a StaticStructure,
     /// Also write the event stream to a `.ptrace` file here, in frames of
     /// `chunk_events` events. A run that fails leaves a detectably
     /// unfinished recording behind.
@@ -68,11 +74,10 @@ pub struct Live<'a> {
     pub chunk_events: usize,
 }
 
-impl<'a> Live<'a> {
+impl Default for Live<'_> {
     /// The plain live source: no recording.
-    pub fn new(structure: &'a StaticStructure) -> Self {
+    fn default() -> Self {
         Live {
-            structure,
             record: None,
             chunk_events: 4096,
         }
@@ -81,7 +86,8 @@ impl<'a> Live<'a> {
 
 /// Where pass 2's resolved event stream comes from.
 pub enum Source<'a> {
-    /// VM → [`DdgProfiler`] → optional [`Recorder`] tap → sink.
+    /// Pass 1 on the VM, then VM → [`DdgProfiler`] → optional [`Recorder`]
+    /// tap → sink.
     Live(Live<'a>),
     /// A `.ptrace` recording of the program: its program id is checked, pass
     /// 1's structure is rebuilt from it, then every frame is replayed into
@@ -140,17 +146,49 @@ pub struct Pass2Out {
     pub interner: ContextInterner,
     /// Everything the run lost.
     pub degradation: RunDegradation,
-    /// Pass 1's output for a [`Source::Recording`], rebuilt from its
-    /// structure section with the calls a live run makes; `None` for a
-    /// [`Source::Live`], whose structure the caller passed in.
-    pub structure: Option<StaticStructure>,
+    /// Pass 1's output: recorded by a [`Source::Live`] run, rebuilt from a
+    /// [`Source::Recording`]'s structure section.
+    pub structure: StaticStructure,
 }
 
-/// Run pass 2 of `prog`: stream `source` into one [`FoldingSink`], finalize,
-/// and account for every loss. `Err` for a VM error, a recording that cannot
-/// be read, matched or written, and a panic ([`PolyProfError::StagePanic`]).
+/// Run both passes of `prog`: get pass 1's structure from `source`, stream
+/// its events into one [`FoldingSink`], finalize, and account for every
+/// loss. `Err` for a VM error, a recording that cannot be read, matched or
+/// written, and a panic in pass 2 ([`PolyProfError::StagePanic`]).
 pub fn run(prog: &Program, source: &Source<'_>, cfg: &Pass2) -> Result<Pass2Out, PolyProfError> {
-    catch_unwind(AssertUnwindSafe(|| fold(prog, source, cfg))).unwrap_or_else(|p| {
+    let trace = cfg.trace.as_deref();
+    match source {
+        Source::Live(live) => {
+            let structure = {
+                let _span = trace.map(|c| c.span(Stage::Structure));
+                StaticStructure::record(prog).map_err(|e| PolyProfError::Vm {
+                    stage: "pass-1",
+                    msg: e.to_string(),
+                })?
+            };
+            guarded(|| {
+                fold(prog, cfg, |sink| {
+                    let _span = trace.map(|c| c.span(Stage::Profile));
+                    let (sink, interner, tallies) = feed(prog, live, &structure, cfg, sink)?;
+                    Ok((sink, interner, tallies, structure))
+                })
+            })
+        }
+        Source::Recording(Replay::File(path)) => {
+            let label = path.display().to_string();
+            let open = || TraceReader::open(path);
+            guarded(|| fold(prog, cfg, |sink| recording(prog, &label, open, cfg, sink)))
+        }
+        Source::Recording(Replay::Bytes { label, bytes }) => {
+            let open = || TraceReader::new(&bytes[..], label.clone());
+            guarded(|| fold(prog, cfg, |sink| recording(prog, label, open, cfg, sink)))
+        }
+    }
+}
+
+/// The panic boundary of pass 2.
+fn guarded(f: impl FnOnce() -> Result<Pass2Out, PolyProfError>) -> Result<Pass2Out, PolyProfError> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|p| {
         Err(PolyProfError::StagePanic {
             stage: "pass-2",
             msg: panic_msg(&*p),
@@ -158,31 +196,23 @@ pub fn run(prog: &Program, source: &Source<'_>, cfg: &Pass2) -> Result<Pass2Out,
     })
 }
 
-/// [`run`] without the panic boundary.
-fn fold(prog: &Program, source: &Source<'_>, cfg: &Pass2) -> Result<Pass2Out, PolyProfError> {
+/// What a source's pass 2 hands [`fold`]: the fed sink, the statement table,
+/// what to count, and pass 1's structure.
+type Streamed = (FoldingSink, ContextInterner, SourceTallies, StaticStructure);
+
+/// Stream a source into a fresh [`FoldingSink`] through `stream`, finalize,
+/// and account for every loss.
+fn fold(
+    prog: &Program,
+    cfg: &Pass2,
+    stream: impl FnOnce(FoldingSink) -> Result<Streamed, PolyProfError>,
+) -> Result<Pass2Out, PolyProfError> {
     let trace = cfg.trace.as_deref();
     let mut sink = FoldingSink::with_options(cfg.options);
     if let Some(b) = &cfg.budget {
         sink.set_budget(Arc::clone(b));
     }
-    let (sink, interner, tallies, structure) = match source {
-        Source::Live(live) => {
-            let _span = trace.map(|c| c.span(Stage::Profile));
-            let (sink, interner, tallies) = feed(prog, live, cfg, sink)?;
-            (sink, interner, tallies, None)
-        }
-        Source::Recording(Replay::File(path)) => {
-            let label = path.display().to_string();
-            let (sink, interner, tallies, structure) =
-                recording(prog, &label, || TraceReader::open(path), cfg, sink)?;
-            (sink, interner, tallies, Some(structure))
-        }
-        Source::Recording(Replay::Bytes { label, bytes }) => {
-            let open = || TraceReader::new(&bytes[..], label.clone());
-            let (sink, interner, tallies, structure) = recording(prog, label, open, cfg, sink)?;
-            (sink, interner, tallies, Some(structure))
-        }
-    };
+    let (sink, interner, tallies, structure) = stream(sink)?;
 
     let fs = sink.fold_stats();
     // Shadow pages an armed fault plan refused are the plan's to count
@@ -245,14 +275,15 @@ struct SourceTallies {
 fn feed<S: FoldSink>(
     prog: &Program,
     live: &Live<'_>,
+    structure: &StaticStructure,
     cfg: &Pass2,
     out: S,
 ) -> Result<(S, ContextInterner, SourceTallies), PolyProfError> {
     let Some(path) = live.record else {
-        return run_profiler(prog, live, cfg, out);
+        return run_profiler(prog, structure, cfg, out);
     };
-    let tap = Recorder::to_file(path, prog, live.structure, live.chunk_events.max(1), out)?;
-    let (tap, interner, mut tallies) = run_profiler(prog, live, cfg, tap)?;
+    let tap = Recorder::to_file(path, prog, structure, live.chunk_events.max(1), out)?;
+    let (tap, interner, mut tallies) = run_profiler(prog, structure, cfg, tap)?;
     // The footer needs the interner's statement table. A failure here fails
     // the run: a footer-less recording is useless.
     let (out, stats) = tap.finish(&interner)?;
@@ -268,11 +299,11 @@ fn feed<S: FoldSink>(
 /// dispatch timing at `Trace`; `Off`/`Counters` never arm it).
 fn run_profiler<S: FoldSink>(
     prog: &Program,
-    live: &Live<'_>,
+    structure: &StaticStructure,
     cfg: &Pass2,
     out: S,
 ) -> Result<(S, ContextInterner, SourceTallies), PolyProfError> {
-    let mut prof = DdgProfiler::new(prog, live.structure, out);
+    let mut prof = DdgProfiler::new(prog, structure, out);
     if let Some(p) = &cfg.faults {
         prof.set_faults(Arc::clone(p));
     }
@@ -340,7 +371,7 @@ fn recording<R: Read>(
     open: impl FnOnce() -> Result<TraceReader<R>, PolyProfError>,
     cfg: &Pass2,
     sink: FoldingSink,
-) -> Result<(FoldingSink, ContextInterner, SourceTallies, StaticStructure), PolyProfError> {
+) -> Result<Streamed, PolyProfError> {
     let trace = cfg.trace.as_deref();
     let (reader, structure) = {
         let _span = trace.map(|c| c.span(Stage::Structure));

@@ -17,7 +17,8 @@ use std::sync::Arc;
 
 /// Fold a recording at `path` into a [`FoldedDdg`] without executing the
 /// program: [`run`] over a [`Source::Recording`], on the calling thread.
-/// `_fold_threads` is ignored; removed when ROADMAP item 1e drops the call.
+/// Kept only because the frozen `perf_ledger` calls it; everything else calls
+/// [`run`]. `_fold_threads` is ignored.
 ///
 /// `prog` must be the program the recording was captured from: the header's
 /// program id is checked first (a mismatch is a structured error), and

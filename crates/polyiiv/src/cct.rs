@@ -74,11 +74,6 @@ impl Cct {
         }
         depth(self, 0)
     }
-
-    /// Current context depth during construction.
-    pub fn current_depth(&self) -> usize {
-        self.stack.len()
-    }
 }
 
 impl polyvm::EventSink for Cct {

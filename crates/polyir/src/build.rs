@@ -138,11 +138,6 @@ impl<'a> FuncBuilder<'a> {
         self.id
     }
 
-    /// The entry block (block 0, created automatically).
-    pub fn entry_block(&self) -> LocalBlockId {
-        LocalBlockId(0)
-    }
-
     /// Create a new, empty block and return its id (does not switch to it).
     pub fn block(&mut self, name: &str) -> LocalBlockId {
         let id = LocalBlockId(self.func.blocks.len() as u32);

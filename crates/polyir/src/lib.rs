@@ -443,11 +443,6 @@ impl Instr {
                 }
         )
     }
-
-    /// True for `Call`.
-    pub fn is_call(&self) -> bool {
-        matches!(self, Instr::Call { .. })
-    }
 }
 
 /// A block terminator (control transfer).
@@ -557,15 +552,6 @@ impl Program {
             .iter()
             .position(|f| f.name == name)
             .map(|i| FuncId(i as u32))
-    }
-
-    /// Total static instruction count (excludes terminators).
-    pub fn static_instr_count(&self) -> usize {
-        self.funcs
-            .iter()
-            .flat_map(|f| &f.blocks)
-            .map(|b| b.instrs.len())
-            .sum()
     }
 
     /// Strict IR verifier. Checks, per function:

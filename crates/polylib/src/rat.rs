@@ -139,11 +139,6 @@ impl Rat {
     pub fn signum(&self) -> i32 {
         self.num.signum() as i32
     }
-
-    /// Approximate as f64 (display / heuristics only).
-    pub fn to_f64(&self) -> f64 {
-        self.num as f64 / self.den as f64
-    }
 }
 
 impl Add for Rat {

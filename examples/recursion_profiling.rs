@@ -6,7 +6,7 @@
 //! cargo run -p polyprof-core --example recursion_profiling
 //! ```
 
-use polyprof_core::polycfg::{StaticStructure, StructureRecorder};
+use polyprof_core::polycfg::StaticStructure;
 use polyprof_core::polyiiv::cct::Cct;
 use polyprof_core::polyvm::Vm;
 use polyprof_core::profile;
@@ -16,9 +16,7 @@ fn main() {
         let prog = rodinia::paper_examples::fig3_example2(depth);
 
         // Classic CCT: depth grows with the recursion.
-        let mut rec = StructureRecorder::new();
-        Vm::new(&prog).run(&[], &mut rec).unwrap();
-        let structure = StaticStructure::analyze(&prog, rec);
+        let structure = StaticStructure::record(&prog).unwrap();
         let mut cct = Cct::new(prog.entry.unwrap());
         Vm::new(&prog).run(&[], &mut cct).unwrap();
 

@@ -1,41 +1,11 @@
-//! Shared fixtures for the differential suites: canonical folded-DDG
-//! rendering and the randomized trace builders (elementwise / stencil /
-//! deep nest) the integration suites share.
+//! Shared fixtures for the differential suites: the randomized trace
+//! builders (elementwise / stencil / deep nest) the integration suites
+//! share.
 
 #![allow(dead_code)] // each test binary uses its own subset
 
 use polyir::build::ProgramBuilder;
 use polyir::Program;
-use polyprof_core::polyfold::FoldedDdg;
-
-/// Canonical, order-independent rendering of a folded DDG: sorted statement
-/// and access rows plus the (already deterministically sorted) dependence
-/// rows, including domains, label folds, and distance ranges.
-pub fn canon(ddg: &FoldedDdg) -> (Vec<String>, Vec<String>, Vec<String>) {
-    let mut stmts: Vec<String> = ddg
-        .stmts
-        .values()
-        .map(|s| format!("{:?}", (s.stmt, &s.domain, &s.values, s.is_scev)))
-        .collect();
-    stmts.sort();
-    let deps: Vec<String> = ddg
-        .deps
-        .iter()
-        .map(|d| {
-            format!(
-                "{:?}",
-                (d.kind, d.src, d.dst, d.class, &d.domain, &d.src_map, &d.delta)
-            )
-        })
-        .collect();
-    let mut accs: Vec<String> = ddg
-        .accesses
-        .values()
-        .map(|a| format!("{:?}", (a.stmt, &a.domain, &a.addr, a.is_write)))
-        .collect();
-    accs.sort();
-    (stmts, deps, accs)
-}
 
 /// c[i] = a[i]*k + b[i] with data-dependent contents.
 pub fn elementwise(n: i64, k: i64) -> Program {

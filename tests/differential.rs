@@ -17,23 +17,18 @@ mod common;
 #[path = "../perf_ledger/src/workloads.rs"]
 mod workloads;
 
-use common::{canon, deep_nest, elementwise, stencil};
+use common::{deep_nest, elementwise, stencil};
 use polyir::Program;
+use polyprof_core::polycfg::StaticStructure;
 use polyprof_core::polyddg::{self, baseline, CollectSink};
+use polyprof_core::polyfold::pass2::{self, Live, Pass2, Source};
 use polyprof_core::polyfold::{FoldedDdg, FoldingSink};
-use polyprof_core::{polycfg, polyvm};
+use polyprof_core::polyvm;
 use proptest::prelude::*;
-
-/// Pass 1 over `prog`.
-fn structure(prog: &Program) -> polycfg::StaticStructure {
-    let mut rec = polycfg::StructureRecorder::new();
-    polyvm::Vm::new(prog).run(&[], &mut rec).expect("pass 1");
-    polycfg::StaticStructure::analyze(prog, rec)
-}
 
 /// The production profiler's stream, and the runs its detector formed.
 fn collect_production(prog: &Program) -> (CollectSink, u64) {
-    let structure = structure(prog);
+    let structure = StaticStructure::record(prog).expect("pass 1");
     let mut prof = polyddg::DdgProfiler::new(prog, &structure, CollectSink::default());
     polyvm::Vm::new(prog).run(&[], &mut prof).expect("pass 2");
     let runs = prof.body_runs();
@@ -42,16 +37,15 @@ fn collect_production(prog: &Program) -> (CollectSink, u64) {
 
 /// Fold through the production (interned) profiler.
 fn fold_production(prog: &Program) -> FoldedDdg {
-    let structure = structure(prog);
-    let mut prof = polyddg::DdgProfiler::new(prog, &structure, FoldingSink::new());
-    polyvm::Vm::new(prog).run(&[], &mut prof).expect("pass 2");
-    let (sink, interner) = prof.finish();
-    sink.finalize(prog, &interner)
+    let source = Source::Live(Live::default());
+    pass2::run(prog, &source, &Pass2::default())
+        .expect("both passes")
+        .ddg
 }
 
 /// Fold through the retained naive profiler.
 fn fold_naive(prog: &Program) -> FoldedDdg {
-    let structure = structure(prog);
+    let structure = StaticStructure::record(prog).expect("pass 1");
     let mut prof = baseline::NaiveDdgProfiler::new(prog, &structure, FoldingSink::new());
     polyvm::Vm::new(prog).run(&[], &mut prof).expect("pass 2");
     let (sink, interner) = prof.finish();
@@ -67,11 +61,9 @@ fn assert_identical(prog: &Program) -> Result<u64, String> {
     prop_assert_eq!(&fast.accesses, &slow.accesses);
     prop_assert_eq!(&fast.deps, &slow.deps);
 
-    let f = canon(&fold_production(prog));
-    let n = canon(&fold_naive(prog));
-    prop_assert_eq!(&f.0, &n.0, "folded statements differ");
-    prop_assert_eq!(&f.1, &n.1, "folded dependences differ");
-    prop_assert_eq!(&f.2, &n.2, "folded accesses differ");
+    let f = fold_production(prog).canonical_text();
+    let n = fold_naive(prog).canonical_text();
+    prop_assert_eq!(f, n, "folded DDGs differ");
     Ok(runs)
 }
 

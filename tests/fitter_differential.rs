@@ -15,7 +15,6 @@ mod common;
 
 use common::stencil;
 use polyir::Program;
-use polyprof_core::polycfg::{StaticStructure, StructureRecorder};
 use polyprof_core::polyddg::{DepKind, FoldSink};
 use polyprof_core::polyfeedback::FeedbackInput;
 use polyprof_core::polyfold::pass2::{self, Live, Pass2, Source};
@@ -431,11 +430,6 @@ struct Shown {
 }
 
 fn shown(prog: &Program, fast_fit: bool) -> Shown {
-    let mut rec = StructureRecorder::new();
-    polyprof_core::polyvm::Vm::new(prog)
-        .run(&[], &mut rec)
-        .expect("pass 1");
-    let structure = StaticStructure::analyze(prog, rec);
     let cfg = Pass2 {
         options: FoldOptions {
             fast_fit,
@@ -443,8 +437,8 @@ fn shown(prog: &Program, fast_fit: bool) -> Shown {
         },
         ..Pass2::default()
     };
-    let out = pass2::run(prog, &Source::Live(Live::new(&structure)), &cfg).expect("pass 2");
-    let (mut ddg, interner) = (out.ddg, out.interner);
+    let out = pass2::run(prog, &Source::Live(Live::default()), &cfg).expect("both passes");
+    let (mut ddg, interner, structure) = (out.ddg, out.interner, out.structure);
     let scev_removed = ddg.remove_scevs();
     let analysis = polyprof_core::polysched::Analysis::analyze(&ddg, &interner);
     let annotated_ast = polyprof_core::polyfeedback::annotated_ast(&FeedbackInput {

@@ -16,7 +16,7 @@ mod common;
 use common::{deep_nest, stencil};
 use polyir::build::ProgramBuilder;
 use polyir::{BlockRef, CmpOp, FuncId, InstrRef, Operand, Program, Value};
-use polyprof_core::polycfg::{LoopEvent, LoopEventGen, StaticStructure, StructureRecorder};
+use polyprof_core::polycfg::{LoopEvent, LoopEventGen, StaticStructure};
 use polyprof_core::polyddg::DdgProfiler;
 use polyprof_core::polyfold::pass2::{self, Live, Pass2, Source};
 use polyprof_core::polyfold::{FoldOptions, FoldingSink};
@@ -106,9 +106,7 @@ impl EventSink for Checked<'_> {
 /// Run `prog` through [`Checked`]: `(tracker memo misses, interner content
 /// interns, version-cache misses, distinct paths)`.
 fn run_checked(prog: &Program) -> (u64, u64, u64, usize) {
-    let mut rec = StructureRecorder::new();
-    Vm::new(prog).run(&[], &mut rec).expect("pass 1");
-    let structure = StaticStructure::analyze(prog, rec);
+    let structure = StaticStructure::record(prog).expect("pass 1");
     let mut sink = Checked::new(prog, &structure);
     sink.check();
     Vm::new(prog).run(&[], &mut sink).expect("pass 2");
@@ -250,9 +248,7 @@ fn hashing_does_not_grow_with_the_trip_count() {
 
 /// Peak live slots of the profiler's snapshot table over a full pass 2.
 fn peak_live_snapshots(prog: &Program) -> usize {
-    let mut rec = StructureRecorder::new();
-    Vm::new(prog).run(&[], &mut rec).expect("pass 1");
-    let structure = StaticStructure::analyze(prog, rec);
+    let structure = StaticStructure::record(prog).expect("pass 1");
     let mut prof = DdgProfiler::new(prog, &structure, FoldingSink::new());
     Vm::new(prog).run(&[], &mut prof).expect("pass 2");
     prof.peak_live_snapshots()
@@ -288,9 +284,6 @@ fn counters(prog: &Program, cfg: ProfileConfig) -> (u64, u64) {
 /// [`counters`] of a pass-2 fold through the rational reference
 /// (`FoldOptions::fast_fit` off).
 fn rational_counters(prog: &Program) -> (u64, u64) {
-    let mut rec = StructureRecorder::new();
-    Vm::new(prog).run(&[], &mut rec).expect("pass 1");
-    let structure = StaticStructure::analyze(prog, rec);
     let trace = Arc::new(Collector::new(MetricsLevel::Counters));
     let cfg = Pass2 {
         options: FoldOptions {
@@ -300,7 +293,7 @@ fn rational_counters(prog: &Program) -> (u64, u64) {
         trace: Some(Arc::clone(&trace)),
         ..Pass2::default()
     };
-    pass2::run(prog, &Source::Live(Live::new(&structure)), &cfg).expect("pass 2");
+    pass2::run(prog, &Source::Live(Live::default()), &cfg).expect("both passes");
     (
         trace.get(Counter::FoldPredicted),
         trace.get(Counter::EventsFolded),

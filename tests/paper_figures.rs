@@ -4,7 +4,7 @@
 //! Fig. 7 (flame graph renders).
 
 use polyprof_core::polycfg::{
-    LoopEvent, LoopEventGen, LoopForest, RecursiveComponentSet, StaticStructure, StructureRecorder,
+    LoopEvent, LoopEventGen, LoopForest, RecursiveComponentSet, StaticStructure,
 };
 use polyprof_core::polyiiv::{cct::Cct, IivTracker};
 use polyprof_core::polyir::{BlockRef, FuncId, LocalBlockId};
@@ -111,9 +111,7 @@ impl IivProbe<'_> {
 #[test]
 fn figure3_example1_iiv_depth() {
     let p = rodinia::paper_examples::fig3_example1(2, 2);
-    let mut rec = StructureRecorder::new();
-    Vm::new(&p).run(&[], &mut rec).unwrap();
-    let s = StaticStructure::analyze(&p, rec);
+    let s = StaticStructure::record(&p).unwrap();
     let mut probe = IivProbe::new(&p, &s);
     Vm::new(&p).run(&[], &mut probe).unwrap();
     assert_eq!(probe.max_depth, 3);
@@ -127,9 +125,7 @@ fn figure3_example1_iiv_depth() {
 fn figure3_example2_recursion_iv() {
     for k in [3i64, 7] {
         let p = rodinia::paper_examples::fig3_example2(k);
-        let mut rec = StructureRecorder::new();
-        Vm::new(&p).run(&[], &mut rec).unwrap();
-        let s = StaticStructure::analyze(&p, rec);
+        let s = StaticStructure::record(&p).unwrap();
         let mut probe = IivProbe::new(&p, &s);
         Vm::new(&p).run(&[], &mut probe).unwrap();
         assert_eq!(probe.iters_rec as i64, 2 * k, "k Ic + k Ir events");

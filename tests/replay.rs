@@ -17,8 +17,8 @@ mod common;
 
 use common::{deep_nest, elementwise, stencil};
 use polyprof_core::polyddg::{CollectSink, FoldSink};
-use polyprof_core::polyfold::pass2::{self, Live, Pass2, Source};
-use polyprof_core::polyfold::{self, replay::fold_recording, FoldOptions, FoldedDdg};
+use polyprof_core::polyfold::pass2::{self, Live, Pass2, Replay, Source};
+use polyprof_core::polyfold::{self, FoldOptions, FoldedDdg};
 use polyprof_core::polyiiv::context::{ContextInterner, StmtId};
 use polyprof_core::polyrec::{
     codec, program_id, Recorder, TraceWriter, FORMAT_VERSION, HDR_EVENTS_OFF, HDR_VERSION_OFF,
@@ -26,7 +26,7 @@ use polyprof_core::polyrec::{
 };
 use polyprof_core::polyresist::{PolyProfError, ResourceBudget};
 use polyprof_core::polytrace::Counter;
-use polyprof_core::{polycfg, polyiiv::CtxElem, polyir::Program, polyvm};
+use polyprof_core::{polyiiv::CtxElem, polyir::Program, polyvm};
 use polyprof_core::{try_profile_with, MetricsLevel, ProfileConfig, Report};
 use proptest::prelude::*;
 use rodinia::paper_examples::fig6_kernel;
@@ -44,9 +44,6 @@ fn scratch(name: &str) -> PathBuf {
 /// Live fold under `options` that also records to `path`, returning the live
 /// DDG. Tiny frames so every trace crosses many frame boundaries.
 fn record_live_with(prog: &Program, path: &Path, options: FoldOptions) -> FoldedDdg {
-    let mut rec = polycfg::StructureRecorder::new();
-    polyvm::Vm::new(prog).run(&[], &mut rec).expect("pass 1");
-    let structure = polycfg::StaticStructure::analyze(prog, rec);
     let cfg = Pass2 {
         options,
         ..Default::default()
@@ -54,7 +51,6 @@ fn record_live_with(prog: &Program, path: &Path, options: FoldOptions) -> Folded
     let source = Source::Live(Live {
         record: Some(path),
         chunk_events: 64,
-        ..Live::new(&structure)
     });
     let out = pass2::run(prog, &source, &cfg).expect("recording fold must complete");
     let deg = &out.degradation;
@@ -67,6 +63,16 @@ fn record_live_with(prog: &Program, path: &Path, options: FoldOptions) -> Folded
 
 fn record_live(prog: &Program, path: &Path) -> FoldedDdg {
     record_live_with(prog, path, FoldOptions::default())
+}
+
+/// Fold the recording at `path` of `prog` under `options`: both passes
+/// from the recording, no VM.
+fn refold(path: &Path, prog: &Program, options: FoldOptions) -> Result<FoldedDdg, PolyProfError> {
+    let cfg = Pass2 {
+        options,
+        ..Pass2::default()
+    };
+    pass2::run(prog, &Source::Recording(&Replay::from(path)), &cfg).map(|out| out.ddg)
 }
 
 /// A finished, correctly checksummed recording of `prog` whose one frame
@@ -158,9 +164,8 @@ fn replay_is_byte_identical_to_live() {
         ("fig6", fig6_kernel(8, 4)),
     ];
     let replay = |path: &Path, prog: &Program, options: FoldOptions| {
-        fold_recording(path, prog, 1, options, None)
+        refold(path, prog, options)
             .expect("replay must succeed")
-            .0
             .canonical_text()
     };
     for (name, prog) in &progs {
@@ -354,7 +359,7 @@ fn corrupted_bytes_are_recording_errors() {
 }
 
 /// A replay constructs no VM — neither through the public driver nor
-/// through `fold_recording` — while the live run that recorded it
+/// through `pass2::run` — while the live run that recorded it
 /// constructs two (pass 1 and pass 2). The tally is per thread, so tests
 /// running in parallel do not disturb it.
 #[test]
@@ -369,7 +374,7 @@ fn a_replay_constructs_no_vm() {
         .with_metrics(MetricsLevel::Timing)
         .with_replay_from(&path);
     let r = try_profile_with(&prog, &replayed).expect("replay run");
-    fold_recording(&path, &prog, 1, FoldOptions::default(), None).expect("fold");
+    refold(&path, &prog, FoldOptions::default()).expect("fold");
     assert_eq!(polyvm::vms_built_on_this_thread(), vms);
     let m = r.metrics.expect("metrics were asked for");
     assert!(m.vm_ops.is_empty(), "a replay dispatched opcodes");
@@ -384,8 +389,8 @@ fn program_id_mismatch_is_a_hard_error() {
     let other = elementwise(8, 3);
     let path = scratch("id_mismatch");
     record_live(&prog, &path);
-    let err = fold_recording(&path, &other, 1, FoldOptions::default(), None)
-        .expect_err("wrong program must be rejected");
+    let err =
+        refold(&path, &other, FoldOptions::default()).expect_err("wrong program must be rejected");
     match &err {
         PolyProfError::Recording { detail, .. } => {
             assert!(detail.contains("program id mismatch"), "got: {detail}");
@@ -489,8 +494,8 @@ fn format_version_bump_is_a_hard_error() {
     let off = HDR_VERSION_OFF as usize;
     bytes[off..off + 4].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
     fs::write(&path, &bytes).unwrap();
-    let err = fold_recording(&path, &prog, 1, FoldOptions::default(), None)
-        .expect_err("future version must be rejected");
+    let err =
+        refold(&path, &prog, FoldOptions::default()).expect_err("future version must be rejected");
     assert!(
         matches!(err, PolyProfError::Recording { .. }),
         "expected structured Recording error, got {err}"
@@ -508,8 +513,7 @@ fn bad_magic_is_a_hard_error() {
     bytes[0] ^= 0xFF;
     assert_ne!(&bytes[..8], &MAGIC[..]);
     fs::write(&path, &bytes).unwrap();
-    let err = fold_recording(&path, &prog, 1, FoldOptions::default(), None)
-        .expect_err("bad magic must be rejected");
+    let err = refold(&path, &prog, FoldOptions::default()).expect_err("bad magic must be rejected");
     assert!(matches!(err, PolyProfError::Recording { .. }));
     fs::remove_file(&path).ok();
 }
@@ -529,7 +533,7 @@ fn payload_byte_flip_is_detected() {
         let mut flipped = bytes.clone();
         flipped[start + 6] ^= 0xFF;
         fs::write(&path, &flipped).unwrap();
-        let err = fold_recording(&path, &prog, 1, FoldOptions::default(), None)
+        let err = refold(&path, &prog, FoldOptions::default())
             .expect_err("checksum mismatch must be detected");
         match err {
             PolyProfError::Recording { detail, .. } => {
@@ -553,7 +557,7 @@ fn header_count_tamper_is_detected() {
     let n = u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
     bytes[off..off + 8].copy_from_slice(&(n + 1).to_le_bytes());
     fs::write(&path, &bytes).unwrap();
-    let err = fold_recording(&path, &prog, 1, FoldOptions::default(), None)
+    let err = refold(&path, &prog, FoldOptions::default())
         .expect_err("count disagreement must be detected");
     assert!(matches!(err, PolyProfError::Recording { .. }));
     fs::remove_file(&path).ok();
@@ -591,7 +595,7 @@ fn statement_outside_the_footer_table_is_a_hard_error() {
     let prog = elementwise(6, 2);
     let path = scratch("forged_stmt");
     fs::write(&path, forged_stmt_recording(&prog)).unwrap();
-    match fold_recording(&path, &prog, 1, FoldOptions::default(), None) {
+    match refold(&path, &prog, FoldOptions::default()) {
         Err(PolyProfError::Recording { detail, .. }) => {
             assert!(detail.contains("statement 999"), "{detail}")
         }
@@ -614,7 +618,7 @@ proptest! {
         let bytes = fs::read(&path).unwrap();
         let cut = (seed as usize) % bytes.len();
         fs::write(&path, &bytes[..cut]).unwrap();
-        let res = fold_recording(&path, &prog, 1, FoldOptions::default(), None);
+        let res = refold(&path, &prog, FoldOptions::default());
         fs::remove_file(&path).ok();
         prop_assert!(
             matches!(res, Err(PolyProfError::Recording { .. })),

@@ -12,9 +12,9 @@
 
 mod common;
 
-use common::{canon, stencil};
+use common::stencil;
 use polyprof_core::polyfold::pass2::{self, Live, Pass2, Source};
-use polyprof_core::polyfold::{self, FoldedDdg, FoldingSink};
+use polyprof_core::polyfold::{self, FoldedDdg};
 use polyprof_core::polyrec::TraceReader;
 use polyprof_core::polyresist::{FaultPlan, FaultSite, ResourceBudget, RunDegradation};
 use polyprof_core::{profile_with, try_profile_with, PolyProfError, ProfileConfig};
@@ -25,17 +25,11 @@ fn fold(
     prog: &polyprof_core::polyir::Program,
     faults: Option<&str>,
 ) -> (FoldedDdg, RunDegradation) {
-    let mut rec = polyprof_core::polycfg::StructureRecorder::new();
-    polyprof_core::polyvm::Vm::new(prog)
-        .run(&[], &mut rec)
-        .expect("pass 1");
-    let structure = polyprof_core::polycfg::StaticStructure::analyze(prog, rec);
     let cfg = Pass2 {
         faults: faults.map(|spec| Arc::new(FaultPlan::parse(spec).unwrap())),
         ..Default::default()
     };
-    let out =
-        pass2::run(prog, &Source::Live(Live::new(&structure)), &cfg).expect("fold must complete");
+    let out = pass2::run(prog, &Source::Live(Live::default()), &cfg).expect("fold must complete");
     (out.ddg, out.degradation)
 }
 
@@ -90,7 +84,11 @@ fn stalled_beat_is_lossless() {
     let clean = fold(&prog, None).0;
     let (ddg, deg) = fold(&prog, Some("stall:beat@1;stall_ms=5"));
     assert_eq!(deg.stalled_beats, 1);
-    assert_eq!(canon(&clean), canon(&ddg), "a stall must not lose events");
+    assert_eq!(
+        clean.canonical_text(),
+        ddg.canonical_text(),
+        "a stall must not lose events"
+    );
 }
 
 /// An armed plan whose occurrence index is never reached must not perturb
@@ -103,7 +101,7 @@ fn armed_but_unfired_plan_is_byte_identical() {
     let (ddg, deg) = fold(&prog, Some(unfired));
     assert_eq!(deg.faults_injected, 0);
     assert!(!deg.is_degraded(), "{deg:?}");
-    assert_eq!(canon(&clean), canon(&ddg));
+    assert_eq!(clean.canonical_text(), ddg.canonical_text());
 }
 
 /// A panic in pass 2 — `panic:pre@1`, the first memory event — is caught
@@ -168,19 +166,18 @@ fn rodinia_tight_budget_overapproximates_soundly() {
     let w = rodinia::pathfinder::build();
 
     // Exact reference.
-    let (exact, _, structure) = polyfold::fold_program(&w.program);
+    let (exact, _, _) = polyfold::fold_program(&w.program);
 
-    // Budgeted run through the serial core path.
+    // Budgeted run: the budget is charged by the shadow pages, the snapshot
+    // table and the folders, as a profiling run charges it.
     let budget = Arc::new(ResourceBudget::new(Some(1), None));
-    let mut sink = FoldingSink::new();
-    sink.set_budget(Arc::clone(&budget));
-    let mut prof = polyprof_core::polyddg::DdgProfiler::new(&w.program, &structure, sink);
-    polyprof_core::polyvm::Vm::new(&w.program)
-        .run(&[], &mut prof)
-        .expect("pass 2");
-    let (sink, interner) = prof.finish();
-    assert!(sink.fold_stats().budget_degraded > 0);
-    let coarse = sink.finalize(&w.program, &interner);
+    let cfg = Pass2 {
+        budget: Some(Arc::clone(&budget)),
+        ..Pass2::default()
+    };
+    let out = pass2::run(&w.program, &Source::Live(Live::default()), &cfg).expect("both passes");
+    assert!(out.degradation.budget_overapprox_stmts > 0);
+    let coarse = out.ddg;
 
     assert!(budget.under_pressure());
     assert!(coarse.overapprox_stmts() > 0);

@@ -74,9 +74,7 @@ fn kernel(n: i64) -> Program {
 /// Full pass-1 + pass-2 profile into a folding sink; returns (events,
 /// allocations, loop-body runs folded) for the pass-2 portion only.
 fn profile_counting(prog: &Program) -> (u64, u64, u64) {
-    let mut rec = polycfg::StructureRecorder::new();
-    polyvm::Vm::new(prog).run(&[], &mut rec).expect("pass 1");
-    let structure = polycfg::StaticStructure::analyze(prog, rec);
+    let structure = polycfg::StaticStructure::record(prog).expect("pass 1");
     let mut prof = polyddg::DdgProfiler::new(prog, &structure, polyfold::FoldingSink::new());
     let before = ALLOCS.load(Ordering::Relaxed);
     polyvm::Vm::new(prog).run(&[], &mut prof).expect("pass 2");
@@ -148,18 +146,16 @@ fn calling_kernel(n: i64) -> Program {
     pb.finish()
 }
 
-/// Both passes over `prog`, pass 1 into the structure recorder and pass 2
-/// into a folding profiler; returns (dynamic instructions, allocations of
-/// the two VM runs).
+/// Both passes over `prog`, pass 1 (its VM run and the analysis of what it
+/// recorded) and pass 2 into a folding profiler; returns (dynamic
+/// instructions, allocations of the two passes).
 fn both_passes_counting(prog: &Program) -> (u64, u64) {
-    let mut rec = polycfg::StructureRecorder::new();
     let before = ALLOCS.load(Ordering::Relaxed);
-    let out = polyvm::Vm::new(prog).run(&[], &mut rec).expect("pass 1");
+    let structure = polycfg::StaticStructure::record(prog).expect("pass 1");
     let pass1 = ALLOCS.load(Ordering::Relaxed) - before;
-    let structure = polycfg::StaticStructure::analyze(prog, rec);
     let mut prof = polyddg::DdgProfiler::new(prog, &structure, polyfold::FoldingSink::new());
     let before = ALLOCS.load(Ordering::Relaxed);
-    polyvm::Vm::new(prog).run(&[], &mut prof).expect("pass 2");
+    let out = polyvm::Vm::new(prog).run(&[], &mut prof).expect("pass 2");
     let pass2 = ALLOCS.load(Ordering::Relaxed) - before;
     (out.dyn_instrs, pass1 + pass2)
 }
@@ -190,9 +186,7 @@ fn calls_do_not_allocate_per_call_in_either_pass() {
 /// `prog`'s pass-2 event stream, captured in memory in arrival order, and
 /// the interner that numbered its statements.
 fn capture_pass2(prog: &Program) -> (EventChunk, ContextInterner) {
-    let mut rec = polycfg::StructureRecorder::new();
-    polyvm::Vm::new(prog).run(&[], &mut rec).expect("pass 1");
-    let structure = polycfg::StaticStructure::analyze(prog, rec);
+    let structure = polycfg::StaticStructure::record(prog).expect("pass 1");
     let mut prof = polyddg::DdgProfiler::new(prog, &structure, EventChunk::default());
     polyvm::Vm::new(prog).run(&[], &mut prof).expect("pass 2");
     prof.finish()
